@@ -68,11 +68,6 @@ def sym_abs(a):
     return (v * np.abs(w)) @ v.T
 
 
-def sym_pow(a, p):
-    w, v = _guarded_eig(a, require_pd=True)
-    return (v * w**p) @ v.T
-
-
 def spectral_norm(a):
     """2-norm; for symmetric input max |eigenvalue|, else largest singular value."""
     a = np.asarray(a)

@@ -329,6 +329,9 @@ def presmoothing_residual(f, n: int, basis: BasisSystem, grid: QuadratureGrid = 
     return frob_err, rel_err
 
 
+_LATTICE_BLOCK = 256
+
+
 def class_c1(s: float, L: float, cutoff: int = 4000) -> float:
     """Uniform first-argument derivative bound over the class, s > 2.
 
@@ -337,11 +340,14 @@ def class_c1(s: float, L: float, cutoff: int = 4000) -> float:
     """
     if s <= 2.0:
         raise ConfigurationError("the derivative bound needs s > 2")
-    j = np.arange(0, cutoff + 1, dtype=float)
-    jj, kk = np.meshgrid(j, j, indexing="ij")
-    w = jj * jj + kk * kk
-    w[0, 0] = np.inf
-    lattice = float(np.sum(w ** (1.0 - s)))
+    sq = np.arange(0, cutoff + 1, dtype=float) ** 2
+    lattice = 0.0
+    # row blocks keep the working set at block * (cutoff + 1) entries
+    for lo in range(0, cutoff + 1, _LATTICE_BLOCK):
+        w = sq[lo : lo + _LATTICE_BLOCK, None] + sq[None, :]
+        if lo == 0:
+            w[0, 0] = np.inf
+        lattice += float(np.sum(w ** (1.0 - s)))
     # quarter-plane tail beyond radius cutoff: int r^(2-2s+1) dr * pi/2
     tail = (math.pi / 2.0) * cutoff ** (4.0 - 2.0 * s) / (2.0 * s - 4.0)
     return 2.0 * math.sqrt(TWO_PI) * math.sqrt(L) * math.sqrt(lattice + tail)

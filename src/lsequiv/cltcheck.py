@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
@@ -487,13 +488,40 @@ def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
 # inversion and total variation
 
 
+def _chirp_z(coeffs, x0, dx, dt, count):
+    """sum_m coeffs[m] exp(-i (x0 + k dx) m dt) for k = 0..count-1.
+
+    Bluestein's identity km = (k^2 + m^2 - (k - m)^2) / 2 turns the sum into
+    one linear convolution with a chirp (the chirp-z transform of Rabiner,
+    Schafer & Rader, 1969), done by FFT in O((M + count) log(M + count)).
+    """
+    m_len = len(coeffs)
+    theta = dx * dt
+    m = np.arange(m_len, dtype=float)
+    k = np.arange(count, dtype=float)
+    j = np.arange(-(m_len - 1), count, dtype=float)
+    u = coeffs * np.exp(-1j * (x0 * dt * m + 0.5 * theta * m * m))
+    v = np.exp(0.5j * theta * j * j)
+    # circular length >= m_len + count - 1 keeps the needed outputs unaliased
+    size = sfft.next_fast_len(m_len + count - 1)
+    conv = sfft.ifft(sfft.fft(u, size) * sfft.fft(v, size))
+    return np.exp(-0.5j * theta * k * k) * conv[m_len - 1 : m_len - 1 + count]
+
+
 def invert_cf_1d(psi, T, x, steps=None):
     """Density values (1/pi) Re int_0^T exp(-i t x) psi(t) dt at points x.
 
     psi must accept a 1-d radius array; Simpson weights on a uniform t
-    grid, evaluated in x chunks to cap memory.
+    grid.  x must be a uniformly spaced 1-d grid (relative 1e-9), so the
+    Fourier sum is one chirp-z transform.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) == 0:
+        raise PreconditionError("inversion points must be a nonempty 1-d grid")
+    dx = (x[-1] - x[0]) / (len(x) - 1) if len(x) > 1 else 0.0
+    # written as not(<=) so that a NaN in x is rejected too
+    if not np.all(np.abs(x - (x[0] + dx * np.arange(len(x)))) <= 1e-9 * abs(dx)):
+        raise PreconditionError("inversion points must be uniformly spaced")
     if steps is None:
         steps = max(2 * int(np.ceil(T / 0.02)), 64)
     if steps % 2 == 1:
@@ -504,13 +532,7 @@ def invert_cf_1d(psi, T, x, steps=None):
     w[2:-1:2] = 2.0
     w *= (T / steps) / 3.0
     weighted = np.asarray(psi(tgrid), dtype=complex) * w
-    out = np.empty_like(x)
-    chunk = max(1, int(2e6 // (steps + 1)))
-    for lo in range(0, len(x), chunk):
-        xs = x[lo : lo + chunk]
-        kernel = np.exp(-1j * np.multiply.outer(xs, tgrid))
-        out[lo : lo + chunk] = (kernel @ weighted).real / np.pi
-    return out
+    return _chirp_z(weighted, x[0], dx, T / steps, len(x)).real / np.pi
 
 
 def tv_against_gaussian_1d(psi, T, x_max=20.0, dx=0.002, ref_pdf=None):

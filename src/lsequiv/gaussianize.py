@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import cho_factor, cho_solve
 
 from ._linalg import (
     check_symmetric,
@@ -275,12 +276,24 @@ class ExperimentState:
 MODEL_IDS = ("A", "B", "D", "G", "H", "I", "J", "K", "L")
 
 
-def _gaussian_vector(mean, cov, rng) -> np.ndarray:
+def _sampling_root(cov) -> np.ndarray:
+    """R with R R^T = cov, from the eigendecomposition; cov must be PSD."""
     w, v = sym_eig(np.asarray(cov, dtype=float))
     if w[0] < -1e-10 * max(abs(w[-1]), 1.0):
         raise PreconditionError("covariance has a negative eigenvalue")
-    root = v * np.sqrt(np.clip(w, 0.0, None))
-    return np.asarray(mean, dtype=float) + root @ rng.standard_normal(len(w))
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def _gaussian_vector(mean, cov, rng) -> np.ndarray:
+    root = _sampling_root(cov)
+    return np.asarray(mean, dtype=float) + root @ rng.standard_normal(len(root))
+
+
+def _gaussian_rows(cov, reps, rng) -> np.ndarray:
+    """reps centred draws as rows; one (reps, n) normal block reads the
+    stream in the same order as reps calls of _gaussian_vector."""
+    root = _sampling_root(cov)
+    return rng.standard_normal((reps, len(root))) @ root.T
 
 
 def sample_experiment(state: ExperimentState, model_id: str, rng) -> np.ndarray:
@@ -355,22 +368,26 @@ def likelihood_affinity_check(state: ExperimentState, reps: int, rng) -> CheckRe
     Regresses the exact log-density difference on the sufficient statistic;
     the residual must vanish and the slopes must match -<Delta, M_k>/2.
     """
-    n, k_count = state.n, state.K
+    k_count = state.K
     b_inv = sym_inv(state.b_theta)
-    draws = np.empty((reps, k_count + 1))
-    diffs = np.empty(reps)
     sign_b, logdet_b = np.linalg.slogdet(b_inv)
     sign_c, logdet_c = np.linalg.slogdet(state.c_mat)
     if sign_b <= 0 or sign_c <= 0:
         raise PreconditionError("covariances must be positive definite")
+    # every draw shares C, so both solves are factored once for all draws
+    try:
+        c_chol, b_chol = cho_factor(state.c_mat), cho_factor(b_inv)
+    except np.linalg.LinAlgError:
+        raise PreconditionError("covariances must be positive definite")
+    xs = _gaussian_rows(state.c_mat, reps, rng)
+    c_solved = cho_solve(c_chol, xs.T).T
+    b_solved = cho_solve(b_chol, xs.T).T
+    draws = np.ones((reps, k_count + 1))
     for r in range(reps):
-        x = _gaussian_vector(np.zeros(n), state.c_mat, rng)
-        t_vec = sufficient_T(x, state.c_mat, state.basis)
-        draws[r, :k_count] = t_vec
-        draws[r, k_count] = 1.0
-        quad_b = float(x @ np.linalg.solve(b_inv, x))
-        quad_c = float(x @ np.linalg.solve(state.c_mat, x))
-        diffs[r] = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
+        draws[r, :k_count] = state.basis.quad_form(c_solved[r])
+    quad_b = np.sum(xs * b_solved, axis=1)
+    quad_c = np.sum(xs * c_solved, axis=1)
+    diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
     coef, *_ = np.linalg.lstsq(draws, diffs, rcond=None)
     fitted = draws @ coef
     resid = float(np.max(np.abs(diffs - fitted)))

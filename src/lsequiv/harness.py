@@ -14,6 +14,7 @@ import struct
 import time
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .basis_cov import (
     BasisSystem,
@@ -105,8 +106,7 @@ def _chol_logdet(chol_factor) -> float:
 
 
 def _chol_solve(chol_factor, b):
-    y = np.linalg.solve(chol_factor, b)
-    return np.linalg.solve(chol_factor.T, y)
+    return cho_solve((chol_factor, True), b)
 
 
 def gaussian_divergences(mean1, cov1, mean2, cov2) -> GaussianDivergences:

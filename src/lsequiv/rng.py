@@ -13,7 +13,3 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     seed = int(seed) & (2**64 - 1)
     stream = int(stream) & (2**64 - 1)
     return np.random.Generator(np.random.Philox(key=(seed << 64) + stream))
-
-
-def spawn_rngs(seed: int, count: int, base_stream: int = 0):
-    return [make_rng(seed, base_stream + i) for i in range(count)]

@@ -213,26 +213,8 @@ class GridFunction:
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def log(self) -> "GridFunction":
-        if self.min() <= 0.0:
-            raise DomainError("log transform needs strictly positive values")
-        return GridFunction(self.grid, np.log(self.values))
-
-    def inv_sqrt(self) -> "GridFunction":
-        if self.min() <= 0.0:
-            raise DomainError("inverse square root needs strictly positive values")
-        return GridFunction(self.grid, self.values ** -0.5)
-
     def project(self, indices) -> dict:
         return self.grid.project(self.values, indices)
-
-
-def transform_log(grid: QuadratureGrid, values) -> np.ndarray:
-    return GridFunction(grid, np.asarray(values, dtype=float)).log().values
-
-
-def transform_inv_sqrt(grid: QuadratureGrid, values) -> np.ndarray:
-    return GridFunction(grid, np.asarray(values, dtype=float)).inv_sqrt().values
 
 
 def mirror_extend(fn):

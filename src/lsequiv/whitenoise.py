@@ -25,7 +25,6 @@ from .errors import PreconditionError, RangeError, SingularMatrixError
 from .report import SCHEMA, CheckResult, fmt_float
 from .rng import make_rng
 from .spectral import GridFunction, default_grid, leading_indices
-from .report import VerificationReport  # noqa: F401  (re-export convenience)
 
 TWO_PI = 2.0 * math.pi
 

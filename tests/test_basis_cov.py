@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,33 @@ def test_abstract_rho_band():
 
 def test_class_c1_monotone_in_l():
     assert class_c1(11.0, 5.0) > class_c1(11.0, 1.0) > 0.0
+
+
+def _class_c1_dense(s, L, cutoff):
+    """Reference: the lattice sum over one full meshgrid."""
+    j = np.arange(0, cutoff + 1, dtype=float)
+    jj, kk = np.meshgrid(j, j, indexing="ij")
+    w = jj * jj + kk * kk
+    w[0, 0] = np.inf
+    lattice = float(np.sum(w ** (1.0 - s)))
+    tail = (math.pi / 2.0) * cutoff ** (4.0 - 2.0 * s) / (2.0 * s - 4.0)
+    return 2.0 * math.sqrt(TWO_PI) * math.sqrt(L) * math.sqrt(lattice + tail)
+
+
+@pytest.mark.parametrize("s", [2.5, 4.0, 11.0])
+def test_class_c1_blocked_matches_dense(s):
+    # 700 is not a multiple of the row block, so the ragged last block is covered
+    assert class_c1(s, 5.0, cutoff=700) == pytest.approx(_class_c1_dense(s, 5.0, 700), rel=1e-13)
+
+
+def test_class_c1_memory_peak():
+    tracemalloc.start()
+    try:
+        class_c1(11.0, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_basis_proximity_small():

@@ -189,6 +189,52 @@ def test_invert_cf_recovers_normal_density():
     np.testing.assert_allclose(dens, expected, atol=1e-12)
 
 
+def _invert_cf_direct(psi, T, x):
+    """Reference: the O(N_x N_t) Fourier sum with the same Simpson weights."""
+    steps = max(2 * int(np.ceil(T / 0.02)), 64)
+    tgrid = np.linspace(0.0, T, steps + 1)
+    w = np.ones(steps + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (T / steps) / 3.0
+    weighted = np.asarray(psi(tgrid), dtype=complex) * w
+    out = np.empty_like(x)
+    for lo in range(0, len(x), 1000):
+        kernel = np.exp(-1j * np.multiply.outer(x[lo : lo + 1000], tgrid))
+        out[lo : lo + 1000] = (kernel @ weighted).real / np.pi
+    return out
+
+
+def test_invert_cf_chirp_z_matches_direct_sum_k1_grid():
+    xs = np.arange(-20.0, 20.0 + 0.001, 0.002)
+    assert len(xs) == 20001
+    psi = RadialProfile(CTX, np.array([1.0])).psi_star
+    gap = np.max(np.abs(invert_cf_1d(psi, 9.0, xs) - _invert_cf_direct(psi, 9.0, xs)))
+    assert gap <= 1e-10
+
+
+def test_invert_cf_chirp_z_matches_direct_sum_k2_slice_grid():
+    # the filtered-slice grid of the K = 2 oracle at x_max = 8, dx = 0.04
+    smax = 8.0 * math.sqrt(2.0) + 1.0
+    sgrid = np.arange(-smax, smax + 0.01, 0.02)
+    assert len(sgrid) == 1232
+    ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
+    profile = RadialProfile(ctx2, np.array([math.cos(0.7), math.sin(0.7)]))
+    psi = lambda r: profile.psi_star(r) * r
+    gap = np.max(np.abs(invert_cf_1d(psi, 12.0, sgrid) - _invert_cf_direct(psi, 12.0, sgrid)))
+    assert gap <= 1e-10
+
+
+def test_invert_cf_grid_guards():
+    psi = lambda u: np.exp(-0.5 * u * u)
+    one = invert_cf_1d(psi, 30.0, np.array([0.5]))
+    np.testing.assert_allclose(one, _invert_cf_direct(psi, 30.0, np.array([0.5])), atol=1e-12)
+    with pytest.raises(PreconditionError):
+        invert_cf_1d(psi, 30.0, np.array([0.0, 1.0, 3.0]))
+    with pytest.raises(PreconditionError):
+        invert_cf_1d(psi, 30.0, np.array([0.0, np.nan]))
+
+
 def test_context_from_state_matches_direct_build():
     n = 32
     basis = build_basis(n, 1, 1)

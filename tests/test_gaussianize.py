@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lsequiv._linalg import sym_inv
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.errors import ConfigurationError, LocalizationError
 from lsequiv.gaussianize import (
     MODEL_IDS,
     ExperimentState,
     LocalizationConfig,
+    _gaussian_rows,
+    _gaussian_vector,
     build_localized_C,
     gaussian_summaries,
     goe_sample,
@@ -159,6 +163,45 @@ def test_likelihood_affinity_check_passes():
     chk = likelihood_affinity_check(STATE, 200, make_rng(3, stream=45))
     assert chk.check_id == "sufficiency.affine_loglik"
     assert chk.passed
+    # the batched check agrees with the per-draw reference
+    ref_lhs = _affinity_lhs_per_draw(STATE, 200, make_rng(3, stream=45))
+    assert ref_lhs <= chk.tol
+    assert abs(chk.lhs - ref_lhs) <= 1e-10
+
+
+def _affinity_lhs_per_draw(state, reps, rng):
+    """Reference: one eigendecomposition and two LU solves per draw."""
+    n, k_count = state.n, state.K
+    b_inv = sym_inv(state.b_theta)
+    _, logdet_b = np.linalg.slogdet(b_inv)
+    _, logdet_c = np.linalg.slogdet(state.c_mat)
+    draws = np.empty((reps, k_count + 1))
+    diffs = np.empty(reps)
+    for r in range(reps):
+        x = _gaussian_vector(np.zeros(n), state.c_mat, rng)
+        draws[r, :k_count] = sufficient_T(x, state.c_mat, state.basis)
+        draws[r, k_count] = 1.0
+        quad_b = float(x @ np.linalg.solve(b_inv, x))
+        quad_c = float(x @ np.linalg.solve(state.c_mat, x))
+        diffs[r] = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
+    coef, *_ = np.linalg.lstsq(draws, diffs, rcond=None)
+    resid = float(np.max(np.abs(diffs - draws @ coef)))
+    slope_err = float(np.max(np.abs(coef[:k_count] + 0.5 * state.basis.project(state.delta))))
+    return max(resid, slope_err)
+
+
+def test_affinity_batched_draws_match_per_draw_stream():
+    reps = 50
+    batched = _gaussian_rows(STATE.c_mat, reps, make_rng(3, stream=45))
+    rng = make_rng(3, stream=45)
+    looped = np.array([_gaussian_vector(np.zeros(N), STATE.c_mat, rng) for _ in range(reps)])
+    assert np.max(np.abs(batched - looped)) <= 1e-12 * np.max(np.abs(looped))
+
+
+def test_affinity_check_detects_wrong_slope():
+    tampered = dataclasses.replace(STATE, delta=1.01 * STATE.delta)
+    assert not likelihood_affinity_check(tampered, 200, make_rng(3, stream=45)).passed
+    assert _affinity_lhs_per_draw(tampered, 200, make_rng(3, stream=45)) > 1e-8
 
 
 def test_neumann_residual_below_series_bound():
