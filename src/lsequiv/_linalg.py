@@ -34,7 +34,9 @@ def sym_eig(a):
     return np.linalg.eigh(a)
 
 
-def _guarded_eig(a, require_pd):
+def guarded_eig(a, require_pd):
+    """eigh of a symmetric matrix that raises on a (near-)singular or, with
+    require_pd, a non-positive-definite input."""
     w, v = np.linalg.eigh(a)
     scale = np.max(np.abs(w)) if w.size else 0.0
     if scale == 0.0 or np.min(np.abs(w)) <= SYM_RTOL * scale:
@@ -48,17 +50,17 @@ def _guarded_eig(a, require_pd):
 
 
 def sym_inv(a):
-    w, v = _guarded_eig(a, require_pd=False)
+    w, v = guarded_eig(a, require_pd=False)
     return (v / w) @ v.T
 
 
 def sym_sqrt(a):
-    w, v = _guarded_eig(a, require_pd=True)
+    w, v = guarded_eig(a, require_pd=True)
     return (v * np.sqrt(w)) @ v.T
 
 
 def sym_inv_sqrt(a):
-    w, v = _guarded_eig(a, require_pd=True)
+    w, v = guarded_eig(a, require_pd=True)
     return (v / np.sqrt(w)) @ v.T
 
 

@@ -11,6 +11,7 @@ from the Gaussian limit (K <= 2).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -18,9 +19,8 @@ import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
-from scipy.stats import norm as norm_dist
 
-from ._linalg import check_symmetric, spectral_norm, sym_inv, sym_inv_sqrt, sym_sqrt
+from ._linalg import check_symmetric, guarded_eig
 from .errors import PreconditionError, RangeError, TermBudgetError
 from .report import CheckResult
 from .rng import make_rng
@@ -52,6 +52,37 @@ __all__ = [
 # context
 
 
+# Relative Frobenius size of off(Q^T A_k Q) up to which a shared eigenbasis Q
+# is accepted; by Weyl's inequality it bounds the eigenvalue error.
+JOINT_RTOL = 1e-12
+
+
+def _joint_spectrum(a_stack):
+    """(K, n) eigenvalues of every A_k in one shared eigenbasis, or None.
+
+    The eigenvectors Q of a fixed generic combination of the stack
+    diagonalize every A_k when the stack commutes.  The diagonals of
+    Q^T A_k Q are accepted only when each off-diagonal part satisfies
+    |off(Q^T A_k Q)|_F <= JOINT_RTOL |A_k|_F; by Weyl's inequality the
+    eigenvalues of sum_k v_k A_k are then those of sum_k v_k diag(Q^T A_k Q)
+    up to sum_k |v_k| |off(Q^T A_k Q)|_F.
+    """
+    if len(a_stack) == 1:
+        return np.linalg.eigvalsh(a_stack[0])[None]
+    norms = np.linalg.norm(a_stack, axis=(1, 2))
+    # golden-ratio powers: no rational relation that could merge eigenvalues
+    weights = ((math.sqrt(5.0) - 1.0) / 2.0) ** np.arange(len(a_stack)) / norms
+    _, q = np.linalg.eigh(np.tensordot(weights, a_stack, axes=(0, 0)))
+    joint = np.empty((len(a_stack), len(q)))
+    for k, a in enumerate(a_stack):
+        rotated = q.T @ (a @ q)
+        joint[k] = np.diagonal(rotated)
+        np.fill_diagonal(rotated, 0.0)
+        if np.linalg.norm(rotated) > JOINT_RTOL * norms[k]:
+            return None
+    return joint
+
+
 @dataclass
 class CharFnContext:
     """Eigen-ready data for the conditional characteristic function.
@@ -62,6 +93,14 @@ class CharFnContext:
     D_k = sum_l (Gamma^{-1/2})_{kl} A_l, for which {sqrt(2) D_k} is
     Frobenius-orthonormal.  mu is the spectral budget controlling every
     bound downstream.
+
+    Every direction v needs the eigenvalues of the pencil sum_k v_k A_k.
+    When the stack commutes, one eigendecomposition serves every
+    direction: joint holds the shared spectrum, certified by a Weyl bound
+    (see _joint_spectrum).  That is the case for every window with K <= 2
+    (k1 = 0, so each M_k is a polynomial in the truncated shift) and
+    C_theta, C in the span of the basis.  Otherwise joint is None and each
+    direction is solved on its own.
     """
 
     n: int
@@ -76,19 +115,33 @@ class CharFnContext:
     def K(self) -> int:
         return self.a_stack.shape[0]
 
+    @cached_property
+    def joint(self):
+        """(K, n) shared pencil spectrum, or None when the stack does not commute."""
+        return _joint_spectrum(self.a_stack)
+
     def pencil(self, t) -> np.ndarray:
         """sum_k t_k A_k for t in the raw (unstandardized) coordinates."""
         t = np.asarray(t, dtype=float)
         return np.tensordot(t, self.a_stack, axes=(0, 0))
 
-    def standardized_pencil(self, t) -> np.ndarray:
-        """sum_k t_k D_k for t in the standardized coordinates."""
-        t = np.asarray(t, dtype=float)
-        return np.tensordot(t, self.d_stack, axes=(0, 0))
+    def pencil_eigs(self, v) -> np.ndarray:
+        """Ascending eigenvalues of pencil(v).
+
+        The standardized pencil sum_k t_k D_k is pencil(gamma_inv_sqrt @ t).
+        """
+        v = np.asarray(v, dtype=float)
+        if self.joint is None:
+            return np.linalg.eigvalsh(self.pencil(v))
+        return np.sort(v @ self.joint)
 
 
 def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
-    """Assemble a CharFnContext from covariance pair and basis system."""
+    """Assemble a CharFnContext from covariance pair and basis system.
+
+    C_theta and C are eigendecomposed once each (once in all when they are
+    equal); their spectral norms in mu come from those eigenvalues.
+    """
     c_theta = np.asarray(c_theta, dtype=float)
     c_mat = np.asarray(c_mat, dtype=float)
     n = basis.n
@@ -97,8 +150,13 @@ def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
     check_symmetric(c_theta, what="target covariance")
     check_symmetric(c_mat, what="localized covariance")
 
-    root = sym_sqrt(c_theta)
-    cinv = sym_inv(c_mat)
+    w_theta, v_theta = guarded_eig(c_theta, require_pd=True)
+    if np.array_equal(c_theta, c_mat):
+        w_c, v_c = w_theta, v_theta
+    else:
+        w_c, v_c = guarded_eig(c_mat, require_pd=False)
+    root = (v_theta * np.sqrt(w_theta)) @ v_theta.T
+    cinv = (v_c / w_c) @ v_c.T
     half = cinv @ root
     a_stack = np.matmul(half.T, np.matmul(basis.mats, half))
     a_stack = 0.5 * (a_stack + np.transpose(a_stack, (0, 2, 1)))
@@ -107,7 +165,8 @@ def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
     flat = a_stack.reshape(len(a_stack), -1)
     gamma_theta = 2.0 * (flat @ flat.T)
     gamma_theta = 0.5 * (gamma_theta + gamma_theta.T)
-    gamma_inv_sqrt = sym_inv_sqrt(gamma_theta)
+    w_gamma, v_gamma = guarded_eig(gamma_theta, require_pd=True)
+    gamma_inv_sqrt = (v_gamma / np.sqrt(w_gamma)) @ v_gamma.T
     d_stack = np.tensordot(gamma_inv_sqrt, a_stack, axes=(1, 0))
 
     dflat = d_stack.reshape(len(d_stack), -1)
@@ -120,10 +179,11 @@ def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
         )
 
     sp_sq = np.sum(basis.spectral_norms() ** 2)
+    # |C_theta| |C^{-1}|^2 |Gamma^{-1/2}| sqrt(sum_k |M_k|^2), all spectral
     mu = (
-        spectral_norm(c_theta)
-        * spectral_norm(cinv) ** 2
-        * spectral_norm(gamma_inv_sqrt)
+        np.max(w_theta)
+        / np.min(np.abs(w_c)) ** 2
+        / math.sqrt(np.min(w_gamma))
         * math.sqrt(sp_sq)
     )
     return CharFnContext(
@@ -152,13 +212,13 @@ def char_fn(t, ctx) -> complex:
     Each factor (1 - 2i*lam)^{-1/2} uses the principal branch, which is
     unambiguous because every 1 - 2i*lam has real part one.
     """
-    lam = np.linalg.eigvalsh(ctx.pencil(t))
+    lam = ctx.pencil_eigs(t)
     return complex(np.prod((1.0 - 2j * lam) ** (-0.5)))
 
 
 def char_fn_modulus(t, ctx) -> float:
     """|char_fn(t)| through the closed form prod (1 + 4 lam^2)^{-1/4}."""
-    lam = np.linalg.eigvalsh(ctx.pencil(t))
+    lam = ctx.pencil_eigs(t)
     return float(np.prod((1.0 + 4.0 * lam**2) ** (-0.25)))
 
 
@@ -174,7 +234,7 @@ def standardized_log_characteristic(t, ctx) -> complex:
     """log of char_fn_standardized evaluated without branch ambiguity."""
     t = np.asarray(t, dtype=float)
     v = ctx.gamma_inv_sqrt @ t
-    lam = np.linalg.eigvalsh(ctx.pencil(v))
+    lam = ctx.pencil_eigs(v)
     return complex(
         -1j * float(v @ ctx.d_vec) - 0.5 * np.sum(np.log(1.0 - 2j * lam))
     )
@@ -193,7 +253,7 @@ def cumulant_series_partial(t, ctx, lmax) -> complex:
 
     Converges for |sum t_k D_k|_sp < 1/2.
     """
-    w = np.linalg.eigvalsh(ctx.standardized_pencil(t))
+    w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ np.asarray(t, dtype=float))
     total = 0.0 + 0.0j
     for ell in range(3, lmax + 1):
         total += 0.5 * (2j) ** ell * np.sum(w**ell) / ell
@@ -204,8 +264,10 @@ class RadialProfile:
     """One-dimensional slice r -> char_fn_standardized(r * u).
 
     Along a fixed unit direction u the pencil eigenvalues scale linearly
-    in the radius, so a single symmetric eigendecomposition serves every
-    r.  psi_star is vectorized over radius arrays.
+    in the radius, so one spectrum serves every r; it comes from
+    ctx.pencil_eigs, which reads the context's shared eigenbasis when the
+    stack commutes and solves this direction's pencil otherwise.  psi_star
+    and abs_psi are vectorized over radius arrays.
     """
 
     def __init__(self, ctx, u):
@@ -215,22 +277,25 @@ class RadialProfile:
             raise PreconditionError("direction must be nonzero")
         u = u / nrm
         v = ctx.gamma_inv_sqrt @ u
-        self.eigs = np.linalg.eigvalsh(ctx.pencil(v))
+        self.eigs = ctx.pencil_eigs(v)
         self.shift = float(v @ ctx.d_vec)
         self.mu = ctx.mu
         self.n = ctx.n
         self.direction = u
 
     def psi_star(self, r):
+        # with x = 2 r lam, the principal log(1 - i x) is
+        # log1p(x^2) / 2 - i arctan(x): no complex logarithm needed
         r = np.asarray(r, dtype=float)
-        z = 1.0 - 2j * np.multiply.outer(r, self.eigs)
-        out = np.exp(-0.5 * np.sum(np.log(z), axis=-1) - 1j * r * self.shift)
-        return out
+        x = 2.0 * np.multiply.outer(r, self.eigs)
+        log_mod = -0.25 * np.sum(np.log1p(x * x), axis=-1)
+        phase = 0.5 * np.sum(np.arctan(x), axis=-1) - r * self.shift
+        return np.exp(log_mod + 1j * phase)
 
     def abs_psi(self, r):
         r = np.asarray(r, dtype=float)
-        z = 1.0 + 4.0 * np.multiply.outer(r, self.eigs) ** 2
-        return np.exp(-0.25 * np.sum(np.log(z), axis=-1))
+        x = 2.0 * np.multiply.outer(r, self.eigs)
+        return np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +320,20 @@ def _power_sums(eigs, lmax):
     return np.array([np.sum(eigs**ell) for ell in range(1, lmax + 1)])
 
 
-def _trace_polys_k1(d_stack, Q):
-    w = np.linalg.eigvalsh(d_stack[0])
+def _trace_polys_k1(ctx, Q):
+    w = ctx.pencil_eigs(ctx.gamma_inv_sqrt[:, 0])
     ps = _power_sums(w, Q)
     return {ell: {(ell,): complex(ps[ell - 1])} for ell in range(3, Q + 1)}
 
 
-def _trace_polys_k2(d_stack, Q):
+def _trace_polys_k2(ctx, Q):
     # tr[(t1 D1 + t2 D2)^l] = sum_b c_{l-b,b} t1^{l-b} t2^b; the slice
     # z -> tr[(D1 + z D2)^l] is a degree-l polynomial whose coefficients
     # are exactly the c's, recovered from Chebyshev-node samples.
     nodes = np.cos(np.pi * (2 * np.arange(Q + 1) + 1) / (2 * (Q + 1)))
     samples = np.empty((Q + 1, Q))
     for i, z in enumerate(nodes):
-        w = np.linalg.eigvalsh(d_stack[0] + z * d_stack[1])
+        w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ np.array([1.0, z]))
         samples[i] = _power_sums(w, Q)
     polys = {}
     for ell in range(3, Q + 1):
@@ -278,8 +343,8 @@ def _trace_polys_k2(d_stack, Q):
     return polys
 
 
-def _trace_polys_general(d_stack, Q, seed):
-    K = len(d_stack)
+def _trace_polys_general(ctx, Q, seed):
+    K = ctx.K
     monos = {ell: _monomials(K, ell) for ell in range(3, Q + 1)}
     total = sum(len(v) for v in monos.values())
     if total > _BUDGET:
@@ -293,7 +358,7 @@ def _trace_polys_general(d_stack, Q, seed):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     samples = np.empty((ndir, Q))
     for i, u in enumerate(dirs):
-        w = np.linalg.eigvalsh(np.tensordot(u, d_stack, axes=(0, 0)))
+        w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
         samples[i] = _power_sums(w, Q)
     polys = {}
     for ell in range(3, Q + 1):
@@ -365,11 +430,11 @@ def edgeworth_build(ctx, Q, seed=0) -> EdgeworthExpansion:
         raise PreconditionError("expansion order Q must be at least 2")
     K = ctx.K
     if K == 1:
-        polys = _trace_polys_k1(ctx.d_stack, Q)
+        polys = _trace_polys_k1(ctx, Q)
     elif K == 2:
-        polys = _trace_polys_k2(ctx.d_stack, Q)
+        polys = _trace_polys_k2(ctx, Q)
     else:
-        polys = _trace_polys_general(ctx.d_stack, Q, seed)
+        polys = _trace_polys_general(ctx, Q, seed)
 
     zero = (0,) * K
     series = {}
@@ -542,30 +607,56 @@ def tv_against_gaussian_1d(psi, T, x_max=20.0, dx=0.002, ref_pdf=None):
     """
     x = np.arange(-x_max, x_max + dx / 2, dx)
     dens = invert_cf_1d(psi, T, x)
-    ref = norm_dist.pdf(x) if ref_pdf is None else ref_pdf(x)
+    ref = np.exp(-(x**2) / 2.0) / np.sqrt(2.0 * np.pi) if ref_pdf is None else ref_pdf(x)
     return float(0.5 * np.trapezoid(np.abs(dens - ref), dx=dx))
 
 
-def _choose_truncation(abs_psi, tol_tail):
-    """Smallest dyadic T with int_T^inf |psi| below tol_tail."""
-    T = 4.0
-    for _ in range(40):
-        tail, _ = quad(lambda r: float(abs_psi(np.array([r]))[0]), T, np.inf, limit=200)
-        if tail <= tol_tail:
-            return T
-        T *= 1.5
+# Candidate truncation radii T_j = 4 * 1.5^j for j < 40; T_40 closes the
+# last ladder segment.
+_T_LADDER = 4.0 * 1.5 ** np.arange(41)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def _ladder_tails(moduli, count):
+    """int_{T_j}^inf moduli(r) dr for j < count, one row per direction.
+
+    moduli maps a radius array to one row of values per direction.  Each
+    segment [T_j, T_{j+1}] gets a Gauss-Legendre rule, and [T_count, inf)
+    the same rule after r = T_count / s, s in (0, 1].
+    """
+    lo, hi = _T_LADDER[:count], _T_LADDER[1 : count + 1]
+    half = 0.5 * (hi - lo)
+    r_seg = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
+    s = 0.5 * (_GL_NODES + 1.0)
+    r_far = _T_LADDER[count] / s
+    vals = np.atleast_2d(moduli(np.concatenate([r_seg.ravel(), r_far])))
+    seg = (vals[:, : r_seg.size].reshape(len(vals), count, -1) @ _GL_WEIGHTS) * half
+    far = vals[:, r_seg.size :] @ (0.5 * _GL_WEIGHTS * _T_LADDER[count] / s**2)
+    return far[:, None] + np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+
+
+def _choose_truncation(moduli, tol_tail):
+    """Per direction, the smallest ladder T with int_T^inf |psi| below tol_tail.
+
+    moduli is as in _ladder_tails.  Tails are evaluated on the first 4
+    ladder radii, then 12, then all 40, until every direction has its T.
+    """
+    for count in (4, 12, 40):
+        below = _ladder_tails(moduli, count) <= tol_tail
+        if np.all(below.any(axis=1)):
+            return _T_LADDER[np.argmax(below, axis=1)]
     raise RangeError("characteristic function tail does not decay; no usable T")
 
 
 def _tv_oracle_k1(ctx, tol_tail, x_max, dx, cf_override):
-    profile = RadialProfile(ctx, np.array([1.0]))
     if cf_override is None:
+        profile = RadialProfile(ctx, np.array([1.0]))
         psi = profile.psi_star
         abs_psi = profile.abs_psi
     else:
         psi = lambda r: cf_override(r, np.array([1.0]))
         abs_psi = lambda r: np.abs(psi(r))
-    T = _choose_truncation(abs_psi, tol_tail)
+    T = float(_choose_truncation(abs_psi, tol_tail)[0])
     return tv_against_gaussian_1d(psi, T, x_max=x_max, dx=dx), T
 
 
@@ -576,31 +667,29 @@ def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
     g_phi(s) = (1/pi) Re int_0^T psi*(r u_phi) r exp(-i r s) dr.
     """
     angles = (np.arange(n_angles) + 0.5) * np.pi / n_angles
+    dirs = np.array([[math.cos(phi), math.sin(phi)] for phi in angles])
+    if cf_override is None:
+        profiles = [RadialProfile(ctx, u) for u in dirs]
+        psis = [profile.psi_star for profile in profiles]
+        moduli = lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r
+    else:
+        psis = [lambda r, u=u: cf_override(r, u) for u in dirs]
+        moduli = lambda r: np.abs(np.stack([psi(r) for psi in psis])) * r
+    truncations = _choose_truncation(moduli, tol_tail)
     grid = np.arange(-x_max, x_max + dx / 2, dx)
     X, Y = np.meshgrid(grid, grid, indexing="ij")
     smax = x_max * math.sqrt(2.0) + 1.0
     ds = dx / 2.0
     sgrid = np.arange(-smax, smax + ds / 2, ds)
     accum = np.zeros_like(X)
-    t_used = 0.0
-    for phi in angles:
-        u = np.array([math.cos(phi), math.sin(phi)])
-        if cf_override is None:
-            profile = RadialProfile(ctx, u)
-            psi = profile.psi_star
-            abs_psi = profile.abs_psi
-        else:
-            psi = lambda r, u=u: cf_override(r, u)
-            abs_psi = lambda r: np.abs(psi(r))
-        T = _choose_truncation(lambda r: abs_psi(r) * r, tol_tail)
-        t_used = max(t_used, T)
-        filtered = invert_cf_1d(lambda r: psi(r) * r, T, sgrid)
+    for u, psi, T in zip(dirs, psis, truncations):
+        filtered = invert_cf_1d(lambda r, psi=psi: psi(r) * r, T, sgrid)
         proj = X * u[0] + Y * u[1]
         # cubic interpolation; linear would cap the grid accuracy near 1e-5
         accum += CubicSpline(sgrid, filtered)(proj)
     dens = accum * (np.pi / n_angles) / (2.0 * np.pi)
     ref = np.exp(-(X**2 + Y**2) / 2.0) / (2.0 * np.pi)
-    return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx), t_used
+    return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx), float(np.max(truncations))
 
 
 def tv_oracle(

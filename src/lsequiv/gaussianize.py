@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import chdtr
 
 from ._linalg import (
     check_symmetric,
@@ -52,7 +52,7 @@ class LocalizationConfig:
         """P(|N(0, beta^2 I_K)| <= gamma), exact via the chi-square cdf."""
         if not math.isfinite(self.gamma):
             return 1.0
-        return float(stats.chi2.cdf((self.gamma / self.beta) ** 2, df=k))
+        return float(chdtr(k, (self.gamma / self.beta) ** 2))
 
     def truncation_budget(self, k: int) -> float:
         """K beta^2 / gamma^2, the reported tail-mass budget."""

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from lsequiv._linalg import spectral_norm, sym_inv, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.cltcheck import (
+    _choose_truncation,
+    _ladder_tails,
     RadialProfile,
     build_char_context,
     char_fn,
@@ -27,8 +31,9 @@ from lsequiv.cltcheck import (
 )
 from lsequiv.errors import PreconditionError, RangeError, TermBudgetError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
+from lsequiv.harness import RunConfig, config_density
 from lsequiv.rng import make_rng
-from lsequiv.spectral import random_density
+from lsequiv.spectral import default_grid, random_density
 
 N = 64
 CTX = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 0))
@@ -246,3 +251,172 @@ def test_context_from_state_matches_direct_build():
     direct = build_char_context(state.c_theta, state.c_mat, basis)
     assert ctx.mu == pytest.approx(direct.mu, rel=0)
     np.testing.assert_allclose(ctx.d_vec, direct.d_vec, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# shared pencil spectrum, real-arithmetic psi and batched truncation, each
+# against the per-direction computation it replaced
+
+
+def _tv_decay_context(n, k2):
+    """The context run_tv_decay builds: C = C_theta in the window (0, k2)."""
+    basis = build_basis(n, 0, k2)
+    f = config_density(RunConfig(n_grid=(n,), k1=0, k2=k2), k1=0, k2=k2)
+    c_mat = basis.combine(basis.project(build_theta(f, n, default_grid()).entries))
+    return build_char_context(c_mat, c_mat, basis)
+
+
+def _state(n, k1, k2):
+    """A localization state, where C_theta and C differ."""
+    basis = build_basis(n, k1, k2)
+    theta = build_theta(random_density(k1, k2, make_rng(2, stream=30)), n)
+    state = ExperimentState.build(
+        basis, LocalizationConfig(beta=1.0, gamma=3.0), theta=theta, rng=make_rng(0, stream=41)
+    )
+    assert not np.array_equal(state.c_theta, state.c_mat)
+    return state
+
+
+def _off_span_context(n=48):
+    """K = 2 context whose C_theta is a random SPD matrix outside the span."""
+    g = make_rng(7, stream=60).standard_normal((n, n)) / math.sqrt(n)
+    return build_char_context(np.eye(n) + 0.1 * (g + g.T), np.eye(n), build_basis(n, 0, 1))
+
+
+def _angles(count):
+    phis = (np.arange(count) + 0.5) * np.pi / count
+    return np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
+
+
+@pytest.fixture(scope="module")
+def tvk2_ctx():
+    # the tvdecay --n 512 context of the K = 2 window (0, 1)
+    return _tv_decay_context(512, 1)
+
+
+def _assert_joint_matches_eigvalsh(ctx, dirs):
+    assert ctx.joint is not None
+    for u in dirs:
+        v = ctx.gamma_inv_sqrt @ u
+        want = np.linalg.eigvalsh(ctx.pencil(v))
+        assert np.max(np.abs(ctx.pencil_eigs(v) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_joint_spectrum_matches_eigvalsh_tv_decay_k2(tvk2_ctx):
+    _assert_joint_matches_eigvalsh(tvk2_ctx, _angles(180))
+
+
+@pytest.mark.parametrize("k2,dirs", [(1, _angles(24)), (0, np.array([[1.0], [-1.0], [0.37]]))])
+def test_joint_spectrum_matches_eigvalsh_state_context(k2, dirs):
+    _assert_joint_matches_eigvalsh(context_from_state(_state(64, 0, k2)), dirs)
+
+
+@pytest.mark.parametrize("same", [False, True])
+def test_char_context_matches_separate_decompositions(same):
+    # oracle: a square root and an inverse of each covariance, and eigvalsh norms
+    state = _state(32, 1, 1)
+    c_theta = state.c_mat if same else state.c_theta
+    ctx = build_char_context(c_theta, state.c_mat, state.basis)
+    half = sym_inv(state.c_mat) @ sym_sqrt(c_theta)
+    a_stack = np.matmul(half.T, np.matmul(state.basis.mats, half))
+    a_stack = 0.5 * (a_stack + np.transpose(a_stack, (0, 2, 1)))
+    np.testing.assert_allclose(ctx.a_stack, a_stack, rtol=0, atol=1e-12 * np.max(np.abs(a_stack)))
+    mu = (
+        spectral_norm(c_theta)
+        * spectral_norm(sym_inv(state.c_mat)) ** 2
+        * spectral_norm(ctx.gamma_inv_sqrt)
+        * math.sqrt(np.sum(state.basis.spectral_norms() ** 2))
+    )
+    assert ctx.mu == pytest.approx(mu, rel=1e-12)
+
+
+def _psi_per_direction(ctx, r, u):
+    """psi* from a fresh eigensolve of the direction's pencil and a complex log."""
+    v = ctx.gamma_inv_sqrt @ u
+    lam = np.linalg.eigvalsh(ctx.pencil(v))
+    z = 1.0 - 2j * np.multiply.outer(r, lam)
+    return np.exp(-0.5 * np.sum(np.log(z), axis=-1) - 1j * r * float(v @ ctx.d_vec))
+
+
+def test_off_span_target_solves_each_direction():
+    ctx = _off_span_context()
+    assert ctx.joint is None
+    v = ctx.gamma_inv_sqrt @ np.array([0.6, -0.8])
+    np.testing.assert_array_equal(ctx.pencil_eigs(v), np.linalg.eigvalsh(ctx.pencil(v)))
+    tv = tv_oracle(ctx, n_angles=36)
+    oracle = tv_oracle(ctx, n_angles=36, cf_override=lambda r, u: _psi_per_direction(ctx, r, u))
+    assert abs(tv - oracle) <= 1e-12
+
+
+def test_psi_star_matches_complex_log(tvk2_ctx):
+    r = np.linspace(0.0, 20.0, 2001)
+    cases = [(CTX, np.array([1.0])), (tvk2_ctx, _angles(180)[17]), (tvk2_ctx, _angles(180)[161])]
+    for ctx, u in cases:
+        profile = RadialProfile(ctx, u)
+        want = _psi_per_direction(ctx, r, u)
+        assert np.max(np.abs(profile.psi_star(r) - want)) <= 1e-13
+        assert np.max(np.abs(profile.abs_psi(r) - np.abs(want))) <= 1e-13
+
+
+def _truncation_quad(modulus, tol_tail=1e-8):
+    """The scalar ladder search: quad out to infinity at each T in turn."""
+    T = 4.0
+    for _ in range(40):
+        tail, _ = quad(lambda r: float(modulus(np.array([r]))[0]), T, np.inf, limit=200)
+        if tail <= tol_tail:
+            return T
+        T *= 1.5
+    raise RangeError("no usable T")
+
+
+def _profile_moduli(ctx, dirs):
+    profiles = [RadialProfile(ctx, u) for u in dirs]
+    if ctx.K == 1:
+        return [profile.abs_psi for profile in profiles]
+    return [lambda r, p=profile: p.abs_psi(r) * r for profile in profiles]
+
+
+def _gaussian_moduli(K, count):
+    return [lambda r: np.exp(-0.5 * r**2) * r ** (K - 1)] * count
+
+
+TRUNCATION_CASES = {
+    "chi-square-64": lambda: _profile_moduli(CTX, [np.array([1.0])]),
+    "tv-decay-k1-256": lambda: _profile_moduli(_tv_decay_context(256, 0), [np.array([1.0])]),
+    "gaussian-null-k1": lambda: _gaussian_moduli(1, 1),
+    "gaussian-null-k2": lambda: _gaussian_moduli(2, 180),
+    "off-span-k2": lambda: _profile_moduli(_off_span_context(), _angles(36)),
+    # slow power-law decay reaches deep into the ladder (below p = 4 quad
+    # itself reports the tail as slowly convergent and is not an oracle)
+    "power-law": lambda: [lambda r, p=p: (1.0 + r * r / 8.0) ** (-p / 2.0) for p in (4.5, 6.0, 9.0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
+def test_batched_truncation_matches_quad(case):
+    moduli = TRUNCATION_CASES[case]()
+    batched = _choose_truncation(lambda r: np.stack([m(r) for m in moduli]), 1e-8)
+    assert list(batched) == [_truncation_quad(m) for m in moduli]
+
+
+def test_batched_truncation_matches_quad_tv_decay_k2(tvk2_ctx):
+    moduli = _profile_moduli(tvk2_ctx, _angles(180))
+    batched = _choose_truncation(lambda r: np.stack([m(r) for m in moduli]), 1e-8)
+    assert list(batched) == [_truncation_quad(m) for m in moduli]
+
+
+def test_ladder_tails_match_quad():
+    powers = (4.5, 9.0)
+    tails = _ladder_tails(lambda r: np.stack([(1.0 + r * r / 8.0) ** (-p / 2.0) for p in powers]), 4)
+    for row, p in zip(tails, powers):
+        for j in range(4):
+            want, _ = quad(
+                lambda r: (1.0 + r * r / 8.0) ** (-p / 2.0),
+                4.0 * 1.5**j, np.inf, epsabs=0.0, epsrel=1e-13, limit=500,
+            )
+            assert abs(row[j] - want) <= 1e-10 * want
+
+
+def test_batched_truncation_rejects_slow_tail():
+    with pytest.raises(RangeError):
+        _choose_truncation(lambda r: (1.0 + r)[None] ** -1.0, 1e-8)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lsequiv
 from lsequiv.basis_cov import build_basis
 from lsequiv.cli import main
 from lsequiv.errors import ConfigurationError, PreconditionError, SingularMatrixError
@@ -296,3 +300,17 @@ def test_cli_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["chain", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats costs about half a second of every CLI start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lsequiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, lsequiv.cli; from lsequiv.spectral import default_grid; default_grid(); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]"
