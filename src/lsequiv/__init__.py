@@ -8,6 +8,7 @@ limiting experiment), harness (schedules, studies, divergences), cli.
 """
 
 from .errors import (
+    AccuracyError,
     ConfigurationError,
     DomainError,
     LocalizationError,
@@ -15,6 +16,7 @@ from .errors import (
     RangeError,
     SingularMatrixError,
     TermBudgetError,
+    TypedError,
 )
 from .harness import (
     GaussianDivergences,
@@ -34,6 +36,7 @@ from .spectral import BasisIndex, SpectralDensity, default_grid, random_density
 __version__ = "0.1.0"
 
 __all__ = [
+    "AccuracyError",
     "BasisIndex",
     "CheckResult",
     "ConfigurationError",
@@ -47,6 +50,7 @@ __all__ = [
     "SingularMatrixError",
     "SpectralDensity",
     "TermBudgetError",
+    "TypedError",
     "VerificationReport",
     "condition_checker",
     "default_grid",

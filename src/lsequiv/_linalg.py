@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import PreconditionError, SingularMatrixError
 
 # Matrices are materialized densely; keep studies within this edge length.
 DENSE_N_MAX = 4096
@@ -19,13 +19,13 @@ SYM_RTOL = 1e-12
 
 def check_size(n):
     if not (1 <= n <= DENSE_N_MAX):
-        raise ValueError(f"dense matrix size {n} outside [1, {DENSE_N_MAX}]")
+        raise PreconditionError(f"dense matrix size {n} outside [1, {DENSE_N_MAX}]")
 
 
 def check_symmetric(a, tol=1e-10, what="matrix"):
     dev = np.max(np.abs(a - a.T)) if a.size else 0.0
     if dev > tol * max(1.0, np.max(np.abs(a))):
-        raise ValueError(f"{what} is not symmetric (max deviation {dev:.3e})")
+        raise PreconditionError(f"{what} is not symmetric (max deviation {dev:.3e})")
     return a
 
 
@@ -49,8 +49,8 @@ def guarded_eig(a, require_pd):
     return w, v
 
 
-def sym_inv(a):
-    w, v = guarded_eig(a, require_pd=False)
+def sym_inv(a, require_pd=False):
+    w, v = guarded_eig(a, require_pd=require_pd)
     return (v / w) @ v.T
 
 

@@ -10,19 +10,19 @@ cyclic family shrinks like K^(1/4)/sqrt(n).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from ._linalg import DENSE_N_MAX, check_size, check_symmetric, sym_eig
-from .circulant import build_mcheck_basis
+from ._linalg import check_size, check_symmetric, eig_range, sym_eig
+from .circulant import build_mcheck_basis, mcheck_element
 from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
 from .report import CheckResult, fmt_float
 from .spectral import (
-    NEG,
     POS,
     BasisIndex,
     QuadratureGrid,
@@ -64,8 +64,7 @@ class CovarianceMatrix:
         return self.entries.shape[0]
 
     def eig_range(self):
-        w = np.linalg.eigvalsh(self.entries)
-        return float(w[0]), float(w[-1])
+        return eig_range(self.entries)
 
     def spectral_check(self, lo: float, hi: float, delta: float = 0.0) -> list:
         wmin, wmax = self.eig_range()
@@ -120,11 +119,13 @@ def _fill_band(out: np.ndarray, j2: int, values: np.ndarray):
 
 
 class BasisSystem:
-    """Orthonormal symmetric matrices {M_k} plus raw norms and companions.
+    """Orthonormal symmetric matrices {M_k} held as band profiles.
 
-    mats holds the normalized stack in enumeration order; raw matrices are
-    recovered as raw_norms[k] * mats[k].  The cyclic companion stack is built
-    lazily since only proximity studies need it.
+    M_k is symmetric with one band at offset j2 = offsets[k]: its values
+    bands[k, :n - j2] sit at (i, i + j2) and, mirrored, at (i + j2, i).  The
+    raw matrices are raw_norms[k] * M_k.  Every operation reads the bands;
+    the dense stack mats and the cyclic companion mcheck are built lazily,
+    for oracles and exports only.
     """
 
     def __init__(self, n: int, k1: int, k2: int):
@@ -136,70 +137,109 @@ class BasisSystem:
         self.k2 = k2
         self.indices = enumerate_indices(k1, k2)
         self.K = len(self.indices)
-        self.raw_norms = np.array(
-            [math.sqrt(TWO_PI * (n - idx.j2)) for idx in self.indices]
-        )
-        self.mats = np.zeros((self.K, n, n))
-        self._profiles = []
+        self.offsets = np.array([idx.j2 for idx in self.indices])
+        self.raw_norms = np.sqrt(TWO_PI * (n - self.offsets))
+        self.bands = np.zeros((self.K, n))
         for pos, idx in enumerate(self.indices):
-            prof = _band_profile(idx, n)
-            self._profiles.append(prof)
-            _fill_band(self.mats[pos], idx.j2, prof)
-            self.mats[pos] /= self.raw_norms[pos]
-        self._mcheck = None
+            self.bands[pos, : n - idx.j2] = _band_profile(idx, n) / self.raw_norms[pos]
         self._spectral_norms = None
 
-    @property
+    def _by_offset(self):
+        """(j2, positions) for each distinct band offset, ascending."""
+        return [(j2, np.flatnonzero(self.offsets == j2)) for j2 in range(self.k2 + 1)]
+
+    def _contract(self, lag) -> np.ndarray:
+        """[bands[k] . lag(offsets[k])]_k for a map from j2 to n - j2 values."""
+        rows = np.zeros((self.k2 + 1, self.n))
+        for j2 in range(self.k2 + 1):
+            rows[j2, : self.n - j2] = lag(j2)
+        return np.sum(self.bands * rows[self.offsets], axis=1)
+
+    def mat(self, k: int) -> np.ndarray:
+        """Dense normalized M_k."""
+        out = np.zeros((self.n, self.n))
+        j2 = int(self.offsets[k])
+        _fill_band(out, j2, self.bands[k, : self.n - j2])
+        return out
+
+    @functools.cached_property
+    def mats(self) -> np.ndarray:
+        """Dense (K, n, n) stack of the normalized matrices, built on first use."""
+        return np.stack([self.mat(k) for k in range(self.K)])
+
+    @functools.cached_property
     def mcheck(self) -> np.ndarray:
-        if self._mcheck is None:
-            self._mcheck = build_mcheck_basis(self.n, self.k1, self.k2)
-        return self._mcheck
+        """Dense (K, n, n) cyclic companion stack, built on first use."""
+        return build_mcheck_basis(self.n, self.k1, self.k2)
+
+    def mcheck_gaps(self) -> np.ndarray:
+        """|Mcheck_k - M_k|_F per k, one dense pair at a time."""
+        scale = math.sqrt(TWO_PI / self.n)
+        return np.array([
+            np.linalg.norm(scale * mcheck_element(self.n, idx) - self.mat(k))
+            for k, idx in enumerate(self.indices)
+        ])
 
     def raw_mat(self, k: int) -> np.ndarray:
-        return self.raw_norms[k] * self.mats[k]
+        return self.raw_norms[k] * self.mat(k)
 
     def project(self, a) -> np.ndarray:
         """Frobenius coefficients <A, M_k> for a dense symmetric matrix."""
         a = np.asarray(a, dtype=float)
-        return np.einsum("kij,ij->k", self.mats, a)
+        return self._contract(
+            lambda j2: np.diagonal(a, j2) + np.diagonal(a, -j2) if j2 else np.diagonal(a)
+        )
 
     def combine(self, vec) -> np.ndarray:
+        """sum_k vec[k] M_k as a dense, exactly symmetric matrix."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.K,):
             raise ConfigurationError("coefficient vector length mismatch")
-        return np.tensordot(vec, self.mats, axes=1)
+        out = np.zeros((self.n, self.n))
+        for j2, pos in self._by_offset():
+            _fill_band(out, j2, vec[pos] @ self.bands[pos, : self.n - j2])
+        return out
 
     def quad_form(self, x) -> np.ndarray:
         """x^T M_k x for all k, the pilot statistic of one observation."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ConfigurationError("observation length mismatch")
-        out = np.empty(self.K)
-        for pos, idx in enumerate(self.indices):
-            prof = self._profiles[pos]
-            j2 = idx.j2
-            if j2 == 0:
-                q = float(prof @ (x * x))
-            else:
-                q = 2.0 * float(prof @ (x[: self.n - j2] * x[j2:]))
-            out[pos] = q / self.raw_norms[pos]
-        return out
+        return self._contract(lambda j2: (2.0 if j2 else 1.0) * (x[: self.n - j2] * x[j2:]))
+
+    def trace_gram(self, s) -> np.ndarray:
+        """[2 tr(S M_k S M_l)]_kl for a symmetric S, read from the bands.
+
+        M_k is a strip of values p at corner (0, j2) plus, for j2 > 0, its
+        mirror at (j2, 0).  A strip with values p at (ra+i, ca+i) and one
+        with values w at (rb+i, cb+i) contribute p^T (S[ca:, rb:] * S[ra:,
+        cb:]) w; by the symmetry of S, mirroring both strips leaves that
+        unchanged, so each pair of offsets needs two Hadamard blocks.  The
+        cost is O((k2 + 1)^2 n^2 + K^2 n^2) instead of O(K n^3).
+        """
+        s = np.asarray(s, dtype=float)
+        n = self.n
+        groups = self._by_offset()
+        out = np.empty((self.K, self.K))
+        for a, (oa, ka) in enumerate(groups):
+            la, pa = n - oa, self.bands[ka, : n - oa] * (2.0 if oa else 1.0)
+            for ob, kb in groups[a:]:
+                lb, pb = n - ob, self.bands[kb, : n - ob] * (2.0 if ob else 1.0)
+                # strip pairs (0, oa)-(0, ob) and (0, oa)-(ob, 0)
+                had = s[oa:, :lb] * s[:la, ob:] + s[oa:, ob:] * s[:la, :lb]
+                block = pa @ had @ pb.T
+                out[np.ix_(ka, kb)] = block
+                out[np.ix_(kb, ka)] = block.T
+        return 0.5 * (out + out.T)
 
     def spectral_norms(self) -> np.ndarray:
         """Exact spectral norms per k via banded eigensolves."""
         if self._spectral_norms is None:
             out = np.empty(self.K)
-            for pos, idx in enumerate(self.indices):
-                j2 = idx.j2
+            for pos, j2 in enumerate(self.offsets):
                 bands = np.zeros((j2 + 1, self.n))
-                prof = self._profiles[pos] / self.raw_norms[pos]
-                if j2 == 0:
-                    bands[0] = prof
-                else:
-                    bands[j2, : self.n - j2] = prof
-                w = scipy.linalg.eig_banded(
-                    bands, lower=True, eigvals_only=True, select="a"
-                )
+                bands[j2] = self.bands[pos]
+                w = scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True)
                 out[pos] = float(np.max(np.abs(w)))
             self._spectral_norms = out
         return self._spectral_norms
@@ -294,8 +334,7 @@ def build_vartheta(a, n: int, grid: QuadratureGrid = None, tol: float = 1e-8) ->
 
 def basis_proximity(basis: BasisSystem) -> float:
     """max_k Frobenius distance between the two normalized families."""
-    diffs = basis.mats - basis.mcheck
-    return float(np.max(np.sqrt(np.einsum("kij,kij->k", diffs, diffs))))
+    return float(np.max(basis.mcheck_gaps()))
 
 
 def density_coefficients(f, basis: BasisSystem, grid: QuadratureGrid = None) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import check_size
-from .errors import ConfigurationError, PreconditionError, RangeError
-from .spectral import NEG, POS, BasisIndex, basis_norm, enumerate_indices
+from .errors import AccuracyError, ConfigurationError, PreconditionError, RangeError
+from .spectral import POS, BasisIndex, basis_norm, enumerate_indices
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,7 +65,53 @@ def window_guard(n: int, k1: int, k2: int):
         )
 
 
-class CirculantElement:
+class _WindowTable:
+    """Complex coefficient table over the window [-k1, k1] x [-k2, k2].
+
+    Entry [j + k1, j2 + k2] belongs to time frequency j and band offset j2;
+    subclasses take (n, k1, k2, coeffs) in their constructor.
+    """
+
+    @classmethod
+    def zero(cls, n: int, k1: int, k2: int):
+        return cls(n, k1, k2, np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex))
+
+    def coeff(self, j: int, j2: int) -> complex:
+        if abs(j) <= self.k1 and abs(j2) <= self.k2:
+            return complex(self.coeffs[j + self.k1, j2 + self.k2])
+        return 0.0 + 0.0j
+
+    def table(self, k1: int, k2: int) -> np.ndarray:
+        """Coefficient table on the window (k1, k2): zero-filled, truncated."""
+        out = np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex)
+        a1, a2 = min(k1, self.k1), min(k2, self.k2)
+        out[k1 - a1 : k1 + a1 + 1, k2 - a2 : k2 + a2 + 1] = self.coeffs[
+            self.k1 - a1 : self.k1 + a1 + 1, self.k2 - a2 : self.k2 + a2 + 1
+        ]
+        return out
+
+    def pad(self, k1: int, k2: int):
+        """Same object on the larger window (k1, k2), zeros outside."""
+        if k1 < self.k1 or k2 < self.k2:
+            raise RangeError("pad target window smaller than current support")
+        return type(self)(self.n, k1, k2, self.table(k1, k2))
+
+    def __add__(self, other):
+        self._check_peer(other)
+        k1, k2 = max(self.k1, other.k1), max(self.k2, other.k2)
+        return type(self)(self.n, k1, k2, self.table(k1, k2) + other.table(k1, k2))
+
+    def __sub__(self, other):
+        self._check_peer(other)
+        k1, k2 = max(self.k1, other.k1), max(self.k2, other.k2)
+        return type(self)(self.n, k1, k2, self.table(k1, k2) - other.table(k1, k2))
+
+    def _check_peer(self, other):
+        if self.n != other.n:
+            raise ConfigurationError("elements live on different sizes")
+
+
+class CirculantElement(_WindowTable):
     """Finite combination of dictionary elements, coefficients in plain coords.
 
     coeffs has shape (2*k1+1, 2*k2+1); entry [j + k1, j2 + k2] multiplies the
@@ -85,10 +131,6 @@ class CirculantElement:
         self.k1 = k1
         self.k2 = k2
         self.coeffs = c
-
-    @classmethod
-    def zero(cls, n: int, k1: int, k2: int) -> "CirculantElement":
-        return cls(n, k1, k2, np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex))
 
     @classmethod
     def basis(cls, n: int, j: int, j2: int) -> "CirculantElement":
@@ -113,11 +155,6 @@ class CirculantElement:
                 phase = np.exp(-2j * math.pi * j * i / n)
                 el.coeffs[j + k1, j2 + k2] = diag @ phase / n
         return el
-
-    def coeff(self, j: int, j2: int) -> complex:
-        if abs(j) <= self.k1 and abs(j2) <= self.k2:
-            return complex(self.coeffs[j + self.k1, j2 + self.k2])
-        return 0.0 + 0.0j
 
     def iter_support(self):
         for j in range(-self.k1, self.k1 + 1):
@@ -146,25 +183,6 @@ class CirculantElement:
 
     def frob(self) -> float:
         return math.sqrt(self.frob_sq)
-
-    def pad(self, k1: int, k2: int) -> "CirculantElement":
-        if k1 < self.k1 or k2 < self.k2:
-            raise RangeError("pad target window smaller than current support")
-        out = CirculantElement.zero(self.n, k1, k2)
-        out.coeffs[
-            k1 - self.k1 : k1 + self.k1 + 1, k2 - self.k2 : k2 + self.k2 + 1
-        ] = self.coeffs
-        return out
-
-    def __add__(self, other: "CirculantElement") -> "CirculantElement":
-        self._check_peer(other)
-        k1, k2 = max(self.k1, other.k1), max(self.k2, other.k2)
-        out = self.pad(k1, k2)
-        out.coeffs = out.coeffs + other.pad(k1, k2).coeffs
-        return out
-
-    def __sub__(self, other: "CirculantElement") -> "CirculantElement":
-        return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "CirculantElement":
         return CirculantElement(self.n, self.k1, self.k2, scalar * self.coeffs)
@@ -201,17 +219,12 @@ class CirculantElement:
         """Frobenius inner product <A, B> = tr(B* A) in coefficient space."""
         self._check_peer(other)
         k1, k2 = max(self.k1, other.k1), max(self.k2, other.k2)
-        a = self.pad(k1, k2).coeffs
-        b = other.pad(k1, k2).coeffs
+        a, b = self.table(k1, k2), other.table(k1, k2)
         return complex(self.n * np.sum(a * np.conj(b)))
-
-    def _check_peer(self, other: "CirculantElement"):
-        if self.n != other.n:
-            raise ConfigurationError("elements live on different sizes")
 
 
 @dataclass
-class FourierFunction:
+class FourierFunction(_WindowTable):
     """Trig polynomial sum a[j,j2] exp(2 pi i j u) exp(i j2 x) on the rectangle.
 
     Carries the ambient size n because its norm is the scaled L2 norm in
@@ -229,15 +242,6 @@ class FourierFunction:
             raise ConfigurationError("coefficient table shape mismatch")
         self.coeffs = c
 
-    @classmethod
-    def zero(cls, n: int, k1: int, k2: int) -> "FourierFunction":
-        return cls(n, k1, k2, np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex))
-
-    def coeff(self, j: int, j2: int) -> complex:
-        if abs(j) <= self.k1 and abs(j2) <= self.k2:
-            return complex(self.coeffs[j + self.k1, j2 + self.k2])
-        return 0.0 + 0.0j
-
     def eval(self, u, x):
         u = np.asarray(u, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -254,15 +258,6 @@ class FourierFunction:
         """Squared norm under (n / 2 pi) * the rectangle L2 inner product."""
         return float(self.n * np.sum(np.abs(self.coeffs) ** 2))
 
-    def pad(self, k1: int, k2: int) -> "FourierFunction":
-        if k1 < self.k1 or k2 < self.k2:
-            raise RangeError("pad target window smaller than current support")
-        out = FourierFunction.zero(self.n, k1, k2)
-        out.coeffs[
-            k1 - self.k1 : k1 + self.k1 + 1, k2 - self.k2 : k2 + self.k2 + 1
-        ] = self.coeffs
-        return out
-
     def __mul__(self, other: "FourierFunction") -> "FourierFunction":
         if self.n != other.n:
             raise ConfigurationError("functions live on different sizes")
@@ -277,12 +272,6 @@ class FourierFunction:
                     j1 + k1 - other.k1 : j1 + k1 + other.k1 + 1,
                     j1p + k2 - other.k2 : j1p + k2 + other.k2 + 1,
                 ] += a * other.coeffs
-        return out
-
-    def __sub__(self, other: "FourierFunction") -> "FourierFunction":
-        k1, k2 = max(self.k1, other.k1), max(self.k2, other.k2)
-        out = self.pad(k1, k2)
-        out.coeffs = out.coeffs - other.pad(k1, k2).coeffs
         return out
 
 
@@ -319,7 +308,7 @@ class PsiMap:
             raise ConfigurationError("element size does not match map")
         if elem.k1 > self.k1 or elem.k2 > self.k2:
             raise RangeError("element support exceeds map window")
-        table = elem.pad(self.k1, self.k2).coeffs
+        table = elem.table(self.k1, self.k2)
         if self.convention == "symmetric":
             table = table / self._phase()
         return FourierFunction(self.n, self.k1, self.k2, table)
@@ -327,25 +316,13 @@ class PsiMap:
     def inverse(self, fn: FourierFunction) -> CirculantElement:
         if fn.n != self.n:
             raise ConfigurationError("function size does not match map")
-        if fn.k1 > self.k1 or fn.k2 > self.k2:
-            # allow oversize containers as long as actual support fits
-            for j in range(-fn.k1, fn.k1 + 1):
-                for j2 in range(-fn.k2, fn.k2 + 1):
-                    if fn.coeff(j, j2) != 0.0 and (abs(j) > self.k1 or abs(j2) > self.k2):
-                        raise RangeError("function support exceeds map window")
-            fn = _truncate_fn(fn, self.k1, self.k2)
-        table = fn.pad(self.k1, self.k2).coeffs.copy()
+        table = fn.table(self.k1, self.k2)
+        # oversize containers are fine as long as the actual support fits
+        if np.count_nonzero(table) != np.count_nonzero(fn.coeffs):
+            raise RangeError("function support exceeds map window")
         if self.convention == "symmetric":
             table = table * self._phase()
         return CirculantElement(self.n, self.k1, self.k2, table)
-
-
-def _truncate_fn(fn: FourierFunction, k1: int, k2: int) -> FourierFunction:
-    out = FourierFunction.zero(fn.n, k1, k2)
-    for j in range(-k1, k1 + 1):
-        for j2 in range(-k2, k2 + 1):
-            out.coeffs[j + k1, j2 + k2] = fn.coeff(j, j2)
-    return out
 
 
 def psi_forward(elem: CirculantElement, convention: str = "plain") -> FourierFunction:
@@ -440,7 +417,7 @@ def mcheck_via_psi(n: int, idx: BasisIndex, tol: float = 1e-10) -> np.ndarray:
     dense = elem.to_matrix()
     leak = float(np.max(np.abs(dense.imag)))
     if leak > tol:
-        raise RuntimeError(f"imaginary leak {leak} above {tol} in real cast")
+        raise AccuracyError(f"imaginary leak {leak} above {tol} in real cast")
     return dense.real
 
 
@@ -453,7 +430,7 @@ def build_mcheck_basis(n: int, k1: int, k2: int) -> np.ndarray:
     for pos, idx in enumerate(indices):
         mat = scale * mcheck_element(n, idx)
         if not np.array_equal(mat, mat.T):
-            raise RuntimeError("mcheck element lost exact symmetry")
+            raise AccuracyError("mcheck element lost exact symmetry")
         out[pos] = mat
     return out
 
@@ -475,7 +452,7 @@ def real_expansion_to_element(n: int, coeffs: dict) -> CirculantElement:
     acc = FourierFunction.zero(n, k1, k2)
     for idx, c in coeffs.items():
         fn = real_function_table(n, idx)
-        acc.coeffs += float(c) * fn.pad(k1, k2).coeffs
+        acc.coeffs += float(c) * fn.table(k1, k2)
     return psi.inverse(acc)
 
 

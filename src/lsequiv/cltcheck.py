@@ -21,7 +21,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 
 from ._linalg import check_symmetric, guarded_eig
-from .errors import PreconditionError, RangeError, TermBudgetError
+from .errors import AccuracyError, PreconditionError, RangeError, TermBudgetError
 from .report import CheckResult
 from .rng import make_rng
 
@@ -174,7 +174,7 @@ def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
     K = len(d_stack)
     defect = np.max(np.abs(gram - 0.5 * np.eye(K)))
     if defect > ortho_tol:
-        raise RuntimeError(
+        raise AccuracyError(
             f"standardized stack lost orthonormality: defect {defect:.3e}"
         )
 
@@ -369,7 +369,7 @@ def _trace_polys_general(ctx, Q, seed):
         fitted = design @ coef
         scale = max(np.max(np.abs(samples[:, ell - 1])), 1e-300)
         if np.max(np.abs(fitted - samples[:, ell - 1])) > 1e-8 * scale:
-            raise RuntimeError(
+            raise AccuracyError(
                 f"trace-polynomial interpolation unstable at degree {ell}"
             )
         polys[ell] = {

@@ -1,33 +1,43 @@
 """Typed errors shared across the package.
 
 Monte Carlo drivers are expected to catch :class:`LocalizationError` and count
-failure frequency instead of aborting a whole study.
+failure frequency instead of aborting a whole study.  Study drivers catch
+:class:`TypedError` and nothing else: any other exception is a bug and
+propagates.
 """
 
 
-class DomainError(ValueError):
+class TypedError(Exception):
+    """Base of every error below."""
+
+
+class DomainError(TypedError, ValueError):
     """A function left its admissible range (non-positive density, etc.)."""
 
 
-class RangeError(ValueError):
+class RangeError(TypedError, ValueError):
     """An argument lies outside the validity region of a bound or map."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(TypedError, ValueError):
     """A structural precondition (index window, size guard) is violated."""
 
 
-class LocalizationError(RuntimeError):
+class LocalizationError(TypedError, RuntimeError):
     """The localized covariance is not usable (not PD, contraction >= 1)."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(TypedError, ValueError):
     """A configuration asks for something numerically meaningless."""
 
 
-class TermBudgetError(RuntimeError):
+class TermBudgetError(TypedError, RuntimeError):
     """A symbolic expansion would exceed the configured term budget."""
 
 
-class SingularMatrixError(RuntimeError):
+class SingularMatrixError(TypedError, RuntimeError):
     """A symmetric matrix is numerically singular where an inverse is needed."""
+
+
+class AccuracyError(TypedError, RuntimeError):
+    """A computed quantity failed an exact identity beyond its tolerance."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -120,40 +120,28 @@ def sufficient_T(x, c_mat, basis: BasisSystem) -> np.ndarray:
 def gaussian_summaries(c_theta, c_mat, basis: BasisSystem, alpha_theta=None):
     """(d, Gamma_theta, Gamma, Gamma_tilde_theta) for the summary experiments.
 
-    All three matrices are Gram matrices of symmetric conjugated basis
-    stacks, so symmetry and positive semidefiniteness are structural.  When
+    With H = C^{-1} C_theta C^{-1}, all four come from trace identities on
+    the band profiles: d_k = <H, M_k>, Gamma_kl = 2 tr(C^{-1} M_k C^{-1} M_l),
+    Gamma_theta,kl = 2 tr(H M_k H M_l) and Gamma_tilde_kl = 2 tr(C_theta^{-1}
+    M_k C_theta^{-1} M_l).  No matrix square root is taken.  The matrices are
+    symmetric by construction; positive semidefiniteness holds in exact
+    arithmetic (each is a Gram matrix) but is not enforced numerically.  When
     alpha_theta is supplied (meaning c_theta is exactly its combination),
     the identity d = Gamma alpha / 2 is enforced to 1e-8 relative.
     """
     c_theta = np.asarray(c_theta, dtype=float)
-    c_mat = np.asarray(c_mat, dtype=float)
-    ci_sqrt = sym_inv_sqrt(c_mat)
-    ct_sqrt = sym_sqrt(c_theta)
-    cti_sqrt = sym_inv_sqrt(c_theta)
-    k_count = basis.K
-
-    r_stack = np.matmul(np.matmul(ci_sqrt, basis.mats), ci_sqrt)
-    gamma = 2.0 * r_stack.reshape(k_count, -1) @ r_stack.reshape(k_count, -1).T
-
-    ci = ci_sqrt @ ci_sqrt
-    d_vec = basis.project(ci @ c_theta @ ci)
-
-    half = np.matmul(ct_sqrt, np.matmul(ci, np.matmul(basis.mats, ci)))
-    a_stack = np.matmul(half, ct_sqrt)
-    gamma_theta = 2.0 * a_stack.reshape(k_count, -1) @ a_stack.reshape(k_count, -1).T
-
-    rt_stack = np.matmul(np.matmul(cti_sqrt, basis.mats), cti_sqrt)
-    gamma_tilde = 2.0 * rt_stack.reshape(k_count, -1) @ rt_stack.reshape(k_count, -1).T
-
-    gamma = 0.5 * (gamma + gamma.T)
-    gamma_theta = 0.5 * (gamma_theta + gamma_theta.T)
-    gamma_tilde = 0.5 * (gamma_tilde + gamma_tilde.T)
+    c_inv = sym_inv(np.asarray(c_mat, dtype=float), require_pd=True)
+    h = c_inv @ c_theta @ c_inv
+    d_vec = basis.project(h)
+    gamma = basis.trace_gram(c_inv)
+    gamma_theta = basis.trace_gram(h)
+    gamma_tilde = basis.trace_gram(sym_inv(c_theta, require_pd=True))
 
     if alpha_theta is not None:
         target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
         rel = float(np.linalg.norm(d_vec - target) / max(np.linalg.norm(d_vec), 1e-300))
         if rel > 1e-8:
-            raise RuntimeError(f"summary identity d = Gamma alpha / 2 off by {rel:.3g}")
+            raise LocalizationError(f"summary identity d = Gamma alpha / 2 off by {rel:.3g}")
     return d_vec, gamma_theta, gamma, gamma_tilde
 
 

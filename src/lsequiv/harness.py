@@ -6,6 +6,7 @@ serialized at 17 significant digits, and CSV output follows RFC 4180, so
 repeated runs are byte-identical.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -35,7 +36,7 @@ from .cltcheck import (
     remainder_bound,
     tv_oracle,
 )
-from .errors import ConfigurationError, PreconditionError, SingularMatrixError
+from .errors import ConfigurationError, PreconditionError, SingularMatrixError, TypedError
 from .gaussianize import (
     ExperimentState,
     LocalizationConfig,
@@ -78,7 +79,7 @@ __all__ = [
     "export_basis",
 ]
 
-_CAUGHT = (ValueError, RuntimeError, np.linalg.LinAlgError)
+_CAUGHT = (TypedError,)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +333,18 @@ def whitening_matrix(f_hat, basis: BasisSystem, rho_star: float, s_star: float =
 # verify driver
 
 
-def _timed(entries, started, timings):
+@contextlib.contextmanager
+def _timed(report, timings):
+    """Collect one group of checks into report; with timings, each check
+    records the group's wall time in milliseconds."""
+    entries = []
+    started = time.perf_counter()
+    yield entries
     if timings:
         elapsed = (time.perf_counter() - started) * 1e3
         for e in entries:
             e.runtime_ms = elapsed
-    return entries
+    report.extend(entries)
 
 
 def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> VerificationReport:
@@ -359,206 +366,170 @@ def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> Verificatio
         }
     )
 
-    def group(entries, started):
-        report.extend(_timed(entries, started, timings))
-
     # class membership and covariance spectrum
-    t0 = time.perf_counter()
-    f = random_density(k1, k2, make_rng(seed, stream=_DENSITY_STREAM), s=s, L=L, rho_star=rho_star)
-    group(f.check_membership(grid), t0)
-
-    t0 = time.perf_counter()
-    theta = build_theta(f, n, grid)
-    group(theta_spectral_check(theta, rho_star), t0)
-
-    t0 = time.perf_counter()
-    g = f.scaled_deviation(0.5)
-    group(theta_lipschitz_check(f, g, n, grid), t0)
+    with _timed(report, timings) as out:
+        f = random_density(k1, k2, make_rng(seed, stream=_DENSITY_STREAM), s=s, L=L, rho_star=rho_star)
+        out += f.check_membership(grid)
+    with _timed(report, timings) as out:
+        theta = build_theta(f, n, grid)
+        out += theta_spectral_check(theta, rho_star)
+    with _timed(report, timings) as out:
+        out += theta_lipschitz_check(f, f.scaled_deviation(0.5), n, grid)
 
     basis = build_basis(n, k1, k2)
-    t0 = time.perf_counter()
-    group(coeff_identity_check(f, basis), t0)
+    with _timed(report, timings) as out:
+        out += coeff_identity_check(f, basis)
 
     # multiplication defect of the circulant-to-function map
-    t0 = time.perf_counter()
-    unit = (1.0 / math.sqrt(n)) * CirculantElement.basis(n, 1, 1)
-    lhs, bound = hom_defect(unit, unit)
-    closed = (2.0 - 2.0 * math.cos(2.0 * math.pi / n)) / n
-    entries = [
-        CheckResult("psi-hom-pinned", "exact-identity", abs(lhs - closed), 0.0, tol=1e-14),
-        CheckResult("psi-hom-pinned-bound", "closed-form-bound", lhs, bound),
-    ]
-    rng = make_rng(seed, stream=201)
-    for i in range(5):
-        shape = (2 * k1 + 1, 2 * k2 + 1)
-        a = CirculantElement(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        b = CirculantElement(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        for convention in ("plain", "symmetric"):
-            lhs, bound = hom_defect(a, b, convention=convention)
-            entries.append(
-                CheckResult(
-                    f"psi-hom-bound-{convention}-{i}", "closed-form-bound", lhs, bound
+    with _timed(report, timings) as out:
+        unit = (1.0 / math.sqrt(n)) * CirculantElement.basis(n, 1, 1)
+        lhs, bound = hom_defect(unit, unit)
+        closed = (2.0 - 2.0 * math.cos(2.0 * math.pi / n)) / n
+        out += [
+            CheckResult("psi-hom-pinned", "exact-identity", abs(lhs - closed), 0.0, tol=1e-14),
+            CheckResult("psi-hom-pinned-bound", "closed-form-bound", lhs, bound),
+        ]
+        rng = make_rng(seed, stream=201)
+        for i in range(5):
+            shape = (2 * k1 + 1, 2 * k2 + 1)
+            a = CirculantElement(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            b = CirculantElement(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for convention in ("plain", "symmetric"):
+                lhs, bound = hom_defect(a, b, convention=convention)
+                out.append(
+                    CheckResult(f"psi-hom-bound-{convention}-{i}", "closed-form-bound", lhs, bound)
                 )
-            )
-    group(entries, t0)
 
     # norms and Gram matrices of both matrix families
-    t0 = time.perf_counter()
-    entries = []
-    worst_cm = 0.0
-    for j in range(min(k1, 2) + 1):
-        for j2 in range(min(k2, 2) + 1):
-            frob_sq = float(np.sum(np.abs(cm(n, j, j2)) ** 2))
-            worst_cm = max(worst_cm, abs(frob_sq - n))
-    entries.append(
-        CheckResult("circulant-norm-sq", "exact-identity", worst_cm, 0.0, tol=1e-9 * n)
-    )
-    worst_m = 0.0
-    for k, idx in enumerate(basis.indices):
-        frob_sq = float(np.sum(basis.raw_mat(k) ** 2))
-        worst_m = max(worst_m, abs(frob_sq - 2.0 * math.pi * (n - idx.j2)))
-    entries.append(
-        CheckResult("band-norm-sq", "exact-identity", worst_m, 0.0, tol=1e-9 * n)
-    )
-    gram_m = basis.gram()
-    eye = np.eye(basis.K)
-    entries.append(
-        CheckResult(
-            "band-gram", "exact-identity", float(np.max(np.abs(gram_m - eye))), 0.0, tol=1e-10
-        )
-    )
-    flat = basis.mcheck.reshape(basis.K, -1)
-    gram_c = flat @ flat.T
-    entries.append(
-        CheckResult(
-            "circulant-gram",
-            "exact-identity",
-            float(np.max(np.abs(gram_c - eye))),
-            0.0,
-            tol=1e-10,
-        )
-    )
-    group(entries, t0)
+    with _timed(report, timings) as out:
+        worst_cm = 0.0
+        for j in range(min(k1, 2) + 1):
+            for j2 in range(min(k2, 2) + 1):
+                frob_sq = float(np.sum(np.abs(cm(n, j, j2)) ** 2))
+                worst_cm = max(worst_cm, abs(frob_sq - n))
+        worst_m = 0.0
+        for k, idx in enumerate(basis.indices):
+            frob_sq = float(np.sum(basis.raw_mat(k) ** 2))
+            worst_m = max(worst_m, abs(frob_sq - 2.0 * math.pi * (n - idx.j2)))
+        eye = np.eye(basis.K)
+        band_gap = float(np.max(np.abs(basis.gram() - eye)))
+        flat = basis.mcheck.reshape(basis.K, -1)
+        circ_gap = float(np.max(np.abs(flat @ flat.T - eye)))
+        out += [
+            CheckResult("circulant-norm-sq", "exact-identity", worst_cm, 0.0, tol=1e-9 * n),
+            CheckResult("band-norm-sq", "exact-identity", worst_m, 0.0, tol=1e-9 * n),
+            CheckResult("band-gram", "exact-identity", band_gap, 0.0, tol=1e-10),
+            CheckResult("circulant-gram", "exact-identity", circ_gap, 0.0, tol=1e-10),
+        ]
 
     # localized state and the summary-shift identity
-    t0 = time.perf_counter()
-    loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
-    state = ExperimentState.build(basis, loc, theta=theta, rng=make_rng(seed, stream=202))
-    target = 0.5 * state.gamma @ state.alpha_theta
-    rel = float(
-        np.linalg.norm(state.d_vec - target) / max(np.linalg.norm(state.d_vec), 1e-300)
-    )
-    group([CheckResult("summary-shift-identity", "exact-identity", rel, 0.0, tol=1e-8)], t0)
+    with _timed(report, timings) as out:
+        loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
+        state = ExperimentState.build(basis, loc, theta=theta, rng=make_rng(seed, stream=202))
+        target = 0.5 * state.gamma @ state.alpha_theta
+        rel = float(
+            np.linalg.norm(state.d_vec - target) / max(np.linalg.norm(state.d_vec), 1e-300)
+        )
+        out.append(CheckResult("summary-shift-identity", "exact-identity", rel, 0.0, tol=1e-8))
 
     # spectral perturbation inequality on seeded SPD pairs
-    t0 = time.perf_counter()
-    entries = []
-    rng = make_rng(seed, stream=203)
-    for i in range(3):
-        dim = 5 + i
-        base = rng.standard_normal((dim, dim))
-        a = base @ base.T + dim * np.eye(dim)
-        pert = rng.standard_normal((dim, dim))
-        b = a + 0.05 * np.linalg.norm(a, 2) * (pert + pert.T) / np.linalg.norm(pert + pert.T, 2)
-        chk = sp_perturbation_check(a, b)
-        chk.check_id = f"sp-perturbation-{i}"
-        entries.append(chk)
-    group(entries, t0)
+    with _timed(report, timings) as out:
+        rng = make_rng(seed, stream=203)
+        for i in range(3):
+            dim = 5 + i
+            base = rng.standard_normal((dim, dim))
+            a = base @ base.T + dim * np.eye(dim)
+            pert = rng.standard_normal((dim, dim))
+            b = a + 0.05 * np.linalg.norm(a, 2) * (pert + pert.T) / np.linalg.norm(pert + pert.T, 2)
+            chk = sp_perturbation_check(a, b)
+            chk.check_id = f"sp-perturbation-{i}"
+            out.append(chk)
 
     # ensemble sampler variances
-    t0 = time.perf_counter()
-    rng = make_rng(seed, stream=204)
-    draws = np.stack([goe_sample(8, rng) for _ in range(3000)])
-    diag = np.einsum("rii->ri", draws)
-    mask = ~np.eye(8, dtype=bool)
-    off = draws[:, mask]
-    entries = [
-        CheckResult(
-            "goe-diag-variance", "monte-carlo", abs(float(np.var(diag)) - 2.0) / 2.0, 0.05
-        ),
-        CheckResult("goe-offdiag-variance", "monte-carlo", abs(float(np.var(off)) - 1.0), 0.05),
-    ]
-    group(entries, t0)
+    with _timed(report, timings) as out:
+        rng = make_rng(seed, stream=204)
+        draws = np.stack([goe_sample(8, rng) for _ in range(3000)])
+        diag = np.einsum("rii->ri", draws)
+        off = draws[:, ~np.eye(8, dtype=bool)]
+        out += [
+            CheckResult(
+                "goe-diag-variance", "monte-carlo", abs(float(np.var(diag)) - 2.0) / 2.0, 0.05
+            ),
+            CheckResult("goe-offdiag-variance", "monte-carlo", abs(float(np.var(off)) - 1.0), 0.05),
+        ]
 
     # likelihood affinity of paired models
-    t0 = time.perf_counter()
-    chk = likelihood_affinity_check(state, 800, make_rng(seed, stream=205))
-    group([chk], t0)
+    with _timed(report, timings) as out:
+        out.append(likelihood_affinity_check(state, 800, make_rng(seed, stream=205)))
 
     # characteristic function against the closed quadratic-form law
-    t0 = time.perf_counter()
-    unit_basis = build_basis(n, 0, 0)
-    eye_n = np.eye(n)
-    ctx = build_char_context(eye_n, eye_n, unit_basis)
-    worst = 0.0
-    for t in (0.3, 1.1, 2.7):
-        got = char_fn_standardized(np.array([t]), ctx)
-        want = (1.0 - 2.0j * t / math.sqrt(2.0 * n)) ** (-n / 2.0) * np.exp(
-            -1.0j * t * math.sqrt(n / 2.0)
-        )
-        worst = max(worst, abs(complex(got) - complex(want)))
-    group([CheckResult("charfn-quadratic-law", "exact-identity", worst, 0.0, tol=1e-12)], t0)
+    with _timed(report, timings) as out:
+        eye_n = np.eye(n)
+        ctx = build_char_context(eye_n, eye_n, build_basis(n, 0, 0))
+        worst = 0.0
+        for t in (0.3, 1.1, 2.7):
+            got = char_fn_standardized(np.array([t]), ctx)
+            want = (1.0 - 2.0j * t / math.sqrt(2.0 * n)) ** (-n / 2.0) * np.exp(
+                -1.0j * t * math.sqrt(n / 2.0)
+            )
+            worst = max(worst, abs(complex(got) - complex(want)))
+        out.append(CheckResult("charfn-quadratic-law", "exact-identity", worst, 0.0, tol=1e-12))
 
     # series expansion remainder inside its validity ball
-    t0 = time.perf_counter()
-    expansion = edgeworth_build(ctx, 4, seed=seed)
-    radius = expansion.validity_radius
-    entries = []
-    for i in range(10):
-        t = np.array([(0.05 + 0.9 * i / 9.0) * radius])
-        approx = expansion.poly_eval(t)
-        exact = char_fn_standardized(t, ctx) * np.exp(0.5 * float(t @ t))
-        entries.append(
-            CheckResult(
-                f"edgeworth-remainder-{i}",
-                "series-bound",
-                abs(complex(exact) - complex(approx)),
-                remainder_bound(t, expansion),
+    with _timed(report, timings) as out:
+        expansion = edgeworth_build(ctx, 4, seed=seed)
+        radius = expansion.validity_radius
+        for i in range(10):
+            t = np.array([(0.05 + 0.9 * i / 9.0) * radius])
+            approx = expansion.poly_eval(t)
+            exact = char_fn_standardized(t, ctx) * np.exp(0.5 * float(t @ t))
+            out.append(
+                CheckResult(
+                    f"edgeworth-remainder-{i}",
+                    "series-bound",
+                    abs(complex(exact) - complex(approx)),
+                    remainder_bound(t, expansion),
+                )
             )
-        )
-    group(entries, t0)
 
     # integral tail of the characteristic function
-    t0 = time.perf_counter()
-    group([fourier_tail_integral(5.0, ctx)], t0)
+    with _timed(report, timings) as out:
+        out.append(fourier_tail_integral(5.0, ctx))
 
     # inversion oracle against an exact Gaussian characteristic function
-    t0 = time.perf_counter()
-    tv_null = tv_oracle(ctx, cf_override=lambda r, u: np.exp(-0.5 * r**2))
-    group([CheckResult("tv-oracle-gaussian-null", "numeric-oracle", tv_null, 0.0, tol=1e-6)], t0)
+    with _timed(report, timings) as out:
+        tv_null = tv_oracle(ctx, cf_override=lambda r, u: np.exp(-0.5 * r**2))
+        out.append(CheckResult("tv-oracle-gaussian-null", "numeric-oracle", tv_null, 0.0, tol=1e-6))
 
     # localized drift, sufficient statistic, and projection defects
-    t0 = time.perf_counter()
-    drift = localized_drift(
-        state.alpha_theta,
-        state.eta_tilde,
-        n,
-        basis.indices,
-        rho_star,
-        gamma=sched.gamma,
-        f=f,
-        grid=grid,
-    )
-    entries = [drift.sup_check]
-    y, gamma_f = sufficient_Y(
-        drift.f_hat, state.alpha_theta, basis.indices, rng=make_rng(seed, stream=206), grid=grid
-    )
-    entries.append(gamma_min_eig_check(gamma_f, drift.f_hat, grid))
-    group(entries, t0)
+    with _timed(report, timings) as out:
+        drift = localized_drift(
+            state.alpha_theta,
+            state.eta_tilde,
+            n,
+            basis.indices,
+            rho_star,
+            gamma=sched.gamma,
+            f=f,
+            grid=grid,
+        )
+        y, gamma_f = sufficient_Y(
+            drift.f_hat, state.alpha_theta, basis.indices, rng=make_rng(seed, stream=206), grid=grid
+        )
+        out += [drift.sup_check, gamma_min_eig_check(gamma_f, drift.f_hat, grid)]
 
-    t0 = time.perf_counter()
-    proj = inv_sqrt_projection(drift.f_hat, basis.indices, rho_star, grid=grid)
-    variants = gamma_variants(drift.f_hat, proj, basis, grid=grid)
-    group(list(variants.defect_checks), t0)
+    with _timed(report, timings) as out:
+        proj = inv_sqrt_projection(drift.f_hat, basis.indices, rho_star, grid=grid)
+        out += gamma_variants(drift.f_hat, proj, basis, grid=grid).defect_checks
 
-    t0 = time.perf_counter()
-    w_dense = psi_inverse_real(n, dict(zip(proj.indices, proj.coeffs)))
-    comparison = goe_connection(state, w_dense, gamma=sched.gamma)
-    group([comparison.bound_check, comparison.dictionary_gap_check], t0)
+    with _timed(report, timings) as out:
+        w_dense = psi_inverse_real(n, dict(zip(proj.indices, proj.coeffs)))
+        comparison = goe_connection(state, w_dense, gamma=sched.gamma)
+        out += [comparison.bound_check, comparison.dictionary_gap_check]
 
     # hard admissibility constraint of the schedule
-    t0 = time.perf_counter()
-    group([condition_checker(n, sched)[-1]], t0)
+    with _timed(report, timings) as out:
+        out.append(condition_checker(n, sched)[-1])
 
     return report
 
@@ -592,7 +563,7 @@ def _stage(errors: list, name: str, fn):
 
 
 def _abstract_pilot_risk(theta, alpha_theta, basis, replicates, rng) -> float:
-    chol = np.linalg.cholesky(theta)
+    chol = _chol(theta, "covariance")
     total = 0.0
     for _ in range(replicates):
         x = chol @ rng.standard_normal(basis.n)

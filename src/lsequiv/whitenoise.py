@@ -19,6 +19,7 @@ from ._linalg import frob, spectral_norm, sym_abs, sym_eig, sym_inv_sqrt, sym_sq
 from .circulant import (
     hom_defect,
     psi_forward,
+    psi_inverse_real,
     real_expansion_to_element,
 )
 from .errors import PreconditionError, RangeError, SingularMatrixError
@@ -598,7 +599,9 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
     w_dense = np.asarray(w_dense, dtype=float)
     if w_dense.shape != (n, n):
         raise PreconditionError("W matrix dimension mismatch")
-    delta_check = np.tensordot(state.eta_tilde, basis.mcheck, axes=(0, 0))
+    # Dcheck = sum_k eta_k Mcheck_k with Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)
+    scale = math.sqrt(TWO_PI / n)
+    delta_check = psi_inverse_real(n, dict(zip(basis.indices, scale * state.eta_tilde)))
     delta = state.delta
     c_inv_sqrt = sym_inv_sqrt(state.c_mat)
     abs_w = sym_abs(w_dense / math.sqrt(A_STAR))
@@ -622,8 +625,7 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
     gap_check = None
     if gamma is not None:
         lhs = float(frob(delta_check - delta) ** 2)
-        stack_gap = basis.mcheck - basis.mats
-        rhs = float(gamma**2 * np.sum(stack_gap**2))
+        rhs = float(gamma**2 * np.sum(basis.mcheck_gaps() ** 2))
         gap_check = CheckResult(
             check_id="dictionary-gap",
             ref="ensemble-comparison",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lsequiv._linalg import DENSE_N_MAX
 from lsequiv.basis_cov import (
     CovarianceMatrix,
     abstract_rho,
@@ -208,3 +209,51 @@ def test_covariance_spectral_check_ids():
     assert all(c.passed for c in checks)
     bad = cov.spectral_check(1.5, 3.0)
     assert not bad[0].passed
+
+
+ORACLE_WINDOWS = [(0, 0), (0, 1), (1, 1), (2, 0), (3, 3)]
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("k1,k2", ORACLE_WINDOWS)
+def test_trace_gram_matches_dense(k1, k2):
+    n = 40
+    basis = build_basis(n, k1, k2)
+    s = make_rng(k1, stream=32 + k2).standard_normal((n, n))
+    s = s + s.T
+    # tr(S M_a S M_b) = <P_a, P_b^T> with P_k = S M_k
+    p = s @ basis.mats
+    want = 2.0 * p.reshape(basis.K, -1) @ np.transpose(p, (0, 2, 1)).reshape(basis.K, -1).T
+    got = basis.trace_gram(s)
+    assert _max_rel(got, want) <= 1e-12
+    np.testing.assert_array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("k1,k2", ORACLE_WINDOWS)
+def test_band_operations_match_dense(k1, k2):
+    n = 40
+    basis = build_basis(n, k1, k2)
+    rng = make_rng(k1, stream=33 + k2)
+    mats = basis.mats
+    a = rng.standard_normal((n, n))
+    a = a + a.T
+    np.testing.assert_allclose(basis.project(a), np.einsum("kij,ij->k", mats, a), atol=1e-12)
+    v = rng.standard_normal(basis.K)
+    combined = basis.combine(v)
+    np.testing.assert_allclose(combined, np.tensordot(v, mats, axes=1), atol=1e-12)
+    np.testing.assert_array_equal(combined, combined.T)
+    x = rng.standard_normal(n)
+    np.testing.assert_allclose(basis.quad_form(x), [x @ m @ x for m in mats], atol=1e-12)
+    np.testing.assert_allclose(
+        basis.mcheck_gaps(), np.linalg.norm(basis.mcheck - mats, axis=(1, 2)), atol=1e-12
+    )
+
+
+def test_size_and_symmetry_guards_are_typed():
+    with pytest.raises(PreconditionError):
+        build_basis(DENSE_N_MAX + 1, 0, 0)
+    with pytest.raises(PreconditionError):
+        CovarianceMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -5,6 +5,7 @@ import pytest
 
 from lsequiv.circulant import (
     CirculantElement,
+    FourierFunction,
     PsiMap,
     build_mcheck_basis,
     cm,
@@ -21,7 +22,7 @@ from lsequiv.circulant import (
     shift_permutation,
     window_guard,
 )
-from lsequiv.errors import PreconditionError
+from lsequiv.errors import PreconditionError, RangeError
 from lsequiv.rng import make_rng
 from lsequiv.spectral import BasisIndex, enumerate_indices
 
@@ -182,3 +183,37 @@ def test_window_guard():
     assert window_guard(64, 3, 3) is None
     with pytest.raises(PreconditionError):
         window_guard(16, 4, 4)
+
+
+@pytest.mark.parametrize("cls", [CirculantElement, FourierFunction])
+def test_window_table_shared_methods(cls):
+    rng = make_rng(6, stream=22)
+    a = cls(12, 1, 2, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
+    padded = a.pad(2, 3)
+    assert type(padded) is cls
+    assert (padded.k1, padded.k2) == (2, 3)
+    for j in range(-2, 3):
+        for j2 in range(-3, 4):
+            assert padded.coeff(j, j2) == a.coeff(j, j2)
+    assert a.coeff(2, 0) == 0.0
+    with pytest.raises(RangeError):
+        a.pad(0, 2)
+    zero = cls.zero(12, 1, 1)
+    assert type(zero) is cls and not np.any(zero.coeffs)
+    total = a + padded
+    assert type(total) is cls and type(a - zero) is cls
+    np.testing.assert_array_equal(total.table(1, 2), 2.0 * a.coeffs)
+    np.testing.assert_array_equal((total - a).table(1, 2), a.coeffs)
+    assert not np.any((a - padded).coeffs)
+
+
+def test_psi_inverse_accepts_oversize_container_only_with_fitting_support():
+    fn = FourierFunction.zero(16, 3, 1)
+    fn.coeffs[3 + 1, 1 + 1] = 2.0 - 1.0j  # (j, j2) = (1, 1)
+    elem = PsiMap(16, 1, 2).inverse(fn)
+    assert (elem.k1, elem.k2) == (1, 2)
+    assert elem.coeff(1, 1) == 2.0 - 1.0j
+    assert np.count_nonzero(elem.coeffs) == 1
+    fn.coeffs[0, 1] = 1.0  # (j, j2) = (-3, 0) lies outside the map window
+    with pytest.raises(RangeError):
+        PsiMap(16, 1, 2).inverse(fn)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lsequiv._linalg import sym_inv
+from lsequiv._linalg import sym_inv, sym_inv_sqrt, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
-from lsequiv.errors import ConfigurationError, LocalizationError
+from lsequiv.errors import ConfigurationError, LocalizationError, SingularMatrixError
 from lsequiv.gaussianize import (
     MODEL_IDS,
     ExperimentState,
@@ -234,3 +234,53 @@ def test_sp_perturbation_check_small_and_skipped():
 def test_observation_to_json_roundtrip():
     text = observation_to_json(np.array([1.0, 0.5]))
     assert json.loads(text) == [1.0, 0.5]
+
+
+def _dense_summaries(c_theta, c_mat, basis):
+    """The stacked-matmul formulas through matrix square roots (oracle)."""
+    ci_sqrt, ct_sqrt, cti_sqrt = sym_inv_sqrt(c_mat), sym_sqrt(c_theta), sym_inv_sqrt(c_theta)
+    k = basis.K
+
+    def gram(stack):
+        flat = stack.reshape(k, -1)
+        return 2.0 * flat @ flat.T
+
+    ci = ci_sqrt @ ci_sqrt
+    d_vec = np.einsum("kij,ij->k", basis.mats, ci @ c_theta @ ci)
+    gamma = gram(np.matmul(np.matmul(ci_sqrt, basis.mats), ci_sqrt))
+    half = np.matmul(ct_sqrt, np.matmul(ci, np.matmul(basis.mats, ci)))
+    gamma_theta = gram(np.matmul(half, ct_sqrt))
+    gamma_tilde = gram(np.matmul(np.matmul(cti_sqrt, basis.mats), cti_sqrt))
+    return d_vec, gamma_theta, gamma, gamma_tilde
+
+
+@pytest.mark.parametrize("k1,k2", [(0, 0), (0, 1), (1, 1), (2, 0), (3, 3)])
+def test_summaries_match_dense_stacks(k1, k2):
+    n = 40
+    basis = build_basis(n, k1, k2)
+    rng = make_rng(k1, stream=45 + k2)
+    alpha = np.zeros(basis.K)
+    alpha[0] = 30.0
+    alpha[1:] = 0.5 * rng.standard_normal(basis.K - 1)
+    c_theta = basis.combine(alpha)
+    c_mat = basis.combine(alpha + 0.3 * rng.standard_normal(basis.K))
+    assert not np.array_equal(c_theta, c_mat)
+    got = gaussian_summaries(c_theta, c_mat, basis, alpha_theta=alpha)
+    want = _dense_summaries(c_theta, c_mat, basis)
+    for g, w in zip(got, want):
+        assert float(np.max(np.abs(g - w)) / np.max(np.abs(w))) <= 1e-12
+    for g in got[1:]:
+        np.testing.assert_array_equal(g, g.T)
+
+
+def test_summaries_guards():
+    n = 16
+    basis1 = build_basis(n, 0, 0)
+    eye = np.eye(n)
+    with pytest.raises(LocalizationError):
+        gaussian_summaries(eye, eye, basis1, alpha_theta=np.array([1.0]))
+    indefinite = np.diag(np.r_[-1.0, np.ones(n - 1)])
+    with pytest.raises(SingularMatrixError):
+        gaussian_summaries(eye, indefinite, basis1)
+    with pytest.raises(SingularMatrixError):
+        gaussian_summaries(indefinite, eye, basis1)

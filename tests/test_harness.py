@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import lsequiv
-from lsequiv.basis_cov import build_basis
+import lsequiv.harness as harness
+from lsequiv.basis_cov import BasisSystem, build_basis
 from lsequiv.cli import main
-from lsequiv.errors import ConfigurationError, PreconditionError, SingularMatrixError
+from lsequiv.errors import ConfigurationError, PreconditionError, RangeError, SingularMatrixError
 from lsequiv.harness import (
     CHAIN_HEADER,
     DEFAULT_BUDGETS,
@@ -314,3 +315,39 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_chain_propagates_untyped_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("shape bug")
+
+    monkeypatch.setattr(harness, "pilot_risk_row", broken)
+    with pytest.raises(ValueError, match="shape bug"):
+        run_equivalence_chain(RunConfig(n_grid=(8,), k1=0, k2=1, replicates=5))
+
+    def typed(*args, **kwargs):
+        raise RangeError("out of range")
+
+    monkeypatch.setattr(harness, "pilot_risk_row", typed)
+    header, rows = run_equivalence_chain(RunConfig(n_grid=(8,), k1=0, k2=1, replicates=5))
+    assert rows[0][-1] == "tv:RangeError;pilot-wn:RangeError"
+
+
+def test_chain_builds_no_dense_stack(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("dense basis stack built")
+
+    monkeypatch.setattr(BasisSystem, "mats", property(forbidden))
+    monkeypatch.setattr(BasisSystem, "mcheck", property(forbidden))
+    header, rows = run_equivalence_chain(RunConfig(n_grid=(64,), replicates=5))
+    assert rows[0][header.index("K")] == 6
+    assert rows[0][-1] == ""
+    assert rows[0][header.index("goe_kl")] is not None
+
+
+def test_verify_timings_only_add_runtimes():
+    plain = run_verify(n=32)
+    timed = run_verify(n=32, timings=True)
+    assert all(e.runtime_ms is None for e in plain.entries)
+    assert all(e.runtime_ms is not None and e.runtime_ms >= 0.0 for e in timed.entries)
+    assert timed.to_csv() == plain.to_csv()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lsequiv._linalg import frob, spectral_norm, sym_abs, sym_inv_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.errors import PreconditionError, RangeError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
@@ -203,3 +204,25 @@ def test_goe_connection_bound_and_zero_case():
     )
     comp0 = goe_connection(state0, gv.w_dense, gamma=3.0)
     assert comp0.kl <= 1e-20
+
+
+def test_goe_connection_matches_dense_stacks():
+    # oracle: Dcheck and the dictionary gap straight from the (K, n, n) stacks
+    fv = GridFunction(GRID, DENSITY.on_grid(GRID))
+    proj = inv_sqrt_projection(fv, BASIS.indices, 0.5)
+    w_dense = gamma_variants(fv, proj, BASIS).w_dense
+    comp = goe_connection(STATE, w_dense, gamma=3.0)
+
+    delta_check = np.tensordot(STATE.eta_tilde, BASIS.mcheck, axes=(0, 0))
+    ci_sqrt = sym_inv_sqrt(STATE.c_mat)
+    abs_w = sym_abs(w_dense / math.sqrt(A_STAR))
+    gap = abs_w @ delta_check @ abs_w - ci_sqrt @ STATE.delta @ ci_sqrt
+    root_gap_sq = frob(abs_w - ci_sqrt) ** 2
+    w_sp_sq = spectral_norm(w_dense) ** 2
+    b1 = 3.0 / A_STAR * root_gap_sq * spectral_norm(delta_check) ** 2 * w_sp_sq
+    dict_lhs = frob(delta_check - STATE.delta) ** 2
+    dict_rhs = 9.0 * np.sum((BASIS.mcheck - BASIS.mats) ** 2)
+    assert comp.kl == pytest.approx(frob(gap) ** 2 / 4.0, rel=1e-12)
+    assert comp.b1 == pytest.approx(b1, rel=1e-12)
+    assert comp.dictionary_gap_check.lhs == pytest.approx(dict_lhs, rel=1e-12)
+    assert comp.dictionary_gap_check.rhs == pytest.approx(dict_rhs, rel=1e-12)
