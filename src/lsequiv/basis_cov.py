@@ -342,8 +342,7 @@ def density_coefficients(f, basis: BasisSystem, grid: QuadratureGrid = None) -> 
     if isinstance(f, SpectralDensity):
         return np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
     grid = grid or default_grid()
-    table = grid.project(f, basis.indices)
-    return np.array([table[idx] for idx in basis.indices])
+    return grid.project(f, basis.indices)
 
 
 def presmoothing_residual(f, n: int, basis: BasisSystem, grid: QuadratureGrid = None):

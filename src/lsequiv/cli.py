@@ -2,6 +2,8 @@
 
 Exit codes: 0 when every executed check passes, 1 when a check fails or a
 driver reports a typed error, 2 for usage mistakes (argparse default).
+File errors (OSError) also exit 2; any other exception is a bug and ends in
+a traceback.
 """
 
 import argparse
@@ -10,6 +12,7 @@ import json
 import os
 import sys
 
+from .errors import TypedError
 from .harness import (
     RunConfig,
     condition_checker,
@@ -194,7 +197,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except TypedError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

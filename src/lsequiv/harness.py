@@ -285,12 +285,22 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigurationError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(payload) - known
         if extra:
             raise ConfigurationError(f"unknown config keys: {sorted(extra)}")
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"config value of the wrong type: {exc}") from exc
 
 
 _DENSITY_STREAM = 101

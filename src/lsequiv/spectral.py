@@ -105,11 +105,13 @@ def basis_count(k1: int, k2: int) -> int:
 
 
 class QuadratureGrid:
-    """Tensor Gauss-Legendre grid on [0,1] x [-pi,pi] with cached factors.
+    """Tensor Gauss-Legendre grid on [0,1] x [-pi,pi].
 
     256 nodes per axis integrate trig polynomials far beyond any window this
     package uses, so quadrature error is negligible next to the tolerances in
-    the verification checks.
+    the verification checks.  The basis is separable, so every coefficient
+    map is two matrix products with the time and space factors that
+    `factors` returns.
     """
 
     def __init__(self, nt: int = 256, nx: int = 256):
@@ -121,31 +123,24 @@ class QuadratureGrid:
         self.wx = math.pi * wx
         self.nt = nt
         self.nx = nx
-        self._tcache = {}
-        self._xcache = {}
 
     @property
     def mesh(self):
         return np.meshgrid(self.t, self.x, indexing="ij")
 
-    def time_factor(self, parity: str, j: int):
-        key = (parity, j)
-        if key not in self._tcache:
-            if parity == POS:
-                self._tcache[key] = np.cos(TWO_PI * j * self.t)
-            else:
-                self._tcache[key] = np.sin(TWO_PI * j * self.t)
-        return self._tcache[key]
-
-    def space_factor(self, j2: int):
-        if j2 not in self._xcache:
-            self._xcache[j2] = np.cos(j2 * self.x)
-        return self._xcache[j2]
+    def factors(self, indices):
+        """(T, X) with phi_k(t_a, x_b) = T[a, k] * X[b, k]; norms sit in T."""
+        indices = list(indices)
+        j = np.array([idx.j for idx in indices], dtype=float)
+        j2 = np.array([idx.j2 for idx in indices], dtype=float)
+        sin = np.array([idx.parity == NEG for idx in indices])
+        norms = np.array([basis_norm(idx) for idx in indices])
+        arg = np.outer(self.t, TWO_PI * j)
+        T = norms * np.where(sin, np.sin(arg), np.cos(arg))
+        return T, np.cos(np.outer(self.x, j2))
 
     def basis_values(self, idx: BasisIndex):
-        return basis_norm(idx) * np.outer(
-            self.time_factor(idx.parity, idx.j), self.space_factor(idx.j2)
-        )
+        return self.synthesize([idx], np.ones(1))
 
     def evaluate(self, fn):
         """Values of a callable f(t, x) on the grid, shape (nt, nx)."""
@@ -156,28 +151,41 @@ class QuadratureGrid:
         return float(self.wt @ np.asarray(values) @ self.wx)
 
     def inner(self, values, idx: BasisIndex) -> float:
-        tw = self.wt * self.time_factor(idx.parity, idx.j)
-        xw = self.wx * self.space_factor(idx.j2)
-        return float(basis_norm(idx) * (tw @ np.asarray(values) @ xw))
+        return float(self.project(values, [idx])[0])
 
     def l2_norm(self, values) -> float:
         return math.sqrt(max(self.integrate(np.asarray(values) ** 2), 0.0))
 
-    def project(self, values_or_fn, indices) -> dict:
+    def project(self, values_or_fn, indices) -> np.ndarray:
+        """Coefficients <v, phi_k> in index order; values (..., nt, nx) -> (..., K)."""
+        T, X = self.factors(indices)
         values = self._as_values(values_or_fn)
-        return {idx: self.inner(values, idx) for idx in indices}
+        return np.sum((self.wt[:, None] * T) * (values @ (self.wx[:, None] * X)), axis=-2)
 
-    def synthesize(self, coeffs: dict):
-        out = np.zeros((self.nt, self.nx))
-        for idx, c in coeffs.items():
-            if c != 0.0:
-                out += c * self.basis_values(idx)
-        return out
+    def synthesize(self, indices, coeffs):
+        """sum_k c_k phi_k on the grid; coeffs (..., K) -> (..., nt, nx)."""
+        T, X = self.factors(indices)
+        coeffs = np.asarray(coeffs, dtype=float)
+        return (T * coeffs[..., None, :]) @ X.T
 
-    def _as_values(self, values_or_fn):
-        if callable(values_or_fn):
-            return self.evaluate(values_or_fn)
-        return np.asarray(values_or_fn, dtype=float)
+    def weighted_gram(self, indices, weight_vals):
+        """[int w phi_k phi_l] by quadrature, exactly symmetric."""
+        T, X = self.factors(indices)
+        xx = np.einsum("bk,bl->bkl", self.wx[:, None] * X, X)
+        wxx = np.tensordot(np.asarray(weight_vals, dtype=float), xx, axes=1)
+        g = np.einsum("ak,al,akl->kl", self.wt[:, None] * T, T, wxx)
+        return 0.5 * (g + g.T)
+
+    def _as_values(self, f):
+        """Grid values of a density given as an array, a GridFunction, an
+        object with on_grid (a SpectralDensity) or a callable f(t, x)."""
+        if hasattr(f, "on_grid"):
+            return f.on_grid(self)
+        if isinstance(f, GridFunction):
+            return f.values
+        if callable(f):
+            return self.evaluate(f)
+        return np.asarray(f, dtype=float)
 
 
 _DEFAULT_GRID = None
@@ -212,9 +220,6 @@ class GridFunction:
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def project(self, indices) -> dict:
-        return self.grid.project(self.values, indices)
 
 
 def mirror_extend(fn):
@@ -261,7 +266,7 @@ class SpectralDensity:
         return self.eval(t, x)
 
     def on_grid(self, grid: QuadratureGrid) -> np.ndarray:
-        return grid.synthesize(self.coeffs)
+        return grid.synthesize(list(self.coeffs), list(self.coeffs.values()))
 
     def mean_level(self) -> float:
         """Average of the density over the rectangle."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frob, spectral_norm, sym_abs, sym_eig, sym_inv_sqrt, sym_sqrt
+from ._linalg import frob, guarded_eig, spectral_norm, sym_abs, sym_eig, sym_inv_sqrt, sym_sqrt
 from .circulant import (
     hom_defect,
     psi_forward,
@@ -61,17 +61,6 @@ __all__ = [
 def noise_level(n: int) -> float:
     """Noise scale a_n = 2 sqrt(pi / n) of the white-noise sheet."""
     return 2.0 * math.sqrt(math.pi / n)
-
-
-def _as_values(f, grid):
-    """Grid values for a density given in any supported form."""
-    if hasattr(f, "on_grid"):
-        return f.on_grid(grid)
-    if isinstance(f, GridFunction):
-        return f.values
-    if callable(f):
-        return grid.evaluate(f)
-    return np.asarray(f, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +119,7 @@ def simulate_wn(f, n, j_count=None, rng=None, grid=None) -> WhiteNoiseObservatio
     if j_count is None:
         j_count = int(math.ceil(math.sqrt(n)))
     indices = leading_indices(j_count)
-    logf = np.log(_as_values(f, grid))
-    means = np.array([grid.inner(logf, idx) for idx in indices])
+    means = grid.project(np.log(grid._as_values(f)), indices)
     a_n = noise_level(n)
     values = means + a_n * rng.standard_normal(j_count)
     return WhiteNoiseObservation(n=n, indices=indices, values=values, noise=a_n)
@@ -144,11 +132,8 @@ def simulate_wn(f, n, j_count=None, rng=None, grid=None) -> WhiteNoiseObservatio
 def target_coefficients(f, indices, n, grid=None):
     """Localization targets <f, phi_j> * |M_j raw|_F = <f, phi_j> sqrt(2 pi (n - j2))."""
     grid = default_grid() if grid is None else grid
-    values = _as_values(f, grid)
-    raw = grid.project(values, indices)
-    return np.array(
-        [raw[idx] * math.sqrt(TWO_PI * (n - idx.j2)) for idx in indices]
-    )
+    j2 = np.array([idx.j2 for idx in indices])
+    return grid.project(f, indices) * np.sqrt(TWO_PI * (n - j2))
 
 
 def log_tail_functional(f, j_count, grid=None) -> float:
@@ -158,11 +143,9 @@ def log_tail_functional(f, j_count, grid=None) -> float:
     avoiding any enumeration of the discarded tail.
     """
     grid = default_grid() if grid is None else grid
-    logf = np.log(_as_values(f, grid))
+    logf = np.log(grid._as_values(f))
     total = grid.integrate(logf**2)
-    captured = sum(
-        grid.inner(logf, idx) ** 2 for idx in leading_indices(j_count)
-    )
+    captured = np.sum(grid.project(logf, leading_indices(j_count)) ** 2)
     return float(max(total - captured, 0.0))
 
 
@@ -216,23 +199,16 @@ def pilot_estimate(obs, indices=None, f=None, grid=None) -> WhiteNoisePilot:
         indices = obs.indices
     n = obs.n
     scale = math.sqrt(TWO_PI * n)
-    smooth = grid.synthesize(
-        {idx: v for idx, v in zip(obs.indices, obs.values)}
-    )
+    smooth = grid.synthesize(obs.indices, obs.values)
     log_estimate = GridFunction(grid, smooth)
     density = GridFunction(grid, np.exp(smooth))
-    proj = grid.project(density.values, indices)
-    alpha_hat = scale * np.array([proj[idx] for idx in indices])
+    alpha_hat = scale * grid.project(density.values, indices)
 
     alpha_target = span_targets = None
     risk = span_gap = b_tail = None
     if f is not None:
-        values = _as_values(f, grid)
-        raw = grid.project(values, indices)
-        alpha_target = np.array(
-            [raw[idx] * math.sqrt(TWO_PI * (n - idx.j2)) for idx in indices]
-        )
-        span_targets = scale * np.array([raw[idx] for idx in indices])
+        alpha_target = target_coefficients(f, indices, n, grid=grid)
+        span_targets = scale * grid.project(f, indices)
         risk = float(np.sum((alpha_hat - alpha_target) ** 2))
         span_gap = float(np.sum((span_targets - alpha_target) ** 2))
         b_tail = log_tail_functional(f, obs.j_count, grid=grid)
@@ -256,20 +232,14 @@ def pilot_risk_row(f, n, indices, replicates, seed, bound_per_k=50.0, grid=None)
     grid = default_grid() if grid is None else grid
     j_count = int(math.ceil(math.sqrt(n)))
     lead = leading_indices(j_count)
-    logf = np.log(_as_values(f, grid))
-    means = np.array([grid.inner(logf, idx) for idx in lead])
+    means = grid.project(np.log(grid._as_values(f)), lead)
     a_n = noise_level(n)
     rng = make_rng(seed, stream=n)
     draws = means + a_n * rng.standard_normal((replicates, j_count))
 
-    stack = np.stack([grid.basis_values(idx).ravel() for idx in lead])
-    kstack = np.stack([grid.basis_values(idx).ravel() for idx in indices])
-    weights = np.outer(grid.wt, grid.wx).ravel()
-    scale = math.sqrt(TWO_PI * n)
-
-    smooth = draws @ stack
-    dens = np.exp(smooth)
-    alpha_hat = scale * (dens * weights) @ kstack.T
+    # one (replicates, nt, nx) array: exponentiate the log-densities in place
+    dens = grid.synthesize(lead, draws)
+    alpha_hat = math.sqrt(TWO_PI * n) * grid.project(np.exp(dens, out=dens), indices)
     target = target_coefficients(f, indices, n, grid=grid)
     risks = np.sum((alpha_hat - target) ** 2, axis=1)
     risk_mean = float(np.mean(risks))
@@ -323,12 +293,8 @@ def localized_drift(
     alpha_theta = np.asarray(alpha_theta, dtype=float)
     eta_tilde = np.asarray(eta_tilde, dtype=float)
     scale = 1.0 / math.sqrt(TWO_PI * n)
-    fn_vals = grid.synthesize(
-        {idx: scale * a for idx, a in zip(indices, alpha_theta)}
-    )
-    fhat_vals = fn_vals + grid.synthesize(
-        {idx: scale * e for idx, e in zip(indices, eta_tilde)}
-    )
+    fn_vals, noise_vals = grid.synthesize(indices, scale * np.stack([alpha_theta, eta_tilde]))
+    fhat_vals = fn_vals + noise_vals
     lo, hi = rho_star / 2.0, 2.0 / rho_star
     for name, vals in (("f_n", fn_vals), ("f_hat", fhat_vals)):
         if vals.min() < lo or vals.max() > hi:
@@ -341,7 +307,7 @@ def localized_drift(
 
     equiv1 = None
     if f is not None:
-        logf = np.log(_as_values(f, grid))
+        logf = np.log(grid._as_values(f))
         gap = logf - np.log(fn_vals)
         equiv1 = float(n / (4.0 * math.pi) * grid.integrate(gap**2))
     ratio = fn_vals / fhat_vals
@@ -372,13 +338,6 @@ def localized_drift(
 # sufficient statistic
 
 
-def _weighted_gram(indices, weight_vals, grid):
-    stack = np.stack([grid.basis_values(idx).ravel() for idx in indices])
-    w = (np.outer(grid.wt, grid.wx) * weight_vals).ravel()
-    g = (stack * w) @ stack.T
-    return 0.5 * (g + g.T)
-
-
 def sufficient_Y(f_hat, alpha_theta, indices, rng=None, grid=None):
     """Draw the sufficient statistic Y ~ N(Gamma alpha / (2 pi sqrt 2), Gamma).
 
@@ -387,10 +346,10 @@ def sufficient_Y(f_hat, alpha_theta, indices, rng=None, grid=None):
     """
     grid = default_grid() if grid is None else grid
     rng = make_rng(0) if rng is None else rng
-    fvals = _as_values(f_hat, grid)
+    fvals = grid._as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
-    gamma_f = _weighted_gram(indices, fvals**-2.0, grid)
+    gamma_f = grid.weighted_gram(indices, fvals**-2.0)
     w, _ = sym_eig(gamma_f)
     if w.min() <= 0.0:
         raise SingularMatrixError("coefficient covariance is not PD")
@@ -402,7 +361,7 @@ def sufficient_Y(f_hat, alpha_theta, indices, rng=None, grid=None):
 def gamma_min_eig_check(gamma_f, f_hat, grid=None) -> CheckResult:
     """min eig(Gamma) >= 1 / sup(f_hat)^2, stated as rhs <= lhs flipped."""
     grid = default_grid() if grid is None else grid
-    fvals = _as_values(f_hat, grid)
+    fvals = grid._as_values(f_hat)
     w, _ = sym_eig(gamma_f)
     return CheckResult(
         check_id="gamma-min-eig",
@@ -438,13 +397,12 @@ def inv_sqrt_projection(f_hat, indices, rho_star, s_star=7.0, grid=None):
     if s_star <= 2.0:
         raise PreconditionError("s_star must exceed 2")
     grid = default_grid() if grid is None else grid
-    fvals = _as_values(f_hat, grid)
+    fvals = grid._as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
     target = fvals**-0.5
-    proj = grid.project(target, indices)
-    coeffs = np.array([proj[idx] for idx in indices])
-    values = grid.synthesize(dict(zip(indices, coeffs)))
+    coeffs = grid.project(target, indices)
+    values = grid.synthesize(indices, coeffs)
     sup_error = float(np.max(np.abs(values - target)))
     sup_check = CheckResult(
         check_id="inv-sqrt-sup",
@@ -499,12 +457,12 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
         raise PreconditionError("projection and basis must share one window")
     n = basis.n
     indices = basis.indices
-    fvals = _as_values(f_hat, grid)
+    fvals = grid._as_values(f_hat)
     wvals = projection.values.values
     sup_w = float(np.max(np.abs(wvals)))
 
-    gamma_f = _weighted_gram(indices, fvals**-2.0, grid)
-    gamma_tilde = _weighted_gram(indices, wvals**4.0, grid)
+    gamma_f = grid.weighted_gram(indices, fvals**-2.0)
+    gamma_tilde = grid.weighted_gram(indices, wvals**4.0)
 
     coeff_map = dict(zip(indices, projection.coeffs))
     w_elem = real_expansion_to_element(n, coeff_map)
@@ -603,7 +561,10 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, dict(zip(basis.indices, scale * state.eta_tilde)))
     delta = state.delta
-    c_inv_sqrt = sym_inv_sqrt(state.c_mat)
+    # one decomposition of C gives C^{-1/2} and |C^{-1/2}|^2 = 1 / min eig(C)
+    w, v = guarded_eig(state.c_mat, require_pd=True)
+    c_inv_sqrt = (v / np.sqrt(w)) @ v.T
+    del v  # n x n; not needed past this point
     abs_w = sym_abs(w_dense / math.sqrt(A_STAR))
 
     gap = abs_w @ delta_check @ abs_w - c_inv_sqrt @ delta @ c_inv_sqrt
@@ -611,7 +572,7 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
 
     root_gap_sq = float(frob(abs_w - c_inv_sqrt) ** 2)
     w_sp_sq = float(spectral_norm(w_dense) ** 2)
-    cis_sp_sq = float(spectral_norm(c_inv_sqrt) ** 2)
+    cis_sp_sq = float(1.0 / np.min(w))
     b1 = 3.0 / A_STAR * root_gap_sq * spectral_norm(delta_check) ** 2 * w_sp_sq
     b2 = 3.0 / A_STAR * cis_sp_sq * frob(delta_check - delta) ** 2 * w_sp_sq
     b3 = 3.0 * cis_sp_sq * spectral_norm(delta) ** 2 * root_gap_sq

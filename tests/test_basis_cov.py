@@ -106,7 +106,7 @@ def test_density_coefficients_match_grid_projection():
     grid = default_grid()
     alpha = density_coefficients(DENSITY, BASIS)
     proj = grid.project(DENSITY.on_grid(grid), BASIS.indices)
-    np.testing.assert_allclose(alpha, [proj[idx] for idx in BASIS.indices], atol=1e-12)
+    np.testing.assert_allclose(alpha, proj, atol=1e-12)
 
 
 def test_coeff_identity_check_passes():

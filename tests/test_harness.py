@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lsequiv
+import lsequiv.cli as cli
 import lsequiv.harness as harness
 from lsequiv.basis_cov import BasisSystem, build_basis
 from lsequiv.cli import main
@@ -351,3 +352,58 @@ def test_verify_timings_only_add_runtimes():
     assert all(e.runtime_ms is None for e in plain.entries)
     assert all(e.runtime_ms is not None and e.runtime_ms >= 0.0 for e in timed.entries)
     assert timed.to_csv() == plain.to_csv()
+
+
+def test_cli_malformed_config_returns_one(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    for text in ("{", "[64, 128]", '{"n_grid": 64}', '{"replicates": "many"}'):
+        cfg_path.write_text(text)
+        assert main(["chain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+def test_cli_untyped_error_propagates(tmp_path, monkeypatch):
+    # only typed errors become exit 1; anything else is a bug and keeps its traceback
+    def broken(cfg):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "run_equivalence_chain", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["chain", "--n", "16", "--out", str(tmp_path)])
+
+
+def _run_cli_with_threads(out_dir, threads):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lsequiv.__file__)))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
+    )
+    script = (
+        "import sys; from lsequiv.cli import main; out = sys.argv[1]; "
+        "main(['verify', '--n', '128', '--seed', '0', '--out', out]); "
+        "main(['chain', '--n', '64', '256', '--seed', '0', '--out', out])"
+    )
+    subprocess.run([sys.executable, "-c", script, str(out_dir)], env=env, check=True, capture_output=True)
+
+
+def test_cli_outputs_agree_across_blas_thread_counts(tmp_path):
+    # the README contract: text cells equal, numbers within 1e-12 relative + 1e-14 absolute
+    one, two = tmp_path / "t1", tmp_path / "t2"
+    _run_cli_with_threads(one, 1)
+    _run_cli_with_threads(two, 2)
+    for name in ("verify_report.csv", "chain_study.csv"):
+        rows1 = (one / name).read_text().splitlines()
+        rows2 = (two / name).read_text().splitlines()
+        assert len(rows1) == len(rows2) > 1
+        for line1, line2 in zip(rows1, rows2):
+            cells1, cells2 = line1.split(","), line2.split(",")
+            assert len(cells1) == len(cells2)
+            for a, b in zip(cells1, cells2):
+                if a == b:
+                    continue
+                try:
+                    x, y = float(a), float(b)
+                except ValueError:
+                    pytest.fail(f"{name}: text cell {a!r} != {b!r}")
+                assert abs(x - y) <= 1e-12 * max(abs(x), abs(y)) + 1e-14, (name, line1, line2)

@@ -97,20 +97,67 @@ def test_basis_eval_matches_factors():
 def test_grid_project_synthesize_roundtrip():
     rng = make_rng(11, stream=3)
     indices = enumerate_indices(2, 2)
-    coeffs = {idx: float(c) for idx, c in zip(indices, rng.standard_normal(len(indices)))}
-    values = GRID.synthesize(coeffs)
+    coeffs = rng.standard_normal(len(indices))
+    values = GRID.synthesize(indices, coeffs)
     back = GRID.project(values, indices)
-    for idx in indices:
-        assert back[idx] == pytest.approx(coeffs[idx], rel=0, abs=1e-12)
+    for k in range(len(indices)):
+        assert back[k] == pytest.approx(coeffs[k], rel=0, abs=1e-12)
 
 
 def test_grid_l2_norm_parseval():
     rng = make_rng(12, stream=3)
     indices = enumerate_indices(1, 2)
-    coeffs = {idx: float(c) for idx, c in zip(indices, rng.standard_normal(len(indices)))}
-    values = GRID.synthesize(coeffs)
-    ssq = sum(c * c for c in coeffs.values())
+    coeffs = rng.standard_normal(len(indices))
+    values = GRID.synthesize(indices, coeffs)
+    ssq = sum(c * c for c in coeffs)
     assert GRID.l2_norm(values) ** 2 == pytest.approx(ssq, rel=1e-12)
+
+
+# oracles for the separable grid maps: one basis_eval call per index
+GRID_INDICES = enumerate_indices(3, 3)
+
+
+def _basis_stack(indices):
+    tt, xx = GRID.mesh
+    return np.stack([basis_eval(idx, tt, xx) for idx in indices])
+
+
+def test_grid_factors_match_basis_eval():
+    T, X = GRID.factors(GRID_INDICES)
+    assert T.shape == (GRID.nt, len(GRID_INDICES)) and X.shape == (GRID.nx, len(GRID_INDICES))
+    np.testing.assert_allclose(np.einsum("ak,bk->kab", T, X), _basis_stack(GRID_INDICES), rtol=0, atol=1e-13)
+
+
+def test_grid_project_synthesize_gram_match_basis_eval():
+    stack = _basis_stack(GRID_INDICES)
+    w2 = np.outer(GRID.wt, GRID.wx)
+    rng = make_rng(13, stream=3)
+    values = np.exp(0.3 * GRID.synthesize(GRID_INDICES, rng.standard_normal(len(GRID_INDICES))))
+    coeffs = rng.standard_normal(len(GRID_INDICES))
+    np.testing.assert_allclose(
+        GRID.project(values, GRID_INDICES), np.einsum("kab,ab->k", stack, w2 * values), rtol=0, atol=1e-13
+    )
+    np.testing.assert_allclose(
+        GRID.synthesize(GRID_INDICES, coeffs), np.tensordot(coeffs, stack, axes=1), rtol=0, atol=1e-13
+    )
+    gram = GRID.weighted_gram(GRID_INDICES, values)
+    np.testing.assert_allclose(gram, np.einsum("kab,lab->kl", stack * (w2 * values), stack), rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(gram, gram.T)
+    assert GRID.inner(values, GRID_INDICES[5]) == pytest.approx(GRID.project(values, GRID_INDICES)[5], abs=1e-14)
+    np.testing.assert_array_equal(GRID.basis_values(GRID_INDICES[5]), GRID.synthesize(GRID_INDICES[5:6], [1.0]))
+
+
+def test_grid_stacked_maps_equal_row_by_row():
+    rng = make_rng(14, stream=3)
+    coeffs = rng.standard_normal((3, 2, len(GRID_INDICES)))
+    values = GRID.synthesize(GRID_INDICES, coeffs)
+    assert values.shape == (3, 2, GRID.nt, GRID.nx)
+    back = GRID.project(values, GRID_INDICES)
+    assert back.shape == coeffs.shape
+    for a in range(3):
+        for b in range(2):
+            np.testing.assert_allclose(values[a, b], GRID.synthesize(GRID_INDICES, coeffs[a, b]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(back[a, b], GRID.project(values[a, b], GRID_INDICES), rtol=0, atol=1e-14)
 
 
 def test_mirror_extend_even_in_space():

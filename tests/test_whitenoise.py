@@ -64,7 +64,7 @@ def test_target_coefficients_quadrature():
     indices = leading_indices(6)
     targ = target_coefficients(DENSITY, indices, N)
     proj = GRID.project(DENSITY.on_grid(GRID), indices)
-    expected = [proj[idx] * math.sqrt(2.0 * math.pi * (N - idx.j2)) for idx in indices]
+    expected = [proj[k] * math.sqrt(2.0 * math.pi * (N - idx.j2)) for k, idx in enumerate(indices)]
     np.testing.assert_allclose(targ, expected, rtol=1e-12)
 
 
@@ -77,12 +77,10 @@ def test_noiseless_in_span_recovery():
     # when log f lives in the observed span, the only loss is the span gap
     indices = leading_indices(8)
     rng = make_rng(2, stream=63)
-    coeffs = {idx: 0.05 * float(c) for idx, c in zip(indices, rng.standard_normal(8))}
-    logf = GRID.synthesize(coeffs)
+    coeffs = 0.05 * rng.standard_normal(8)
+    logf = GRID.synthesize(indices, coeffs)
     f = GridFunction(GRID, np.exp(logf))
-    obs = WhiteNoiseObservation(
-        n=N, indices=indices, values=np.array([coeffs[i] for i in indices]), noise=0.0
-    )
+    obs = WhiteNoiseObservation(n=N, indices=indices, values=coeffs, noise=0.0)
     pilot = pilot_estimate(obs, f=f)
     assert pilot.risk == pytest.approx(pilot.span_gap, rel=1e-12)
     assert pilot.b_tail >= 0.0
@@ -94,6 +92,23 @@ def test_pilot_risk_row_deterministic():
     assert row["n"] == N and row["K"] == BASIS.K and row["J"] == 8
     assert row["replicates"] == 30
     assert row["pass"] == (row["risk_mean"] <= row["risk_bound"])
+
+
+def test_pilot_risk_row_matches_stacked_formula():
+    # oracle: the former dense (J, nt*nx) and (K, nt*nx) basis stacks
+    n, seed, reps = 256, 7, 40
+    lead = leading_indices(int(math.ceil(math.sqrt(n))))
+    logf = np.log(DENSITY.on_grid(GRID))
+    means = np.array([GRID.inner(logf, idx) for idx in lead])
+    draws = means + noise_level(n) * make_rng(seed, stream=n).standard_normal((reps, len(lead)))
+    stack = np.stack([GRID.basis_values(idx).ravel() for idx in lead])
+    kstack = np.stack([GRID.basis_values(idx).ravel() for idx in BASIS.indices])
+    weights = np.outer(GRID.wt, GRID.wx).ravel()
+    alpha_hat = math.sqrt(2.0 * math.pi * n) * (np.exp(draws @ stack) * weights) @ kstack.T
+    target = target_coefficients(DENSITY, BASIS.indices, n)
+    risk_mean = float(np.mean(np.sum((alpha_hat - target) ** 2, axis=1)))
+    row = pilot_risk_row(DENSITY, n, BASIS.indices, reps, seed)
+    assert row["risk_mean"] == pytest.approx(risk_mean, rel=1e-12)
 
 
 DRIFT_SIZES = (64, 128, 256)
@@ -220,9 +235,15 @@ def test_goe_connection_matches_dense_stacks():
     root_gap_sq = frob(abs_w - ci_sqrt) ** 2
     w_sp_sq = spectral_norm(w_dense) ** 2
     b1 = 3.0 / A_STAR * root_gap_sq * spectral_norm(delta_check) ** 2 * w_sp_sq
+    # |C^{-1/2}|^2 from a separate eigvalsh of the square root
+    cis_sp_sq = spectral_norm(ci_sqrt) ** 2
+    b2 = 3.0 / A_STAR * cis_sp_sq * frob(delta_check - STATE.delta) ** 2 * w_sp_sq
+    b3 = 3.0 * cis_sp_sq * spectral_norm(STATE.delta) ** 2 * root_gap_sq
     dict_lhs = frob(delta_check - STATE.delta) ** 2
     dict_rhs = 9.0 * np.sum((BASIS.mcheck - BASIS.mats) ** 2)
     assert comp.kl == pytest.approx(frob(gap) ** 2 / 4.0, rel=1e-12)
     assert comp.b1 == pytest.approx(b1, rel=1e-12)
+    assert comp.b2 == pytest.approx(b2, rel=1e-12)
+    assert comp.b3 == pytest.approx(b3, rel=1e-12)
     assert comp.dictionary_gap_check.lhs == pytest.approx(dict_lhs, rel=1e-12)
     assert comp.dictionary_gap_check.rhs == pytest.approx(dict_rhs, rel=1e-12)
