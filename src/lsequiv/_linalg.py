@@ -1,13 +1,18 @@
-"""Dense symmetric-matrix helpers.
+"""Symmetric-matrix helpers, dense and banded.
 
 All spectral decompositions in the package go through this module so that the
 singularity policy is uniform: eigenvalues below ``rtol * max|eig|`` raise
-instead of being pseudo-inverted.
+instead of being pseudo-inverted.  Banded symmetric matrices are held in
+LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for ``j = 0..width``;
+they are factored by banded Cholesky (``cholesky_banded``), whose failure is
+the positive-definiteness check, and their extreme eigenvalues and
+eigenpairs come from ``eig_banded``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
 from .errors import PreconditionError, SingularMatrixError
 
@@ -34,10 +39,7 @@ def sym_eig(a):
     return np.linalg.eigh(a)
 
 
-def guarded_eig(a, require_pd):
-    """eigh of a symmetric matrix that raises on a (near-)singular or, with
-    require_pd, a non-positive-definite input."""
-    w, v = np.linalg.eigh(a)
+def _guard_spectrum(w, require_pd):
     scale = np.max(np.abs(w)) if w.size else 0.0
     if scale == 0.0 or np.min(np.abs(w)) <= SYM_RTOL * scale:
         raise SingularMatrixError(
@@ -46,6 +48,20 @@ def guarded_eig(a, require_pd):
     if require_pd and np.min(w) <= 0.0:
         raise SingularMatrixError(
             f"matrix is not positive definite (min eig = {np.min(w):.3e})")
+
+
+def guarded_eig(a, require_pd):
+    """eigh of a symmetric matrix that raises on a (near-)singular or, with
+    require_pd, a non-positive-definite input."""
+    w, v = np.linalg.eigh(a)
+    _guard_spectrum(w, require_pd)
+    return w, v
+
+
+def guarded_band_eig(ab, require_pd):
+    """guarded_eig for a symmetric matrix in lower band storage."""
+    w, v = eig_banded(ab, lower=True)
+    _guard_spectrum(w, require_pd)
     return w, v
 
 
@@ -65,16 +81,26 @@ def sym_inv_sqrt(a):
 
 
 def sym_abs(a):
-    """|A| = (A^2)^(1/2) for symmetric A."""
+    """(|A|, |A|_2) for symmetric A: |A| = (A^2)^(1/2) and the spectral
+    norm max |eig|, both from one eigh.  |A| is formed as U U^T with
+    U = V |w|^(1/2), in place of the eigenvectors."""
     w, v = np.linalg.eigh(a)
-    return (v * np.abs(w)) @ v.T
+    abs_w = np.abs(w)
+    v *= np.sqrt(abs_w)
+    return v @ v.T, float(np.max(abs_w))
 
 
 def spectral_norm(a):
-    """2-norm; for symmetric input max |eigenvalue|, else largest singular value."""
+    """2-norm; for symmetric input max |eigenvalue|, else largest singular value.
+
+    Symmetric means max |A - A^T| <= 1e-12 max(1, max |A|).
+    """
     a = np.asarray(a)
-    if a.shape[0] == a.shape[1] and np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(a)))):
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    if a.shape[0] == a.shape[1]:
+        dev = a - a.T
+        np.abs(dev, out=dev)
+        if np.max(dev) <= 1e-12 * max(1.0, float(a.max()), -float(a.min())):
+            return float(np.max(np.abs(np.linalg.eigvalsh(a))))
     return float(np.linalg.norm(a, 2))
 
 
@@ -88,3 +114,72 @@ def frob(a, b=None):
 def eig_range(a):
     w = np.linalg.eigvalsh(a)
     return float(w[0]), float(w[-1])
+
+
+def band_to_dense(ab):
+    """Dense symmetric matrix from lower band storage."""
+    n = ab.shape[1]
+    out = np.zeros((n, n))
+    i = np.arange(n)
+    for j in range(ab.shape[0]):
+        out[i[j:], i[: n - j]] = ab[j, : n - j]
+        out[i[: n - j], i[j:]] = ab[j, : n - j]
+    return out
+
+
+def dense_to_band(a, width, what="matrix"):
+    """Lower band storage of a dense symmetric matrix of half-width width.
+
+    Reads the lower triangle, as eigh does; a nonzero entry outside the band
+    raises.  The check counts nonzeros, so it allocates no n x n temporary.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    in_band = sum(np.count_nonzero(np.diagonal(a, j)) for j in range(-width, width + 1))
+    if np.count_nonzero(a) > in_band:
+        raise PreconditionError(f"{what} has entries outside half-width {width}")
+    ab = np.zeros((width + 1, n))
+    for j in range(min(width + 1, n)):
+        ab[j, : n - j] = np.diagonal(a, -j)
+    return ab
+
+
+def band_extremes(ab):
+    """(min eig, max eig) of a symmetric matrix in lower band storage."""
+    n = ab.shape[1]
+    lo, hi = (
+        eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(k, k))[0]
+        for k in (0, n - 1)
+    )
+    return float(lo), float(hi)
+
+
+def band_cholesky(ab, error=SingularMatrixError, what="matrix"):
+    """Lower banded Cholesky factor of an SPD matrix in lower band storage.
+
+    A failed factorization is the positive-definiteness check: it raises
+    error, with min eig computed for the message only.
+    """
+    try:
+        return cholesky_banded(ab, lower=True)
+    except np.linalg.LinAlgError:
+        lo, _ = band_extremes(ab)
+        raise error(f"{what} is not positive definite (min eig = {lo:.3e})") from None
+
+
+def band_cho_inv(factor):
+    """A^{-1}, symmetric to rounding, from the band_cholesky factor of A;
+    solved in place of a column-major identity."""
+    eye = np.eye(factor.shape[1], order="F")
+    return cho_solve_banded((factor, True), eye, overwrite_b=True)
+
+
+def band_matmul(ab, x):
+    """A @ x for a symmetric A in lower band storage and a dense x."""
+    n = ab.shape[1]
+    out = ab[0][:, None] * x
+    for j in range(1, ab.shape[0]):
+        strip = ab[j, : n - j][:, None]
+        out[j:] += strip * x[: n - j]
+        out[: n - j] += strip * x[j:]
+    return out

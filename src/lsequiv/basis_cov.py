@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import check_size, check_symmetric, eig_range, sym_eig
+from ._linalg import band_to_dense, check_size, check_symmetric, eig_range
 from .circulant import build_mcheck_basis, mcheck_element
 from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
 from .report import CheckResult, fmt_float
@@ -108,16 +108,6 @@ def _band_profile(idx: BasisIndex, n: int) -> np.ndarray:
     return math.pi * nrm * trig(TWO_PI * j * m / (n - j2))
 
 
-def _fill_band(out: np.ndarray, j2: int, values: np.ndarray):
-    n = out.shape[0]
-    m = np.arange(n - j2)
-    if j2 == 0:
-        out[m, m] += values
-    else:
-        out[m, m + j2] += values
-        out[m + j2, m] += values
-
-
 class BasisSystem:
     """Orthonormal symmetric matrices {M_k} held as band profiles.
 
@@ -157,10 +147,7 @@ class BasisSystem:
 
     def mat(self, k: int) -> np.ndarray:
         """Dense normalized M_k."""
-        out = np.zeros((self.n, self.n))
-        j2 = int(self.offsets[k])
-        _fill_band(out, j2, self.bands[k, : self.n - j2])
-        return out
+        return self.combine(np.eye(self.K)[k])
 
     @functools.cached_property
     def mats(self) -> np.ndarray:
@@ -190,15 +177,19 @@ class BasisSystem:
             lambda j2: np.diagonal(a, j2) + np.diagonal(a, -j2) if j2 else np.diagonal(a)
         )
 
-    def combine(self, vec) -> np.ndarray:
-        """sum_k vec[k] M_k as a dense, exactly symmetric matrix."""
+    def band(self, vec) -> np.ndarray:
+        """sum_k vec[k] M_k in lower band storage, shape (k2 + 1, n)."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.K,):
             raise ConfigurationError("coefficient vector length mismatch")
-        out = np.zeros((self.n, self.n))
+        out = np.zeros((self.k2 + 1, self.n))
         for j2, pos in self._by_offset():
-            _fill_band(out, j2, vec[pos] @ self.bands[pos, : self.n - j2])
+            out[j2, : self.n - j2] = vec[pos] @ self.bands[pos, : self.n - j2]
         return out
+
+    def combine(self, vec) -> np.ndarray:
+        """sum_k vec[k] M_k as a dense, exactly symmetric matrix."""
+        return band_to_dense(self.band(vec))
 
     def quad_form(self, x) -> np.ndarray:
         """x^T M_k x for all k, the pilot statistic of one observation."""
@@ -226,7 +217,8 @@ class BasisSystem:
             for ob, kb in groups[a:]:
                 lb, pb = n - ob, self.bands[kb, : n - ob] * (2.0 if ob else 1.0)
                 # strip pairs (0, oa)-(0, ob) and (0, oa)-(ob, 0)
-                had = s[oa:, :lb] * s[:la, ob:] + s[oa:, ob:] * s[:la, :lb]
+                had = s[oa:, :lb] * s[:la, ob:]
+                had += s[oa:, ob:] * s[:la, :lb]
                 block = pa @ had @ pb.T
                 out[np.ix_(ka, kb)] = block
                 out[np.ix_(kb, ka)] = block.T
@@ -264,20 +256,19 @@ def build_theta(f, n: int, grid: QuadratureGrid = None) -> CovarianceMatrix:
     callables.  The result is banded for span densities (band j2 <= k2).
     """
     check_size(n)
-    out = np.zeros((n, n))
     if isinstance(f, SpectralDensity):
-        for idx, c in f.coeffs.items():
-            if c == 0.0:
-                continue
+        terms = [(idx, c) for idx, c in f.coeffs.items() if c != 0.0]
+        width = max((idx.j2 for idx, _ in terms), default=0)
+        if width >= n:
+            raise PreconditionError("density band exceeds matrix size")
+        ab = np.zeros((width + 1, n))
+        for idx, c in terms:
             j, j2 = idx.j, idx.j2
-            if j2 >= n:
-                raise PreconditionError("density band exceeds matrix size")
             trig = np.cos if idx.parity == POS else np.sin
             xweight = math.pi * (2.0 if j2 == 0 else 1.0)
             m = np.arange(n - j2)
-            vals = c * basis_norm(idx) * xweight * trig(TWO_PI * j * m / n)
-            _fill_band(out, j2, vals)
-        return CovarianceMatrix(out)
+            ab[j2, : n - j2] += c * basis_norm(idx) * xweight * trig(TWO_PI * j * m / n)
+        return CovarianceMatrix(band_to_dense(ab))
     grid = grid or default_grid()
     u = np.arange(n) / n
     fvals = np.asarray(f(u[:, None], grid.x[None, :]), dtype=float)  # (n, nx)
@@ -358,13 +349,16 @@ def presmoothing_residual(f, n: int, basis: BasisSystem, grid: QuadratureGrid = 
     recon = basis.combine(coeffs * basis.raw_norms)
     frob_err = float(np.linalg.norm(theta - recon))
 
-    w, v = sym_eig(theta)
-    if w[0] <= 0.0:
-        raise RangeError("covariance must be positive definite for whitening")
-    inv_sqrt = (v * (w ** -0.5)) @ v.T
-    c_theta = basis.combine(basis.project(theta))
-    rel_err = float(np.linalg.norm(inv_sqrt @ (theta - c_theta) @ inv_sqrt))
-    return frob_err, rel_err
+    # |theta^{-1/2} E theta^{-1/2}|_F = |L^{-1} E L^{-T}|_F for theta = L L^T:
+    # the two whitenings differ by an orthogonal factor on each side
+    try:
+        chol = scipy.linalg.cholesky(theta, lower=True)
+    except np.linalg.LinAlgError:
+        raise RangeError("covariance must be positive definite for whitening") from None
+    resid = theta - basis.combine(basis.project(theta))
+    half = scipy.linalg.solve_triangular(chol, resid, lower=True)
+    whitened = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    return frob_err, float(np.linalg.norm(whitened))
 
 
 _LATTICE_BLOCK = 256

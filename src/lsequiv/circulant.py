@@ -209,12 +209,6 @@ class CirculantElement(_WindowTable):
             )
         return out
 
-    def transpose_elem(self) -> "CirculantElement":
-        out = CirculantElement.zero(self.n, self.k1, self.k2)
-        for j, j2, c in self.iter_support():
-            out.coeffs[j + self.k1, -j2 + self.k2] = c * lambda_phase(self.n, -j * j2)
-        return out
-
     def inner(self, other: "CirculantElement") -> complex:
         """Frobenius inner product <A, B> = tr(B* A) in coefficient space."""
         self._check_peer(other)
@@ -440,7 +434,9 @@ def psi_inverse_real(n: int, coeffs: dict) -> np.ndarray:
     out = np.zeros((n, n))
     for idx, c in coeffs.items():
         if c != 0.0:
-            out += float(c) * mcheck_element(n, idx)
+            elem = mcheck_element(n, idx)
+            elem *= float(c)
+            out += elem
     return out
 
 

@@ -15,11 +15,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded
 from scipy.special import chdtr
 
 from ._linalg import (
+    band_cho_inv,
+    band_cholesky,
+    band_extremes,
+    band_matmul,
+    band_to_dense,
     check_symmetric,
+    dense_to_band,
     eig_range,
     frob,
     spectral_norm,
@@ -29,7 +35,12 @@ from ._linalg import (
     sym_sqrt,
 )
 from .basis_cov import BasisSystem, CovarianceMatrix
-from .errors import ConfigurationError, LocalizationError, PreconditionError
+from .errors import (
+    ConfigurationError,
+    LocalizationError,
+    PreconditionError,
+    SingularMatrixError,
+)
 from .report import CheckResult
 from .rng import make_rng
 
@@ -61,8 +72,24 @@ class LocalizationConfig:
         return k * self.beta**2 / self.gamma**2
 
 
+# rejected draws allowed before giving up: P(all rejected) <= this
+REJECTION_FAILURE_PROB = 1e-12
+
+
+def rejection_attempts(accept: float) -> int:
+    """Draws needed so that all are rejected with probability at most
+    REJECTION_FAILURE_PROB, at acceptance probability accept."""
+    if accept >= 1.0:
+        return 1
+    return math.ceil(math.log(REJECTION_FAILURE_PROB) / math.log1p(-accept))
+
+
 def sample_truncated_noise(cfg: LocalizationConfig, k: int, rng=None) -> np.ndarray:
-    """Rejection draw of N(0, beta^2 I_k) conditioned on norm <= gamma."""
+    """Rejection draw of N(0, beta^2 I_k) conditioned on norm <= gamma.
+
+    The number of draws is capped by rejection_attempts; past the cap the
+    draw raises a localization error instead of looping on.
+    """
     accept = cfg.acceptance_probability(k)
     if accept < 1e-6:
         raise ConfigurationError(
@@ -70,35 +97,66 @@ def sample_truncated_noise(cfg: LocalizationConfig, k: int, rng=None) -> np.ndar
             "raise gamma or lower beta"
         )
     rng = rng if rng is not None else make_rng(cfg.seed)
-    while True:
+    attempts = rejection_attempts(accept)
+    for _ in range(attempts):
         draw = cfg.beta * rng.standard_normal(k)
         if not math.isfinite(cfg.gamma) or float(np.linalg.norm(draw)) <= cfg.gamma:
             return draw
+    raise LocalizationError(
+        f"no truncated draw accepted in {attempts} attempts (acceptance {accept:.3g})"
+    )
 
 
-def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
-    """(C, Delta, B) for the revealed coefficients alpha + eta.
+def contraction_bound(c_band, delta_band) -> float:
+    """|Delta|_2 / min eig(C), an upper bound on |C^{-1} Delta|_2.
+
+    Both matrices are in lower band storage; infinite when min eig(C) <= 0.
+    """
+    c_lo, _ = band_extremes(c_band)
+    d_lo, d_hi = band_extremes(delta_band)
+    return max(-d_lo, d_hi) / c_lo if c_lo > 0.0 else math.inf
+
+
+def localized_inverse(c_band, delta_band, error=SingularMatrixError, what="C"):
+    """(C^{-1}, P = C^{-1} Delta C^{-1}) from one banded Cholesky of C, one
+    band-times-dense product and one banded solve; symmetric to rounding.
+
+    A C that is not positive definite raises error.
+    """
+    factor = band_cholesky(c_band, error=error, what=what)
+    c_inv = band_cho_inv(factor)
+    return c_inv, cho_solve_banded((factor, True), band_matmul(delta_band, c_inv))
+
+
+def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem, inverse=None):
+    """(C, Delta, B) for the revealed coefficients alpha + eta, B = C^{-1} + P.
 
     C must be positive definite and the relative perturbation C^{-1} Delta
     must be a spectral contraction; both failures raise a localization error
-    so Monte Carlo drivers can count them.
+    so Monte Carlo drivers can count them.  C is factored banded, unless
+    inverse, the localized_inverse of this C and Delta, is given.  The
+    contraction passes when |Delta|_2 / min eig(C) < 1; only otherwise is
+    |C^{-1} Delta|_2 computed exactly, so every decision is the exact one.
     """
     alpha_theta = np.asarray(alpha_theta, dtype=float)
     eta_tilde = np.asarray(eta_tilde, dtype=float)
-    c_mat = basis.combine(alpha_theta + eta_tilde)
-    w, v = sym_eig(c_mat)
-    if w[0] <= 0.0:
-        raise LocalizationError(f"localized C not positive definite (min eig {w[0]:.3g})")
-    c_inv = (v * (1.0 / w)) @ v.T
-    c_theta = basis.combine(alpha_theta)
-    delta = c_mat - c_theta
-    contraction = spectral_norm(c_inv @ delta)
-    if contraction >= 1.0:
-        raise LocalizationError(
-            f"perturbation not a contraction (|C^-1 Delta|_sp = {contraction:.3g})"
-        )
-    b_theta = c_inv + c_inv @ delta @ c_inv
-    return c_mat, delta, b_theta
+    c_band = basis.band(alpha_theta + eta_tilde)
+    delta_band = c_band - basis.band(alpha_theta)
+    if inverse is None:
+        inverse = localized_inverse(c_band, delta_band, LocalizationError, "localized C")
+    c_inv, p = inverse
+    delta = band_to_dense(delta_band)
+    if contraction_bound(c_band, delta_band) >= 1.0:
+        contraction = spectral_norm(c_inv @ delta)
+        if contraction >= 1.0:
+            raise LocalizationError(
+                f"perturbation not a contraction (|C^-1 Delta|_sp = {contraction:.3g})"
+            )
+    # B is inverted and factored downstream; keep it exactly symmetric
+    b_theta = c_inv + p
+    b_theta += b_theta.T
+    b_theta *= 0.5
+    return band_to_dense(c_band), delta, b_theta
 
 
 def pilot_alpha(x, basis: BasisSystem) -> np.ndarray:
@@ -117,25 +175,35 @@ def sufficient_T(x, c_mat, basis: BasisSystem) -> np.ndarray:
     return basis.quad_form(y)
 
 
-def gaussian_summaries(c_theta, c_mat, basis: BasisSystem, alpha_theta=None):
+def gaussian_summaries(c_theta, c_mat, basis: BasisSystem, alpha_theta=None, inverse=None):
     """(d, Gamma_theta, Gamma, Gamma_tilde_theta) for the summary experiments.
 
     With H = C^{-1} C_theta C^{-1}, all four come from trace identities on
     the band profiles: d_k = <H, M_k>, Gamma_kl = 2 tr(C^{-1} M_k C^{-1} M_l),
     Gamma_theta,kl = 2 tr(H M_k H M_l) and Gamma_tilde_kl = 2 tr(C_theta^{-1}
-    M_k C_theta^{-1} M_l).  No matrix square root is taken.  The matrices are
-    symmetric by construction; positive semidefiniteness holds in exact
-    arithmetic (each is a Gram matrix) but is not enforced numerically.  When
-    alpha_theta is supplied (meaning c_theta is exactly its combination),
-    the identity d = Gamma alpha / 2 is enforced to 1e-8 relative.
+    M_k C_theta^{-1} M_l).  No matrix square root is taken.  C and C_theta
+    must be banded within half-width k2; both are factored banded, and
+    H = C^{-1} - P with P = C^{-1} (C - C_theta) C^{-1}.  A given inverse,
+    the localized_inverse of C and C - C_theta, saves factoring C.  The
+    matrices are symmetric by construction; positive semidefiniteness holds
+    in exact arithmetic (each is a Gram matrix) but is not enforced
+    numerically.  When alpha_theta is supplied (meaning c_theta is exactly
+    its combination), the identity d = Gamma alpha / 2 is enforced to 1e-8
+    relative.
     """
-    c_theta = np.asarray(c_theta, dtype=float)
-    c_inv = sym_inv(np.asarray(c_mat, dtype=float), require_pd=True)
-    h = c_inv @ c_theta @ c_inv
+    c_theta_band = dense_to_band(c_theta, basis.k2, what="C_theta")
+    if inverse is None:
+        c_band = dense_to_band(c_mat, basis.k2, what="C")
+        inverse = localized_inverse(c_band, c_band - c_theta_band)
+    c_inv, p = inverse
+    h = c_inv - p
     d_vec = basis.project(h)
     gamma = basis.trace_gram(c_inv)
     gamma_theta = basis.trace_gram(h)
-    gamma_tilde = basis.trace_gram(sym_inv(c_theta, require_pd=True))
+    del c_inv, p, inverse, h  # n x n; drop these references before C_theta^{-1}
+    gamma_tilde = basis.trace_gram(
+        band_cho_inv(band_cholesky(c_theta_band, what="C_theta"))
+    )
 
     if alpha_theta is not None:
         target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
@@ -225,9 +293,14 @@ class ExperimentState:
         if theta is None:
             theta = c_theta
         eta = sample_truncated_noise(cfg, basis.K, rng)
-        c_mat, delta, b_theta = build_localized_C(alpha_theta, eta, basis)
+        # one banded Cholesky of C serves the localization and the summaries
+        c_band = basis.band(alpha_theta + eta)
+        inverse = localized_inverse(
+            c_band, c_band - basis.band(alpha_theta), LocalizationError, "localized C"
+        )
+        c_mat, delta, b_theta = build_localized_C(alpha_theta, eta, basis, inverse=inverse)
         d_vec, gamma_theta, gamma, gamma_tilde = gaussian_summaries(
-            c_theta, c_mat, basis, alpha_theta=alpha_theta
+            c_theta, c_mat, basis, alpha_theta=alpha_theta, inverse=inverse
         )
         return cls(
             n=basis.n,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -204,10 +204,6 @@ class GridFunction:
 
     grid: QuadratureGrid
     values: np.ndarray
-
-    @classmethod
-    def from_callable(cls, grid: QuadratureGrid, fn):
-        return cls(grid, grid.evaluate(fn))
 
     def min(self) -> float:
         return float(np.min(self.values))
@@ -432,15 +428,6 @@ class TransferFunction:
                 raise ConfigurationError("components must be TrigPoly1D")
             if not poly.is_real(1e-10):
                 raise ConfigurationError(f"component m={m} is not real-valued")
-
-    @property
-    def m_range(self):
-        ms = sorted(self.components)
-        return ms[0], ms[-1]
-
-    @property
-    def u_degree(self) -> int:
-        return max(p.deg for p in self.components.values())
 
     def eval(self, u, x):
         u = np.asarray(u, dtype=float)

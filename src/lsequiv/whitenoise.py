@@ -15,7 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frob, guarded_eig, spectral_norm, sym_abs, sym_eig, sym_inv_sqrt, sym_sqrt
+from ._linalg import (
+    band_extremes,
+    band_matmul,
+    check_symmetric,
+    dense_to_band,
+    frob,
+    guarded_band_eig,
+    spectral_norm,
+    sym_abs,
+    sym_eig,
+    sym_inv_sqrt,
+    sym_sqrt,
+)
 from .circulant import (
     hom_defect,
     psi_forward,
@@ -551,31 +563,48 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
     kl is the exact Kullback-Leibler divergence
     | |W/sqrt(2 pi)| Dcheck |W/sqrt(2 pi)| - C^{-1/2} D C^{-1/2} |_F^2 / 4;
     b1 + b2 + b3 is its three-term upper bound, certified to dominate.
+    C and Delta are read as bands of half-width k2: C^{-1/2} comes from a
+    banded eigendecomposition and |Delta|_2 from its extreme eigenvalues;
+    |W| and |W|_2 share one eigh of W.
     """
     basis = state.basis
     n = basis.n
     w_dense = np.asarray(w_dense, dtype=float)
     if w_dense.shape != (n, n):
         raise PreconditionError("W matrix dimension mismatch")
+    check_symmetric(w_dense, what="W matrix")
+    # n x n work arrays are dropped as soon as their stage is done, to bound peak memory
+    abs_w, w_sp = sym_abs(w_dense)
+    abs_w /= math.sqrt(A_STAR)
+
+    # one banded decomposition of C gives C^{-1/2} and |C^{-1/2}|^2 = 1 / min eig(C)
+    delta = state.delta
+    delta_band = dense_to_band(delta, basis.k2, what="Delta")
+    w, v = guarded_band_eig(dense_to_band(state.c_mat, basis.k2, what="C"), require_pd=True)
+    v *= w**-0.25
+    c_inv_sqrt = v @ v.T
+    del v
+    root_gap_sq = float(frob(abs_w - c_inv_sqrt) ** 2)
+    whitened_delta = c_inv_sqrt @ band_matmul(delta_band, c_inv_sqrt)
+    del c_inv_sqrt
+
     # Dcheck = sum_k eta_k Mcheck_k with Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, dict(zip(basis.indices, scale * state.eta_tilde)))
-    delta = state.delta
-    # one decomposition of C gives C^{-1/2} and |C^{-1/2}|^2 = 1 / min eig(C)
-    w, v = guarded_eig(state.c_mat, require_pd=True)
-    c_inv_sqrt = (v / np.sqrt(w)) @ v.T
-    del v  # n x n; not needed past this point
-    abs_w = sym_abs(w_dense / math.sqrt(A_STAR))
-
-    gap = abs_w @ delta_check @ abs_w - c_inv_sqrt @ delta @ c_inv_sqrt
+    delta_check_sp = spectral_norm(delta_check)
+    dict_gap_sq = float(frob(delta_check - delta) ** 2)
+    gap = abs_w @ delta_check
+    del delta_check
+    gap = gap @ abs_w
+    gap -= whitened_delta
     kl = float(frob(gap) ** 2 / 4.0)
 
-    root_gap_sq = float(frob(abs_w - c_inv_sqrt) ** 2)
-    w_sp_sq = float(spectral_norm(w_dense) ** 2)
+    w_sp_sq = w_sp**2
     cis_sp_sq = float(1.0 / np.min(w))
-    b1 = 3.0 / A_STAR * root_gap_sq * spectral_norm(delta_check) ** 2 * w_sp_sq
-    b2 = 3.0 / A_STAR * cis_sp_sq * frob(delta_check - delta) ** 2 * w_sp_sq
-    b3 = 3.0 * cis_sp_sq * spectral_norm(delta) ** 2 * root_gap_sq
+    delta_sp = max(abs(e) for e in band_extremes(delta_band))
+    b1 = 3.0 / A_STAR * root_gap_sq * delta_check_sp**2 * w_sp_sq
+    b2 = 3.0 / A_STAR * cis_sp_sq * dict_gap_sq * w_sp_sq
+    b3 = 3.0 * cis_sp_sq * delta_sp**2 * root_gap_sq
     bound_check = CheckResult(
         check_id="goe-kl-bound",
         ref="ensemble-comparison",
@@ -585,12 +614,11 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
     )
     gap_check = None
     if gamma is not None:
-        lhs = float(frob(delta_check - delta) ** 2)
         rhs = float(gamma**2 * np.sum(basis.mcheck_gaps() ** 2))
         gap_check = CheckResult(
             check_id="dictionary-gap",
             ref="ensemble-comparison",
-            lhs=lhs,
+            lhs=dict_gap_sq,
             rhs=rhs,
         )
     return GoeComparison(

@@ -1,0 +1,267 @@
+"""The banded factorization core against its dense oracles.
+
+Every banded path (basis bands, localization, pre-smoothing residual, GOE
+comparison) is compared with the dense formula it replaced, at 1e-12
+relative, on windows (0,0), (0,1), (1,1), (2,0) and (3,3); the Gaussian
+summaries have the same oracle in test_gaussianize.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lsequiv import gaussianize
+from lsequiv._linalg import (
+    band_cho_inv,
+    band_cholesky,
+    band_extremes,
+    band_matmul,
+    band_to_dense,
+    dense_to_band,
+)
+from lsequiv.basis_cov import build_basis, build_theta, presmoothing_residual
+from lsequiv.circulant import psi_inverse_real
+from lsequiv.errors import LocalizationError, PreconditionError, RangeError, SingularMatrixError
+from lsequiv.gaussianize import (
+    ExperimentState,
+    LocalizationConfig,
+    build_localized_C,
+    contraction_bound,
+    gaussian_summaries,
+)
+from lsequiv.rng import make_rng
+from lsequiv.spectral import random_density
+from lsequiv.whitenoise import A_STAR, goe_connection
+
+N = 40
+WINDOWS = [(0, 0), (0, 1), (1, 1), (2, 0), (3, 3)]
+
+
+def _rel(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _coeffs(basis, seed):
+    """A well-conditioned in-span coefficient vector and a perturbation."""
+    rng = make_rng(seed, stream=70 + basis.k2)
+    alpha = np.zeros(basis.K)
+    alpha[0] = 30.0
+    alpha[1:] = 0.5 * rng.standard_normal(basis.K - 1)
+    return alpha, 0.3 * rng.standard_normal(basis.K)
+
+
+def _dense(basis, vec):
+    return np.einsum("k,kij->ij", vec, basis.mats)
+
+
+def _dense_inv_sqrt(a):
+    w, v = np.linalg.eigh(a)
+    return (v / np.sqrt(w)) @ v.T
+
+
+def test_band_helpers_match_dense():
+    rng = make_rng(0, stream=71)
+    ab = rng.standard_normal((3, 12))
+    ab[0] += 6.0
+    ab[1, -1:] = ab[2, -2:] = 0.0
+    dense = band_to_dense(ab)
+    np.testing.assert_array_equal(dense, dense.T)
+    np.testing.assert_array_equal(dense_to_band(dense, 2), ab)
+    x = rng.standard_normal((12, 5))
+    assert _rel(band_matmul(ab, x), dense @ x) <= 1e-14
+    w = np.linalg.eigvalsh(dense)
+    np.testing.assert_allclose(band_extremes(ab), (w[0], w[-1]), rtol=1e-13)
+    assert _rel(band_cho_inv(band_cholesky(ab)), np.linalg.inv(dense)) <= 1e-13
+    with pytest.raises(PreconditionError, match="outside half-width 1"):
+        dense_to_band(dense, 1)
+
+
+def test_band_cholesky_raises_typed_error():
+    ab = np.array([[1.0, -1.0, 2.0]])
+    with pytest.raises(SingularMatrixError, match="min eig = -1"):
+        band_cholesky(ab)
+    with pytest.raises(LocalizationError, match="C is not positive definite"):
+        band_cholesky(ab, error=LocalizationError, what="C")
+
+
+@pytest.mark.parametrize("k1,k2", WINDOWS)
+def test_band_is_combine(k1, k2):
+    basis = build_basis(N, k1, k2)
+    alpha, eta = _coeffs(basis, 0)
+    ab = basis.band(alpha + eta)
+    assert ab.shape == (k2 + 1, N)
+    np.testing.assert_array_equal(band_to_dense(ab), basis.combine(alpha + eta))
+    assert _rel(basis.combine(alpha + eta), _dense(basis, alpha + eta)) <= 1e-12
+
+
+@pytest.mark.parametrize("k1,k2", WINDOWS)
+def test_build_localized_c_matches_dense(k1, k2):
+    basis = build_basis(N, k1, k2)
+    alpha, eta = _coeffs(basis, 1)
+    c_mat, delta, b_theta = build_localized_C(alpha, eta, basis)
+    c_dense = _dense(basis, alpha + eta)
+    delta_dense = c_dense - _dense(basis, alpha)
+    c_inv = np.linalg.inv(c_dense)
+    assert _rel(c_mat, c_dense) <= 1e-12
+    assert _rel(delta, delta_dense) <= 1e-12
+    assert _rel(b_theta, c_inv + c_inv @ delta_dense @ c_inv) <= 1e-12
+    np.testing.assert_array_equal(b_theta, b_theta.T)
+
+
+def test_summaries_reject_matrix_outside_band():
+    basis = build_basis(16, 0, 1)
+    full = np.full((16, 16), 0.01) + np.eye(16)
+    with pytest.raises(PreconditionError, match="outside half-width 1"):
+        gaussian_summaries(full, full, basis)
+
+
+@pytest.mark.parametrize("k1,k2", WINDOWS)
+def test_presmoothing_residual_matches_dense(k1, k2):
+    basis = build_basis(N, k1, k2)
+    f = random_density(4, 4, make_rng(k1, stream=72 + k2))
+    _, rel = presmoothing_residual(f, N, basis)
+    theta = build_theta(f, N).entries
+    inv_sqrt = _dense_inv_sqrt(theta)
+    resid = theta - _dense(basis, basis.project(theta))
+    want = np.linalg.norm(inv_sqrt @ resid @ inv_sqrt)
+    assert want > 1e-8
+    assert abs(rel - want) <= 1e-12 * want
+
+
+def test_presmoothing_residual_rejects_indefinite_theta():
+    basis = build_basis(16, 1, 1)
+    with pytest.raises(RangeError, match="positive definite"):
+        presmoothing_residual(lambda u, x: -1.0 + 0.0 * u * x, 16, basis)
+
+
+@pytest.mark.parametrize("k1,k2", WINDOWS)
+def test_goe_connection_matches_dense(k1, k2):
+    basis = build_basis(N, k1, k2)
+    alpha, _ = _coeffs(basis, 3)
+    state = ExperimentState.build(
+        basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha,
+        rng=make_rng(3, stream=73 + k2),
+    )
+    rng = make_rng(4, stream=74)
+    w_coeffs = 0.1 * rng.standard_normal(basis.K)
+    w_coeffs[0] = 2.0
+    w_dense = psi_inverse_real(N, dict(zip(basis.indices, w_coeffs)))
+    comp = goe_connection(state, w_dense)
+
+    # the dense formulas the banded ones replaced
+    delta_check = np.tensordot(state.eta_tilde, basis.mcheck, axes=(0, 0))
+    w, v = np.linalg.eigh(state.c_mat)
+    ci_sqrt = (v / np.sqrt(w)) @ v.T
+    wv, vv = np.linalg.eigh(w_dense / math.sqrt(A_STAR))
+    abs_w = (vv * np.abs(wv)) @ vv.T
+    gap = abs_w @ delta_check @ abs_w - ci_sqrt @ state.delta @ ci_sqrt
+    root_gap_sq = np.linalg.norm(abs_w - ci_sqrt) ** 2
+    w_sp_sq = np.max(np.abs(np.linalg.eigvalsh(w_dense))) ** 2
+    dc_sp_sq = np.max(np.abs(np.linalg.eigvalsh(delta_check))) ** 2
+    d_sp_sq = np.max(np.abs(np.linalg.eigvalsh(state.delta))) ** 2
+    dict_sq = np.linalg.norm(delta_check - state.delta) ** 2
+    assert comp.kl == pytest.approx(np.linalg.norm(gap) ** 2 / 4.0, rel=1e-12)
+    assert comp.b1 == pytest.approx(3.0 / A_STAR * root_gap_sq * dc_sp_sq * w_sp_sq, rel=1e-12)
+    assert comp.b2 == pytest.approx(3.0 / A_STAR / w[0] * dict_sq * w_sp_sq, rel=1e-12)
+    assert comp.b3 == pytest.approx(3.0 / w[0] * d_sp_sq * root_gap_sq, rel=1e-12)
+    assert comp.bound_check.passed
+
+
+def test_goe_connection_input_guards():
+    basis = build_basis(N, 1, 1)
+    alpha, _ = _coeffs(basis, 3)
+    state = ExperimentState.build(
+        basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha, rng=make_rng(3)
+    )
+    w_dense = np.eye(N)
+    w_dense[0, 1] = 1.0
+    with pytest.raises(PreconditionError, match="W matrix is not symmetric"):
+        goe_connection(state, w_dense)
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        goe_connection(dataclasses.replace(state, c_mat=-state.c_mat), np.eye(N))
+
+
+def test_state_build_factors_c_once(monkeypatch):
+    # the shared (C^{-1}, P) gives what each public function gives alone
+    basis = build_basis(N, 1, 1)
+    alpha, _ = _coeffs(basis, 6)
+    factored = []
+
+    def counting(ab, **kwargs):
+        factored.append(kwargs.get("what"))
+        return band_cholesky(ab, **kwargs)
+
+    monkeypatch.setattr(gaussianize, "band_cholesky", counting)
+    state = ExperimentState.build(
+        basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha, rng=make_rng(6)
+    )
+    assert factored == ["localized C", "C_theta"]
+    _, _, b_theta = build_localized_C(state.alpha_theta, state.eta_tilde, basis)
+    np.testing.assert_array_equal(state.b_theta, b_theta)
+    alone = gaussian_summaries(state.c_theta, state.c_mat, basis, alpha_theta=alpha)
+    shared = (state.d_vec, state.gamma_theta, state.gamma, state.gamma_tilde)
+    for got, want in zip(shared, alone):
+        np.testing.assert_array_equal(got, want)
+
+
+def _diagonal_case(delta_scale):
+    """Window (1, 0): C = 5 (I + 0.9 Cos) and Delta = delta_scale (I + Cos).
+
+    Delta vanishes where C is smallest, so |Delta|_2 / min eig(C) =
+    4 delta_scale overstates |C^{-1} Delta|_2 = 2 delta_scale / 9.5.
+    """
+    basis = build_basis(N, 1, 0)
+    cos = np.diag(np.cos(2.0 * math.pi * np.arange(N) / N))
+    c_vec = basis.project(5.0 * (np.eye(N) + 0.9 * cos))
+    eta = basis.project(delta_scale * (np.eye(N) + cos))
+    return basis, c_vec - eta, eta
+
+
+def test_contraction_bound_falls_back_to_exact():
+    basis, alpha, eta = _diagonal_case(2.5)
+    c_band = basis.band(alpha + eta)
+    bound = contraction_bound(c_band, c_band - basis.band(alpha))
+    c_mat, delta, _ = build_localized_C(alpha, eta, basis)
+    exact = np.linalg.norm(np.linalg.solve(c_mat, delta), 2)
+    assert bound == pytest.approx(10.0, rel=1e-12)
+    assert exact == pytest.approx(5.0 / 9.5, rel=1e-12)
+
+
+def test_contraction_fails_when_exact_norm_fails():
+    basis, alpha, eta = _diagonal_case(6.0)
+    with pytest.raises(LocalizationError, match="not a contraction"):
+        build_localized_C(alpha, eta, basis)
+
+
+def test_localized_c_not_pd_raises_localization_error():
+    basis = build_basis(N, 1, 1)
+    alpha, eta = _coeffs(basis, 5)
+    with pytest.raises(LocalizationError, match="localized C is not positive definite"):
+        build_localized_C(-alpha, eta, basis)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    window=st.sampled_from(WINDOWS),
+    seed=st.integers(0, 2**16),
+    level=st.floats(2.0, 40.0),
+    spread=st.floats(0.0, 3.0),
+    scale=st.floats(0.0, 5.0),
+)
+def test_contraction_bound_dominates_exact(window, seed, level, spread, scale):
+    basis = build_basis(24, *window)
+    rng = make_rng(seed, stream=75)
+    alpha = spread * rng.standard_normal(basis.K)
+    alpha[0] += level
+    eta = scale * rng.standard_normal(basis.K)
+    c_band = basis.band(alpha + eta)
+    assume(band_extremes(c_band)[0] > 1e-3)
+    bound = contraction_bound(c_band, c_band - basis.band(alpha))
+    c_mat = band_to_dense(c_band)
+    exact = np.linalg.norm(np.linalg.solve(c_mat, c_mat - basis.combine(alpha)), 2)
+    assert bound >= exact * (1.0 - 1e-12)

@@ -24,6 +24,7 @@ from lsequiv.gaussianize import (
     neumann_residual_bound,
     observation_to_json,
     pilot_alpha,
+    rejection_attempts,
     sample_experiment,
     sample_truncated_noise,
     sp_perturbation_check,
@@ -56,6 +57,37 @@ def test_truncated_noise_rejects_hopeless_config():
     tight = LocalizationConfig(beta=10.0, gamma=0.001)
     with pytest.raises(ConfigurationError):
         sample_truncated_noise(tight, 5, make_rng(0, stream=40))
+
+
+def test_truncated_noise_draws_first_accepted():
+    got = sample_truncated_noise(LOC, 6, make_rng(7, stream=40))
+    rng = make_rng(7, stream=40)
+    for _ in range(1000):
+        draw = LOC.beta * rng.standard_normal(6)
+        if np.linalg.norm(draw) <= LOC.gamma:
+            break
+    np.testing.assert_array_equal(got, draw)
+
+
+def test_rejection_attempts_cap():
+    assert rejection_attempts(1.0) == 1
+    # 2^-40 <= 1e-12 < 2^-39
+    assert rejection_attempts(0.5) == 40
+
+
+def test_truncated_noise_raises_past_the_attempt_cap():
+    class NeverInside:
+        calls = 0
+
+        def standard_normal(self, k):
+            self.calls += 1
+            return np.full(k, 10.0)
+
+    rng = NeverInside()
+    with pytest.raises(LocalizationError, match="no truncated draw accepted"):
+        sample_truncated_noise(LOC, 6, rng)
+    reject = 1.0 - LOC.acceptance_probability(6)
+    assert reject**rng.calls <= 1e-12 < reject ** (rng.calls - 1)
 
 
 def test_build_localized_c_identities():

@@ -230,7 +230,7 @@ def test_goe_connection_matches_dense_stacks():
 
     delta_check = np.tensordot(STATE.eta_tilde, BASIS.mcheck, axes=(0, 0))
     ci_sqrt = sym_inv_sqrt(STATE.c_mat)
-    abs_w = sym_abs(w_dense / math.sqrt(A_STAR))
+    abs_w, _ = sym_abs(w_dense / math.sqrt(A_STAR))
     gap = abs_w @ delta_check @ abs_w - ci_sqrt @ STATE.delta @ ci_sqrt
     root_gap_sq = frob(abs_w - ci_sqrt) ** 2
     w_sp_sq = spectral_norm(w_dense) ** 2
