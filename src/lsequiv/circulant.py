@@ -110,6 +110,25 @@ class _WindowTable:
         if self.n != other.n:
             raise ConfigurationError("elements live on different sizes")
 
+    def _index_grids(self):
+        """Time-frequency and band-offset indices j, j2 broadcast over the window."""
+        return np.arange(-self.k1, self.k1 + 1)[:, None], np.arange(-self.k2, self.k2 + 1)[None, :]
+
+    def twisted_product(self, other, twist=None) -> np.ndarray:
+        """Table of sum a[j1, j1p] b[j2, j2p] twist(j1, j1p, j2, j2p) at (j1 + j2, j1p + j2p).
+
+        a is this table and b the other; twist receives the four indices as
+        broadcast grids over a's and b's windows (None means 1).  Terms are
+        accumulated in the order of a's entries, then b's.
+        """
+        terms = self.coeffs[:, :, None, None] * other.coeffs
+        i1, i1p, i2, i2p = np.ix_(*(np.arange(s) for s in terms.shape))
+        if twist is not None:
+            terms = terms * twist(i1 - self.k1, i1p - self.k2, i2 - other.k1, i2p - other.k2)
+        out = np.zeros((2 * (self.k1 + other.k1) + 1, 2 * (self.k2 + other.k2) + 1), dtype=complex)
+        np.add.at(out, (i1 + i2, i1p + i2p), terms)
+        return out
+
 
 class CirculantElement(_WindowTable):
     """Finite combination of dictionary elements, coefficients in plain coords.
@@ -156,13 +175,6 @@ class CirculantElement(_WindowTable):
                 el.coeffs[j + k1, j2 + k2] = diag @ phase / n
         return el
 
-    def iter_support(self):
-        for j in range(-self.k1, self.k1 + 1):
-            for j2 in range(-self.k2, self.k2 + 1):
-                c = self.coeffs[j + self.k1, j2 + self.k2]
-                if c != 0.0:
-                    yield j, j2, c
-
     def to_matrix(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
         i = np.arange(self.n)
@@ -194,20 +206,14 @@ class CirculantElement(_WindowTable):
         k1, k2 = self.k1 + other.k1, self.k2 + other.k2
         if 2 * k2 >= self.n or 2 * k1 >= self.n:
             raise PreconditionError("product window would alias modulo n")
-        out = CirculantElement.zero(self.n, k1, k2)
-        for j1, j1p, a in self.iter_support():
-            for j2, j2p, b in other.iter_support():
-                phase = lambda_phase(self.n, j1p * j2)
-                out.coeffs[j1 + j2 + k1, j1p + j2p + k2] += a * b * phase
-        return out
+        n = self.n
+        table = self.twisted_product(other, lambda j1, j1p, j2, j2p: lambda_phase(n, j1p * j2))
+        return CirculantElement(n, k1, k2, table)
 
     def adjoint(self) -> "CirculantElement":
-        out = CirculantElement.zero(self.n, self.k1, self.k2)
-        for j, j2, c in self.iter_support():
-            out.coeffs[-j + self.k1, -j2 + self.k2] = np.conj(c) * lambda_phase(
-                self.n, j * j2
-            )
-        return out
+        j, j2 = self._index_grids()
+        table = np.conj(self.coeffs[::-1, ::-1]) * lambda_phase(self.n, j * j2)
+        return CirculantElement(self.n, self.k1, self.k2, table)
 
     def inner(self, other: "CirculantElement") -> complex:
         """Frobenius inner product <A, B> = tr(B* A) in coefficient space."""
@@ -256,75 +262,30 @@ class FourierFunction(_WindowTable):
         if self.n != other.n:
             raise ConfigurationError("functions live on different sizes")
         k1, k2 = self.k1 + other.k1, self.k2 + other.k2
-        out = FourierFunction.zero(self.n, k1, k2)
-        for j1 in range(-self.k1, self.k1 + 1):
-            for j1p in range(-self.k2, self.k2 + 1):
-                a = self.coeffs[j1 + self.k1, j1p + self.k2]
-                if a == 0.0:
-                    continue
-                out.coeffs[
-                    j1 + k1 - other.k1 : j1 + k1 + other.k1 + 1,
-                    j1p + k2 - other.k2 : j1p + k2 + other.k2 + 1,
-                ] += a * other.coeffs
-        return out
+        return FourierFunction(self.n, k1, k2, self.twisted_product(other))
 
 
-def _sym_phase_table(n: int, k1: int, k2: int) -> np.ndarray:
-    """exp(i pi j j2 / n) over the window, the plain-to-symmetric rotation."""
-    j = np.arange(-k1, k1 + 1)[:, None]
-    j2 = np.arange(-k2, k2 + 1)[None, :]
-    return np.exp(1j * math.pi * j * j2 / n)
-
-
-@dataclass
-class PsiMap:
-    """Coefficient relabeling between matrix space and the trig system.
-
-    forward sends a matrix-side element to the function with the same table;
-    in the symmetric convention the table is rotated by exp(-i pi j j2 / n)
-    first, so that real symmetric matrices pair with real functions.
-    """
-
-    n: int
-    k1: int
-    k2: int
-    convention: str = "plain"
-
-    def __post_init__(self):
-        if self.convention not in ("plain", "symmetric"):
-            raise ConfigurationError("convention must be 'plain' or 'symmetric'")
-
-    def _phase(self):
-        return _sym_phase_table(self.n, self.k1, self.k2)
-
-    def forward(self, elem: CirculantElement) -> FourierFunction:
-        if elem.n != self.n:
-            raise ConfigurationError("element size does not match map")
-        if elem.k1 > self.k1 or elem.k2 > self.k2:
-            raise RangeError("element support exceeds map window")
-        table = elem.table(self.k1, self.k2)
-        if self.convention == "symmetric":
-            table = table / self._phase()
-        return FourierFunction(self.n, self.k1, self.k2, table)
-
-    def inverse(self, fn: FourierFunction) -> CirculantElement:
-        if fn.n != self.n:
-            raise ConfigurationError("function size does not match map")
-        table = fn.table(self.k1, self.k2)
-        # oversize containers are fine as long as the actual support fits
-        if np.count_nonzero(table) != np.count_nonzero(fn.coeffs):
-            raise RangeError("function support exceeds map window")
-        if self.convention == "symmetric":
-            table = table * self._phase()
-        return CirculantElement(self.n, self.k1, self.k2, table)
+def _psi_rotation(obj: _WindowTable, convention: str):
+    """exp(i pi j j2 / n) over obj's window in the symmetric convention, 1 in the plain one."""
+    if convention == "plain":
+        return 1.0
+    if convention != "symmetric":
+        raise ConfigurationError("convention must be 'plain' or 'symmetric'")
+    j, j2 = obj._index_grids()
+    return np.exp(1j * math.pi * j * j2 / obj.n)
 
 
 def psi_forward(elem: CirculantElement, convention: str = "plain") -> FourierFunction:
-    return PsiMap(elem.n, elem.k1, elem.k2, convention).forward(elem)
+    """Function with the element's table, rotated by exp(-i pi j j2 / n) if symmetric.
+
+    The symmetric rotation pairs real symmetric matrices with real functions.
+    """
+    return FourierFunction(elem.n, elem.k1, elem.k2, elem.coeffs / _psi_rotation(elem, convention))
 
 
 def psi_inverse(fn: FourierFunction, convention: str = "plain") -> CirculantElement:
-    return PsiMap(fn.n, fn.k1, fn.k2, convention).inverse(fn)
+    """Element with the function's table, the inverse of psi_forward."""
+    return CirculantElement(fn.n, fn.k1, fn.k2, fn.coeffs * _psi_rotation(fn, convention))
 
 
 def hom_defect(a: CirculantElement, b: CirculantElement, convention: str = "plain"):
@@ -334,35 +295,25 @@ def hom_defect(a: CirculantElement, b: CirculantElement, convention: str = "plai
     forward(A @ B) - forward(A) * forward(B) and bound the product-window
     estimate 4 pi^2 |A|_F^2 |B|_F^2 m^2 / n^3, where m = k2(A) * k1(B) in the
     plain convention and the symmetrized average in the symmetric one.
+    The defect table is the product law with twist lambda^{j1p j2} - 1, or
+    lambda^{(j1p j2 - j1 j2p) / 2} - 1 in the symmetric convention.
     """
     if a.n != b.n:
         raise ConfigurationError("elements live on different sizes")
     n = a.n
     window_guard(n, a.k1, a.k2)
     window_guard(n, b.k1, b.k2)
-    lhs = _defect_norm_sq(a, b, convention)
     if convention == "plain":
         m = a.k2 * b.k1
+        defect = a.twisted_product(b, lambda j1, j1p, j2, j2p: lambda_phase(n, j1p * j2) - 1.0)
     else:
         m = 0.5 * (a.k2 * b.k1 + a.k1 * b.k2)
+        defect = a.twisted_product(
+            b, lambda j1, j1p, j2, j2p: lambda_phase(n, 0.5 * (j1p * j2 - j1 * j2p)) - 1.0
+        )
+    lhs = float(n * np.sum(np.abs(defect) ** 2))
     bound = 4.0 * math.pi**2 * a.frob_sq * b.frob_sq * m**2 / n**3
     return lhs, bound
-
-
-def _defect_norm_sq(a: CirculantElement, b: CirculantElement, convention: str) -> float:
-    """n * sum of squared defect coefficients, computed directly."""
-    n = a.n
-    k1, k2 = a.k1 + b.k1, a.k2 + b.k2
-    defect = np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex)
-    for j1, j1p, ca in a.iter_support():
-        for j2, j2p, cb in b.iter_support():
-            if convention == "plain":
-                twist = lambda_phase(n, j1p * j2) - 1.0
-            else:
-                twist = lambda_phase(n, 0.5 * (j1p * j2 - j1 * j2p)) - 1.0
-            if twist != 0.0:
-                defect[j1 + j2 + k1, j1p + j2p + k2] += ca * cb * twist
-    return float(n * np.sum(np.abs(defect) ** 2))
 
 
 def real_function_table(n: int, idx: BasisIndex) -> FourierFunction:
@@ -429,10 +380,10 @@ def build_mcheck_basis(n: int, k1: int, k2: int) -> np.ndarray:
     return out
 
 
-def psi_inverse_real(n: int, coeffs: dict) -> np.ndarray:
-    """Real symmetric matrix for a real-coefficient basis expansion."""
+def psi_inverse_real(n: int, indices, coeffs) -> np.ndarray:
+    """Real symmetric matrix for a real-coefficient basis expansion in index order."""
     out = np.zeros((n, n))
-    for idx, c in coeffs.items():
+    for idx, c in zip(indices, coeffs):
         if c != 0.0:
             elem = mcheck_element(n, idx)
             elem *= float(c)
@@ -440,16 +391,15 @@ def psi_inverse_real(n: int, coeffs: dict) -> np.ndarray:
     return out
 
 
-def real_expansion_to_element(n: int, coeffs: dict) -> CirculantElement:
+def real_expansion_to_element(n: int, indices, coeffs) -> CirculantElement:
     """Plain-coordinate element for a real basis expansion (exact algebra)."""
-    k1 = max((idx.j for idx in coeffs), default=0)
-    k2 = max((idx.j2 for idx in coeffs), default=0)
-    psi = PsiMap(n, k1, k2, convention="symmetric")
+    k1 = max((idx.j for idx in indices), default=0)
+    k2 = max((idx.j2 for idx in indices), default=0)
     acc = FourierFunction.zero(n, k1, k2)
-    for idx, c in coeffs.items():
+    for idx, c in zip(indices, coeffs):
         fn = real_function_table(n, idx)
         acc.coeffs += float(c) * fn.table(k1, k2)
-    return psi.inverse(acc)
+    return psi_inverse(acc, convention="symmetric")
 
 
 def matrix_csv(mat) -> str:

@@ -28,18 +28,21 @@ from .report import SCHEMA, fmt_float, write_csv_rows
 _DEFAULT_VERIFY_N = 64
 
 
-def _add_common(p, grid_n: bool, fmt_choices=("csv", "json")):
+def _add_flags(p, grid_n: bool, flags, fmt_choices=("csv", "json")):
     p.add_argument("--config", metavar="PATH", help="JSON run configuration")
     if grid_n:
         p.add_argument("--n", type=int, nargs="+", help="sample-size grid")
     else:
         p.add_argument("--n", type=int, help="sample size")
-    p.add_argument("--seed", type=int, help="base seed (overrides config)")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument(
-        "--format", choices=fmt_choices, default=fmt_choices[0], dest="fmt", help="output format"
-    )
-    p.add_argument("--timings", action="store_true", help="include runtime columns")
+    if "seed" in flags:
+        p.add_argument("--seed", type=int, help="base seed (overrides config)")
+    if "out" in flags:
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument(
+            "--format", choices=fmt_choices, default=fmt_choices[0], dest="fmt", help="output format"
+        )
+    if "timings" in flags:
+        p.add_argument("--timings", action="store_true", help="include runtime columns")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,22 +52,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "locally-stationary Gaussian equivalence toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags beyond --config and --n that each subcommand reads; "out" brings --format
     specs = [
-        ("verify", "run the inequality and identity suite at one n", False),
-        ("chain", "run the full reduction chain across an n grid", True),
-        ("tvdecay", "total-variation decay study (K <= 2 windows)", True),
-        ("riskstudy", "white-noise pilot risk study", True),
-        ("conditions", "print rate-condition values at one n", False),
-        ("export-basis", "write both matrix families plus a manifest", False),
+        ("verify", "run the inequality and identity suite at one n", False, {"seed", "out", "timings"}),
+        ("chain", "run the full reduction chain across an n grid", True, {"seed", "out"}),
+        ("tvdecay", "total-variation decay study (K <= 2 windows)", True, {"seed", "out", "timings"}),
+        ("riskstudy", "white-noise pilot risk study", True, {"seed", "out"}),
+        ("conditions", "print rate-condition values at one n", False, set()),
+        ("export-basis", "write both matrix families plus a manifest", False, {"out"}),
     ]
-    for name, help_text, grid_n in specs:
+    for name, help_text, grid_n, flags in specs:
         p = sub.add_parser(name, help=help_text)
         if name == "export-basis":
-            _add_common(p, grid_n, fmt_choices=("csv", "binary"))
+            _add_flags(p, grid_n, flags, fmt_choices=("csv", "binary"))
             p.add_argument("--k1", type=int, help="time-frequency cutoff")
             p.add_argument("--k2", type=int, help="band-offset cutoff")
         else:
-            _add_common(p, grid_n)
+            _add_flags(p, grid_n, flags)
     return parser
 
 
@@ -78,9 +82,9 @@ def _load_config(args) -> RunConfig:
     n = getattr(args, "n", None)
     if n is not None:
         overrides["n_grid"] = tuple(n) if isinstance(n, list) else (n,)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if args.timings:
+    if getattr(args, "timings", False):
         overrides["timings"] = True
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)

@@ -259,7 +259,6 @@ class RunConfig:
     density_amplitude: float = 0.25
     replicates: int = 100
     timings: bool = False
-    tolerances: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         grid = tuple(int(v) for v in self.n_grid)
@@ -336,7 +335,7 @@ def whitening_matrix(f_hat, basis: BasisSystem, rho_star: float, s_star: float =
     C^{-1/2} in the ensemble comparison.
     """
     proj = inv_sqrt_projection(f_hat, basis.indices, rho_star, s_star=s_star, grid=grid)
-    return psi_inverse_real(basis.n, dict(zip(proj.indices, proj.coeffs)))
+    return psi_inverse_real(basis.n, proj.indices, proj.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +532,7 @@ def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> Verificatio
         out += gamma_variants(drift.f_hat, proj, basis, grid=grid).defect_checks
 
     with _timed(report, timings) as out:
-        w_dense = psi_inverse_real(n, dict(zip(proj.indices, proj.coeffs)))
+        w_dense = psi_inverse_real(n, proj.indices, proj.coeffs)
         comparison = goe_connection(state, w_dense, gamma=sched.gamma)
         out += [comparison.bound_check, comparison.dictionary_gap_check]
 

@@ -446,7 +446,6 @@ class GammaVariants:
     delta_sq: np.ndarray
     delta_sq_bounds: np.ndarray
     gram_gap: float
-    w_sp_sq: float
     w_dense: np.ndarray
     defect_checks: list = field(default_factory=list)
 
@@ -476,9 +475,8 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
     gamma_f = grid.weighted_gram(indices, fvals**-2.0)
     gamma_tilde = grid.weighted_gram(indices, wvals**4.0)
 
-    coeff_map = dict(zip(indices, projection.coeffs))
-    w_elem = real_expansion_to_element(n, coeff_map)
-    m_elems = [real_expansion_to_element(n, {idx: 1.0}) for idx in indices]
+    w_elem = real_expansion_to_element(n, indices, projection.coeffs)
+    m_elems = [real_expansion_to_element(n, [idx], [1.0]) for idx in indices]
 
     conjugated = [w_elem * (m * w_elem) for m in m_elems]
     K = len(indices)
@@ -523,7 +521,6 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
     inv_root = sym_inv_sqrt(gamma_f)
     gram_gap = float(frob(inv_root @ (gamma_f - gamma_tilde) @ inv_root) ** 2)
     w_dense = w_elem.to_matrix().real
-    w_sp_sq = float(spectral_norm(w_dense) ** 2)
     return GammaVariants(
         gamma_f=gamma_f,
         gamma_tilde=gamma_tilde,
@@ -531,7 +528,6 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
         delta_sq=delta_sq,
         delta_sq_bounds=delta_sq_bounds,
         gram_gap=gram_gap,
-        w_sp_sq=w_sp_sq,
         w_dense=w_dense,
         defect_checks=checks,
     )
@@ -590,7 +586,7 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
 
     # Dcheck = sum_k eta_k Mcheck_k with Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)
     scale = math.sqrt(TWO_PI / n)
-    delta_check = psi_inverse_real(n, dict(zip(basis.indices, scale * state.eta_tilde)))
+    delta_check = psi_inverse_real(n, basis.indices, scale * state.eta_tilde)
     delta_check_sp = spectral_norm(delta_check)
     dict_gap_sq = float(frob(delta_check - delta) ** 2)
     gap = abs_w @ delta_check

@@ -150,7 +150,7 @@ def test_goe_connection_matches_dense(k1, k2):
     rng = make_rng(4, stream=74)
     w_coeffs = 0.1 * rng.standard_normal(basis.K)
     w_coeffs[0] = 2.0
-    w_dense = psi_inverse_real(N, dict(zip(basis.indices, w_coeffs)))
+    w_dense = psi_inverse_real(N, basis.indices, w_coeffs)
     comp = goe_connection(state, w_dense)
 
     # the dense formulas the banded ones replaced

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsequiv.circulant import (
     CirculantElement,
     FourierFunction,
-    PsiMap,
     build_mcheck_basis,
     cm,
     fourier_vector,
@@ -18,11 +19,12 @@ from lsequiv.circulant import (
     psi_forward,
     psi_inverse,
     psi_inverse_real,
+    real_expansion_to_element,
     real_function_table,
     shift_permutation,
     window_guard,
 )
-from lsequiv.errors import PreconditionError, RangeError
+from lsequiv.errors import ConfigurationError, PreconditionError, RangeError
 from lsequiv.rng import make_rng
 from lsequiv.spectral import BasisIndex, enumerate_indices
 
@@ -98,8 +100,6 @@ def test_psi_roundtrip_and_isometry(convention):
     assert fn.l2n_sq == pytest.approx(a.frob_sq, rel=1e-12)
     back = psi_inverse(fn, convention=convention)
     np.testing.assert_allclose(back.coeffs, a.coeffs, atol=1e-12)
-    pm = PsiMap(n, k1, k2, convention=convention)
-    np.testing.assert_allclose(pm.inverse(pm.forward(a)).coeffs, a.coeffs, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -160,14 +160,14 @@ def test_real_function_table_matches_symmetric_psi():
 
 def test_psi_inverse_real_constant_density_gives_identity():
     n = 20
-    w = psi_inverse_real(n, {BasisIndex("+", 0, 0): math.sqrt(2.0 * math.pi)})
+    w = psi_inverse_real(n, [BasisIndex("+", 0, 0)], [math.sqrt(2.0 * math.pi)])
     np.testing.assert_allclose(w, np.eye(n), atol=1e-12)
 
 
 def test_psi_inverse_real_single_mode():
     n = 20
     idx = BasisIndex("-", 1, 1)
-    got = psi_inverse_real(n, {idx: 2.5})
+    got = psi_inverse_real(n, [idx], [2.5])
     np.testing.assert_allclose(got, 2.5 * mcheck_element(n, idx), atol=1e-12)
 
 
@@ -207,13 +207,116 @@ def test_window_table_shared_methods(cls):
     assert not np.any((a - padded).coeffs)
 
 
-def test_psi_inverse_accepts_oversize_container_only_with_fitting_support():
-    fn = FourierFunction.zero(16, 3, 1)
-    fn.coeffs[3 + 1, 1 + 1] = 2.0 - 1.0j  # (j, j2) = (1, 1)
-    elem = PsiMap(16, 1, 2).inverse(fn)
+
+def test_psi_rejects_unknown_convention():
+    a = CirculantElement.basis(16, 1, 1)
+    with pytest.raises(ConfigurationError):
+        psi_forward(a, convention="skew")
+    with pytest.raises(ConfigurationError):
+        psi_inverse(psi_forward(a), convention="skew")
+
+
+def test_real_expansion_to_element_matches_mcheck_sum():
+    n = 32
+    indices = enumerate_indices(1, 2)
+    coeffs = make_rng(8, stream=22).standard_normal(len(indices))
+    elem = real_expansion_to_element(n, indices, coeffs)
     assert (elem.k1, elem.k2) == (1, 2)
-    assert elem.coeff(1, 1) == 2.0 - 1.0j
-    assert np.count_nonzero(elem.coeffs) == 1
-    fn.coeffs[0, 1] = 1.0  # (j, j2) = (-3, 0) lies outside the map window
-    with pytest.raises(RangeError):
-        PsiMap(16, 1, 2).inverse(fn)
+    np.testing.assert_allclose(elem.to_matrix(), psi_inverse_real(n, indices, coeffs), atol=1e-12)
+
+
+# the twisted-convolution kernel, property-tested against dense matrices and the
+# per-entry loops it replaced
+
+WINDOW = st.integers(0, 3)
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _random_table(cls, n, k1, k2, seed, stream):
+    rng = make_rng(seed, stream=stream)
+    shape = (2 * k1 + 1, 2 * k2 + 1)
+    return cls(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _pair(cls, n, windows, seed):
+    k1a, k2a, k1b, k2b = windows
+    return _random_table(cls, n, k1a, k2a, seed, 23), _random_table(cls, n, k1b, k2b, seed, 24)
+
+
+def _loop_defect(a, b, convention):
+    """The per-entry double loop that hom_defect's lhs replaced, kept as an oracle."""
+    n = a.n
+    k1, k2 = a.k1 + b.k1, a.k2 + b.k2
+    defect = np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex)
+    for j1 in range(-a.k1, a.k1 + 1):
+        for j1p in range(-a.k2, a.k2 + 1):
+            ca = a.coeffs[j1 + a.k1, j1p + a.k2]
+            for j2 in range(-b.k1, b.k1 + 1):
+                for j2p in range(-b.k2, b.k2 + 1):
+                    cb = b.coeffs[j2 + b.k1, j2p + b.k2]
+                    if convention == "plain":
+                        twist = lambda_phase(n, j1p * j2) - 1.0
+                    else:
+                        twist = lambda_phase(n, 0.5 * (j1p * j2 - j1 * j2p)) - 1.0
+                    defect[j1 + j2 + k1, j1p + j2p + k2] += ca * cb * twist
+    return float(n * np.sum(np.abs(defect) ** 2))
+
+
+@KERNEL_SETTINGS
+@given(n=st.sampled_from([32, 64]), windows=st.tuples(WINDOW, WINDOW, WINDOW, WINDOW), seed=st.integers(0, 2**16))
+def test_element_product_matches_dense(n, windows, seed):
+    a, b = _pair(CirculantElement, n, windows, seed)
+    np.testing.assert_allclose((a * b).to_matrix(), a.to_matrix() @ b.to_matrix(), rtol=0, atol=1e-11)
+
+
+@KERNEL_SETTINGS
+@given(n=st.sampled_from([32, 64]), windows=st.tuples(WINDOW, WINDOW, WINDOW, WINDOW), seed=st.integers(0, 2**16))
+def test_function_product_is_pointwise(n, windows, seed):
+    f, g = _pair(FourierFunction, n, windows, seed)
+    rng = make_rng(seed, stream=25)
+    u, x = rng.uniform(0.0, 1.0, 50), rng.uniform(-math.pi, math.pi, 50)
+    np.testing.assert_allclose((f * g).eval(u, x), f.eval(u, x) * g.eval(u, x), rtol=0, atol=1e-11)
+
+
+@KERNEL_SETTINGS
+@given(n=st.sampled_from([32, 64]), k1=WINDOW, k2=WINDOW, seed=st.integers(0, 2**16))
+def test_adjoint_is_conjugate_transpose(n, k1, k2, seed):
+    a = _random_table(CirculantElement, n, k1, k2, seed, 23)
+    np.testing.assert_allclose(a.adjoint().to_matrix(), a.to_matrix().conj().T, rtol=0, atol=1e-12)
+
+
+@KERNEL_SETTINGS
+@given(
+    n=st.sampled_from([32, 64]),
+    k1=WINDOW,
+    k2=WINDOW,
+    seed=st.integers(0, 2**16),
+    convention=st.sampled_from(["plain", "symmetric"]),
+)
+def test_psi_roundtrip_and_isometry_property(n, k1, k2, seed, convention):
+    a = _random_table(CirculantElement, n, k1, k2, seed, 23)
+    fn = psi_forward(a, convention)
+    np.testing.assert_allclose(psi_inverse(fn, convention).coeffs, a.coeffs, rtol=0, atol=1e-14)
+    assert fn.l2n_sq == pytest.approx(a.frob_sq, rel=1e-13)
+
+
+@KERNEL_SETTINGS
+@given(
+    n=st.sampled_from([32, 64]),
+    windows=st.tuples(WINDOW, WINDOW, WINDOW, WINDOW),
+    seed=st.integers(0, 2**16),
+    convention=st.sampled_from(["plain", "symmetric"]),
+)
+def test_hom_defect_matches_loop_oracle(n, windows, seed, convention):
+    a, b = _pair(CirculantElement, n, windows, seed)
+    lhs, bound = hom_defect(a, b, convention=convention)
+    assert lhs == pytest.approx(_loop_defect(a, b, convention), rel=1e-13, abs=0)
+    assert lhs <= bound * (1.0 + 1e-12)
+
+
+def test_twisted_product_accumulates_in_order_of_a():
+    # every term lands on the (0, 0) cell; 1 + 1e16 - 1e16 is 0 in this order, 1 in reverse
+    f = FourierFunction(16, 1, 0, [[1.0], [1e16], [-1e16]])
+    g = FourierFunction(16, 1, 0, [[1.0], [1.0], [1.0]])
+    assert (f * g).coeff(0, 0) == 0.0
+    assert (g * f).coeff(0, 0) == 1.0

@@ -304,6 +304,39 @@ def test_cli_unknown_flag_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--timings"],
+        ["riskstudy", "--timings"],
+        ["conditions", "--timings"],
+        ["export-basis", "--timings"],
+        ["conditions", "--seed", "0"],
+        ["conditions", "--out", "x"],
+        ["conditions", "--format", "csv"],
+        ["export-basis", "--seed", "0"],
+    ],
+)
+def test_cli_rejects_flags_a_subcommand_ignores(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_timings_on_verify_and_tvdecay(tmp_path):
+    assert main(["verify", "--n", "32", "--timings", "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "verify_report.csv").read_text().splitlines()[0]
+    assert header.endswith(",runtime_ms")
+    assert main(["tvdecay", "--n", "16", "--timings", "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "tv_decay.csv").read_text().splitlines()[1]
+    assert float(row.split(",")[TV_HEADER.index("runtime_ms")]) > 0.0
+
+
+def test_config_rejects_tolerances_key():
+    with pytest.raises(ConfigurationError, match="unknown config keys: \\['tolerances'\\]"):
+        RunConfig.from_json('{"tolerances": {}}')
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # importing scipy.stats costs about half a second of every CLI start-up
     src = os.path.dirname(os.path.dirname(os.path.abspath(lsequiv.__file__)))
