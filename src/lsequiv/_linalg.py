@@ -7,6 +7,14 @@ LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for ``j = 0..width``;
 they are factored by banded Cholesky (``cholesky_banded``), whose failure is
 the positive-definiteness check, and their extreme eigenvalues and
 eigenpairs come from ``eig_banded``.
+
+A symmetric wrapped band of half-width w has A[i, l] = 0 unless the cyclic
+distance min(|i - l|, n - |i - l|) is at most w, with 2w < n; the cyclic
+dictionary sums and the whitening matrix W are of this kind.  Reordering the
+indices as 0, n-1, 1, n-2, ... turns it into a plain band of half-width
+2w with the same spectrum and Frobenius norm (``wrapped_band``),
+so ``band_extremes`` applies; ``wrapped_matmul`` multiplies it from its
+wrapped diagonals without forming the reordered matrix.
 """
 
 from __future__ import annotations
@@ -28,8 +36,13 @@ def check_size(n):
 
 
 def check_symmetric(a, tol=1e-10, what="matrix"):
-    dev = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if dev > tol * max(1.0, np.max(np.abs(a))):
+    """Raise unless max |A - A^T| <= tol max(1, max |A|); one n x n temporary."""
+    if not a.size:
+        return a
+    dev = a - a.T
+    np.abs(dev, out=dev)
+    dev = float(dev.max())
+    if dev > tol * max(1.0, float(a.max()), -float(a.min())):
         raise PreconditionError(f"{what} is not symmetric (max deviation {dev:.3e})")
     return a
 
@@ -183,3 +196,57 @@ def band_matmul(ab, x):
         out[j:] += strip * x[: n - j]
         out[: n - j] += strip * x[j:]
     return out
+
+
+def _wrapped_diagonals(a, j):
+    """(A[i + j, i] for i < n - j, A[i, i + j - n] for i >= n - j): the wrapped
+    diagonal at offset j as two views of the lower triangle."""
+    n = a.shape[0]
+    return np.diagonal(a, -j), np.diagonal(a, j - n)
+
+
+def wrapped_band(a, width, what="matrix"):
+    """Lower band storage of P A P^T for a dense symmetric wrapped band A of
+    half-width width, where P reorders the indices as 0, n-1, 1, n-2, ...
+
+    The reordered matrix is a plain band of half-width 2 width (< n) with
+    the spectrum and Frobenius norm of A.  The band is filled from the
+    wrapped diagonals of A's lower triangle; an entry outside the wrapped
+    band raises, as in dense_to_band, without an n x n temporary.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if 2 * width >= n:
+        raise PreconditionError(f"{what}: wrapped half-width {width} needs n > {2 * width}")
+    offsets = [0] + [o for j in range(1, width + 1) for o in (j, -j, n - j, j - n)]
+    if np.count_nonzero(a) > sum(np.count_nonzero(np.diagonal(a, o)) for o in offsets):
+        raise PreconditionError(f"{what} has entries outside wrapped half-width {width}")
+    # position of index i in the order 0, n-1, 1, n-2, ...
+    i = np.arange(n)
+    pos = np.where(i < (n + 1) // 2, 2 * i, 2 * (n - 1 - i) + 1)
+    ab = np.zeros((2 * width + 1, n))
+    ab[0, pos] = np.diagonal(a)
+    for j in range(1, width + 1):
+        q = pos[(i + j) % n]
+        ab[np.abs(pos - q), np.minimum(pos, q)] = np.concatenate(_wrapped_diagonals(a, j))
+    return ab
+
+
+def wrapped_matmul(a, width, x):
+    """A @ x for a dense symmetric wrapped band A of half-width width and a
+    dense x, read from A's wrapped diagonals (2 width < n)."""
+    n = a.shape[0]
+    out = np.diagonal(a)[:, None] * x
+    for j in range(1, width + 1):
+        inner, corner = (d[:, None] for d in _wrapped_diagonals(a, j))
+        out[j:] += inner * x[: n - j]
+        out[: n - j] += inner * x[j:]
+        out[n - j :] += corner * x[:j]
+        out[:j] += corner * x[n - j :]
+    return out
+
+
+def band_width(a):
+    """Largest j with a nonzero entry on the j-th subdiagonal of a dense matrix."""
+    nonzero = (j for j in range(a.shape[0] - 1, 0, -1) if np.count_nonzero(np.diagonal(a, -j)))
+    return next(nonzero, 0)

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import band_to_dense, check_size, check_symmetric, eig_range
+from ._linalg import (
+    band_cholesky,
+    band_to_dense,
+    band_width,
+    check_size,
+    check_symmetric,
+    dense_to_band,
+    eig_range,
+)
 from .circulant import build_mcheck_basis, mcheck_element
 from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
 from .report import CheckResult, fmt_float
@@ -349,16 +357,17 @@ def presmoothing_residual(f, n: int, basis: BasisSystem, grid: QuadratureGrid = 
     recon = basis.combine(coeffs * basis.raw_norms)
     frob_err = float(np.linalg.norm(theta - recon))
 
-    # |theta^{-1/2} E theta^{-1/2}|_F = |L^{-1} E L^{-T}|_F for theta = L L^T:
-    # the two whitenings differ by an orthogonal factor on each side
-    try:
-        chol = scipy.linalg.cholesky(theta, lower=True)
-    except np.linalg.LinAlgError:
-        raise RangeError("covariance must be positive definite for whitening") from None
+    # |theta^{-1/2} E theta^{-1/2}|_F^2 = tr(theta^{-1} E theta^{-1} E), with
+    # theta factored at its own half-width (k2 for a span density, full for
+    # a quadrature theta) and theta^{-1} E from one banded solve
+    theta_band = dense_to_band(theta, band_width(theta))
+    factor = band_cholesky(theta_band, error=RangeError, what="covariance")
     resid = theta - basis.combine(basis.project(theta))
-    half = scipy.linalg.solve_triangular(chol, resid, lower=True)
-    whitened = scipy.linalg.solve_triangular(chol, half.T, lower=True)
-    return frob_err, float(np.linalg.norm(whitened))
+    del theta
+    # tr(theta^{-1} E^T theta^{-1} E^T) is the same trace, so the F-ordered
+    # view E^T is solved in place
+    solved = scipy.linalg.cho_solve_banded((factor, True), resid.T, overwrite_b=True)
+    return frob_err, math.sqrt(max(float(np.einsum("ij,ji->", solved, solved)), 0.0))
 
 
 _LATTICE_BLOCK = 256

@@ -388,6 +388,7 @@ def psi_inverse_real(n: int, indices, coeffs) -> np.ndarray:
             elem = mcheck_element(n, idx)
             elem *= float(c)
             out += elem
+            del elem  # so the next element is not allocated beside it
     return out
 
 

@@ -22,13 +22,15 @@ from ._linalg import (
     dense_to_band,
     frob,
     guarded_band_eig,
-    spectral_norm,
     sym_abs,
     sym_eig,
     sym_inv_sqrt,
     sym_sqrt,
+    wrapped_band,
+    wrapped_matmul,
 )
 from .circulant import (
+    CirculantElement,
     hom_defect,
     psi_forward,
     psi_inverse_real,
@@ -446,8 +448,13 @@ class GammaVariants:
     delta_sq: np.ndarray
     delta_sq_bounds: np.ndarray
     gram_gap: float
-    w_dense: np.ndarray
+    w_elem: CirculantElement
     defect_checks: list = field(default_factory=list)
+
+    @property
+    def w_dense(self) -> np.ndarray:
+        """The matrix counterpart W of the projected inverse root, dense."""
+        return self.w_elem.to_matrix().real
 
 
 # empirical headroom over the K^2/n^2 + K^4/n^4 defect budget
@@ -478,7 +485,8 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
     w_elem = real_expansion_to_element(n, indices, projection.coeffs)
     m_elems = [real_expansion_to_element(n, [idx], [1.0]) for idx in indices]
 
-    conjugated = [w_elem * (m * w_elem) for m in m_elems]
+    m_w = [m * w_elem for m in m_elems]
+    conjugated = [w_elem * mw for mw in m_w]
     K = len(indices)
     gamma_check = np.empty((K, K))
     for a in range(K):
@@ -491,12 +499,12 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
     delta_sq = np.empty(K)
     delta_sq_bounds = np.empty(K)
     checks = []
-    for j, (m, t) in enumerate(zip(m_elems, conjugated)):
+    for j, (m, mw, t) in enumerate(zip(m_elems, m_w, conjugated)):
         phi_fn = psi_forward(m, convention="symmetric")
         exact = psi_forward(t, convention="symmetric")
         product = (w_fn * phi_fn) * w_fn
         delta_sq[j] = (exact - product).l2n_sq
-        _, b1 = hom_defect(w_elem, m * w_elem, convention="symmetric")
+        _, b1 = hom_defect(w_elem, mw, convention="symmetric")
         _, b2 = hom_defect(m, w_elem, convention="symmetric")
         delta_sq_bounds[j] = (math.sqrt(b1) + sup_w * math.sqrt(b2)) ** 2
         checks.append(
@@ -520,7 +528,6 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
 
     inv_root = sym_inv_sqrt(gamma_f)
     gram_gap = float(frob(inv_root @ (gamma_f - gamma_tilde) @ inv_root) ** 2)
-    w_dense = w_elem.to_matrix().real
     return GammaVariants(
         gamma_f=gamma_f,
         gamma_tilde=gamma_tilde,
@@ -528,7 +535,7 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
         delta_sq=delta_sq,
         delta_sq_bounds=delta_sq_bounds,
         gram_gap=gram_gap,
-        w_dense=w_dense,
+        w_elem=w_elem,
         defect_checks=checks,
     )
 
@@ -560,40 +567,49 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
     | |W/sqrt(2 pi)| Dcheck |W/sqrt(2 pi)| - C^{-1/2} D C^{-1/2} |_F^2 / 4;
     b1 + b2 + b3 is its three-term upper bound, certified to dominate.
     C and Delta are read as bands of half-width k2: C^{-1/2} comes from a
-    banded eigendecomposition and |Delta|_2 from its extreme eigenvalues;
-    |W| and |W|_2 share one eigh of W.
+    banded eigendecomposition and |Delta|_2 from its extreme eigenvalues.
+    W and Dcheck must be wrapped bands of half-width k2 (as every cyclic
+    expansion on the basis window is); their spectral norms come from the
+    extreme eigenvalues of the reordered bands.  A positive definite W is
+    its own |W|, and |W| Dcheck |W| is two wrapped-band products; only an
+    indefinite W takes |W| from a dense eigendecomposition.  The scale
+    2 pi is folded into the scalars, so W/sqrt(2 pi) is never formed.
     """
     basis = state.basis
-    n = basis.n
+    n, k2 = basis.n, basis.k2
     w_dense = np.asarray(w_dense, dtype=float)
     if w_dense.shape != (n, n):
         raise PreconditionError("W matrix dimension mismatch")
     check_symmetric(w_dense, what="W matrix")
+    w_lo, w_hi = band_extremes(wrapped_band(w_dense, k2, what="W matrix"))
+    w_sp = max(-w_lo, w_hi)
+    pd = w_lo > 0.0
     # n x n work arrays are dropped as soon as their stage is done, to bound peak memory
-    abs_w, w_sp = sym_abs(w_dense)
-    abs_w /= math.sqrt(A_STAR)
+    abs_w = w_dense if pd else sym_abs(w_dense)[0]
 
-    # one banded decomposition of C gives C^{-1/2} and |C^{-1/2}|^2 = 1 / min eig(C)
+    # one banded decomposition of C gives x = sqrt(2 pi) C^{-1/2} and
+    # |C^{-1/2}|^2 = 1 / min eig(C)
     delta = state.delta
-    delta_band = dense_to_band(delta, basis.k2, what="Delta")
-    w, v = guarded_band_eig(dense_to_band(state.c_mat, basis.k2, what="C"), require_pd=True)
-    v *= w**-0.25
-    c_inv_sqrt = v @ v.T
+    delta_band = dense_to_band(delta, k2, what="Delta")
+    w, v = guarded_band_eig(dense_to_band(state.c_mat, k2, what="C"), require_pd=True)
+    v *= (A_STAR / w) ** 0.25
+    x = v @ v.T
     del v
-    root_gap_sq = float(frob(abs_w - c_inv_sqrt) ** 2)
-    whitened_delta = c_inv_sqrt @ band_matmul(delta_band, c_inv_sqrt)
-    del c_inv_sqrt
+    root_gap_sq = float(frob(abs_w - x) ** 2) / A_STAR
+    whitened_delta = x @ band_matmul(delta_band, x)
+    del x
 
     # Dcheck = sum_k eta_k Mcheck_k with Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, basis.indices, scale * state.eta_tilde)
-    delta_check_sp = spectral_norm(delta_check)
+    dc_lo, dc_hi = band_extremes(wrapped_band(delta_check, k2, what="Dcheck"))
+    delta_check_sp = max(-dc_lo, dc_hi)
     dict_gap_sq = float(frob(delta_check - delta) ** 2)
-    gap = abs_w @ delta_check
+    gap = wrapped_matmul(delta_check, k2, abs_w)
     del delta_check
-    gap = gap @ abs_w
+    gap = wrapped_matmul(w_dense, k2, gap) if pd else abs_w @ gap
     gap -= whitened_delta
-    kl = float(frob(gap) ** 2 / 4.0)
+    kl = float(frob(gap) ** 2 / (4.0 * A_STAR**2))
 
     w_sp_sq = w_sp**2
     cis_sp_sq = float(1.0 / np.min(w))

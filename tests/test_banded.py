@@ -1,27 +1,32 @@
 """The banded factorization core against its dense oracles.
 
 Every banded path (basis bands, localization, pre-smoothing residual, GOE
-comparison) is compared with the dense formula it replaced, at 1e-12
-relative, on windows (0,0), (0,1), (1,1), (2,0) and (3,3); the Gaussian
-summaries have the same oracle in test_gaussianize.
+comparison, wrapped bands) is compared with the dense formula it replaced,
+at 1e-12 relative, on windows (0,0), (0,1), (1,1), (2,0) and (3,3); the
+Gaussian summaries have the same oracle in test_gaussianize.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lsequiv import gaussianize
+from lsequiv import gaussianize, harness
 from lsequiv._linalg import (
     band_cho_inv,
     band_cholesky,
     band_extremes,
     band_matmul,
     band_to_dense,
+    band_width,
     dense_to_band,
+    wrapped_band,
+    wrapped_matmul,
 )
 from lsequiv.basis_cov import build_basis, build_theta, presmoothing_residual
 from lsequiv.circulant import psi_inverse_real
@@ -33,6 +38,7 @@ from lsequiv.gaussianize import (
     contraction_bound,
     gaussian_summaries,
 )
+from lsequiv.harness import CHAIN_HEADER, RunConfig, run_equivalence_chain
 from lsequiv.rng import make_rng
 from lsequiv.spectral import random_density
 from lsequiv.whitenoise import A_STAR, goe_connection
@@ -79,6 +85,65 @@ def test_band_helpers_match_dense():
     assert _rel(band_cho_inv(band_cholesky(ab)), np.linalg.inv(dense)) <= 1e-13
     with pytest.raises(PreconditionError, match="outside half-width 1"):
         dense_to_band(dense, 1)
+
+
+def _wrapped_case(n, width, seed):
+    """A random dense symmetric wrapped band of half-width width."""
+    rng = make_rng(seed, stream=76)
+    a = np.zeros((n, n))
+    i = np.arange(n)
+    for j in range(width + 1):
+        vals = rng.standard_normal(n)
+        a[(i + j) % n, i] = vals
+        a[i, (i + j) % n] = vals
+    return a
+
+
+def _reorder(n):
+    """Indices in the order 0, n-1, 1, n-2, ..."""
+    return np.array([k // 2 if k % 2 == 0 else n - 1 - k // 2 for k in range(n)])
+
+
+WRAPPED = dict(
+    n=st.sampled_from([8, 33, 64]), width=st.integers(0, 3), seed=st.integers(0, 2**16)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**WRAPPED)
+def test_wrapped_band_is_reordered_plain_band(n, width, seed):
+    a = _wrapped_case(n, width, seed)
+    ab = wrapped_band(a, width)
+    perm = _reorder(n)
+    np.testing.assert_array_equal(ab, dense_to_band(a[np.ix_(perm, perm)], 2 * width))
+    w = np.linalg.eigvalsh(a)
+    lo, hi = band_extremes(ab)
+    scale = np.max(np.abs(w))
+    assert abs(lo - w[0]) <= 1e-12 * scale and abs(hi - w[-1]) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**WRAPPED)
+def test_wrapped_matmul_matches_dense(n, width, seed):
+    a = _wrapped_case(n, width, seed)
+    x = make_rng(seed, stream=77).standard_normal((n, 5))
+    assert _rel(wrapped_matmul(a, width, x), a @ x) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**WRAPPED, data=st.data())
+def test_wrapped_band_rejects_entry_outside_band(n, width, seed, data):
+    a = _wrapped_case(n, width, seed)
+    i = data.draw(st.integers(0, n - 1))
+    dist = data.draw(st.integers(width + 1, n // 2))
+    a[i, (i + dist) % n] = a[(i + dist) % n, i] = 1.0
+    with pytest.raises(PreconditionError, match=f"outside wrapped half-width {width}"):
+        wrapped_band(a, width)
+
+
+def test_wrapped_band_needs_room_to_wrap():
+    with pytest.raises(PreconditionError, match="needs n > 4"):
+        wrapped_band(np.eye(4), 2)
 
 
 def test_band_cholesky_raises_typed_error():
@@ -133,27 +198,34 @@ def test_presmoothing_residual_matches_dense(k1, k2):
     assert abs(rel - want) <= 1e-12 * want
 
 
+def test_presmoothing_residual_full_width_theta_matches_cholesky():
+    # a callable density gives a quadrature theta with no zero diagonal
+    n = 24
+    basis = build_basis(n, 1, 1)
+
+    def f(u, x):
+        return np.exp(0.5 * np.cos(x) + 0.3 * u * np.sin(2.0 * x))
+
+    _, rel = presmoothing_residual(f, n, basis)
+    theta = build_theta(f, n).entries
+    assert band_width(theta) == n - 1
+    chol = scipy.linalg.cholesky(theta, lower=True)
+    resid = theta - _dense(basis, basis.project(theta))
+    half = scipy.linalg.solve_triangular(chol, resid, lower=True)
+    want = np.linalg.norm(scipy.linalg.solve_triangular(chol, half.T, lower=True))
+    assert want > 1e-8
+    assert abs(rel - want) <= 1e-12 * want
+
+
 def test_presmoothing_residual_rejects_indefinite_theta():
     basis = build_basis(16, 1, 1)
     with pytest.raises(RangeError, match="positive definite"):
         presmoothing_residual(lambda u, x: -1.0 + 0.0 * u * x, 16, basis)
 
 
-@pytest.mark.parametrize("k1,k2", WINDOWS)
-def test_goe_connection_matches_dense(k1, k2):
-    basis = build_basis(N, k1, k2)
-    alpha, _ = _coeffs(basis, 3)
-    state = ExperimentState.build(
-        basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha,
-        rng=make_rng(3, stream=73 + k2),
-    )
-    rng = make_rng(4, stream=74)
-    w_coeffs = 0.1 * rng.standard_normal(basis.K)
-    w_coeffs[0] = 2.0
-    w_dense = psi_inverse_real(N, basis.indices, w_coeffs)
-    comp = goe_connection(state, w_dense)
-
-    # the dense formulas the banded ones replaced
+def _goe_oracle(state, w_dense):
+    """(kl, b1, b2, b3) from the dense formulas the banded ones replaced."""
+    basis = state.basis
     delta_check = np.tensordot(state.eta_tilde, basis.mcheck, axes=(0, 0))
     w, v = np.linalg.eigh(state.c_mat)
     ci_sqrt = (v / np.sqrt(w)) @ v.T
@@ -165,11 +237,104 @@ def test_goe_connection_matches_dense(k1, k2):
     dc_sp_sq = np.max(np.abs(np.linalg.eigvalsh(delta_check))) ** 2
     d_sp_sq = np.max(np.abs(np.linalg.eigvalsh(state.delta))) ** 2
     dict_sq = np.linalg.norm(delta_check - state.delta) ** 2
-    assert comp.kl == pytest.approx(np.linalg.norm(gap) ** 2 / 4.0, rel=1e-12)
-    assert comp.b1 == pytest.approx(3.0 / A_STAR * root_gap_sq * dc_sp_sq * w_sp_sq, rel=1e-12)
-    assert comp.b2 == pytest.approx(3.0 / A_STAR / w[0] * dict_sq * w_sp_sq, rel=1e-12)
-    assert comp.b3 == pytest.approx(3.0 / w[0] * d_sp_sq * root_gap_sq, rel=1e-12)
+    return (
+        np.linalg.norm(gap) ** 2 / 4.0,
+        3.0 / A_STAR * root_gap_sq * dc_sp_sq * w_sp_sq,
+        3.0 / A_STAR / w[0] * dict_sq * w_sp_sq,
+        3.0 / w[0] * d_sp_sq * root_gap_sq,
+    )
+
+
+def _goe_case(k1, k2, n=N, w_spread=0.1):
+    """A localized state and a W = sum_k c_k Mcheck_k with c_0 = 2."""
+    basis = build_basis(n, k1, k2)
+    alpha, _ = _coeffs(basis, 3)
+    state = ExperimentState.build(
+        basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha,
+        rng=make_rng(3, stream=73 + k2),
+    )
+    rng = make_rng(4, stream=74)
+    w_coeffs = w_spread * rng.standard_normal(basis.K)
+    w_coeffs[0] = 2.0
+    return state, psi_inverse_real(n, basis.indices, w_coeffs)
+
+
+def _check_goe_against_oracle(comp, state, w_dense):
+    kl, b1, b2, b3 = _goe_oracle(state, w_dense)
+    assert comp.kl == pytest.approx(kl, rel=1e-12)
+    assert comp.b1 == pytest.approx(b1, rel=1e-12)
+    assert comp.b2 == pytest.approx(b2, rel=1e-12)
+    assert comp.b3 == pytest.approx(b3, rel=1e-12)
     assert comp.bound_check.passed
+
+
+@pytest.mark.parametrize("k1,k2", WINDOWS)
+def test_goe_connection_matches_dense(k1, k2):
+    state, w_dense = _goe_case(k1, k2)
+    _check_goe_against_oracle(goe_connection(state, w_dense), state, w_dense)
+
+
+def _counting(monkeypatch, *names):
+    """Replace numpy.linalg functions by wrappers that log their calls."""
+    calls = []
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("w_spread,pd", [(0.1, True), (3.0, False)])
+def test_goe_connection_takes_dense_abs_only_for_indefinite_w(monkeypatch, w_spread, pd):
+    state, w_dense = _goe_case(2, 2, w_spread=w_spread)
+    assert (np.linalg.eigvalsh(w_dense)[0] > 0.0) == pd
+    calls = _counting(monkeypatch, "eigh", "eigvalsh")
+    comp = goe_connection(state, w_dense)
+    assert calls == ([] if pd else ["eigh"])
+    monkeypatch.undo()
+    _check_goe_against_oracle(comp, state, w_dense)
+
+
+def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch):
+    calls = _counting(monkeypatch, "eigh", "eigvalsh")
+    seen = {}
+
+    def traced(name):
+        fn = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            before = len(calls)
+            out = fn(*args, **kwargs)
+            seen[name] = (args, len(calls) - before)
+            return out
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    traced("goe_connection")
+    traced("presmoothing_residual")
+    _, rows = run_equivalence_chain(RunConfig(n_grid=(128,), replicates=10))
+    row = dict(zip(CHAIN_HEADER, rows[0]))
+    assert row["error"] == "" and row["goe_kl"] is not None and row["presmooth_rel"] is not None
+    assert seen["goe_connection"][1] == seen["presmoothing_residual"][1] == 0
+    assert np.linalg.eigvalsh(seen["goe_connection"][0][1])[0] > 0.0
+
+
+def test_goe_connection_memory_peak():
+    # at most four n x n arrays live at once on the positive definite path
+    n = 1024
+    state, w_dense = _goe_case(2, 2, n=n, w_spread=0.02)
+    assert np.linalg.eigvalsh(w_dense)[0] > 0.0
+    tracemalloc.start()
+    try:
+        goe_connection(state, w_dense)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8 + 2 * 2**20
 
 
 def test_goe_connection_input_guards():
