@@ -34,7 +34,7 @@ def main():
         lo, hi = theta.eig_range()
         checks = theta_spectral_check(theta, RHO_STAR, delta=0.0)
         ok = all(c.passed for c in checks)
-        rel = presmoothing_residual(f, n, build_basis(n, 2, 2), grid=grid)[1]
+        rel = presmoothing_residual(f, theta, build_basis(n, 2, 2), grid=grid)[1]
         print(f"  {n:>5} {lo:>10.5f} {hi:>10.5f} {str(ok):>8} {rel:>14.3e}")
     print(f"  reference band [{2 * math.pi * RHO_STAR:.5f}, {2 * math.pi / RHO_STAR:.5f}]")
 

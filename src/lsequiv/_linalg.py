@@ -36,15 +36,18 @@ def check_size(n):
 
 
 def check_symmetric(a, tol=1e-10, what="matrix"):
-    """Raise unless max |A - A^T| <= tol max(1, max |A|); one n x n temporary."""
+    """max |A - A^T|; raises unless it is <= tol max(1, max |A|).
+
+    One n x n temporary.
+    """
     if not a.size:
-        return a
+        return 0.0
     dev = a - a.T
     np.abs(dev, out=dev)
     dev = float(dev.max())
     if dev > tol * max(1.0, float(a.max()), -float(a.min())):
         raise PreconditionError(f"{what} is not symmetric (max deviation {dev:.3e})")
-    return a
+    return dev
 
 
 def sym_eig(a):

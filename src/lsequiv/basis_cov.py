@@ -64,8 +64,10 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        check_symmetric(a, tol=1e-12, what="covariance")
-        self.entries = 0.5 * (a + a.T)
+        # an exactly symmetric a is its own symmetrization
+        if check_symmetric(a, tol=1e-12, what="covariance") > 0.0:
+            a = 0.5 * (a + a.T)
+        self.entries = a
 
     @property
     def n(self) -> int:
@@ -344,15 +346,18 @@ def density_coefficients(f, basis: BasisSystem, grid: QuadratureGrid = None) -> 
     return grid.project(f, basis.indices)
 
 
-def presmoothing_residual(f, n: int, basis: BasisSystem, grid: QuadratureGrid = None):
-    """(frobErr, relErr) of the covariance against its basis reconstructions.
+def presmoothing_residual(
+    f, theta: CovarianceMatrix, basis: BasisSystem, grid: QuadratureGrid = None
+):
+    """(frobErr, relErr) of theta against its basis reconstructions.
 
-    frobErr uses the raw matrices weighted by the density coefficients;
-    relErr whitens the Frobenius projection by theta^{-1/2} on both sides.
+    theta must be build_theta(f, n, grid), as the chain builds it.  frobErr
+    uses the raw matrices weighted by the density coefficients; relErr
+    whitens the Frobenius projection by theta^{-1/2} on both sides.
     """
-    if basis.n != n:
-        raise ConfigurationError("basis size does not match n")
-    theta = build_theta(f, n, grid).entries
+    if basis.n != theta.n:
+        raise ConfigurationError("basis size does not match theta")
+    theta = theta.entries
     coeffs = density_coefficients(f, basis, grid)
     recon = basis.combine(coeffs * basis.raw_norms)
     frob_err = float(np.linalg.norm(theta - recon))

@@ -284,18 +284,76 @@ class RadialProfile:
         self.direction = u
 
     def psi_star(self, r):
-        # with x = 2 r lam, the principal log(1 - i x) is
-        # log1p(x^2) / 2 - i arctan(x): no complex logarithm needed
-        r = np.asarray(r, dtype=float)
-        x = 2.0 * np.multiply.outer(r, self.eigs)
-        log_mod = -0.25 * np.sum(np.log1p(x * x), axis=-1)
-        phase = 0.5 * np.sum(np.arctan(x), axis=-1) - r * self.shift
-        return np.exp(log_mod + 1j * phase)
+        return _psi_star_stack(self.eigs[None], np.array([self.shift]), r)[0]
 
     def abs_psi(self, r):
         r = np.asarray(r, dtype=float)
         x = 2.0 * np.multiply.outer(r, self.eigs)
         return np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
+
+
+# log psi* as a power series needs terms up to the smallest L whose
+# remainder bound n 2^{-L} / L (at 2 r max|lam| <= 1/2) is below this
+_SERIES_TOL = 1e-16
+
+
+def _series_terms(n):
+    """Smallest L with n 2^{-L} / L <= _SERIES_TOL."""
+    L = 1
+    while n * 2.0**-L / L > _SERIES_TOL:
+        L += 1
+    return L
+
+
+def _horner(coef, y):
+    """sum_m coef[:, m] y^m, one coefficient row per row of y."""
+    acc = np.zeros_like(y)
+    for c in coef.T[::-1]:
+        acc *= y
+        acc += c[:, None]
+    return acc
+
+
+def _psi_star_stack(eigs, shifts, r):
+    """psi*(r) = exp(-i r shift_a) prod_j (1 - 2i r lam_aj)^{-1/2} per row a.
+
+    eigs is (A, n), shifts (A,); the result is (A,) + shape(r).  Where
+    2 |r| max_j |lam_aj| <= 1/2 the log is the series
+
+        log psi*(r) = (1/2) sum_{l <= L} (2ir)^l p_l / l - i r shift,
+
+    with power sums p_l = sum_j lam_j^l and L from _series_terms, split into
+    real and imaginary parts, each a polynomial in (2r)^2 evaluated by
+    Horner over every row at once.  Beyond that radius, with x = 2 r lam,
+    the principal log(1 - i x) is log1p(x^2) / 2 - i arctan(x): no complex
+    logarithm needed.
+    """
+    r = np.asarray(r, dtype=float)
+    flat = r.reshape(-1)
+    n_rows, n = eigs.shape
+    L = _series_terms(n)
+    sums = np.empty((n_rows, L))
+    power = eigs.copy()
+    for ell in range(L):
+        sums[:, ell] = np.sum(power, axis=1)
+        power *= eigs
+    # (i s)^l = (-1)^{l/2} s^l for even l and i (-1)^{(l-1)/2} s^l for odd l
+    ell = np.arange(1, L + 1)
+    coef = sums * (np.where(ell % 4 < 2, 0.5, -0.5) / ell)
+    series = np.multiply.outer(2.0 * np.max(np.abs(eigs), axis=1), np.abs(flat)) <= 0.5
+    s = 2.0 * flat
+    y = np.where(series, s * s, 0.0)
+    log_mod = y * _horner(coef[:, 1::2], y)
+    phase = s * _horner(coef[:, 0::2], y)
+    for a in np.flatnonzero(~series.all(axis=1)):
+        far = ~series[a]
+        x = np.multiply.outer(flat[far], eigs[a])
+        x *= 2.0
+        phase[a, far] = 0.5 * np.sum(np.arctan(x), axis=-1)
+        x *= x
+        log_mod[a, far] = -0.25 * np.sum(np.log1p(x, out=x), axis=-1)
+    phase -= np.multiply.outer(shifts, flat)
+    return np.exp(log_mod + 1j * phase).reshape((n_rows,) + r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +612,14 @@ def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
 
 
 def _chirp_z(coeffs, x0, dx, dt, count):
-    """sum_m coeffs[m] exp(-i (x0 + k dx) m dt) for k = 0..count-1.
+    """sum_m coeffs[..., m] exp(-i (x0 + k dx) m dt) for k = 0..count-1.
 
     Bluestein's identity km = (k^2 + m^2 - (k - m)^2) / 2 turns the sum into
     one linear convolution with a chirp (the chirp-z transform of Rabiner,
     Schafer & Rader, 1969), done by FFT in O((M + count) log(M + count)).
+    Leading axes of coeffs are a batch, transformed together.
     """
-    m_len = len(coeffs)
+    m_len = coeffs.shape[-1]
     theta = dx * dt
     m = np.arange(m_len, dtype=float)
     k = np.arange(count, dtype=float)
@@ -570,15 +629,16 @@ def _chirp_z(coeffs, x0, dx, dt, count):
     # circular length >= m_len + count - 1 keeps the needed outputs unaliased
     size = sfft.next_fast_len(m_len + count - 1)
     conv = sfft.ifft(sfft.fft(u, size) * sfft.fft(v, size))
-    return np.exp(-0.5j * theta * k * k) * conv[m_len - 1 : m_len - 1 + count]
+    return np.exp(-0.5j * theta * k * k) * conv[..., m_len - 1 : m_len - 1 + count]
 
 
 def invert_cf_1d(psi, T, x, steps=None):
     """Density values (1/pi) Re int_0^T exp(-i t x) psi(t) dt at points x.
 
-    psi must accept a 1-d radius array; Simpson weights on a uniform t
-    grid.  x must be a uniformly spaced 1-d grid (relative 1e-9), so the
-    Fourier sum is one chirp-z transform.
+    psi must accept a 1-d radius array and return its values, or one row
+    of values per slice (a leading batch axis, kept in the result);
+    Simpson weights on a uniform t grid.  x must be a uniformly spaced 1-d
+    grid (relative 1e-9), so the Fourier sum is one chirp-z transform.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) == 0:
@@ -660,35 +720,77 @@ def _tv_oracle_k1(ctx, tol_tail, x_max, dx, cf_override):
     return tv_against_gaussian_1d(psi, T, x_max=x_max, dx=dx), T
 
 
+# Directions inverted together: one stacked psi* call, one batched chirp-z
+# and one (4, len(sgrid) - 1, chunk) spline table at a time.
+_DIRECTION_CHUNK = 20
+
+
 def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
     """Filtered back-projection on per-angle radial slices.
 
     f(x) = (1/2pi) int_0^pi g_phi(<u_phi, x>) dphi with
     g_phi(s) = (1/pi) Re int_0^T psi*(r u_phi) r exp(-i r s) dr.
+
+    Directions with the same truncation T share the t grid and are
+    inverted in chunks of _DIRECTION_CHUNK: one stacked psi*, one batched
+    chirp-z and one cubic spline per chunk.  The spline knots sgrid are
+    uniform, so each direction's spline is evaluated on the x grid
+    directly: knot index and fraction from the projection in units of ds,
+    then Horner on that interval's coefficients.  Every projection
+    |<u, x>| <= max|x| sqrt(2) must lie inside sgrid, which is checked once
+    for the extreme projections instead of clipping each index.
     """
     angles = (np.arange(n_angles) + 0.5) * np.pi / n_angles
     dirs = np.array([[math.cos(phi), math.sin(phi)] for phi in angles])
     if cf_override is None:
         profiles = [RadialProfile(ctx, u) for u in dirs]
-        psis = [profile.psi_star for profile in profiles]
+        eigs = np.stack([profile.eigs for profile in profiles])
+        shifts = np.array([profile.shift for profile in profiles])
+        psi_rows = lambda rows, r: _psi_star_stack(eigs[rows], shifts[rows], r)
         moduli = lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r
     else:
-        psis = [lambda r, u=u: cf_override(r, u) for u in dirs]
-        moduli = lambda r: np.abs(np.stack([psi(r) for psi in psis])) * r
+        psi_rows = lambda rows, r: np.stack([cf_override(r, u) for u in dirs[rows]])
+        moduli = lambda r: np.abs(psi_rows(slice(None), r)) * r
     truncations = _choose_truncation(moduli, tol_tail)
     grid = np.arange(-x_max, x_max + dx / 2, dx)
-    X, Y = np.meshgrid(grid, grid, indexing="ij")
     smax = x_max * math.sqrt(2.0) + 1.0
     ds = dx / 2.0
     sgrid = np.arange(-smax, smax + ds / 2, ds)
-    accum = np.zeros_like(X)
-    for u, psi, T in zip(dirs, psis, truncations):
-        filtered = invert_cf_1d(lambda r, psi=psi: psi(r) * r, T, sgrid)
-        proj = X * u[0] + Y * u[1]
-        # cubic interpolation; linear would cap the grid accuracy near 1e-5
-        accum += CubicSpline(sgrid, filtered)(proj)
+    reach = float(np.max(np.abs(grid))) * math.sqrt(2.0)
+    if not (smax - reach >= 0.0 and (smax + reach) / ds < len(sgrid) - 1):
+        raise PreconditionError(
+            f"projections up to {reach:.6g} leave the slice grid [-{smax:.6g}, {smax:.6g}]"
+        )
+    # knot coordinate q = (<u, x> + smax) / ds as an outer sum of scaled
+    # axes; q >= 0, so its integer cast is the knot index floor(q)
+    scaled = grid / ds
+    knot_pos = np.empty((len(grid), len(grid)))
+    knot = np.empty(knot_pos.shape, dtype=np.intp)
+    val = np.empty_like(knot_pos)
+    term = np.empty_like(knot_pos)
+    accum = np.zeros_like(knot_pos)
+    # power-form coefficients in the fraction (s - s_i) / ds instead of s - s_i
+    scale = (ds ** np.arange(3, -1, -1))[:, None, None]
+    for T in np.unique(truncations):
+        group = np.flatnonzero(truncations == T)
+        for lo in range(0, len(group), _DIRECTION_CHUNK):
+            rows = group[lo : lo + _DIRECTION_CHUNK]
+            filtered = invert_cf_1d(lambda r: psi_rows(rows, r) * r, T, sgrid)
+            # cubic interpolation; linear would cap the grid accuracy near 1e-5
+            table = CubicSpline(sgrid, filtered, axis=1).c * scale
+            for u, coef in zip(dirs[rows], np.ascontiguousarray(np.moveaxis(table, 2, 0))):
+                np.add.outer(scaled * u[0] + smax / ds, scaled * u[1], out=knot_pos)
+                np.copyto(knot, knot_pos, casting="unsafe")
+                knot_pos -= knot
+                # every knot index is in range (checked above); "clip" only
+                # spares the buffered bounds check that "raise" makes
+                np.take(coef[0], knot, out=val, mode="clip")
+                for c in coef[1:]:
+                    val *= knot_pos
+                    val += np.take(c, knot, out=term, mode="clip")
+                accum += val
     dens = accum * (np.pi / n_angles) / (2.0 * np.pi)
-    ref = np.exp(-(X**2 + Y**2) / 2.0) / (2.0 * np.pi)
+    ref = np.exp(-np.add.outer(grid**2, grid**2) / 2.0) / (2.0 * np.pi)
     return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx), float(np.max(truncations))
 
 

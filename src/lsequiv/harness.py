@@ -602,7 +602,7 @@ def run_equivalence_chain(cfg: RunConfig):
 
         if basis is not None and theta is not None:
             def presmooth():
-                _, rel = presmoothing_residual(f, n, basis, grid)
+                _, rel = presmoothing_residual(f, theta, basis, grid)
                 return rel
 
             row["presmooth_rel"] = _stage(errors, "presmooth", presmooth)

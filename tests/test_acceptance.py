@@ -159,7 +159,7 @@ def test_criterion_04_presmoothing_decay():
     for n in cfg.n_grid:
         sched = cfg.window(n)
         basis = build_basis(n, sched.k1, sched.k2)
-        rels.append(presmoothing_residual(f, n, basis, grid=GRID)[1])
+        rels.append(presmoothing_residual(f, build_theta(f, n, GRID), basis, grid=GRID)[1])
     assert rels[0] > rels[1] > rels[2] > rels[3]
     assert rels[3] <= 0.1
     elapsed = time.perf_counter() - t0

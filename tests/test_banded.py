@@ -189,8 +189,9 @@ def test_summaries_reject_matrix_outside_band():
 def test_presmoothing_residual_matches_dense(k1, k2):
     basis = build_basis(N, k1, k2)
     f = random_density(4, 4, make_rng(k1, stream=72 + k2))
-    _, rel = presmoothing_residual(f, N, basis)
-    theta = build_theta(f, N).entries
+    cov = build_theta(f, N)
+    _, rel = presmoothing_residual(f, cov, basis)
+    theta = cov.entries
     inv_sqrt = _dense_inv_sqrt(theta)
     resid = theta - _dense(basis, basis.project(theta))
     want = np.linalg.norm(inv_sqrt @ resid @ inv_sqrt)
@@ -206,8 +207,9 @@ def test_presmoothing_residual_full_width_theta_matches_cholesky():
     def f(u, x):
         return np.exp(0.5 * np.cos(x) + 0.3 * u * np.sin(2.0 * x))
 
-    _, rel = presmoothing_residual(f, n, basis)
-    theta = build_theta(f, n).entries
+    cov = build_theta(f, n)
+    _, rel = presmoothing_residual(f, cov, basis)
+    theta = cov.entries
     assert band_width(theta) == n - 1
     chol = scipy.linalg.cholesky(theta, lower=True)
     resid = theta - _dense(basis, basis.project(theta))
@@ -219,8 +221,10 @@ def test_presmoothing_residual_full_width_theta_matches_cholesky():
 
 def test_presmoothing_residual_rejects_indefinite_theta():
     basis = build_basis(16, 1, 1)
+    f = lambda u, x: -1.0 + 0.0 * u * x
+    theta = build_theta(f, 16)
     with pytest.raises(RangeError, match="positive definite"):
-        presmoothing_residual(lambda u, x: -1.0 + 0.0 * u * x, 16, basis)
+        presmoothing_residual(f, theta, basis)
 
 
 def _goe_oracle(state, w_dense):

@@ -126,10 +126,12 @@ def test_presmoothing_residual_decreases():
     errs = []
     for n in (32, 64, 128):
         basis = build_basis(n, 1, 1)
-        frob, rel = presmoothing_residual(DENSITY, n, basis)
+        frob, rel = presmoothing_residual(DENSITY, build_theta(DENSITY, n), basis)
         assert frob > 0 and rel > 0
         errs.append(rel)
     assert errs[0] > errs[1] > errs[2]
+    with pytest.raises(ConfigurationError):
+        presmoothing_residual(DENSITY, build_theta(DENSITY, 64), build_basis(32, 1, 1))
 
 
 def test_vartheta_close_to_theta_and_shrinking():
@@ -200,6 +202,18 @@ def test_covariance_csv_layout(tmp_path):
     cov.save_csv(path)
     raw = path.read_bytes().decode()
     assert raw == "2,0.5\r\n0.5,1\r\n"
+
+
+def test_covariance_symmetrizes_only_asymmetric_input():
+    exact = build_theta(DENSITY, 16).entries
+    assert np.array_equal(exact, exact.T)
+    np.testing.assert_array_equal(CovarianceMatrix(exact.copy()).entries, exact)
+    skewed = exact.copy()
+    skewed[0, 1] += 1e-14
+    entries = CovarianceMatrix(skewed).entries
+    np.testing.assert_array_equal(entries, entries.T)
+    np.testing.assert_array_equal(entries, 0.5 * (skewed + skewed.T))
+    assert entries[0, 1] != skewed[0, 1]
 
 
 def test_covariance_spectral_check_ids():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.cltcheck import (
     _choose_truncation,
     _ladder_tails,
+    _psi_star_stack,
+    _series_terms,
     RadialProfile,
     build_char_context,
     char_fn,
@@ -348,6 +351,22 @@ def test_off_span_target_solves_each_direction():
     assert abs(tv - oracle) <= 1e-12
 
 
+def _assert_stack_matches_complex_log(ctx, dirs):
+    profiles = [RadialProfile(ctx, u) for u in dirs]
+    eigs = np.stack([profile.eigs for profile in profiles])
+    shifts = np.array([profile.shift for profile in profiles])
+    # the series covers 2 r max|lam| <= 1/2; put radii on both sides of every seam
+    seams = 0.25 / np.max(np.abs(eigs), axis=1)
+    r = np.sort(np.concatenate([
+        np.linspace(0.0, 1.5 * np.max(seams), 49), seams * (1.0 - 1e-9), seams * (1.0 + 1e-9)
+    ]))
+    assert np.all((r < seams[:, None]).any(axis=1) & (r > seams[:, None]).any(axis=1))
+    got = _psi_star_stack(eigs, shifts, r)
+    assert got.shape == (len(dirs), len(r))
+    for row, u in zip(got, dirs):
+        assert np.max(np.abs(row - _psi_per_direction(ctx, r, u))) <= 1e-13
+
+
 def test_psi_star_matches_complex_log(tvk2_ctx):
     r = np.linspace(0.0, 20.0, 2001)
     cases = [(CTX, np.array([1.0])), (tvk2_ctx, _angles(180)[17]), (tvk2_ctx, _angles(180)[161])]
@@ -356,6 +375,66 @@ def test_psi_star_matches_complex_log(tvk2_ctx):
         want = _psi_per_direction(ctx, r, u)
         assert np.max(np.abs(profile.psi_star(r) - want)) <= 1e-13
         assert np.max(np.abs(profile.abs_psi(r) - np.abs(want))) <= 1e-13
+    # the stacked kernel the K = 2 oracle calls, on every direction it uses
+    _assert_stack_matches_complex_log(tvk2_ctx, _angles(180))
+    off_span = _off_span_context()
+    assert off_span.joint is None
+    _assert_stack_matches_complex_log(off_span, _angles(36))
+
+
+def test_series_terms_meet_remainder_bound():
+    for n in (1, 48, 512, 2048):
+        L = _series_terms(n)
+        assert n * 2.0**-L / L <= 1e-16 < n * 2.0 ** -(L - 1) / (L - 1)
+
+
+def test_psi_star_keeps_radius_shape():
+    profile = RadialProfile(CTX, np.array([1.0]))
+    r = np.linspace(0.0, 12.0, 12).reshape(3, 4)
+    assert profile.psi_star(r).shape == (3, 4)
+    assert abs(profile.psi_star(r)[1, 2] - profile.psi_star(r[1, 2])) <= 1e-15
+
+
+def test_invert_cf_batch_rows_match_single_rows():
+    ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
+    profiles = [RadialProfile(ctx2, u) for u in _angles(3)]
+    sgrid = np.arange(-12.5, 12.51, 0.02)
+    batch = invert_cf_1d(lambda r: np.stack([p.psi_star(r) * r for p in profiles]), 12.0, sgrid)
+    assert batch.shape == (3, len(sgrid))
+    for row, p in zip(batch, profiles):
+        single = invert_cf_1d(lambda r: p.psi_star(r) * r, 12.0, sgrid)
+        assert np.max(np.abs(row - single)) <= 1e-15
+
+
+# tv_oracle(tvk2_ctx) of the per-direction implementation (one CubicSpline
+# per direction, log1p/arctan at every radius) that the chunked one replaced
+TVK2_REFERENCE = 0.03087332983406386
+# its tracemalloc peak over tv_oracle(tvk2_ctx), smallest of three runs
+# (numpy 2.4.6, scipy 1.17.1; the largest was 17,150,655 bytes)
+TVK2_REFERENCE_PEAK = 17_088_107
+
+
+def test_tv_oracle_k2_matches_reference(tvk2_ctx):
+    assert abs(tv_oracle(tvk2_ctx) - TVK2_REFERENCE) <= 1e-10 * TVK2_REFERENCE
+
+
+def test_tv_oracle_k2_memory_peak(tvk2_ctx):
+    assert tvk2_ctx.joint is not None  # cached before tracing starts
+    tracemalloc.start()
+    try:
+        tv_oracle(tvk2_ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TVK2_REFERENCE_PEAK
+
+
+def test_tv_oracle_k2_rejects_projections_beyond_slice_grid():
+    ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
+    gaussian = lambda r, u: np.exp(-0.5 * r**2)
+    # grid [-1, 2]: projections reach 2 sqrt(2) > smax = sqrt(2) + 1
+    with pytest.raises(PreconditionError, match="slice grid"):
+        tv_oracle(ctx2, x_max=1.0, dx=3.0, cf_override=gaussian)
 
 
 def _truncation_quad(modulus, tol_tail=1e-8):
