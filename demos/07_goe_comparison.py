@@ -29,8 +29,8 @@ def main():
         state = ExperimentState.build(
             basis, loc, theta=theta, rng=make_rng(cfg.seed, stream=11_000_000)
         )
-        w_dense = whitening_matrix(fv, basis, cfg.rho_star, grid=grid)
-        cmp = goe_connection(state, w_dense, gamma=sched.gamma)
+        w = whitening_matrix(fv, basis, cfg.rho_star, grid=grid)
+        cmp = goe_connection(state, w, gamma=sched.gamma)
         gap_ok = cmp.dictionary_gap_check.passed
         print(
             f"  {n:>5} {basis.K:>3} {cmp.kl:>12.6f} {cmp.bound_sum:>12.6f} {str(gap_ok):>12}"

@@ -10,11 +10,13 @@ eigenpairs come from ``eig_banded``.
 
 A symmetric wrapped band of half-width w has A[i, l] = 0 unless the cyclic
 distance min(|i - l|, n - |i - l|) is at most w, with 2w < n; the cyclic
-dictionary sums and the whitening matrix W are of this kind.  Reordering the
-indices as 0, n-1, 1, n-2, ... turns it into a plain band of half-width
-2w with the same spectrum and Frobenius norm (``wrapped_band``),
+dictionary sums and the whitening matrix W are of this kind.  It is held as
+its wrapped diagonals, ``wd[j, i] = A[(i + j) mod n, i]`` for ``j = 0..w``.
+Reordering the indices as 0, n-1, 1, n-2, ... turns it into a plain band of
+half-width 2w with the same spectrum and Frobenius norm (``wrapped_band``),
 so ``band_extremes`` applies; ``wrapped_matmul`` multiplies it from its
-wrapped diagonals without forming the reordered matrix.
+wrapped diagonals without forming the reordered matrix.  An n x n array is
+formed from either storage only by ``band_to_dense`` and ``wrapped_to_dense``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
 from .errors import PreconditionError, SingularMatrixError
 
-# Matrices are materialized densely; keep studies within this edge length.
+# Largest edge of an n x n array formed from band storage (band_to_dense,
+# wrapped_to_dense) or built dense (theta, the cyclic dictionary elements).
 DENSE_N_MAX = 4096
 
 SYM_RTOL = 1e-12
@@ -36,16 +39,17 @@ def check_size(n):
 
 
 def check_symmetric(a, tol=1e-10, what="matrix"):
-    """max |A - A^T|; raises unless it is <= tol max(1, max |A|).
+    """max |A - A^T|; raises unless it is finite and <= tol max(1, max |A|).
 
-    One n x n temporary.
+    A NaN or infinite entry makes the deviation NaN or infinite, so it
+    raises too.  One n x n temporary.
     """
     if not a.size:
         return 0.0
     dev = a - a.T
     np.abs(dev, out=dev)
     dev = float(dev.max())
-    if dev > tol * max(1.0, float(a.max()), -float(a.min())):
+    if not (np.isfinite(dev) and dev <= tol * max(1.0, float(a.max()), -float(a.min()))):
         raise PreconditionError(f"{what} is not symmetric (max deviation {dev:.3e})")
     return dev
 
@@ -135,6 +139,7 @@ def eig_range(a):
 def band_to_dense(ab):
     """Dense symmetric matrix from lower band storage."""
     n = ab.shape[1]
+    check_size(n)
     out = np.zeros((n, n))
     i = np.arange(n)
     for j in range(ab.shape[0]):
@@ -201,47 +206,48 @@ def band_matmul(ab, x):
     return out
 
 
-def _wrapped_diagonals(a, j):
-    """(A[i + j, i] for i < n - j, A[i, i + j - n] for i >= n - j): the wrapped
-    diagonal at offset j as two views of the lower triangle."""
-    n = a.shape[0]
-    return np.diagonal(a, -j), np.diagonal(a, j - n)
+def wrapped_to_dense(wd):
+    """Dense symmetric matrix from its wrapped diagonals (2w < n)."""
+    w, n = wd.shape[0] - 1, wd.shape[1]
+    check_size(n)
+    out = np.zeros((n, n))
+    i = np.arange(n)
+    for j in range(w + 1):
+        out[(i + j) % n, i] = wd[j]
+        out[i, (i + j) % n] = wd[j]
+    return out
 
 
-def wrapped_band(a, width, what="matrix"):
-    """Lower band storage of P A P^T for a dense symmetric wrapped band A of
-    half-width width, where P reorders the indices as 0, n-1, 1, n-2, ...
+def wrapped_band(wd):
+    """Lower band storage of P A P^T for the symmetric wrapped band A held as
+    wrapped diagonals wd, where P reorders the indices as 0, n-1, 1, n-2, ...
 
-    The reordered matrix is a plain band of half-width 2 width (< n) with
-    the spectrum and Frobenius norm of A.  The band is filled from the
-    wrapped diagonals of A's lower triangle; an entry outside the wrapped
-    band raises, as in dense_to_band, without an n x n temporary.
+    The reordered matrix is a plain band of half-width 2w (< n) with the
+    spectrum and Frobenius norm of A.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if 2 * width >= n:
-        raise PreconditionError(f"{what}: wrapped half-width {width} needs n > {2 * width}")
-    offsets = [0] + [o for j in range(1, width + 1) for o in (j, -j, n - j, j - n)]
-    if np.count_nonzero(a) > sum(np.count_nonzero(np.diagonal(a, o)) for o in offsets):
-        raise PreconditionError(f"{what} has entries outside wrapped half-width {width}")
+    w, n = wd.shape[0] - 1, wd.shape[1]
+    # the diagonals j and n - j of A must be distinct
+    if 2 * w >= n:
+        raise PreconditionError(f"wrapped half-width {w} needs n > {2 * w}")
     # position of index i in the order 0, n-1, 1, n-2, ...
     i = np.arange(n)
     pos = np.where(i < (n + 1) // 2, 2 * i, 2 * (n - 1 - i) + 1)
-    ab = np.zeros((2 * width + 1, n))
-    ab[0, pos] = np.diagonal(a)
-    for j in range(1, width + 1):
+    ab = np.zeros((2 * w + 1, n))
+    ab[0, pos] = wd[0]
+    for j in range(1, w + 1):
         q = pos[(i + j) % n]
-        ab[np.abs(pos - q), np.minimum(pos, q)] = np.concatenate(_wrapped_diagonals(a, j))
+        ab[np.abs(pos - q), np.minimum(pos, q)] = wd[j]
     return ab
 
 
-def wrapped_matmul(a, width, x):
-    """A @ x for a dense symmetric wrapped band A of half-width width and a
-    dense x, read from A's wrapped diagonals (2 width < n)."""
-    n = a.shape[0]
-    out = np.diagonal(a)[:, None] * x
-    for j in range(1, width + 1):
-        inner, corner = (d[:, None] for d in _wrapped_diagonals(a, j))
+def wrapped_matmul(wd, x):
+    """A @ x for the symmetric wrapped band A held as wrapped diagonals wd
+    and a dense x."""
+    n = wd.shape[1]
+    out = wd[0][:, None] * x
+    for j in range(1, wd.shape[0]):
+        # A[i + j, i] for i < n - j, then A[i + j - n, i] = A[i, i + j - n]
+        inner, corner = wd[j, : n - j][:, None], wd[j, n - j :][:, None]
         out[j:] += inner * x[: n - j]
         out[: n - j] += inner * x[j:]
         out[n - j :] += corner * x[:j]

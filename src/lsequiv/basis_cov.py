@@ -123,13 +123,12 @@ class BasisSystem:
 
     M_k is symmetric with one band at offset j2 = offsets[k]: its values
     bands[k, :n - j2] sit at (i, i + j2) and, mirrored, at (i + j2, i).  The
-    raw matrices are raw_norms[k] * M_k.  Every operation reads the bands;
-    the dense stack mats and the cyclic companion mcheck are built lazily,
-    for oracles and exports only.
+    raw matrices are raw_norms[k] * M_k.  Every operation reads the bands, so
+    n is not capped here; the dense views mat, mats, combine and mcheck, built
+    lazily for oracles and exports, raise past DENSE_N_MAX.
     """
 
     def __init__(self, n: int, k1: int, k2: int):
-        check_size(n)
         if not (k1 < n / 4 and k2 < n / 4):
             raise PreconditionError(f"need k1, k2 < n/4, got ({k1},{k2}) at n={n}")
         self.n = n

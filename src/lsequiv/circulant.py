@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_size
+from ._linalg import check_size, wrapped_to_dense
 from .errors import AccuracyError, ConfigurationError, PreconditionError, RangeError
 from .spectral import POS, BasisIndex, basis_norm, enumerate_indices
 
@@ -332,27 +332,28 @@ def real_function_table(n: int, idx: BasisIndex) -> FourierFunction:
     return fn
 
 
-def mcheck_element(n: int, idx: BasisIndex) -> np.ndarray:
-    """Real symmetric image of one basis function, squared norm n/(2 pi).
+def mcheck_diagonal(n: int, idx: BasisIndex) -> np.ndarray:
+    """Wrapped diagonal j2 of mcheck_element(n, idx): its entries A[(i + j2) mod n, i].
 
-    Filled directly with the cosine form of the symmetric-convention
-    combination, which is exactly symmetric including wrapped entries.
+    The cosine form of the symmetric-convention combination; the element
+    has no other nonzero wrapped diagonal.
     """
-    check_size(n)
     nrm = basis_norm(idx)
     j, j2 = idx.j, idx.j2
-    out = np.zeros((n, n))
     i = np.arange(n)
     trig = np.cos if idx.parity == POS else np.sin
     if j2 == 0:
-        out[i, i] = nrm * trig(math.pi * j * 2 * i / n)
-        return out
+        return nrm * trig(math.pi * j * 2 * i / n)
     if 2 * j2 >= n:
         raise PreconditionError("band offset too large for size")
-    vals = 0.5 * nrm * trig(math.pi * j * (2 * i + j2) / n)
-    out[i, (i + j2) % n] = vals
-    out[(i + j2) % n, i] = vals
-    return out
+    return 0.5 * nrm * trig(math.pi * j * (2 * i + j2) / n)
+
+
+def mcheck_element(n: int, idx: BasisIndex) -> np.ndarray:
+    """Real symmetric image of one basis function, squared norm n/(2 pi), dense."""
+    wd = np.zeros((idx.j2 + 1, n))
+    wd[idx.j2] = mcheck_diagonal(n, idx)
+    return wrapped_to_dense(wd)
 
 
 def mcheck_via_psi(n: int, idx: BasisIndex, tol: float = 1e-10) -> np.ndarray:
@@ -373,22 +374,17 @@ def build_mcheck_basis(n: int, k1: int, k2: int) -> np.ndarray:
     scale = math.sqrt(TWO_PI / n)
     out = np.empty((len(indices), n, n))
     for pos, idx in enumerate(indices):
-        mat = scale * mcheck_element(n, idx)
-        if not np.array_equal(mat, mat.T):
-            raise AccuracyError("mcheck element lost exact symmetry")
-        out[pos] = mat
+        out[pos] = scale * mcheck_element(n, idx)
     return out
 
 
 def psi_inverse_real(n: int, indices, coeffs) -> np.ndarray:
-    """Real symmetric matrix for a real-coefficient basis expansion in index order."""
-    out = np.zeros((n, n))
+    """Real symmetric matrix for a real-coefficient basis expansion in index order,
+    as wrapped diagonals of half-width max j2 (see _linalg)."""
+    out = np.zeros((max((idx.j2 for idx in indices), default=0) + 1, n))
     for idx, c in zip(indices, coeffs):
         if c != 0.0:
-            elem = mcheck_element(n, idx)
-            elem *= float(c)
-            out += elem
-            del elem  # so the next element is not allocated beside it
+            out[idx.j2] += float(c) * mcheck_diagonal(n, idx)
     return out
 
 

@@ -25,7 +25,6 @@ from ._linalg import (
     band_matmul,
     band_to_dense,
     check_symmetric,
-    dense_to_band,
     eig_range,
     frob,
     spectral_norm,
@@ -39,7 +38,6 @@ from .errors import (
     ConfigurationError,
     LocalizationError,
     PreconditionError,
-    SingularMatrixError,
 )
 from .report import CheckResult
 from .rng import make_rng
@@ -117,37 +115,28 @@ def contraction_bound(c_band, delta_band) -> float:
     return max(-d_lo, d_hi) / c_lo if c_lo > 0.0 else math.inf
 
 
-def localized_inverse(c_band, delta_band, error=SingularMatrixError, what="C"):
-    """(C^{-1}, P = C^{-1} Delta C^{-1}) from one banded Cholesky of C, one
-    band-times-dense product and one banded solve; symmetric to rounding.
+def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
+    """(C, Delta, (C^{-1}, P), B) for the revealed coefficients alpha + eta.
 
-    A C that is not positive definite raises error.
-    """
-    factor = band_cholesky(c_band, error=error, what=what)
-    c_inv = band_cho_inv(factor)
-    return c_inv, cho_solve_banded((factor, True), band_matmul(delta_band, c_inv))
-
-
-def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem, inverse=None):
-    """(C, Delta, B) for the revealed coefficients alpha + eta, B = C^{-1} + P.
-
-    C must be positive definite and the relative perturbation C^{-1} Delta
-    must be a spectral contraction; both failures raise a localization error
-    so Monte Carlo drivers can count them.  C is factored banded, unless
-    inverse, the localized_inverse of this C and Delta, is given.  The
-    contraction passes when |Delta|_2 / min eig(C) < 1; only otherwise is
-    |C^{-1} Delta|_2 computed exactly, so every decision is the exact one.
+    C = sum (alpha + eta)_k M_k and Delta = C - C_theta are returned in lower
+    band storage.  C is factored once, banded; C^{-1} and P = C^{-1} Delta
+    C^{-1} come from that factor, one band-times-dense product and one
+    banded solve, symmetric to rounding, and B = C^{-1} + P.  C must be
+    positive definite and the relative perturbation C^{-1} Delta must be a
+    spectral contraction; both failures raise a localization error so Monte
+    Carlo drivers can count them.  The contraction passes when
+    |Delta|_2 / min eig(C) < 1; only otherwise is |C^{-1} Delta|_2 computed
+    exactly, so every decision is the exact one.
     """
     alpha_theta = np.asarray(alpha_theta, dtype=float)
     eta_tilde = np.asarray(eta_tilde, dtype=float)
     c_band = basis.band(alpha_theta + eta_tilde)
     delta_band = c_band - basis.band(alpha_theta)
-    if inverse is None:
-        inverse = localized_inverse(c_band, delta_band, LocalizationError, "localized C")
-    c_inv, p = inverse
-    delta = band_to_dense(delta_band)
+    factor = band_cholesky(c_band, error=LocalizationError, what="localized C")
+    c_inv = band_cho_inv(factor)
+    p = cho_solve_banded((factor, True), band_matmul(delta_band, c_inv))
     if contraction_bound(c_band, delta_band) >= 1.0:
-        contraction = spectral_norm(c_inv @ delta)
+        contraction = spectral_norm(c_inv @ band_to_dense(delta_band))
         if contraction >= 1.0:
             raise LocalizationError(
                 f"perturbation not a contraction (|C^-1 Delta|_sp = {contraction:.3g})"
@@ -156,7 +145,7 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem, inverse=None):
     b_theta = c_inv + p
     b_theta += b_theta.T
     b_theta *= 0.5
-    return band_to_dense(c_band), delta, b_theta
+    return c_band, delta_band, (c_inv, p), b_theta
 
 
 def pilot_alpha(x, basis: BasisSystem) -> np.ndarray:
@@ -175,26 +164,21 @@ def sufficient_T(x, c_mat, basis: BasisSystem) -> np.ndarray:
     return basis.quad_form(y)
 
 
-def gaussian_summaries(c_theta, c_mat, basis: BasisSystem, alpha_theta=None, inverse=None):
+def gaussian_summaries(c_theta_band, inverse, basis: BasisSystem, alpha_theta=None):
     """(d, Gamma_theta, Gamma, Gamma_tilde_theta) for the summary experiments.
 
     With H = C^{-1} C_theta C^{-1}, all four come from trace identities on
     the band profiles: d_k = <H, M_k>, Gamma_kl = 2 tr(C^{-1} M_k C^{-1} M_l),
     Gamma_theta,kl = 2 tr(H M_k H M_l) and Gamma_tilde_kl = 2 tr(C_theta^{-1}
-    M_k C_theta^{-1} M_l).  No matrix square root is taken.  C and C_theta
-    must be banded within half-width k2; both are factored banded, and
-    H = C^{-1} - P with P = C^{-1} (C - C_theta) C^{-1}.  A given inverse,
-    the localized_inverse of C and C - C_theta, saves factoring C.  The
-    matrices are symmetric by construction; positive semidefiniteness holds
-    in exact arithmetic (each is a Gram matrix) but is not enforced
-    numerically.  When alpha_theta is supplied (meaning c_theta is exactly
-    its combination), the identity d = Gamma alpha / 2 is enforced to 1e-8
-    relative.
+    M_k C_theta^{-1} M_l).  No matrix square root is taken.  C_theta is given
+    in lower band storage and factored banded; inverse is the pair
+    (C^{-1}, P) of build_localized_C, with P = C^{-1} (C - C_theta) C^{-1}, so
+    H = C^{-1} - P.  The matrices are symmetric by construction; positive
+    semidefiniteness holds in exact arithmetic (each is a Gram matrix) but is
+    not enforced numerically.  When alpha_theta is supplied (meaning C_theta
+    is exactly its combination), the identity d = Gamma alpha / 2 is enforced
+    to 1e-8 relative.
     """
-    c_theta_band = dense_to_band(c_theta, basis.k2, what="C_theta")
-    if inverse is None:
-        c_band = dense_to_band(c_mat, basis.k2, what="C")
-        inverse = localized_inverse(c_band, c_band - c_theta_band)
     c_inv, p = inverse
     h = c_inv - p
     d_vec = basis.project(h)
@@ -243,16 +227,20 @@ def goe_sample(n: int, rng) -> np.ndarray:
 
 @dataclass
 class ExperimentState:
-    """Everything the chain of samplers needs, built once and frozen."""
+    """Everything the chain of samplers needs, built once and frozen.
+
+    C_theta, C and Delta = C - C_theta are held in lower band storage; c_theta,
+    c_mat and delta are dense views of them, formed on each read.
+    """
 
     n: int
     basis: BasisSystem
     alpha_theta: np.ndarray
     eta_tilde: np.ndarray
     theta: np.ndarray
-    c_theta: np.ndarray
-    c_mat: np.ndarray
-    delta: np.ndarray
+    c_theta_band: np.ndarray
+    c_band: np.ndarray
+    delta_band: np.ndarray
     b_theta: np.ndarray
     d_vec: np.ndarray
     gamma_theta: np.ndarray
@@ -263,6 +251,18 @@ class ExperimentState:
     @property
     def K(self) -> int:
         return self.basis.K
+
+    @property
+    def c_theta(self) -> np.ndarray:
+        return band_to_dense(self.c_theta_band)
+
+    @property
+    def c_mat(self) -> np.ndarray:
+        return band_to_dense(self.c_band)
+
+    @property
+    def delta(self) -> np.ndarray:
+        return band_to_dense(self.delta_band)
 
     @classmethod
     def build(
@@ -289,18 +289,14 @@ class ExperimentState:
         if alpha_theta is None:
             alpha_theta = basis.project(theta)
         alpha_theta = np.asarray(alpha_theta, dtype=float)
-        c_theta = basis.combine(alpha_theta)
+        c_theta_band = basis.band(alpha_theta)
         if theta is None:
-            theta = c_theta
+            theta = band_to_dense(c_theta_band)
         eta = sample_truncated_noise(cfg, basis.K, rng)
         # one banded Cholesky of C serves the localization and the summaries
-        c_band = basis.band(alpha_theta + eta)
-        inverse = localized_inverse(
-            c_band, c_band - basis.band(alpha_theta), LocalizationError, "localized C"
-        )
-        c_mat, delta, b_theta = build_localized_C(alpha_theta, eta, basis, inverse=inverse)
+        c_band, delta_band, inverse, b_theta = build_localized_C(alpha_theta, eta, basis)
         d_vec, gamma_theta, gamma, gamma_tilde = gaussian_summaries(
-            c_theta, c_mat, basis, alpha_theta=alpha_theta, inverse=inverse
+            c_theta_band, inverse, basis, alpha_theta=alpha_theta
         )
         return cls(
             n=basis.n,
@@ -308,9 +304,9 @@ class ExperimentState:
             alpha_theta=alpha_theta,
             eta_tilde=eta,
             theta=theta,
-            c_theta=c_theta,
-            c_mat=c_mat,
-            delta=delta,
+            c_theta_band=c_theta_band,
+            c_band=c_band,
+            delta_band=delta_band,
             b_theta=b_theta,
             d_vec=d_vec,
             gamma_theta=gamma_theta,
@@ -320,15 +316,16 @@ class ExperimentState:
         )
 
     def summary(self) -> dict:
+        c_mat, delta = self.c_mat, self.delta
         lo_t, hi_t = eig_range(self.c_theta)
-        lo_c, hi_c = eig_range(self.c_mat)
+        lo_c, hi_c = eig_range(c_mat)
         return {
             "n": self.n,
             "K": self.K,
             "eig_c_theta": [lo_t, hi_t],
             "eig_c": [lo_c, hi_c],
-            "delta_frob": frob(self.delta),
-            "contraction": spectral_norm(np.linalg.solve(self.c_mat, self.delta)),
+            "delta_frob": frob(delta),
+            "contraction": spectral_norm(np.linalg.solve(c_mat, delta)),
             "eta_norm": float(np.linalg.norm(self.eta_tilde)),
             "truncation_budget": self.config.truncation_budget(self.K),
         }
@@ -430,17 +427,18 @@ def likelihood_affinity_check(state: ExperimentState, reps: int, rng) -> CheckRe
     the residual must vanish and the slopes must match -<Delta, M_k>/2.
     """
     k_count = state.K
+    c_mat = state.c_mat
     b_inv = sym_inv(state.b_theta)
     sign_b, logdet_b = np.linalg.slogdet(b_inv)
-    sign_c, logdet_c = np.linalg.slogdet(state.c_mat)
+    sign_c, logdet_c = np.linalg.slogdet(c_mat)
     if sign_b <= 0 or sign_c <= 0:
         raise PreconditionError("covariances must be positive definite")
     # every draw shares C, so both solves are factored once for all draws
     try:
-        c_chol, b_chol = cho_factor(state.c_mat), cho_factor(b_inv)
+        c_chol, b_chol = cho_factor(c_mat), cho_factor(b_inv)
     except np.linalg.LinAlgError:
         raise PreconditionError("covariances must be positive definite")
-    xs = _gaussian_rows(state.c_mat, reps, rng)
+    xs = _gaussian_rows(c_mat, reps, rng)
     c_solved = cho_solve(c_chol, xs.T).T
     b_solved = cho_solve(b_chol, xs.T).T
     draws = np.ones((reps, k_count + 1))

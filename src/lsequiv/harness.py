@@ -331,8 +331,8 @@ def whitening_matrix(f_hat, basis: BasisSystem, rho_star: float, s_star: float =
     """Circulant-type proxy for the inverse covariance root.
 
     Projects 1/sqrt(f_hat) onto the window, then pulls the projection back
-    through the symmetric-map inverse; |W / sqrt(2 pi)| plays the role of
-    C^{-1/2} in the ensemble comparison.
+    through the symmetric-map inverse, as k2 + 1 wrapped diagonals;
+    |W / sqrt(2 pi)| plays the role of C^{-1/2} in the ensemble comparison.
     """
     proj = inv_sqrt_projection(f_hat, basis.indices, rho_star, s_star=s_star, grid=grid)
     return psi_inverse_real(basis.n, proj.indices, proj.coeffs)
@@ -532,8 +532,8 @@ def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> Verificatio
         out += gamma_variants(drift.f_hat, proj, basis, grid=grid).defect_checks
 
     with _timed(report, timings) as out:
-        w_dense = psi_inverse_real(n, proj.indices, proj.coeffs)
-        comparison = goe_connection(state, w_dense, gamma=sched.gamma)
+        w = psi_inverse_real(n, proj.indices, proj.coeffs)
+        comparison = goe_connection(state, w, gamma=sched.gamma)
         out += [comparison.bound_check, comparison.dictionary_gap_check]
 
     # hard admissibility constraint of the schedule
@@ -655,8 +655,8 @@ def run_equivalence_chain(cfg: RunConfig):
             def goe_stage():
                 obs = simulate_wn(f, n, rng=make_rng(cfg.seed, stream=12_000_000 + n), grid=grid)
                 pilot = pilot_estimate(obs, indices=basis.indices, f=f, grid=grid)
-                w_dense = whitening_matrix(pilot.density, basis, cfg.rho_star, grid=grid)
-                return goe_connection(state, w_dense, gamma=sched.gamma).kl
+                w = whitening_matrix(pilot.density, basis, cfg.rho_star, grid=grid)
+                return goe_connection(state, w, gamma=sched.gamma).kl
 
             row["goe_kl"] = _stage(errors, "goe", goe_stage)
 

@@ -18,8 +18,6 @@ import numpy as np
 from ._linalg import (
     band_extremes,
     band_matmul,
-    check_symmetric,
-    dense_to_band,
     frob,
     guarded_band_eig,
     sym_abs,
@@ -28,6 +26,7 @@ from ._linalg import (
     sym_sqrt,
     wrapped_band,
     wrapped_matmul,
+    wrapped_to_dense,
 )
 from .circulant import (
     CirculantElement,
@@ -451,11 +450,6 @@ class GammaVariants:
     w_elem: CirculantElement
     defect_checks: list = field(default_factory=list)
 
-    @property
-    def w_dense(self) -> np.ndarray:
-        """The matrix counterpart W of the projected inverse root, dense."""
-        return self.w_elem.to_matrix().real
-
 
 # empirical headroom over the K^2/n^2 + K^4/n^4 defect budget
 DEFECT_BUDGET_CONST = 200.0
@@ -560,16 +554,16 @@ class GoeComparison:
         return self.b1 + self.b2 + self.b3
 
 
-def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
+def goe_connection(state, w, gamma=None) -> GoeComparison:
     """Compare the circulant-shift ensemble with the whitened-shift one.
 
     kl is the exact Kullback-Leibler divergence
     | |W/sqrt(2 pi)| Dcheck |W/sqrt(2 pi)| - C^{-1/2} D C^{-1/2} |_F^2 / 4;
     b1 + b2 + b3 is its three-term upper bound, certified to dominate.
-    C and Delta are read as bands of half-width k2: C^{-1/2} comes from a
+    C and Delta are read from the state's bands: C^{-1/2} comes from a
     banded eigendecomposition and |Delta|_2 from its extreme eigenvalues.
-    W and Dcheck must be wrapped bands of half-width k2 (as every cyclic
-    expansion on the basis window is); their spectral norms come from the
+    W and Dcheck are k2 + 1 wrapped diagonals (see _linalg), as is every
+    cyclic expansion on the basis window; their spectral norms come from the
     extreme eigenvalues of the reordered bands.  A positive definite W is
     its own |W|, and |W| Dcheck |W| is two wrapped-band products; only an
     indefinite W takes |W| from a dense eigendecomposition.  The scale
@@ -577,43 +571,48 @@ def goe_connection(state, w_dense, gamma=None) -> GoeComparison:
     """
     basis = state.basis
     n, k2 = basis.n, basis.k2
-    w_dense = np.asarray(w_dense, dtype=float)
-    if w_dense.shape != (n, n):
-        raise PreconditionError("W matrix dimension mismatch")
-    check_symmetric(w_dense, what="W matrix")
-    w_lo, w_hi = band_extremes(wrapped_band(w_dense, k2, what="W matrix"))
+    w = np.asarray(w, dtype=float)
+    if w.shape != (k2 + 1, n):
+        raise PreconditionError(f"W must be {k2 + 1} wrapped diagonals of length {n}")
+    w_lo, w_hi = band_extremes(wrapped_band(w))
     w_sp = max(-w_lo, w_hi)
     pd = w_lo > 0.0
-    # n x n work arrays are dropped as soon as their stage is done, to bound peak memory
-    abs_w = w_dense if pd else sym_abs(w_dense)[0]
 
-    # one banded decomposition of C gives x = sqrt(2 pi) C^{-1/2} and
-    # |C^{-1/2}|^2 = 1 / min eig(C)
-    delta = state.delta
-    delta_band = dense_to_band(delta, k2, what="Delta")
-    w, v = guarded_band_eig(dense_to_band(state.c_mat, k2, what="C"), require_pd=True)
-    v *= (A_STAR / w) ** 0.25
-    x = v @ v.T
-    del v
-    root_gap_sq = float(frob(abs_w - x) ** 2) / A_STAR
-    whitened_delta = x @ band_matmul(delta_band, x)
-    del x
-
+    # n x n work arrays are formed in this order and dropped as soon as their
+    # stage is done, so that at most four are live at once
     # Dcheck = sum_k eta_k Mcheck_k with Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, basis.indices, scale * state.eta_tilde)
-    dc_lo, dc_hi = band_extremes(wrapped_band(delta_check, k2, what="Dcheck"))
+    dc_lo, dc_hi = band_extremes(wrapped_band(delta_check))
     delta_check_sp = max(-dc_lo, dc_hi)
-    dict_gap_sq = float(frob(delta_check - delta) ** 2)
-    gap = wrapped_matmul(delta_check, k2, abs_w)
-    del delta_check
-    gap = wrapped_matmul(w_dense, k2, gap) if pd else abs_w @ gap
+    dict_gap = wrapped_to_dense(delta_check)
+    dict_gap -= state.delta
+    dict_gap_sq = float(frob(dict_gap) ** 2)
+    del dict_gap
+
+    abs_w = wrapped_to_dense(w) if pd else sym_abs(wrapped_to_dense(w))[0]
+    # one banded decomposition of C gives x = sqrt(2 pi) C^{-1/2} and
+    # |C^{-1/2}|^2 = 1 / min eig(C)
+    c_eig, v = guarded_band_eig(state.c_band, require_pd=True)
+    v *= (A_STAR / c_eig) ** 0.25
+    x = v @ v.T
+    del v
+    root_gap_sq = float(frob(abs_w - x) ** 2) / A_STAR
+    whitened_delta = x @ band_matmul(state.delta_band, x)
+    del x
+
+    gap = wrapped_matmul(delta_check, abs_w)
+    if pd:
+        del abs_w
+        gap = wrapped_matmul(w, gap)
+    else:
+        gap = abs_w @ gap
     gap -= whitened_delta
     kl = float(frob(gap) ** 2 / (4.0 * A_STAR**2))
 
     w_sp_sq = w_sp**2
-    cis_sp_sq = float(1.0 / np.min(w))
-    delta_sp = max(abs(e) for e in band_extremes(delta_band))
+    cis_sp_sq = float(1.0 / np.min(c_eig))
+    delta_sp = max(abs(e) for e in band_extremes(state.delta_band))
     b1 = 3.0 / A_STAR * root_gap_sq * delta_check_sp**2 * w_sp_sq
     b2 = 3.0 / A_STAR * cis_sp_sq * dict_gap_sq * w_sp_sq
     b3 = 3.0 * cis_sp_sq * delta_sp**2 * root_gap_sq

@@ -33,6 +33,7 @@ from lsequiv.cltcheck import (
 from lsequiv.gaussianize import (
     ExperimentState,
     LocalizationConfig,
+    build_localized_C,
     gaussian_summaries,
     goe_sample,
     pilot_risk_bound,
@@ -93,8 +94,8 @@ def test_criterion_01_exact_algebra():
         # drift identity d = Gamma alpha / 2 of the summary experiment
         theta = build_theta(random_density(3, 3, make_rng(n, stream=81)), n)
         alpha = basis.project(theta.entries)
-        c_theta = basis.combine(alpha)
-        d, _, g_mat, _ = gaussian_summaries(c_theta, c_theta, basis, alpha_theta=alpha)
+        _, _, inverse, _ = build_localized_C(alpha, np.zeros(basis.K), basis)
+        d, _, g_mat, _ = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
         rel = np.linalg.norm(d - 0.5 * g_mat @ alpha) / np.linalg.norm(d)
         assert rel <= 1e-8
 

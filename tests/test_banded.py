@@ -27,6 +27,7 @@ from lsequiv._linalg import (
     dense_to_band,
     wrapped_band,
     wrapped_matmul,
+    wrapped_to_dense,
 )
 from lsequiv.basis_cov import build_basis, build_theta, presmoothing_residual
 from lsequiv.circulant import psi_inverse_real
@@ -36,7 +37,6 @@ from lsequiv.gaussianize import (
     LocalizationConfig,
     build_localized_C,
     contraction_bound,
-    gaussian_summaries,
 )
 from lsequiv.harness import CHAIN_HEADER, RunConfig, run_equivalence_chain
 from lsequiv.rng import make_rng
@@ -88,15 +88,18 @@ def test_band_helpers_match_dense():
 
 
 def _wrapped_case(n, width, seed):
-    """A random dense symmetric wrapped band of half-width width."""
+    """(wrapped diagonals, dense matrix) of a random symmetric wrapped band of
+    half-width width; the dense one is filled entry by entry."""
     rng = make_rng(seed, stream=76)
+    wd = np.zeros((width + 1, n))
     a = np.zeros((n, n))
     i = np.arange(n)
     for j in range(width + 1):
         vals = rng.standard_normal(n)
+        wd[j] = vals
         a[(i + j) % n, i] = vals
         a[i, (i + j) % n] = vals
-    return a
+    return wd, a
 
 
 def _reorder(n):
@@ -112,8 +115,9 @@ WRAPPED = dict(
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(**WRAPPED)
 def test_wrapped_band_is_reordered_plain_band(n, width, seed):
-    a = _wrapped_case(n, width, seed)
-    ab = wrapped_band(a, width)
+    wd, a = _wrapped_case(n, width, seed)
+    np.testing.assert_array_equal(wrapped_to_dense(wd), a)
+    ab = wrapped_band(wd)
     perm = _reorder(n)
     np.testing.assert_array_equal(ab, dense_to_band(a[np.ix_(perm, perm)], 2 * width))
     w = np.linalg.eigvalsh(a)
@@ -125,25 +129,14 @@ def test_wrapped_band_is_reordered_plain_band(n, width, seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(**WRAPPED)
 def test_wrapped_matmul_matches_dense(n, width, seed):
-    a = _wrapped_case(n, width, seed)
+    wd, a = _wrapped_case(n, width, seed)
     x = make_rng(seed, stream=77).standard_normal((n, 5))
-    assert _rel(wrapped_matmul(a, width, x), a @ x) <= 1e-12
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(**WRAPPED, data=st.data())
-def test_wrapped_band_rejects_entry_outside_band(n, width, seed, data):
-    a = _wrapped_case(n, width, seed)
-    i = data.draw(st.integers(0, n - 1))
-    dist = data.draw(st.integers(width + 1, n // 2))
-    a[i, (i + dist) % n] = a[(i + dist) % n, i] = 1.0
-    with pytest.raises(PreconditionError, match=f"outside wrapped half-width {width}"):
-        wrapped_band(a, width)
+    assert _rel(wrapped_matmul(wd, x), a @ x) <= 1e-12
 
 
 def test_wrapped_band_needs_room_to_wrap():
     with pytest.raises(PreconditionError, match="needs n > 4"):
-        wrapped_band(np.eye(4), 2)
+        wrapped_band(np.zeros((3, 4)))
 
 
 def test_band_cholesky_raises_typed_error():
@@ -168,21 +161,18 @@ def test_band_is_combine(k1, k2):
 def test_build_localized_c_matches_dense(k1, k2):
     basis = build_basis(N, k1, k2)
     alpha, eta = _coeffs(basis, 1)
-    c_mat, delta, b_theta = build_localized_C(alpha, eta, basis)
+    c_band, delta_band, (c_inv, p), b_theta = build_localized_C(alpha, eta, basis)
     c_dense = _dense(basis, alpha + eta)
     delta_dense = c_dense - _dense(basis, alpha)
-    c_inv = np.linalg.inv(c_dense)
-    assert _rel(c_mat, c_dense) <= 1e-12
-    assert _rel(delta, delta_dense) <= 1e-12
-    assert _rel(b_theta, c_inv + c_inv @ delta_dense @ c_inv) <= 1e-12
+    c_inv_dense = np.linalg.inv(c_dense)
+    p_dense = c_inv_dense @ delta_dense @ c_inv_dense
+    assert c_band.shape == delta_band.shape == (k2 + 1, N)
+    assert _rel(band_to_dense(c_band), c_dense) <= 1e-12
+    assert _rel(band_to_dense(delta_band), delta_dense) <= 1e-12
+    assert _rel(c_inv, c_inv_dense) <= 1e-12
+    assert _rel(p, p_dense) <= 1e-12
+    assert _rel(b_theta, c_inv_dense + p_dense) <= 1e-12
     np.testing.assert_array_equal(b_theta, b_theta.T)
-
-
-def test_summaries_reject_matrix_outside_band():
-    basis = build_basis(16, 0, 1)
-    full = np.full((16, 16), 0.01) + np.eye(16)
-    with pytest.raises(PreconditionError, match="outside half-width 1"):
-        gaussian_summaries(full, full, basis)
 
 
 @pytest.mark.parametrize("k1,k2", WINDOWS)
@@ -227,8 +217,9 @@ def test_presmoothing_residual_rejects_indefinite_theta():
         presmoothing_residual(f, theta, basis)
 
 
-def _goe_oracle(state, w_dense):
+def _goe_oracle(state, w):
     """(kl, b1, b2, b3) from the dense formulas the banded ones replaced."""
+    w_dense = wrapped_to_dense(w)
     basis = state.basis
     delta_check = np.tensordot(state.eta_tilde, basis.mcheck, axes=(0, 0))
     w, v = np.linalg.eigh(state.c_mat)
@@ -263,8 +254,8 @@ def _goe_case(k1, k2, n=N, w_spread=0.1):
     return state, psi_inverse_real(n, basis.indices, w_coeffs)
 
 
-def _check_goe_against_oracle(comp, state, w_dense):
-    kl, b1, b2, b3 = _goe_oracle(state, w_dense)
+def _check_goe_against_oracle(comp, state, w):
+    kl, b1, b2, b3 = _goe_oracle(state, w)
     assert comp.kl == pytest.approx(kl, rel=1e-12)
     assert comp.b1 == pytest.approx(b1, rel=1e-12)
     assert comp.b2 == pytest.approx(b2, rel=1e-12)
@@ -274,8 +265,8 @@ def _check_goe_against_oracle(comp, state, w_dense):
 
 @pytest.mark.parametrize("k1,k2", WINDOWS)
 def test_goe_connection_matches_dense(k1, k2):
-    state, w_dense = _goe_case(k1, k2)
-    _check_goe_against_oracle(goe_connection(state, w_dense), state, w_dense)
+    state, w = _goe_case(k1, k2)
+    _check_goe_against_oracle(goe_connection(state, w), state, w)
 
 
 def _counting(monkeypatch, *names):
@@ -294,13 +285,13 @@ def _counting(monkeypatch, *names):
 
 @pytest.mark.parametrize("w_spread,pd", [(0.1, True), (3.0, False)])
 def test_goe_connection_takes_dense_abs_only_for_indefinite_w(monkeypatch, w_spread, pd):
-    state, w_dense = _goe_case(2, 2, w_spread=w_spread)
-    assert (np.linalg.eigvalsh(w_dense)[0] > 0.0) == pd
+    state, w = _goe_case(2, 2, w_spread=w_spread)
+    assert (np.linalg.eigvalsh(wrapped_to_dense(w))[0] > 0.0) == pd
     calls = _counting(monkeypatch, "eigh", "eigvalsh")
-    comp = goe_connection(state, w_dense)
+    comp = goe_connection(state, w)
     assert calls == ([] if pd else ["eigh"])
     monkeypatch.undo()
-    _check_goe_against_oracle(comp, state, w_dense)
+    _check_goe_against_oracle(comp, state, w)
 
 
 def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch):
@@ -324,17 +315,17 @@ def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch):
     row = dict(zip(CHAIN_HEADER, rows[0]))
     assert row["error"] == "" and row["goe_kl"] is not None and row["presmooth_rel"] is not None
     assert seen["goe_connection"][1] == seen["presmoothing_residual"][1] == 0
-    assert np.linalg.eigvalsh(seen["goe_connection"][0][1])[0] > 0.0
+    assert np.linalg.eigvalsh(wrapped_to_dense(seen["goe_connection"][0][1]))[0] > 0.0
 
 
 def test_goe_connection_memory_peak():
     # at most four n x n arrays live at once on the positive definite path
     n = 1024
-    state, w_dense = _goe_case(2, 2, n=n, w_spread=0.02)
-    assert np.linalg.eigvalsh(w_dense)[0] > 0.0
+    state, w = _goe_case(2, 2, n=n, w_spread=0.02)
+    assert np.linalg.eigvalsh(wrapped_to_dense(w))[0] > 0.0
     tracemalloc.start()
     try:
-        goe_connection(state, w_dense)
+        goe_connection(state, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -347,16 +338,16 @@ def test_goe_connection_input_guards():
     state = ExperimentState.build(
         basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha, rng=make_rng(3)
     )
-    w_dense = np.eye(N)
-    w_dense[0, 1] = 1.0
-    with pytest.raises(PreconditionError, match="W matrix is not symmetric"):
-        goe_connection(state, w_dense)
+    # W is held as k2 + 1 = 2 wrapped diagonals; a dense W is the wrong shape
+    with pytest.raises(PreconditionError, match="W must be 2 wrapped diagonals of length 40"):
+        goe_connection(state, np.eye(N))
+    eye = np.zeros((2, N))
+    eye[0] = 1.0
     with pytest.raises(SingularMatrixError, match="not positive definite"):
-        goe_connection(dataclasses.replace(state, c_mat=-state.c_mat), np.eye(N))
+        goe_connection(dataclasses.replace(state, c_band=-state.c_band), eye)
 
 
 def test_state_build_factors_c_once(monkeypatch):
-    # the shared (C^{-1}, P) gives what each public function gives alone
     basis = build_basis(N, 1, 1)
     alpha, _ = _coeffs(basis, 6)
     factored = []
@@ -370,12 +361,6 @@ def test_state_build_factors_c_once(monkeypatch):
         basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha, rng=make_rng(6)
     )
     assert factored == ["localized C", "C_theta"]
-    _, _, b_theta = build_localized_C(state.alpha_theta, state.eta_tilde, basis)
-    np.testing.assert_array_equal(state.b_theta, b_theta)
-    alone = gaussian_summaries(state.c_theta, state.c_mat, basis, alpha_theta=alpha)
-    shared = (state.d_vec, state.gamma_theta, state.gamma, state.gamma_tilde)
-    for got, want in zip(shared, alone):
-        np.testing.assert_array_equal(got, want)
 
 
 def _diagonal_case(delta_scale):
@@ -395,8 +380,8 @@ def test_contraction_bound_falls_back_to_exact():
     basis, alpha, eta = _diagonal_case(2.5)
     c_band = basis.band(alpha + eta)
     bound = contraction_bound(c_band, c_band - basis.band(alpha))
-    c_mat, delta, _ = build_localized_C(alpha, eta, basis)
-    exact = np.linalg.norm(np.linalg.solve(c_mat, delta), 2)
+    c_band, delta_band, _, _ = build_localized_C(alpha, eta, basis)
+    exact = np.linalg.norm(np.linalg.solve(band_to_dense(c_band), band_to_dense(delta_band)), 2)
     assert bound == pytest.approx(10.0, rel=1e-12)
     assert exact == pytest.approx(5.0 / 9.5, rel=1e-12)
 

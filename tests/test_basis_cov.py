@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -267,7 +268,31 @@ def test_band_operations_match_dense(k1, k2):
 
 
 def test_size_and_symmetry_guards_are_typed():
+    # the bands have no size cap; a dense view past DENSE_N_MAX raises
+    big = build_basis(DENSE_N_MAX + 1, 0, 0)
+    assert big.band(np.ones(1)).shape == (1, DENSE_N_MAX + 1)
     with pytest.raises(PreconditionError):
-        build_basis(DENSE_N_MAX + 1, 0, 0)
+        big.combine(np.ones(1))
     with pytest.raises(PreconditionError):
         CovarianceMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.0, math.nan], [math.nan, 1.0]],
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, math.inf], [math.inf, 1.0]],
+        [[1.0, math.inf], [0.0, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+    ],
+)
+def test_covariance_rejects_non_finite_entries(entries, tmp_path):
+    with pytest.raises(PreconditionError, match="not symmetric"):
+        CovarianceMatrix(np.array(entries))
+    path = tmp_path / "cov.bin"
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", 2))
+        fh.write(np.array(entries, dtype="<f8").tobytes())
+    with pytest.raises(PreconditionError, match="not symmetric"):
+        CovarianceMatrix.load_binary(path)

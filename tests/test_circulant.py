@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsequiv._linalg import wrapped_to_dense
 from lsequiv.circulant import (
     CirculantElement,
     FourierFunction,
@@ -14,6 +15,7 @@ from lsequiv.circulant import (
     hom_defect,
     lambda_phase,
     matrix_csv,
+    mcheck_diagonal,
     mcheck_element,
     mcheck_via_psi,
     psi_forward,
@@ -26,7 +28,7 @@ from lsequiv.circulant import (
 )
 from lsequiv.errors import ConfigurationError, PreconditionError, RangeError
 from lsequiv.rng import make_rng
-from lsequiv.spectral import BasisIndex, enumerate_indices
+from lsequiv.spectral import BasisIndex, basis_norm, enumerate_indices
 
 RNG = make_rng(7, stream=20)
 PRODUCT_QUADS = [tuple(int(v) for v in RNG.integers(0, 4, size=4)) for _ in range(12)]
@@ -161,14 +163,64 @@ def test_real_function_table_matches_symmetric_psi():
 def test_psi_inverse_real_constant_density_gives_identity():
     n = 20
     w = psi_inverse_real(n, [BasisIndex("+", 0, 0)], [math.sqrt(2.0 * math.pi)])
-    np.testing.assert_allclose(w, np.eye(n), atol=1e-12)
+    assert w.shape == (1, n)
+    np.testing.assert_allclose(wrapped_to_dense(w), np.eye(n), atol=1e-12)
 
 
 def test_psi_inverse_real_single_mode():
     n = 20
     idx = BasisIndex("-", 1, 1)
     got = psi_inverse_real(n, [idx], [2.5])
-    np.testing.assert_allclose(got, 2.5 * mcheck_element(n, idx), atol=1e-12)
+    assert got.shape == (2, n)
+    np.testing.assert_allclose(wrapped_to_dense(got), 2.5 * mcheck_element(n, idx), atol=1e-12)
+
+
+def _mcheck_element_fill(n, idx):
+    """mcheck_element filled entry by entry from the cosine form (oracle)."""
+    nrm = basis_norm(idx)
+    j, j2 = idx.j, idx.j2
+    out = np.zeros((n, n))
+    i = np.arange(n)
+    trig = np.cos if idx.parity == "+" else np.sin
+    if j2 == 0:
+        out[i, i] = nrm * trig(math.pi * j * 2 * i / n)
+        return out
+    vals = 0.5 * nrm * trig(math.pi * j * (2 * i + j2) / n)
+    out[i, (i + j2) % n] = vals
+    out[(i + j2) % n, i] = vals
+    return out
+
+
+def _dense_expansion(n, indices, coeffs):
+    """sum_k c_k mcheck_element(n, idx_k), accumulated densely in index order (oracle)."""
+    out = np.zeros((n, n))
+    for idx, c in zip(indices, coeffs):
+        if c != 0.0:
+            elem = mcheck_element(n, idx)
+            elem *= float(c)
+            out += elem
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k1=st.integers(0, 3),
+    k2=st.integers(0, 3),
+    n=st.sampled_from([32, 64]),
+    seed=st.integers(0, 2**16),
+)
+def test_psi_inverse_real_wrapped_matches_dense_accumulation(k1, k2, n, seed):
+    indices = enumerate_indices(k1, k2)
+    rng = make_rng(seed, stream=23)
+    coeffs = rng.standard_normal(len(indices)) * (rng.random(len(indices)) < 0.8)
+    wd = psi_inverse_real(n, indices, coeffs)
+    assert wd.shape == (k2 + 1, n)
+    np.testing.assert_array_equal(wrapped_to_dense(wd), _dense_expansion(n, indices, coeffs))
+    for idx in indices:
+        np.testing.assert_array_equal(mcheck_element(n, idx), _mcheck_element_fill(n, idx))
+        np.testing.assert_array_equal(
+            mcheck_diagonal(n, idx), mcheck_element(n, idx)[(np.arange(n) + idx.j2) % n, np.arange(n)]
+        )
 
 
 def test_matrix_csv_layout():
@@ -222,7 +274,9 @@ def test_real_expansion_to_element_matches_mcheck_sum():
     coeffs = make_rng(8, stream=22).standard_normal(len(indices))
     elem = real_expansion_to_element(n, indices, coeffs)
     assert (elem.k1, elem.k2) == (1, 2)
-    np.testing.assert_allclose(elem.to_matrix(), psi_inverse_real(n, indices, coeffs), atol=1e-12)
+    np.testing.assert_allclose(
+        elem.to_matrix(), wrapped_to_dense(psi_inverse_real(n, indices, coeffs)), atol=1e-12
+    )
 
 
 # the twisted-convolution kernel, property-tested against dense matrices and the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lsequiv._linalg import sym_inv, sym_inv_sqrt, sym_sqrt
+from lsequiv._linalg import band_to_dense, sym_inv, sym_inv_sqrt, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.errors import ConfigurationError, LocalizationError, SingularMatrixError
 from lsequiv.gaussianize import (
@@ -93,7 +93,8 @@ def test_truncated_noise_raises_past_the_attempt_cap():
 def test_build_localized_c_identities():
     alpha = BASIS.project(THETA.entries)
     eta = sample_truncated_noise(LOC, BASIS.K, make_rng(1, stream=40))
-    c_mat, delta, b_theta = build_localized_C(alpha, eta, BASIS)
+    c_band, delta_band, _, b_theta = build_localized_C(alpha, eta, BASIS)
+    c_mat, delta = band_to_dense(c_band), band_to_dense(delta_band)
     np.testing.assert_allclose(c_mat, BASIS.combine(alpha + eta), atol=1e-12)
     np.testing.assert_allclose(delta, c_mat - BASIS.combine(alpha), atol=1e-12)
     c_inv = np.linalg.inv(c_mat)
@@ -120,13 +121,36 @@ def test_state_build_consistency():
     )
 
 
+def test_state_dense_views_are_the_band_combinations():
+    c_mat = BASIS.combine(STATE.alpha_theta + STATE.eta_tilde)
+    np.testing.assert_array_equal(STATE.c_theta, BASIS.combine(STATE.alpha_theta))
+    np.testing.assert_array_equal(STATE.c_mat, c_mat)
+    np.testing.assert_array_equal(STATE.delta, c_mat - BASIS.combine(STATE.alpha_theta))
+    # with only alpha given, theta is the in-span combination itself
+    state = ExperimentState.build(BASIS, LOC, alpha_theta=STATE.alpha_theta, rng=make_rng(0))
+    np.testing.assert_array_equal(state.theta, state.c_theta)
+
+
+def test_state_holds_only_theta_and_b_dense():
+    # C_theta, C and Delta are bands; their dense forms are views
+    square = {
+        f.name
+        for f in dataclasses.fields(STATE)
+        if np.shape(getattr(STATE, f.name)) == (N, N)
+    }
+    assert square == {"theta", "b_theta"}
+    for name in ("c_theta_band", "c_band", "delta_band"):
+        assert getattr(STATE, name).shape == (BASIS.k2 + 1, N)
+
+
 def test_summaries_identity_block():
     # K = 1 window: M_0 = I/sqrt(n), so Gamma = 2 I and d = sqrt(n)
     n = 16
     basis1 = build_basis(n, 0, 0)
-    eye = np.eye(n)
+    alpha = np.array([math.sqrt(n)])
+    _, _, inverse, _ = build_localized_C(alpha, np.zeros(1), basis1)
     d, g_theta, g_mat, g_tilde = gaussian_summaries(
-        eye, eye, basis1, alpha_theta=np.array([math.sqrt(n)])
+        basis1.band(alpha), inverse, basis1, alpha_theta=alpha
     )
     np.testing.assert_allclose(g_mat, [[2.0]], atol=1e-12)
     np.testing.assert_allclose(g_theta, [[2.0]], atol=1e-12)
@@ -137,9 +161,10 @@ def test_summaries_identity_block():
 def test_summaries_reject_inconsistent_alpha():
     n = 16
     basis1 = build_basis(n, 0, 0)
-    eye = np.eye(n)
+    eye_band = np.ones((1, n))
+    inverse = (np.eye(n), np.zeros((n, n)))
     with pytest.raises(RuntimeError):
-        gaussian_summaries(eye, eye, basis1, alpha_theta=np.array([1.0]))
+        gaussian_summaries(eye_band, inverse, basis1, alpha_theta=np.array([1.0]))
 
 
 def test_goe_sample_variances():
@@ -231,7 +256,7 @@ def test_affinity_batched_draws_match_per_draw_stream():
 
 
 def test_affinity_check_detects_wrong_slope():
-    tampered = dataclasses.replace(STATE, delta=1.01 * STATE.delta)
+    tampered = dataclasses.replace(STATE, delta_band=1.01 * STATE.delta_band)
     assert not likelihood_affinity_check(tampered, 200, make_rng(3, stream=45)).passed
     assert _affinity_lhs_per_draw(tampered, 200, make_rng(3, stream=45)) > 1e-8
 
@@ -294,10 +319,12 @@ def test_summaries_match_dense_stacks(k1, k2):
     alpha = np.zeros(basis.K)
     alpha[0] = 30.0
     alpha[1:] = 0.5 * rng.standard_normal(basis.K - 1)
+    eta = 0.3 * rng.standard_normal(basis.K)
     c_theta = basis.combine(alpha)
-    c_mat = basis.combine(alpha + 0.3 * rng.standard_normal(basis.K))
+    c_mat = basis.combine(alpha + eta)
     assert not np.array_equal(c_theta, c_mat)
-    got = gaussian_summaries(c_theta, c_mat, basis, alpha_theta=alpha)
+    _, _, inverse, _ = build_localized_C(alpha, eta, basis)
+    got = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
     want = _dense_summaries(c_theta, c_mat, basis)
     for g, w in zip(got, want):
         assert float(np.max(np.abs(g - w)) / np.max(np.abs(w))) <= 1e-12
@@ -308,11 +335,10 @@ def test_summaries_match_dense_stacks(k1, k2):
 def test_summaries_guards():
     n = 16
     basis1 = build_basis(n, 0, 0)
-    eye = np.eye(n)
+    eye_band = np.ones((1, n))
+    inverse = (np.eye(n), np.zeros((n, n)))
     with pytest.raises(LocalizationError):
-        gaussian_summaries(eye, eye, basis1, alpha_theta=np.array([1.0]))
-    indefinite = np.diag(np.r_[-1.0, np.ones(n - 1)])
+        gaussian_summaries(eye_band, inverse, basis1, alpha_theta=np.array([1.0]))
+    indefinite = np.r_[-1.0, np.ones(n - 1)][None, :]
     with pytest.raises(SingularMatrixError):
-        gaussian_summaries(eye, indefinite, basis1)
-    with pytest.raises(SingularMatrixError):
-        gaussian_summaries(indefinite, eye, basis1)
+        gaussian_summaries(indefinite, inverse, basis1)

@@ -11,6 +11,7 @@ import pytest
 import lsequiv
 import lsequiv.cli as cli
 import lsequiv.harness as harness
+from lsequiv._linalg import DENSE_N_MAX, wrapped_to_dense
 from lsequiv.basis_cov import BasisSystem, build_basis
 from lsequiv.cli import main
 from lsequiv.errors import ConfigurationError, PreconditionError, RangeError, SingularMatrixError
@@ -155,12 +156,23 @@ def test_config_density_deterministic_and_in_span():
     assert f.mean_level() == pytest.approx(cfg.density_mean, rel=1e-12)
 
 
+def test_chain_row_past_dense_limit_keeps_band_stages():
+    # the basis holds only bands, so only theta and what needs it hit the limit
+    n = 2 * DENSE_N_MAX
+    _, rows = run_equivalence_chain(RunConfig(n_grid=(n,), replicates=2))
+    row = dict(zip(CHAIN_HEADER, rows[0]))
+    assert row["error"] == "theta:PreconditionError"
+    assert row["pilot_risk_wn"] is not None and row["pilot_risk_wn"] > 0.0
+    assert row["presmooth_rel"] is None and row["summary_kl"] is None and row["goe_kl"] is None
+
+
 def test_whitening_matrix_constant_density_is_identity():
     grid = default_grid()
     basis = build_basis(32, 1, 1)
     ones = np.ones(grid.mesh[0].shape)
     w = whitening_matrix(ones, basis, 0.5, grid=grid)
-    np.testing.assert_allclose(w, np.eye(32), atol=1e-12)
+    assert w.shape == (basis.k2 + 1, 32)
+    np.testing.assert_allclose(wrapped_to_dense(w), np.eye(32), atol=1e-12)
 
 
 def test_run_verify_passes_and_serializes_stably():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lsequiv._linalg import frob, spectral_norm, sym_abs, sym_inv_sqrt
+from lsequiv._linalg import frob, spectral_norm, sym_abs, sym_inv_sqrt, wrapped_to_dense
 from lsequiv.basis_cov import build_basis, build_theta
+from lsequiv.circulant import psi_inverse_real
 from lsequiv.errors import PreconditionError, RangeError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
 from lsequiv.rng import make_rng
@@ -176,7 +177,7 @@ def test_gamma_variants_constant_density():
     gv = gamma_variants(ONES, proj, BASIS)
     np.testing.assert_allclose(gv.gamma_check, np.eye(BASIS.K), atol=1e-12)
     np.testing.assert_allclose(gv.gamma_tilde, np.eye(BASIS.K), atol=1e-12)
-    np.testing.assert_allclose(gv.w_dense, np.eye(N), atol=1e-12)
+    np.testing.assert_allclose(gv.w_elem.to_matrix().real, np.eye(N), atol=1e-12)
     assert gv.gram_gap <= 1e-20
     ids = [c.check_id for c in gv.defect_checks]
     assert ids[: BASIS.K] == [f"circulant-defect-{j}" for j in range(BASIS.K)]
@@ -205,8 +206,8 @@ def test_gram_gap_is_window_functional():
 def test_goe_connection_bound_and_zero_case():
     fv = GridFunction(GRID, DENSITY.on_grid(GRID))
     proj = inv_sqrt_projection(fv, BASIS.indices, 0.5)
-    gv = gamma_variants(fv, proj, BASIS)
-    comp = goe_connection(STATE, gv.w_dense, gamma=3.0)
+    w = psi_inverse_real(N, proj.indices, proj.coeffs)
+    comp = goe_connection(STATE, w, gamma=3.0)
     assert comp.kl > 0.0
     assert comp.bound_check.check_id == "goe-kl-bound"
     assert comp.bound_check.passed
@@ -217,7 +218,7 @@ def test_goe_connection_bound_and_zero_case():
     state0 = ExperimentState.build(
         BASIS, LocalizationConfig(beta=1e-12, gamma=3.0), theta=THETA, rng=make_rng(0, stream=64)
     )
-    comp0 = goe_connection(state0, gv.w_dense, gamma=3.0)
+    comp0 = goe_connection(state0, w, gamma=3.0)
     assert comp0.kl <= 1e-20
 
 
@@ -225,8 +226,9 @@ def test_goe_connection_matches_dense_stacks():
     # oracle: Dcheck and the dictionary gap straight from the (K, n, n) stacks
     fv = GridFunction(GRID, DENSITY.on_grid(GRID))
     proj = inv_sqrt_projection(fv, BASIS.indices, 0.5)
-    w_dense = gamma_variants(fv, proj, BASIS).w_dense
-    comp = goe_connection(STATE, w_dense, gamma=3.0)
+    w = psi_inverse_real(N, proj.indices, proj.coeffs)
+    comp = goe_connection(STATE, w, gamma=3.0)
+    w_dense = wrapped_to_dense(w)
 
     delta_check = np.tensordot(STATE.eta_tilde, BASIS.mcheck, axes=(0, 0))
     ci_sqrt = sym_inv_sqrt(STATE.c_mat)
