@@ -42,11 +42,13 @@ def check_symmetric(a, tol=1e-10, what="matrix"):
     """max |A - A^T|; raises unless it is finite and <= tol max(1, max |A|).
 
     A NaN or infinite entry makes the deviation NaN or infinite, so it
-    raises too.  One n x n temporary.
+    raises too, with no numpy warning (inf - inf is NaN).  One n x n
+    temporary.
     """
     if not a.size:
         return 0.0
-    dev = a - a.T
+    with np.errstate(invalid="ignore"):
+        dev = a - a.T
     np.abs(dev, out=dev)
     dev = float(dev.max())
     if not (np.isfinite(dev) and dev <= tol * max(1.0, float(a.max()), -float(a.min()))):

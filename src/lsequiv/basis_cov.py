@@ -29,7 +29,7 @@ from ._linalg import (
 )
 from .circulant import build_mcheck_basis, mcheck_element
 from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
-from .report import CheckResult, fmt_float
+from .report import CheckResult
 from .spectral import (
     POS,
     BasisIndex,
@@ -58,7 +58,7 @@ def abstract_rho(rho_star: float, safety: float = 0.9) -> float:
 
 @dataclass
 class CovarianceMatrix:
-    """Dense real symmetric covariance with binary and CSV export."""
+    """Dense real symmetric covariance with binary export and import."""
 
     entries: np.ndarray
 
@@ -100,11 +100,6 @@ class CovarianceMatrix:
             raise RangeError("covariance file body does not match header size")
         entries = np.frombuffer(body, dtype="<f8").reshape(n, n).copy()
         return cls(entries)
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            for row in self.entries:
-                fh.write(",".join(fmt_float(v) for v in row) + "\r\n")
 
 
 def _band_profile(idx: BasisIndex, n: int) -> np.ndarray:
@@ -245,10 +240,6 @@ class BasisSystem:
             self._spectral_norms = out
         return self._spectral_norms
 
-    def spectral_norm_bound(self) -> float:
-        """Row-sum bound on the raw matrices: 2*sqrt(2*pi)."""
-        return 2.0 * math.sqrt(TWO_PI)
-
     def gram(self) -> np.ndarray:
         flat = self.mats.reshape(self.K, -1)
         return flat @ flat.T
@@ -330,11 +321,6 @@ def build_vartheta(a, n: int, grid: QuadratureGrid = None, tol: float = 1e-8) ->
     if float(np.max(np.abs(v.imag))) > tol * max(1.0, float(np.max(np.abs(v.real)))):
         raise DomainError("covariance has an imaginary part; check conjugate symmetry")
     return CovarianceMatrix(0.5 * (v.real + v.real.T))
-
-
-def basis_proximity(basis: BasisSystem) -> float:
-    """max_k Frobenius distance between the two normalized families."""
-    return float(np.max(basis.mcheck_gaps()))
 
 
 def density_coefficients(f, basis: BasisSystem, grid: QuadratureGrid = None) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import check_size, wrapped_to_dense
-from .errors import AccuracyError, ConfigurationError, PreconditionError, RangeError
+from .errors import ConfigurationError, PreconditionError, RangeError
 from .spectral import POS, BasisIndex, basis_norm, enumerate_indices
 
 TWO_PI = 2.0 * math.pi
@@ -33,18 +33,6 @@ TWO_PI = 2.0 * math.pi
 def lambda_phase(n: int, j) -> complex:
     """exp(2*pi*i*j/n); j may be a float for half-integer twists."""
     return np.exp(2j * math.pi * j / n)
-
-
-def shift_permutation(n: int) -> np.ndarray:
-    """Cyclic shift S with S[i, (i+1) mod n] = 1."""
-    check_size(n)
-    s = np.zeros((n, n))
-    s[np.arange(n), (np.arange(n) + 1) % n] = 1.0
-    return s
-
-
-def fourier_vector(n: int, k: int) -> np.ndarray:
-    return np.exp(2j * math.pi * k * np.arange(n) / n)
 
 
 def cm(n: int, j: int, j2: int) -> np.ndarray:
@@ -155,24 +143,6 @@ class CirculantElement(_WindowTable):
     def basis(cls, n: int, j: int, j2: int) -> "CirculantElement":
         el = cls.zero(n, abs(j), abs(j2))
         el.coeffs[j + el.k1, j2 + el.k2] = 1.0
-        return el
-
-    @classmethod
-    def from_matrix(cls, a, k1: int, k2: int) -> "CirculantElement":
-        """Orthogonal projection of a dense matrix onto the window."""
-        a = np.asarray(a, dtype=complex)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ConfigurationError("matrix must be square")
-        if 2 * k1 + 1 > n or 2 * k2 + 1 > n:
-            raise PreconditionError("window exceeds matrix size")
-        el = cls.zero(n, k1, k2)
-        i = np.arange(n)
-        for j2 in range(-k2, k2 + 1):
-            diag = a[i, (i + j2) % n]
-            for j in range(-k1, k1 + 1):
-                phase = np.exp(-2j * math.pi * j * i / n)
-                el.coeffs[j + k1, j2 + k2] = diag @ phase / n
         return el
 
     def to_matrix(self) -> np.ndarray:
@@ -354,17 +324,6 @@ def mcheck_element(n: int, idx: BasisIndex) -> np.ndarray:
     wd = np.zeros((idx.j2 + 1, n))
     wd[idx.j2] = mcheck_diagonal(n, idx)
     return wrapped_to_dense(wd)
-
-
-def mcheck_via_psi(n: int, idx: BasisIndex, tol: float = 1e-10) -> np.ndarray:
-    """Same matrix through the complex combination, with a real-cast check."""
-    fn = real_function_table(n, idx)
-    elem = psi_inverse(fn, convention="symmetric")
-    dense = elem.to_matrix()
-    leak = float(np.max(np.abs(dense.imag)))
-    if leak > tol:
-        raise AccuracyError(f"imaginary leak {leak} above {tol} in real cast")
-    return dense.real
 
 
 def build_mcheck_basis(n: int, k1: int, k2: int) -> np.ndarray:

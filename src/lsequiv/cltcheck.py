@@ -16,8 +16,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.special import gamma as gamma_fn
 
 from ._linalg import check_symmetric, guarded_eig
@@ -244,20 +243,6 @@ def standardized_exp_series(t, ctx) -> complex:
     """char_fn_standardized(t) with the Gaussian factor exp(-|t|^2/2) removed."""
     t = np.asarray(t, dtype=float)
     return char_fn_standardized(t, ctx) * math.exp(0.5 * float(t @ t))
-
-
-def cumulant_series_partial(t, ctx, lmax) -> complex:
-    """Partial sum (l = 3..lmax) of the trace series for
-
-        log char_fn_standardized(t) + |t|^2 / 2.
-
-    Converges for |sum t_k D_k|_sp < 1/2.
-    """
-    w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ np.asarray(t, dtype=float))
-    total = 0.0 + 0.0j
-    for ell in range(3, lmax + 1):
-        total += 0.5 * (2j) ** ell * np.sum(w**ell) / ell
-    return complex(total)
 
 
 class RadialProfile:
@@ -551,38 +536,31 @@ def fourier_tail_bound(R, ctx) -> float:
     )
 
 
-def _tail_numeric_k1(R, ctx):
-    profile = RadialProfile(ctx, np.array([1.0]))
-
-    def integrand(r):
-        return float(profile.abs_psi(np.array([r]))[0])
-
-    val, _ = quad(integrand, R, np.inf, limit=200)
-    return 2.0 * val
-
-
-def _tail_numeric_k2(R, ctx, n_angles):
+def _half_circle(n_angles):
+    """(n_angles, 2) unit directions at angles (a + 1/2) pi / n_angles."""
     angles = (np.arange(n_angles) + 0.5) * np.pi / n_angles
-    total = 0.0
-    for phi in angles:
-        profile = RadialProfile(ctx, np.array([np.cos(phi), np.sin(phi)]))
+    return np.array([[math.cos(phi), math.sin(phi)] for phi in angles])
 
-        def integrand(r, profile=profile):
-            return float(profile.abs_psi(np.array([r]))[0]) * r
 
-        val, _ = quad(integrand, R, np.inf, limit=200)
-        total += val
-    return 2.0 * total * (np.pi / n_angles)
+def _profile_moduli(profiles, K):
+    """r -> |psi*(r u)| r^{K-1}, one row per profile, one profile at a time."""
+    return lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r ** (K - 1)
 
 
 def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
     """Numeric tail mass of |char_fn_standardized| beyond radius R vs bound.
 
-    Returns a CheckResult with lhs = numeric, rhs = bound.  When the
-    integrability margin mu^{-2} > 8K + 16 fails, the check is reported
-    as skipped with the margin recorded instead.
+    Returns a CheckResult with lhs = numeric, rhs = bound.  The numeric
+    tail is 2 w sum_u int_R^inf |psi*(r u)| r^{K-1} dr over the direction
+    [1] (w = 1) for K = 1, or the n_angles half-circle directions
+    (w = pi / n_angles) for K = 2, each integral on the Gauss-Legendre
+    ladder that starts at R.  When the integrability margin
+    mu^{-2} > 8K + 16 fails, the check is reported as skipped with the
+    margin recorded instead.
     """
     K = ctx.K
+    if not (math.isfinite(R) and R > 0.0):
+        raise PreconditionError(f"tail radius must be positive and finite, got {R!r}")
     margin = ctx.mu ** (-2.0)
     needed = 8.0 * K + 16.0
     if margin <= needed:
@@ -594,11 +572,13 @@ def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
             skipped=True,
         )
     if K == 1:
-        numeric = _tail_numeric_k1(R, ctx)
+        dirs, weight = np.ones((1, 1)), 1.0
     elif K == 2:
-        numeric = _tail_numeric_k2(R, ctx, n_angles)
+        dirs, weight = _half_circle(n_angles), np.pi / n_angles
     else:
         raise PreconditionError("tail quadrature implemented for K <= 2 only")
+    moduli = _profile_moduli([RadialProfile(ctx, u) for u in dirs], K)
+    numeric = 2.0 * weight * np.sum(_ladder_tails(moduli, 40, start=R)[:, 0])
     return CheckResult(
         check_id=f"fourier-tail-R{R:g}",
         ref="tail-quadrature",
@@ -671,27 +651,30 @@ def tv_against_gaussian_1d(psi, T, x_max=20.0, dx=0.002, ref_pdf=None):
     return float(0.5 * np.trapezoid(np.abs(dens - ref), dx=dx))
 
 
-# Candidate truncation radii T_j = 4 * 1.5^j for j < 40; T_40 closes the
-# last ladder segment.
-_T_LADDER = 4.0 * 1.5 ** np.arange(41)
+# Ladder radii T_j = start * 1.5^j for j <= 40; the truncation search
+# starts at 4 and takes its candidates from T_0..T_39.
+_LADDER_RATIOS = 1.5 ** np.arange(41)
+_TRUNCATION_START = 4.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _ladder_tails(moduli, count):
+def _ladder_tails(moduli, count, start=_TRUNCATION_START):
     """int_{T_j}^inf moduli(r) dr for j < count, one row per direction.
 
-    moduli maps a radius array to one row of values per direction.  Each
-    segment [T_j, T_{j+1}] gets a Gauss-Legendre rule, and [T_count, inf)
-    the same rule after r = T_count / s, s in (0, 1].
+    T_j = start * 1.5^j, count <= 40.  moduli maps a radius array to one
+    row of values per direction.  Each segment [T_j, T_{j+1}] gets a
+    Gauss-Legendre rule, and [T_count, inf) the same rule after
+    r = T_count / s, s in (0, 1].
     """
-    lo, hi = _T_LADDER[:count], _T_LADDER[1 : count + 1]
+    ladder = start * _LADDER_RATIOS[: count + 1]
+    lo, hi = ladder[:-1], ladder[1:]
     half = 0.5 * (hi - lo)
     r_seg = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
     s = 0.5 * (_GL_NODES + 1.0)
-    r_far = _T_LADDER[count] / s
+    r_far = ladder[count] / s
     vals = np.atleast_2d(moduli(np.concatenate([r_seg.ravel(), r_far])))
     seg = (vals[:, : r_seg.size].reshape(len(vals), count, -1) @ _GL_WEIGHTS) * half
-    far = vals[:, r_seg.size :] @ (0.5 * _GL_WEIGHTS * _T_LADDER[count] / s**2)
+    far = vals[:, r_seg.size :] @ (0.5 * _GL_WEIGHTS * ladder[count] / s**2)
     return far[:, None] + np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
 
 
@@ -704,7 +687,7 @@ def _choose_truncation(moduli, tol_tail):
     for count in (4, 12, 40):
         below = _ladder_tails(moduli, count) <= tol_tail
         if np.all(below.any(axis=1)):
-            return _T_LADDER[np.argmax(below, axis=1)]
+            return _TRUNCATION_START * _LADDER_RATIOS[np.argmax(below, axis=1)]
     raise RangeError("characteristic function tail does not decay; no usable T")
 
 
@@ -721,8 +704,41 @@ def _tv_oracle_k1(ctx, tol_tail, x_max, dx, cf_override):
 
 
 # Directions inverted together: one stacked psi* call, one batched chirp-z
-# and one (4, len(sgrid) - 1, chunk) spline table at a time.
+# and one (chunk, 4, len(sgrid) - 1) spline table at a time.
 _DIRECTION_CHUNK = 20
+
+
+def _spline_table(y):
+    """Not-a-knot cubic spline through each row of y on uniform knots.
+
+    Returns (rows, 4, m - 1) power-form coefficients in the fraction
+    f in [0, 1) of each knot interval, highest power first.  With
+    d_i = y_{i+1} - y_i, the knot slopes m (per unit f) solve one
+    tridiagonal system: m_{i-1} + 4 m_i + m_{i+1} = 3 (d_{i-1} + d_i)
+    inside, and the not-a-knot end rows m_0 + 2 m_1 = (5 d_0 + d_1) / 2
+    and 2 m_{-2} + m_{-1} = (d_{-2} + 5 d_{-1}) / 2 (negative indices
+    count from the end).  Interval i is then the Hermite cubic of y_i,
+    y_{i+1}, m_i, m_{i+1}.
+    """
+    m_len = y.shape[-1]
+    if m_len < 4:
+        raise PreconditionError("a not-a-knot spline needs at least 4 knots")
+    d = np.diff(y, axis=-1)
+    # rows of the tridiagonal matrix in solve_banded's (1, 1) layout
+    ab = np.ones((3, m_len))
+    ab[1, 1:-1] = 4.0
+    ab[0, 1] = ab[2, -2] = 2.0
+    rhs = np.empty((m_len, len(y)))
+    rhs[1:-1] = 3.0 * (d[:, :-1] + d[:, 1:]).T
+    rhs[0] = 0.5 * (5.0 * d[:, 0] + d[:, 1])
+    rhs[-1] = 0.5 * (d[:, -2] + 5.0 * d[:, -1])
+    slopes = solve_banded((1, 1), ab, rhs, overwrite_b=True).T
+    table = np.empty((len(y), 4, m_len - 1))
+    table[:, 0] = slopes[:, :-1] + slopes[:, 1:] - 2.0 * d
+    table[:, 1] = d - slopes[:, :-1] - table[:, 0]
+    table[:, 2] = slopes[:, :-1]
+    table[:, 3] = y[:, :-1]
+    return table
 
 
 def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
@@ -733,21 +749,20 @@ def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
 
     Directions with the same truncation T share the t grid and are
     inverted in chunks of _DIRECTION_CHUNK: one stacked psi*, one batched
-    chirp-z and one cubic spline per chunk.  The spline knots sgrid are
+    chirp-z and one spline table per chunk.  The spline knots sgrid are
     uniform, so each direction's spline is evaluated on the x grid
     directly: knot index and fraction from the projection in units of ds,
     then Horner on that interval's coefficients.  Every projection
     |<u, x>| <= max|x| sqrt(2) must lie inside sgrid, which is checked once
     for the extreme projections instead of clipping each index.
     """
-    angles = (np.arange(n_angles) + 0.5) * np.pi / n_angles
-    dirs = np.array([[math.cos(phi), math.sin(phi)] for phi in angles])
+    dirs = _half_circle(n_angles)
     if cf_override is None:
         profiles = [RadialProfile(ctx, u) for u in dirs]
         eigs = np.stack([profile.eigs for profile in profiles])
         shifts = np.array([profile.shift for profile in profiles])
         psi_rows = lambda rows, r: _psi_star_stack(eigs[rows], shifts[rows], r)
-        moduli = lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r
+        moduli = _profile_moduli(profiles, 2)
     else:
         psi_rows = lambda rows, r: np.stack([cf_override(r, u) for u in dirs[rows]])
         moduli = lambda r: np.abs(psi_rows(slice(None), r)) * r
@@ -769,16 +784,13 @@ def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
     val = np.empty_like(knot_pos)
     term = np.empty_like(knot_pos)
     accum = np.zeros_like(knot_pos)
-    # power-form coefficients in the fraction (s - s_i) / ds instead of s - s_i
-    scale = (ds ** np.arange(3, -1, -1))[:, None, None]
     for T in np.unique(truncations):
         group = np.flatnonzero(truncations == T)
         for lo in range(0, len(group), _DIRECTION_CHUNK):
             rows = group[lo : lo + _DIRECTION_CHUNK]
             filtered = invert_cf_1d(lambda r: psi_rows(rows, r) * r, T, sgrid)
             # cubic interpolation; linear would cap the grid accuracy near 1e-5
-            table = CubicSpline(sgrid, filtered, axis=1).c * scale
-            for u, coef in zip(dirs[rows], np.ascontiguousarray(np.moveaxis(table, 2, 0))):
+            for u, coef in zip(dirs[rows], _spline_table(filtered)):
                 np.add.outer(scaled * u[0] + smax / ds, scaled * u[1], out=knot_pos)
                 np.copyto(knot, knot_pos, casting="unsafe")
                 knot_pos -= knot

@@ -10,7 +10,6 @@ too, since the equivalence chain passes through them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -148,20 +147,8 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
     return c_band, delta_band, (c_inv, p), b_theta
 
 
-def pilot_alpha(x, basis: BasisSystem) -> np.ndarray:
-    """Quadratic-form coefficients <x x^T, M_k> of one observation."""
-    return basis.quad_form(x)
-
-
 def pilot_risk_bound(k: int, rho: float) -> float:
     return 4.0 * k / rho**2
-
-
-def sufficient_T(x, c_mat, basis: BasisSystem) -> np.ndarray:
-    """T_k = x^T C^{-1} M_k C^{-1} x, the sufficient statistic given C."""
-    x = np.asarray(x, dtype=float)
-    y = np.linalg.solve(c_mat, x)
-    return basis.quad_form(y)
 
 
 def gaussian_summaries(c_theta_band, inverse, basis: BasisSystem, alpha_theta=None):
@@ -382,13 +369,6 @@ def sample_experiment(state: ExperimentState, model_id: str, rng) -> np.ndarray:
     return ci_sqrt @ state.delta @ ci_sqrt + goe
 
 
-def j_statistics(state: ExperimentState, obs_matrix) -> np.ndarray:
-    """tr(C^{-1/2} M_k C^{-1/2} Chat) for a matrix observation."""
-    ci_sqrt = sym_inv_sqrt(state.c_mat)
-    transformed = ci_sqrt @ np.asarray(obs_matrix, dtype=float) @ ci_sqrt
-    return state.basis.project(0.5 * (transformed + transformed.T))
-
-
 def sp_perturbation_check(a, b) -> CheckResult:
     """Whitened inverse-difference inequality for a symmetric perturbation.
 
@@ -460,8 +440,3 @@ def likelihood_affinity_check(state: ExperimentState, reps: int, rng) -> CheckRe
         0.0,
         tol=1e-8,
     )
-
-
-def observation_to_json(obs) -> str:
-    arr = np.asarray(obs, dtype=float)
-    return json.dumps(arr.tolist()) + "\n"

@@ -100,10 +100,6 @@ def leading_indices(count: int) -> list:
     return pool[:count]
 
 
-def basis_count(k1: int, k2: int) -> int:
-    return (2 * k1 + 1) * (k2 + 1)
-
-
 class QuadratureGrid:
     """Tensor Gauss-Legendre grid on [0,1] x [-pi,pi].
 
@@ -216,15 +212,6 @@ class GridFunction:
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-def mirror_extend(fn):
-    """Even reflection in the second argument: h(t, x) = fn(t, |x|)."""
-
-    def even(t, x):
-        return fn(t, np.abs(x))
-
-    return even
 
 
 @dataclass
@@ -387,9 +374,6 @@ class TrigPoly1D:
             out += self.c[d + r] * np.exp(2j * math.pi * r * u)
         return out
 
-    def eval_real(self, u):
-        return self.eval(u).real
-
     def __add__(self, other: "TrigPoly1D") -> "TrigPoly1D":
         d = max(self.deg, other.deg)
         c = np.zeros(2 * d + 1, dtype=complex)
@@ -530,41 +514,6 @@ def random_density(
     if dev_sup > 0.0:
         target = amplitude * min(lo_room, hi_room)
         dens = dens.scaled_deviation(target / dev_sup)
-    ssum = dens.sobolev_sum()
-    if ssum > 0.9 * L:
-        dens = dens.scaled_deviation(math.sqrt(0.9 * L / ssum))
-    dens.require_membership(grid)
-    return dens
-
-
-def polynomial_decay_density(
-    k1: int,
-    k2: int,
-    s: float = 11.0,
-    L: float = 5.0,
-    rho_star: float = 0.5,
-    mean: float = 1.0,
-    amplitude: float = 0.5,
-    grid: QuadratureGrid = None,
-) -> SpectralDensity:
-    """Deterministic class member with alternating-sign decaying coefficients."""
-    grid = grid or default_grid()
-    coeffs = {BasisIndex(POS, 0, 0): mean * math.sqrt(TWO_PI)}
-    for idx in enumerate_indices(k1, k2):
-        if idx.j == 0 and idx.j2 == 0:
-            continue
-        sign = -1.0 if (idx.j + idx.j2) % 2 else 1.0
-        base = 1.0 if idx.parity == POS else 0.5
-        coeffs[idx] = sign * base * (1.0 + idx.weight) ** (-(s + 1.0) / 2.0)
-
-    dens = SpectralDensity(coeffs, s, L, rho_star)
-    dev = dens.on_grid(grid) - mean
-    dev_sup = float(np.max(np.abs(dev)))
-    room = min(mean - rho_star, 1.0 / rho_star - mean)
-    if room <= 0.0:
-        raise ConfigurationError("mean level must sit strictly inside the range band")
-    if dev_sup > 0.0:
-        dens = dens.scaled_deviation(amplitude * room / dev_sup)
     ssum = dens.sobolev_sum()
     if ssum > 0.9 * L:
         dens = dens.scaled_deviation(math.sqrt(0.9 * L / ssum))

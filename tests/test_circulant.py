@@ -11,19 +11,16 @@ from lsequiv.circulant import (
     FourierFunction,
     build_mcheck_basis,
     cm,
-    fourier_vector,
     hom_defect,
     lambda_phase,
     matrix_csv,
     mcheck_diagonal,
     mcheck_element,
-    mcheck_via_psi,
     psi_forward,
     psi_inverse,
     psi_inverse_real,
     real_expansion_to_element,
     real_function_table,
-    shift_permutation,
     window_guard,
 )
 from lsequiv.errors import ConfigurationError, PreconditionError, RangeError
@@ -51,14 +48,19 @@ def test_cm_frobenius_exact():
 
 
 def test_shift_permutation_matches_cm():
+    # Lambda^0 S^1 is the cyclic shift S with S[i, (i + 1) mod n] = 1
     n = 6
-    np.testing.assert_allclose(shift_permutation(n), cm(n, 0, 1).real, atol=0)
+    np.testing.assert_allclose(np.roll(np.eye(n), 1, axis=1), cm(n, 0, 1), atol=0)
 
 
-def test_fourier_vector_unit_rows():
-    v = fourier_vector(8, 3)
-    np.testing.assert_allclose(np.abs(v), np.ones(8), atol=1e-15)
-    assert v[1] == pytest.approx(np.exp(2j * np.pi * 3 / 8.0), abs=1e-15)
+def _window_projection(a, k1, k2):
+    """Coefficients <cm(j, j2), A>_F / n for |j| <= k1, |j2| <= k2: the
+    orthogonal projection onto the window, as the dictionary elements are
+    orthogonal with squared Frobenius norm n."""
+    n = len(a)
+    return np.array([
+        [np.vdot(cm(n, j, j2), a) / n for j2 in range(-k2, k2 + 1)] for j in range(-k1, k1 + 1)
+    ])
 
 
 @pytest.mark.parametrize("a1,a2,b1,b2", PRODUCT_QUADS)
@@ -75,8 +77,7 @@ def test_element_roundtrip_and_algebra():
     n, k1, k2 = 12, 2, 2
     coeffs = rng.standard_normal((2 * k1 + 1, 2 * k2 + 1)) + 1j * rng.standard_normal((2 * k1 + 1, 2 * k2 + 1))
     a = CirculantElement(n, k1, k2, coeffs)
-    back = CirculantElement.from_matrix(a.to_matrix(), k1, k2)
-    np.testing.assert_allclose(back.coeffs, a.coeffs, atol=1e-13)
+    np.testing.assert_allclose(_window_projection(a.to_matrix(), k1, k2), a.coeffs, atol=1e-13)
     np.testing.assert_allclose((2.0 * a).to_matrix(), 2.0 * a.to_matrix(), atol=1e-13)
     b = CirculantElement.basis(n, 1, 0)
     np.testing.assert_allclose((a + b).to_matrix(), a.to_matrix() + b.to_matrix(), atol=1e-13)
@@ -138,9 +139,12 @@ def test_mcheck_element_symmetric_with_exact_norm(pos):
 
 
 def test_mcheck_via_psi_matches_direct():
+    # the real table mapped back through the symmetric Psi is the real Mcheck
     n = 24
     for idx in (BasisIndex("+", 1, 2), BasisIndex("-", 2, 0)):
-        np.testing.assert_allclose(mcheck_via_psi(n, idx), mcheck_element(n, idx), atol=1e-12)
+        dense = psi_inverse(real_function_table(n, idx), convention="symmetric").to_matrix()
+        assert np.max(np.abs(dense.imag)) <= 1e-10
+        np.testing.assert_allclose(dense.real, mcheck_element(n, idx), atol=1e-12)
 
 
 def test_mcheck_stack_orthonormal():
@@ -153,7 +157,7 @@ def test_mcheck_stack_orthonormal():
 
 def test_real_function_table_matches_symmetric_psi():
     n, idx = 16, BasisIndex("+", 1, 1)
-    elem = CirculantElement.from_matrix(mcheck_element(n, idx), 1, 1)
+    elem = CirculantElement(n, 1, 1, _window_projection(mcheck_element(n, idx), 1, 1))
     fn = psi_forward(elem, convention="symmetric")
     tab = real_function_table(n, idx)
     np.testing.assert_allclose(fn.coeffs, tab.coeffs, atol=1e-13)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from lsequiv._linalg import spectral_norm, sym_inv, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
@@ -13,13 +14,13 @@ from lsequiv.cltcheck import (
     _ladder_tails,
     _psi_star_stack,
     _series_terms,
+    _spline_table,
     RadialProfile,
     build_char_context,
     char_fn,
     char_fn_modulus,
     char_fn_standardized,
     context_from_state,
-    cumulant_series_partial,
     edgeworth_build,
     edgeworth_radius,
     fourier_tail_bound,
@@ -60,11 +61,22 @@ def test_quadratic_law_chi_square_cf(t):
     assert abs(got - expected) <= 1e-12
 
 
+def _cumulant_series(t, ctx, lmax):
+    """Partial sum (l = 3..lmax) of the trace series
+
+        log char_fn_standardized(t) + |t|^2 / 2 = (1/2) sum_l (2i)^l tr[(sum_k t_k D_k)^l] / l,
+
+    which converges for |sum t_k D_k|_sp < 1/2.
+    """
+    w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ t)
+    return complex(sum(0.5 * (2j) ** ell * np.sum(w**ell) / ell for ell in range(3, lmax + 1)))
+
+
 def test_log_branch_and_series_consistency():
     t = np.array([0.4])
     log_val = standardized_log_characteristic(t, CTX)
     assert abs(cmath.exp(log_val) - char_fn_standardized(t, CTX)) <= 1e-12
-    partial = cumulant_series_partial(t, CTX, 40)
+    partial = _cumulant_series(t, CTX, 40)
     assert abs(partial - (log_val + 0.5 * float(t @ t))) <= 1e-12
     assert abs(cmath.exp(partial) - standardized_exp_series(t, CTX)) <= 1e-12
 
@@ -72,7 +84,7 @@ def test_log_branch_and_series_consistency():
 def test_series_partial_sums_monotone_refinement():
     t = np.array([0.6])
     target = standardized_log_characteristic(t, CTX) + 0.5 * float(t @ t)
-    errs = [abs(cumulant_series_partial(t, CTX, lmax) - target) for lmax in (3, 6, 12)]
+    errs = [abs(_cumulant_series(t, CTX, lmax) - target) for lmax in (3, 6, 12)]
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -158,6 +170,39 @@ def test_tail_integral_skipped_when_not_integrable():
     chk = fourier_tail_integral(5.0, ctx)
     assert chk.skipped and chk.passed
     assert chk.ref == "tail-integrability"
+
+
+def _tail_quad(ctx, R, n_angles=64):
+    """2 w sum_u int_R^inf |psi*(r u)| r^{K-1} dr, one tight quad per direction."""
+    if ctx.K == 1:
+        dirs, weight = np.ones((1, 1)), 1.0
+    else:
+        dirs, weight = _angles(n_angles), math.pi / n_angles
+    total = 0.0
+    for u in dirs:
+        profile = RadialProfile(ctx, u)
+        integrand = lambda r: float(profile.abs_psi(np.array([r]))[0]) * r ** (ctx.K - 1)
+        val, _ = quad(integrand, R, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+        total += val
+    return 2.0 * weight * total
+
+
+@pytest.mark.parametrize(
+    "n,window,R",
+    [(64, (0, 0), 5.0), (256, (0, 0), 20.0), (1024, (0, 0), 5.0), (64, (0, 1), 5.0), (64, (0, 1), 10.0)],
+)
+def test_tail_integral_matches_quad_oracle(n, window, R):
+    ctx = build_char_context(np.eye(n), np.eye(n), build_basis(n, *window))
+    chk = fourier_tail_integral(R, ctx)
+    assert not chk.skipped
+    want = _tail_quad(ctx, R)
+    assert abs(chk.lhs - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
+def test_tail_integral_rejects_radius_off_the_ladder(R):
+    with pytest.raises(PreconditionError, match="tail radius"):
+        fourier_tail_integral(R, CTX)
 
 
 def test_tv_oracle_chi_square_value():
@@ -429,6 +474,32 @@ def test_tv_oracle_k2_memory_peak(tvk2_ctx):
     assert peak <= TVK2_REFERENCE_PEAK
 
 
+def test_spline_table_matches_cubic_spline():
+    rng = make_rng(11)
+    ds = 0.02
+    sgrid = -3.0 + ds * np.arange(301)
+    smooth = np.exp(-0.5 * sgrid**2) * np.cos(3.0 * sgrid)
+    rows = np.vstack([rng.standard_normal((3, len(sgrid))), smooth])
+    # unit knots: scipy's not-a-knot table in the same units
+    for y in (rows, rows[:, :4]):
+        want = np.moveaxis(CubicSpline(np.arange(y.shape[1], dtype=float), y, axis=1).c, 2, 0)
+        got = _spline_table(y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # knots ds apart, as in the TV oracle: powers of s - s_i rescaled to the fraction
+    want = CubicSpline(sgrid, smooth).c * (ds ** np.arange(3, -1, -1))[:, None]
+    got = _spline_table(smooth[None])[0]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_tv_oracle_k2_rejects_slice_grid_below_four_knots():
+    ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
+    gaussian = lambda r, u: np.exp(-0.5 * r**2)
+    # slice knot step ds = dx / 2 = 1 over [-smax, smax], smax = 0.1 sqrt(2) + 1: three knots
+    with pytest.raises(PreconditionError, match="4 knots"):
+        tv_oracle(ctx2, x_max=0.1, dx=2.0, cf_override=gaussian)
+
+
 def test_tv_oracle_k2_rejects_projections_beyond_slice_grid():
     ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
     gaussian = lambda r, u: np.exp(-0.5 * r**2)
@@ -486,14 +557,16 @@ def test_batched_truncation_matches_quad_tv_decay_k2(tvk2_ctx):
 
 def test_ladder_tails_match_quad():
     powers = (4.5, 9.0)
-    tails = _ladder_tails(lambda r: np.stack([(1.0 + r * r / 8.0) ** (-p / 2.0) for p in powers]), 4)
-    for row, p in zip(tails, powers):
-        for j in range(4):
-            want, _ = quad(
-                lambda r: (1.0 + r * r / 8.0) ** (-p / 2.0),
-                4.0 * 1.5**j, np.inf, epsabs=0.0, epsrel=1e-13, limit=500,
-            )
-            assert abs(row[j] - want) <= 1e-10 * want
+    moduli = lambda r: np.stack([(1.0 + r * r / 8.0) ** (-p / 2.0) for p in powers])
+    # the default start (the truncation search) and the tail check's start R
+    for start, tails in ((4.0, _ladder_tails(moduli, 4)), (7.5, _ladder_tails(moduli, 4, start=7.5))):
+        for row, p in zip(tails, powers):
+            for j in range(4):
+                want, _ = quad(
+                    lambda r: (1.0 + r * r / 8.0) ** (-p / 2.0),
+                    start * 1.5**j, np.inf, epsabs=0.0, epsrel=1e-13, limit=500,
+                )
+                assert abs(row[j] - want) <= 1e-10 * want
 
 
 def test_batched_truncation_rejects_slow_tail():

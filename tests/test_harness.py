@@ -349,18 +349,31 @@ def test_config_rejects_tolerances_key():
         RunConfig.from_json('{"tolerances": {}}')
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats costs about half a second of every CLI start-up
+def _modules_after_cli_import():
+    """sys.modules of a fresh interpreter after import lsequiv.cli and default_grid()."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lsequiv.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, lsequiv.cli; from lsequiv.spectral import default_grid; default_grid(); "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        "print('\\n'.join(sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats costs about half a second of every CLI start-up
+    assert [m for m in _modules_after_cli_import() if m.startswith("scipy.stats")] == []
+
+
+def test_cli_import_leaves_integrate_optimize_interpolate_unloaded():
+    # the tail integrals and the TV oracle's spline need none of them; together
+    # they cost about a quarter second of every CLI start-up
+    heavy = {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+    loaded = [m for m in _modules_after_cli_import() if ".".join(m.split(".")[:2]) in heavy]
+    assert loaded == []
 
 
 def test_chain_propagates_untyped_errors(monkeypatch):

@@ -9,14 +9,11 @@ from lsequiv.spectral import (
     BasisIndex,
     SpectralDensity,
     TrigPoly1D,
-    basis_count,
     basis_eval,
     basis_norm,
     default_grid,
     enumerate_indices,
     leading_indices,
-    mirror_extend,
-    polynomial_decay_density,
     random_density,
     random_transfer,
 )
@@ -66,7 +63,8 @@ def test_basis_index_weight_and_order():
 
 def test_enumerate_indices_layout():
     idx = enumerate_indices(2, 1)
-    assert len(idx) == basis_count(2, 1) == 10
+    # (k1 + 1)(k2 + 1) cosine and k1 (k2 + 1) sine functions
+    assert len(idx) == (2 * 2 + 1) * (1 + 1) == 10
     # cosine block first, j outer and j2 inner, then the sine block from j=1
     assert [(i.parity, i.j, i.j2) for i in idx[:6]] == [
         ("+", 0, 0), ("+", 0, 1), ("+", 1, 0), ("+", 1, 1), ("+", 2, 0), ("+", 2, 1),
@@ -160,11 +158,6 @@ def test_grid_stacked_maps_equal_row_by_row():
             np.testing.assert_allclose(back[a, b], GRID.project(values[a, b], GRID_INDICES), rtol=0, atol=1e-14)
 
 
-def test_mirror_extend_even_in_space():
-    fn = mirror_extend(lambda t, x: t + x)
-    assert fn(0.25, 1.0) == fn(0.25, -1.0) == 1.25
-
-
 RANDOM_DENSITY_SEEDS = list(range(6))
 
 
@@ -203,12 +196,6 @@ def test_density_json_roundtrip():
         assert g.coeffs[idx] == pytest.approx(c, rel=0, abs=0)
 
 
-def test_polynomial_decay_density_membership():
-    f = polynomial_decay_density(3, 3)
-    f.require_membership()
-    assert f.mean_level() == pytest.approx(1.0, rel=1e-12)
-
-
 def test_scaled_deviation_keeps_mean():
     f = random_density(2, 2, make_rng(9, stream=1))
     g = f.scaled_deviation(0.5)
@@ -222,7 +209,7 @@ def test_trig_poly_real_eval():
     u = 0.7
     w = 2.0 * math.pi * u
     expected = 1.0 + 0.5 * math.cos(w) - 0.2 * math.cos(2 * w) + 0.3 * math.sin(w)
-    assert p.eval_real(u) == pytest.approx(expected, rel=1e-14)
+    assert p.eval(u).real == pytest.approx(expected, rel=1e-14)
     assert p.is_real()
     assert p.conjugate().eval(u) == pytest.approx(np.conj(p.eval(u)), rel=1e-14)
 
