@@ -5,8 +5,10 @@ singularity policy is uniform: eigenvalues below ``rtol * max|eig|`` raise
 instead of being pseudo-inverted.  Banded symmetric matrices are held in
 LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for ``j = 0..width``;
 they are factored by banded Cholesky (``cholesky_banded``), whose failure is
-the positive-definiteness check, and their extreme eigenvalues and
-eigenpairs come from ``eig_banded``.
+the positive-definiteness check, and their extreme eigenvalues come from
+``eig_banded``.  A function x**power (-1 <= power < 0) of an SPD band is a
+Chebyshev polynomial in it, held as a band of certified half-width
+(``band_function``); no eigenvectors are formed.
 
 A symmetric wrapped band of half-width w has A[i, l] = 0 unless the cyclic
 distance min(|i - l|, n - |i - l|) is at most w, with 2w < n; the cyclic
@@ -14,20 +16,27 @@ dictionary sums and the whitening matrix W are of this kind.  It is held as
 its wrapped diagonals, ``wd[j, i] = A[(i + j) mod n, i]`` for ``j = 0..w``.
 Reordering the indices as 0, n-1, 1, n-2, ... turns it into a plain band of
 half-width 2w with the same spectrum and Frobenius norm (``wrapped_band``),
-so ``band_extremes`` applies; ``wrapped_matmul`` multiplies it from its
-wrapped diagonals without forming the reordered matrix.  An n x n array is
-formed from either storage only by ``band_to_dense`` and ``wrapped_to_dense``.
+so ``band_extremes`` applies.  An n x n array is formed from either storage
+only by ``band_to_dense``.
+
+Products of bands (not symmetric in general) use signed storage,
+``g[w + s, i] = A[(i + s) mod n, i]`` for ``s = -w..w`` (``signed_band``).  A
+plain band is zero where i + s leaves [0, n), so one layout serves plain and
+wrapped bands, and rows s >= 0 of a symmetric result are its lower band
+storage.  Rows s and s - n add up to one cyclic diagonal (``signed_frob``).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
+from scipy.linalg import cholesky_banded, eig_banded
 
 from .errors import PreconditionError, SingularMatrixError
 
-# Largest edge of an n x n array formed from band storage (band_to_dense,
-# wrapped_to_dense) or built dense (theta, the cyclic dictionary elements).
+# Largest edge of an n x n array formed from band storage (band_to_dense)
+# or built dense (theta, the cyclic dictionary elements).
 DENSE_N_MAX = 4096
 
 SYM_RTOL = 1e-12
@@ -80,13 +89,6 @@ def guarded_eig(a, require_pd):
     return w, v
 
 
-def guarded_band_eig(ab, require_pd):
-    """guarded_eig for a symmetric matrix in lower band storage."""
-    w, v = eig_banded(ab, lower=True)
-    _guard_spectrum(w, require_pd)
-    return w, v
-
-
 def sym_inv(a, require_pd=False):
     w, v = guarded_eig(a, require_pd=require_pd)
     return (v / w) @ v.T
@@ -126,11 +128,9 @@ def spectral_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
-def frob(a, b=None):
-    """Frobenius norm, or Frobenius inner product <a, b> when b is given."""
-    if b is None:
-        return float(np.linalg.norm(a))
-    return float(np.sum(a * b))
+def frob(a):
+    """Frobenius norm."""
+    return float(np.linalg.norm(a))
 
 
 def eig_range(a):
@@ -139,14 +139,16 @@ def eig_range(a):
 
 
 def band_to_dense(ab):
-    """Dense symmetric matrix from lower band storage."""
+    """Dense symmetric matrix from lower band storage or from wrapped
+    diagonals (2w < n): A[(i + j) mod n, i] = ab[j, i], with the zeros of a
+    plain band's padding added, not written."""
     n = ab.shape[1]
     check_size(n)
-    out = np.zeros((n, n))
+    out = np.diag(np.asarray(ab[0], dtype=float))
     i = np.arange(n)
-    for j in range(ab.shape[0]):
-        out[i[j:], i[: n - j]] = ab[j, : n - j]
-        out[i[: n - j], i[j:]] = ab[j, : n - j]
+    for j in range(1, len(ab)):
+        out[(i + j) % n, i] += ab[j]
+        out[i, (i + j) % n] += ab[j]
     return out
 
 
@@ -190,36 +192,6 @@ def band_cholesky(ab, error=SingularMatrixError, what="matrix"):
         raise error(f"{what} is not positive definite (min eig = {lo:.3e})") from None
 
 
-def band_cho_inv(factor):
-    """A^{-1}, symmetric to rounding, from the band_cholesky factor of A;
-    solved in place of a column-major identity."""
-    eye = np.eye(factor.shape[1], order="F")
-    return cho_solve_banded((factor, True), eye, overwrite_b=True)
-
-
-def band_matmul(ab, x):
-    """A @ x for a symmetric A in lower band storage and a dense x."""
-    n = ab.shape[1]
-    out = ab[0][:, None] * x
-    for j in range(1, ab.shape[0]):
-        strip = ab[j, : n - j][:, None]
-        out[j:] += strip * x[: n - j]
-        out[: n - j] += strip * x[j:]
-    return out
-
-
-def wrapped_to_dense(wd):
-    """Dense symmetric matrix from its wrapped diagonals (2w < n)."""
-    w, n = wd.shape[0] - 1, wd.shape[1]
-    check_size(n)
-    out = np.zeros((n, n))
-    i = np.arange(n)
-    for j in range(w + 1):
-        out[(i + j) % n, i] = wd[j]
-        out[i, (i + j) % n] = wd[j]
-    return out
-
-
 def wrapped_band(wd):
     """Lower band storage of P A P^T for the symmetric wrapped band A held as
     wrapped diagonals wd, where P reorders the indices as 0, n-1, 1, n-2, ...
@@ -242,22 +214,123 @@ def wrapped_band(wd):
     return ab
 
 
-def wrapped_matmul(wd, x):
-    """A @ x for the symmetric wrapped band A held as wrapped diagonals wd
-    and a dense x."""
-    n = wd.shape[1]
-    out = wd[0][:, None] * x
-    for j in range(1, wd.shape[0]):
-        # A[i + j, i] for i < n - j, then A[i + j - n, i] = A[i, i + j - n]
-        inner, corner = wd[j, : n - j][:, None], wd[j, n - j :][:, None]
-        out[j:] += inner * x[: n - j]
-        out[: n - j] += inner * x[j:]
-        out[n - j :] += corner * x[:j]
-        out[:j] += corner * x[n - j :]
-    return out
-
-
 def band_width(a):
     """Largest j with a nonzero entry on the j-th subdiagonal of a dense matrix."""
     nonzero = (j for j in range(a.shape[0] - 1, 0, -1) if np.count_nonzero(np.diagonal(a, -j)))
     return next(nonzero, 0)
+
+
+def signed_band(ab):
+    """Signed storage of the symmetric matrix held in lower band storage or as
+    wrapped diagonals ab."""
+    w, n = len(ab) - 1, ab.shape[1]
+    # A[i - j, i] = A[i, i - j], held at column i - j of row j
+    j = np.arange(w, 0, -1)[:, None]
+    return np.concatenate([ab[j, (np.arange(n) - j) % n], ab])
+
+
+def _accumulate(out, g, scale):
+    """out += scale * g for signed storage g no wider than out."""
+    wo, wg = out.shape[0] // 2, g.shape[0] // 2
+    out[wo - wg : wo + wg + 1] += scale * g
+
+
+def band_transpose(g):
+    """A^T in signed storage."""
+    w, n = len(g) // 2, g.shape[1]
+    # A^T[i + s, i] = A[i, i + s], held at column i + s of row -s
+    s = np.arange(-w, w + 1)[:, None]
+    return g[w - s, (np.arange(n) + s) % n]
+
+
+def band_product(a, b):
+    """A @ B in signed storage, one pass over the diagonals of the narrower
+    operand, of half-width min(wa + wb, n - 1): a diagonal s past n - 1 is
+    added to its cyclic representative s -+ n (zero for plain bands).  A
+    band that fills to n - 1 stays correct at (2 wa + 1)(2 wb + 1) n work."""
+    if a.shape[0] < b.shape[0]:
+        return band_transpose(band_product(band_transpose(b), band_transpose(a)))
+    wa, wb, n = a.shape[0] // 2, b.shape[0] // 2, a.shape[1]
+    wo = min(wa + wb, n - 1)
+    out = np.zeros((2 * wo + 1, n))
+    for t in range(-wb, wb + 1):
+        # (A B)[i + u + t, i] gains A[i + u + t, i + t] B[i + t, i]
+        term = np.roll(a, -t, axis=1)
+        term *= b[wb + t]
+        if wa + wb < n:
+            out[wo + t - wa : wo + t + wa + 1] += term
+        else:
+            np.add.at(out, wo + np.fmod(np.arange(-wa, wa + 1) + t, n), term)
+    return out
+
+
+def signed_frob(g, h=None):
+    """|G|_F, or |G - H|_F with the difference formed entry by entry, for
+    matrices in signed storage.  Rows that name one cyclic diagonal (2w >= n)
+    are summed first; that is the only case that forms an n x n array."""
+    if h is not None:
+        # the wider copied, the narrower subtracted: +-(G - H)
+        g, h = (g, h) if len(g) >= len(h) else (h, g)
+        g = g.copy()
+        _accumulate(g, h, -1.0)
+    w, n = g.shape[0] // 2, g.shape[1]
+    if 2 * w >= n:
+        folded = np.zeros((n, n))
+        np.add.at(folded, np.arange(-w, w + 1) % n, g)
+        g = folded
+    return frob(g)
+
+
+# a condition number that needs a higher degree is refused
+CHEB_DEGREE_MAX = 4096
+
+
+def band_function(ab, power, tol=1e-15, error=SingularMatrixError, what="matrix"):
+    """(A**power, degree, bound) for an SPD A in lower band storage and
+    -1 <= power < 0; A**power is lower band storage of half-width
+    min(degree k2, n - 1).
+
+    With spec(A) in [lo, hi], kappa = hi / lo and rho = (sqrt(kappa) + 1) /
+    (sqrt(kappa) - 1), the Chebyshev coefficients of x**power (a Stieltjes
+    integral of resolvents 1 / (x + t), t >= 0) on [lo, hi] obey
+    |c_k| <= 2 M rho**-k, M = (lo hi)**(power / 2).  So the interpolant of
+    degree d is within bound = 4 M rho**-d / (rho - 1) of A**power in the
+    2-norm, rounding aside (the Bernstein-ellipse bound; Demko, Moss and
+    Smith 1984), and d is the least degree with bound <= tol |A**power|_2.
+    It is summed by the three-term recurrence on signed storage.  An
+    indefinite or (near-)singular A raises error first.
+    """
+    lo, hi = band_extremes(ab)
+    if not lo > SYM_RTOL * abs(hi):
+        raise error(f"{what} is not positive definite (min eig = {lo:.3e}, max eig = {hi:.3e})")
+    # a margin over the rounding of the computed extremes
+    lo, hi = lo - 1e-14 * hi, hi + 1e-14 * hi
+    root = math.sqrt(hi / lo)
+    rho = (root + 1.0) / (root - 1.0)
+    scale = (lo * hi) ** (0.5 * power)
+    ratio = 4.0 * scale / ((rho - 1.0) * tol * lo**power)
+    degree = max(1, math.ceil(math.log(ratio) / math.log(rho)))
+    if degree > CHEB_DEGREE_MAX:
+        raise error(f"{what} needs Chebyshev degree {degree} (condition {hi / lo:.3e})")
+    theta = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+    centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    nodes = centre + radius * np.cos(theta)
+    coef = np.cos(np.outer(np.arange(degree + 1), theta)) @ nodes**power
+    coef *= 2.0 / (degree + 1)
+    coef[0] *= 0.5
+    # T_k(X) for X = (A - centre I) / radius, spectrum in [-1, 1]
+    k2, n = ab.shape[0] - 1, ab.shape[1]
+    x = signed_band(ab) / radius
+    x[k2] -= centre / radius
+    width = min(degree * k2, n - 1)
+    out = np.zeros((2 * width + 1, n))
+    out[width] = coef[0]
+    _accumulate(out, x, coef[1])
+    prev, cur = np.ones((1, n)), x
+    for c in coef[2:]:
+        nxt = band_product(cur, x)
+        nxt *= 2.0
+        _accumulate(nxt, prev, -1.0)
+        _accumulate(out, nxt, c)
+        prev, cur = cur, nxt
+    return out[width:], degree, 4.0 * scale * rho**-degree / (rho - 1.0)

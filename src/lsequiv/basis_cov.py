@@ -20,14 +20,17 @@ import scipy.linalg
 
 from ._linalg import (
     band_cholesky,
+    band_product,
     band_to_dense,
+    band_transpose,
     band_width,
     check_size,
     check_symmetric,
     dense_to_band,
     eig_range,
+    signed_band,
 )
-from .circulant import build_mcheck_basis, mcheck_element
+from .circulant import build_mcheck_basis, mcheck_diagonal
 from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
 from .report import CheckResult
 from .spectral import (
@@ -164,19 +167,23 @@ class BasisSystem:
         return build_mcheck_basis(self.n, self.k1, self.k2)
 
     def mcheck_gaps(self) -> np.ndarray:
-        """|Mcheck_k - M_k|_F per k, one dense pair at a time."""
+        """|Mcheck_k - M_k|_F per k.  Both are one diagonal at offset j2, cyclic
+        and plain, so the gap is one wrapped diagonal, counted twice if j2 > 0."""
         scale = math.sqrt(TWO_PI / self.n)
-        return np.array([
-            np.linalg.norm(scale * mcheck_element(self.n, idx) - self.mat(k))
-            for k, idx in enumerate(self.indices)
-        ])
+        gaps = [scale * mcheck_diagonal(self.n, i) - b for i, b in zip(self.indices, self.bands)]
+        return np.linalg.norm(gaps, axis=1) * np.where(self.offsets > 0, math.sqrt(2.0), 1.0)
 
     def raw_mat(self, k: int) -> np.ndarray:
         return self.raw_norms[k] * self.mat(k)
 
-    def project(self, a) -> np.ndarray:
-        """Frobenius coefficients <A, M_k> for a dense symmetric matrix."""
+    def project(self, a, band=False) -> np.ndarray:
+        """Frobenius coefficients <A, M_k> of a symmetric A, dense or, with
+        band, in lower band storage of any half-width."""
         a = np.asarray(a, dtype=float)
+        if band:
+            return self._contract(
+                lambda j2: (2.0 if j2 else 1.0) * a[j2, : self.n - j2] if j2 < len(a) else 0.0
+            )
         return self._contract(
             lambda j2: np.diagonal(a, j2) + np.diagonal(a, -j2) if j2 else np.diagonal(a)
         )
@@ -202,30 +209,17 @@ class BasisSystem:
             raise ConfigurationError("observation length mismatch")
         return self._contract(lambda j2: (2.0 if j2 else 1.0) * (x[: self.n - j2] * x[j2:]))
 
-    def trace_gram(self, s) -> np.ndarray:
-        """[2 tr(S M_k S M_l)]_kl for a symmetric S, read from the bands.
+    def trace_gram(self, sb) -> np.ndarray:
+        """[2 tr(S M_k S M_l)]_kl for a symmetric S in lower band storage.
 
-        M_k is a strip of values p at corner (0, j2) plus, for j2 > 0, its
-        mirror at (j2, 0).  A strip with values p at (ra+i, ca+i) and one
-        with values w at (rb+i, cb+i) contribute p^T (S[ca:, rb:] * S[ra:,
-        cb:]) w; by the symmetry of S, mirroring both strips leaves that
-        unchanged, so each pair of offsets needs two Hadamard blocks.  The
-        cost is O((k2 + 1)^2 n^2 + K^2 n^2) instead of O(K n^3).
+        tr(S M_k S M_l) = <S M_k, (S M_l)^T>_F, and each S M_k is one band
+        product of half-width w + k2 in signed storage, where the entries of
+        all K products line up: one K x K Gram product, O(K^2 n w) in all.
         """
-        s = np.asarray(s, dtype=float)
-        n = self.n
-        groups = self._by_offset()
-        out = np.empty((self.K, self.K))
-        for a, (oa, ka) in enumerate(groups):
-            la, pa = n - oa, self.bands[ka, : n - oa] * (2.0 if oa else 1.0)
-            for ob, kb in groups[a:]:
-                lb, pb = n - ob, self.bands[kb, : n - ob] * (2.0 if ob else 1.0)
-                # strip pairs (0, oa)-(0, ob) and (0, oa)-(ob, 0)
-                had = s[oa:, :lb] * s[:la, ob:]
-                had += s[oa:, ob:] * s[:la, :lb]
-                block = pa @ had @ pb.T
-                out[np.ix_(ka, kb)] = block
-                out[np.ix_(kb, ka)] = block.T
+        s = signed_band(np.asarray(sb, dtype=float))
+        prods = np.stack([band_product(s, signed_band(self.band(e))) for e in np.eye(self.K)])
+        flat = prods.reshape(self.K, -1)
+        out = 2.0 * np.stack([flat @ band_transpose(p).ravel() for p in prods], axis=1)
         return 0.5 * (out + out.T)
 
     def spectral_norms(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_size, wrapped_to_dense
+from ._linalg import band_to_dense, check_size
 from .errors import ConfigurationError, PreconditionError, RangeError
 from .spectral import POS, BasisIndex, basis_norm, enumerate_indices
 
@@ -323,7 +323,7 @@ def mcheck_element(n: int, idx: BasisIndex) -> np.ndarray:
     """Real symmetric image of one basis function, squared norm n/(2 pi), dense."""
     wd = np.zeros((idx.j2 + 1, n))
     wd[idx.j2] = mcheck_diagonal(n, idx)
-    return wrapped_to_dense(wd)
+    return band_to_dense(wd)
 
 
 def build_mcheck_basis(n: int, k1: int, k2: int) -> np.ndarray:

@@ -14,18 +14,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import chdtr
 
 from ._linalg import (
-    band_cho_inv,
-    band_cholesky,
     band_extremes,
-    band_matmul,
+    band_function,
+    band_product,
     band_to_dense,
     check_symmetric,
     eig_range,
     frob,
+    signed_band,
     spectral_norm,
     sym_eig,
     sym_inv,
@@ -115,36 +115,45 @@ def contraction_bound(c_band, delta_band) -> float:
 
 
 def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
-    """(C, Delta, (C^{-1}, P), B) for the revealed coefficients alpha + eta.
+    """(C, Delta, (C^{-1}, P), B) for the revealed coefficients alpha + eta,
+    all in lower band storage.
 
-    C = sum (alpha + eta)_k M_k and Delta = C - C_theta are returned in lower
-    band storage.  C is factored once, banded; C^{-1} and P = C^{-1} Delta
-    C^{-1} come from that factor, one band-times-dense product and one
-    banded solve, symmetric to rounding, and B = C^{-1} + P.  C must be
-    positive definite and the relative perturbation C^{-1} Delta must be a
-    spectral contraction; both failures raise a localization error so Monte
-    Carlo drivers can count them.  The contraction passes when
-    |Delta|_2 / min eig(C) < 1; only otherwise is |C^{-1} Delta|_2 computed
-    exactly, so every decision is the exact one.
+    C = sum (alpha + eta)_k M_k and Delta = C - C_theta have half-width k2;
+    C^{-1} is band_function's polynomial in C, of half-width w, and
+    P = C^{-1} Delta C^{-1} (half-width 2w + k2) two band products; B = C^{-1} + P.
+    C must be positive definite and C^{-1} Delta a spectral contraction;
+    both failures raise a localization error so Monte Carlo drivers can
+    count them.  |C^{-1} Delta|_2^2 = max eig(C^{-1} Delta^2 C^{-1}) is
+    computed only when the bound |Delta|_2 / min eig(C) is >= 1, so every
+    decision is the exact one.
     """
     alpha_theta = np.asarray(alpha_theta, dtype=float)
     eta_tilde = np.asarray(eta_tilde, dtype=float)
+    c_theta_band = basis.band(alpha_theta)
     c_band = basis.band(alpha_theta + eta_tilde)
-    delta_band = c_band - basis.band(alpha_theta)
-    factor = band_cholesky(c_band, error=LocalizationError, what="localized C")
-    c_inv = band_cho_inv(factor)
-    p = cho_solve_banded((factor, True), band_matmul(delta_band, c_inv))
+    delta_band = c_band - c_theta_band
+    # |C^{-1} Delta|_2 >= min eig(C_theta) / min eig(C) - 1 (at the lowest
+    # eigenvector of C): a C this close to singular fails before C^{-1},
+    # whose Chebyshev degree grows like sqrt(cond C), is formed
+    c_lo, theta_lo = band_extremes(c_band)[0], band_extremes(c_theta_band)[0]
+    if 0.0 < 2.0 * c_lo < theta_lo:
+        raise LocalizationError(
+            f"perturbation not a contraction (|C^-1 Delta|_sp >= {theta_lo / c_lo - 1.0:.3g})"
+        )
+    c_inv, _, _ = band_function(c_band, -1.0, error=LocalizationError, what="localized C")
+    c_signed, delta_signed = signed_band(c_inv), signed_band(delta_band)
     if contraction_bound(c_band, delta_band) >= 1.0:
-        contraction = spectral_norm(c_inv @ band_to_dense(delta_band))
+        z = band_product(band_product(c_signed, band_product(delta_signed, delta_signed)), c_signed)
+        contraction = math.sqrt(max(band_extremes(z[len(z) // 2 :])[1], 0.0))
         if contraction >= 1.0:
             raise LocalizationError(
                 f"perturbation not a contraction (|C^-1 Delta|_sp = {contraction:.3g})"
             )
-    # B is inverted and factored downstream; keep it exactly symmetric
-    b_theta = c_inv + p
-    b_theta += b_theta.T
-    b_theta *= 0.5
-    return c_band, delta_band, (c_inv, p), b_theta
+    p = band_product(band_product(c_signed, delta_signed), c_signed)
+    p = p[len(p) // 2 :]
+    b_band = p.copy()
+    b_band[: len(c_inv)] += c_inv
+    return c_band, delta_band, (c_inv, p), b_band
 
 
 def pilot_risk_bound(k: int, rho: float) -> float:
@@ -157,24 +166,21 @@ def gaussian_summaries(c_theta_band, inverse, basis: BasisSystem, alpha_theta=No
     With H = C^{-1} C_theta C^{-1}, all four come from trace identities on
     the band profiles: d_k = <H, M_k>, Gamma_kl = 2 tr(C^{-1} M_k C^{-1} M_l),
     Gamma_theta,kl = 2 tr(H M_k H M_l) and Gamma_tilde_kl = 2 tr(C_theta^{-1}
-    M_k C_theta^{-1} M_l).  No matrix square root is taken.  C_theta is given
-    in lower band storage and factored banded; inverse is the pair
-    (C^{-1}, P) of build_localized_C, with P = C^{-1} (C - C_theta) C^{-1}, so
-    H = C^{-1} - P.  The matrices are symmetric by construction; positive
-    semidefiniteness holds in exact arithmetic (each is a Gram matrix) but is
-    not enforced numerically.  When alpha_theta is supplied (meaning C_theta
-    is exactly its combination), the identity d = Gamma alpha / 2 is enforced
-    to 1e-8 relative.
+    M_k C_theta^{-1} M_l).  Every matrix is a band: inverse is the pair
+    (C^{-1}, P) of build_localized_C, so H = C^{-1} - P, and C_theta^{-1} is
+    band_function's polynomial in C_theta (lower band storage).  The results
+    are symmetric by construction and positive semidefinite in exact
+    arithmetic (Gram matrices), which is not enforced.  When alpha_theta is
+    supplied (C_theta is exactly its combination), d = Gamma alpha / 2 is
+    enforced to 1e-8 relative.
     """
     c_inv, p = inverse
-    h = c_inv - p
-    d_vec = basis.project(h)
+    h = -p
+    h[: len(c_inv)] += c_inv
+    d_vec = basis.project(h, band=True)
     gamma = basis.trace_gram(c_inv)
     gamma_theta = basis.trace_gram(h)
-    del c_inv, p, inverse, h  # n x n; drop these references before C_theta^{-1}
-    gamma_tilde = basis.trace_gram(
-        band_cho_inv(band_cholesky(c_theta_band, what="C_theta"))
-    )
+    gamma_tilde = basis.trace_gram(band_function(c_theta_band, -1.0, what="C_theta")[0])
 
     if alpha_theta is not None:
         target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
@@ -216,8 +222,9 @@ def goe_sample(n: int, rng) -> np.ndarray:
 class ExperimentState:
     """Everything the chain of samplers needs, built once and frozen.
 
-    C_theta, C and Delta = C - C_theta are held in lower band storage; c_theta,
-    c_mat and delta are dense views of them, formed on each read.
+    C_theta, C, Delta = C - C_theta and B = C^{-1} + C^{-1} Delta C^{-1} are
+    held in lower band storage; c_theta, c_mat, delta and b_theta are dense
+    views of them, formed on each read.
     """
 
     n: int
@@ -228,7 +235,7 @@ class ExperimentState:
     c_theta_band: np.ndarray
     c_band: np.ndarray
     delta_band: np.ndarray
-    b_theta: np.ndarray
+    b_band: np.ndarray
     d_vec: np.ndarray
     gamma_theta: np.ndarray
     gamma: np.ndarray
@@ -250,6 +257,10 @@ class ExperimentState:
     @property
     def delta(self) -> np.ndarray:
         return band_to_dense(self.delta_band)
+
+    @property
+    def b_theta(self) -> np.ndarray:
+        return band_to_dense(self.b_band)
 
     @classmethod
     def build(
@@ -280,8 +291,8 @@ class ExperimentState:
         if theta is None:
             theta = band_to_dense(c_theta_band)
         eta = sample_truncated_noise(cfg, basis.K, rng)
-        # one banded Cholesky of C serves the localization and the summaries
-        c_band, delta_band, inverse, b_theta = build_localized_C(alpha_theta, eta, basis)
+        # one band C^{-1} serves the localization and the summaries
+        c_band, delta_band, inverse, b_band = build_localized_C(alpha_theta, eta, basis)
         d_vec, gamma_theta, gamma, gamma_tilde = gaussian_summaries(
             c_theta_band, inverse, basis, alpha_theta=alpha_theta
         )
@@ -294,7 +305,7 @@ class ExperimentState:
             c_theta_band=c_theta_band,
             c_band=c_band,
             delta_band=delta_band,
-            b_theta=b_theta,
+            b_band=b_band,
             d_vec=d_vec,
             gamma_theta=gamma_theta,
             gamma=gamma,

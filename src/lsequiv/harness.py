@@ -572,12 +572,10 @@ def _stage(errors: list, name: str, fn):
 
 
 def _abstract_pilot_risk(theta, alpha_theta, basis, replicates, rng) -> float:
-    chol = _chol(theta, "covariance")
-    total = 0.0
-    for _ in range(replicates):
-        x = chol @ rng.standard_normal(basis.n)
-        total += float(np.sum((basis.quad_form(x) - alpha_theta) ** 2))
-    return total / replicates
+    # one (replicates, n) normal block reads the stream in the order of one
+    # draw per replicate
+    xs = rng.standard_normal((replicates, basis.n)) @ _chol(theta, "covariance").T
+    return sum(float(np.sum((basis.quad_form(x) - alpha_theta) ** 2)) for x in xs) / replicates
 
 
 def run_equivalence_chain(cfg: RunConfig):

@@ -17,16 +17,17 @@ import numpy as np
 
 from ._linalg import (
     band_extremes,
-    band_matmul,
+    band_function,
+    band_product,
+    band_to_dense,
     frob,
-    guarded_band_eig,
+    signed_band,
+    signed_frob,
     sym_abs,
     sym_eig,
     sym_inv_sqrt,
     sym_sqrt,
     wrapped_band,
-    wrapped_matmul,
-    wrapped_to_dense,
 )
 from .circulant import (
     CirculantElement,
@@ -560,14 +561,14 @@ def goe_connection(state, w, gamma=None) -> GoeComparison:
     kl is the exact Kullback-Leibler divergence
     | |W/sqrt(2 pi)| Dcheck |W/sqrt(2 pi)| - C^{-1/2} D C^{-1/2} |_F^2 / 4;
     b1 + b2 + b3 is its three-term upper bound, certified to dominate.
-    C and Delta are read from the state's bands: C^{-1/2} comes from a
-    banded eigendecomposition and |Delta|_2 from its extreme eigenvalues.
-    W and Dcheck are k2 + 1 wrapped diagonals (see _linalg), as is every
-    cyclic expansion on the basis window; their spectral norms come from the
-    extreme eigenvalues of the reordered bands.  A positive definite W is
-    its own |W|, and |W| Dcheck |W| is two wrapped-band products; only an
-    indefinite W takes |W| from a dense eigendecomposition.  The scale
-    2 pi is folded into the scalars, so W/sqrt(2 pi) is never formed.
+    x = sqrt(2 pi) C^{-1/2} is band_function's polynomial in the state's C,
+    x Delta x two band products.  W and Dcheck are k2 + 1 wrapped diagonals
+    (see _linalg), as is every cyclic expansion on the window.  A positive
+    definite W is its own |W|, |W| Dcheck |W| two wrapped-band products, and
+    the gaps to x Delta x, x and Delta are formed entry by entry in signed
+    storage: no n x n array.  Only an indefinite W takes |W| from a dense
+    eigendecomposition, with dense gaps.  Spectral norms are extreme
+    eigenvalues of bands; 2 pi is folded into the scalars.
     """
     basis = state.basis
     n, k2 = basis.n, basis.k2
@@ -576,42 +577,33 @@ def goe_connection(state, w, gamma=None) -> GoeComparison:
         raise PreconditionError(f"W must be {k2 + 1} wrapped diagonals of length {n}")
     w_lo, w_hi = band_extremes(wrapped_band(w))
     w_sp = max(-w_lo, w_hi)
-    pd = w_lo > 0.0
 
-    # n x n work arrays are formed in this order and dropped as soon as their
-    # stage is done, so that at most four are live at once
     # Dcheck = sum_k eta_k Mcheck_k with Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, basis.indices, scale * state.eta_tilde)
     dc_lo, dc_hi = band_extremes(wrapped_band(delta_check))
     delta_check_sp = max(-dc_lo, dc_hi)
-    dict_gap = wrapped_to_dense(delta_check)
-    dict_gap -= state.delta
-    dict_gap_sq = float(frob(dict_gap) ** 2)
-    del dict_gap
+    dc_signed, delta_signed = signed_band(delta_check), signed_band(state.delta_band)
+    dict_gap_sq = signed_frob(dc_signed, delta_signed) ** 2
 
-    abs_w = wrapped_to_dense(w) if pd else sym_abs(wrapped_to_dense(w))[0]
-    # one banded decomposition of C gives x = sqrt(2 pi) C^{-1/2} and
-    # |C^{-1/2}|^2 = 1 / min eig(C)
-    c_eig, v = guarded_band_eig(state.c_band, require_pd=True)
-    v *= (A_STAR / c_eig) ** 0.25
-    x = v @ v.T
-    del v
-    root_gap_sq = float(frob(abs_w - x) ** 2) / A_STAR
-    whitened_delta = x @ band_matmul(state.delta_band, x)
-    del x
-
-    gap = wrapped_matmul(delta_check, abs_w)
-    if pd:
-        del abs_w
-        gap = wrapped_matmul(w, gap)
+    x_signed = signed_band(band_function(state.c_band, -0.5, what="localized C")[0])
+    x_signed *= math.sqrt(A_STAR)
+    whitened_delta = band_product(band_product(x_signed, delta_signed), x_signed)
+    if w_lo > 0.0:
+        w_signed = signed_band(w)
+        root_gap_sq = signed_frob(w_signed, x_signed) ** 2 / A_STAR
+        sandwich = band_product(band_product(w_signed, dc_signed), w_signed)
+        gap = signed_frob(sandwich, whitened_delta)
     else:
-        gap = abs_w @ gap
-    gap -= whitened_delta
-    kl = float(frob(gap) ** 2 / (4.0 * A_STAR**2))
+        abs_w = sym_abs(band_to_dense(w))[0]
+        root_gap_sq = frob(abs_w - band_to_dense(x_signed[len(x_signed) // 2 :])) ** 2 / A_STAR
+        gap = abs_w @ band_to_dense(delta_check) @ abs_w
+        gap -= band_to_dense(whitened_delta[len(whitened_delta) // 2 :])
+        gap = frob(gap)
+    kl = gap**2 / (4.0 * A_STAR**2)
 
     w_sp_sq = w_sp**2
-    cis_sp_sq = float(1.0 / np.min(c_eig))
+    cis_sp_sq = 1.0 / band_extremes(state.c_band)[0]
     delta_sp = max(abs(e) for e in band_extremes(state.delta_band))
     b1 = 3.0 / A_STAR * root_gap_sq * delta_check_sp**2 * w_sp_sq
     b2 = 3.0 / A_STAR * cis_sp_sq * dict_gap_sq * w_sp_sq

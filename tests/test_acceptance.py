@@ -6,7 +6,6 @@ each assertion.
 """
 
 import math
-import struct
 import time
 
 import numpy as np
@@ -44,7 +43,6 @@ from lsequiv.harness import (
     config_density,
     run_risk_study,
     run_tv_decay,
-    run_verify,
     whitening_matrix,
 )
 from lsequiv.rng import make_rng

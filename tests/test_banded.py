@@ -1,9 +1,10 @@
-"""The banded factorization core against its dense oracles.
+"""The banded core against its dense oracles.
 
-Every banded path (basis bands, localization, pre-smoothing residual, GOE
-comparison, wrapped bands) is compared with the dense formula it replaced,
-at 1e-12 relative, on windows (0,0), (0,1), (1,1), (2,0) and (3,3); the
-Gaussian summaries have the same oracle in test_gaussianize.
+Every banded path (basis bands, Chebyshev band functions, band products,
+localization, pre-smoothing residual, GOE comparison, wrapped bands) is
+compared with the dense formula it replaced, at 1e-12 relative, on windows
+(0,0), (0,1), (1,1), (2,0) and (3,3); the Gaussian summaries have the same
+oracle in test_gaussianize.
 """
 
 import dataclasses
@@ -18,16 +19,16 @@ from hypothesis import strategies as st
 
 from lsequiv import gaussianize, harness
 from lsequiv._linalg import (
-    band_cho_inv,
     band_cholesky,
     band_extremes,
-    band_matmul,
+    band_function,
+    band_product,
     band_to_dense,
     band_width,
     dense_to_band,
+    signed_band,
+    signed_frob,
     wrapped_band,
-    wrapped_matmul,
-    wrapped_to_dense,
 )
 from lsequiv.basis_cov import build_basis, build_theta, presmoothing_residual
 from lsequiv.circulant import psi_inverse_real
@@ -38,7 +39,7 @@ from lsequiv.gaussianize import (
     build_localized_C,
     contraction_bound,
 )
-from lsequiv.harness import CHAIN_HEADER, RunConfig, run_equivalence_chain
+from lsequiv.harness import CHAIN_HEADER, RunConfig, config_density, run_equivalence_chain
 from lsequiv.rng import make_rng
 from lsequiv.spectral import random_density
 from lsequiv.whitenoise import A_STAR, goe_connection
@@ -78,11 +79,9 @@ def test_band_helpers_match_dense():
     dense = band_to_dense(ab)
     np.testing.assert_array_equal(dense, dense.T)
     np.testing.assert_array_equal(dense_to_band(dense, 2), ab)
-    x = rng.standard_normal((12, 5))
-    assert _rel(band_matmul(ab, x), dense @ x) <= 1e-14
     w = np.linalg.eigvalsh(dense)
     np.testing.assert_allclose(band_extremes(ab), (w[0], w[-1]), rtol=1e-13)
-    assert _rel(band_cho_inv(band_cholesky(ab)), np.linalg.inv(dense)) <= 1e-13
+    assert _rel(band_to_dense(band_function(ab, -1.0)[0]), np.linalg.inv(dense)) <= 1e-13
     with pytest.raises(PreconditionError, match="outside half-width 1"):
         dense_to_band(dense, 1)
 
@@ -116,7 +115,7 @@ WRAPPED = dict(
 @given(**WRAPPED)
 def test_wrapped_band_is_reordered_plain_band(n, width, seed):
     wd, a = _wrapped_case(n, width, seed)
-    np.testing.assert_array_equal(wrapped_to_dense(wd), a)
+    np.testing.assert_array_equal(band_to_dense(wd), a)
     ab = wrapped_band(wd)
     perm = _reorder(n)
     np.testing.assert_array_equal(ab, dense_to_band(a[np.ix_(perm, perm)], 2 * width))
@@ -128,10 +127,11 @@ def test_wrapped_band_is_reordered_plain_band(n, width, seed):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(**WRAPPED)
-def test_wrapped_matmul_matches_dense(n, width, seed):
+def test_wrapped_band_product_matches_dense(n, width, seed):
     wd, a = _wrapped_case(n, width, seed)
-    x = make_rng(seed, stream=77).standard_normal((n, 5))
-    assert _rel(wrapped_matmul(wd, x), a @ x) <= 1e-12
+    other, b = _wrapped_case(n, 1, seed + 1)
+    got = band_product(signed_band(wd), signed_band(other))
+    assert _rel(_signed_to_dense(got, wrapped=True), a @ b) <= 1e-12
 
 
 def test_wrapped_band_needs_room_to_wrap():
@@ -161,7 +161,7 @@ def test_band_is_combine(k1, k2):
 def test_build_localized_c_matches_dense(k1, k2):
     basis = build_basis(N, k1, k2)
     alpha, eta = _coeffs(basis, 1)
-    c_band, delta_band, (c_inv, p), b_theta = build_localized_C(alpha, eta, basis)
+    c_band, delta_band, (c_inv, p), b_band = build_localized_C(alpha, eta, basis)
     c_dense = _dense(basis, alpha + eta)
     delta_dense = c_dense - _dense(basis, alpha)
     c_inv_dense = np.linalg.inv(c_dense)
@@ -169,10 +169,106 @@ def test_build_localized_c_matches_dense(k1, k2):
     assert c_band.shape == delta_band.shape == (k2 + 1, N)
     assert _rel(band_to_dense(c_band), c_dense) <= 1e-12
     assert _rel(band_to_dense(delta_band), delta_dense) <= 1e-12
-    assert _rel(c_inv, c_inv_dense) <= 1e-12
-    assert _rel(p, p_dense) <= 1e-12
-    assert _rel(b_theta, c_inv_dense + p_dense) <= 1e-12
-    np.testing.assert_array_equal(b_theta, b_theta.T)
+    assert _rel(band_to_dense(c_inv), c_inv_dense) <= 1e-12
+    assert _rel(band_to_dense(p), p_dense) <= 1e-12
+    assert _rel(band_to_dense(b_band), c_inv_dense + p_dense) <= 1e-12
+    assert len(p) == len(b_band) == min(2 * (len(c_inv) - 1) + k2, N - 1) + 1
+
+
+def _chain_c_band(n):
+    """The localized C of the default chain row at n, drawn from its stream."""
+    cfg = RunConfig(n_grid=(n,))
+    sched = cfg.window(n)
+    basis = build_basis(n, sched.k1, sched.k2)
+    state = ExperimentState.build(
+        basis, LocalizationConfig(beta=sched.beta, gamma=sched.gamma),
+        theta=build_theta(config_density(cfg), n),
+        rng=make_rng(cfg.seed, stream=11_000_000 + n),
+    )
+    return state.c_band
+
+
+def _small_ill_conditioned_band():
+    """A half-width 2 band at n = 24 with condition number about 20."""
+    rng = make_rng(0, stream=78)
+    ab = np.zeros((3, 24))
+    ab[0] = 1.0 + np.linspace(0.0, 19.0, 24)
+    ab[1, :23] = 0.3 * rng.standard_normal(23)
+    ab[2, :22] = 0.3 * rng.standard_normal(22)
+    return ab
+
+
+@pytest.mark.parametrize("power", [-1.0, -0.5])
+@pytest.mark.parametrize("case", ["chain-512", "ill-conditioned"])
+def test_band_function_matches_eigh(case, power):
+    ab = _chain_c_band(512) if case == "chain-512" else _small_ill_conditioned_band()
+    n, k2 = ab.shape[1], ab.shape[0] - 1
+    fab, degree, bound = band_function(ab, power)
+    w, v = np.linalg.eigh(band_to_dense(ab))
+    want = (v * w**power) @ v.T
+    assert fab.shape == (min(degree * k2, n - 1) + 1, n)
+    assert 0.0 < bound <= 1e-15 * w[0] ** power
+    assert _rel(band_to_dense(fab), want) <= 1e-12
+    if case == "ill-conditioned":
+        assert w[-1] / w[0] > 10.0 and degree * k2 > n - 1 and len(fab) == n
+
+
+def test_band_function_rejects_indefinite_and_singular_input():
+    ab = np.array([[1.0, -1.0, 2.0], [0.1, 0.1, 0.0]])
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        band_function(ab, -1.0)
+    with pytest.raises(SingularMatrixError, match="C is not positive definite"):
+        band_function(np.array([[1.0, 0.0, 1.0]]), -0.5, what="C")
+    with pytest.raises(LocalizationError, match="needs Chebyshev degree"):
+        band_function(np.array([[1.0, 1e-10, 1.0]]), -1.0, error=LocalizationError)
+
+
+def _signed_to_dense(g, wrapped):
+    """Dense matrix of signed storage; a plain band must be zero past its edges."""
+    w, n = len(g) // 2, g.shape[1]
+    out = np.zeros((n, n))
+    i = np.arange(n)
+    for s in range(-w, w + 1):
+        if not wrapped:
+            assert not np.any(g[w + s][(i + s < 0) | (i + s >= n)])
+        np.add.at(out, ((i + s) % n, i), g[w + s])
+    return out
+
+
+def _plain_band(n, width, seed):
+    ab = make_rng(seed, stream=79).standard_normal((width + 1, n))
+    for j in range(width + 1):
+        ab[j, n - j :] = 0.0
+    return ab
+
+
+@pytest.mark.parametrize(
+    "widths,wrapped",
+    [
+        ((3, 1, 2), False),
+        ((1, 3, 0), False),
+        ((12, 9, 4), False),
+        ((3, 2, 1), True),
+        ((4, 4, 3), True),
+    ],
+)
+def test_band_product_and_signed_frob_match_dense(widths, wrapped):
+    # the products chain through a non-symmetric middle factor; ((12, 9, 4),
+    # n = 20) fills past n - 1 and (4, 4, 3) wraps past n / 2
+    n = 20
+
+    def make(w, seed):
+        return _wrapped_case(n, w, seed)[0] if wrapped else _plain_band(n, w, seed)
+
+    a, b, c = (signed_band(make(w, seed)) for seed, w in enumerate(widths))
+    dense = [_signed_to_dense(g, wrapped) for g in (a, b, c)]
+    want = dense[0] @ dense[1] @ dense[2]
+    for got in (band_product(band_product(a, b), c), band_product(a, band_product(b, c))):
+        assert len(got) == 2 * min(sum(widths), n - 1) + 1
+        assert _rel(_signed_to_dense(got, wrapped), want) <= 1e-13
+        assert signed_frob(got) == pytest.approx(np.linalg.norm(want), rel=1e-13)
+        gap = np.linalg.norm(want - dense[0])
+        assert signed_frob(got, a) == pytest.approx(gap, rel=1e-13)
 
 
 @pytest.mark.parametrize("k1,k2", WINDOWS)
@@ -219,7 +315,7 @@ def test_presmoothing_residual_rejects_indefinite_theta():
 
 def _goe_oracle(state, w):
     """(kl, b1, b2, b3) from the dense formulas the banded ones replaced."""
-    w_dense = wrapped_to_dense(w)
+    w_dense = band_to_dense(w)
     basis = state.basis
     delta_check = np.tensordot(state.eta_tilde, basis.mcheck, axes=(0, 0))
     w, v = np.linalg.eigh(state.c_mat)
@@ -286,7 +382,7 @@ def _counting(monkeypatch, *names):
 @pytest.mark.parametrize("w_spread,pd", [(0.1, True), (3.0, False)])
 def test_goe_connection_takes_dense_abs_only_for_indefinite_w(monkeypatch, w_spread, pd):
     state, w = _goe_case(2, 2, w_spread=w_spread)
-    assert (np.linalg.eigvalsh(wrapped_to_dense(w))[0] > 0.0) == pd
+    assert (np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0) == pd
     calls = _counting(monkeypatch, "eigh", "eigvalsh")
     comp = goe_connection(state, w)
     assert calls == ([] if pd else ["eigh"])
@@ -315,21 +411,23 @@ def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch):
     row = dict(zip(CHAIN_HEADER, rows[0]))
     assert row["error"] == "" and row["goe_kl"] is not None and row["presmooth_rel"] is not None
     assert seen["goe_connection"][1] == seen["presmoothing_residual"][1] == 0
-    assert np.linalg.eigvalsh(wrapped_to_dense(seen["goe_connection"][0][1]))[0] > 0.0
+    assert np.linalg.eigvalsh(band_to_dense(seen["goe_connection"][0][1]))[0] > 0.0
 
 
 def test_goe_connection_memory_peak():
-    # at most four n x n arrays live at once on the positive definite path
+    # on the positive definite path the peak is a few signed bands of the
+    # half-width of x Delta x, O(n w) and well under one n x n array
     n = 1024
     state, w = _goe_case(2, 2, n=n, w_spread=0.02)
-    assert np.linalg.eigvalsh(wrapped_to_dense(w))[0] > 0.0
+    assert np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0
+    width = 2 * (len(band_function(state.c_band, -0.5)[0]) - 1) + state.basis.k2
     tracemalloc.start()
     try:
         goe_connection(state, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * n * n * 8 + 2 * 2**20
+    assert peak <= 4 * (2 * width + 1) * n * 8 <= n * n * 8 / 2
 
 
 def test_goe_connection_input_guards():
@@ -347,20 +445,20 @@ def test_goe_connection_input_guards():
         goe_connection(dataclasses.replace(state, c_band=-state.c_band), eye)
 
 
-def test_state_build_factors_c_once(monkeypatch):
+def test_state_build_takes_one_band_function_per_matrix(monkeypatch):
     basis = build_basis(N, 1, 1)
     alpha, _ = _coeffs(basis, 6)
-    factored = []
+    taken = []
 
-    def counting(ab, **kwargs):
-        factored.append(kwargs.get("what"))
-        return band_cholesky(ab, **kwargs)
+    def counting(ab, power, **kwargs):
+        taken.append((kwargs.get("what"), power))
+        return band_function(ab, power, **kwargs)
 
-    monkeypatch.setattr(gaussianize, "band_cholesky", counting)
-    state = ExperimentState.build(
+    monkeypatch.setattr(gaussianize, "band_function", counting)
+    ExperimentState.build(
         basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha, rng=make_rng(6)
     )
-    assert factored == ["localized C", "C_theta"]
+    assert taken == [("localized C", -1.0), ("C_theta", -1.0)]
 
 
 def _diagonal_case(delta_scale):
@@ -390,6 +488,24 @@ def test_contraction_fails_when_exact_norm_fails():
     basis, alpha, eta = _diagonal_case(6.0)
     with pytest.raises(LocalizationError, match="not a contraction"):
         build_localized_C(alpha, eta, basis)
+
+
+def test_nearly_singular_c_fails_the_contraction_before_its_inverse(monkeypatch):
+    # C = 5 (I + 0.9999 Cos), C_theta = 5 (I + 0.5 Cos): min eig(C) = 5e-4 is
+    # below min eig(C_theta) / 2 = 1.25, so |C^{-1} Delta|_2 >= 2.5 / 5e-4 - 1
+    # is known without the degree-2500 polynomial for C^{-1}
+    basis = build_basis(N, 1, 0)
+    cos = np.diag(np.cos(2.0 * math.pi * np.arange(N) / N))
+    c_mat, c_theta = 5.0 * (np.eye(N) + 0.9999 * cos), 5.0 * (np.eye(N) + 0.5 * cos)
+    alpha, eta = basis.project(c_theta), basis.project(c_mat - c_theta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("C^{-1} was formed")
+
+    monkeypatch.setattr(gaussianize, "band_function", refuse)
+    with pytest.raises(LocalizationError, match="not a contraction .* >= 5e\\+03"):
+        build_localized_C(alpha, eta, basis)
+    assert np.linalg.norm(np.linalg.solve(c_mat, c_mat - c_theta), 2) >= 4999.0
 
 
 def test_localized_c_not_pd_raises_localization_error():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lsequiv._linalg import DENSE_N_MAX
+from lsequiv._linalg import DENSE_N_MAX, band_to_dense, dense_to_band
 from lsequiv.basis_cov import (
     CovarianceMatrix,
     abstract_rho,
@@ -232,9 +232,14 @@ def test_trace_gram_matches_dense(k1, k2):
     # tr(S M_a S M_b) = <P_a, P_b^T> with P_k = S M_k
     p = s @ basis.mats
     want = 2.0 * p.reshape(basis.K, -1) @ np.transpose(p, (0, 2, 1)).reshape(basis.K, -1).T
-    got = basis.trace_gram(s)
+    got = basis.trace_gram(dense_to_band(s, n - 1))
     assert _max_rel(got, want) <= 1e-12
     np.testing.assert_array_equal(got, got.T)
+    # a narrow band S: only the diagonals within reach are read
+    narrow = dense_to_band(s, n - 1)[:3]
+    p = band_to_dense(narrow) @ basis.mats
+    want = 2.0 * p.reshape(basis.K, -1) @ np.transpose(p, (0, 2, 1)).reshape(basis.K, -1).T
+    assert _max_rel(basis.trace_gram(narrow), want) <= 1e-12
 
 
 @pytest.mark.parametrize("k1,k2", ORACLE_WINDOWS)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsequiv._linalg import wrapped_to_dense
+from lsequiv._linalg import band_to_dense
 from lsequiv.circulant import (
     CirculantElement,
     FourierFunction,
@@ -168,7 +168,7 @@ def test_psi_inverse_real_constant_density_gives_identity():
     n = 20
     w = psi_inverse_real(n, [BasisIndex("+", 0, 0)], [math.sqrt(2.0 * math.pi)])
     assert w.shape == (1, n)
-    np.testing.assert_allclose(wrapped_to_dense(w), np.eye(n), atol=1e-12)
+    np.testing.assert_allclose(band_to_dense(w), np.eye(n), atol=1e-12)
 
 
 def test_psi_inverse_real_single_mode():
@@ -176,7 +176,7 @@ def test_psi_inverse_real_single_mode():
     idx = BasisIndex("-", 1, 1)
     got = psi_inverse_real(n, [idx], [2.5])
     assert got.shape == (2, n)
-    np.testing.assert_allclose(wrapped_to_dense(got), 2.5 * mcheck_element(n, idx), atol=1e-12)
+    np.testing.assert_allclose(band_to_dense(got), 2.5 * mcheck_element(n, idx), atol=1e-12)
 
 
 def _mcheck_element_fill(n, idx):
@@ -219,7 +219,7 @@ def test_psi_inverse_real_wrapped_matches_dense_accumulation(k1, k2, n, seed):
     coeffs = rng.standard_normal(len(indices)) * (rng.random(len(indices)) < 0.8)
     wd = psi_inverse_real(n, indices, coeffs)
     assert wd.shape == (k2 + 1, n)
-    np.testing.assert_array_equal(wrapped_to_dense(wd), _dense_expansion(n, indices, coeffs))
+    np.testing.assert_array_equal(band_to_dense(wd), _dense_expansion(n, indices, coeffs))
     for idx in indices:
         np.testing.assert_array_equal(mcheck_element(n, idx), _mcheck_element_fill(n, idx))
         np.testing.assert_array_equal(
@@ -279,7 +279,7 @@ def test_real_expansion_to_element_matches_mcheck_sum():
     elem = real_expansion_to_element(n, indices, coeffs)
     assert (elem.k1, elem.k2) == (1, 2)
     np.testing.assert_allclose(
-        elem.to_matrix(), wrapped_to_dense(psi_inverse_real(n, indices, coeffs)), atol=1e-12
+        elem.to_matrix(), band_to_dense(psi_inverse_real(n, indices, coeffs)), atol=1e-12
     )
 
 

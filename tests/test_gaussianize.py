@@ -88,12 +88,12 @@ def test_truncated_noise_raises_past_the_attempt_cap():
 def test_build_localized_c_identities():
     alpha = BASIS.project(THETA.entries)
     eta = sample_truncated_noise(LOC, BASIS.K, make_rng(1, stream=40))
-    c_band, delta_band, _, b_theta = build_localized_C(alpha, eta, BASIS)
+    c_band, delta_band, _, b_band = build_localized_C(alpha, eta, BASIS)
     c_mat, delta = band_to_dense(c_band), band_to_dense(delta_band)
     np.testing.assert_allclose(c_mat, BASIS.combine(alpha + eta), atol=1e-12)
     np.testing.assert_allclose(delta, c_mat - BASIS.combine(alpha), atol=1e-12)
     c_inv = np.linalg.inv(c_mat)
-    np.testing.assert_allclose(b_theta, c_inv + c_inv @ delta @ c_inv, atol=1e-10)
+    np.testing.assert_allclose(band_to_dense(b_band), c_inv + c_inv @ delta @ c_inv, atol=1e-10)
 
 
 def test_build_localized_c_guards():
@@ -126,16 +126,19 @@ def test_state_dense_views_are_the_band_combinations():
     np.testing.assert_array_equal(state.theta, state.c_theta)
 
 
-def test_state_holds_only_theta_and_b_dense():
-    # C_theta, C and Delta are bands; their dense forms are views
+def test_state_holds_only_theta_dense():
+    # C_theta, C, Delta and B are bands; their dense forms are views
+    n = 256
+    basis = build_basis(n, 1, 1)
+    state = ExperimentState.build(basis, LOC, theta=build_theta(DENSITY, n), rng=make_rng(0))
     square = {
-        f.name
-        for f in dataclasses.fields(STATE)
-        if np.shape(getattr(STATE, f.name)) == (N, N)
+        f.name for f in dataclasses.fields(state) if np.shape(getattr(state, f.name)) == (n, n)
     }
-    assert square == {"theta", "b_theta"}
+    assert square == {"theta"}
     for name in ("c_theta_band", "c_band", "delta_band"):
-        assert getattr(STATE, name).shape == (BASIS.k2 + 1, N)
+        assert getattr(state, name).shape == (basis.k2 + 1, n)
+    assert state.b_band.shape[1] == n and len(state.b_band) < n / 4
+    np.testing.assert_array_equal(state.b_theta, band_to_dense(state.b_band))
 
 
 def test_summaries_identity_block():
@@ -157,7 +160,7 @@ def test_summaries_reject_inconsistent_alpha():
     n = 16
     basis1 = build_basis(n, 0, 0)
     eye_band = np.ones((1, n))
-    inverse = (np.eye(n), np.zeros((n, n)))
+    inverse = (eye_band, np.zeros((1, n)))
     with pytest.raises(RuntimeError):
         gaussian_summaries(eye_band, inverse, basis1, alpha_theta=np.array([1.0]))
 
@@ -317,7 +320,7 @@ def test_summaries_guards():
     n = 16
     basis1 = build_basis(n, 0, 0)
     eye_band = np.ones((1, n))
-    inverse = (np.eye(n), np.zeros((n, n)))
+    inverse = (eye_band, np.zeros((1, n)))
     with pytest.raises(LocalizationError):
         gaussian_summaries(eye_band, inverse, basis1, alpha_theta=np.array([1.0]))
     indefinite = np.r_[-1.0, np.ones(n - 1)][None, :]

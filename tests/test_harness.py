@@ -11,8 +11,8 @@ import pytest
 import lsequiv
 import lsequiv.cli as cli
 import lsequiv.harness as harness
-from lsequiv._linalg import DENSE_N_MAX, wrapped_to_dense
-from lsequiv.basis_cov import BasisSystem, build_basis
+from lsequiv._linalg import DENSE_N_MAX, band_to_dense
+from lsequiv.basis_cov import BasisSystem, build_basis, build_theta
 from lsequiv.cli import main
 from lsequiv.errors import ConfigurationError, PreconditionError, RangeError, SingularMatrixError
 from lsequiv.harness import (
@@ -172,7 +172,7 @@ def test_whitening_matrix_constant_density_is_identity():
     ones = np.ones(grid.mesh[0].shape)
     w = whitening_matrix(ones, basis, 0.5, grid=grid)
     assert w.shape == (basis.k2 + 1, 32)
-    np.testing.assert_allclose(wrapped_to_dense(w), np.eye(32), atol=1e-12)
+    np.testing.assert_allclose(band_to_dense(w), np.eye(32), atol=1e-12)
 
 
 def test_run_verify_passes_and_serializes_stably():
@@ -465,3 +465,19 @@ def test_cli_outputs_agree_across_blas_thread_counts(tmp_path):
                 except ValueError:
                     pytest.fail(f"{name}: text cell {a!r} != {b!r}")
                 assert abs(x - y) <= 1e-12 * max(abs(x), abs(y)) + 1e-14, (name, line1, line2)
+
+
+def test_abstract_pilot_risk_block_draws_match_per_replicate_loop():
+    # one (replicates, n) normal block against one draw per replicate
+    n, reps = 256, 100
+    basis = build_basis(n, 1, 1)
+    theta = build_theta(config_density(RunConfig(n_grid=(n,))), n).entries
+    alpha = basis.project(theta)
+    got = harness._abstract_pilot_risk(theta, alpha, basis, reps, make_rng(0, stream=13_000_256))
+    rng = make_rng(0, stream=13_000_256)
+    chol = np.linalg.cholesky(theta)
+    total = 0.0
+    for _ in range(reps):
+        x = chol @ rng.standard_normal(n)
+        total += float(np.sum((basis.quad_form(x) - alpha) ** 2))
+    assert abs(got - total / reps) <= 1e-12 * (total / reps)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lsequiv._linalg import frob, spectral_norm, sym_abs, sym_inv_sqrt, wrapped_to_dense
+from lsequiv._linalg import band_to_dense, frob, spectral_norm, sym_abs, sym_inv_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.circulant import psi_inverse_real
 from lsequiv.errors import PreconditionError, RangeError
@@ -228,7 +228,7 @@ def test_goe_connection_matches_dense_stacks():
     proj = inv_sqrt_projection(fv, BASIS.indices, 0.5)
     w = psi_inverse_real(N, proj.indices, proj.coeffs)
     comp = goe_connection(STATE, w, gamma=3.0)
-    w_dense = wrapped_to_dense(w)
+    w_dense = band_to_dense(w)
 
     delta_check = np.tensordot(STATE.eta_tilde, BASIS.mcheck, axes=(0, 0))
     ci_sqrt = sym_inv_sqrt(STATE.c_mat)
