@@ -8,7 +8,8 @@ they are factored by banded Cholesky (``cholesky_banded``), whose failure is
 the positive-definiteness check, and their extreme eigenvalues come from
 ``eig_banded``.  A function x**power (-1 <= power < 0) of an SPD band is a
 Chebyshev polynomial in it, held as a band of certified half-width
-(``band_function``); no eigenvectors are formed.
+(``band_function``); a band too ill-conditioned for that half-width to stay
+below 4 sqrt(n) is given the exact function, dense.
 
 A symmetric wrapped band of half-width w has A[i, l] = 0 unless the cyclic
 distance min(|i - l|, n - |i - l|) is at most w, with 2w < n; the cyclic
@@ -16,14 +17,15 @@ dictionary sums and the whitening matrix W are of this kind.  It is held as
 its wrapped diagonals, ``wd[j, i] = A[(i + j) mod n, i]`` for ``j = 0..w``.
 Reordering the indices as 0, n-1, 1, n-2, ... turns it into a plain band of
 half-width 2w with the same spectrum and Frobenius norm (``wrapped_band``),
-so ``band_extremes`` applies.  An n x n array is formed from either storage
-only by ``band_to_dense``.
+so ``band_extremes`` applies.  An n x n array is formed from band storage
+only by ``band_to_dense`` and ``signed_to_dense``, the latter for a band that
+fills (2w >= n).
 
 Products of bands (not symmetric in general) use signed storage,
 ``g[w + s, i] = A[(i + s) mod n, i]`` for ``s = -w..w`` (``signed_band``).  A
 plain band is zero where i + s leaves [0, n), so one layout serves plain and
 wrapped bands, and rows s >= 0 of a symmetric result are its lower band
-storage.  Rows s and s - n add up to one cyclic diagonal (``signed_frob``).
+storage.  Rows s and s - n add up to one cyclic diagonal (``signed_to_dense``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eig_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
 from .errors import PreconditionError, SingularMatrixError
 
@@ -140,16 +142,8 @@ def eig_range(a):
 
 def band_to_dense(ab):
     """Dense symmetric matrix from lower band storage or from wrapped
-    diagonals (2w < n): A[(i + j) mod n, i] = ab[j, i], with the zeros of a
-    plain band's padding added, not written."""
-    n = ab.shape[1]
-    check_size(n)
-    out = np.diag(np.asarray(ab[0], dtype=float))
-    i = np.arange(n)
-    for j in range(1, len(ab)):
-        out[(i + j) % n, i] += ab[j]
-        out[i, (i + j) % n] += ab[j]
-    return out
+    diagonals (2w < n)."""
+    return signed_to_dense(signed_band(ab))
 
 
 def dense_to_band(a, width, what="matrix"):
@@ -243,52 +237,74 @@ def band_transpose(g):
     return g[w - s, (np.arange(n) + s) % n]
 
 
+def signed_to_dense(g):
+    """Dense matrix from signed storage: A[(i + s) mod n, i] = g[w + s, i],
+    rows s and s - n added."""
+    w, n = len(g) // 2, g.shape[1]
+    check_size(n)
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    for s in range(-w, w + 1):
+        # with r = s mod n, entry (i + r, i) is at flat index r n + i (n + 1)
+        # for i < n - r, and (i + r - n, i) at n - r + (i + r - n)(n + 1) after
+        r = s % n
+        flat[r * n :: n + 1] += g[w + s, : n - r]
+        flat[n - r : r * n : n + 1] += g[w + s, n - r :]
+    return out
+
+
+def dense_signed(a):
+    """Signed storage of half-width n - 1 of a dense n x n matrix, as a plain
+    band: zero where i + s leaves [0, n)."""
+    n = len(a)
+    g = np.zeros((2 * n - 1, n))
+    for s in range(1 - n, n):
+        g[n - 1 + s, max(0, -s) : n - max(0, s)] = np.diagonal(a, -s)
+    return g
+
+
 def band_product(a, b):
-    """A @ B in signed storage, one pass over the diagonals of the narrower
-    operand, of half-width min(wa + wb, n - 1): a diagonal s past n - 1 is
-    added to its cyclic representative s -+ n (zero for plain bands).  A
-    band that fills to n - 1 stays correct at (2 wa + 1)(2 wb + 1) n work."""
-    if a.shape[0] < b.shape[0]:
-        return band_transpose(band_product(band_transpose(b), band_transpose(a)))
+    """A @ B in signed storage of half-width wa + wb, one pass over the
+    diagonals of the narrower operand, (2 wa + 1)(2 wb + 1) n work.  When
+    wa + wb >= n no band is left to keep: the product is one dense matmul,
+    returned as a plain band of half-width n - 1."""
     wa, wb, n = a.shape[0] // 2, b.shape[0] // 2, a.shape[1]
-    wo = min(wa + wb, n - 1)
-    out = np.zeros((2 * wo + 1, n))
+    if wa + wb >= n:
+        return dense_signed(signed_to_dense(a) @ signed_to_dense(b))
+    if wa < wb:
+        return band_transpose(band_product(band_transpose(b), band_transpose(a)))
+    out = np.zeros((2 * (wa + wb) + 1, n))
     for t in range(-wb, wb + 1):
         # (A B)[i + u + t, i] gains A[i + u + t, i + t] B[i + t, i]
         term = np.roll(a, -t, axis=1)
         term *= b[wb + t]
-        if wa + wb < n:
-            out[wo + t - wa : wo + t + wa + 1] += term
-        else:
-            np.add.at(out, wo + np.fmod(np.arange(-wa, wa + 1) + t, n), term)
+        out[wb + t : wb + t + 2 * wa + 1] += term
     return out
 
 
-def signed_frob(g, h=None):
-    """|G|_F, or |G - H|_F with the difference formed entry by entry, for
-    matrices in signed storage.  Rows that name one cyclic diagonal (2w >= n)
-    are summed first; that is the only case that forms an n x n array."""
-    if h is not None:
-        # the wider copied, the narrower subtracted: +-(G - H)
-        g, h = (g, h) if len(g) >= len(h) else (h, g)
-        g = g.copy()
-        _accumulate(g, h, -1.0)
-    w, n = g.shape[0] // 2, g.shape[1]
-    if 2 * w >= n:
-        folded = np.zeros((n, n))
-        np.add.at(folded, np.arange(-w, w + 1) % n, g)
-        g = folded
+def signed_frob(g, h):
+    """|G - H|_F for matrices in signed storage, the difference formed entry
+    by entry.  Rows that name one cyclic diagonal (2w >= n) are summed first;
+    that is the only case that forms an n x n array."""
+    # the wider copied, the narrower subtracted: +-(G - H)
+    g, h = (g, h) if len(g) >= len(h) else (h, g)
+    g = g.copy()
+    _accumulate(g, h, -1.0)
+    if len(g) > g.shape[1]:
+        g = signed_to_dense(g)
     return frob(g)
 
 
-# a condition number that needs a higher degree is refused
-CHEB_DEGREE_MAX = 4096
+# the Chebyshev interpolant of A**power is asked to be within this of it,
+# relative to |A**power|_2
+CHEB_TOL = 1e-15
 
 
-def band_function(ab, power, tol=1e-15, error=SingularMatrixError, what="matrix"):
+def band_function(ab, power, extremes=None, error=SingularMatrixError, what="matrix"):
     """(A**power, degree, bound) for an SPD A in lower band storage and
-    -1 <= power < 0; A**power is lower band storage of half-width
-    min(degree k2, n - 1).
+    -1 <= power < 0, with extremes = (min eig, max eig) of A taken from
+    band_extremes when not given.  A**power is lower band storage of
+    half-width degree k2 < 4 sqrt(n), or of n - 1 with degree 0 when exact.
 
     With spec(A) in [lo, hi], kappa = hi / lo and rho = (sqrt(kappa) + 1) /
     (sqrt(kappa) - 1), the Chebyshev coefficients of x**power (a Stieltjes
@@ -296,11 +312,16 @@ def band_function(ab, power, tol=1e-15, error=SingularMatrixError, what="matrix"
     |c_k| <= 2 M rho**-k, M = (lo hi)**(power / 2).  So the interpolant of
     degree d is within bound = 4 M rho**-d / (rho - 1) of A**power in the
     2-norm, rounding aside (the Bernstein-ellipse bound; Demko, Moss and
-    Smith 1984), and d is the least degree with bound <= tol |A**power|_2.
-    It is summed by the three-term recurrence on signed storage.  An
-    indefinite or (near-)singular A raises error first.
+    Smith 1984), and d is the least degree with bound <= CHEB_TOL
+    |A**power|_2.  It is summed by the three-term recurrence on signed
+    storage.  Its band products cost O((d k2)^2 n); past d max(k2, 1) >=
+    4 sqrt(n) the exact A**power is cheaper, dense: A**-1 from the banded
+    Cholesky factor, any other power from the eigenvectors of eig_banded,
+    and products of it by BLAS (band_product).  With one BLAS thread the two
+    paths cost the same near half-width 90 at n = 512 and 1024 and near 140
+    at n = 2048.  An indefinite or (near-)singular A raises error first.
     """
-    lo, hi = band_extremes(ab)
+    lo, hi = band_extremes(ab) if extremes is None else extremes
     if not lo > SYM_RTOL * abs(hi):
         raise error(f"{what} is not positive definite (min eig = {lo:.3e}, max eig = {hi:.3e})")
     # a margin over the rounding of the computed extremes
@@ -308,10 +329,18 @@ def band_function(ab, power, tol=1e-15, error=SingularMatrixError, what="matrix"
     root = math.sqrt(hi / lo)
     rho = (root + 1.0) / (root - 1.0)
     scale = (lo * hi) ** (0.5 * power)
-    ratio = 4.0 * scale / ((rho - 1.0) * tol * lo**power)
+    ratio = 4.0 * scale / ((rho - 1.0) * CHEB_TOL * lo**power)
     degree = max(1, math.ceil(math.log(ratio) / math.log(rho)))
-    if degree > CHEB_DEGREE_MAX:
-        raise error(f"{what} needs Chebyshev degree {degree} (condition {hi / lo:.3e})")
+    k2, n = ab.shape[0] - 1, ab.shape[1]
+    if degree * max(k2, 1) >= 4.0 * math.sqrt(n):
+        if power == -1.0:
+            eye = np.eye(n, order="F")
+            dense = cho_solve_banded((band_cholesky(ab, error, what), True), eye, overwrite_b=True)
+        else:
+            w, v = eig_banded(ab, lower=True)
+            v *= w ** (0.5 * power)
+            dense = v @ v.T
+        return dense_to_band(dense, n - 1), 0, 0.0
     theta = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     nodes = centre + radius * np.cos(theta)
@@ -319,10 +348,9 @@ def band_function(ab, power, tol=1e-15, error=SingularMatrixError, what="matrix"
     coef *= 2.0 / (degree + 1)
     coef[0] *= 0.5
     # T_k(X) for X = (A - centre I) / radius, spectrum in [-1, 1]
-    k2, n = ab.shape[0] - 1, ab.shape[1]
     x = signed_band(ab) / radius
     x[k2] -= centre / radius
-    width = min(degree * k2, n - 1)
+    width = degree * k2
     out = np.zeros((2 * width + 1, n))
     out[width] = coef[0]
     _accumulate(out, x, coef[1])

@@ -215,11 +215,35 @@ class BasisSystem:
         tr(S M_k S M_l) = <S M_k, (S M_l)^T>_F, and each S M_k is one band
         product of half-width w + k2 in signed storage, where the entries of
         all K products line up: one K x K Gram product, O(K^2 n w) in all.
+        When the K products would outgrow two n x n arrays, S is read dense
+        instead.  M_k is a strip of values p at corner (0, j2) plus, for
+        j2 > 0, its mirror at (j2, 0).  A strip with values p at (ra+i, ca+i)
+        and one with values w at (rb+i, cb+i) contribute p^T (S[ca:, rb:] *
+        S[ra:, cb:]) w; by the symmetry of S, mirroring both strips leaves
+        that unchanged, so each pair of offsets needs two Hadamard blocks,
+        O((k2 + 1)^2 n^2 + K^2 n^2) in all.
         """
-        s = signed_band(np.asarray(sb, dtype=float))
-        prods = np.stack([band_product(s, signed_band(self.band(e))) for e in np.eye(self.K)])
-        flat = prods.reshape(self.K, -1)
-        out = 2.0 * np.stack([flat @ band_transpose(p).ravel() for p in prods], axis=1)
+        sb = np.asarray(sb, dtype=float)
+        n = self.n
+        if self.K * (2 * (len(sb) + self.k2) - 1) <= 2 * n:
+            s = signed_band(sb)
+            prods = np.stack([band_product(s, signed_band(self.band(e))) for e in np.eye(self.K)])
+            flat = prods.reshape(self.K, -1)
+            out = 2.0 * np.stack([flat @ band_transpose(p).ravel() for p in prods], axis=1)
+            return 0.5 * (out + out.T)
+        s = band_to_dense(sb)
+        groups = self._by_offset()
+        out = np.empty((self.K, self.K))
+        for a, (oa, ka) in enumerate(groups):
+            la, pa = n - oa, self.bands[ka, : n - oa] * (2.0 if oa else 1.0)
+            for ob, kb in groups[a:]:
+                lb, pb = n - ob, self.bands[kb, : n - ob] * (2.0 if ob else 1.0)
+                # strip pairs (0, oa)-(0, ob) and (0, oa)-(ob, 0)
+                had = s[oa:, :lb] * s[:la, ob:]
+                had += s[oa:, ob:] * s[:la, :lb]
+                block = pa @ had @ pb.T
+                out[np.ix_(ka, kb)] = block
+                out[np.ix_(kb, ka)] = block.T
         return 0.5 * (out + out.T)
 
     def spectral_norms(self) -> np.ndarray:

@@ -104,12 +104,12 @@ def sample_truncated_noise(cfg: LocalizationConfig, k: int, rng=None) -> np.ndar
     )
 
 
-def contraction_bound(c_band, delta_band) -> float:
+def contraction_bound(c_lo, delta_band) -> float:
     """|Delta|_2 / min eig(C), an upper bound on |C^{-1} Delta|_2.
 
-    Both matrices are in lower band storage; infinite when min eig(C) <= 0.
+    c_lo is min eig(C) and Delta is in lower band storage; infinite when
+    c_lo <= 0.
     """
-    c_lo, _ = band_extremes(c_band)
     d_lo, d_hi = band_extremes(delta_band)
     return max(-d_lo, d_hi) / c_lo if c_lo > 0.0 else math.inf
 
@@ -119,13 +119,14 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
     all in lower band storage.
 
     C = sum (alpha + eta)_k M_k and Delta = C - C_theta have half-width k2;
-    C^{-1} is band_function's polynomial in C, of half-width w, and
-    P = C^{-1} Delta C^{-1} (half-width 2w + k2) two band products; B = C^{-1} + P.
-    C must be positive definite and C^{-1} Delta a spectral contraction;
-    both failures raise a localization error so Monte Carlo drivers can
-    count them.  |C^{-1} Delta|_2^2 = max eig(C^{-1} Delta^2 C^{-1}) is
-    computed only when the bound |Delta|_2 / min eig(C) is >= 1, so every
-    decision is the exact one.
+    C^{-1} is band_function's polynomial in C, of half-width w (or, for a C
+    too ill-conditioned for w < 4 sqrt(n), its exact inverse as a full band),
+    and P = C^{-1} Delta C^{-1} (half-width 2w + k2) two band products;
+    B = C^{-1} + P.  C must be positive definite and C^{-1} Delta a spectral
+    contraction; both failures raise a localization error so Monte Carlo
+    drivers can count them.  |C^{-1} Delta|_2^2 = max eig(C^{-1} Delta^2
+    C^{-1}) is computed only when the bound |Delta|_2 / min eig(C) is >= 1,
+    so every decision is the exact one.
     """
     alpha_theta = np.asarray(alpha_theta, dtype=float)
     eta_tilde = np.asarray(eta_tilde, dtype=float)
@@ -133,16 +134,18 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
     c_band = basis.band(alpha_theta + eta_tilde)
     delta_band = c_band - c_theta_band
     # |C^{-1} Delta|_2 >= min eig(C_theta) / min eig(C) - 1 (at the lowest
-    # eigenvector of C): a C this close to singular fails before C^{-1},
-    # whose Chebyshev degree grows like sqrt(cond C), is formed
-    c_lo, theta_lo = band_extremes(c_band)[0], band_extremes(c_theta_band)[0]
+    # eigenvector of C): a C this close to singular fails before C^{-1} is formed
+    c_extremes, theta_lo = band_extremes(c_band), band_extremes(c_theta_band)[0]
+    c_lo = c_extremes[0]
     if 0.0 < 2.0 * c_lo < theta_lo:
         raise LocalizationError(
             f"perturbation not a contraction (|C^-1 Delta|_sp >= {theta_lo / c_lo - 1.0:.3g})"
         )
-    c_inv, _, _ = band_function(c_band, -1.0, error=LocalizationError, what="localized C")
+    c_inv = band_function(
+        c_band, -1.0, extremes=c_extremes, error=LocalizationError, what="localized C"
+    )[0]
     c_signed, delta_signed = signed_band(c_inv), signed_band(delta_band)
-    if contraction_bound(c_band, delta_band) >= 1.0:
+    if contraction_bound(c_lo, delta_band) >= 1.0:
         z = band_product(band_product(c_signed, band_product(delta_signed, delta_signed)), c_signed)
         contraction = math.sqrt(max(band_extremes(z[len(z) // 2 :])[1], 0.0))
         if contraction >= 1.0:

@@ -23,6 +23,7 @@ from ._linalg import (
     frob,
     signed_band,
     signed_frob,
+    signed_to_dense,
     sym_abs,
     sym_eig,
     sym_inv_sqrt,
@@ -561,14 +562,15 @@ def goe_connection(state, w, gamma=None) -> GoeComparison:
     kl is the exact Kullback-Leibler divergence
     | |W/sqrt(2 pi)| Dcheck |W/sqrt(2 pi)| - C^{-1/2} D C^{-1/2} |_F^2 / 4;
     b1 + b2 + b3 is its three-term upper bound, certified to dominate.
-    x = sqrt(2 pi) C^{-1/2} is band_function's polynomial in the state's C,
-    x Delta x two band products.  W and Dcheck are k2 + 1 wrapped diagonals
-    (see _linalg), as is every cyclic expansion on the window.  A positive
-    definite W is its own |W|, |W| Dcheck |W| two wrapped-band products, and
-    the gaps to x Delta x, x and Delta are formed entry by entry in signed
-    storage: no n x n array.  Only an indefinite W takes |W| from a dense
-    eigendecomposition, with dense gaps.  Spectral norms are extreme
-    eigenvalues of bands; 2 pi is folded into the scalars.
+    x = sqrt(2 pi) C^{-1/2} is band_function's polynomial in the state's C
+    (exact and dense for a C too ill-conditioned for a band), x Delta x two
+    band products.  W and Dcheck are k2 + 1 wrapped diagonals (see _linalg),
+    as is every cyclic expansion on the window.  A positive definite W is its
+    own |W|, |W| Dcheck |W| two wrapped-band products, and the gaps to
+    x Delta x, x and Delta are formed entry by entry in signed storage: no
+    n x n array for a well-conditioned C.  Only an indefinite W takes |W|
+    from a dense eigendecomposition, with dense gaps.  Spectral norms are
+    extreme eigenvalues of bands; 2 pi is folded into the scalars.
     """
     basis = state.basis
     n, k2 = basis.n, basis.k2
@@ -586,7 +588,10 @@ def goe_connection(state, w, gamma=None) -> GoeComparison:
     dc_signed, delta_signed = signed_band(delta_check), signed_band(state.delta_band)
     dict_gap_sq = signed_frob(dc_signed, delta_signed) ** 2
 
-    x_signed = signed_band(band_function(state.c_band, -0.5, what="localized C")[0])
+    c_extremes = band_extremes(state.c_band)
+    x_signed = signed_band(
+        band_function(state.c_band, -0.5, extremes=c_extremes, what="localized C")[0]
+    )
     x_signed *= math.sqrt(A_STAR)
     whitened_delta = band_product(band_product(x_signed, delta_signed), x_signed)
     if w_lo > 0.0:
@@ -596,14 +601,14 @@ def goe_connection(state, w, gamma=None) -> GoeComparison:
         gap = signed_frob(sandwich, whitened_delta)
     else:
         abs_w = sym_abs(band_to_dense(w))[0]
-        root_gap_sq = frob(abs_w - band_to_dense(x_signed[len(x_signed) // 2 :])) ** 2 / A_STAR
+        root_gap_sq = frob(abs_w - signed_to_dense(x_signed)) ** 2 / A_STAR
         gap = abs_w @ band_to_dense(delta_check) @ abs_w
-        gap -= band_to_dense(whitened_delta[len(whitened_delta) // 2 :])
+        gap -= signed_to_dense(whitened_delta)
         gap = frob(gap)
     kl = gap**2 / (4.0 * A_STAR**2)
 
     w_sp_sq = w_sp**2
-    cis_sp_sq = 1.0 / band_extremes(state.c_band)[0]
+    cis_sp_sq = 1.0 / c_extremes[0]
     delta_sp = max(abs(e) for e in band_extremes(state.delta_band))
     b1 = 3.0 / A_STAR * root_gap_sq * delta_check_sp**2 * w_sp_sq
     b2 = 3.0 / A_STAR * cis_sp_sq * dict_gap_sq * w_sp_sq

@@ -198,19 +198,35 @@ def _small_ill_conditioned_band():
     return ab
 
 
+def _small_wide_band():
+    """A half-width 2 band at n = 24 with condition number about 1.06: its
+    Chebyshev band is past n / 2 but below 4 sqrt(n)."""
+    ab = 0.2 * _small_ill_conditioned_band()
+    ab[0] = 10.0 + 0.02 * np.arange(24)
+    return ab
+
+
 @pytest.mark.parametrize("power", [-1.0, -0.5])
-@pytest.mark.parametrize("case", ["chain-512", "ill-conditioned"])
+@pytest.mark.parametrize("case", ["chain-512", "wide", "ill-conditioned"])
 def test_band_function_matches_eigh(case, power):
-    ab = _chain_c_band(512) if case == "chain-512" else _small_ill_conditioned_band()
+    # the wide band's late recurrence products fill past n - 1 (dense
+    # matmuls); the ill-conditioned band would need a polynomial of half-width
+    # past 4 sqrt(n), so it is given the exact function, half-width n - 1
+    if case == "chain-512":
+        ab = _chain_c_band(512)
+    else:
+        ab = _small_wide_band() if case == "wide" else _small_ill_conditioned_band()
     n, k2 = ab.shape[1], ab.shape[0] - 1
     fab, degree, bound = band_function(ab, power)
     w, v = np.linalg.eigh(band_to_dense(ab))
     want = (v * w**power) @ v.T
-    assert fab.shape == (min(degree * k2, n - 1) + 1, n)
-    assert 0.0 < bound <= 1e-15 * w[0] ** power
     assert _rel(band_to_dense(fab), want) <= 1e-12
     if case == "ill-conditioned":
-        assert w[-1] / w[0] > 10.0 and degree * k2 > n - 1 and len(fab) == n
+        assert w[-1] / w[0] > 10.0 and degree == bound == 0 and fab.shape == (n, n)
+    else:
+        assert fab.shape == (degree * k2 + 1, n) and degree * k2 < 4.0 * math.sqrt(n)
+        assert (case == "wide") == (2 * degree * k2 >= n)
+        assert 0.0 < bound <= 1e-15 * w[0] ** power
 
 
 def test_band_function_rejects_indefinite_and_singular_input():
@@ -219,8 +235,10 @@ def test_band_function_rejects_indefinite_and_singular_input():
         band_function(ab, -1.0)
     with pytest.raises(SingularMatrixError, match="C is not positive definite"):
         band_function(np.array([[1.0, 0.0, 1.0]]), -0.5, what="C")
-    with pytest.raises(LocalizationError, match="needs Chebyshev degree"):
-        band_function(np.array([[1.0, 1e-10, 1.0]]), -1.0, error=LocalizationError)
+    # condition 1e10 is positive definite: the exact inverse, not an error
+    fab, degree, _ = band_function(np.array([[1.0, 1e-10, 1.0]]), -1.0)
+    np.testing.assert_allclose(band_to_dense(fab), np.diag([1.0, 1e10, 1.0]), rtol=1e-14)
+    assert degree == 0
 
 
 def _signed_to_dense(g, wrapped):
@@ -254,7 +272,8 @@ def _plain_band(n, width, seed):
 )
 def test_band_product_and_signed_frob_match_dense(widths, wrapped):
     # the products chain through a non-symmetric middle factor; ((12, 9, 4),
-    # n = 20) fills past n - 1 and (4, 4, 3) wraps past n / 2
+    # n = 20) fills past n - 1, so its products are dense matmuls, and
+    # (4, 4, 3) wraps past n / 2
     n = 20
 
     def make(w, seed):
@@ -266,7 +285,8 @@ def test_band_product_and_signed_frob_match_dense(widths, wrapped):
     for got in (band_product(band_product(a, b), c), band_product(a, band_product(b, c))):
         assert len(got) == 2 * min(sum(widths), n - 1) + 1
         assert _rel(_signed_to_dense(got, wrapped), want) <= 1e-13
-        assert signed_frob(got) == pytest.approx(np.linalg.norm(want), rel=1e-13)
+        zero = np.zeros((1, n))
+        assert signed_frob(got, zero) == pytest.approx(np.linalg.norm(want), rel=1e-13)
         gap = np.linalg.norm(want - dense[0])
         assert signed_frob(got, a) == pytest.approx(gap, rel=1e-13)
 
@@ -363,6 +383,44 @@ def _check_goe_against_oracle(comp, state, w):
 def test_goe_connection_matches_dense(k1, k2):
     state, w = _goe_case(k1, k2)
     _check_goe_against_oracle(goe_connection(state, w), state, w)
+
+
+def test_goe_connection_matches_dense_ill_conditioned():
+    # C near 5 (I + 0.998 Cos), condition about 1e3: x = sqrt(2 pi) C^{-1/2}
+    # is exact and dense, and x Delta x a dense product
+    n = 64
+    basis = build_basis(n, 1, 1)
+    alpha = basis.project(np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n))))
+    state = ExperimentState.build(
+        basis, LocalizationConfig(beta=1e-4, gamma=1.0), alpha_theta=alpha, rng=make_rng(8)
+    )
+    w_coeffs = 0.1 * make_rng(4, stream=74).standard_normal(basis.K)
+    w_coeffs[0] = 2.0
+    w = psi_inverse_real(n, basis.indices, w_coeffs)
+    lo, hi = band_extremes(state.c_band)
+    assert hi / lo > 500.0 and band_function(state.c_band, -0.5)[1] == 0
+    _check_goe_against_oracle(goe_connection(state, w), state, w)
+
+
+def test_chain_row_of_an_ill_conditioned_density():
+    # rho_star = 1e-3 admits a density whose C and C_theta are too
+    # ill-conditioned for a Chebyshev band narrower than 4 sqrt(n): every band
+    # function is exact at n = 64, and C_theta^{-1} at n = 128.  The row
+    # matches the dense banded-Cholesky path to rounding
+    cfg = RunConfig(
+        n_grid=(64, 128), rho_star=1e-3, density_mean=0.5, density_amplitude=0.99, replicates=10
+    )
+    _, rows = run_equivalence_chain(cfg)
+    pinned = [
+        (64, 0.5472177452410412, 161.83184649425783, 1.9935844943532406),
+        (128, 0.25564658767225357, 113.45138006867906, 0.6589511326593688),
+    ]
+    for row, (n, summary_kl, pilot, goe_kl) in zip(rows, pinned):
+        row = dict(zip(CHAIN_HEADER, row))
+        assert row["n"] == n and row["error"] == ""
+        assert row["summary_kl"] == pytest.approx(summary_kl, rel=1e-10)
+        assert row["pilot_risk_abstract"] == pytest.approx(pilot, rel=1e-10)
+        assert row["goe_kl"] == pytest.approx(goe_kl, rel=1e-10)
 
 
 def _counting(monkeypatch, *names):
@@ -477,7 +535,7 @@ def _diagonal_case(delta_scale):
 def test_contraction_bound_falls_back_to_exact():
     basis, alpha, eta = _diagonal_case(2.5)
     c_band = basis.band(alpha + eta)
-    bound = contraction_bound(c_band, c_band - basis.band(alpha))
+    bound = contraction_bound(band_extremes(c_band)[0], c_band - basis.band(alpha))
     c_band, delta_band, _, _ = build_localized_C(alpha, eta, basis)
     exact = np.linalg.norm(np.linalg.solve(band_to_dense(c_band), band_to_dense(delta_band)), 2)
     assert bound == pytest.approx(10.0, rel=1e-12)
@@ -530,8 +588,9 @@ def test_contraction_bound_dominates_exact(window, seed, level, spread, scale):
     alpha[0] += level
     eta = scale * rng.standard_normal(basis.K)
     c_band = basis.band(alpha + eta)
-    assume(band_extremes(c_band)[0] > 1e-3)
-    bound = contraction_bound(c_band, c_band - basis.band(alpha))
+    c_lo = band_extremes(c_band)[0]
+    assume(c_lo > 1e-3)
+    bound = contraction_bound(c_lo, c_band - basis.band(alpha))
     c_mat = band_to_dense(c_band)
     exact = np.linalg.norm(np.linalg.solve(c_mat, c_mat - basis.combine(alpha)), 2)
     assert bound >= exact * (1.0 - 1e-12)

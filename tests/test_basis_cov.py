@@ -232,6 +232,7 @@ def test_trace_gram_matches_dense(k1, k2):
     # tr(S M_a S M_b) = <P_a, P_b^T> with P_k = S M_k
     p = s @ basis.mats
     want = 2.0 * p.reshape(basis.K, -1) @ np.transpose(p, (0, 2, 1)).reshape(basis.K, -1).T
+    # a full S is read dense; a narrow one, for small K, by band products
     got = basis.trace_gram(dense_to_band(s, n - 1))
     assert _max_rel(got, want) <= 1e-12
     np.testing.assert_array_equal(got, got.T)

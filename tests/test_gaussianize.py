@@ -316,6 +316,22 @@ def test_summaries_match_dense_stacks(k1, k2):
         np.testing.assert_array_equal(g, g.T)
 
 
+def test_summaries_match_dense_stacks_ill_conditioned():
+    # C_theta = 5 (I + 0.998 Cos) has condition about 1e3: C^{-1} and
+    # C_theta^{-1} take the exact dense path of band_function
+    n = 64
+    basis = build_basis(n, 1, 1)
+    c_theta = np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n)))
+    alpha = basis.project(c_theta)
+    eta = 1e-4 * make_rng(0, stream=46).standard_normal(basis.K)
+    c_band, _, inverse, _ = build_localized_C(alpha, eta, basis)
+    assert len(inverse[0]) == n
+    got = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
+    want = _dense_summaries(basis.combine(alpha), band_to_dense(c_band), basis)
+    for g, w in zip(got, want):
+        assert float(np.max(np.abs(g - w)) / np.max(np.abs(w))) <= 1e-12
+
+
 def test_summaries_guards():
     n = 16
     basis1 = build_basis(n, 0, 0)
