@@ -37,8 +37,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
 from .errors import PreconditionError, SingularMatrixError
 
-# Largest edge of an n x n array formed from band storage (band_to_dense)
-# or built dense (theta, the cyclic dictionary elements).
+# Largest edge of an n x n array: formed from band storage (band_to_dense),
+# built dense (quadrature theta, vartheta, cyclic elements) or exact in band_function.
 DENSE_N_MAX = 4096
 
 SYM_RTOL = 1e-12
@@ -201,17 +201,10 @@ def wrapped_band(wd):
     i = np.arange(n)
     pos = np.where(i < (n + 1) // 2, 2 * i, 2 * (n - 1 - i) + 1)
     ab = np.zeros((2 * w + 1, n))
-    ab[0, pos] = wd[0]
-    for j in range(1, w + 1):
-        q = pos[(i + j) % n]
-        ab[np.abs(pos - q), np.minimum(pos, q)] = wd[j]
+    # wrapped diagonal j holds A[(i + j) mod n, i], at the reordered positions q and pos
+    q = pos[(i + np.arange(w + 1)[:, None]) % n]
+    ab[np.abs(pos - q), np.minimum(pos, q)] = wd
     return ab
-
-
-def band_width(a):
-    """Largest j with a nonzero entry on the j-th subdiagonal of a dense matrix."""
-    nonzero = (j for j in range(a.shape[0] - 1, 0, -1) if np.count_nonzero(np.diagonal(a, -j)))
-    return next(nonzero, 0)
 
 
 def signed_band(ab):
@@ -319,7 +312,8 @@ def band_function(ab, power, extremes=None, error=SingularMatrixError, what="mat
     Cholesky factor, any other power from the eigenvectors of eig_banded,
     and products of it by BLAS (band_product).  With one BLAS thread the two
     paths cost the same near half-width 90 at n = 512 and 1024 and near 140
-    at n = 2048.  An indefinite or (near-)singular A raises error first.
+    at n = 2048.  An indefinite or (near-)singular A raises error first; the
+    exact path past DENSE_N_MAX raises PreconditionError.
     """
     lo, hi = band_extremes(ab) if extremes is None else extremes
     if not lo > SYM_RTOL * abs(hi):
@@ -333,6 +327,7 @@ def band_function(ab, power, extremes=None, error=SingularMatrixError, what="mat
     degree = max(1, math.ceil(math.log(ratio) / math.log(rho)))
     k2, n = ab.shape[0] - 1, ab.shape[1]
     if degree * max(k2, 1) >= 4.0 * math.sqrt(n):
+        check_size(n)
         if power == -1.0:
             eye = np.eye(n, order="F")
             dense = cho_solve_banded((band_cholesky(ab, error, what), True), eye, overwrite_b=True)

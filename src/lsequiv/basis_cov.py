@@ -19,16 +19,16 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import (
-    band_cholesky,
+    band_function,
     band_product,
     band_to_dense,
     band_transpose,
-    band_width,
     check_size,
     check_symmetric,
     dense_to_band,
     eig_range,
     signed_band,
+    signed_frob,
 )
 from .circulant import build_mcheck_basis, mcheck_diagonal
 from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
@@ -61,20 +61,36 @@ def abstract_rho(rho_star: float, safety: float = 0.9) -> float:
 
 @dataclass
 class CovarianceMatrix:
-    """Dense real symmetric covariance with binary export and import."""
+    """Real symmetric covariance in lower band storage, with binary export
+    and import.  entries is a dense view of it, formed on each read."""
 
-    entries: np.ndarray
+    band: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+        ab = self.band = np.asarray(self.band, dtype=float)
+        # ab[j, i] = A[i + j, i] leaves the matrix for i >= n - j, so a dense
+        # n x n array (nonzero diagonal past n / 2) is not taken for a band
+        if ab.ndim != 2 or not 1 <= len(ab) <= ab.shape[1]:
+            raise PreconditionError(f"covariance band has shape {ab.shape}, not (w + 1, n), w < n")
+        if not np.all(np.isfinite(ab)) or any(np.any(ab[j, -j:]) for j in range(1, len(ab))):
+            raise PreconditionError("covariance band is not finite lower band storage")
+
+    @classmethod
+    def from_dense(cls, entries) -> "CovarianceMatrix":
+        """The covariance of a dense symmetric array, as a full band."""
+        a = np.asarray(entries, dtype=float)
         # an exactly symmetric a is its own symmetrization
         if check_symmetric(a, tol=1e-12, what="covariance") > 0.0:
             a = 0.5 * (a + a.T)
-        self.entries = a
+        return cls(dense_to_band(a, len(a) - 1))
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.band.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        return band_to_dense(self.band)
 
     def eig_range(self):
         return eig_range(self.entries)
@@ -101,8 +117,7 @@ class CovarianceMatrix:
             body = fh.read()
         if len(body) != 8 * n * n:
             raise RangeError("covariance file body does not match header size")
-        entries = np.frombuffer(body, dtype="<f8").reshape(n, n).copy()
-        return cls(entries)
+        return cls.from_dense(np.frombuffer(body, dtype="<f8").reshape(n, n))
 
 
 def _band_profile(idx: BasisIndex, n: int) -> np.ndarray:
@@ -145,13 +160,6 @@ class BasisSystem:
         """(j2, positions) for each distinct band offset, ascending."""
         return [(j2, np.flatnonzero(self.offsets == j2)) for j2 in range(self.k2 + 1)]
 
-    def _contract(self, lag) -> np.ndarray:
-        """[bands[k] . lag(offsets[k])]_k for a map from j2 to n - j2 values."""
-        rows = np.zeros((self.k2 + 1, self.n))
-        for j2 in range(self.k2 + 1):
-            rows[j2, : self.n - j2] = lag(j2)
-        return np.sum(self.bands * rows[self.offsets], axis=1)
-
     def mat(self, k: int) -> np.ndarray:
         """Dense normalized M_k."""
         return self.combine(np.eye(self.K)[k])
@@ -176,17 +184,14 @@ class BasisSystem:
     def raw_mat(self, k: int) -> np.ndarray:
         return self.raw_norms[k] * self.mat(k)
 
-    def project(self, a, band=False) -> np.ndarray:
-        """Frobenius coefficients <A, M_k> of a symmetric A, dense or, with
-        band, in lower band storage of any half-width."""
-        a = np.asarray(a, dtype=float)
-        if band:
-            return self._contract(
-                lambda j2: (2.0 if j2 else 1.0) * a[j2, : self.n - j2] if j2 < len(a) else 0.0
-            )
-        return self._contract(
-            lambda j2: np.diagonal(a, j2) + np.diagonal(a, -j2) if j2 else np.diagonal(a)
-        )
+    def project(self, ab) -> np.ndarray:
+        """Frobenius coefficients <A, M_k> of a symmetric A in lower band
+        storage of any half-width."""
+        ab = np.asarray(ab, dtype=float)
+        lags = np.zeros((self.k2 + 1, self.n))
+        for j2 in range(min(self.k2 + 1, len(ab))):
+            lags[j2, : self.n - j2] = (2.0 if j2 else 1.0) * ab[j2, : self.n - j2]
+        return np.sum(self.bands * lags[self.offsets], axis=1)
 
     def band(self, vec) -> np.ndarray:
         """sum_k vec[k] M_k in lower band storage, shape (k2 + 1, n)."""
@@ -203,11 +208,17 @@ class BasisSystem:
         return band_to_dense(self.band(vec))
 
     def quad_form(self, x) -> np.ndarray:
-        """x^T M_k x for all k, the pilot statistic of one observation."""
+        """x^T M_k x for all k, the pilot statistic of one observation x, or
+        (R, K) for an (R, n) block: one lag product per offset, R n work space."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise ConfigurationError("observation length mismatch")
-        return self._contract(lambda j2: (2.0 if j2 else 1.0) * (x[: self.n - j2] * x[j2:]))
+        rows = x.reshape(-1, self.n)
+        out = np.empty((len(rows), self.K))
+        for j2, pos in self._by_offset():
+            lag = rows[:, : self.n - j2] * rows[:, j2:]
+            out[:, pos] = (2.0 if j2 else 1.0) * (lag @ self.bands[pos, : self.n - j2].T)
+        return out.reshape(x.shape[:-1] + (self.K,))
 
     def trace_gram(self, sb) -> np.ndarray:
         """[2 tr(S M_k S M_l)]_kl for a symmetric S in lower band storage.
@@ -271,9 +282,10 @@ def build_theta(f, n: int, grid: QuadratureGrid = None) -> CovarianceMatrix:
     """Covariance with entry (a,b) = integral exp(i(a-b)x) f(min(a,b)/n, x) dx.
 
     Closed form for densities in the basis span; quadrature in x for
-    callables.  The result is banded for span densities (band j2 <= k2).
+    callables.  The result is held as a band: of the density's largest j2 for
+    span densities, at any n, and full (n - 1) for a quadrature theta, which
+    is dense by nature and capped at DENSE_N_MAX.
     """
-    check_size(n)
     if isinstance(f, SpectralDensity):
         terms = [(idx, c) for idx, c in f.coeffs.items() if c != 0.0]
         width = max((idx.j2 for idx, _ in terms), default=0)
@@ -286,17 +298,15 @@ def build_theta(f, n: int, grid: QuadratureGrid = None) -> CovarianceMatrix:
             xweight = math.pi * (2.0 if j2 == 0 else 1.0)
             m = np.arange(n - j2)
             ab[j2, : n - j2] += c * basis_norm(idx) * xweight * trig(TWO_PI * j * m / n)
-        return CovarianceMatrix(band_to_dense(ab))
+        return CovarianceMatrix(ab)
+    check_size(n)
     grid = grid or default_grid()
     u = np.arange(n) / n
     fvals = np.asarray(f(u[:, None], grid.x[None, :]), dtype=float)  # (n, nx)
-    d = np.arange(n)
-    cosdx = np.cos(np.outer(d, grid.x))  # (n, nx)
+    cosdx = np.cos(np.outer(np.arange(n), grid.x))  # (n, nx)
     h = fvals @ (grid.wx[None, :] * cosdx).T  # h[m, d]
-    i = np.arange(n)
-    mins = np.minimum.outer(i, i)
-    diffs = np.abs(np.subtract.outer(i, i))
-    return CovarianceMatrix(h[mins, diffs])
+    # entry (m + d, m) is h[m, d]: the band is h^T with entries past m + d = n - 1 cleared
+    return CovarianceMatrix(np.ascontiguousarray(np.triu(h[:, ::-1])[:, ::-1].T))
 
 
 def build_vartheta(a, n: int, grid: QuadratureGrid = None, tol: float = 1e-8) -> CovarianceMatrix:
@@ -331,14 +341,14 @@ def build_vartheta(a, n: int, grid: QuadratureGrid = None, tol: float = 1e-8) ->
         sym = 0.5 * (out + out.T)
         if float(np.max(np.abs(out - out.T))) > tol * max(1.0, float(np.max(np.abs(out)))):
             raise DomainError("covariance came out asymmetric; check the symbol")
-        return CovarianceMatrix(sym)
+        return CovarianceMatrix.from_dense(sym)
     grid = grid or default_grid()
     avals = np.asarray(a(u[:, None], grid.x[None, :]), dtype=complex)  # (n, nx)
     g = avals * np.exp(1j * np.outer(np.arange(n), grid.x)) * np.sqrt(grid.wx)[None, :]
     v = g @ np.conj(g.T)
     if float(np.max(np.abs(v.imag))) > tol * max(1.0, float(np.max(np.abs(v.real)))):
         raise DomainError("covariance has an imaginary part; check conjugate symmetry")
-    return CovarianceMatrix(0.5 * (v.real + v.real.T))
+    return CovarianceMatrix.from_dense(0.5 * (v.real + v.real.T))
 
 
 def density_coefficients(f, basis: BasisSystem, grid: QuadratureGrid = None) -> np.ndarray:
@@ -356,26 +366,22 @@ def presmoothing_residual(
 
     theta must be build_theta(f, n, grid), as the chain builds it.  frobErr
     uses the raw matrices weighted by the density coefficients; relErr
-    whitens the Frobenius projection by theta^{-1/2} on both sides.
+    whitens the Frobenius projection by theta^{-1/2} on both sides: its square
+    is tr(G G) = <G, G^T>_F for G = theta^{-1} E, one band product of
+    band_function's theta^{-1} (exact, full band, for a quadrature theta) and
+    the residual E = theta - sum_k <theta, M_k> M_k.
     """
     if basis.n != theta.n:
         raise ConfigurationError("basis size does not match theta")
-    theta = theta.entries
-    coeffs = density_coefficients(f, basis, grid)
-    recon = basis.combine(coeffs * basis.raw_norms)
-    frob_err = float(np.linalg.norm(theta - recon))
+    recon = basis.band(density_coefficients(f, basis, grid) * basis.raw_norms)
+    frob_err = signed_frob(signed_band(theta.band), signed_band(recon))
 
-    # |theta^{-1/2} E theta^{-1/2}|_F^2 = tr(theta^{-1} E theta^{-1} E), with
-    # theta factored at its own half-width (k2 for a span density, full for
-    # a quadrature theta) and theta^{-1} E from one banded solve
-    theta_band = dense_to_band(theta, band_width(theta))
-    factor = band_cholesky(theta_band, error=RangeError, what="covariance")
-    resid = theta - basis.combine(basis.project(theta))
-    del theta
-    # tr(theta^{-1} E^T theta^{-1} E^T) is the same trace, so the F-ordered
-    # view E^T is solved in place
-    solved = scipy.linalg.cho_solve_banded((factor, True), resid.T, overwrite_b=True)
-    return frob_err, math.sqrt(max(float(np.einsum("ij,ji->", solved, solved)), 0.0))
+    inverse = band_function(theta.band, -1.0, error=RangeError, what="covariance")[0]
+    proj = basis.band(basis.project(theta.band))
+    resid = np.pad(theta.band, ((0, max(len(proj) - len(theta.band), 0)), (0, 0)))
+    resid[: len(proj)] -= proj
+    g = band_product(signed_band(inverse), signed_band(resid))
+    return frob_err, math.sqrt(max(float(np.vdot(g, band_transpose(g))), 0.0))
 
 
 _LATTICE_BLOCK = 256
@@ -407,7 +413,8 @@ def theta_lipschitz_check(
 ) -> list:
     """Both Frobenius-Lipschitz bounds as report entries."""
     grid = grid or default_grid()
-    lhs = float(np.linalg.norm(build_theta(f, n, grid).entries - build_theta(g, n, grid).entries) ** 2)
+    theta_f, theta_g = (signed_band(build_theta(h, n, grid).band) for h in (f, g))
+    lhs = signed_frob(theta_f, theta_g) ** 2
     hvals = f.on_grid(grid) - g.on_grid(grid)
     h_sup = float(np.max(np.abs(hvals)))
     h_l2_sq = float(grid.integrate(hvals**2))
@@ -433,8 +440,7 @@ def coeff_identity_check(f: SpectralDensity, basis: BasisSystem) -> list:
     exactly, <f, phi_k> times the raw norm; the gap per basis function is at
     most sqrt(32 pi^3) k1 k2 / sqrt(n).
     """
-    theta = build_theta(f, basis.n).entries
-    alpha = basis.project(theta)
+    alpha = basis.project(build_theta(f, basis.n).band)
     coeffs = density_coefficients(f, basis)
     shortcut = coeffs * basis.raw_norms
     resid = float(np.max(np.abs(alpha - shortcut)))

@@ -32,7 +32,7 @@ from ._linalg import (
     sym_inv_sqrt,
     sym_sqrt,
 )
-from .basis_cov import BasisSystem, CovarianceMatrix
+from .basis_cov import BasisSystem
 from .errors import (
     ConfigurationError,
     LocalizationError,
@@ -180,7 +180,7 @@ def gaussian_summaries(c_theta_band, inverse, basis: BasisSystem, alpha_theta=No
     c_inv, p = inverse
     h = -p
     h[: len(c_inv)] += c_inv
-    d_vec = basis.project(h, band=True)
+    d_vec = basis.project(h)
     gamma = basis.trace_gram(c_inv)
     gamma_theta = basis.trace_gram(h)
     gamma_tilde = basis.trace_gram(band_function(c_theta_band, -1.0, what="C_theta")[0])
@@ -225,16 +225,16 @@ def goe_sample(n: int, rng) -> np.ndarray:
 class ExperimentState:
     """Everything the chain of samplers needs, built once and frozen.
 
-    C_theta, C, Delta = C - C_theta and B = C^{-1} + C^{-1} Delta C^{-1} are
-    held in lower band storage; c_theta, c_mat, delta and b_theta are dense
-    views of them, formed on each read.
+    theta, C_theta, C, Delta = C - C_theta and B = C^{-1} + C^{-1} Delta C^{-1}
+    are held in lower band storage; theta, c_theta, c_mat, delta and b_theta
+    are dense views of them, formed on each read.
     """
 
     n: int
     basis: BasisSystem
     alpha_theta: np.ndarray
     eta_tilde: np.ndarray
-    theta: np.ndarray
+    theta_band: np.ndarray
     c_theta_band: np.ndarray
     c_band: np.ndarray
     delta_band: np.ndarray
@@ -248,6 +248,10 @@ class ExperimentState:
     @property
     def K(self) -> int:
         return self.basis.K
+
+    @property
+    def theta(self) -> np.ndarray:
+        return band_to_dense(self.theta_band)
 
     @property
     def c_theta(self) -> np.ndarray:
@@ -276,23 +280,16 @@ class ExperimentState:
     ) -> "ExperimentState":
         """Assemble the chain state from either coefficients or a covariance.
 
-        With theta given, alpha_theta defaults to its basis projection (the
-        pre-smoothing step); with only alpha_theta given, theta is taken to
-        be the in-span combination itself.
+        With theta (a CovarianceMatrix) given, alpha_theta defaults to its
+        basis projection (the pre-smoothing step); with only alpha_theta
+        given, theta is taken to be the in-span combination itself.
         """
         if alpha_theta is None and theta is None:
             raise ConfigurationError("need alpha_theta or theta")
-        if theta is not None:
-            theta = np.asarray(
-                theta.entries if isinstance(theta, CovarianceMatrix) else theta,
-                dtype=float,
-            )
         if alpha_theta is None:
-            alpha_theta = basis.project(theta)
+            alpha_theta = basis.project(theta.band)
         alpha_theta = np.asarray(alpha_theta, dtype=float)
         c_theta_band = basis.band(alpha_theta)
-        if theta is None:
-            theta = band_to_dense(c_theta_band)
         eta = sample_truncated_noise(cfg, basis.K, rng)
         # one band C^{-1} serves the localization and the summaries
         c_band, delta_band, inverse, b_band = build_localized_C(alpha_theta, eta, basis)
@@ -304,7 +301,7 @@ class ExperimentState:
             basis=basis,
             alpha_theta=alpha_theta,
             eta_tilde=eta,
-            theta=theta,
+            theta_band=c_theta_band if theta is None else theta.band,
             c_theta_band=c_theta_band,
             c_band=c_band,
             delta_band=delta_band,
@@ -420,7 +417,6 @@ def likelihood_affinity_check(state: ExperimentState, reps: int, rng) -> CheckRe
     Regresses the exact log-density difference on the sufficient statistic;
     the residual must vanish and the slopes must match -<Delta, M_k>/2.
     """
-    k_count = state.K
     c_mat = state.c_mat
     b_inv = sym_inv(state.b_theta)
     sign_b, logdet_b = np.linalg.slogdet(b_inv)
@@ -435,17 +431,15 @@ def likelihood_affinity_check(state: ExperimentState, reps: int, rng) -> CheckRe
     xs = _gaussian_rows(c_mat, reps, rng)
     c_solved = cho_solve(c_chol, xs.T).T
     b_solved = cho_solve(b_chol, xs.T).T
-    draws = np.ones((reps, k_count + 1))
-    for r in range(reps):
-        draws[r, :k_count] = state.basis.quad_form(c_solved[r])
+    draws = np.column_stack([state.basis.quad_form(c_solved), np.ones(reps)])
     quad_b = np.sum(xs * b_solved, axis=1)
     quad_c = np.sum(xs * c_solved, axis=1)
     diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
     coef, *_ = np.linalg.lstsq(draws, diffs, rcond=None)
     fitted = draws @ coef
     resid = float(np.max(np.abs(diffs - fitted)))
-    slopes = coef[:k_count]
-    expected = -0.5 * state.basis.project(state.delta)
+    slopes = coef[: state.K]
+    expected = -0.5 * state.basis.project(state.delta_band)
     slope_err = float(np.max(np.abs(slopes - expected)))
     return CheckResult(
         "sufficiency.affine_loglik",

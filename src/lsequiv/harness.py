@@ -17,6 +17,7 @@ import time
 import numpy as np
 from scipy.linalg import cho_solve
 
+from ._linalg import band_cholesky
 from .basis_cov import (
     BasisSystem,
     build_basis,
@@ -571,11 +572,15 @@ def _stage(errors: list, name: str, fn):
         return None
 
 
-def _abstract_pilot_risk(theta, alpha_theta, basis, replicates, rng) -> float:
-    # one (replicates, n) normal block reads the stream in the order of one
-    # draw per replicate
-    xs = rng.standard_normal((replicates, basis.n)) @ _chol(theta, "covariance").T
-    return sum(float(np.sum((basis.quad_form(x) - alpha_theta) ** 2)) for x in xs) / replicates
+def _abstract_pilot_risk(theta_band, alpha_theta, basis, replicates, rng) -> float:
+    # x = L z for the banded Cholesky factor of theta, L[i + j, i] = factor[j, i],
+    # from one (replicates, n) normal block: the stream order of one draw per replicate
+    factor = band_cholesky(theta_band, what="covariance")
+    z = rng.standard_normal((replicates, basis.n))
+    xs = z * factor[0]
+    for j in range(1, len(factor)):
+        xs[:, j:] += z[:, : basis.n - j] * factor[j, : basis.n - j]
+    return float(np.sum((basis.quad_form(xs) - alpha_theta) ** 2)) / replicates
 
 
 def run_equivalence_chain(cfg: RunConfig):
@@ -632,7 +637,7 @@ def run_equivalence_chain(cfg: RunConfig):
                 errors,
                 "pilot-abstract",
                 lambda: _abstract_pilot_risk(
-                    state.theta,
+                    state.theta_band,
                     state.alpha_theta,
                     basis,
                     cfg.replicates,
@@ -688,7 +693,7 @@ def run_tv_decay(cfg: RunConfig):
         started = time.perf_counter()
         basis = build_basis(n, k1, k2)
         theta = build_theta(f, n, grid)
-        c_mat = basis.combine(basis.project(theta.entries))
+        c_mat = basis.combine(basis.project(theta.band))
         ctx = build_char_context(c_mat, c_mat, basis)
         tv, info = tv_oracle(ctx, details=True)
         elapsed = (time.perf_counter() - started) * 1e3

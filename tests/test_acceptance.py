@@ -91,7 +91,7 @@ def test_criterion_01_exact_algebra():
 
         # drift identity d = Gamma alpha / 2 of the summary experiment
         theta = build_theta(random_density(3, 3, make_rng(n, stream=81)), n)
-        alpha = basis.project(theta.entries)
+        alpha = basis.project(theta.band)
         _, _, inverse, _ = build_localized_C(alpha, np.zeros(basis.K), basis)
         d, _, g_mat, _ = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
         rel = np.linalg.norm(d - 0.5 * g_mat @ alpha) / np.linalg.norm(d)
@@ -227,7 +227,7 @@ def test_criterion_08_pilot_risk():
     sched = cfg.window(n)
     basis = build_basis(n, sched.k1, sched.k2)
     theta = build_theta(f, n, grid=GRID)
-    alpha = basis.project(theta.entries)
+    alpha = basis.project(theta.band)
     root = np.linalg.cholesky(theta.entries)
     rng = make_rng(cfg.seed, stream=13_000_000 + n)
     errs = np.empty(cfg.replicates)

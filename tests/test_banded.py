@@ -19,15 +19,17 @@ from hypothesis import strategies as st
 
 from lsequiv import gaussianize, harness
 from lsequiv._linalg import (
+    DENSE_N_MAX,
     band_cholesky,
     band_extremes,
     band_function,
     band_product,
     band_to_dense,
-    band_width,
+    dense_signed,
     dense_to_band,
     signed_band,
     signed_frob,
+    signed_to_dense,
     wrapped_band,
 )
 from lsequiv.basis_cov import build_basis, build_theta, presmoothing_residual
@@ -241,6 +243,16 @@ def test_band_function_rejects_indefinite_and_singular_input():
     assert degree == 0
 
 
+def test_band_function_exact_path_past_dense_limit_raises():
+    # the exact A**power is an n x n array, so past DENSE_N_MAX it is refused
+    # before any is formed
+    ab = np.ones((1, 2 * DENSE_N_MAX))
+    ab[0, 1] = 1e-10
+    for power in (-1.0, -0.5):
+        with pytest.raises(PreconditionError, match="dense matrix size"):
+            band_function(ab, power, extremes=(1e-10, 1.0))
+
+
 def _signed_to_dense(g, wrapped):
     """Dense matrix of signed storage; a plain band must be zero past its edges."""
     w, n = len(g) // 2, g.shape[1]
@@ -299,7 +311,7 @@ def test_presmoothing_residual_matches_dense(k1, k2):
     _, rel = presmoothing_residual(f, cov, basis)
     theta = cov.entries
     inv_sqrt = _dense_inv_sqrt(theta)
-    resid = theta - _dense(basis, basis.project(theta))
+    resid = theta - _dense(basis, basis.project(cov.band))
     want = np.linalg.norm(inv_sqrt @ resid @ inv_sqrt)
     assert want > 1e-8
     assert abs(rel - want) <= 1e-12 * want
@@ -316,9 +328,9 @@ def test_presmoothing_residual_full_width_theta_matches_cholesky():
     cov = build_theta(f, n)
     _, rel = presmoothing_residual(f, cov, basis)
     theta = cov.entries
-    assert band_width(theta) == n - 1
+    assert cov.band.shape == (n, n) and cov.band[-1, 0] != 0.0
     chol = scipy.linalg.cholesky(theta, lower=True)
-    resid = theta - _dense(basis, basis.project(theta))
+    resid = theta - _dense(basis, basis.project(cov.band))
     half = scipy.linalg.solve_triangular(chol, resid, lower=True)
     want = np.linalg.norm(scipy.linalg.solve_triangular(chol, half.T, lower=True))
     assert want > 1e-8
@@ -331,6 +343,75 @@ def test_presmoothing_residual_rejects_indefinite_theta():
     theta = build_theta(f, 16)
     with pytest.raises(RangeError, match="positive definite"):
         presmoothing_residual(f, theta, basis)
+
+
+def _presmooth_oracle(theta, basis):
+    """relErr by the dense Cholesky form: tr(theta^{-1} E theta^{-1} E)."""
+    factor = scipy.linalg.cho_factor(theta, lower=True)
+    resid = theta - basis.combine(basis.project(dense_to_band(theta, len(theta) - 1)))
+    solved = scipy.linalg.cho_solve(factor, resid)
+    return math.sqrt(np.einsum("ij,ji->", solved, solved))
+
+
+def _quadrature_density(u, x):
+    return np.exp(0.5 * np.cos(x) + 0.3 * u * np.sin(2.0 * x))
+
+
+ILL_CONDITIONED = dict(rho_star=1e-3, density_mean=0.5, density_amplitude=0.99)
+
+
+@pytest.mark.parametrize(
+    "n,case",
+    [(64, "span"), (512, "span"), (2048, "span"), (64, "quadrature"), (64, "ill"), (128, "ill")],
+)
+def test_presmoothing_residual_matches_dense_cholesky(n, case):
+    # the chain's span density, a callable (full-band theta through the exact
+    # inverse) and a rho_star = 1e-3 density
+    cfg = RunConfig(n_grid=(n,), **(ILL_CONDITIONED if case == "ill" else {}))
+    f = _quadrature_density if case == "quadrature" else config_density(cfg)
+    sched = cfg.window(n)
+    basis = build_basis(n, sched.k1, sched.k2)
+    cov = build_theta(f, n)
+    frob_err, rel = presmoothing_residual(f, cov, basis)
+    want = _presmooth_oracle(cov.entries, basis)
+    assert want > 1e-8
+    assert abs(rel - want) <= 1e-12 * want
+    if case != "quadrature":
+        coeffs = np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
+        want = np.linalg.norm(cov.entries - basis.combine(coeffs * basis.raw_norms))
+        assert abs(frob_err - want) <= 1e-12 * want
+
+
+def test_presmooth_and_abstract_pilot_stay_below_one_dense_array():
+    n = 2048
+    cfg = RunConfig(n_grid=(n,))
+    sched = cfg.window(n)
+    f, basis = config_density(cfg), build_basis(n, sched.k1, sched.k2)
+    theta = build_theta(f, n)
+    alpha = basis.project(theta.band)
+    tracemalloc.start()
+    try:
+        presmoothing_residual(f, theta, basis)
+        harness._abstract_pilot_risk(theta.band, alpha, basis, cfg.replicates, make_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_dense_conversions_round_trip(n):
+    a = make_rng(n, stream=80).standard_normal((n, n))
+    np.testing.assert_array_equal(signed_to_dense(dense_signed(a)), a)
+    sym = a + a.T
+    for width in range(n):
+        banded = np.where(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width, sym, 0.0)
+        ab = dense_to_band(banded, width)
+        assert ab.shape == (width + 1, n)
+        np.testing.assert_array_equal(band_to_dense(ab), banded)
+        if width < n - 1:
+            with pytest.raises(PreconditionError, match=f"outside half-width {width}"):
+                dense_to_band(sym, width)
 
 
 def _goe_oracle(state, w):
@@ -390,7 +471,8 @@ def test_goe_connection_matches_dense_ill_conditioned():
     # is exact and dense, and x Delta x a dense product
     n = 64
     basis = build_basis(n, 1, 1)
-    alpha = basis.project(np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n))))
+    c_theta = np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n)))
+    alpha = basis.project(dense_to_band(c_theta, 0))
     state = ExperimentState.build(
         basis, LocalizationConfig(beta=1e-4, gamma=1.0), alpha_theta=alpha, rng=make_rng(8)
     )
@@ -527,8 +609,8 @@ def _diagonal_case(delta_scale):
     """
     basis = build_basis(N, 1, 0)
     cos = np.diag(np.cos(2.0 * math.pi * np.arange(N) / N))
-    c_vec = basis.project(5.0 * (np.eye(N) + 0.9 * cos))
-    eta = basis.project(delta_scale * (np.eye(N) + cos))
+    c_vec = basis.project(dense_to_band(5.0 * (np.eye(N) + 0.9 * cos), 0))
+    eta = basis.project(dense_to_band(delta_scale * (np.eye(N) + cos), 0))
     return basis, c_vec - eta, eta
 
 
@@ -555,7 +637,7 @@ def test_nearly_singular_c_fails_the_contraction_before_its_inverse(monkeypatch)
     basis = build_basis(N, 1, 0)
     cos = np.diag(np.cos(2.0 * math.pi * np.arange(N) / N))
     c_mat, c_theta = 5.0 * (np.eye(N) + 0.9999 * cos), 5.0 * (np.eye(N) + 0.5 * cos)
-    alpha, eta = basis.project(c_theta), basis.project(c_mat - c_theta)
+    alpha, eta = (basis.project(dense_to_band(a, 0)) for a in (c_theta, c_mat - c_theta))
 
     def refuse(*args, **kwargs):
         raise AssertionError("C^{-1} was formed")

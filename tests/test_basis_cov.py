@@ -22,7 +22,14 @@ from lsequiv.basis_cov import (
 )
 from lsequiv.errors import ConfigurationError, PreconditionError
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid, random_density, random_transfer
+from lsequiv.spectral import (
+    POS,
+    SpectralDensity,
+    basis_norm,
+    default_grid,
+    random_density,
+    random_transfer,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,7 +69,7 @@ def test_project_combine_match_dense():
     rng = make_rng(1, stream=31)
     a = rng.standard_normal((32, 32))
     a = a + a.T
-    v = BASIS.project(a)
+    v = BASIS.project(dense_to_band(a, len(a) - 1))
     np.testing.assert_allclose(v, [np.sum(a * m) for m in BASIS.mats], atol=1e-12)
     np.testing.assert_allclose(
         BASIS.combine(v), np.einsum("k,kij->ij", v, BASIS.mats), atol=1e-12
@@ -198,17 +205,17 @@ def test_covariance_binary_roundtrip(tmp_path):
 def test_covariance_symmetrizes_only_asymmetric_input():
     exact = build_theta(DENSITY, 16).entries
     assert np.array_equal(exact, exact.T)
-    np.testing.assert_array_equal(CovarianceMatrix(exact.copy()).entries, exact)
+    np.testing.assert_array_equal(CovarianceMatrix.from_dense(exact.copy()).entries, exact)
     skewed = exact.copy()
     skewed[0, 1] += 1e-14
-    entries = CovarianceMatrix(skewed).entries
+    entries = CovarianceMatrix.from_dense(skewed).entries
     np.testing.assert_array_equal(entries, entries.T)
     np.testing.assert_array_equal(entries, 0.5 * (skewed + skewed.T))
     assert entries[0, 1] != skewed[0, 1]
 
 
 def test_covariance_spectral_check_ids():
-    cov = CovarianceMatrix(np.diag([1.0, 2.0]))
+    cov = CovarianceMatrix.from_dense(np.diag([1.0, 2.0]))
     checks = cov.spectral_check(0.5, 3.0)
     assert [c.check_id for c in checks] == ["covariance.eig_lower", "covariance.eig_upper"]
     assert all(c.passed for c in checks)
@@ -251,7 +258,7 @@ def test_band_operations_match_dense(k1, k2):
     mats = basis.mats
     a = rng.standard_normal((n, n))
     a = a + a.T
-    np.testing.assert_allclose(basis.project(a), np.einsum("kij,ij->k", mats, a), atol=1e-12)
+    np.testing.assert_allclose(basis.project(dense_to_band(a, n - 1)), np.einsum("kij,ij->k", mats, a), atol=1e-12)
     v = rng.standard_normal(basis.K)
     combined = basis.combine(v)
     np.testing.assert_allclose(combined, np.tensordot(v, mats, axes=1), atol=1e-12)
@@ -270,7 +277,7 @@ def test_size_and_symmetry_guards_are_typed():
     with pytest.raises(PreconditionError):
         big.combine(np.ones(1))
     with pytest.raises(PreconditionError):
-        CovarianceMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        CovarianceMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 NON_FINITE_ENTRIES = [
@@ -285,7 +292,7 @@ NON_FINITE_ENTRIES = [
 @pytest.mark.parametrize("entries", NON_FINITE_ENTRIES)
 def test_covariance_rejects_non_finite_entries(entries, tmp_path):
     with pytest.raises(PreconditionError, match="not symmetric"):
-        CovarianceMatrix(np.array(entries))
+        CovarianceMatrix.from_dense(np.array(entries))
     path = tmp_path / "cov.bin"
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", 2))
@@ -300,4 +307,66 @@ def test_non_finite_covariance_raises_without_numpy_warning(entries):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="not symmetric"):
-            CovarianceMatrix(np.array(entries))
+            CovarianceMatrix.from_dense(np.array(entries))
+
+
+@pytest.mark.parametrize("k1,k2", ORACLE_WINDOWS)
+def test_quad_form_block_matches_per_row(k1, k2):
+    n, reps = 40, 9
+    basis = build_basis(n, k1, k2)
+    xs = make_rng(k1, stream=34 + k2).standard_normal((reps, n))
+    block = basis.quad_form(xs)
+    assert block.shape == (reps, basis.K)
+    rows = np.array([basis.quad_form(x) for x in xs])
+    assert _max_rel(block, rows) <= 1e-14
+    want = np.einsum("ri,kij,rj->rk", xs, basis.mats, xs)
+    assert _max_rel(block, want) <= 1e-12
+    with pytest.raises(ConfigurationError):
+        basis.quad_form(np.zeros((2, 3, n)))
+
+
+def _dense_theta(f, n):
+    """theta(f) as the dense builder formed it: a span density entry by entry
+    from its closed form, a callable as h[min(a, b), |a - b|]."""
+    i = np.arange(n)
+    if not isinstance(f, SpectralDensity):
+        grid = default_grid()
+        fvals = np.asarray(f(i[:, None] / n, grid.x[None, :]), dtype=float)
+        h = fvals @ (grid.wx[None, :] * np.cos(np.outer(i, grid.x))).T
+        return h[np.minimum.outer(i, i), np.abs(np.subtract.outer(i, i))]
+    out = np.zeros((n, n))
+    for idx, c in f.coeffs.items():
+        if c == 0.0:
+            continue
+        trig = np.cos if idx.parity == POS else np.sin
+        xweight = math.pi * (2.0 if idx.j2 == 0 else 1.0)
+        m = np.arange(n - idx.j2)
+        vals = c * basis_norm(idx) * xweight * trig(TWO_PI * idx.j * m / n)
+        out[m + idx.j2, m] += vals
+        if idx.j2:
+            out[m, m + idx.j2] += vals
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16, 77])
+def test_theta_band_is_the_dense_theta(n):
+    # the band holds exactly the entries the dense builder formed: of the
+    # density's half-width for a span density, full for a quadrature theta
+    f = random_density(3, 3, make_rng(n, stream=35))
+    cov = build_theta(f, n)
+    assert len(cov.band) == 1 + max(idx.j2 for idx, c in f.coeffs.items() if c != 0.0)
+    np.testing.assert_array_equal(cov.entries, _dense_theta(f, n))
+    g = lambda u, x: f.eval(u, x)
+    cov = build_theta(g, n)
+    assert cov.band.shape == (n, n)
+    np.testing.assert_array_equal(cov.entries, _dense_theta(g, n))
+
+
+def test_covariance_band_is_validated():
+    # a dense covariance is not lower band storage: its trailing entries
+    # ab[j, n - j:] are nonzero, so passing one where a band is due raises
+    exact = build_theta(DENSITY, 16)
+    np.testing.assert_array_equal(CovarianceMatrix(exact.band).entries, exact.entries)
+    for bad in (exact.entries, np.ones(16), np.ones((17, 16)), np.full((1, 4), np.nan)):
+        with pytest.raises(PreconditionError, match="covariance band"):
+            CovarianceMatrix(bad)

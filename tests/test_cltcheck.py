@@ -310,7 +310,7 @@ def _tv_decay_context(n, k2):
     """The context run_tv_decay builds: C = C_theta in the window (0, k2)."""
     basis = build_basis(n, 0, k2)
     f = config_density(RunConfig(n_grid=(n,), k1=0, k2=k2), k1=0, k2=k2)
-    c_mat = basis.combine(basis.project(build_theta(f, n, default_grid()).entries))
+    c_mat = basis.combine(basis.project(build_theta(f, n, default_grid()).band))
     return build_char_context(c_mat, c_mat, basis)
 
 

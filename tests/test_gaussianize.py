@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lsequiv._linalg import band_to_dense, sym_inv, sym_inv_sqrt, sym_sqrt
+from lsequiv._linalg import band_to_dense, dense_to_band, sym_inv, sym_inv_sqrt, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.errors import ConfigurationError, LocalizationError, SingularMatrixError
 from lsequiv.gaussianize import (
@@ -86,7 +86,7 @@ def test_truncated_noise_raises_past_the_attempt_cap():
 
 
 def test_build_localized_c_identities():
-    alpha = BASIS.project(THETA.entries)
+    alpha = BASIS.project(THETA.band)
     eta = sample_truncated_noise(LOC, BASIS.K, make_rng(1, stream=40))
     c_band, delta_band, _, b_band = build_localized_C(alpha, eta, BASIS)
     c_mat, delta = band_to_dense(c_band), band_to_dense(delta_band)
@@ -97,7 +97,7 @@ def test_build_localized_c_identities():
 
 
 def test_build_localized_c_guards():
-    alpha = BASIS.project(THETA.entries)
+    alpha = BASIS.project(THETA.band)
     with pytest.raises(LocalizationError):
         build_localized_C(np.zeros(BASIS.K), np.zeros(BASIS.K), BASIS)
     # positive definite but the relative perturbation blows past a contraction
@@ -106,7 +106,7 @@ def test_build_localized_c_guards():
 
 
 def test_state_build_consistency():
-    np.testing.assert_allclose(STATE.alpha_theta, BASIS.project(THETA.entries), atol=1e-12)
+    np.testing.assert_allclose(STATE.alpha_theta, BASIS.project(THETA.band), atol=1e-12)
     np.testing.assert_allclose(STATE.c_theta, BASIS.combine(STATE.alpha_theta), atol=1e-12)
     np.testing.assert_allclose(STATE.delta, STATE.c_mat - STATE.c_theta, atol=1e-12)
     assert np.linalg.norm(STATE.eta_tilde) <= LOC.gamma
@@ -126,17 +126,19 @@ def test_state_dense_views_are_the_band_combinations():
     np.testing.assert_array_equal(state.theta, state.c_theta)
 
 
-def test_state_holds_only_theta_dense():
-    # C_theta, C, Delta and B are bands; their dense forms are views
+def test_state_holds_no_dense_array():
+    # theta, C_theta, C, Delta and B are bands; their dense forms are views
     n = 256
     basis = build_basis(n, 1, 1)
-    state = ExperimentState.build(basis, LOC, theta=build_theta(DENSITY, n), rng=make_rng(0))
+    theta = build_theta(DENSITY, n)
+    state = ExperimentState.build(basis, LOC, theta=theta, rng=make_rng(0))
     square = {
         f.name for f in dataclasses.fields(state) if np.shape(getattr(state, f.name)) == (n, n)
     }
-    assert square == {"theta"}
-    for name in ("c_theta_band", "c_band", "delta_band"):
+    assert square == set()
+    for name in ("theta_band", "c_theta_band", "c_band", "delta_band"):
         assert getattr(state, name).shape == (basis.k2 + 1, n)
+    np.testing.assert_array_equal(state.theta, theta.entries)
     assert state.b_band.shape[1] == n and len(state.b_band) < n / 4
     np.testing.assert_array_equal(state.b_theta, band_to_dense(state.b_band))
 
@@ -182,7 +184,7 @@ def test_pilot_alpha_unbiased():
     for _ in range(reps):
         # the pilot coefficients <x x^T, M_k> of one observation
         acc += BASIS.quad_form(root @ rng.standard_normal(N))
-    target = BASIS.project(THETA.entries)
+    target = BASIS.project(THETA.band)
     err = np.linalg.norm(acc / reps - target)
     assert err < 1.2  # seeded run lands near 0.9; per-component sd is about 11
 
@@ -232,7 +234,7 @@ def _affinity_lhs_per_draw(state, reps, rng):
         diffs[r] = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
     coef, *_ = np.linalg.lstsq(draws, diffs, rcond=None)
     resid = float(np.max(np.abs(diffs - draws @ coef)))
-    slope_err = float(np.max(np.abs(coef[:k_count] + 0.5 * state.basis.project(state.delta))))
+    slope_err = float(np.max(np.abs(coef[:k_count] + 0.5 * state.basis.project(state.delta_band))))
     return max(resid, slope_err)
 
 
@@ -322,7 +324,7 @@ def test_summaries_match_dense_stacks_ill_conditioned():
     n = 64
     basis = build_basis(n, 1, 1)
     c_theta = np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n)))
-    alpha = basis.project(c_theta)
+    alpha = basis.project(dense_to_band(c_theta, 0))
     eta = 1e-4 * make_rng(0, stream=46).standard_normal(basis.K)
     c_band, _, inverse, _ = build_localized_C(alpha, eta, basis)
     assert len(inverse[0]) == n

@@ -122,7 +122,7 @@ def test_localized_drift_decay_and_sup_check():
         basis = build_basis(n, 1, 1)
         theta = build_theta(DENSITY, n)
         ld = localized_drift(
-            basis.project(theta.entries), eta, n, basis.indices, 0.5, gamma=3.0, f=DENSITY
+            basis.project(theta.band), eta, n, basis.indices, 0.5, gamma=3.0, f=DENSITY
         )
         assert ld.sup_check.check_id == "drift-sup-gap"
         assert ld.sup_check.passed
@@ -139,7 +139,7 @@ def test_localized_drift_guards():
     with pytest.raises(RangeError):
         localized_drift(np.full(BASIS.K, 5.0), STATE.eta_tilde, N, BASIS.indices, 0.5, gamma=3.0)
     ld = localized_drift(
-        BASIS.project(THETA.entries), STATE.eta_tilde, N, BASIS.indices, 0.5, gamma=3.0
+        BASIS.project(THETA.band), STATE.eta_tilde, N, BASIS.indices, 0.5, gamma=3.0
     )
     assert ld.equiv1 is None  # needs the true density
 
