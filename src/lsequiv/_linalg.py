@@ -267,10 +267,12 @@ def band_product(a, b):
     if wa < wb:
         return band_transpose(band_product(band_transpose(b), band_transpose(a)))
     out = np.zeros((2 * (wa + wb) + 1, n))
+    term = np.empty_like(a)
     for t in range(-wb, wb + 1):
-        # (A B)[i + u + t, i] gains A[i + u + t, i + t] B[i + t, i]
-        term = np.roll(a, -t, axis=1)
-        term *= b[wb + t]
+        # (A B)[i + u + t, i] gains A[i + u + t, i + t] B[i + t, i], i + t mod n
+        k = t % n
+        np.multiply(a[:, k:], b[wb + t, : n - k], out=term[:, : n - k])
+        np.multiply(a[:, :k], b[wb + t, n - k :], out=term[:, n - k :])
         out[wb + t : wb + t + 2 * wa + 1] += term
     return out
 

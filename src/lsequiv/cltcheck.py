@@ -278,7 +278,7 @@ class RadialProfile:
 
 
 # log psi* as a power series needs terms up to the smallest L whose
-# remainder bound n 2^{-L} / L (at 2 r max|lam| <= 1/2) is below this
+# remainder bound n 2^{-L} / L (at |2 (r - c) mu| <= 1/2) is below this
 _SERIES_TOL = 1e-16
 
 
@@ -291,8 +291,8 @@ def _series_terms(n):
 
 
 def _horner(coef, y):
-    """sum_m coef[:, m] y^m, one coefficient row per row of y."""
-    acc = np.zeros_like(y)
+    """sum_m coef[:, m] y^m, one coefficient row per output row, y shared."""
+    acc = np.zeros((len(coef),) + y.shape, dtype=coef.dtype)
     for c in coef.T[::-1]:
         acc *= y
         acc += c[:, None]
@@ -302,43 +302,47 @@ def _horner(coef, y):
 def _psi_star_stack(eigs, shifts, r):
     """psi*(r) = exp(-i r shift_a) prod_j (1 - 2i r lam_aj)^{-1/2} per row a.
 
-    eigs is (A, n), shifts (A,); the result is (A,) + shape(r).  Where
-    2 |r| max_j |lam_aj| <= 1/2 the log is the series
+    eigs is (A, n), shifts (A,); the result is (A,) + shape(r).  Around a
+    centre c, with mu_j = lam_j / (1 - 2ic lam_j) and x_j = 2c lam_j,
 
-        log psi*(r) = (1/2) sum_{l <= L} (2ir)^l p_l / l - i r shift,
+        log psi*(r) = G(c) + (1/2) sum_{l <= L} (2i(r - c))^l P_l(c) / l - i r shift,
 
-    with power sums p_l = sum_j lam_j^l and L from _series_terms, split into
-    real and imaginary parts, each a polynomial in (2r)^2 evaluated by
-    Horner over every row at once.  Beyond that radius, with x = 2 r lam,
-    the principal log(1 - i x) is log1p(x^2) / 2 - i arctan(x): no complex
-    logarithm needed.
+    G(c) = sum_j [i arctan(x_j) / 2 - log1p(x_j^2) / 4], P_l(c) = sum_j mu_j^l,
+    by complex Horner over every row.  |2 (r - c) mu_j| <= 1/2 on the disc
+    |r - c| <= rho(c) = sqrt(1 + 4 c^2 lam_max^2) / (4 lam_max), lam_max the
+    largest |lam| of all rows: L from _series_terms meets its remainder bound
+    and the principal logs add without a 2 pi wrap.  The discs start at c = 0
+    and touch, c - rho(c) = c_prev + rho(c_prev); r < 0 is by conjugation.
     """
     r = np.asarray(r, dtype=float)
     flat = r.reshape(-1)
+    order = np.argsort(np.abs(flat))
+    radii = np.abs(flat)[order]
     n_rows, n = eigs.shape
-    L = _series_terms(n)
-    sums = np.empty((n_rows, L))
-    power = eigs.copy()
-    for ell in range(L):
-        sums[:, ell] = np.sum(power, axis=1)
-        power *= eigs
-    # (i s)^l = (-1)^{l/2} s^l for even l and i (-1)^{(l-1)/2} s^l for odd l
-    ell = np.arange(1, L + 1)
-    coef = sums * (np.where(ell % 4 < 2, 0.5, -0.5) / ell)
-    series = np.multiply.outer(2.0 * np.max(np.abs(eigs), axis=1), np.abs(flat)) <= 0.5
-    s = 2.0 * flat
-    y = np.where(series, s * s, 0.0)
-    log_mod = y * _horner(coef[:, 1::2], y)
-    phase = s * _horner(coef[:, 0::2], y)
-    for a in np.flatnonzero(~series.all(axis=1)):
-        far = ~series[a]
-        x = np.multiply.outer(flat[far], eigs[a])
-        x *= 2.0
-        phase[a, far] = 0.5 * np.sum(np.arctan(x), axis=-1)
-        x *= x
-        log_mod[a, far] = -0.25 * np.sum(np.log1p(x, out=x), axis=-1)
-    phase -= np.multiply.outer(shifts, flat)
-    return np.exp(log_mod + 1j * phase).reshape((n_rows,) + r.shape)
+    ell = np.arange(1, _series_terms(n) + 1)
+    weights = 0.5 * np.array([1.0, 1j, -1.0, -1j])[ell % 4] / ell  # (2ih)^l = i^l (2h)^l
+    lam_max = float(np.max(np.abs(eigs), initial=0.0))
+    logs = np.empty((n_rows, len(radii)), dtype=complex)
+    lo, kappa = 0, 0.0  # kappa = c lam_max; lam_max = 0 leaves one disc
+    while lo < len(radii):
+        edge = kappa + math.sqrt(1.0 + 4.0 * kappa * kappa) / 4.0  # (c + rho) lam_max
+        hi = np.searchsorted(radii * lam_max, edge, side="right")
+        c = kappa / lam_max if kappa else 0.0
+        x = 2.0 * c * eigs
+        mu = eigs / (1.0 - 1j * x)
+        power = np.ones_like(mu)
+        sums = np.stack([np.sum(power := power * mu, axis=1) for _ in ell], axis=1)
+        g = 0.5j * np.sum(np.arctan(x), axis=1) - 0.25 * np.sum(np.log1p(x * x), axis=1)
+        y = 2.0 * (radii[lo:hi] - c)
+        logs[:, lo:hi] = y * _horner(sums * weights, y) + g[:, None]
+        lo = hi
+        # the root above edge of kappa - sqrt(1 + 4 kappa^2) / 4 = edge
+        kappa = (8.0 * edge + math.sqrt(16.0 * edge * edge + 3.0)) / 6.0
+    logs.imag -= np.multiply.outer(shifts, radii)
+    psi = np.empty_like(logs)
+    psi[:, order] = np.exp(logs)
+    psi.imag[:, flat < 0.0] *= -1.0
+    return psi.reshape((n_rows,) + r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -741,21 +745,79 @@ def _spline_table(y):
     return table
 
 
-def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
-    """Filtered back-projection on per-angle radial slices.
+def _orbits(n_angles):
+    """Per _half_circle direction, its orbit base b and accumulator view: 0 for
+    b, 1 for the mirror n_angles - 1 - b, 2 for the quarter turn b + h and 3
+    for h - 1 - b (the last two when n_angles = 2h)."""
+    a = np.arange(n_angles)
+    half = n_angles // 2
+    # an orbit meets [0, h) (all directions when odd) in b and h - 1 - b
+    period = n_angles if n_angles % 2 else half
+    base = np.minimum(a % period, period - 1 - a % period)
+    view = np.select([a == base, a == n_angles - 1 - base, a == base + half], [0, 1, 2], 3)
+    return base, view
 
-    f(x) = (1/2pi) int_0^pi g_phi(<u_phi, x>) dphi with
-    g_phi(s) = (1/pi) Re int_0^T psi*(r u_phi) r exp(-i r s) dr.
 
-    Directions with the same truncation T share the t grid and are
-    inverted in chunks of _DIRECTION_CHUNK: one stacked psi*, one batched
-    chirp-z and one spline table per chunk.  The spline knots sgrid are
-    uniform, so each direction's spline is evaluated on the x grid
-    directly: knot index and fraction from the projection in units of ds,
-    then Horner on that interval's coefficients.  Every projection
-    |<u, x>| <= max|x| sqrt(2) must lie inside sgrid, which is checked once
-    for the extreme projections instead of clipping each index.
+def _k2_density(psi_rows, truncations, x_max, dx):
+    """(grid, density on grid x grid) by filtered back-projection,
+    f(x) = (1/2pi) int_0^pi g_phi(<u_phi, x>) dphi with g_phi(s) =
+    (1/pi) Re int_0^T psi*(r u_phi) r exp(-i r s) dr on the _half_circle
+    directions, each with its truncation T.
+
+    Directions with the same T are inverted in chunks of _DIRECTION_CHUNK
+    (one psi_rows call, chirp-z and spline table each), and each spline is
+    evaluated on the x grid through the knot index and fraction of <u, x>
+    on the uniform knots sgrid.  When x_max is a multiple of dx the grid is
+    exactly its own mirror: a T group is sorted by _orbits orbit, the knot
+    array is formed once per orbit and chunk, and each member adds into a
+    flipped or transposed view of the accumulator.  Every |<u, x>| <=
+    max|x| sqrt(2) must lie inside sgrid, checked once.
     """
+    n_angles = len(truncations)
+    m = round(x_max / dx)
+    mirrored = m > 0 and math.isclose(m * dx, x_max, rel_tol=1e-9)
+    grid = dx * np.arange(-m, m + 1) if mirrored else np.arange(-x_max, x_max + dx / 2, dx)
+    base, view = _orbits(n_angles) if mirrored else (np.arange(n_angles), np.zeros(n_angles, int))
+    smax = x_max * math.sqrt(2.0) + 1.0
+    ds = dx / 2.0
+    sgrid = np.arange(-smax, smax + ds / 2, ds)
+    reach = float(np.max(np.abs(grid))) * math.sqrt(2.0)
+    if not (smax - reach >= 0.0 and (smax + reach) / ds < len(sgrid) - 1):
+        raise PreconditionError(
+            f"projections up to {reach:.6g} leave the slice grid [-{smax:.6g}, {smax:.6g}]"
+        )
+    dirs = _half_circle(n_angles)
+    # knot coordinate (<u, x> + smax) / ds >= 0, split into knot index and fraction
+    scaled = grid / ds
+    frac, val, term, accum = np.zeros((4, len(grid), len(grid)))
+    knot = np.empty(frac.shape, dtype=np.intp)
+    views = (accum, accum[::-1], accum.T[:, ::-1], accum.T)
+    for T in np.unique(truncations):
+        group = np.flatnonzero(truncations == T)
+        group = group[np.argsort(base[group], kind="stable")]
+        for lo in range(0, len(group), _DIRECTION_CHUNK):
+            rows = group[lo : lo + _DIRECTION_CHUNK]
+            filtered = invert_cf_1d(lambda r: psi_rows(rows, r) * r, T, sgrid)
+            # cubic interpolation; linear would cap the grid accuracy near 1e-5
+            tables = _spline_table(filtered)
+            for b in np.unique(base[rows]):
+                np.add.outer(scaled * dirs[b, 0] + smax / ds, scaled * dirs[b, 1], out=frac)
+                np.floor(frac, out=term)
+                frac -= term
+                np.copyto(knot, term, casting="unsafe")
+                members = base[rows] == b
+                for coef, v in zip(tables[members], view[rows[members]]):
+                    # every knot index is in range (checked above); "clip"
+                    # only spares the buffered bounds check that "raise" makes
+                    np.take(coef[0], knot, out=val, mode="clip")
+                    for c in coef[1:]:
+                        val *= frac
+                        val += np.take(c, knot, out=term, mode="clip")
+                    np.add(views[v], val, out=views[v])
+    return grid, accum * (np.pi / n_angles) / (2.0 * np.pi)
+
+
+def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
     dirs = _half_circle(n_angles)
     if cf_override is None:
         profiles = [RadialProfile(ctx, u) for u in dirs]
@@ -767,41 +829,7 @@ def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
         psi_rows = lambda rows, r: np.stack([cf_override(r, u) for u in dirs[rows]])
         moduli = lambda r: np.abs(psi_rows(slice(None), r)) * r
     truncations = _choose_truncation(moduli, tol_tail)
-    grid = np.arange(-x_max, x_max + dx / 2, dx)
-    smax = x_max * math.sqrt(2.0) + 1.0
-    ds = dx / 2.0
-    sgrid = np.arange(-smax, smax + ds / 2, ds)
-    reach = float(np.max(np.abs(grid))) * math.sqrt(2.0)
-    if not (smax - reach >= 0.0 and (smax + reach) / ds < len(sgrid) - 1):
-        raise PreconditionError(
-            f"projections up to {reach:.6g} leave the slice grid [-{smax:.6g}, {smax:.6g}]"
-        )
-    # knot coordinate q = (<u, x> + smax) / ds as an outer sum of scaled
-    # axes; q >= 0, so its integer cast is the knot index floor(q)
-    scaled = grid / ds
-    knot_pos = np.empty((len(grid), len(grid)))
-    knot = np.empty(knot_pos.shape, dtype=np.intp)
-    val = np.empty_like(knot_pos)
-    term = np.empty_like(knot_pos)
-    accum = np.zeros_like(knot_pos)
-    for T in np.unique(truncations):
-        group = np.flatnonzero(truncations == T)
-        for lo in range(0, len(group), _DIRECTION_CHUNK):
-            rows = group[lo : lo + _DIRECTION_CHUNK]
-            filtered = invert_cf_1d(lambda r: psi_rows(rows, r) * r, T, sgrid)
-            # cubic interpolation; linear would cap the grid accuracy near 1e-5
-            for u, coef in zip(dirs[rows], _spline_table(filtered)):
-                np.add.outer(scaled * u[0] + smax / ds, scaled * u[1], out=knot_pos)
-                np.copyto(knot, knot_pos, casting="unsafe")
-                knot_pos -= knot
-                # every knot index is in range (checked above); "clip" only
-                # spares the buffered bounds check that "raise" makes
-                np.take(coef[0], knot, out=val, mode="clip")
-                for c in coef[1:]:
-                    val *= knot_pos
-                    val += np.take(c, knot, out=term, mode="clip")
-                accum += val
-    dens = accum * (np.pi / n_angles) / (2.0 * np.pi)
+    grid, dens = _k2_density(psi_rows, truncations, x_max, dx)
     ref = np.exp(-np.add.outer(grid**2, grid**2) / 2.0) / (2.0 * np.pi)
     return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx), float(np.max(truncations))
 

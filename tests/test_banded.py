@@ -25,6 +25,7 @@ from lsequiv._linalg import (
     band_function,
     band_product,
     band_to_dense,
+    band_transpose,
     dense_signed,
     dense_to_band,
     signed_band,
@@ -301,6 +302,29 @@ def test_band_product_and_signed_frob_match_dense(widths, wrapped):
         assert signed_frob(got, zero) == pytest.approx(np.linalg.norm(want), rel=1e-13)
         gap = np.linalg.norm(want - dense[0])
         assert signed_frob(got, a) == pytest.approx(gap, rel=1e-13)
+
+
+def _band_product_roll(a, b):
+    """The np.roll form of band_product's banded branch, for wa >= wb."""
+    wa, wb = a.shape[0] // 2, b.shape[0] // 2
+    out = np.zeros((2 * (wa + wb) + 1, a.shape[1]))
+    for t in range(-wb, wb + 1):
+        term = np.roll(a, -t, axis=1)
+        term *= b[wb + t]
+        out[wb + t : wb + t + 2 * wa + 1] += term
+    return out
+
+
+@pytest.mark.parametrize("wa,wb,n", [(0, 0, 5), (2, 1, 9), (3, 3, 20), (4, 2, 7), (1, 3, 12)])
+def test_band_product_matches_roll_form_bitwise(wa, wb, n):
+    rng = make_rng(wa + 10 * wb, stream=81)
+    a = rng.standard_normal((2 * wa + 1, n))
+    b = rng.standard_normal((2 * wb + 1, n))
+    if wa < wb:
+        want = band_transpose(_band_product_roll(band_transpose(b), band_transpose(a)))
+    else:
+        want = _band_product_roll(a, b)
+    np.testing.assert_array_equal(band_product(a, b), want)
 
 
 @pytest.mark.parametrize("k1,k2", WINDOWS)

@@ -11,7 +11,9 @@ from lsequiv._linalg import spectral_norm, sym_inv, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.cltcheck import (
     _choose_truncation,
+    _k2_density,
     _ladder_tails,
+    _orbits,
     _psi_star_stack,
     _series_terms,
     _spline_table,
@@ -396,16 +398,36 @@ def test_off_span_target_solves_each_direction():
     assert abs(tv - oracle) <= 1e-12
 
 
+def _disc_edges(lam_max, r_max):
+    """Edges c_k -+ rho(c_k) of the series discs of _psi_star_stack that start
+    below r_max, each centre a root of c - rho(c) = c_prev + rho(c_prev)."""
+    rho = lambda c: math.sqrt(1.0 + 4.0 * (c * lam_max) ** 2) / (4.0 * lam_max)
+    edges, c = [], 0.0
+    while c - rho(c) < r_max:
+        edges += [c - rho(c), c + rho(c)]
+        e = c + rho(c)
+        # 16 lam^2 (c - e)^2 = 1 + 4 c^2 lam^2, the root above e
+        quadratic = [12.0 * lam_max**2, -32.0 * lam_max**2 * e, 16.0 * (lam_max * e) ** 2 - 1.0]
+        c = max(np.roots(quadratic).real)
+        assert abs(c - rho(c) - e) <= 1e-12 * e
+    return np.array(edges)
+
+
 def _assert_stack_matches_complex_log(ctx, dirs):
     profiles = [RadialProfile(ctx, u) for u in dirs]
     eigs = np.stack([profile.eigs for profile in profiles])
     shifts = np.array([profile.shift for profile in profiles])
-    # the series covers 2 r max|lam| <= 1/2; put radii on both sides of every seam
+    # radii on both sides of 2 r max|lam| = 1/2 for every row, and of every
+    # disc edge of the stack's series; and their negatives
     seams = 0.25 / np.max(np.abs(eigs), axis=1)
+    edges = _disc_edges(np.max(np.abs(eigs)), 60.0)
+    assert len(edges) >= 6
     r = np.sort(np.concatenate([
         np.linspace(0.0, 1.5 * np.max(seams), 49), seams * (1.0 - 1e-9), seams * (1.0 + 1e-9)
     ]))
     assert np.all((r < seams[:, None]).any(axis=1) & (r > seams[:, None]).any(axis=1))
+    r = np.concatenate([r, edges * (1.0 - 1e-9), edges * (1.0 + 1e-9)])
+    r = np.concatenate([r, -r])
     got = _psi_star_stack(eigs, shifts, r)
     assert got.shape == (len(dirs), len(r))
     for row, u in zip(got, dirs):
@@ -425,6 +447,14 @@ def test_psi_star_matches_complex_log(tvk2_ctx):
     off_span = _off_span_context()
     assert off_span.joint is None
     _assert_stack_matches_complex_log(off_span, _angles(36))
+
+
+def test_psi_star_of_zero_spectrum_is_the_shift_phase():
+    r = np.linspace(-30.0, 30.0, 61)
+    shifts = np.array([0.3, -1.2])
+    with np.errstate(all="raise"):
+        got = _psi_star_stack(np.zeros((2, 5)), shifts, r)
+    np.testing.assert_allclose(got, np.exp(-1j * np.multiply.outer(shifts, r)), rtol=0, atol=1e-15)
 
 
 def test_series_terms_meet_remainder_bound():
@@ -472,6 +502,64 @@ def test_tv_oracle_k2_memory_peak(tvk2_ctx):
     finally:
         tracemalloc.stop()
     assert peak <= TVK2_REFERENCE_PEAK
+
+
+def _density_per_direction(psi_rows, truncations, grid, x_max, dx):
+    """The back-projection the orbit one replaced: chunks in direction order,
+    and each direction's knot index and fraction from its own projection."""
+    n_angles = len(truncations)
+    smax = x_max * math.sqrt(2.0) + 1.0
+    ds = dx / 2.0
+    sgrid = np.arange(-smax, smax + ds / 2, ds)
+    scaled = grid / ds
+    accum = np.zeros((len(grid), len(grid)))
+    for T in np.unique(truncations):
+        group = np.flatnonzero(truncations == T)
+        for lo in range(0, len(group), 20):
+            rows = group[lo : lo + 20]
+            filtered = invert_cf_1d(lambda r: psi_rows(rows, r) * r, T, sgrid)
+            for u, coef in zip(_angles(n_angles)[rows], _spline_table(filtered)):
+                knot_pos = np.add.outer(scaled * u[0] + smax / ds, scaled * u[1])
+                knot = knot_pos.astype(np.intp)
+                knot_pos -= knot
+                val = coef[0][knot]
+                for c in coef[1:]:
+                    val = val * knot_pos + c[knot]
+                accum += val
+    return accum * (np.pi / n_angles) / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize(
+    "n_angles,x_max,dx,sizes,split",
+    [
+        (180, 8.0, 0.04, {4}, False),
+        # every third direction at a longer T: orbits split over T groups and chunks
+        (180, 8.0, 0.04, {4}, True),
+        (18, 8.0, 0.04, {4, 2}, False),  # direction 4 is at pi / 4: its quarter turn is its mirror
+        (45, 8.0, 0.04, {2, 1}, False),  # odd: mirror pairs and pi / 2 alone
+        (180, 1.0, 0.3, None, False),  # grid [-1, 1.1] is not its own mirror: orbits of one
+    ],
+)
+def test_orbit_back_projection_matches_per_direction(tvk2_ctx, n_angles, x_max, dx, sizes, split):
+    profiles = [RadialProfile(tvk2_ctx, u) for u in _angles(n_angles)]
+    eigs = np.stack([profile.eigs for profile in profiles])
+    shifts = np.array([profile.shift for profile in profiles])
+    psi_rows = lambda rows, r: _psi_star_stack(eigs[rows], shifts[rows], r)
+    truncations = _choose_truncation(
+        lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r, 1e-8
+    )
+    if split:
+        truncations[::3] *= 1.5
+    grid, dens = _k2_density(psi_rows, truncations, x_max, dx)
+    if sizes is None:
+        assert grid[0] != -grid[-1]
+    else:
+        np.testing.assert_array_equal(grid, -grid[::-1])
+        base, view = _orbits(n_angles)
+        assert set(np.bincount(base)[np.unique(base)]) == sizes
+        assert np.all(view[np.unique(base)] == 0)
+    want = _density_per_direction(psi_rows, truncations, grid, x_max, dx)
+    assert np.max(np.abs(dens - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_spline_table_matches_cubic_spline():
