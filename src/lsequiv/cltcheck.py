@@ -10,13 +10,13 @@ from the Gaussian limit (K <= 2).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.linalg import solve_banded
 from scipy.special import gamma as gamma_fn
 
 from ._linalg import check_symmetric, guarded_eig
@@ -540,6 +540,19 @@ def fourier_tail_bound(R, ctx) -> float:
     )
 
 
+def _require_positive(name, value):
+    """PreconditionError unless value is a positive finite number."""
+    # written as not(>) so that NaN is rejected too
+    if not (value > 0.0 and math.isfinite(value)):
+        raise PreconditionError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_count(n_angles):
+    """PreconditionError unless n_angles is a positive integer."""
+    if not (isinstance(n_angles, numbers.Integral) and n_angles >= 1):
+        raise PreconditionError(f"n_angles must be a positive integer, got {n_angles!r}")
+
+
 def _half_circle(n_angles):
     """(n_angles, 2) unit directions at angles (a + 1/2) pi / n_angles."""
     angles = (np.arange(n_angles) + 0.5) * np.pi / n_angles
@@ -563,8 +576,8 @@ def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
     margin recorded instead.
     """
     K = ctx.K
-    if not (math.isfinite(R) and R > 0.0):
-        raise PreconditionError(f"tail radius must be positive and finite, got {R!r}")
+    _require_positive("tail radius", R)
+    _require_count(n_angles)
     margin = ctx.mu ** (-2.0)
     needed = 8.0 * K + 16.0
     if margin <= needed:
@@ -707,131 +720,106 @@ def _tv_oracle_k1(ctx, tol_tail, x_max, dx, cf_override):
     return tv_against_gaussian_1d(psi, T, x_max=x_max, dx=dx), T
 
 
-# Directions inverted together: one stacked psi* call, one batched chirp-z
-# and one (chunk, 4, len(sgrid) - 1) spline table at a time.
-_DIRECTION_CHUNK = 20
+# Largest lattice half-width M = ceil(T / dw) the K = 2 oracle accepts
+_LATTICE_CAP = 2048
+# Aliased probability mass allowed per marginal over the x window
+_ALIAS_TOL = 1e-12
 
 
-def _spline_table(y):
-    """Not-a-knot cubic spline through each row of y on uniform knots.
+def _lattice_step(x_max, mu):
+    """Frequency step dw of the K = 2 lattice for the window [-x_max, x_max]^2.
 
-    Returns (rows, 4, m - 1) power-form coefficients in the fraction
-    f in [0, 1) of each knot interval, highest power first.  With
-    d_i = y_{i+1} - y_i, the knot slopes m (per unit f) solve one
-    tridiagonal system: m_{i-1} + 4 m_i + m_{i+1} = 3 (d_{i-1} + d_i)
-    inside, and the not-a-knot end rows m_0 + 2 m_1 = (5 d_0 + d_1) / 2
-    and 2 m_{-2} + m_{-1} = (d_{-2} + 5 d_{-1}) / 2 (negative indices
-    count from the end).  Interval i is then the Hermite cubic of y_i,
-    y_{i+1}, m_i, m_{i+1}.
+    The trapezoid sum with step dw is the density periodized with period
+    P = 2 pi / dw (Poisson summation).  Each marginal <u, Y> =
+    sum_j lam_j (Z_j^2 - 1) has sum_j lam_j^2 = 1/2 and |lam_j| <= mu, so
+    the bounds of Laurent & Massart (2000, Lemma 1) on its positive and
+    negative parts give P(|<u, Y>| >= L) <= 4 e^{-t}, L = 2 sqrt(t) + 2 mu t.
+    With t = log(4 / _ALIAS_TOL) and P = x_max + max(x_max, L) the shifted
+    windows are disjoint and lie where a coordinate reaches L: the aliased
+    mass over the window is at most 2 _ALIAS_TOL.  A cf_override is taken
+    to be a law of this form with the context's mu.
     """
-    m_len = y.shape[-1]
-    if m_len < 4:
-        raise PreconditionError("a not-a-knot spline needs at least 4 knots")
-    d = np.diff(y, axis=-1)
-    # rows of the tridiagonal matrix in solve_banded's (1, 1) layout
-    ab = np.ones((3, m_len))
-    ab[1, 1:-1] = 4.0
-    ab[0, 1] = ab[2, -2] = 2.0
-    rhs = np.empty((m_len, len(y)))
-    rhs[1:-1] = 3.0 * (d[:, :-1] + d[:, 1:]).T
-    rhs[0] = 0.5 * (5.0 * d[:, 0] + d[:, 1])
-    rhs[-1] = 0.5 * (d[:, -2] + 5.0 * d[:, -1])
-    slopes = solve_banded((1, 1), ab, rhs, overwrite_b=True).T
-    table = np.empty((len(y), 4, m_len - 1))
-    table[:, 0] = slopes[:, :-1] + slopes[:, 1:] - 2.0 * d
-    table[:, 1] = d - slopes[:, :-1] - table[:, 0]
-    table[:, 2] = slopes[:, :-1]
-    table[:, 3] = y[:, :-1]
-    return table
+    t = math.log(4.0 / _ALIAS_TOL)
+    reach = 2.0 * math.sqrt(t) + 2.0 * mu * t
+    return 2.0 * math.pi / (x_max + max(x_max, reach))
 
 
-def _orbits(n_angles):
-    """Per _half_circle direction, its orbit base b and accumulator view: 0 for
-    b, 1 for the mirror n_angles - 1 - b, 2 for the quarter turn b + h and 3
-    for h - 1 - b (the last two when n_angles = 2h)."""
-    a = np.arange(n_angles)
-    half = n_angles // 2
-    # an orbit meets [0, h) (all directions when odd) in b and h - 1 - b
-    period = n_angles if n_angles % 2 else half
-    base = np.minimum(a % period, period - 1 - a % period)
-    view = np.select([a == base, a == n_angles - 1 - base, a == base + half], [0, 1, 2], 3)
-    return base, view
+def _psi_real_form(lam, phase):
+    """exp(-i phase) prod_j (1 - 2i lam_j)^{-1/2} over the last axis of lam, as
+    exp(-(1/4) sum log1p(4 lam^2) + i ((1/2) sum arctan(2 lam) - phase))."""
+    x = 2.0 * lam
+    modulus = np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
+    return modulus * np.exp(1j * (0.5 * np.sum(np.arctan(x), axis=-1) - phase))
 
 
-def _k2_density(psi_rows, truncations, x_max, dx):
-    """(grid, density on grid x grid) by filtered back-projection,
-    f(x) = (1/2pi) int_0^pi g_phi(<u_phi, x>) dphi with g_phi(s) =
-    (1/pi) Re int_0^T psi*(r u_phi) r exp(-i r s) dr on the _half_circle
-    directions, each with its truncation T.
+def _lattice_psi(ctx, cf_override, dw, M):
+    """psi*(dw (a, b)) at [M + a, M + b] for |a|, |b| <= M.
 
-    Directions with the same T are inverted in chunks of _DIRECTION_CHUNK
-    (one psi_rows call, chirp-z and spline table each), and each spline is
-    evaluated on the x grid through the knot index and fraction of <u, x>
-    on the uniform knots sgrid.  When x_max is a multiple of dx the grid is
-    exactly its own mirror: a T group is sorted by _orbits orbit, the knot
-    array is formed once per orbit and chunk, and each member adds into a
-    flipped or transposed view of the accumulator.  Every |<u, x>| <=
-    max|x| sqrt(2) must lie inside sgrid, checked once.
+    The half a > 0 or (a = 0, b >= 0) is evaluated, the rest is
+    psi*(-w) = conj psi*(w).  With a joint spectrum the pencil of w has
+    eigenvalues w_1 Lambda_1 + w_2 Lambda_2, Lambda = Gamma^{-1/2} joint,
+    formed one frequency row (2M + 1, n) at a time.  Otherwise each
+    primitive lattice ray (a, b), gcd(a, |b|) = 1, takes one pencil_eigs
+    or one cf_override call for all its points k (a, b).
     """
-    n_angles = len(truncations)
-    m = round(x_max / dx)
-    mirrored = m > 0 and math.isclose(m * dx, x_max, rel_tol=1e-9)
-    grid = dx * np.arange(-m, m + 1) if mirrored else np.arange(-x_max, x_max + dx / 2, dx)
-    base, view = _orbits(n_angles) if mirrored else (np.arange(n_angles), np.zeros(n_angles, int))
-    smax = x_max * math.sqrt(2.0) + 1.0
-    ds = dx / 2.0
-    sgrid = np.arange(-smax, smax + ds / 2, ds)
-    reach = float(np.max(np.abs(grid))) * math.sqrt(2.0)
-    if not (smax - reach >= 0.0 and (smax + reach) / ds < len(sgrid) - 1):
-        raise PreconditionError(
-            f"projections up to {reach:.6g} leave the slice grid [-{smax:.6g}, {smax:.6g}]"
-        )
-    dirs = _half_circle(n_angles)
-    # knot coordinate (<u, x> + smax) / ds >= 0, split into knot index and fraction
-    scaled = grid / ds
-    frac, val, term, accum = np.zeros((4, len(grid), len(grid)))
-    knot = np.empty(frac.shape, dtype=np.intp)
-    views = (accum, accum[::-1], accum.T[:, ::-1], accum.T)
-    for T in np.unique(truncations):
-        group = np.flatnonzero(truncations == T)
-        group = group[np.argsort(base[group], kind="stable")]
-        for lo in range(0, len(group), _DIRECTION_CHUNK):
-            rows = group[lo : lo + _DIRECTION_CHUNK]
-            filtered = invert_cf_1d(lambda r: psi_rows(rows, r) * r, T, sgrid)
-            # cubic interpolation; linear would cap the grid accuracy near 1e-5
-            tables = _spline_table(filtered)
-            for b in np.unique(base[rows]):
-                np.add.outer(scaled * dirs[b, 0] + smax / ds, scaled * dirs[b, 1], out=frac)
-                np.floor(frac, out=term)
-                frac -= term
-                np.copyto(knot, term, casting="unsafe")
-                members = base[rows] == b
-                for coef, v in zip(tables[members], view[rows[members]]):
-                    # every knot index is in range (checked above); "clip"
-                    # only spares the buffered bounds check that "raise" makes
-                    np.take(coef[0], knot, out=val, mode="clip")
-                    for c in coef[1:]:
-                        val *= frac
-                        val += np.take(c, knot, out=term, mode="clip")
-                    np.add(views[v], val, out=views[v])
-    return grid, accum * (np.pi / n_angles) / (2.0 * np.pi)
+    size = 2 * M + 1
+    psi = np.empty((size, size), dtype=complex)
+    freqs = dw * np.arange(-M, M + 1)
+    joint = ctx.joint if cf_override is None else None
+    if joint is not None:
+        lam = ctx.gamma_inv_sqrt @ joint
+        shift = ctx.gamma_inv_sqrt @ ctx.d_vec
+        for a in range(M, size):
+            row = np.multiply.outer(freqs, lam[1]) + freqs[a] * lam[0]
+            psi[a] = _psi_real_form(row, freqs[a] * shift[0] + freqs * shift[1])
+    else:
+        psi[M, M] = 1.0
+        a, b = np.ogrid[: M + 1, -M : M + 1]
+        rays = np.argwhere((np.gcd(a, b) == 1) & ((a > 0) | (b > 0))) - [0, M]
+        for a, b in rays:
+            k = np.arange(1, M // max(a, abs(b)) + 1)
+            norm = math.hypot(a, b)
+            u, r = np.array([a, b]) / norm, dw * norm * k
+            if cf_override is None:
+                v = ctx.gamma_inv_sqrt @ u
+                lam = np.multiply.outer(r, ctx.pencil_eigs(v))
+                psi[M + k * a, M + k * b] = _psi_real_form(lam, r * float(v @ ctx.d_vec))
+            else:
+                psi[M + k * a, M + k * b] = cf_override(r, u)
+    psi[:M] = np.conj(psi[:M:-1, ::-1])
+    psi[M, :M] = np.conj(psi[M, :M:-1])
+    return psi
+
+
+def _lattice_density(ctx, cf_override, T, dw, grid):
+    """K = 2 density on grid x grid: the trapezoid sum over the lattice
+    dw (a, b), |a|, |b| <= M = ceil(T / dw), which covers the disc of radius
+    T.  With E[i, a] = exp(-i x_i dw a) = C - iS and psi* = P + iQ on it,
+    f = (dw / 2 pi)^2 Re(E psi* E^T) = (dw / 2 pi)^2 [(CP + SQ) C^T + (CQ - SP) S^T].
+    The rule converges geometrically for an analytic, decaying psi*
+    (Trefethen & Weideman, 2014); _lattice_step bounds the aliasing.
+    """
+    M = math.ceil(T / dw)
+    if M > _LATTICE_CAP:
+        raise RangeError(f"truncation {T:.6g} needs lattice half-width {M} > {_LATTICE_CAP}")
+    psi = _lattice_psi(ctx, cf_override, dw, M)
+    phase = np.multiply.outer(grid, dw * np.arange(-M, M + 1))
+    c, s = np.cos(phase), np.sin(phase)
+    left = np.hstack([c, s]) @ np.block([[psi.real, psi.imag], [psi.imag, -psi.real]])
+    return (left @ np.vstack([c.T, s.T])) * (dw / (2.0 * math.pi)) ** 2
 
 
 def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
     dirs = _half_circle(n_angles)
     if cf_override is None:
-        profiles = [RadialProfile(ctx, u) for u in dirs]
-        eigs = np.stack([profile.eigs for profile in profiles])
-        shifts = np.array([profile.shift for profile in profiles])
-        psi_rows = lambda rows, r: _psi_star_stack(eigs[rows], shifts[rows], r)
-        moduli = _profile_moduli(profiles, 2)
+        moduli = _profile_moduli([RadialProfile(ctx, u) for u in dirs], 2)
     else:
-        psi_rows = lambda rows, r: np.stack([cf_override(r, u) for u in dirs[rows]])
-        moduli = lambda r: np.abs(psi_rows(slice(None), r)) * r
-    truncations = _choose_truncation(moduli, tol_tail)
-    grid, dens = _k2_density(psi_rows, truncations, x_max, dx)
+        moduli = lambda r: np.abs(np.stack([cf_override(r, u) for u in dirs])) * r
+    T = float(np.max(_choose_truncation(moduli, tol_tail)))
+    grid = np.arange(-x_max, x_max + dx / 2, dx)
+    dens = _lattice_density(ctx, cf_override, T, _lattice_step(x_max, ctx.mu), grid)
     ref = np.exp(-np.add.outer(grid**2, grid**2) / 2.0) / (2.0 * np.pi)
-    return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx), float(np.max(truncations))
+    return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx), T
 
 
 def tv_oracle(
@@ -848,31 +836,34 @@ def tv_oracle(
     Densities come from numeric Fourier inversion; only K <= 2 is
     supported.  cf_override replaces the characteristic function (radius
     array, unit direction) -> complex array, for cross-checks against
-    closed-form laws.  With details=True returns (tv, info) where info
-    records the truncation radius and the analytic tail bound at it.
+    closed-form laws.  For K = 2, n_angles sets only the half-circle
+    directions of the truncation search; the density is one trapezoid sum
+    on a frequency lattice (_lattice_density).  With details=True returns
+    (tv, info) where info records the truncation radius and the analytic
+    tail bound at it.  tol_tail, x_max and dx must be positive and finite,
+    and n_angles a positive integer.
     """
     K = ctx.K
     if K > 2:
         raise PreconditionError("tv_oracle supports K <= 2 only")
+    x_max = (20.0 if K == 1 else 8.0) if x_max is None else x_max
+    dx = (0.002 if K == 1 else 0.04) if dx is None else dx
+    for name, value in (("tol_tail", tol_tail), ("x_max", x_max), ("dx", dx)):
+        _require_positive(name, value)
+    _require_count(n_angles)
     if ctx.mu ** (-2.0) <= 8.0 * K and cf_override is None:
         raise RangeError(
             "characteristic function not certifiably integrable at this mu"
         )
     if K == 1:
-        x_max = 20.0 if x_max is None else x_max
-        dx = 0.002 if dx is None else dx
         val, t_used = _tv_oracle_k1(ctx, tol_tail, x_max, dx, cf_override)
     else:
-        x_max = 8.0 if x_max is None else x_max
-        dx = 0.04 if dx is None else dx
         val, t_used = _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override)
     tv = float(min(max(val, 0.0), 1.0))
     if not details:
         return tv
-    if cf_override is None and ctx.mu ** (-2.0) > 8.0 * K + 16.0:
-        tail = fourier_tail_bound(t_used, ctx)
-    else:
-        tail = None
+    certified = cf_override is None and ctx.mu ** (-2.0) > 8.0 * K + 16.0
+    tail = fourier_tail_bound(t_used, ctx) if certified else None
     return tv, {"truncation": t_used, "tail_bound": tail}
 
 

@@ -5,18 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
+from lsequiv import cltcheck
 from lsequiv._linalg import spectral_norm, sym_inv, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.cltcheck import (
     _choose_truncation,
-    _k2_density,
     _ladder_tails,
-    _orbits,
+    _lattice_density,
+    _lattice_psi,
+    _lattice_step,
     _psi_star_stack,
     _series_terms,
-    _spline_table,
     RadialProfile,
     build_char_context,
     char_fn,
@@ -269,7 +269,7 @@ def test_invert_cf_chirp_z_matches_direct_sum_k1_grid():
 
 
 def test_invert_cf_chirp_z_matches_direct_sum_k2_slice_grid():
-    # the filtered-slice grid of the K = 2 oracle at x_max = 8, dx = 0.04
+    # a 1232-point grid at step 0.02 for a filtered slice psi*(r u) r of a K = 2 law
     smax = 8.0 * math.sqrt(2.0) + 1.0
     sgrid = np.arange(-smax, smax + 0.01, 0.02)
     assert len(sgrid) == 1232
@@ -481,12 +481,13 @@ def test_invert_cf_batch_rows_match_single_rows():
         assert np.max(np.abs(row - single)) <= 1e-15
 
 
-# tv_oracle(tvk2_ctx) of the per-direction implementation (one CubicSpline
-# per direction, log1p/arctan at every radius) that the chunked one replaced
-TVK2_REFERENCE = 0.03087332983406386
-# its tracemalloc peak over tv_oracle(tvk2_ctx), smallest of three runs
-# (numpy 2.4.6, scipy 1.17.1; the largest was 17,150,655 bytes)
-TVK2_REFERENCE_PEAK = 17_088_107
+# tv_oracle(tvk2_ctx) of the lattice oracle; test_tv_oracle_exact_chi_square_law
+# is the evidence for its accuracy (within 1e-9 of a closed-form law)
+TVK2_REFERENCE = 0.030873272859508957
+# its tracemalloc peak over tv_oracle(tvk2_ctx) (numpy 2.4.6, scipy 1.17.1):
+# 5,967,223 to 5,967,391 bytes over 18 runs of this test alone, by hash seed,
+# and about 5,964,700 within the suite; pinned at the largest, so no seed fails
+TVK2_REFERENCE_PEAK = 5_967_391
 
 
 def test_tv_oracle_k2_matches_reference(tvk2_ctx):
@@ -504,96 +505,150 @@ def test_tv_oracle_k2_memory_peak(tvk2_ctx):
     assert peak <= TVK2_REFERENCE_PEAK
 
 
-def _density_per_direction(psi_rows, truncations, grid, x_max, dx):
-    """The back-projection the orbit one replaced: chunks in direction order,
-    and each direction's knot index and fraction from its own projection."""
-    n_angles = len(truncations)
-    smax = x_max * math.sqrt(2.0) + 1.0
-    ds = dx / 2.0
-    sgrid = np.arange(-smax, smax + ds / 2, ds)
-    scaled = grid / ds
-    accum = np.zeros((len(grid), len(grid)))
-    for T in np.unique(truncations):
-        group = np.flatnonzero(truncations == T)
-        for lo in range(0, len(group), 20):
-            rows = group[lo : lo + 20]
-            filtered = invert_cf_1d(lambda r: psi_rows(rows, r) * r, T, sgrid)
-            for u, coef in zip(_angles(n_angles)[rows], _spline_table(filtered)):
-                knot_pos = np.add.outer(scaled * u[0] + smax / ds, scaled * u[1])
-                knot = knot_pos.astype(np.intp)
-                knot_pos -= knot
-                val = coef[0][knot]
-                for c in coef[1:]:
-                    val = val * knot_pos + c[knot]
-                accum += val
-    return accum * (np.pi / n_angles) / (2.0 * np.pi)
+# the K = 2 oracle's default x grid, and a K = 2 context with mu >= 1/sqrt(120)
+K2_GRID = np.arange(-8.0, 8.0 + 0.02, 0.04)
+CTX2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
 
 
-@pytest.mark.parametrize(
-    "n_angles,x_max,dx,sizes,split",
-    [
-        (180, 8.0, 0.04, {4}, False),
-        # every third direction at a longer T: orbits split over T groups and chunks
-        (180, 8.0, 0.04, {4}, True),
-        (18, 8.0, 0.04, {4, 2}, False),  # direction 4 is at pi / 4: its quarter turn is its mirror
-        (45, 8.0, 0.04, {2, 1}, False),  # odd: mirror pairs and pi / 2 alone
-        (180, 1.0, 0.3, None, False),  # grid [-1, 1.1] is not its own mirror: orbits of one
-    ],
-)
-def test_orbit_back_projection_matches_per_direction(tvk2_ctx, n_angles, x_max, dx, sizes, split):
-    profiles = [RadialProfile(tvk2_ctx, u) for u in _angles(n_angles)]
-    eigs = np.stack([profile.eigs for profile in profiles])
-    shifts = np.array([profile.shift for profile in profiles])
-    psi_rows = lambda rows, r: _psi_star_stack(eigs[rows], shifts[rows], r)
-    truncations = _choose_truncation(
-        lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r, 1e-8
-    )
-    if split:
-        truncations[::3] *= 1.5
-    grid, dens = _k2_density(psi_rows, truncations, x_max, dx)
-    if sizes is None:
-        assert grid[0] != -grid[-1]
-    else:
-        np.testing.assert_array_equal(grid, -grid[::-1])
-        base, view = _orbits(n_angles)
-        assert set(np.bincount(base)[np.unique(base)]) == sizes
-        assert np.all(view[np.unique(base)] == 0)
-    want = _density_per_direction(psi_rows, truncations, grid, x_max, dx)
-    assert np.max(np.abs(dens - want)) <= 1e-12 * np.max(np.abs(want))
+def _tv_on_k2_grid(dens):
+    ref = np.exp(-np.add.outer(K2_GRID**2, K2_GRID**2) / 2.0) / (2.0 * np.pi)
+    return 0.5 * np.sum(np.abs(dens - ref)) * 0.04 * 0.04
 
 
-def test_spline_table_matches_cubic_spline():
-    rng = make_rng(11)
-    ds = 0.02
-    sgrid = -3.0 + ds * np.arange(301)
-    smooth = np.exp(-0.5 * sgrid**2) * np.cos(3.0 * sgrid)
-    rows = np.vstack([rng.standard_normal((3, len(sgrid))), smooth])
-    # unit knots: scipy's not-a-knot table in the same units
-    for y in (rows, rows[:, :4]):
-        want = np.moveaxis(CubicSpline(np.arange(y.shape[1], dtype=float), y, axis=1).c, 2, 0)
-        got = _spline_table(y)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # knots ds apart, as in the TV oracle: powers of s - s_i rescaled to the fraction
-    want = CubicSpline(sgrid, smooth).c * (ds ** np.arange(3, -1, -1))[:, None]
-    got = _spline_table(smooth[None])[0]
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+def _chi_square_pair_cf(dof):
+    """(radius, direction) -> CF of two independent standardized chi-square(dof)."""
+    a = 1.0 / math.sqrt(2.0 * dof)
+
+    def cf(r, u):
+        w = np.multiply.outer(r, u)
+        return np.exp(np.sum(-1j * dof * a * w - 0.5 * dof * np.log(1.0 - 2j * a * w), axis=-1))
+
+    return cf
 
 
-def test_tv_oracle_k2_rejects_slice_grid_below_four_knots():
-    ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
-    gaussian = lambda r, u: np.exp(-0.5 * r**2)
-    # slice knot step ds = dx / 2 = 1 over [-smax, smax], smax = 0.1 sqrt(2) + 1: three knots
-    with pytest.raises(PreconditionError, match="4 knots"):
-        tv_oracle(ctx2, x_max=0.1, dx=2.0, cf_override=gaussian)
+def _chi_square_density(dof, y):
+    """Density of (chi-square(dof) - dof) / sqrt(2 dof) at y, in closed form."""
+    scale = math.sqrt(2.0 * dof)
+    x = dof + scale * y
+    pos = x > 0.0
+    log_f = (dof / 2.0 - 1.0) * np.log(x[pos]) - x[pos] / 2.0
+    out = np.zeros_like(y)
+    out[pos] = scale * np.exp(log_f - dof / 2.0 * math.log(2.0) - math.lgamma(dof / 2.0))
+    return out
 
 
-def test_tv_oracle_k2_rejects_projections_beyond_slice_grid():
-    ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
-    gaussian = lambda r, u: np.exp(-0.5 * r**2)
-    # grid [-1, 2]: projections reach 2 sqrt(2) > smax = sqrt(2) + 1
-    with pytest.raises(PreconditionError, match="slice grid"):
-        tv_oracle(ctx2, x_max=1.0, dx=3.0, cf_override=gaussian)
+def test_tv_oracle_exact_chi_square_law():
+    # lam_j = 1/sqrt(120) <= mu: the law the lattice step's aliasing bound covers
+    assert 1.0 / math.sqrt(120.0) <= CTX2.mu
+    marginal = _chi_square_density(60, K2_GRID)
+    want = _tv_on_k2_grid(np.outer(marginal, marginal))
+    assert want > 0.05
+    assert abs(tv_oracle(CTX2, cf_override=_chi_square_pair_cf(60)) - want) <= 1e-9
+
+
+def test_tv_oracle_k2_gaussian_override_null_is_exact():
+    assert tv_oracle(CTX2, cf_override=lambda r, u: np.exp(-0.5 * r**2)) <= 1e-12
+
+
+def test_tv_oracle_k2_converged_in_step_and_box(tvk2_ctx):
+    tv, info = tv_oracle(tvk2_ctx, details=True)
+    T, dw = info["truncation"], _lattice_step(8.0, tvk2_ctx.mu)
+    assert _tv_on_k2_grid(_lattice_density(tvk2_ctx, None, T, dw, K2_GRID)) == tv
+    assert abs(_tv_on_k2_grid(_lattice_density(tvk2_ctx, None, T, dw / 2.0, K2_GRID)) - tv) <= 1e-12
+    assert abs(_tv_on_k2_grid(_lattice_density(tvk2_ctx, None, 1.5 * T, dw, K2_GRID)) - tv) <= 1e-9
+
+
+def test_lattice_psi_joint_rows_match_per_ray_oracle():
+    # the joint rows against one fresh eigensolve and complex log per ray,
+    # both halves of the lattice, on a joint-spectrum context
+    ctx = _tv_decay_context(64, 1)
+    assert ctx.joint is not None
+    dw, M = 0.3, 12
+    got = _lattice_psi(ctx, None, dw, M)
+    want = _lattice_psi(ctx, lambda r, u: _psi_per_direction(ctx, r, u), dw, M)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert got[M, M] == 1.0
+
+
+def test_lattice_density_matches_direct_sum(tvk2_ctx):
+    # (dw / 2 pi)^2 Re sum_{a, b} psi*(dw (a, b)) exp(-i dw (a x_1 + b x_2)) at a few points
+    dw, T = 0.3, 9.0
+    M = math.ceil(T / dw)
+    psi = _lattice_psi(tvk2_ctx, None, dw, M)
+    grid = np.array([-7.5, -1.0, 0.0, 0.35, 4.0])
+    got = _lattice_density(tvk2_ctx, None, T, dw, grid)
+    w = dw * np.arange(-M, M + 1)
+    for i, x1 in enumerate(grid):
+        for j, x2 in enumerate(grid):
+            kernel = np.exp(-1j * np.add.outer(w * x1, w * x2))
+            want = (dw / (2.0 * math.pi)) ** 2 * np.sum(psi * kernel).real
+            assert abs(got[i, j] - want) <= 1e-15
+
+
+def test_tv_oracle_k2_solves_no_pencil_and_inverts_no_slice(tvk2_ctx, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(cltcheck, "invert_cf_1d", counted("invert_cf_1d", invert_cf_1d))
+    # the counters count: K = 1 inverts one slice, a stack with no joint
+    # spectrum solves one pencil per primitive lattice ray
+    tv_oracle(CTX)
+    assert calls == ["invert_cf_1d"]
+    off_span = _off_span_context()
+    assert off_span.joint is None
+    calls.clear()
+    tv_oracle(off_span, n_angles=36)
+    assert calls and set(calls) == {"eigvalsh"}
+    assert tvk2_ctx.joint is not None  # cached before counting
+    calls.clear()
+    tv_oracle(tvk2_ctx)
+    assert calls == []
+
+
+def test_tv_oracle_k2_rejects_lattice_above_cap():
+    # |psi| = (1 + r^2 / 8)^{-9/4}: the tail search reaches T in the thousands
+    slow = lambda r, u: (1.0 + r * r / 8.0) ** -2.25 + 0j
+    with pytest.raises(RangeError, match="lattice half-width"):
+        tv_oracle(CTX2, cf_override=slow)
+
+    # half-width 2049, one past the cap, refused before the lattice is allocated
+    def never(r, u):
+        raise AssertionError("the lattice was evaluated")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="lattice half-width 2049 "):
+            _lattice_density(CTX2, never, 2048.5 * 0.25, 0.25, K2_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+BAD_ORACLE_ARGUMENTS = {
+    "dx=0": lambda ctx: tv_oracle(ctx, dx=0.0),
+    "dx=-0.04": lambda ctx: tv_oracle(ctx, dx=-0.04),
+    "x_max=nan": lambda ctx: tv_oracle(ctx, x_max=math.nan),
+    "x_max=-1": lambda ctx: tv_oracle(ctx, x_max=-1.0),
+    "x_max=inf": lambda ctx: tv_oracle(ctx, x_max=math.inf),
+    "n_angles=0": lambda ctx: tv_oracle(ctx, n_angles=0),
+    "n_angles=2.5": lambda ctx: tv_oracle(ctx, n_angles=2.5),
+    "tol_tail=0": lambda ctx: tv_oracle(ctx, tol_tail=0.0),
+    "tol_tail=-1e-8": lambda ctx: tv_oracle(ctx, tol_tail=-1e-8),
+    "tol_tail=nan": lambda ctx: tv_oracle(ctx, tol_tail=math.nan),
+    "tail n_angles=0": lambda ctx: fourier_tail_integral(5.0, ctx, n_angles=0),
+}
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("case", sorted(BAD_ORACLE_ARGUMENTS))
+def test_bad_oracle_arguments_raise_precondition_error(K, case):
+    with pytest.raises(PreconditionError):
+        BAD_ORACLE_ARGUMENTS[case](CTX if K == 1 else CTX2)
 
 
 def _truncation_quad(modulus, tol_tail=1e-8):
