@@ -10,10 +10,10 @@ import numpy as np
 
 from lsequiv.basis_cov import build_basis
 from lsequiv.cltcheck import (
-    build_char_context,
     char_fn_standardized,
     edgeworth_build,
     moment_diagnostics,
+    span_char_context,
     tv_oracle,
 )
 from lsequiv.harness import RunConfig, run_tv_decay
@@ -21,7 +21,9 @@ from lsequiv.harness import RunConfig, run_tv_decay
 
 def main():
     n = 64
-    ctx = build_char_context(np.eye(n), np.eye(n), build_basis(n, 0, 0))
+    basis = build_basis(n, 0, 0)
+    alpha_eye = basis.project(np.ones((1, n)))  # the identity, sqrt(n) M_0
+    ctx = span_char_context(alpha_eye, alpha_eye, basis)
     diag = moment_diagnostics(ctx)
     print(f"single-function window at n = {n}")
     print(f"  mu                      {diag['mu']:.8f}  (1 / sqrt(2n) = {1/np.sqrt(2*n):.8f})")
@@ -44,9 +46,9 @@ def main():
 
     print("\ntv decay along a dimension grid")
     header, rows = run_tv_decay(RunConfig(n_grid=(64, 128, 256, 512)))
-    print(f"  {'n':>5} {'mu':>10} {'tv':>12}")
+    print(f"  {'n':>5} {'mu':>10} {'tv':>12} {'|tv - TV_1|':>12}")
     for row in rows:
-        print(f"  {row[0]:>5} {row[2]:>10.6f} {row[3]:>12.8f}")
+        print(f"  {row[0]:>5} {row[2]:>10.6f} {row[3]:>12.8f} {row[6]:>12.3e}")
 
 
 if __name__ == "__main__":

@@ -12,14 +12,15 @@ from the Gaussian limit (K <= 2).
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.special import beta as beta_fn
+from scipy.special import betainc
 from scipy.special import gamma as gamma_fn
 
-from ._linalg import check_symmetric, guarded_eig
+from ._linalg import _guard_spectrum, check_symmetric, guarded_eig
 from .errors import AccuracyError, PreconditionError, RangeError, TermBudgetError
 from .report import CheckResult
 from .rng import make_rng
@@ -35,11 +36,13 @@ __all__ = [
     "context_from_state",
     "edgeworth_build",
     "edgeworth_radius",
+    "edgeworth_tv",
     "fourier_tail_bound",
     "fourier_tail_integral",
     "invert_cf_1d",
     "moment_diagnostics",
     "remainder_bound",
+    "span_char_context",
     "standardized_exp_series",
     "standardized_log_characteristic",
     "tv_against_gaussian_1d",
@@ -51,73 +54,32 @@ __all__ = [
 # context
 
 
-# Relative Frobenius size of off(Q^T A_k Q) up to which a shared eigenbasis Q
-# is accepted; by Weyl's inequality it bounds the eigenvalue error.
-JOINT_RTOL = 1e-12
-
-
-def _joint_spectrum(a_stack):
-    """(K, n) eigenvalues of every A_k in one shared eigenbasis, or None.
-
-    The eigenvectors Q of a fixed generic combination of the stack
-    diagonalize every A_k when the stack commutes.  The diagonals of
-    Q^T A_k Q are accepted only when each off-diagonal part satisfies
-    |off(Q^T A_k Q)|_F <= JOINT_RTOL |A_k|_F; by Weyl's inequality the
-    eigenvalues of sum_k v_k A_k are then those of sum_k v_k diag(Q^T A_k Q)
-    up to sum_k |v_k| |off(Q^T A_k Q)|_F.
-    """
-    if len(a_stack) == 1:
-        return np.linalg.eigvalsh(a_stack[0])[None]
-    norms = np.linalg.norm(a_stack, axis=(1, 2))
-    # golden-ratio powers: no rational relation that could merge eigenvalues
-    weights = ((math.sqrt(5.0) - 1.0) / 2.0) ** np.arange(len(a_stack)) / norms
-    _, q = np.linalg.eigh(np.tensordot(weights, a_stack, axes=(0, 0)))
-    joint = np.empty((len(a_stack), len(q)))
-    for k, a in enumerate(a_stack):
-        rotated = q.T @ (a @ q)
-        joint[k] = np.diagonal(rotated)
-        np.fill_diagonal(rotated, 0.0)
-        if np.linalg.norm(rotated) > JOINT_RTOL * norms[k]:
-            return None
-    return joint
-
-
 @dataclass
 class CharFnContext:
     """Eigen-ready data for the conditional characteristic function.
 
-    a_stack holds the whitened-and-weighted basis matrices
-    A_k = C_theta^{1/2} C^{-1} M_k C^{-1} C_theta^{1/2}; d_vec their traces
-    (the centering vector); d_stack the standardized combinations
-    D_k = sum_l (Gamma^{-1/2})_{kl} A_l, for which {sqrt(2) D_k} is
-    Frobenius-orthonormal.  mu is the spectral budget controlling every
-    bound downstream.
-
-    Every direction v needs the eigenvalues of the pencil sum_k v_k A_k.
-    When the stack commutes, one eigendecomposition serves every
-    direction: joint holds the shared spectrum, certified by a Weyl bound
-    (see _joint_spectrum).  That is the case for every window with K <= 2
-    (k1 = 0, so each M_k is a polynomial in the truncated shift) and
-    C_theta, C in the span of the basis.  Otherwise joint is None and each
-    direction is solved on its own.
+    d_vec holds the traces of A_k = C_theta^{1/2} C^{-1} M_k C^{-1}
+    C_theta^{1/2} (the centering vector), gamma_theta = [2 tr(A_k A_l)], and
+    the standardized D_k = sum_l (Gamma^{-1/2})_{kl} A_l make {sqrt(2) D_k}
+    Frobenius-orthonormal.  mu is the spectral budget behind every bound.
+    Each direction v needs the spectrum of the pencil sum_k v_k A_k: a
+    closed-form context (span_char_context) holds joint, the (K, n) spectra
+    of the A_k in the one eigenbasis they share, and no matrix; a dense one
+    (build_char_context) holds a_stack and d_stack and solves each pencil.
     """
 
     n: int
-    a_stack: np.ndarray
     d_vec: np.ndarray
     gamma_theta: np.ndarray
     gamma_inv_sqrt: np.ndarray
-    d_stack: np.ndarray
     mu: float
+    joint: np.ndarray = None
+    a_stack: np.ndarray = None
+    d_stack: np.ndarray = None
 
     @property
     def K(self) -> int:
-        return self.a_stack.shape[0]
-
-    @cached_property
-    def joint(self):
-        """(K, n) shared pencil spectrum, or None when the stack does not commute."""
-        return _joint_spectrum(self.a_stack)
+        return len(self.d_vec)
 
     def pencil(self, t) -> np.ndarray:
         """sum_k t_k A_k for t in the raw (unstandardized) coordinates."""
@@ -135,11 +97,39 @@ class CharFnContext:
         return np.sort(v @ self.joint)
 
 
-def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
-    """Assemble a CharFnContext from covariance pair and basis system.
+def _context(n, rows, d_vec, norms, ortho_tol, a_stack=None):
+    """CharFnContext from rows, the A_k flattened (or their joint spectrum):
+    Gamma_theta = 2 rows rows^T, and the standardized rows Gamma^{-1/2} rows
+    must have Gram matrix I / 2 to ortho_tol.  norms = (|C_theta|_2,
+    min |eig C|, sqrt(sum_k |M_k|_2^2)) give
+    mu = |C_theta| |C^{-1}|^2 |Gamma^{-1/2}| sqrt(sum_k |M_k|^2)."""
+    gamma_theta = 2.0 * (rows @ rows.T)
+    gamma_theta = 0.5 * (gamma_theta + gamma_theta.T)
+    w_gamma, v_gamma = guarded_eig(gamma_theta, require_pd=True)
+    gamma_inv_sqrt = (v_gamma / np.sqrt(w_gamma)) @ v_gamma.T
+    std = gamma_inv_sqrt @ rows
+    defect = np.max(np.abs(std @ std.T - 0.5 * np.eye(len(rows))))
+    if defect > ortho_tol:
+        raise AccuracyError(f"standardized stack lost orthonormality: defect {defect:.3e}")
+    theta_norm, c_min, m_norm = norms
+    return CharFnContext(
+        n=n,
+        d_vec=d_vec,
+        gamma_theta=gamma_theta,
+        gamma_inv_sqrt=gamma_inv_sqrt,
+        mu=float(theta_norm / c_min**2 / math.sqrt(np.min(w_gamma)) * m_norm),
+        joint=rows if a_stack is None else None,
+        a_stack=a_stack,
+        d_stack=None if a_stack is None else std.reshape(a_stack.shape),
+    )
 
-    C_theta and C are eigendecomposed once each (once in all when they are
-    equal); their spectral norms in mu come from those eigenvalues.
+
+def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
+    """Dense CharFnContext from a covariance pair and a basis system, for
+    any window and covariances (span_char_context is the closed form the
+    drivers use).  C_theta and C are eigendecomposed once each (once in all
+    when they are equal); their spectral norms in mu come from those
+    eigenvalues.
     """
     c_theta = np.asarray(c_theta, dtype=float)
     c_mat = np.asarray(c_mat, dtype=float)
@@ -159,46 +149,50 @@ def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
     half = cinv @ root
     a_stack = np.matmul(half.T, np.matmul(basis.mats, half))
     a_stack = 0.5 * (a_stack + np.transpose(a_stack, (0, 2, 1)))
-
+    norms = (np.max(w_theta), np.min(np.abs(w_c)), math.sqrt(np.sum(basis.spectral_norms() ** 2)))
     d_vec = np.trace(a_stack, axis1=1, axis2=2)
-    flat = a_stack.reshape(len(a_stack), -1)
-    gamma_theta = 2.0 * (flat @ flat.T)
-    gamma_theta = 0.5 * (gamma_theta + gamma_theta.T)
-    w_gamma, v_gamma = guarded_eig(gamma_theta, require_pd=True)
-    gamma_inv_sqrt = (v_gamma / np.sqrt(w_gamma)) @ v_gamma.T
-    d_stack = np.tensordot(gamma_inv_sqrt, a_stack, axes=(1, 0))
+    return _context(n, a_stack.reshape(len(a_stack), -1), d_vec, norms, ortho_tol, a_stack)
 
-    dflat = d_stack.reshape(len(d_stack), -1)
-    gram = dflat @ dflat.T
-    K = len(d_stack)
-    defect = np.max(np.abs(gram - 0.5 * np.eye(K)))
-    if defect > ortho_tol:
-        raise AccuracyError(
-            f"standardized stack lost orthonormality: defect {defect:.3e}"
+
+def span_char_context(alpha_theta, alpha_c, basis, ortho_tol=1e-8):
+    """CharFnContext of C_theta = sum_k alpha_theta[k] M_k and
+    C = sum_k alpha_c[k] M_k for a window with k1 = 0, k2 <= 1, in O(K n).
+
+    There M_0 = b_0 I and M_1 = b_1 (S + S^T) are diagonal in the DST-I
+    basis Q_ij = sqrt(2 / (n + 1)) sin(pi i j / (n + 1)) (Strang, SIAM
+    Rev. 41, 1999), with eigenvalues m_0(j) = b_0 and
+    m_1(j) = 2 b_1 cos(pi j / (n + 1)).  With c = alpha_c . m and
+    c_theta = alpha_theta . m, A_k has eigenvalues joint[k] = c_theta m_k / c^2,
+    all in one order; d = joint 1 and |M_k|_2 = max_j |m_k(j)|.  A
+    non-positive c_theta raises SingularMatrixError, as the dense build does.
+    """
+    if basis.k1 != 0 or basis.k2 > 1:
+        raise PreconditionError(
+            f"closed-form context needs k1 = 0 and k2 <= 1, got ({basis.k1}, {basis.k2})"
         )
-
-    sp_sq = np.sum(basis.spectral_norms() ** 2)
-    # |C_theta| |C^{-1}|^2 |Gamma^{-1/2}| sqrt(sum_k |M_k|^2), all spectral
-    mu = (
-        np.max(w_theta)
-        / np.min(np.abs(w_c)) ** 2
-        / math.sqrt(np.min(w_gamma))
-        * math.sqrt(sp_sq)
-    )
-    return CharFnContext(
-        n=n,
-        a_stack=a_stack,
-        d_vec=d_vec,
-        gamma_theta=gamma_theta,
-        gamma_inv_sqrt=gamma_inv_sqrt,
-        d_stack=d_stack,
-        mu=float(mu),
-    )
+    n = basis.n
+    m_hat = np.empty((basis.K, n))
+    m_hat[0] = basis.bands[0, 0]
+    if basis.K == 2:
+        m_hat[1] = 2.0 * basis.bands[1, 0] * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    c_theta = np.asarray(alpha_theta, dtype=float) @ m_hat
+    c_hat = np.asarray(alpha_c, dtype=float) @ m_hat
+    _guard_spectrum(c_theta, require_pd=True)
+    _guard_spectrum(c_hat, require_pd=False)
+    joint = c_theta * m_hat / c_hat**2
+    m_norm = math.sqrt(np.sum(np.max(np.abs(m_hat), axis=1) ** 2))
+    norms = (np.max(c_theta), np.min(np.abs(c_hat)), m_norm)
+    return _context(n, joint, np.sum(joint, axis=1), norms, ortho_tol)
 
 
 def context_from_state(state):
-    """CharFnContext for an assembled localization state."""
-    return build_char_context(state.c_theta, state.c_mat, state.basis)
+    """CharFnContext for an assembled localization state: in closed form
+    (C_theta = alpha_theta, C = alpha_theta + eta_tilde in the span) when
+    the window has k1 = 0 and k2 <= 1, dense otherwise."""
+    basis = state.basis
+    if basis.k1 == 0 and basis.k2 <= 1:
+        return span_char_context(state.alpha_theta, state.alpha_theta + state.eta_tilde, basis)
+    return build_char_context(state.c_theta, state.c_mat, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +244,9 @@ class RadialProfile:
 
     Along a fixed unit direction u the pencil eigenvalues scale linearly
     in the radius, so one spectrum serves every r; it comes from
-    ctx.pencil_eigs, which reads the context's shared eigenbasis when the
-    stack commutes and solves this direction's pencil otherwise.  psi_star
-    and abs_psi are vectorized over radius arrays.
+    ctx.pencil_eigs, which reads the context's joint spectrum when it has
+    one and solves this direction's pencil otherwise.  psi_star and abs_psi
+    are vectorized over radius arrays.
     """
 
     def __init__(self, ctx, u):
@@ -264,9 +258,6 @@ class RadialProfile:
         v = ctx.gamma_inv_sqrt @ u
         self.eigs = ctx.pencil_eigs(v)
         self.shift = float(v @ ctx.d_vec)
-        self.mu = ctx.mu
-        self.n = ctx.n
-        self.direction = u
 
     def psi_star(self, r):
         return _psi_star_stack(self.eigs[None], np.array([self.shift]), r)[0]
@@ -362,32 +353,17 @@ def _monomials(K, degree):
     return out
 
 
-def _power_sums(eigs, lmax):
-    """[sum eig^l for l = 1..lmax]."""
-    return np.array([np.sum(eigs**ell) for ell in range(1, lmax + 1)])
+def _multinomial(m) -> int:
+    """(sum m)! / prod_k m_k!"""
+    return math.factorial(int(sum(m))) // math.prod(math.factorial(int(mk)) for mk in m)
 
 
-def _trace_polys_k1(ctx, Q):
-    w = ctx.pencil_eigs(ctx.gamma_inv_sqrt[:, 0])
-    ps = _power_sums(w, Q)
-    return {ell: {(ell,): complex(ps[ell - 1])} for ell in range(3, Q + 1)}
-
-
-def _trace_polys_k2(ctx, Q):
-    # tr[(t1 D1 + t2 D2)^l] = sum_b c_{l-b,b} t1^{l-b} t2^b; the slice
-    # z -> tr[(D1 + z D2)^l] is a degree-l polynomial whose coefficients
-    # are exactly the c's, recovered from Chebyshev-node samples.
-    nodes = np.cos(np.pi * (2 * np.arange(Q + 1) + 1) / (2 * (Q + 1)))
-    samples = np.empty((Q + 1, Q))
-    for i, z in enumerate(nodes):
-        w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ np.array([1.0, z]))
-        samples[i] = _power_sums(w, Q)
-    polys = {}
-    for ell in range(3, Q + 1):
-        van = np.vander(nodes, ell + 1, increasing=True)
-        coef, *_ = np.linalg.lstsq(van, samples[:, ell - 1], rcond=None)
-        polys[ell] = {(ell - b, b): complex(coef[b]) for b in range(ell + 1)}
-    return polys
+def _trace_polys_joint(ctx, Q):
+    # tr[(sum_k t_k D_k)^l] = sum_j (sum_k t_k lam_kj)^l, lam = Gamma^{-1/2} joint,
+    # so the coefficient of t^m is multinomial(m) sum_j prod_k lam_kj^{m_k}
+    lam = ctx.gamma_inv_sqrt @ ctx.joint
+    coef = lambda m: _multinomial(m) * np.sum(np.prod(lam ** np.array(m)[:, None], axis=0))
+    return {ell: {m: complex(coef(m)) for m in _monomials(ctx.K, ell)} for ell in range(3, Q + 1)}
 
 
 def _trace_polys_general(ctx, Q, seed):
@@ -406,7 +382,7 @@ def _trace_polys_general(ctx, Q, seed):
     samples = np.empty((ndir, Q))
     for i, u in enumerate(dirs):
         w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
-        samples[i] = _power_sums(w, Q)
+        samples[i] = [np.sum(w**ell) for ell in range(1, Q + 1)]
     polys = {}
     for ell in range(3, Q + 1):
         design = np.stack(
@@ -455,10 +431,7 @@ class EdgeworthExpansion:
 
     def coefficient_bound(self, m) -> float:
         q = int(sum(m))
-        multinomial = math.factorial(q)
-        for mk in m:
-            multinomial //= math.factorial(int(mk))
-        return float(multinomial) * 2.0**q * self.mu ** (q / 3.0) * q**0.25
+        return float(_multinomial(m)) * 2.0**q * self.mu ** (q / 3.0) * q**0.25
 
     @property
     def validity_radius(self) -> float:
@@ -468,18 +441,16 @@ class EdgeworthExpansion:
 def edgeworth_build(ctx, Q, seed=0) -> EdgeworthExpansion:
     """Exact degree-Q truncation of exp of the cumulant trace series.
 
-    The trace polynomials t -> tr[(sum t_k D_k)^l] are recovered exactly
-    (K = 1 directly, K = 2 from Chebyshev slices, K >= 3 from seeded
-    directional interpolation), then the exponential is multiplied out,
-    dropping every monomial above degree Q.
+    The trace polynomials t -> tr[(sum t_k D_k)^l] are formed exactly from
+    a joint spectrum, or recovered by seeded directional interpolation,
+    then the exponential is multiplied out, dropping every monomial above
+    degree Q.
     """
     if Q < 2:
         raise PreconditionError("expansion order Q must be at least 2")
     K = ctx.K
-    if K == 1:
-        polys = _trace_polys_k1(ctx, Q)
-    elif K == 2:
-        polys = _trace_polys_k2(ctx, Q)
+    if ctx.joint is not None:
+        polys = _trace_polys_joint(ctx, Q)
     else:
         polys = _trace_polys_general(ctx, Q, seed)
 
@@ -529,15 +500,32 @@ def remainder_bound(t, expansion) -> float:
 # Fourier tails
 
 
+# Relative allowance of fourier_tail_bound over the exact majorant tail
+_TAIL_ALLOWANCE = 1e-10
+
+
 def fourier_tail_bound(R, ctx) -> float:
-    """Closed-form bound on the tail integral of |char_fn_standardized|."""
-    K, n, mu = ctx.K, ctx.n, ctx.mu
-    q = 1.0 / (16.0 * mu**2)
-    return float(
-        (n * math.pi) ** (K / 2.0)
-        * (1.0 + R**2 / n) ** (-q + K / 2.0 + 1.0)
-        / gamma_fn(K / 2.0)
-    )
+    """Certified bound on the tail integral of |char_fn_standardized| beyond R.
+
+    Along a unit direction the standardized pencil has sum_j lam_j^2 = 1/2
+    and |lam_j| <= mu.  s -> log1p(4 r^2 s) is concave and zero at zero, so
+    log1p(4 r^2 lam_j^2) >= (lam_j^2 / mu^2) log1p(4 r^2 mu^2), and summing
+    gives |psi*(r u)| <= m(r) = (1 + 4 r^2 mu^2)^{-q}, q = 1 / (8 mu^2), with
+    equality when every |lam_j| = mu.  With s = 4 mu^2 r^2 and x = 1 / (1 + s)
+    its tail |S^{K-1}| int_R^inf m(r) r^{K-1} dr is
+    |S^{K-1}| (2 mu)^{-K} / 2 B(K/2, q - K/2) I_x(q - K/2, K/2) at
+    x = 1 / (1 + 4 mu^2 R^2), infinite unless mu^{-2} > 4K.  The bound is
+    that tail times 1 + _TAIL_ALLOWANCE: a relative 1e-10 that covers the
+    quadrature and rounding error of a numeric tail meeting m exactly.
+    """
+    K, mu = ctx.K, ctx.mu
+    q = 1.0 / (8.0 * mu * mu)
+    if q <= K / 2.0:
+        return math.inf
+    sphere = 2.0 * math.pi ** (K / 2.0) / gamma_fn(K / 2.0)
+    tail = sphere * 0.5 * (2.0 * mu) ** -K * beta_fn(K / 2.0, q - K / 2.0)
+    x = 1.0 / (1.0 + 4.0 * mu * mu * R * R)
+    return float((1.0 + _TAIL_ALLOWANCE) * tail * betainc(q - K / 2.0, K / 2.0, x))
 
 
 def _require_positive(name, value):
@@ -545,23 +533,6 @@ def _require_positive(name, value):
     # written as not(>) so that NaN is rejected too
     if not (value > 0.0 and math.isfinite(value)):
         raise PreconditionError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _require_count(n_angles):
-    """PreconditionError unless n_angles is a positive integer."""
-    if not (isinstance(n_angles, numbers.Integral) and n_angles >= 1):
-        raise PreconditionError(f"n_angles must be a positive integer, got {n_angles!r}")
-
-
-def _half_circle(n_angles):
-    """(n_angles, 2) unit directions at angles (a + 1/2) pi / n_angles."""
-    angles = (np.arange(n_angles) + 0.5) * np.pi / n_angles
-    return np.array([[math.cos(phi), math.sin(phi)] for phi in angles])
-
-
-def _profile_moduli(profiles, K):
-    """r -> |psi*(r u)| r^{K-1}, one row per profile, one profile at a time."""
-    return lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r ** (K - 1)
 
 
 def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
@@ -577,7 +548,8 @@ def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
     """
     K = ctx.K
     _require_positive("tail radius", R)
-    _require_count(n_angles)
+    if not (isinstance(n_angles, numbers.Integral) and n_angles >= 1):
+        raise PreconditionError(f"n_angles must be a positive integer, got {n_angles!r}")
     margin = ctx.mu ** (-2.0)
     needed = 8.0 * K + 16.0
     if margin <= needed:
@@ -591,10 +563,12 @@ def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
     if K == 1:
         dirs, weight = np.ones((1, 1)), 1.0
     elif K == 2:
-        dirs, weight = _half_circle(n_angles), np.pi / n_angles
+        angles = (np.arange(n_angles) + 0.5) * np.pi / n_angles
+        dirs, weight = np.stack([np.cos(angles), np.sin(angles)], axis=1), np.pi / n_angles
     else:
         raise PreconditionError("tail quadrature implemented for K <= 2 only")
-    moduli = _profile_moduli([RadialProfile(ctx, u) for u in dirs], K)
+    profiles = [RadialProfile(ctx, u) for u in dirs]
+    moduli = lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r ** (K - 1)
     numeric = 2.0 * weight * np.sum(_ladder_tails(moduli, 40, start=R)[:, 0])
     return CheckResult(
         check_id=f"fourier-tail-R{R:g}",
@@ -668,8 +642,7 @@ def tv_against_gaussian_1d(psi, T, x_max=20.0, dx=0.002, ref_pdf=None):
     return float(0.5 * np.trapezoid(np.abs(dens - ref), dx=dx))
 
 
-# Ladder radii T_j = start * 1.5^j for j <= 40; the truncation search
-# starts at 4 and takes its candidates from T_0..T_39.
+# Ladder radii T_j = start * 1.5^j, j <= 40; the truncation starts at 4
 _LADDER_RATIOS = 1.5 ** np.arange(41)
 _TRUNCATION_START = 4.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -695,29 +668,21 @@ def _ladder_tails(moduli, count, start=_TRUNCATION_START):
     return far[:, None] + np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
 
 
-def _choose_truncation(moduli, tol_tail):
-    """Per direction, the smallest ladder T with int_T^inf |psi| below tol_tail.
-
-    moduli is as in _ladder_tails.  Tails are evaluated on the first 4
-    ladder radii, then 12, then all 40, until every direction has its T.
-    """
-    for count in (4, 12, 40):
-        below = _ladder_tails(moduli, count) <= tol_tail
-        if np.all(below.any(axis=1)):
-            return _TRUNCATION_START * _LADDER_RATIOS[np.argmax(below, axis=1)]
+def _truncation(ctx, tol_tail):
+    """The smallest ladder radius T_j = 4 * 1.5^j, j < 40, whose
+    fourier_tail_bound is at most tol_tail."""
+    for T in _TRUNCATION_START * _LADDER_RATIOS[:40]:
+        if fourier_tail_bound(T, ctx) <= tol_tail:
+            return float(T)
     raise RangeError("characteristic function tail does not decay; no usable T")
 
 
-def _tv_oracle_k1(ctx, tol_tail, x_max, dx, cf_override):
+def _tv_oracle_k1(ctx, T, x_max, dx, cf_override):
     if cf_override is None:
-        profile = RadialProfile(ctx, np.array([1.0]))
-        psi = profile.psi_star
-        abs_psi = profile.abs_psi
+        psi = RadialProfile(ctx, np.array([1.0])).psi_star
     else:
         psi = lambda r: cf_override(r, np.array([1.0]))
-        abs_psi = lambda r: np.abs(psi(r))
-    T = float(_choose_truncation(abs_psi, tol_tail)[0])
-    return tv_against_gaussian_1d(psi, T, x_max=x_max, dx=dx), T
+    return tv_against_gaussian_1d(psi, T, x_max=x_max, dx=dx)
 
 
 # Largest lattice half-width M = ceil(T / dw) the K = 2 oracle accepts
@@ -752,6 +717,10 @@ def _psi_real_form(lam, phase):
     return modulus * np.exp(1j * (0.5 * np.sum(np.arctan(x), axis=-1) - phase))
 
 
+# Entries of the stacked ray pencils handed to one eigvalsh call (8 MB)
+_RAY_BLOCK = 1 << 20
+
+
 def _lattice_psi(ctx, cf_override, dw, M):
     """psi*(dw (a, b)) at [M + a, M + b] for |a|, |b| <= M.
 
@@ -759,8 +728,9 @@ def _lattice_psi(ctx, cf_override, dw, M):
     psi*(-w) = conj psi*(w).  With a joint spectrum the pencil of w has
     eigenvalues w_1 Lambda_1 + w_2 Lambda_2, Lambda = Gamma^{-1/2} joint,
     formed one frequency row (2M + 1, n) at a time.  Otherwise each
-    primitive lattice ray (a, b), gcd(a, |b|) = 1, takes one pencil_eigs
-    or one cf_override call for all its points k (a, b).
+    primitive lattice ray (a, b), gcd(a, |b|) = 1, takes one cf_override
+    call, or one pencil spectrum for all its points k (a, b); the pencils
+    are stacked into eigvalsh calls of at most _RAY_BLOCK entries.
     """
     size = 2 * M + 1
     psi = np.empty((size, size), dtype=complex)
@@ -776,16 +746,24 @@ def _lattice_psi(ctx, cf_override, dw, M):
         psi[M, M] = 1.0
         a, b = np.ogrid[: M + 1, -M : M + 1]
         rays = np.argwhere((np.gcd(a, b) == 1) & ((a > 0) | (b > 0))) - [0, M]
-        for a, b in rays:
+        units = rays / np.hypot(rays[:, :1], rays[:, 1:])
+        if cf_override is None:
+            v = units @ ctx.gamma_inv_sqrt.T
+            shifts = v @ ctx.d_vec
+            step = max(1, _RAY_BLOCK // ctx.n**2)
+            # a generator: one chunk of stacked pencils is held at a time
+            spectra = chain.from_iterable(
+                np.linalg.eigvalsh(np.tensordot(v[lo : lo + step], ctx.a_stack, axes=(1, 0)))
+                for lo in range(0, len(v), step)
+            )
+        for i, (a, b) in enumerate(rays):
             k = np.arange(1, M // max(a, abs(b)) + 1)
-            norm = math.hypot(a, b)
-            u, r = np.array([a, b]) / norm, dw * norm * k
+            r = dw * math.hypot(a, b) * k
             if cf_override is None:
-                v = ctx.gamma_inv_sqrt @ u
-                lam = np.multiply.outer(r, ctx.pencil_eigs(v))
-                psi[M + k * a, M + k * b] = _psi_real_form(lam, r * float(v @ ctx.d_vec))
+                lam = np.multiply.outer(r, next(spectra))
+                psi[M + k * a, M + k * b] = _psi_real_form(lam, r * shifts[i])
             else:
-                psi[M + k * a, M + k * b] = cf_override(r, u)
+                psi[M + k * a, M + k * b] = cf_override(r, units[i])
     psi[:M] = np.conj(psi[:M:-1, ::-1])
     psi[M, :M] = np.conj(psi[M, :M:-1])
     return psi
@@ -809,66 +787,54 @@ def _lattice_density(ctx, cf_override, T, dw, grid):
     return (left @ np.vstack([c.T, s.T])) * (dw / (2.0 * math.pi)) ** 2
 
 
-def _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override):
-    dirs = _half_circle(n_angles)
-    if cf_override is None:
-        moduli = _profile_moduli([RadialProfile(ctx, u) for u in dirs], 2)
-    else:
-        moduli = lambda r: np.abs(np.stack([cf_override(r, u) for u in dirs])) * r
-    T = float(np.max(_choose_truncation(moduli, tol_tail)))
+def _tv_oracle_k2(ctx, T, x_max, dx, cf_override):
     grid = np.arange(-x_max, x_max + dx / 2, dx)
     dens = _lattice_density(ctx, cf_override, T, _lattice_step(x_max, ctx.mu), grid)
     ref = np.exp(-np.add.outer(grid**2, grid**2) / 2.0) / (2.0 * np.pi)
-    return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx), T
+    return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx)
 
 
-def tv_oracle(
-    ctx,
-    tol_tail=1e-8,
-    x_max=None,
-    dx=None,
-    n_angles=180,
-    cf_override=None,
-    details=False,
-):
-    """Total-variation distance of the standardized law from N(0, I_K).
+# Default half-width and step of the oracle's x grid, by K
+_X_MAX = {1: 20.0, 2: 8.0}
+_DX = {1: 0.002, 2: 0.04}
 
-    Densities come from numeric Fourier inversion; only K <= 2 is
-    supported.  cf_override replaces the characteristic function (radius
+
+def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details=False):
+    """Total-variation distance of the standardized law from N(0, I_K), K <= 2.
+
+    Densities come from numeric Fourier inversion, truncated at the
+    smallest ladder radius T = 4 * 1.5^j whose fourier_tail_bound is at most
+    tol_tail.  cf_override replaces the characteristic function (radius
     array, unit direction) -> complex array, for cross-checks against
-    closed-form laws.  For K = 2, n_angles sets only the half-circle
-    directions of the truncation search; the density is one trapezoid sum
-    on a frequency lattice (_lattice_density).  With details=True returns
-    (tv, info) where info records the truncation radius and the analytic
-    tail bound at it.  tol_tail, x_max and dx must be positive and finite,
-    and n_angles a positive integer.
+    closed-form laws; it is taken to be a law of the context's form and mu,
+    and gets the same T.  For K = 2 the density is one trapezoid sum on a
+    frequency lattice (_lattice_density).  With details=True returns
+    (tv, info), info holding T and the tail bound at it (None with a
+    cf_override).  tol_tail, x_max and dx must be positive and finite.
     """
     K = ctx.K
     if K > 2:
         raise PreconditionError("tv_oracle supports K <= 2 only")
-    x_max = (20.0 if K == 1 else 8.0) if x_max is None else x_max
-    dx = (0.002 if K == 1 else 0.04) if dx is None else dx
+    x_max = _X_MAX[K] if x_max is None else x_max
+    dx = _DX[K] if dx is None else dx
     for name, value in (("tol_tail", tol_tail), ("x_max", x_max), ("dx", dx)):
         _require_positive(name, value)
-    _require_count(n_angles)
     if ctx.mu ** (-2.0) <= 8.0 * K and cf_override is None:
         raise RangeError(
             "characteristic function not certifiably integrable at this mu"
         )
-    if K == 1:
-        val, t_used = _tv_oracle_k1(ctx, tol_tail, x_max, dx, cf_override)
-    else:
-        val, t_used = _tv_oracle_k2(ctx, tol_tail, x_max, dx, n_angles, cf_override)
+    T = _truncation(ctx, tol_tail)
+    oracle = _tv_oracle_k1 if K == 1 else _tv_oracle_k2
+    val = oracle(ctx, T, x_max, dx, cf_override)
     tv = float(min(max(val, 0.0), 1.0))
     if not details:
         return tv
-    certified = cf_override is None and ctx.mu ** (-2.0) > 8.0 * K + 16.0
-    tail = fourier_tail_bound(t_used, ctx) if certified else None
-    return tv, {"truncation": t_used, "tail_bound": tail}
+    tail = fourier_tail_bound(T, ctx) if cf_override is None else None
+    return tv, {"truncation": T, "tail_bound": tail}
 
 
 # ---------------------------------------------------------------------------
-# diagnostics for K > 2
+# third cumulants and the one-term Edgeworth distance
 
 
 def moment_diagnostics(ctx) -> dict:
@@ -876,20 +842,42 @@ def moment_diagnostics(ctx) -> dict:
 
     cum3[k, l, m] = 8 tr(D_k D_l D_m); for symmetric factors every ordering
     of the product has the same trace, and every entry tends to zero in
-    the Gaussian limit.
+    the Gaussian limit.  With a joint spectrum it is
+    8 sum_j lam_kj lam_lj lam_mj, lam = Gamma^{-1/2} joint.
     """
-    K = ctx.K
-    d = ctx.d_stack
-    cum3 = np.zeros((K, K, K))
-    for k in range(K):
-        for l in range(k, K):
-            prod = d[k] @ d[l]
-            for m in range(l, K):
-                val = 8.0 * float(np.sum(prod * d[m].T))
-                for idx in {(k, l, m), (k, m, l), (l, k, m), (l, m, k), (m, k, l), (m, l, k)}:
-                    cum3[idx] = val
+    if ctx.joint is not None:
+        lam = ctx.gamma_inv_sqrt @ ctx.joint
+        cum3 = 8.0 * np.einsum("aj,bj,cj->abc", lam, lam, lam)
+    else:
+        cum3 = 8.0 * np.einsum("aij,bjk,cki->abc", *(3 * [ctx.d_stack]), optimize=True)
     return {
         "third_cumulant": cum3,
         "max_abs_third_cumulant": float(np.max(np.abs(cum3))),
         "mu": ctx.mu,
     }
+
+
+def edgeworth_tv(ctx) -> float:
+    """One-term Edgeworth distance TV_1 = (1/2) int phi_K |sum_abc kappa_abc He_abc| / 6.
+
+    kappa is moment_diagnostics' third-cumulant tensor and He_abc(x) =
+    x_a x_b x_c - delta_ab x_c - delta_ac x_b - delta_bc x_a.  For K = 1 the
+    integral is closed, int phi |He_3| = (2 + 8 e^{-3/2}) / sqrt(2 pi); for
+    K = 2 it is a Riemann sum on the K = 2 oracle's default x grid.
+    The next Edgeworth term is even while the sign of He_abc is odd, so
+    |tv - TV_1| = O(n^{-3/2}) (Bhattacharya & Rao, 1976).
+    """
+    kappa = moment_diagnostics(ctx)["third_cumulant"]
+    if ctx.K == 1:
+        he3 = (2.0 + 8.0 * math.exp(-1.5)) / math.sqrt(2.0 * math.pi)  # int phi |He_3|
+        return abs(float(kappa[0, 0, 0])) / 12.0 * he3
+    if ctx.K != 2:
+        raise PreconditionError("edgeworth_tv supports K <= 2 only")
+    x_max, dx = _X_MAX[2], _DX[2]
+    grid = np.arange(-x_max, x_max + dx / 2, dx)
+    x = np.stack(np.meshgrid(grid, grid, indexing="ij"))
+    # kappa is symmetric, so the three delta terms are one contraction, thrice
+    poly = np.einsum("abc,aij,bij,cij->ij", kappa, x, x, x)
+    poly -= 3.0 * np.einsum("aac,cij->ij", kappa, x)
+    phi = np.exp(-np.add.outer(grid**2, grid**2) / 2.0) / (2.0 * np.pi)
+    return float(np.sum(phi * np.abs(poly)) * dx * dx / 12.0)

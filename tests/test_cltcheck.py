@@ -4,19 +4,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lsequiv import cltcheck
 from lsequiv._linalg import spectral_norm, sym_inv, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.cltcheck import (
-    _choose_truncation,
     _ladder_tails,
     _lattice_density,
     _lattice_psi,
     _lattice_step,
+    _psi_real_form,
     _psi_star_stack,
     _series_terms,
+    _truncation,
     RadialProfile,
     build_char_context,
     char_fn,
@@ -25,28 +28,40 @@ from lsequiv.cltcheck import (
     context_from_state,
     edgeworth_build,
     edgeworth_radius,
+    edgeworth_tv,
     fourier_tail_bound,
     fourier_tail_integral,
     invert_cf_1d,
     moment_diagnostics,
     remainder_bound,
+    span_char_context,
     standardized_exp_series,
     standardized_log_characteristic,
     tv_against_gaussian_1d,
     tv_oracle,
 )
-from lsequiv.errors import PreconditionError, RangeError, TermBudgetError
+from lsequiv.errors import PreconditionError, RangeError, SingularMatrixError, TermBudgetError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
 from lsequiv.harness import RunConfig, config_density
 from lsequiv.rng import make_rng
 from lsequiv.spectral import default_grid, random_density
 
 N = 64
-CTX = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 0))
+
+
+def _identity_context(n, k2):
+    """C_theta = C = I for the window (0, k2), in closed form: I = sqrt(n) M_0."""
+    basis = build_basis(n, 0, k2)
+    alpha = basis.project(np.ones((1, n)))
+    return span_char_context(alpha, alpha, basis)
+
+
+CTX = _identity_context(N, 0)
 
 
 def test_mu_scale_invariant():
-    # for the identity window both unit and 2 pi scalings give mu = 1/sqrt(2n)
+    # for the identity window both unit and 2 pi scalings give mu = 1/sqrt(2n),
+    # in closed form (CTX) and from the dense build (scaled)
     scaled = build_char_context(
         2.0 * math.pi * np.eye(N), 2.0 * math.pi * np.eye(N), build_basis(N, 0, 0)
     )
@@ -304,16 +319,21 @@ def test_context_from_state_matches_direct_build():
 
 
 # ---------------------------------------------------------------------------
-# shared pencil spectrum, real-arithmetic psi and batched truncation, each
-# against the per-direction computation it replaced
+# closed-form context, real-arithmetic psi, lattice oracle and truncation,
+# each against the dense or per-direction computation it replaced
+
+
+def _tv_decay_alpha(n, k2):
+    """(basis, span coefficients of C = C_theta) as run_tv_decay builds them."""
+    basis = build_basis(n, 0, k2)
+    f = config_density(RunConfig(n_grid=(n,), k1=0, k2=k2), k1=0, k2=k2)
+    return basis, basis.project(build_theta(f, n, default_grid()).band)
 
 
 def _tv_decay_context(n, k2):
     """The context run_tv_decay builds: C = C_theta in the window (0, k2)."""
-    basis = build_basis(n, 0, k2)
-    f = config_density(RunConfig(n_grid=(n,), k1=0, k2=k2), k1=0, k2=k2)
-    c_mat = basis.combine(basis.project(build_theta(f, n, default_grid()).band))
-    return build_char_context(c_mat, c_mat, basis)
+    basis, alpha = _tv_decay_alpha(n, k2)
+    return span_char_context(alpha, alpha, basis)
 
 
 def _state(n, k1, k2):
@@ -344,21 +364,79 @@ def tvk2_ctx():
     return _tv_decay_context(512, 1)
 
 
-def _assert_joint_matches_eigvalsh(ctx, dirs):
-    assert ctx.joint is not None
+def _assert_joint_matches_eigvalsh(ctx, dense, dirs):
+    # each standardized direction's closed-form spectrum against an eigvalsh
+    # of the dense build's pencil
+    assert ctx.joint is not None and dense.joint is None
     for u in dirs:
-        v = ctx.gamma_inv_sqrt @ u
-        want = np.linalg.eigvalsh(ctx.pencil(v))
-        assert np.max(np.abs(ctx.pencil_eigs(v) - want)) <= 1e-12 * np.max(np.abs(want))
+        want = np.linalg.eigvalsh(dense.pencil(dense.gamma_inv_sqrt @ u))
+        got = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_joint_spectrum_matches_eigvalsh_tv_decay_k2(tvk2_ctx):
-    _assert_joint_matches_eigvalsh(tvk2_ctx, _angles(180))
+    basis, alpha = _tv_decay_alpha(512, 1)
+    c_mat = basis.combine(alpha)
+    _assert_joint_matches_eigvalsh(tvk2_ctx, build_char_context(c_mat, c_mat, basis), _angles(180))
 
 
 @pytest.mark.parametrize("k2,dirs", [(1, _angles(24)), (0, np.array([[1.0], [-1.0], [0.37]]))])
 def test_joint_spectrum_matches_eigvalsh_state_context(k2, dirs):
-    _assert_joint_matches_eigvalsh(context_from_state(_state(64, 0, k2)), dirs)
+    state = _state(64, 0, k2)
+    dense = build_char_context(state.c_theta, state.c_mat, state.basis)
+    _assert_joint_matches_eigvalsh(context_from_state(state), dense, dirs)
+
+
+def _span_case(n, k2, case):
+    """(basis, alpha_theta, alpha_c) in the window (0, k2): C = C_theta
+    ("same"), C a span perturbation of C_theta ("differ"), or C_theta and
+    C = alpha_theta + eta_tilde of a localization state ("chain")."""
+    if case == "chain":
+        basis = build_basis(n, 0, k2)
+        theta = build_theta(random_density(0, k2, make_rng(2, stream=30)), n)
+        state = ExperimentState.build(
+            basis, LocalizationConfig(beta=1.0, gamma=3.0), theta=theta, rng=make_rng(0, stream=41)
+        )
+        return basis, state.alpha_theta, state.alpha_theta + state.eta_tilde
+    basis, alpha = _tv_decay_alpha(n, k2)
+    if case == "same":
+        return basis, alpha, alpha
+    bump = np.zeros(basis.K)
+    bump[-1] = 0.2 * alpha[0]
+    return basis, alpha, 1.3 * alpha + bump
+
+
+@pytest.mark.parametrize("case", ["same", "differ", "chain"])
+@pytest.mark.parametrize("k2", [0, 1])
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_closed_form_context_matches_dense_build(n, k2, case):
+    basis, alpha_theta, alpha_c = _span_case(n, k2, case)
+    ctx = span_char_context(alpha_theta, alpha_c, basis)
+    dense = build_char_context(basis.combine(alpha_theta), basis.combine(alpha_c), basis)
+    assert case == "same" or not np.array_equal(alpha_theta, alpha_c)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    spectra = np.stack([np.linalg.eigvalsh(a) for a in dense.a_stack])
+    assert rel(np.sort(ctx.joint, axis=1), spectra) <= 1e-12
+    assert rel(ctx.d_vec, dense.d_vec) <= 1e-12
+    assert rel(ctx.gamma_theta, dense.gamma_theta) <= 1e-12
+    assert rel(ctx.gamma_inv_sqrt, dense.gamma_inv_sqrt) <= 1e-12
+    assert ctx.mu == pytest.approx(dense.mu, rel=1e-12)
+
+
+def test_closed_form_context_guards():
+    basis = build_basis(32, 0, 1)
+    alpha = basis.project(np.ones((1, 32)))
+    with pytest.raises(PreconditionError, match="k1 = 0 and k2 <= 1"):
+        span_char_context(np.ones(6), np.ones(6), build_basis(32, 1, 1))
+    # C_theta = I - 0.6 J is indefinite: the error guarded_eig raises in the dense build
+    flip = basis.project(np.array([np.ones(32), np.r_[np.full(31, -0.6), 0.0]]))
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        span_char_context(flip, alpha, basis)
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        build_char_context(basis.combine(flip), np.eye(32), basis)
 
 
 @pytest.mark.parametrize("same", [False, True])
@@ -381,11 +459,17 @@ def test_char_context_matches_separate_decompositions(same):
 
 
 def _psi_per_direction(ctx, r, u):
-    """psi* from a fresh eigensolve of the direction's pencil and a complex log."""
+    """psi* from the direction's own pencil spectrum (a fresh eigvalsh for a
+    dense context, the joint spectrum for a closed-form one) and a complex log."""
     v = ctx.gamma_inv_sqrt @ u
-    lam = np.linalg.eigvalsh(ctx.pencil(v))
+    lam = ctx.pencil_eigs(v)
     z = 1.0 - 2j * np.multiply.outer(r, lam)
     return np.exp(-0.5 * np.sum(np.log(z), axis=-1) - 1j * r * float(v @ ctx.d_vec))
+
+
+# a truncation inside the lattice cap for the off-span context, whose
+# certified T is past it (see test_tv_oracle_k2_rejects_lattice_above_cap)
+OFF_SPAN_T = 13.5
 
 
 def test_off_span_target_solves_each_direction():
@@ -393,9 +477,27 @@ def test_off_span_target_solves_each_direction():
     assert ctx.joint is None
     v = ctx.gamma_inv_sqrt @ np.array([0.6, -0.8])
     np.testing.assert_array_equal(ctx.pencil_eigs(v), np.linalg.eigvalsh(ctx.pencil(v)))
-    tv = tv_oracle(ctx, n_angles=36)
-    oracle = tv_oracle(ctx, n_angles=36, cf_override=lambda r, u: _psi_per_direction(ctx, r, u))
+    dw = _lattice_step(8.0, ctx.mu)
+    tv = _tv_on_k2_grid(_lattice_density(ctx, None, OFF_SPAN_T, dw, K2_GRID))
+    per_ray = lambda r, u: _psi_per_direction(ctx, r, u)
+    oracle = _tv_on_k2_grid(_lattice_density(ctx, per_ray, OFF_SPAN_T, dw, K2_GRID))
     assert abs(tv - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("block", [1 << 20, 3 * 48 * 48])
+def test_batched_ray_spectra_match_per_ray_solves(monkeypatch, block):
+    # stacked eigvalsh calls (one chunk, or chunks of 3 rays and a remainder)
+    # against one pencil_eigs per ray through the same real-form psi*
+    ctx = _off_span_context()
+    monkeypatch.setattr(cltcheck, "_RAY_BLOCK", block)
+
+    def per_ray(r, u):
+        v = ctx.gamma_inv_sqrt @ u
+        return _psi_real_form(np.multiply.outer(r, ctx.pencil_eigs(v)), r * float(v @ ctx.d_vec))
+
+    dw, M = 0.3, 12
+    got = _lattice_psi(ctx, None, dw, M)
+    assert np.max(np.abs(got - _lattice_psi(ctx, per_ray, dw, M))) <= 1e-13
 
 
 def _disc_edges(lam_max, r_max):
@@ -485,9 +587,9 @@ def test_invert_cf_batch_rows_match_single_rows():
 # is the evidence for its accuracy (within 1e-9 of a closed-form law)
 TVK2_REFERENCE = 0.030873272859508957
 # its tracemalloc peak over tv_oracle(tvk2_ctx) (numpy 2.4.6, scipy 1.17.1):
-# 5,967,223 to 5,967,391 bytes over 18 runs of this test alone, by hash seed,
-# and about 5,964,700 within the suite; pinned at the largest, so no seed fails
-TVK2_REFERENCE_PEAK = 5_967_391
+# 5,149,812 bytes in 18 runs of this test alone, by hash seed, and 5,149,928
+# within this module; pinned at the largest, so no seed fails
+TVK2_REFERENCE_PEAK = 5_149_928
 
 
 def test_tv_oracle_k2_matches_reference(tvk2_ctx):
@@ -495,7 +597,7 @@ def test_tv_oracle_k2_matches_reference(tvk2_ctx):
 
 
 def test_tv_oracle_k2_memory_peak(tvk2_ctx):
-    assert tvk2_ctx.joint is not None  # cached before tracing starts
+    assert tvk2_ctx.joint is not None
     tracemalloc.start()
     try:
         tv_oracle(tvk2_ctx)
@@ -507,7 +609,7 @@ def test_tv_oracle_k2_memory_peak(tvk2_ctx):
 
 # the K = 2 oracle's default x grid, and a K = 2 context with mu >= 1/sqrt(120)
 K2_GRID = np.arange(-8.0, 8.0 + 0.02, 0.04)
-CTX2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
+CTX2 = _identity_context(N, 1)
 
 
 def _tv_on_k2_grid(dens):
@@ -595,32 +697,42 @@ def test_tv_oracle_k2_solves_no_pencil_and_inverts_no_slice(tvk2_ctx, monkeypatc
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(cltcheck, "invert_cf_1d", counted("invert_cf_1d", invert_cf_1d))
     # the counters count: K = 1 inverts one slice, a stack with no joint
-    # spectrum solves one pencil per primitive lattice ray
+    # spectrum solves the pencils of its primitive lattice rays, stacked into
+    # one eigvalsh call per _RAY_BLOCK entries
     tv_oracle(CTX)
     assert calls == ["invert_cf_1d"]
     off_span = _off_span_context()
     assert off_span.joint is None
     calls.clear()
-    tv_oracle(off_span, n_angles=36)
+    dw = _lattice_step(8.0, off_span.mu)
+    _lattice_density(off_span, None, OFF_SPAN_T, dw, K2_GRID)
     assert calls and set(calls) == {"eigvalsh"}
-    assert tvk2_ctx.joint is not None  # cached before counting
+    M = math.ceil(OFF_SPAN_T / dw)
+    rays = sum(math.gcd(a, abs(b)) == 1 for a in range(M + 1) for b in range(-M, M + 1) if a > 0 or b > 0)
+    assert len(calls) == math.ceil(rays / (cltcheck._RAY_BLOCK // off_span.n**2)) > 1
     calls.clear()
     tv_oracle(tvk2_ctx)
     assert calls == []
 
 
 def test_tv_oracle_k2_rejects_lattice_above_cap():
-    # |psi| = (1 + r^2 / 8)^{-9/4}: the tail search reaches T in the thousands
-    slow = lambda r, u: (1.0 + r * r / 8.0) ** -2.25 + 0j
-    with pytest.raises(RangeError, match="lattice half-width"):
-        tv_oracle(CTX2, cf_override=slow)
+    # mu^{-2} = 16.4, just above 8K: the majorant's tail falls like T^{-2.2},
+    # so its T is in the ten thousands and M far past the cap, for the
+    # context and for any cf_override (which gets the same T); the same
+    # holds for the off-span context (mu^{-2} = 19.6)
+    narrow, off_span = _identity_context(25, 1), _off_span_context()
+    assert 16.0 < narrow.mu ** -2.0 < 17.0 and 16.0 < off_span.mu ** -2.0 < 20.0
 
-    # half-width 2049, one past the cap, refused before the lattice is allocated
     def never(r, u):
         raise AssertionError("the lattice was evaluated")
 
+    # each refused before the lattice is allocated; the last at half-width
+    # 2049, one past the cap
     tracemalloc.start()
     try:
+        for ctx, override in ((narrow, None), (narrow, never), (off_span, None)):
+            with pytest.raises(RangeError, match="lattice half-width"):
+                tv_oracle(ctx, cf_override=override)
         with pytest.raises(RangeError, match="lattice half-width 2049 "):
             _lattice_density(CTX2, never, 2048.5 * 0.25, 0.25, K2_GRID)
         _, peak = tracemalloc.get_traced_memory()
@@ -635,12 +747,12 @@ BAD_ORACLE_ARGUMENTS = {
     "x_max=nan": lambda ctx: tv_oracle(ctx, x_max=math.nan),
     "x_max=-1": lambda ctx: tv_oracle(ctx, x_max=-1.0),
     "x_max=inf": lambda ctx: tv_oracle(ctx, x_max=math.inf),
-    "n_angles=0": lambda ctx: tv_oracle(ctx, n_angles=0),
-    "n_angles=2.5": lambda ctx: tv_oracle(ctx, n_angles=2.5),
     "tol_tail=0": lambda ctx: tv_oracle(ctx, tol_tail=0.0),
     "tol_tail=-1e-8": lambda ctx: tv_oracle(ctx, tol_tail=-1e-8),
     "tol_tail=nan": lambda ctx: tv_oracle(ctx, tol_tail=math.nan),
-    "tail n_angles=0": lambda ctx: fourier_tail_integral(5.0, ctx, n_angles=0),
+    # only the tail check takes directions
+    "n_angles=0": lambda ctx: fourier_tail_integral(5.0, ctx, n_angles=0),
+    "n_angles=2.5": lambda ctx: fourier_tail_integral(5.0, ctx, n_angles=2.5),
 }
 
 
@@ -649,6 +761,107 @@ BAD_ORACLE_ARGUMENTS = {
 def test_bad_oracle_arguments_raise_precondition_error(K, case):
     with pytest.raises(PreconditionError):
         BAD_ORACLE_ARGUMENTS[case](CTX if K == 1 else CTX2)
+
+
+# ---------------------------------------------------------------------------
+# the psi* majorant behind fourier_tail_bound and the truncation
+
+
+def _majorant(r, mu):
+    """m(r) = (1 + 4 r^2 mu^2)^{-1/(8 mu^2)}."""
+    return (1.0 + 4.0 * r * r * mu * mu) ** (-1.0 / (8.0 * mu * mu))
+
+
+def _shift_band(n, diag, off):
+    """diag I + off J in lower band storage."""
+    return np.array([np.full(n, diag), np.r_[np.full(n - 1, off), 0.0]])
+
+
+def _assert_majorant_dominates(ctx, angle, radii):
+    u = np.array([1.0]) if ctx.K == 1 else np.array([math.cos(angle), math.sin(angle)])
+    got = RadialProfile(ctx, u).abs_psi(radii)
+    assert np.all(got <= _majorant(radii, ctx.mu) * (1.0 + 1e-12))
+
+
+radii_st = st.lists(st.floats(0.0, 60.0), min_size=1, max_size=8).map(np.array)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(16, 300),
+    k2=st.integers(0, 1),
+    theta=st.tuples(st.floats(0.2, 5.0), st.floats(-0.45, 0.45)),
+    cov=st.tuples(st.floats(0.2, 5.0), st.floats(-0.45, 0.45)),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    radii=radii_st,
+)
+def test_majorant_dominates_psi_in_span(n, k2, theta, cov, angle, radii):
+    # C_theta = a (I + b J) and C = c (I + d J), |b|, |d| < 1/2 (positive definite)
+    basis = build_basis(n, 0, k2)
+    alpha_theta = basis.project(theta[0] * _shift_band(n, 1.0, theta[1]))
+    alpha_c = basis.project(cov[0] * _shift_band(n, 1.0, cov[1]))
+    _assert_majorant_dominates(span_char_context(alpha_theta, alpha_c, basis), angle, radii)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    n=st.integers(12, 40),
+    k2=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+    spread=st.floats(0.0, 0.15),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    radii=radii_st,
+)
+def test_majorant_dominates_psi_off_span(n, k2, seed, spread, angle, radii):
+    # random symmetric perturbations of I, outside the span, for C_theta and C
+    g = make_rng(seed, stream=61).standard_normal((2, n, n)) / math.sqrt(n)
+    c_theta, c_mat = np.eye(n) + spread * (g + np.transpose(g, (0, 2, 1)))
+    ctx = build_char_context(c_theta, c_mat, build_basis(n, 0, k2))
+    _assert_majorant_dominates(ctx, angle, radii)
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_majorant_is_exact_for_in_span_chi_square(n):
+    # every |lam_j| = mu: |psi*| = m, to 1e-13 relative where m >= 1e-10 (the
+    # radii a 1e-8 truncation reaches)
+    basis = build_basis(n, 0, 0)
+    alpha = basis.project(_shift_band(n, 2.5, 0.0))
+    ctx = span_char_context(alpha, 0.7 * alpha, basis)
+    r = np.linspace(0.0, 40.0, 4001)
+    want = _majorant(r, ctx.mu)
+    r, want = r[want >= 1e-10], want[want >= 1e-10]
+    got = RadialProfile(ctx, np.array([1.0])).abs_psi(r)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def test_tail_bound_is_the_majorant_tail():
+    # against a quad of |S^{K-1}| int_R^inf m(r) r^{K-1} dr, with the 1e-10 allowance
+    for ctx in (CTX, CTX2, _tv_decay_context(512, 1)):
+        sphere = 2.0 if ctx.K == 1 else 2.0 * math.pi
+        for R in (2.0, 6.0, 13.5):
+            want, _ = quad(
+                lambda r: _majorant(r, ctx.mu) * r ** (ctx.K - 1),
+                R, np.inf, epsabs=0.0, epsrel=1e-13, limit=500,
+            )
+            got = fourier_tail_bound(R, ctx)
+            assert abs(got / (1.0 + 1e-10) - sphere * want) <= 1e-11 * sphere * want
+
+
+def test_edgeworth_tv_k2_matches_k1_closed_form_on_a_rank_one_tensor():
+    # kappa = a u (x) u (x) u gives sum kappa He = a He_3(u . x): the K = 2 sum
+    # on the oracle grid meets the K = 1 closed form, for any unit u
+    lam = np.linspace(-0.02, 0.05, 64)
+    for angle in (0.0, 0.4, 2.0):
+        u = np.array([math.cos(angle), math.sin(angle)])
+        ctx2 = cltcheck.CharFnContext(
+            n=64, d_vec=np.zeros(2), gamma_theta=np.eye(2), gamma_inv_sqrt=np.eye(2),
+            mu=0.1, joint=np.outer(u, lam),
+        )
+        ctx1 = cltcheck.CharFnContext(
+            n=64, d_vec=np.zeros(1), gamma_theta=np.eye(1), gamma_inv_sqrt=np.eye(1),
+            mu=0.1, joint=lam[None],
+        )
+        assert edgeworth_tv(ctx2) == pytest.approx(edgeworth_tv(ctx1), rel=1e-3)
 
 
 def _truncation_quad(modulus, tol_tail=1e-8):
@@ -673,29 +886,45 @@ def _gaussian_moduli(K, count):
     return [lambda r: np.exp(-0.5 * r**2) * r ** (K - 1)] * count
 
 
+# (moduli, context or None)
 TRUNCATION_CASES = {
-    "chi-square-64": lambda: _profile_moduli(CTX, [np.array([1.0])]),
-    "tv-decay-k1-256": lambda: _profile_moduli(_tv_decay_context(256, 0), [np.array([1.0])]),
-    "gaussian-null-k1": lambda: _gaussian_moduli(1, 1),
-    "gaussian-null-k2": lambda: _gaussian_moduli(2, 180),
-    "off-span-k2": lambda: _profile_moduli(_off_span_context(), _angles(36)),
+    "chi-square-64": lambda: (_profile_moduli(CTX, [np.array([1.0])]), CTX),
+    "tv-decay-k1-256": lambda: (
+        _profile_moduli(_tv_decay_context(256, 0), [np.array([1.0])]),
+        _tv_decay_context(256, 0),
+    ),
+    "gaussian-null-k1": lambda: (_gaussian_moduli(1, 1), None),
+    "gaussian-null-k2": lambda: (_gaussian_moduli(2, 180), None),
+    "off-span-k2": lambda: (_profile_moduli(_off_span_context(), _angles(36)), _off_span_context()),
     # slow power-law decay reaches deep into the ladder (below p = 4 quad
     # itself reports the tail as slowly convergent and is not an oracle)
-    "power-law": lambda: [lambda r, p=p: (1.0 + r * r / 8.0) ** (-p / 2.0) for p in (4.5, 6.0, 9.0)],
+    "power-law": lambda: (
+        [lambda r, p=p: (1.0 + r * r / 8.0) ** (-p / 2.0) for p in (4.5, 6.0, 9.0)],
+        None,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
 def test_batched_truncation_matches_quad(case):
-    moduli = TRUNCATION_CASES[case]()
-    batched = _choose_truncation(lambda r: np.stack([m(r) for m in moduli]), 1e-8)
-    assert list(batched) == [_truncation_quad(m) for m in moduli]
+    # the first ladder radius where the Gauss-Legendre ladder of the tail
+    # check falls below 1e-8, against a scalar quad search per direction
+    moduli, ctx = TRUNCATION_CASES[case]()
+    tails = _ladder_tails(lambda r: np.stack([m(r) for m in moduli]), 40)
+    assert np.all((tails <= 1e-8).any(axis=1))
+    numeric = [_truncation_quad(m) for m in moduli]
+    assert list(4.0 * 1.5 ** np.argmax(tails <= 1e-8, axis=1)) == numeric
+    if ctx is not None:
+        # the majorant's T is never below the T that |psi*| itself needs, and
+        # equals it for an in-span K = 1 law, where |psi*| is the majorant
+        assert _truncation(ctx, 1e-8) >= max(numeric)
+        assert ctx.K == 2 or _truncation(ctx, 1e-8) == numeric[0]
 
 
 def test_batched_truncation_matches_quad_tv_decay_k2(tvk2_ctx):
+    # the majorant picks the T of a numeric search over 180 directions
     moduli = _profile_moduli(tvk2_ctx, _angles(180))
-    batched = _choose_truncation(lambda r: np.stack([m(r) for m in moduli]), 1e-8)
-    assert list(batched) == [_truncation_quad(m) for m in moduli]
+    assert _truncation(tvk2_ctx, 1e-8) == max(_truncation_quad(m) for m in moduli) == 9.0
 
 
 def test_ladder_tails_match_quad():
@@ -713,5 +942,10 @@ def test_ladder_tails_match_quad():
 
 
 def test_batched_truncation_rejects_slow_tail():
-    with pytest.raises(RangeError):
-        _choose_truncation(lambda r: (1.0 + r)[None] ** -1.0, 1e-8)
+    # mu^{-2} = 7.9 <= 4K: the majorant is not integrable; mu^{-2} = 8.5: its
+    # tail at the last ladder radius 4 * 1.5^39 is still 13
+    for n in (12, 13):
+        ctx = _identity_context(n, 1)
+        assert 7.0 < ctx.mu ** -2.0 < 9.0
+        with pytest.raises(RangeError, match="no usable T"):
+            _truncation(ctx, 1e-8)

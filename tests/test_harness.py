@@ -4,9 +4,11 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lsequiv
 import lsequiv.cli as cli
@@ -219,6 +221,38 @@ def test_tv_decay_defaults_to_scalar_window():
         assert row[2] == pytest.approx(1.0 / math.sqrt(2.0 * row[0]), rel=1e-12)
         assert row[5] is None  # runtimes stay off without the timings flag
     assert rows[0][3] > rows[1][3]
+
+
+def test_tv_decay_k2_forms_no_n_by_n_array(monkeypatch):
+    # the closed-form context: no eigensolve of size n, and a traced peak
+    # below one n x n float64 array
+    n, sizes = 4096, []
+
+    def counted(fn):
+        return lambda a, *args, **kwargs: sizes.append(np.shape(a)[-1]) or fn(a, *args, **kwargs)
+
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    tracemalloc.start()
+    try:
+        header, rows = run_tv_decay(RunConfig(n_grid=(n,), k1=0, k2=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) <= 2  # the K x K Gamma_theta only
+    assert peak < 8 * n * n
+    row = dict(zip(header, rows[0]))
+    assert row["K"] == 2 and row["tail_bound_used"] <= 1e-8 and 0.0 < row["tv"] < 0.02
+
+
+def test_tv_decay_edgeworth_gap_falls_as_n_to_the_minus_three_halves():
+    # |tv - TV_1| = O(n^{-3/2}): the next Edgeworth term is even, sign(He_3) odd
+    ns = (64, 256, 1024, 4096)
+    header, rows = run_tv_decay(RunConfig(n_grid=ns))
+    gaps = [row[header.index("edgeworth_gap")] for row in rows]
+    slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
+    assert abs(slope + 1.5) <= 0.1
+    assert all(row[header.index("tail_bound_used")] <= 1e-8 for row in rows)
 
 
 def test_tv_decay_rejects_wide_window():
