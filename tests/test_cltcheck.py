@@ -750,8 +750,10 @@ BAD_ORACLE_ARGUMENTS = {
     "tol_tail=0": lambda ctx: tv_oracle(ctx, tol_tail=0.0),
     "tol_tail=-1e-8": lambda ctx: tv_oracle(ctx, tol_tail=-1e-8),
     "tol_tail=nan": lambda ctx: tv_oracle(ctx, tol_tail=math.nan),
-    # only the tail check takes directions
-    "n_angles=0": lambda ctx: fourier_tail_integral(5.0, ctx, n_angles=0),
+    # only the tail check takes directions; a numpy zero passes the
+    # integer-type check and must still fail the range check
+    "n_angles=0": lambda ctx: fourier_tail_integral(5.0, ctx, n_angles=np.int64(0)),
+    "tail n_angles=0": lambda ctx: fourier_tail_integral(5.0, ctx, n_angles=0),
     "n_angles=2.5": lambda ctx: fourier_tail_integral(5.0, ctx, n_angles=2.5),
 }
 
