@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.special import zeta
 
 from ._linalg import (
     band_function,
@@ -384,28 +385,21 @@ def presmoothing_residual(
     return frob_err, math.sqrt(max(float(np.vdot(g, band_transpose(g))), 0.0))
 
 
-_LATTICE_BLOCK = 256
-
-
-def class_c1(s: float, L: float, cutoff: int = 4000) -> float:
+def class_c1(s: float, L: float) -> float:
     """Uniform first-argument derivative bound over the class, s > 2.
 
-    2*sqrt(2*pi*L) times the root of the lattice sum of (j^2+j2^2)^(1-s)
-    over nonzero nonnegative pairs; a radial integral bounds the tail.
+    2*sqrt(2*pi*L) times the root of the lattice sum of (j^2+j2^2)^(-sigma),
+    sigma = s-1, over nonzero nonnegative pairs: exactly zeta(sigma) beta(sigma)
+    + zeta(2 sigma), beta(sigma) = 4^(-sigma) (zeta(sigma, 1/4) - zeta(sigma, 3/4)),
+    as Z^2 minus the origin sums to 4 zeta(sigma) beta(sigma) (Borwein, Glasser,
+    McPhedran, Wan & Zucker, Lattice Sums Then and Now, 2013).
     """
     if s <= 2.0:
         raise ConfigurationError("the derivative bound needs s > 2")
-    sq = np.arange(0, cutoff + 1, dtype=float) ** 2
-    lattice = 0.0
-    # row blocks keep the working set at block * (cutoff + 1) entries
-    for lo in range(0, cutoff + 1, _LATTICE_BLOCK):
-        w = sq[lo : lo + _LATTICE_BLOCK, None] + sq[None, :]
-        if lo == 0:
-            w[0, 0] = np.inf
-        lattice += float(np.sum(w ** (1.0 - s)))
-    # quarter-plane tail beyond radius cutoff: int r^(2-2s+1) dr * pi/2
-    tail = (math.pi / 2.0) * cutoff ** (4.0 - 2.0 * s) / (2.0 * s - 4.0)
-    return 2.0 * math.sqrt(TWO_PI) * math.sqrt(L) * math.sqrt(lattice + tail)
+    sigma = s - 1.0
+    beta = 4.0**-sigma * (zeta(sigma, 0.25) - zeta(sigma, 0.75))
+    lattice = float(zeta(sigma) * beta + zeta(2.0 * sigma))
+    return 2.0 * math.sqrt(TWO_PI) * math.sqrt(L) * math.sqrt(lattice)
 
 
 def theta_lipschitz_check(

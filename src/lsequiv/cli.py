@@ -130,7 +130,10 @@ def _cmd_verify(args) -> int:
     for e in report.failures():
         print(f"FAIL {e.check_id}: lhs={fmt_float(e.lhs)} rhs={fmt_float(e.rhs)}")
     passed = sum(1 for e in report.entries if e.passed)
-    print(f"verify: {passed}/{len(report.entries)} checks passed -> {path}")
+    ranked = [e for e in report.entries if not e.skipped]
+    tight = min(ranked, key=lambda e: e.relative_margin) if ranked else None
+    note = f", tightest {tight.check_id} at {tight.relative_margin:.3g}" if tight else ""
+    print(f"verify: {passed}/{len(report.entries)} checks passed{note} -> {path}")
     return 0 if report.all_passed else 1
 
 

@@ -9,6 +9,7 @@ characteristic function numerically to measure total-variation distance
 from the Gaussian limit (K <= 2).
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -80,6 +81,16 @@ class CharFnContext:
     @property
     def K(self) -> int:
         return len(self.d_vec)
+
+    @functools.cached_property
+    def mu_tail(self) -> float:
+        """Bound on the standardized pencil's |eigenvalues| u . Lambda_{:,j} in
+        every unit direction u, Lambda = Gamma^{-1/2} joint: max_j |Lambda_{:,j}|_2
+        (mu without a joint spectrum, or if mu is smaller by rounding)."""
+        if self.joint is None:
+            return self.mu
+        lam = self.gamma_inv_sqrt @ self.joint
+        return min(self.mu, float(np.max(np.linalg.norm(lam, axis=0))))
 
     def pencil(self, t) -> np.ndarray:
         """sum_k t_k A_k for t in the raw (unstandardized) coordinates."""
@@ -508,7 +519,7 @@ def fourier_tail_bound(R, ctx) -> float:
     """Certified bound on the tail integral of |char_fn_standardized| beyond R.
 
     Along a unit direction the standardized pencil has sum_j lam_j^2 = 1/2
-    and |lam_j| <= mu.  s -> log1p(4 r^2 s) is concave and zero at zero, so
+    and |lam_j| <= mu = ctx.mu_tail.  s -> log1p(4 r^2 s) is concave and zero at zero, so
     log1p(4 r^2 lam_j^2) >= (lam_j^2 / mu^2) log1p(4 r^2 mu^2), and summing
     gives |psi*(r u)| <= m(r) = (1 + 4 r^2 mu^2)^{-q}, q = 1 / (8 mu^2), with
     equality when every |lam_j| = mu.  With s = 4 mu^2 r^2 and x = 1 / (1 + s)
@@ -518,7 +529,7 @@ def fourier_tail_bound(R, ctx) -> float:
     that tail times 1 + _TAIL_ALLOWANCE: a relative 1e-10 that covers the
     quadrature and rounding error of a numeric tail meeting m exactly.
     """
-    K, mu = ctx.K, ctx.mu
+    K, mu = ctx.K, ctx.mu_tail
     q = 1.0 / (8.0 * mu * mu)
     if q <= K / 2.0:
         return math.inf
@@ -874,10 +885,13 @@ def edgeworth_tv(ctx) -> float:
     if ctx.K != 2:
         raise PreconditionError("edgeworth_tv supports K <= 2 only")
     x_max, dx = _X_MAX[2], _DX[2]
-    grid = np.arange(-x_max, x_max + dx / 2, dx)
-    x = np.stack(np.meshgrid(grid, grid, indexing="ij"))
-    # kappa is symmetric, so the three delta terms are one contraction, thrice
-    poly = np.einsum("abc,aij,bij,cij->ij", kappa, x, x, x)
-    poly -= 3.0 * np.einsum("aac,cij->ij", kappa, x)
-    phi = np.exp(-np.add.outer(grid**2, grid**2) / 2.0) / (2.0 * np.pi)
+    x = np.arange(-x_max, x_max + dx / 2, dx)
+    # kappa is symmetric: sum kappa He = sum_{p+q=3} C(3, p) kappa_{0^p 1^q} x_1^p x_2^q
+    # - 3 sum_c (sum_a kappa_aac) x_c, as outer products of 1-d powers
+    lin = 3.0 * np.trace(kappa)
+    x2, x3 = x * x, x * x * x
+    poly = np.add.outer(kappa[0, 0, 0] * x3 - lin[0] * x, kappa[1, 1, 1] * x3 - lin[1] * x)
+    poly += np.multiply.outer(3.0 * kappa[0, 0, 1] * x2, x)
+    poly += np.multiply.outer(x, 3.0 * kappa[0, 1, 1] * x2)
+    phi = np.exp(-np.add.outer(x2, x2) / 2.0) / (2.0 * np.pi)
     return float(np.sum(phi * np.abs(poly)) * dx * dx / 12.0)

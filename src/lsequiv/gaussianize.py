@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import chdtr
 
 from ._linalg import (
+    band_cholesky,
     band_extremes,
     band_function,
     band_product,
@@ -213,12 +213,15 @@ def neumann_residual(c_theta, c_mat, b_theta) -> float:
     return frob(cti_sqrt @ middle @ cti_sqrt)
 
 
-def goe_sample(n: int, rng) -> np.ndarray:
-    """Symmetric Gaussian matrix: off-diagonal N(0,1), diagonal N(0,2)."""
-    g = rng.standard_normal((n, n))
-    out = (g + g.T) / math.sqrt(2.0)
-    out[np.diag_indices(n)] = math.sqrt(2.0) * rng.standard_normal(n)
-    return out
+def goe_sample(n: int, rng, reps=None) -> np.ndarray:
+    """Symmetric Gaussian matrix: off-diagonal N(0,1), diagonal N(0,2); one
+    (n, n) draw, or a (reps, n, n) stack read from the stream as reps single
+    draws: row r of one (reps, n^2 + n) normal block is g, then the diagonal."""
+    block = rng.standard_normal((1 if reps is None else reps, n * n + n))
+    g = block[:, : n * n].reshape(-1, n, n)
+    out = (g + np.transpose(g, (0, 2, 1))) / math.sqrt(2.0)
+    out[:, np.arange(n), np.arange(n)] = math.sqrt(2.0) * block[:, n * n :]
+    return out[0] if reps is None else out
 
 
 @dataclass
@@ -345,13 +348,6 @@ def _gaussian_vector(mean, cov, rng) -> np.ndarray:
     return np.asarray(mean, dtype=float) + root @ rng.standard_normal(len(root))
 
 
-def _gaussian_rows(cov, reps, rng) -> np.ndarray:
-    """reps centred draws as rows; one (reps, n) normal block reads the
-    stream in the same order as reps calls of _gaussian_vector."""
-    root = _sampling_root(cov)
-    return rng.standard_normal((reps, len(root))) @ root.T
-
-
 def sample_experiment(state: ExperimentState, model_id: str, rng) -> np.ndarray:
     """One observation from the named experiment in the chain."""
     if model_id not in MODEL_IDS:
@@ -411,40 +407,37 @@ def sp_perturbation_check(a, b) -> CheckResult:
     return CheckResult("perturbation.whitened_inverse", "spd-perturbation", lhs, rhs)
 
 
+def _loglik_differences(state: ExperimentState, reps: int, rng):
+    """([T, 1] rows, log N(x; 0, B^{-1}) - log N(x; 0, C)) for reps draws x ~ N(0, C).
+
+    C = V diag(w) V^T draws x = V sqrt(w) z (the stream order of reps
+    _gaussian_vector calls), solves C^{-1} x = V z / sqrt(w) and gives log det C;
+    B enters as its band and its banded Cholesky factor."""
+    w, v = sym_eig(state.c_mat)
+    if w[0] <= 0.0:
+        raise PreconditionError("covariances must be positive definite")
+    b_chol = band_cholesky(state.b_band, PreconditionError, "B")
+    z = rng.standard_normal((reps, state.n))
+    xs = z @ (v * np.sqrt(w)).T
+    c_solved = z @ (v / np.sqrt(w)).T
+    logdet_b = -2.0 * float(np.sum(np.log(b_chol[0])))
+    logdet_c = float(np.sum(np.log(w)))
+    quad_b = np.sum(xs * (xs @ state.b_theta), axis=1)
+    quad_c = np.sum(z * z, axis=1)
+    diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
+    return np.column_stack([state.basis.quad_form(c_solved), np.ones(reps)]), diffs
+
+
 def likelihood_affinity_check(state: ExperimentState, reps: int, rng) -> CheckResult:
     """The log-likelihood ratio of D against C-noise is affine in T.
 
     Regresses the exact log-density difference on the sufficient statistic;
     the residual must vanish and the slopes must match -<Delta, M_k>/2.
     """
-    c_mat = state.c_mat
-    b_inv = sym_inv(state.b_theta)
-    sign_b, logdet_b = np.linalg.slogdet(b_inv)
-    sign_c, logdet_c = np.linalg.slogdet(c_mat)
-    if sign_b <= 0 or sign_c <= 0:
-        raise PreconditionError("covariances must be positive definite")
-    # every draw shares C, so both solves are factored once for all draws
-    try:
-        c_chol, b_chol = cho_factor(c_mat), cho_factor(b_inv)
-    except np.linalg.LinAlgError:
-        raise PreconditionError("covariances must be positive definite")
-    xs = _gaussian_rows(c_mat, reps, rng)
-    c_solved = cho_solve(c_chol, xs.T).T
-    b_solved = cho_solve(b_chol, xs.T).T
-    draws = np.column_stack([state.basis.quad_form(c_solved), np.ones(reps)])
-    quad_b = np.sum(xs * b_solved, axis=1)
-    quad_c = np.sum(xs * c_solved, axis=1)
-    diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
+    draws, diffs = _loglik_differences(state, reps, rng)
     coef, *_ = np.linalg.lstsq(draws, diffs, rcond=None)
-    fitted = draws @ coef
-    resid = float(np.max(np.abs(diffs - fitted)))
-    slopes = coef[: state.K]
-    expected = -0.5 * state.basis.project(state.delta_band)
-    slope_err = float(np.max(np.abs(slopes - expected)))
-    return CheckResult(
-        "sufficiency.affine_loglik",
-        "factorization",
-        max(resid, slope_err),
-        0.0,
-        tol=1e-8,
-    )
+    resid = float(np.max(np.abs(diffs - draws @ coef)))
+    # the slopes against -<Delta, M_k> / 2
+    slope_err = float(np.max(np.abs(coef[: state.K] + 0.5 * state.basis.project(state.delta_band))))
+    lhs = max(resid, slope_err)
+    return CheckResult("sufficiency.affine_loglik", "factorization", lhs, 0.0, tol=1e-8)

@@ -364,18 +364,8 @@ def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> Verificatio
     sched = schedule(n)
     k1, k2 = sched.k1, sched.k2
     s, L, rho_star = 11.0, 5.0, 0.5
-    report = VerificationReport(
-        config={
-            "command": "verify",
-            "n": n,
-            "seed": seed,
-            "k1": k1,
-            "k2": k2,
-            "s": s,
-            "L": L,
-            "rho_star": rho_star,
-        }
-    )
+    config = dict(command="verify", n=n, seed=seed, k1=k1, k2=k2, s=s, L=L, rho_star=rho_star)
+    report = VerificationReport(config=config)
 
     # class membership and covariance spectrum
     with _timed(report, timings) as out:
@@ -459,14 +449,12 @@ def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> Verificatio
     # ensemble sampler variances
     with _timed(report, timings) as out:
         rng = make_rng(seed, stream=204)
-        draws = np.stack([goe_sample(8, rng) for _ in range(3000)])
-        diag = np.einsum("rii->ri", draws)
-        off = draws[:, ~np.eye(8, dtype=bool)]
+        draws = goe_sample(8, rng, reps=3000)
+        diag_var = float(np.var(np.einsum("rii->ri", draws)))
+        off_var = float(np.var(draws[:, ~np.eye(8, dtype=bool)]))
         out += [
-            CheckResult(
-                "goe-diag-variance", "monte-carlo", abs(float(np.var(diag)) - 2.0) / 2.0, 0.05
-            ),
-            CheckResult("goe-offdiag-variance", "monte-carlo", abs(float(np.var(off)) - 1.0), 0.05),
+            CheckResult("goe-diag-variance", "monte-carlo", abs(diag_var - 2.0) / 2.0, 0.05),
+            CheckResult("goe-offdiag-variance", "monte-carlo", abs(off_var - 1.0), 0.05),
         ]
 
     # likelihood affinity of paired models

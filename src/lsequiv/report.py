@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 
 SCHEMA = "lsp-equiv/1"
@@ -37,6 +38,11 @@ class CheckResult:
     @property
     def margin(self) -> float:
         return self.rhs + self.tol - self.lhs
+
+    @property
+    def relative_margin(self) -> float:
+        """margin / max(|rhs| + tol, tiny): the share of the allowance left."""
+        return self.margin / max(abs(self.rhs) + self.tol, sys.float_info.min)
 
     @property
     def passed(self) -> bool:

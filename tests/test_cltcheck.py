@@ -780,9 +780,12 @@ def _shift_band(n, diag, off):
 
 
 def _assert_majorant_dominates(ctx, angle, radii):
+    # the tail's constant mu_tail (the joint spectrum's column norms) is at
+    # most mu, so its majorant is the tighter one
     u = np.array([1.0]) if ctx.K == 1 else np.array([math.cos(angle), math.sin(angle)])
     got = RadialProfile(ctx, u).abs_psi(radii)
-    assert np.all(got <= _majorant(radii, ctx.mu) * (1.0 + 1e-12))
+    assert ctx.mu_tail <= ctx.mu
+    assert np.all(got <= _majorant(radii, ctx.mu_tail) * (1.0 + 1e-12))
 
 
 radii_st = st.lists(st.floats(0.0, 60.0), min_size=1, max_size=8).map(np.array)
@@ -837,12 +840,13 @@ def test_majorant_is_exact_for_in_span_chi_square(n):
 
 
 def test_tail_bound_is_the_majorant_tail():
-    # against a quad of |S^{K-1}| int_R^inf m(r) r^{K-1} dr, with the 1e-10 allowance
-    for ctx in (CTX, CTX2, _tv_decay_context(512, 1)):
+    # against a quad of |S^{K-1}| int_R^inf m(r) r^{K-1} dr at mu_tail, with
+    # the 1e-10 allowance
+    for ctx in (CTX, CTX2, _tv_decay_context(512, 1), _off_span_context()):
         sphere = 2.0 if ctx.K == 1 else 2.0 * math.pi
         for R in (2.0, 6.0, 13.5):
             want, _ = quad(
-                lambda r: _majorant(r, ctx.mu) * r ** (ctx.K - 1),
+                lambda r: _majorant(r, ctx.mu_tail) * r ** (ctx.K - 1),
                 R, np.inf, epsabs=0.0, epsrel=1e-13, limit=500,
             )
             got = fourier_tail_bound(R, ctx)
@@ -864,6 +868,30 @@ def test_edgeworth_tv_k2_matches_k1_closed_form_on_a_rank_one_tensor():
             mu=0.1, joint=lam[None],
         )
         assert edgeworth_tv(ctx2) == pytest.approx(edgeworth_tv(ctx1), rel=1e-3)
+
+
+def _edgeworth_tv_einsum(ctx):
+    """Reference: the Hermite sum on the full 2-d grid by einsum."""
+    kappa = moment_diagnostics(ctx)["third_cumulant"]
+    grid = np.arange(-8.0, 8.0 + 0.02, 0.04)
+    x = np.stack(np.meshgrid(grid, grid, indexing="ij"))
+    poly = np.einsum("abc,aij,bij,cij->ij", kappa, x, x, x)
+    poly -= 3.0 * np.einsum("aac,cij->ij", kappa, x)
+    phi = np.exp(-np.add.outer(grid**2, grid**2) / 2.0) / (2.0 * np.pi)
+    return float(np.sum(phi * np.abs(poly)) * 0.04 * 0.04 / 12.0)
+
+
+def test_edgeworth_tv_k2_matches_einsum_oracle(tvk2_ctx):
+    # the separable sum of 1-d powers against the four-operand einsum, on the
+    # tvdecay contexts, the off-span context and a random joint spectrum
+    joint = make_rng(5, stream=62).standard_normal((2, 40))
+    rand = cltcheck.CharFnContext(
+        n=40, d_vec=np.zeros(2), gamma_theta=np.eye(2), gamma_inv_sqrt=np.eye(2),
+        mu=1.0, joint=joint / math.sqrt(40.0),
+    )
+    for ctx in (tvk2_ctx, _tv_decay_context(64, 1), _off_span_context(), rand):
+        want = _edgeworth_tv_einsum(ctx)
+        assert abs(edgeworth_tv(ctx) - want) <= 1e-13 * want
 
 
 def _truncation_quad(modulus, tol_tail=1e-8):
@@ -921,6 +949,23 @@ def test_batched_truncation_matches_quad(case):
         # equals it for an in-span K = 1 law, where |psi*| is the majorant
         assert _truncation(ctx, 1e-8) >= max(numeric)
         assert ctx.K == 2 or _truncation(ctx, 1e-8) == numeric[0]
+
+
+@pytest.mark.parametrize("n, want", [(64, 45.5625), (128, 13.5), (256, 9.0), (512, 9.0)])
+def test_tv_decay_k2_truncation_from_the_column_norm_majorant(n, want):
+    # mu_tail = max_j |Lambda_{:,j}|_2 is the largest |eigenvalue| over all
+    # directions (met along Lambda_{:,j} itself), below mu at K = 2; its T is
+    # never below the T of a ladder search over 180 directions of |psi*|
+    ctx = _tv_decay_context(n, 1)
+    lam = ctx.gamma_inv_sqrt @ ctx.joint
+    u = lam[:, np.argmax(np.linalg.norm(lam, axis=0))]
+    u /= np.linalg.norm(u)
+    eigs = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
+    assert np.max(np.abs(eigs)) == pytest.approx(ctx.mu_tail, rel=1e-12)
+    assert ctx.mu_tail < 0.9 * ctx.mu
+    moduli = _profile_moduli(ctx, _angles(180))
+    tails = _ladder_tails(lambda r: np.stack([m(r) for m in moduli]), 40)
+    assert _truncation(ctx, 1e-8) == want >= np.max(4.0 * 1.5 ** np.argmax(tails <= 1e-8, axis=1))
 
 
 def test_batched_truncation_matches_quad_tv_decay_k2(tvk2_ctx):

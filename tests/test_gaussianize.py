@@ -4,16 +4,23 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_factor, cho_solve
 
 from lsequiv._linalg import band_to_dense, dense_to_band, sym_inv, sym_inv_sqrt, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
-from lsequiv.errors import ConfigurationError, LocalizationError, SingularMatrixError
+from lsequiv.errors import (
+    ConfigurationError,
+    LocalizationError,
+    PreconditionError,
+    SingularMatrixError,
+)
 from lsequiv.gaussianize import (
     MODEL_IDS,
     ExperimentState,
     LocalizationConfig,
-    _gaussian_rows,
     _gaussian_vector,
+    _loglik_differences,
+    _sampling_root,
     build_localized_C,
     gaussian_summaries,
     goe_sample,
@@ -176,6 +183,16 @@ def test_goe_sample_variances():
     assert np.max(np.abs(draws[0] - draws[0].T)) == 0.0
 
 
+@pytest.mark.parametrize("n, reps", [(8, 1), (8, 300), (5, 7)])
+def test_goe_sample_block_equals_single_draws(n, reps):
+    # one (reps, n^2 + n) normal block reads the stream as reps single draws
+    block = goe_sample(n, make_rng(1, stream=43), reps=reps)
+    rng = make_rng(1, stream=43)
+    singles = np.stack([goe_sample(n, rng) for _ in range(reps)])
+    assert block.shape == (reps, n, n) and goe_sample(n, rng).shape == (n, n)
+    assert np.array_equal(block, singles)
+
+
 def test_pilot_alpha_unbiased():
     reps = 2000
     rng = make_rng(7, stream=47)
@@ -239,11 +256,43 @@ def _affinity_lhs_per_draw(state, reps, rng):
 
 
 def test_affinity_batched_draws_match_per_draw_stream():
+    # the statistic rows of the batched draws against one _gaussian_vector
+    # call and one solve per draw, on the same stream
     reps = 50
-    batched = _gaussian_rows(STATE.c_mat, reps, make_rng(3, stream=45))
+    batched, _ = _loglik_differences(STATE, reps, make_rng(3, stream=45))
     rng = make_rng(3, stream=45)
-    looped = np.array([_gaussian_vector(np.zeros(N), STATE.c_mat, rng) for _ in range(reps)])
-    assert np.max(np.abs(batched - looped)) <= 1e-12 * np.max(np.abs(looped))
+    xs = [_gaussian_vector(np.zeros(N), STATE.c_mat, rng) for _ in range(reps)]
+    looped = np.array([STATE.basis.quad_form(np.linalg.solve(STATE.c_mat, x)) for x in xs])
+    assert np.max(np.abs(batched[:, :-1] - looped)) <= 1e-10 * np.max(np.abs(looped))
+
+
+def _loglik_differences_dense(state, reps, rng):
+    """Reference: B^{-1} formed densely, then Cholesky solves against C and
+    B^{-1} with every draw as a right-hand side."""
+    c_mat, b_inv = state.c_mat, sym_inv(state.b_theta)
+    _, logdet_b = np.linalg.slogdet(b_inv)
+    _, logdet_c = np.linalg.slogdet(c_mat)
+    xs = rng.standard_normal((reps, state.n)) @ _sampling_root(c_mat).T
+    c_solved = cho_solve(cho_factor(c_mat), xs.T).T
+    b_solved = cho_solve(cho_factor(b_inv), xs.T).T
+    quad_b, quad_c = np.sum(xs * b_solved, axis=1), np.sum(xs * c_solved, axis=1)
+    diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
+    return np.column_stack([state.basis.quad_form(c_solved), np.ones(reps)]), diffs
+
+
+def test_loglik_differences_match_dense_cho_solve():
+    draws, diffs = _loglik_differences(STATE, 200, make_rng(3, stream=45))
+    want_draws, want = _loglik_differences_dense(STATE, 200, make_rng(3, stream=45))
+    assert np.max(np.abs(diffs - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(draws - want_draws)) <= 1e-10 * np.max(np.abs(want_draws))
+
+
+@pytest.mark.parametrize("field", ["c_band", "b_band"])
+def test_affinity_check_rejects_non_positive_definite(field):
+    # C or B negated is negative definite
+    bad = dataclasses.replace(STATE, **{field: -getattr(STATE, field)})
+    with pytest.raises(PreconditionError, match="positive definite"):
+        likelihood_affinity_check(bad, 20, make_rng(3, stream=45))
 
 
 def test_affinity_check_detects_wrong_slope():

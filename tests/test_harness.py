@@ -303,6 +303,26 @@ def test_cli_verify_deterministic(tmp_path):
     assert json.loads((out1 / "verify_report.json").read_text())["all_pass"] is True
 
 
+def test_cli_verify_summary_names_the_tightest_relative_margin(tmp_path, capsys):
+    # margin / max(|rhs| + tol, tiny) over the checks that were not skipped,
+    # recomputed from the report file
+    assert main(["verify", "--n", "32", "--out", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    lines = (tmp_path / "verify_report.csv").read_text().splitlines()
+    cols = lines[0].split(",")
+    rows = [dict(zip(cols, row.split(","))) for row in lines[1:]]
+    tiny = sys.float_info.min
+    rel = {
+        r["check_id"]: float(r["margin"]) / max(abs(float(r["rhs"])) + float(r["tol"]), tiny)
+        for r in rows
+        if r["skipped"] == "false"
+    }
+    tight = min(rel, key=rel.get)
+    assert line.startswith(f"verify: {len(rows)}/{len(rows)} checks passed, tightest {tight} at ")
+    value = float(line.split(" at ")[1].split(" ->")[0])
+    assert value == pytest.approx(rel[tight], rel=5e-3)
+
+
 def test_cli_chain_with_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(RunConfig(n_grid=(32, 64), replicates=5).to_json())
