@@ -130,9 +130,9 @@ def _cmd_verify(args) -> int:
     for e in report.failures():
         print(f"FAIL {e.check_id}: lhs={fmt_float(e.lhs)} rhs={fmt_float(e.rhs)}")
     passed = sum(1 for e in report.entries if e.passed)
-    ranked = [e for e in report.entries if not e.skipped]
-    tight = min(ranked, key=lambda e: e.relative_margin) if ranked else None
-    note = f", tightest {tight.check_id} at {tight.relative_margin:.3g}" if tight else ""
+    ranked = sorted((e for e in report.entries if not e.skipped), key=lambda e: e.relative_margin)
+    note = ", then ".join(f"{e.check_id} at {e.relative_margin:.3g}" for e in ranked[:2])
+    note = f", tightest {note}" if note else ""
     print(f"verify: {passed}/{len(report.entries)} checks passed{note} -> {path}")
     return 0 if report.all_passed else 1
 

@@ -562,15 +562,24 @@ def _stage(errors: list, name: str, fn):
         return None
 
 
+# Draw entries of one row block of the abstract pilot (4 MB)
+_PILOT_BLOCK = 1 << 19
+
+
 def _abstract_pilot_risk(theta_band, alpha_theta, basis, replicates, rng) -> float:
     # x = L z for the banded Cholesky factor of theta, L[i + j, i] = factor[j, i],
-    # from one (replicates, n) normal block: the stream order of one draw per replicate
+    # from (rows, n) normal blocks: the stream order of one draw per replicate
     factor = band_cholesky(theta_band, what="covariance")
-    z = rng.standard_normal((replicates, basis.n))
-    xs = z * factor[0]
-    for j in range(1, len(factor)):
-        xs[:, j:] += z[:, : basis.n - j] * factor[j, : basis.n - j]
-    return float(np.sum((basis.quad_form(xs) - alpha_theta) ** 2)) / replicates
+    n = basis.n
+    step = max(1, _PILOT_BLOCK // n)
+    stats = np.empty((replicates, basis.K))
+    for r0 in range(0, replicates, step):
+        z = rng.standard_normal((min(step, replicates - r0), n))
+        xs = z * factor[0]
+        for j in range(1, len(factor)):
+            xs[:, j:] += z[:, : n - j] * factor[j, : n - j]
+        stats[r0 : r0 + len(z)] = basis.quad_form(xs)
+    return float(np.sum((stats - alpha_theta) ** 2)) / replicates
 
 
 def run_equivalence_chain(cfg: RunConfig):

@@ -100,6 +100,10 @@ def leading_indices(count: int) -> list:
     return pool[:count]
 
 
+# Grid entries of one block of exponentiated replicates in project_exp (4 MB)
+_EXP_BLOCK = 1 << 19
+
+
 class QuadratureGrid:
     """Tensor Gauss-Legendre grid on [0,1] x [-pi,pi].
 
@@ -157,6 +161,27 @@ class QuadratureGrid:
         T, X = self.factors(indices)
         values = self._as_values(values_or_fn)
         return np.sum((self.wt[:, None] * T) * (values @ (self.wx[:, None] * X)), axis=-2)
+
+    def project_exp(self, lead, coeffs, indices) -> np.ndarray:
+        """project(exp(synthesize(lead, c)), indices) for each row c of an
+        (R, J) coeffs -> (R, K).  The rows pass in blocks of at most
+        _EXP_BLOCK grid entries through one reused buffer, so memory does not
+        grow with R; each row takes the products of the stacked call, so the
+        result is bitwise equal to it."""
+        T, X = self.factors(lead)
+        Tk, Xk = self.factors(indices)
+        wT, wX = self.wt[:, None] * Tk, self.wx[:, None] * Xk
+        coeffs = np.asarray(coeffs, dtype=float)
+        step = max(1, _EXP_BLOCK // (self.nt * self.nx))
+        buf = np.empty((min(step, len(coeffs)), self.nt, self.nx))
+        out = np.empty((len(coeffs), Tk.shape[1]))
+        for r0 in range(0, len(coeffs), step):
+            rows = coeffs[r0 : r0 + step]
+            vals = buf[: len(rows)]
+            np.matmul(T * rows[:, None, :], X.T, out=vals)
+            np.exp(vals, out=vals)
+            out[r0 : r0 + len(rows)] = np.sum(wT * (vals @ wX), axis=-2)
+        return out
 
     def synthesize(self, indices, coeffs):
         """sum_k c_k phi_k on the grid; coeffs (..., K) -> (..., nt, nx)."""

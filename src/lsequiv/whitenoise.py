@@ -243,7 +243,7 @@ def pilot_estimate(obs, indices=None, f=None, grid=None) -> WhiteNoisePilot:
 
 
 def pilot_risk_row(f, n, indices, replicates, seed, bound_per_k=50.0, grid=None):
-    """One risk-study CSV row; the replicate loop is fully vectorized."""
+    """One risk-study CSV row; the replicates stream through project_exp."""
     grid = default_grid() if grid is None else grid
     j_count = int(math.ceil(math.sqrt(n)))
     lead = leading_indices(j_count)
@@ -252,9 +252,7 @@ def pilot_risk_row(f, n, indices, replicates, seed, bound_per_k=50.0, grid=None)
     rng = make_rng(seed, stream=n)
     draws = means + a_n * rng.standard_normal((replicates, j_count))
 
-    # one (replicates, nt, nx) array: exponentiate the log-densities in place
-    dens = grid.synthesize(lead, draws)
-    alpha_hat = math.sqrt(TWO_PI * n) * grid.project(np.exp(dens, out=dens), indices)
+    alpha_hat = math.sqrt(TWO_PI * n) * grid.project_exp(lead, draws, indices)
     target = target_coefficients(f, indices, n, grid=grid)
     risks = np.sum((alpha_hat - target) ** 2, axis=1)
     risk_mean = float(np.mean(risks))

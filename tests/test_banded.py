@@ -9,7 +9,6 @@ oracle in test_gaussianize.
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,21 +405,19 @@ def test_presmoothing_residual_matches_dense_cholesky(n, case):
         assert abs(frob_err - want) <= 1e-12 * want
 
 
-def test_presmooth_and_abstract_pilot_stay_below_one_dense_array():
+def test_presmooth_and_abstract_pilot_stay_below_one_dense_array(traced_peak):
     n = 2048
     cfg = RunConfig(n_grid=(n,))
     sched = cfg.window(n)
     f, basis = config_density(cfg), build_basis(n, sched.k1, sched.k2)
     theta = build_theta(f, n)
     alpha = basis.project(theta.band)
-    tracemalloc.start()
-    try:
+
+    def run():
         presmoothing_residual(f, theta, basis)
         harness._abstract_pilot_risk(theta.band, alpha, basis, cfg.replicates, make_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8
+
+    assert traced_peak(run) < n * n * 8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
@@ -578,19 +575,14 @@ def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch):
     assert np.linalg.eigvalsh(band_to_dense(seen["goe_connection"][0][1]))[0] > 0.0
 
 
-def test_goe_connection_memory_peak():
+def test_goe_connection_memory_peak(traced_peak):
     # on the positive definite path the peak is a few signed bands of the
     # half-width of x Delta x, O(n w) and well under one n x n array
     n = 1024
     state, w = _goe_case(2, 2, n=n, w_spread=0.02)
     assert np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0
     width = 2 * (len(band_function(state.c_band, -0.5)[0]) - 1) + state.basis.k2
-    tracemalloc.start()
-    try:
-        goe_connection(state, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: goe_connection(state, w))
     assert peak <= 4 * (2 * width + 1) * n * 8 <= n * n * 8 / 2
 
 

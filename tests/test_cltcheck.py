@@ -1,6 +1,5 @@
 import cmath
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -596,15 +595,9 @@ def test_tv_oracle_k2_matches_reference(tvk2_ctx):
     assert abs(tv_oracle(tvk2_ctx) - TVK2_REFERENCE) <= 1e-10 * TVK2_REFERENCE
 
 
-def test_tv_oracle_k2_memory_peak(tvk2_ctx):
+def test_tv_oracle_k2_memory_peak(tvk2_ctx, traced_peak):
     assert tvk2_ctx.joint is not None
-    tracemalloc.start()
-    try:
-        tv_oracle(tvk2_ctx)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= TVK2_REFERENCE_PEAK
+    assert traced_peak(lambda: tv_oracle(tvk2_ctx)) <= TVK2_REFERENCE_PEAK
 
 
 # the K = 2 oracle's default x grid, and a K = 2 context with mu >= 1/sqrt(120)
@@ -715,7 +708,7 @@ def test_tv_oracle_k2_solves_no_pencil_and_inverts_no_slice(tvk2_ctx, monkeypatc
     assert calls == []
 
 
-def test_tv_oracle_k2_rejects_lattice_above_cap():
+def test_tv_oracle_k2_rejects_lattice_above_cap(traced_peak):
     # mu^{-2} = 16.4, just above 8K: the majorant's tail falls like T^{-2.2},
     # so its T is in the ten thousands and M far past the cap, for the
     # context and for any cf_override (which gets the same T); the same
@@ -728,17 +721,14 @@ def test_tv_oracle_k2_rejects_lattice_above_cap():
 
     # each refused before the lattice is allocated; the last at half-width
     # 2049, one past the cap
-    tracemalloc.start()
-    try:
+    def refuse_all():
         for ctx, override in ((narrow, None), (narrow, never), (off_span, None)):
             with pytest.raises(RangeError, match="lattice half-width"):
                 tv_oracle(ctx, cf_override=override)
         with pytest.raises(RangeError, match="lattice half-width 2049 "):
             _lattice_density(CTX2, never, 2048.5 * 0.25, 0.25, K2_GRID)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+
+    assert traced_peak(refuse_all) < 100_000
 
 
 BAD_ORACLE_ARGUMENTS = {

@@ -158,6 +158,16 @@ def test_grid_stacked_maps_equal_row_by_row():
             np.testing.assert_allclose(back[a, b], GRID.project(values[a, b], GRID_INDICES), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("reps", [1, 7, 8, 9, 100])
+def test_project_exp_equals_stacked_maps(reps):
+    # a short block, an exact 8-row block, a ragged last block, many blocks
+    lead = leading_indices(16)
+    coeffs = 0.3 * make_rng(reps, stream=4).standard_normal((reps, len(lead)))
+    got = GRID.project_exp(lead, coeffs, GRID_INDICES)
+    assert got.shape == (reps, len(GRID_INDICES))
+    assert np.array_equal(got, GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES))
+
+
 RANDOM_DENSITY_SEEDS = list(range(6))
 
 

@@ -112,6 +112,17 @@ def test_pilot_risk_row_matches_stacked_formula():
     assert row["risk_mean"] == pytest.approx(risk_mean, rel=1e-12)
 
 
+def test_pilot_risk_row_memory_does_not_grow_with_replicates(traced_peak):
+    # the replicates stream through one 8-row (8, 256, 256) block (4 MB);
+    # the stacked form held all of them, 213 MB at 400
+    peaks = [
+        traced_peak(lambda: pilot_risk_row(DENSITY, 256, BASIS.indices, reps, seed=1))
+        for reps in (16, 400)
+    ]
+    assert peaks[1] <= 8e6
+    assert abs(peaks[1] - peaks[0]) < 1e6
+
+
 DRIFT_SIZES = (64, 128, 256)
 
 
