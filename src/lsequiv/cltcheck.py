@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 from scipy.special import gamma as gamma_fn
@@ -46,7 +45,6 @@ __all__ = [
     "span_char_context",
     "standardized_exp_series",
     "standardized_log_characteristic",
-    "tv_against_gaussian_1d",
     "tv_oracle",
 ]
 
@@ -251,13 +249,14 @@ def standardized_exp_series(t, ctx) -> complex:
 
 
 class RadialProfile:
-    """One-dimensional slice r -> char_fn_standardized(r * u).
+    """One-dimensional slice r -> |char_fn_standardized(r * u)|, for the
+    tail quadrature of fourier_tail_integral.
 
     Along a fixed unit direction u the pencil eigenvalues scale linearly
     in the radius, so one spectrum serves every r; it comes from
     ctx.pencil_eigs, which reads the context's joint spectrum when it has
-    one and solves this direction's pencil otherwise.  psi_star and abs_psi
-    are vectorized over radius arrays.
+    one and solves this direction's pencil otherwise.  abs_psi is
+    vectorized over radius arrays.
     """
 
     def __init__(self, ctx, u):
@@ -266,85 +265,12 @@ class RadialProfile:
         if nrm == 0.0:
             raise PreconditionError("direction must be nonzero")
         u = u / nrm
-        v = ctx.gamma_inv_sqrt @ u
-        self.eigs = ctx.pencil_eigs(v)
-        self.shift = float(v @ ctx.d_vec)
-
-    def psi_star(self, r):
-        return _psi_star_stack(self.eigs[None], np.array([self.shift]), r)[0]
+        self.eigs = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
 
     def abs_psi(self, r):
         r = np.asarray(r, dtype=float)
         x = 2.0 * np.multiply.outer(r, self.eigs)
         return np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
-
-
-# log psi* as a power series needs terms up to the smallest L whose
-# remainder bound n 2^{-L} / L (at |2 (r - c) mu| <= 1/2) is below this
-_SERIES_TOL = 1e-16
-
-
-def _series_terms(n):
-    """Smallest L with n 2^{-L} / L <= _SERIES_TOL."""
-    L = 1
-    while n * 2.0**-L / L > _SERIES_TOL:
-        L += 1
-    return L
-
-
-def _horner(coef, y):
-    """sum_m coef[:, m] y^m, one coefficient row per output row, y shared."""
-    acc = np.zeros((len(coef),) + y.shape, dtype=coef.dtype)
-    for c in coef.T[::-1]:
-        acc *= y
-        acc += c[:, None]
-    return acc
-
-
-def _psi_star_stack(eigs, shifts, r):
-    """psi*(r) = exp(-i r shift_a) prod_j (1 - 2i r lam_aj)^{-1/2} per row a.
-
-    eigs is (A, n), shifts (A,); the result is (A,) + shape(r).  Around a
-    centre c, with mu_j = lam_j / (1 - 2ic lam_j) and x_j = 2c lam_j,
-
-        log psi*(r) = G(c) + (1/2) sum_{l <= L} (2i(r - c))^l P_l(c) / l - i r shift,
-
-    G(c) = sum_j [i arctan(x_j) / 2 - log1p(x_j^2) / 4], P_l(c) = sum_j mu_j^l,
-    by complex Horner over every row.  |2 (r - c) mu_j| <= 1/2 on the disc
-    |r - c| <= rho(c) = sqrt(1 + 4 c^2 lam_max^2) / (4 lam_max), lam_max the
-    largest |lam| of all rows: L from _series_terms meets its remainder bound
-    and the principal logs add without a 2 pi wrap.  The discs start at c = 0
-    and touch, c - rho(c) = c_prev + rho(c_prev); r < 0 is by conjugation.
-    """
-    r = np.asarray(r, dtype=float)
-    flat = r.reshape(-1)
-    order = np.argsort(np.abs(flat))
-    radii = np.abs(flat)[order]
-    n_rows, n = eigs.shape
-    ell = np.arange(1, _series_terms(n) + 1)
-    weights = 0.5 * np.array([1.0, 1j, -1.0, -1j])[ell % 4] / ell  # (2ih)^l = i^l (2h)^l
-    lam_max = float(np.max(np.abs(eigs), initial=0.0))
-    logs = np.empty((n_rows, len(radii)), dtype=complex)
-    lo, kappa = 0, 0.0  # kappa = c lam_max; lam_max = 0 leaves one disc
-    while lo < len(radii):
-        edge = kappa + math.sqrt(1.0 + 4.0 * kappa * kappa) / 4.0  # (c + rho) lam_max
-        hi = np.searchsorted(radii * lam_max, edge, side="right")
-        c = kappa / lam_max if kappa else 0.0
-        x = 2.0 * c * eigs
-        mu = eigs / (1.0 - 1j * x)
-        power = np.ones_like(mu)
-        sums = np.stack([np.sum(power := power * mu, axis=1) for _ in ell], axis=1)
-        g = 0.5j * np.sum(np.arctan(x), axis=1) - 0.25 * np.sum(np.log1p(x * x), axis=1)
-        y = 2.0 * (radii[lo:hi] - c)
-        logs[:, lo:hi] = y * _horner(sums * weights, y) + g[:, None]
-        lo = hi
-        # the root above edge of kappa - sqrt(1 + 4 kappa^2) / 4 = edge
-        kappa = (8.0 * edge + math.sqrt(16.0 * edge * edge + 3.0)) / 6.0
-    logs.imag -= np.multiply.outer(shifts, radii)
-    psi = np.empty_like(logs)
-    psi[:, order] = np.exp(logs)
-    psi.imag[:, flat < 0.0] *= -1.0
-    return psi.reshape((n_rows,) + r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -593,66 +519,6 @@ def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
 # inversion and total variation
 
 
-def _chirp_z(coeffs, x0, dx, dt, count):
-    """sum_m coeffs[..., m] exp(-i (x0 + k dx) m dt) for k = 0..count-1.
-
-    Bluestein's identity km = (k^2 + m^2 - (k - m)^2) / 2 turns the sum into
-    one linear convolution with a chirp (the chirp-z transform of Rabiner,
-    Schafer & Rader, 1969), done by FFT in O((M + count) log(M + count)).
-    Leading axes of coeffs are a batch, transformed together.
-    """
-    m_len = coeffs.shape[-1]
-    theta = dx * dt
-    m = np.arange(m_len, dtype=float)
-    k = np.arange(count, dtype=float)
-    j = np.arange(-(m_len - 1), count, dtype=float)
-    u = coeffs * np.exp(-1j * (x0 * dt * m + 0.5 * theta * m * m))
-    v = np.exp(0.5j * theta * j * j)
-    # circular length >= m_len + count - 1 keeps the needed outputs unaliased
-    size = sfft.next_fast_len(m_len + count - 1)
-    conv = sfft.ifft(sfft.fft(u, size) * sfft.fft(v, size))
-    return np.exp(-0.5j * theta * k * k) * conv[..., m_len - 1 : m_len - 1 + count]
-
-
-def invert_cf_1d(psi, T, x, steps=None):
-    """Density values (1/pi) Re int_0^T exp(-i t x) psi(t) dt at points x.
-
-    psi must accept a 1-d radius array and return its values, or one row
-    of values per slice (a leading batch axis, kept in the result);
-    Simpson weights on a uniform t grid.  x must be a uniformly spaced 1-d
-    grid (relative 1e-9), so the Fourier sum is one chirp-z transform.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise PreconditionError("inversion points must be a nonempty 1-d grid")
-    dx = (x[-1] - x[0]) / (len(x) - 1) if len(x) > 1 else 0.0
-    # written as not(<=) so that a NaN in x is rejected too
-    if not np.all(np.abs(x - (x[0] + dx * np.arange(len(x)))) <= 1e-9 * abs(dx)):
-        raise PreconditionError("inversion points must be uniformly spaced")
-    if steps is None:
-        steps = max(2 * int(np.ceil(T / 0.02)), 64)
-    if steps % 2 == 1:
-        steps += 1
-    tgrid = np.linspace(0.0, T, steps + 1)
-    w = np.ones(steps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (T / steps) / 3.0
-    weighted = np.asarray(psi(tgrid), dtype=complex) * w
-    return _chirp_z(weighted, x[0], dx, T / steps, len(x)).real / np.pi
-
-
-def tv_against_gaussian_1d(psi, T, x_max=20.0, dx=0.002, ref_pdf=None):
-    """(1/2) int |f_psi - ref| dx with f_psi from invert_cf_1d.
-
-    ref defaults to the standard normal density.
-    """
-    x = np.arange(-x_max, x_max + dx / 2, dx)
-    dens = invert_cf_1d(psi, T, x)
-    ref = np.exp(-(x**2) / 2.0) / np.sqrt(2.0 * np.pi) if ref_pdf is None else ref_pdf(x)
-    return float(0.5 * np.trapezoid(np.abs(dens - ref), dx=dx))
-
-
 # Ladder radii T_j = start * 1.5^j, j <= 40; the truncation starts at 4
 _LADDER_RATIOS = 1.5 ** np.arange(41)
 _TRUNCATION_START = 4.0
@@ -688,22 +554,23 @@ def _truncation(ctx, tol_tail):
     raise RangeError("characteristic function tail does not decay; no usable T")
 
 
-def _tv_oracle_k1(ctx, T, x_max, dx, cf_override):
-    if cf_override is None:
-        psi = RadialProfile(ctx, np.array([1.0])).psi_star
-    else:
-        psi = lambda r: cf_override(r, np.array([1.0]))
-    return tv_against_gaussian_1d(psi, T, x_max=x_max, dx=dx)
-
-
-# Largest lattice half-width M = ceil(T / dw) the K = 2 oracle accepts
-_LATTICE_CAP = 2048
+# Largest lattice half-width M = ceil(T / dw) the oracle accepts, by K; at the K = 1
+# cap invert_cf_1d on the default grid takes 75 MB, the K = 2 lattice alone 270 MB
+_LATTICE_CAP = {1: 1 << 14, 2: 2048}
 # Aliased probability mass allowed per marginal over the x window
 _ALIAS_TOL = 1e-12
 
 
+def _half_width(T, dw, K):
+    """M = ceil(T / dw); RangeError above _LATTICE_CAP[K]."""
+    M = math.ceil(T / dw)
+    if M > _LATTICE_CAP[K]:
+        raise RangeError(f"truncation {T:.6g} needs lattice half-width {M} > {_LATTICE_CAP[K]}")
+    return M
+
+
 def _lattice_step(x_max, mu):
-    """Frequency step dw of the K = 2 lattice for the window [-x_max, x_max]^2.
+    """Frequency step dw of the lattice for the window [-x_max, x_max]^K.
 
     The trapezoid sum with step dw is the density periodized with period
     P = 2 pi / dw (Poisson summation).  Each marginal <u, Y> =
@@ -712,7 +579,7 @@ def _lattice_step(x_max, mu):
     negative parts give P(|<u, Y>| >= L) <= 4 e^{-t}, L = 2 sqrt(t) + 2 mu t.
     With t = log(4 / _ALIAS_TOL) and P = x_max + max(x_max, L) the shifted
     windows are disjoint and lie where a coordinate reaches L: the aliased
-    mass over the window is at most 2 _ALIAS_TOL.  A cf_override is taken
+    mass over the window is at most K _ALIAS_TOL.  A cf_override is taken
     to be a law of this form with the context's mu.
     """
     t = math.log(4.0 / _ALIAS_TOL)
@@ -733,19 +600,30 @@ _RAY_BLOCK = 1 << 20
 
 
 def _lattice_psi(ctx, cf_override, dw, M):
-    """psi*(dw (a, b)) at [M + a, M + b] for |a|, |b| <= M.
+    """psi*(dw a) at [M + a] (K = 1), or psi*(dw (a, b)) at [M + a, M + b]
+    (K = 2), for |a|, |b| <= M.
 
-    The half a > 0 or (a = 0, b >= 0) is evaluated, the rest is
-    psi*(-w) = conj psi*(w).  With a joint spectrum the pencil of w has
-    eigenvalues w_1 Lambda_1 + w_2 Lambda_2, Lambda = Gamma^{-1/2} joint,
-    formed one frequency row (2M + 1, n) at a time.  Otherwise each
-    primitive lattice ray (a, b), gcd(a, |b|) = 1, takes one cf_override
-    call, or one pencil spectrum for all its points k (a, b); the pencils
-    are stacked into eigvalsh calls of at most _RAY_BLOCK entries.
+    The half a >= 0 (K = 1) or a > 0 or (a = 0, b >= 0) is evaluated, the
+    rest is psi*(-w) = conj psi*(w).  K = 1 takes one cf_override call or
+    one pencil spectrum (the joint row, or one solve).  For K = 2 with a
+    joint spectrum the pencil of w has eigenvalues w_1 Lambda_1 +
+    w_2 Lambda_2, Lambda = Gamma^{-1/2} joint, formed one frequency row
+    (2M + 1, n) at a time.  Otherwise each primitive lattice ray (a, b),
+    gcd(a, |b|) = 1, takes one cf_override call, or one pencil spectrum
+    for all its points k (a, b); the pencils are stacked into eigvalsh
+    calls of at most _RAY_BLOCK entries.
     """
     size = 2 * M + 1
-    psi = np.empty((size, size), dtype=complex)
     freqs = dw * np.arange(-M, M + 1)
+    if ctx.K == 1:
+        r = freqs[M:]
+        if cf_override is None:
+            v = ctx.gamma_inv_sqrt[:, 0]
+            half = _psi_real_form(np.multiply.outer(r, ctx.pencil_eigs(v)), r * float(v @ ctx.d_vec))
+        else:
+            half = cf_override(r, np.ones(1))
+        return np.concatenate([np.conj(half[:0:-1]), half])
+    psi = np.empty((size, size), dtype=complex)
     joint = ctx.joint if cf_override is None else None
     if joint is not None:
         lam = ctx.gamma_inv_sqrt @ joint
@@ -780,29 +658,53 @@ def _lattice_psi(ctx, cf_override, dw, M):
     return psi
 
 
+def invert_cf_1d(psi_half, dw, x):
+    """Density (dw / pi) Re[psi_0 / 2 + sum_{a >= 1} psi_a exp(-i x a dw)] at x.
+
+    psi_half holds psi* at the frequencies a dw, a = 0..M: this is the
+    trapezoid sum over |a| <= M with psi*(-w) = conj psi*(w).  x must be a
+    nonempty, uniformly spaced 1-d grid (relative 1e-9).  With
+    x_i = x_0 + (p B + q) dx, B = ceil(sqrt(len(x))), the kernel factors as
+    exp(-i (x_0 + p B dx) a dw) exp(-i q dx a dw), so the sum over a is one
+    (P, M + 1) (M + 1, B) product, evaluated as two real ones.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) == 0:
+        raise PreconditionError("inversion points must be a nonempty 1-d grid")
+    count = len(x)
+    dx = (x[-1] - x[0]) / (count - 1) if count > 1 else 0.0
+    # written as not(<=) so that a NaN in x is rejected too
+    if not np.all(np.abs(x - (x[0] + dx * np.arange(count))) <= 1e-9 * abs(dx)):
+        raise PreconditionError("inversion points must be uniformly spaced")
+    block = math.isqrt(count - 1) + 1
+    freqs = dw * np.arange(len(psi_half))
+    weights = np.asarray(psi_half, dtype=complex) * (dw / math.pi)
+    weights[0] *= 0.5
+    starts = x[0] + block * dx * np.arange(-(-count // block))
+    coarse = weights * np.exp(np.multiply.outer(starts, -1j * freqs))
+    fine = np.multiply.outer(freqs, dx * np.arange(block))
+    dens = coarse.real @ np.cos(fine) + coarse.imag @ np.sin(fine)
+    return dens.reshape(-1)[:count]
+
+
 def _lattice_density(ctx, cf_override, T, dw, grid):
-    """K = 2 density on grid x grid: the trapezoid sum over the lattice
-    dw (a, b), |a|, |b| <= M = ceil(T / dw), which covers the disc of radius
-    T.  With E[i, a] = exp(-i x_i dw a) = C - iS and psi* = P + iQ on it,
+    """Density on grid^K, K <= 2: the trapezoid sum over the lattice of step
+    dw and half-width M = ceil(T / dw) in each coordinate, which covers the
+    ball of radius T.  K = 1 is invert_cf_1d on the half a >= 0.  For K = 2,
+    with E[i, a] = exp(-i x_i dw a) = C - iS and psi* = P + iQ on it,
     f = (dw / 2 pi)^2 Re(E psi* E^T) = (dw / 2 pi)^2 [(CP + SQ) C^T + (CQ - SP) S^T].
     The rule converges geometrically for an analytic, decaying psi*
-    (Trefethen & Weideman, 2014); _lattice_step bounds the aliasing.
+    (Trefethen & Weideman, 2014); _lattice_step bounds the aliasing.  M
+    above _LATTICE_CAP[K] raises RangeError before psi* is evaluated.
     """
-    M = math.ceil(T / dw)
-    if M > _LATTICE_CAP:
-        raise RangeError(f"truncation {T:.6g} needs lattice half-width {M} > {_LATTICE_CAP}")
+    M = _half_width(T, dw, ctx.K)
     psi = _lattice_psi(ctx, cf_override, dw, M)
+    if ctx.K == 1:
+        return invert_cf_1d(psi[M:], dw, grid)
     phase = np.multiply.outer(grid, dw * np.arange(-M, M + 1))
     c, s = np.cos(phase), np.sin(phase)
     left = np.hstack([c, s]) @ np.block([[psi.real, psi.imag], [psi.imag, -psi.real]])
     return (left @ np.vstack([c.T, s.T])) * (dw / (2.0 * math.pi)) ** 2
-
-
-def _tv_oracle_k2(ctx, T, x_max, dx, cf_override):
-    grid = np.arange(-x_max, x_max + dx / 2, dx)
-    dens = _lattice_density(ctx, cf_override, T, _lattice_step(x_max, ctx.mu), grid)
-    ref = np.exp(-np.add.outer(grid**2, grid**2) / 2.0) / (2.0 * np.pi)
-    return float(0.5 * np.sum(np.abs(dens - ref)) * dx * dx)
 
 
 # Default half-width and step of the oracle's x grid, by K
@@ -810,18 +712,27 @@ _X_MAX = {1: 20.0, 2: 8.0}
 _DX = {1: 0.002, 2: 0.04}
 
 
+def _gaussian_grid(K, x_max, dx):
+    """The x grid from -x_max to x_max at step dx, and the N(0, I_K) density
+    on grid^K: what tv_oracle and edgeworth_tv (K = 2) sum over."""
+    x = np.arange(-x_max, x_max + dx / 2, dx)
+    sq = x * x if K == 1 else np.add.outer(x * x, x * x)
+    return x, np.exp(-sq / 2.0) / (2.0 * math.pi) ** (K / 2.0)
+
+
 def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details=False):
     """Total-variation distance of the standardized law from N(0, I_K), K <= 2.
 
-    Densities come from numeric Fourier inversion, truncated at the
-    smallest ladder radius T = 4 * 1.5^j whose fourier_tail_bound is at most
-    tol_tail.  cf_override replaces the characteristic function (radius
-    array, unit direction) -> complex array, for cross-checks against
-    closed-form laws; it is taken to be a law of the context's form and mu,
-    and gets the same T.  For K = 2 the density is one trapezoid sum on a
-    frequency lattice (_lattice_density).  With details=True returns
-    (tv, info), info holding T and the tail bound at it (None with a
-    cf_override).  tol_tail, x_max and dx must be positive and finite.
+    The density f is one trapezoid sum on a frequency lattice
+    (_lattice_density) truncated at the smallest ladder radius
+    T = 4 * 1.5^j whose fourier_tail_bound is at most tol_tail; the
+    distance is (1/2) sum |f - phi_K| dx^K over the x grid.  cf_override
+    replaces the characteristic function (radius array, unit direction) ->
+    complex array, for cross-checks against closed-form laws; it is taken
+    to be a law of the context's form and mu, and gets the same T.  With
+    details=True returns (tv, info), info holding T and the tail bound at
+    it (None with a cf_override).  tol_tail, x_max and dx must be positive
+    and finite.
     """
     K = ctx.K
     if K > 2:
@@ -835,9 +746,11 @@ def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details
             "characteristic function not certifiably integrable at this mu"
         )
     T = _truncation(ctx, tol_tail)
-    oracle = _tv_oracle_k1 if K == 1 else _tv_oracle_k2
-    val = oracle(ctx, T, x_max, dx, cf_override)
-    tv = float(min(max(val, 0.0), 1.0))
+    dw = _lattice_step(x_max, ctx.mu)
+    _half_width(T, dw, K)  # refuse before the grid is allocated
+    grid, ref = _gaussian_grid(K, x_max, dx)
+    dens = _lattice_density(ctx, cf_override, T, dw, grid)
+    tv = float(min(max(0.5 * np.sum(np.abs(dens - ref)) * dx**K, 0.0), 1.0))
     if not details:
         return tv
     tail = fourier_tail_bound(T, ctx) if cf_override is None else None
@@ -874,7 +787,7 @@ def edgeworth_tv(ctx) -> float:
     kappa is moment_diagnostics' third-cumulant tensor and He_abc(x) =
     x_a x_b x_c - delta_ab x_c - delta_ac x_b - delta_bc x_a.  For K = 1 the
     integral is closed, int phi |He_3| = (2 + 8 e^{-3/2}) / sqrt(2 pi); for
-    K = 2 it is a Riemann sum on the K = 2 oracle's default x grid.
+    K = 2 it is a Riemann sum on the oracle's default K = 2 grid (_gaussian_grid).
     The next Edgeworth term is even while the sign of He_abc is odd, so
     |tv - TV_1| = O(n^{-3/2}) (Bhattacharya & Rao, 1976).
     """
@@ -884,8 +797,8 @@ def edgeworth_tv(ctx) -> float:
         return abs(float(kappa[0, 0, 0])) / 12.0 * he3
     if ctx.K != 2:
         raise PreconditionError("edgeworth_tv supports K <= 2 only")
-    x_max, dx = _X_MAX[2], _DX[2]
-    x = np.arange(-x_max, x_max + dx / 2, dx)
+    dx = _DX[2]
+    x, phi = _gaussian_grid(2, _X_MAX[2], dx)
     # kappa is symmetric: sum kappa He = sum_{p+q=3} C(3, p) kappa_{0^p 1^q} x_1^p x_2^q
     # - 3 sum_c (sum_a kappa_aac) x_c, as outer products of 1-d powers
     lin = 3.0 * np.trace(kappa)
@@ -893,5 +806,4 @@ def edgeworth_tv(ctx) -> float:
     poly = np.add.outer(kappa[0, 0, 0] * x3 - lin[0] * x, kappa[1, 1, 1] * x3 - lin[1] * x)
     poly += np.multiply.outer(3.0 * kappa[0, 0, 1] * x2, x)
     poly += np.multiply.outer(x, 3.0 * kappa[0, 1, 1] * x2)
-    phi = np.exp(-np.add.outer(x2, x2) / 2.0) / (2.0 * np.pi)
     return float(np.sum(phi * np.abs(poly)) * dx * dx / 12.0)

@@ -16,8 +16,6 @@ from lsequiv.cltcheck import (
     _lattice_psi,
     _lattice_step,
     _psi_real_form,
-    _psi_star_stack,
-    _series_terms,
     _truncation,
     RadialProfile,
     build_char_context,
@@ -36,7 +34,6 @@ from lsequiv.cltcheck import (
     span_char_context,
     standardized_exp_series,
     standardized_log_characteristic,
-    tv_against_gaussian_1d,
     tv_oracle,
 )
 from lsequiv.errors import PreconditionError, RangeError, SingularMatrixError, TermBudgetError
@@ -56,6 +53,8 @@ def _identity_context(n, k2):
 
 
 CTX = _identity_context(N, 0)
+# the K = 1 oracle's default x grid
+K1_GRID = np.arange(-20.0, 20.0 + 0.001, 0.002)
 
 
 def test_mu_scale_invariant():
@@ -108,7 +107,6 @@ def test_radial_profile_matches_cf():
     u = np.array([1.0])
     prof = RadialProfile(CTX, u)
     r = 1.3
-    assert abs(prof.psi_star(r) - char_fn_standardized(r * u, CTX)) <= 1e-13
     assert abs(prof.abs_psi(r) - abs(char_fn_standardized(r * u, CTX))) <= 1e-13
     assert char_fn_modulus(r * u, CTX) == pytest.approx(abs(char_fn(r * u, CTX)), abs=1e-14)
 
@@ -245,63 +243,58 @@ def test_tv_oracle_guards():
 
 
 def test_tv_against_shifted_gaussian_closed_form():
-    # TV(N(0,1), N(1,1)) = 2 Phi(1/2) - 1
-    psi = lambda t: np.exp(1j * t - 0.5 * t**2)
-    tv = tv_against_gaussian_1d(psi, 40.0)
+    # TV(N(0,1), N(1,1)) = 2 Phi(1/2) - 1, through the K = 1 lattice oracle;
+    # on the oracle's grid the sum of |phi(x - 1) - phi(x)| dx / 2 is closer
+    shifted = lambda r, u: np.exp(1j * r - 0.5 * r**2)
+    tv = tv_oracle(CTX, cf_override=shifted)
     assert tv == pytest.approx(0.3829249225480262, abs=1e-6)
+    phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    assert abs(tv - 0.5 * np.sum(np.abs(phi(K1_GRID - 1.0) - phi(K1_GRID))) * 0.002) <= 1e-12
 
 
 def test_invert_cf_recovers_normal_density():
     xs = np.array([0.0, 1.0])
-    dens = invert_cf_1d(lambda u: np.exp(-0.5 * u * u), 30.0, xs)
+    dens = invert_cf_1d(np.exp(-0.5 * (0.1 * np.arange(301)) ** 2), 0.1, xs)
     expected = np.exp(-0.5 * xs**2) / math.sqrt(2.0 * math.pi)
     np.testing.assert_allclose(dens, expected, atol=1e-12)
 
 
-def _invert_cf_direct(psi, T, x):
-    """Reference: the O(N_x N_t) Fourier sum with the same Simpson weights."""
-    steps = max(2 * int(np.ceil(T / 0.02)), 64)
-    tgrid = np.linspace(0.0, T, steps + 1)
-    w = np.ones(steps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (T / steps) / 3.0
-    weighted = np.asarray(psi(tgrid), dtype=complex) * w
+def _lattice_sum_direct(psi_half, dw, x):
+    """Reference: (dw / pi) Re[psi_0 / 2 + sum_{a >= 1} psi_a exp(-i x a dw)]
+    at each x, one O(N_x M) kernel in row chunks."""
+    weights = psi_half * (dw / math.pi)
+    weights[0] *= 0.5
+    w = dw * np.arange(len(psi_half))
     out = np.empty_like(x)
     for lo in range(0, len(x), 1000):
-        kernel = np.exp(-1j * np.multiply.outer(x[lo : lo + 1000], tgrid))
-        out[lo : lo + 1000] = (kernel @ weighted).real / np.pi
+        kernel = np.exp(-1j * np.multiply.outer(x[lo : lo + 1000], w))
+        out[lo : lo + 1000] = (kernel @ weights).real
     return out
 
 
-def test_invert_cf_chirp_z_matches_direct_sum_k1_grid():
-    xs = np.arange(-20.0, 20.0 + 0.001, 0.002)
-    assert len(xs) == 20001
-    psi = RadialProfile(CTX, np.array([1.0])).psi_star
-    gap = np.max(np.abs(invert_cf_1d(psi, 9.0, xs) - _invert_cf_direct(psi, 9.0, xs)))
-    assert gap <= 1e-10
-
-
-def test_invert_cf_chirp_z_matches_direct_sum_k2_slice_grid():
-    # a 1232-point grid at step 0.02 for a filtered slice psi*(r u) r of a K = 2 law
-    smax = 8.0 * math.sqrt(2.0) + 1.0
-    sgrid = np.arange(-smax, smax + 0.01, 0.02)
-    assert len(sgrid) == 1232
-    ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
-    profile = RadialProfile(ctx2, np.array([math.cos(0.7), math.sin(0.7)]))
-    psi = lambda r: profile.psi_star(r) * r
-    gap = np.max(np.abs(invert_cf_1d(psi, 12.0, sgrid) - _invert_cf_direct(psi, 12.0, sgrid)))
-    assert gap <= 1e-10
+@pytest.mark.parametrize(
+    "grid", [K1_GRID, np.arange(1232) * 0.013 - 7.9], ids=["default-grid", "ragged-blocks"]
+)
+def test_invert_cf_matches_direct_sum(grid):
+    # the blocked product against the direct sum, on the K = 1 lattice of
+    # the n = 64 chi-square law; neither grid length is a multiple of its
+    # block length ceil(sqrt(len))
+    assert len(K1_GRID) == 20001 and len(grid) % (math.isqrt(len(grid) - 1) + 1) != 0
+    dw = _lattice_step(20.0, CTX.mu)
+    M = math.ceil(_truncation(CTX, 1e-8) / dw)
+    psi = _lattice_psi(CTX, None, dw, M)[M:]
+    assert np.max(np.abs(invert_cf_1d(psi, dw, grid) - _lattice_sum_direct(psi, dw, grid))) <= 1e-13
 
 
 def test_invert_cf_grid_guards():
-    psi = lambda u: np.exp(-0.5 * u * u)
-    one = invert_cf_1d(psi, 30.0, np.array([0.5]))
-    np.testing.assert_allclose(one, _invert_cf_direct(psi, 30.0, np.array([0.5])), atol=1e-12)
+    psi = np.exp(-0.5 * (0.1 * np.arange(301)) ** 2)
+    one = invert_cf_1d(psi, 0.1, np.array([0.5]))
+    assert one.shape == (1,)
+    assert abs(one[0] - _lattice_sum_direct(psi, 0.1, np.array([0.5]))[0]) <= 1e-13
     with pytest.raises(PreconditionError):
-        invert_cf_1d(psi, 30.0, np.array([0.0, 1.0, 3.0]))
+        invert_cf_1d(psi, 0.1, np.array([0.0, 1.0, 3.0]))
     with pytest.raises(PreconditionError):
-        invert_cf_1d(psi, 30.0, np.array([0.0, np.nan]))
+        invert_cf_1d(psi, 0.1, np.array([0.0, np.nan]))
 
 
 def test_context_from_state_matches_direct_build():
@@ -477,9 +470,9 @@ def test_off_span_target_solves_each_direction():
     v = ctx.gamma_inv_sqrt @ np.array([0.6, -0.8])
     np.testing.assert_array_equal(ctx.pencil_eigs(v), np.linalg.eigvalsh(ctx.pencil(v)))
     dw = _lattice_step(8.0, ctx.mu)
-    tv = _tv_on_k2_grid(_lattice_density(ctx, None, OFF_SPAN_T, dw, K2_GRID))
+    tv = _tv_on_grid(_lattice_density(ctx, None, OFF_SPAN_T, dw, K2_GRID))
     per_ray = lambda r, u: _psi_per_direction(ctx, r, u)
-    oracle = _tv_on_k2_grid(_lattice_density(ctx, per_ray, OFF_SPAN_T, dw, K2_GRID))
+    oracle = _tv_on_grid(_lattice_density(ctx, per_ray, OFF_SPAN_T, dw, K2_GRID))
     assert abs(tv - oracle) <= 1e-12
 
 
@@ -499,87 +492,31 @@ def test_batched_ray_spectra_match_per_ray_solves(monkeypatch, block):
     assert np.max(np.abs(got - _lattice_psi(ctx, per_ray, dw, M))) <= 1e-13
 
 
-def _disc_edges(lam_max, r_max):
-    """Edges c_k -+ rho(c_k) of the series discs of _psi_star_stack that start
-    below r_max, each centre a root of c - rho(c) = c_prev + rho(c_prev)."""
-    rho = lambda c: math.sqrt(1.0 + 4.0 * (c * lam_max) ** 2) / (4.0 * lam_max)
-    edges, c = [], 0.0
-    while c - rho(c) < r_max:
-        edges += [c - rho(c), c + rho(c)]
-        e = c + rho(c)
-        # 16 lam^2 (c - e)^2 = 1 + 4 c^2 lam^2, the root above e
-        quadratic = [12.0 * lam_max**2, -32.0 * lam_max**2 * e, 16.0 * (lam_max * e) ** 2 - 1.0]
-        c = max(np.roots(quadratic).real)
-        assert abs(c - rho(c) - e) <= 1e-12 * e
-    return np.array(edges)
+@pytest.mark.parametrize("dense", [False, True], ids=["joint", "dense"])
+def test_lattice_psi_k1_matches_per_direction_oracle(dense, monkeypatch):
+    # the K = 1 half from the joint row, or from one pencil solve of a dense
+    # context, against a complex log per radius, on both halves of the lattice
+    state = _state(64, 0, 0)
+    ctx = build_char_context(state.c_theta, state.c_mat, state.basis) if dense else context_from_state(state)
+    assert (ctx.joint is None) == dense
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+    dw, M = 0.3, 70
+    got = _lattice_psi(ctx, None, dw, M)
+    assert len(solves) == dense
+    want = _psi_per_direction(ctx, dw * np.arange(-M, M + 1), np.array([1.0]))
+    assert got.shape == (2 * M + 1,) and got[M] == 1.0
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.max(np.abs(got - _lattice_psi(ctx, lambda r, u: _psi_per_direction(ctx, r, u), dw, M))) <= 1e-13
 
 
-def _assert_stack_matches_complex_log(ctx, dirs):
-    profiles = [RadialProfile(ctx, u) for u in dirs]
-    eigs = np.stack([profile.eigs for profile in profiles])
-    shifts = np.array([profile.shift for profile in profiles])
-    # radii on both sides of 2 r max|lam| = 1/2 for every row, and of every
-    # disc edge of the stack's series; and their negatives
-    seams = 0.25 / np.max(np.abs(eigs), axis=1)
-    edges = _disc_edges(np.max(np.abs(eigs)), 60.0)
-    assert len(edges) >= 6
-    r = np.sort(np.concatenate([
-        np.linspace(0.0, 1.5 * np.max(seams), 49), seams * (1.0 - 1e-9), seams * (1.0 + 1e-9)
-    ]))
-    assert np.all((r < seams[:, None]).any(axis=1) & (r > seams[:, None]).any(axis=1))
-    r = np.concatenate([r, edges * (1.0 - 1e-9), edges * (1.0 + 1e-9)])
-    r = np.concatenate([r, -r])
-    got = _psi_star_stack(eigs, shifts, r)
-    assert got.shape == (len(dirs), len(r))
-    for row, u in zip(got, dirs):
-        assert np.max(np.abs(row - _psi_per_direction(ctx, r, u))) <= 1e-13
-
-
-def test_psi_star_matches_complex_log(tvk2_ctx):
-    r = np.linspace(0.0, 20.0, 2001)
-    cases = [(CTX, np.array([1.0])), (tvk2_ctx, _angles(180)[17]), (tvk2_ctx, _angles(180)[161])]
-    for ctx, u in cases:
-        profile = RadialProfile(ctx, u)
-        want = _psi_per_direction(ctx, r, u)
-        assert np.max(np.abs(profile.psi_star(r) - want)) <= 1e-13
-        assert np.max(np.abs(profile.abs_psi(r) - np.abs(want))) <= 1e-13
-    # the stacked kernel the K = 2 oracle calls, on every direction it uses
-    _assert_stack_matches_complex_log(tvk2_ctx, _angles(180))
-    off_span = _off_span_context()
-    assert off_span.joint is None
-    _assert_stack_matches_complex_log(off_span, _angles(36))
-
-
-def test_psi_star_of_zero_spectrum_is_the_shift_phase():
-    r = np.linspace(-30.0, 30.0, 61)
-    shifts = np.array([0.3, -1.2])
-    with np.errstate(all="raise"):
-        got = _psi_star_stack(np.zeros((2, 5)), shifts, r)
-    np.testing.assert_allclose(got, np.exp(-1j * np.multiply.outer(shifts, r)), rtol=0, atol=1e-15)
-
-
-def test_series_terms_meet_remainder_bound():
-    for n in (1, 48, 512, 2048):
-        L = _series_terms(n)
-        assert n * 2.0**-L / L <= 1e-16 < n * 2.0 ** -(L - 1) / (L - 1)
-
-
-def test_psi_star_keeps_radius_shape():
-    profile = RadialProfile(CTX, np.array([1.0]))
-    r = np.linspace(0.0, 12.0, 12).reshape(3, 4)
-    assert profile.psi_star(r).shape == (3, 4)
-    assert abs(profile.psi_star(r)[1, 2] - profile.psi_star(r[1, 2])) <= 1e-15
-
-
-def test_invert_cf_batch_rows_match_single_rows():
-    ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
-    profiles = [RadialProfile(ctx2, u) for u in _angles(3)]
-    sgrid = np.arange(-12.5, 12.51, 0.02)
-    batch = invert_cf_1d(lambda r: np.stack([p.psi_star(r) * r for p in profiles]), 12.0, sgrid)
-    assert batch.shape == (3, len(sgrid))
-    for row, p in zip(batch, profiles):
-        single = invert_cf_1d(lambda r: p.psi_star(r) * r, 12.0, sgrid)
-        assert np.max(np.abs(row - single)) <= 1e-15
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_tv_oracle_k1_exact_chi_square_law(n):
+    # the identity window's law is the standardized chi-square(n): against
+    # its closed-form density on the oracle's grid
+    want = _tv_on_grid(_chi_square_density(n, K1_GRID))
+    assert abs(tv_oracle(_identity_context(n, 0)) - want) <= 3e-9
 
 
 # tv_oracle(tvk2_ctx) of the lattice oracle; test_tv_oracle_exact_chi_square_law
@@ -605,9 +542,13 @@ K2_GRID = np.arange(-8.0, 8.0 + 0.02, 0.04)
 CTX2 = _identity_context(N, 1)
 
 
-def _tv_on_k2_grid(dens):
-    ref = np.exp(-np.add.outer(K2_GRID**2, K2_GRID**2) / 2.0) / (2.0 * np.pi)
-    return 0.5 * np.sum(np.abs(dens - ref)) * 0.04 * 0.04
+def _tv_on_grid(dens):
+    """(1/2) sum |dens - phi_K| dx^K on the oracle's default grid, K = dens.ndim."""
+    if dens.ndim == 1:
+        ref, dx = np.exp(-(K1_GRID**2) / 2.0) / np.sqrt(2.0 * np.pi), 0.002
+    else:
+        ref, dx = np.exp(-np.add.outer(K2_GRID**2, K2_GRID**2) / 2.0) / (2.0 * np.pi), 0.04
+    return 0.5 * np.sum(np.abs(dens - ref)) * dx**dens.ndim
 
 
 def _chi_square_pair_cf(dof):
@@ -636,7 +577,7 @@ def test_tv_oracle_exact_chi_square_law():
     # lam_j = 1/sqrt(120) <= mu: the law the lattice step's aliasing bound covers
     assert 1.0 / math.sqrt(120.0) <= CTX2.mu
     marginal = _chi_square_density(60, K2_GRID)
-    want = _tv_on_k2_grid(np.outer(marginal, marginal))
+    want = _tv_on_grid(np.outer(marginal, marginal))
     assert want > 0.05
     assert abs(tv_oracle(CTX2, cf_override=_chi_square_pair_cf(60)) - want) <= 1e-9
 
@@ -645,12 +586,16 @@ def test_tv_oracle_k2_gaussian_override_null_is_exact():
     assert tv_oracle(CTX2, cf_override=lambda r, u: np.exp(-0.5 * r**2)) <= 1e-12
 
 
-def test_tv_oracle_k2_converged_in_step_and_box(tvk2_ctx):
-    tv, info = tv_oracle(tvk2_ctx, details=True)
-    T, dw = info["truncation"], _lattice_step(8.0, tvk2_ctx.mu)
-    assert _tv_on_k2_grid(_lattice_density(tvk2_ctx, None, T, dw, K2_GRID)) == tv
-    assert abs(_tv_on_k2_grid(_lattice_density(tvk2_ctx, None, T, dw / 2.0, K2_GRID)) - tv) <= 1e-12
-    assert abs(_tv_on_k2_grid(_lattice_density(tvk2_ctx, None, 1.5 * T, dw, K2_GRID)) - tv) <= 1e-9
+@pytest.mark.parametrize("K", [1, 2])
+def test_tv_oracle_converged_in_step_and_box(K, tvk2_ctx):
+    # the tvdecay --n 512 context of the window (0, K - 1)
+    ctx = _tv_decay_context(512, 0) if K == 1 else tvk2_ctx
+    grid, x_max = (K1_GRID, 20.0) if K == 1 else (K2_GRID, 8.0)
+    tv, info = tv_oracle(ctx, details=True)
+    T, dw = info["truncation"], _lattice_step(x_max, ctx.mu)
+    assert _tv_on_grid(_lattice_density(ctx, None, T, dw, grid)) == tv
+    assert abs(_tv_on_grid(_lattice_density(ctx, None, T, dw / 2.0, grid)) - tv) <= 1e-12
+    assert abs(_tv_on_grid(_lattice_density(ctx, None, 1.5 * T, dw, grid)) - tv) <= 1e-9
 
 
 def test_lattice_psi_joint_rows_match_per_ray_oracle():
@@ -712,8 +657,9 @@ def test_tv_oracle_k2_rejects_lattice_above_cap(traced_peak):
     # mu^{-2} = 16.4, just above 8K: the majorant's tail falls like T^{-2.2},
     # so its T is in the ten thousands and M far past the cap, for the
     # context and for any cf_override (which gets the same T); the same
-    # holds for the off-span context (mu^{-2} = 19.6)
-    narrow, off_span = _identity_context(25, 1), _off_span_context()
+    # holds for the off-span context (mu^{-2} = 19.6), and at K = 1 for the
+    # chi-square(6) law (mu^{-2} = 12, T = 29,927)
+    narrow, off_span, k1 = _identity_context(25, 1), _off_span_context(), _identity_context(6, 0)
     assert 16.0 < narrow.mu ** -2.0 < 17.0 and 16.0 < off_span.mu ** -2.0 < 20.0
 
     def never(r, u):
@@ -722,13 +668,21 @@ def test_tv_oracle_k2_rejects_lattice_above_cap(traced_peak):
     # each refused before the lattice is allocated; the last at half-width
     # 2049, one past the cap
     def refuse_all():
-        for ctx, override in ((narrow, None), (narrow, never), (off_span, None)):
+        cases = ((narrow, None), (narrow, never), (off_span, None), (k1, None), (k1, never))
+        for ctx, override in cases:
             with pytest.raises(RangeError, match="lattice half-width"):
                 tv_oracle(ctx, cf_override=override)
         with pytest.raises(RangeError, match="lattice half-width 2049 "):
             _lattice_density(CTX2, never, 2048.5 * 0.25, 0.25, K2_GRID)
+        with pytest.raises(RangeError, match="lattice half-width 16385 "):
+            _lattice_density(CTX, never, 16384.5 * 0.25, 0.25, K1_GRID)
 
     assert traced_peak(refuse_all) < 100_000
+    # chi-square(8) is inside the K = 1 cap, at M = 8416, and keeps its value
+    eight = _identity_context(8, 0)
+    tv, info = tv_oracle(eight, details=True)
+    assert math.ceil(info["truncation"] / _lattice_step(20.0, eight.mu)) == 8416
+    assert abs(tv - 0.13436587126956) <= 1e-9
 
 
 BAD_ORACLE_ARGUMENTS = {

@@ -430,6 +430,11 @@ def test_cli_import_leaves_integrate_optimize_interpolate_unloaded():
     assert loaded == []
 
 
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # both TV oracles sum on a frequency lattice by matrix products; no FFT
+    assert [m for m in _modules_after_cli_import() if m.split(".")[:2] == ["scipy", "fft"]] == []
+
+
 def test_chain_propagates_untyped_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("shape bug")
