@@ -15,7 +15,6 @@ from .errors import (
     PreconditionError,
     RangeError,
     SingularMatrixError,
-    TermBudgetError,
     TypedError,
 )
 from .harness import (
@@ -49,7 +48,6 @@ __all__ = [
     "Schedule",
     "SingularMatrixError",
     "SpectralDensity",
-    "TermBudgetError",
     "TypedError",
     "VerificationReport",
     "condition_checker",

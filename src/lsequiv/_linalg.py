@@ -74,11 +74,12 @@ def sym_eig(a):
 
 def _guard_spectrum(w, require_pd):
     scale = np.max(np.abs(w)) if w.size else 0.0
-    if scale == 0.0 or np.min(np.abs(w)) <= SYM_RTOL * scale:
+    # written as not(>) so that a NaN or infinite eigenvalue is rejected too
+    if not (scale > 0.0 and np.min(np.abs(w)) > SYM_RTOL * scale):
         raise SingularMatrixError(
             f"eigenvalue below {SYM_RTOL:g} * spectral norm (min |eig| = "
             f"{np.min(np.abs(w)):.3e}, scale = {scale:.3e})")
-    if require_pd and np.min(w) <= 0.0:
+    if require_pd and not np.min(w) > 0.0:
         raise SingularMatrixError(
             f"matrix is not positive definite (min eig = {np.min(w):.3e})")
 

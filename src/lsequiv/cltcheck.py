@@ -13,17 +13,16 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 from scipy.special import gamma as gamma_fn
 
-from ._linalg import _guard_spectrum, check_symmetric, guarded_eig
-from .errors import AccuracyError, PreconditionError, RangeError, TermBudgetError
+from ._linalg import _guard_spectrum, check_symmetric, dense_to_band, guarded_eig
+from .errors import AccuracyError, PreconditionError, RangeError
 from .report import CheckResult
-from .rng import make_rng
 
 __all__ = [
     "CharFnContext",
@@ -61,10 +60,9 @@ class CharFnContext:
     C_theta^{1/2} (the centering vector), gamma_theta = [2 tr(A_k A_l)], and
     the standardized D_k = sum_l (Gamma^{-1/2})_{kl} A_l make {sqrt(2) D_k}
     Frobenius-orthonormal.  mu is the spectral budget behind every bound.
-    Each direction v needs the spectrum of the pencil sum_k v_k A_k: a
-    closed-form context (span_char_context) holds joint, the (K, n) spectra
-    of the A_k in the one eigenbasis they share, and no matrix; a dense one
-    (build_char_context) holds a_stack and d_stack and solves each pencil.
+    joint holds the (K, n) spectra of the A_k in the one eigenbasis they
+    share, so the pencil sum_k v_k A_k of any direction v has eigenvalues
+    v . joint (span_char_context builds it in closed form).
     """
 
     n: int
@@ -72,9 +70,7 @@ class CharFnContext:
     gamma_theta: np.ndarray
     gamma_inv_sqrt: np.ndarray
     mu: float
-    joint: np.ndarray = None
-    a_stack: np.ndarray = None
-    d_stack: np.ndarray = None
+    joint: np.ndarray
 
     @property
     def K(self) -> int:
@@ -84,83 +80,42 @@ class CharFnContext:
     def mu_tail(self) -> float:
         """Bound on the standardized pencil's |eigenvalues| u . Lambda_{:,j} in
         every unit direction u, Lambda = Gamma^{-1/2} joint: max_j |Lambda_{:,j}|_2
-        (mu without a joint spectrum, or if mu is smaller by rounding)."""
-        if self.joint is None:
-            return self.mu
+        (or mu, if that is smaller by rounding)."""
         lam = self.gamma_inv_sqrt @ self.joint
         return min(self.mu, float(np.max(np.linalg.norm(lam, axis=0))))
 
-    def pencil(self, t) -> np.ndarray:
-        """sum_k t_k A_k for t in the raw (unstandardized) coordinates."""
-        t = np.asarray(t, dtype=float)
-        return np.tensordot(t, self.a_stack, axes=(0, 0))
-
     def pencil_eigs(self, v) -> np.ndarray:
-        """Ascending eigenvalues of pencil(v).
+        """Ascending eigenvalues of the pencil sum_k v_k A_k.
 
-        The standardized pencil sum_k t_k D_k is pencil(gamma_inv_sqrt @ t).
+        The standardized pencil sum_k t_k D_k is that of gamma_inv_sqrt @ t.
         """
-        v = np.asarray(v, dtype=float)
-        if self.joint is None:
-            return np.linalg.eigvalsh(self.pencil(v))
-        return np.sort(v @ self.joint)
+        return np.sort(np.asarray(v, dtype=float) @ self.joint)
 
 
-def _context(n, rows, d_vec, norms, ortho_tol, a_stack=None):
-    """CharFnContext from rows, the A_k flattened (or their joint spectrum):
-    Gamma_theta = 2 rows rows^T, and the standardized rows Gamma^{-1/2} rows
-    must have Gram matrix I / 2 to ortho_tol.  norms = (|C_theta|_2,
-    min |eig C|, sqrt(sum_k |M_k|_2^2)) give
-    mu = |C_theta| |C^{-1}|^2 |Gamma^{-1/2}| sqrt(sum_k |M_k|^2)."""
-    gamma_theta = 2.0 * (rows @ rows.T)
-    gamma_theta = 0.5 * (gamma_theta + gamma_theta.T)
-    w_gamma, v_gamma = guarded_eig(gamma_theta, require_pd=True)
-    gamma_inv_sqrt = (v_gamma / np.sqrt(w_gamma)) @ v_gamma.T
-    std = gamma_inv_sqrt @ rows
-    defect = np.max(np.abs(std @ std.T - 0.5 * np.eye(len(rows))))
-    if defect > ortho_tol:
-        raise AccuracyError(f"standardized stack lost orthonormality: defect {defect:.3e}")
-    theta_norm, c_min, m_norm = norms
-    return CharFnContext(
-        n=n,
-        d_vec=d_vec,
-        gamma_theta=gamma_theta,
-        gamma_inv_sqrt=gamma_inv_sqrt,
-        mu=float(theta_norm / c_min**2 / math.sqrt(np.min(w_gamma)) * m_norm),
-        joint=rows if a_stack is None else None,
-        a_stack=a_stack,
-        d_stack=None if a_stack is None else std.reshape(a_stack.shape),
-    )
+# Relative accuracy to which a dense covariance must be rebuilt from its span coefficients
+_SPAN_RTOL = 1e-12
 
 
 def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
-    """Dense CharFnContext from a covariance pair and a basis system, for
-    any window and covariances (span_char_context is the closed form the
-    drivers use).  C_theta and C are eigendecomposed once each (once in all
-    when they are equal); their spectral norms in mu come from those
-    eigenvalues.
-    """
-    c_theta = np.asarray(c_theta, dtype=float)
-    c_mat = np.asarray(c_mat, dtype=float)
-    n = basis.n
-    if c_theta.shape != (n, n) or c_mat.shape != (n, n):
-        raise PreconditionError("covariances must match the basis dimension")
-    check_symmetric(c_theta, what="target covariance")
-    check_symmetric(c_mat, what="localized covariance")
+    """span_char_context of a dense covariance pair.
 
-    w_theta, v_theta = guarded_eig(c_theta, require_pd=True)
-    if np.array_equal(c_theta, c_mat):
-        w_c, v_c = w_theta, v_theta
-    else:
-        w_c, v_c = guarded_eig(c_mat, require_pd=False)
-    root = (v_theta * np.sqrt(w_theta)) @ v_theta.T
-    cinv = (v_c / w_c) @ v_c.T
-    half = cinv @ root
-    a_stack = np.matmul(half.T, np.matmul(basis.mats, half))
-    a_stack = 0.5 * (a_stack + np.transpose(a_stack, (0, 2, 1)))
-    norms = (np.max(w_theta), np.min(np.abs(w_c)), math.sqrt(np.sum(basis.spectral_norms() ** 2)))
-    d_vec = np.trace(a_stack, axis1=1, axis2=2)
-    return _context(n, a_stack.reshape(len(a_stack), -1), d_vec, norms, ortho_tol, a_stack)
+    Each covariance must be symmetric and lie in the span of the basis: its
+    band of half-width k2, projected onto the M_k, must be rebuilt from the
+    coefficients to _SPAN_RTOL relative.  An off-span covariance, or a
+    window other than k1 = 0, k2 <= 1, raises PreconditionError.
+    """
+    alphas = []
+    for cov, what in ((c_theta, "target covariance"), (c_mat, "localized covariance")):
+        cov = np.asarray(cov, dtype=float)
+        if cov.shape != (basis.n, basis.n):
+            raise PreconditionError("covariances must match the basis dimension")
+        check_symmetric(cov, what=what)
+        band = dense_to_band(cov, basis.k2, what=what)
+        alpha = basis.project(band)
+        if np.max(np.abs(basis.band(alpha) - band)) > _SPAN_RTOL * np.max(np.abs(band)):
+            raise PreconditionError(f"{what} is not in the span of the basis")
+        alphas.append(alpha)
+    return span_char_context(*alphas, basis, ortho_tol)
 
 
 def span_char_context(alpha_theta, alpha_c, basis, ortho_tol=1e-8):
@@ -172,36 +127,54 @@ def span_char_context(alpha_theta, alpha_c, basis, ortho_tol=1e-8):
     Rev. 41, 1999), with eigenvalues m_0(j) = b_0 and
     m_1(j) = 2 b_1 cos(pi j / (n + 1)).  With c = alpha_c . m and
     c_theta = alpha_theta . m, A_k has eigenvalues joint[k] = c_theta m_k / c^2,
-    all in one order; d = joint 1 and |M_k|_2 = max_j |m_k(j)|.  A
-    non-positive c_theta raises SingularMatrixError, as the dense build does.
+    all in one order; d = joint 1, Gamma_theta = 2 joint joint^T (its
+    standardized rows must have Gram matrix I / 2 to ortho_tol) and
+    mu = |C_theta| |C^{-1}|^2 |Gamma^{-1/2}| sqrt(sum_k |M_k|_2^2), |M_k|_2 =
+    max_j |m_k(j)|.  Coefficients not of shape (K,) raise PreconditionError;
+    a non-finite or (near-)singular c or c_theta, or a c_theta that is not
+    positive, raises SingularMatrixError.
     """
     if basis.k1 != 0 or basis.k2 > 1:
         raise PreconditionError(
             f"closed-form context needs k1 = 0 and k2 <= 1, got ({basis.k1}, {basis.k2})"
         )
+    alpha_theta, alpha_c = (np.asarray(a, dtype=float) for a in (alpha_theta, alpha_c))
+    if alpha_theta.shape != (basis.K,) or alpha_c.shape != (basis.K,):
+        raise PreconditionError(f"span coefficients must have shape ({basis.K},)")
     n = basis.n
     m_hat = np.empty((basis.K, n))
     m_hat[0] = basis.bands[0, 0]
     if basis.K == 2:
         m_hat[1] = 2.0 * basis.bands[1, 0] * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-    c_theta = np.asarray(alpha_theta, dtype=float) @ m_hat
-    c_hat = np.asarray(alpha_c, dtype=float) @ m_hat
+    c_theta = alpha_theta @ m_hat
+    c_hat = alpha_c @ m_hat
     _guard_spectrum(c_theta, require_pd=True)
     _guard_spectrum(c_hat, require_pd=False)
     joint = c_theta * m_hat / c_hat**2
+    gamma_theta = 2.0 * (joint @ joint.T)
+    gamma_theta = 0.5 * (gamma_theta + gamma_theta.T)
+    w_gamma, v_gamma = guarded_eig(gamma_theta, require_pd=True)
+    gamma_inv_sqrt = (v_gamma / np.sqrt(w_gamma)) @ v_gamma.T
+    std = gamma_inv_sqrt @ joint
+    defect = np.max(np.abs(std @ std.T - 0.5 * np.eye(basis.K)))
+    if defect > ortho_tol:
+        raise AccuracyError(f"standardized stack lost orthonormality: defect {defect:.3e}")
     m_norm = math.sqrt(np.sum(np.max(np.abs(m_hat), axis=1) ** 2))
-    norms = (np.max(c_theta), np.min(np.abs(c_hat)), m_norm)
-    return _context(n, joint, np.sum(joint, axis=1), norms, ortho_tol)
+    return CharFnContext(
+        n=n,
+        d_vec=np.sum(joint, axis=1),
+        gamma_theta=gamma_theta,
+        gamma_inv_sqrt=gamma_inv_sqrt,
+        mu=float(np.max(c_theta) / np.min(np.abs(c_hat)) ** 2 / math.sqrt(np.min(w_gamma)) * m_norm),
+        joint=joint,
+    )
 
 
 def context_from_state(state):
-    """CharFnContext for an assembled localization state: in closed form
-    (C_theta = alpha_theta, C = alpha_theta + eta_tilde in the span) when
-    the window has k1 = 0 and k2 <= 1, dense otherwise."""
-    basis = state.basis
-    if basis.k1 == 0 and basis.k2 <= 1:
-        return span_char_context(state.alpha_theta, state.alpha_theta + state.eta_tilde, basis)
-    return build_char_context(state.c_theta, state.c_mat, basis)
+    """CharFnContext for an assembled localization state, in closed form:
+    C_theta = alpha_theta and C = alpha_theta + eta_tilde in the span of a
+    window with k1 = 0, k2 <= 1 (PreconditionError for any other window)."""
+    return span_char_context(state.alpha_theta, state.alpha_theta + state.eta_tilde, state.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +226,9 @@ class RadialProfile:
     tail quadrature of fourier_tail_integral.
 
     Along a fixed unit direction u the pencil eigenvalues scale linearly
-    in the radius, so one spectrum serves every r; it comes from
-    ctx.pencil_eigs, which reads the context's joint spectrum when it has
-    one and solves this direction's pencil otherwise.  abs_psi is
-    vectorized over radius arrays.
+    in the radius, so one spectrum, read from the joint spectrum by
+    ctx.pencil_eigs, serves every r.  abs_psi is vectorized over radius
+    arrays.
     """
 
     def __init__(self, ctx, u):
@@ -275,9 +247,6 @@ class RadialProfile:
 
 # ---------------------------------------------------------------------------
 # Edgeworth expansion
-
-_BUDGET = 1_000_000
-
 
 def _monomials(K, degree):
     """Multi-indices in K variables of the given total degree."""
@@ -301,41 +270,6 @@ def _trace_polys_joint(ctx, Q):
     lam = ctx.gamma_inv_sqrt @ ctx.joint
     coef = lambda m: _multinomial(m) * np.sum(np.prod(lam ** np.array(m)[:, None], axis=0))
     return {ell: {m: complex(coef(m)) for m in _monomials(ctx.K, ell)} for ell in range(3, Q + 1)}
-
-
-def _trace_polys_general(ctx, Q, seed):
-    K = ctx.K
-    monos = {ell: _monomials(K, ell) for ell in range(3, Q + 1)}
-    total = sum(len(v) for v in monos.values())
-    if total > _BUDGET:
-        raise TermBudgetError(
-            f"{total} monomials exceed the {_BUDGET} budget; reduce K or Q"
-        )
-    widest = max(len(v) for v in monos.values())
-    ndir = 2 * widest
-    rng = make_rng(seed)
-    dirs = rng.standard_normal((ndir, K))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    samples = np.empty((ndir, Q))
-    for i, u in enumerate(dirs):
-        w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
-        samples[i] = [np.sum(w**ell) for ell in range(1, Q + 1)]
-    polys = {}
-    for ell in range(3, Q + 1):
-        design = np.stack(
-            [np.prod(dirs**np.array(m), axis=1) for m in monos[ell]], axis=1
-        )
-        coef, res, *_ = np.linalg.lstsq(design, samples[:, ell - 1], rcond=None)
-        fitted = design @ coef
-        scale = max(np.max(np.abs(samples[:, ell - 1])), 1e-300)
-        if np.max(np.abs(fitted - samples[:, ell - 1])) > 1e-8 * scale:
-            raise AccuracyError(
-                f"trace-polynomial interpolation unstable at degree {ell}"
-            )
-        polys[ell] = {
-            m: complex(c) for m, c in zip(monos[ell], coef) if c != 0.0
-        }
-    return polys
 
 
 def _poly_mul_truncated(p, q, max_deg):
@@ -375,21 +309,17 @@ class EdgeworthExpansion:
         return edgeworth_radius(self.Q, self.K, self.mu)
 
 
-def edgeworth_build(ctx, Q, seed=0) -> EdgeworthExpansion:
+def edgeworth_build(ctx, Q) -> EdgeworthExpansion:
     """Exact degree-Q truncation of exp of the cumulant trace series.
 
     The trace polynomials t -> tr[(sum t_k D_k)^l] are formed exactly from
-    a joint spectrum, or recovered by seeded directional interpolation,
-    then the exponential is multiplied out, dropping every monomial above
-    degree Q.
+    the joint spectrum, then the exponential is multiplied out, dropping
+    every monomial above degree Q.
     """
     if Q < 2:
         raise PreconditionError("expansion order Q must be at least 2")
     K = ctx.K
-    if ctx.joint is not None:
-        polys = _trace_polys_joint(ctx, Q)
-    else:
-        polys = _trace_polys_general(ctx, Q, seed)
+    polys = _trace_polys_joint(ctx, Q)
 
     zero = (0,) * K
     series = {}
@@ -595,23 +525,16 @@ def _psi_real_form(lam, phase):
     return modulus * np.exp(1j * (0.5 * np.sum(np.arctan(x), axis=-1) - phase))
 
 
-# Entries of the stacked ray pencils handed to one eigvalsh call (8 MB)
-_RAY_BLOCK = 1 << 20
-
-
 def _lattice_psi(ctx, cf_override, dw, M):
     """psi*(dw a) at [M + a] (K = 1), or psi*(dw (a, b)) at [M + a, M + b]
     (K = 2), for |a|, |b| <= M.
 
-    The half a >= 0 (K = 1) or a > 0 or (a = 0, b >= 0) is evaluated, the
-    rest is psi*(-w) = conj psi*(w).  K = 1 takes one cf_override call or
-    one pencil spectrum (the joint row, or one solve).  For K = 2 with a
-    joint spectrum the pencil of w has eigenvalues w_1 Lambda_1 +
-    w_2 Lambda_2, Lambda = Gamma^{-1/2} joint, formed one frequency row
-    (2M + 1, n) at a time.  Otherwise each primitive lattice ray (a, b),
-    gcd(a, |b|) = 1, takes one cf_override call, or one pencil spectrum
-    for all its points k (a, b); the pencils are stacked into eigvalsh
-    calls of at most _RAY_BLOCK entries.
+    The half a >= 0 is evaluated, the rest is psi*(-w) = conj psi*(w).  K = 1
+    takes one pencil spectrum, the joint row, or one cf_override call on the
+    (M + 1, 1) frequencies.  For K = 2 the pencil of w has eigenvalues
+    w_1 Lambda_1 + w_2 Lambda_2, Lambda = Gamma^{-1/2} joint, formed one
+    frequency row (2M + 1, n) at a time; a cf_override gets the same rows as
+    (2M + 1, 2) frequency arrays.
     """
     size = 2 * M + 1
     freqs = dw * np.arange(-M, M + 1)
@@ -621,38 +544,17 @@ def _lattice_psi(ctx, cf_override, dw, M):
             v = ctx.gamma_inv_sqrt[:, 0]
             half = _psi_real_form(np.multiply.outer(r, ctx.pencil_eigs(v)), r * float(v @ ctx.d_vec))
         else:
-            half = cf_override(r, np.ones(1))
+            half = cf_override(r[:, None])
         return np.concatenate([np.conj(half[:0:-1]), half])
     psi = np.empty((size, size), dtype=complex)
-    joint = ctx.joint if cf_override is None else None
-    if joint is not None:
-        lam = ctx.gamma_inv_sqrt @ joint
-        shift = ctx.gamma_inv_sqrt @ ctx.d_vec
-        for a in range(M, size):
+    lam = ctx.gamma_inv_sqrt @ ctx.joint
+    shift = ctx.gamma_inv_sqrt @ ctx.d_vec
+    for a in range(M, size):
+        if cf_override is None:
             row = np.multiply.outer(freqs, lam[1]) + freqs[a] * lam[0]
             psi[a] = _psi_real_form(row, freqs[a] * shift[0] + freqs * shift[1])
-    else:
-        psi[M, M] = 1.0
-        a, b = np.ogrid[: M + 1, -M : M + 1]
-        rays = np.argwhere((np.gcd(a, b) == 1) & ((a > 0) | (b > 0))) - [0, M]
-        units = rays / np.hypot(rays[:, :1], rays[:, 1:])
-        if cf_override is None:
-            v = units @ ctx.gamma_inv_sqrt.T
-            shifts = v @ ctx.d_vec
-            step = max(1, _RAY_BLOCK // ctx.n**2)
-            # a generator: one chunk of stacked pencils is held at a time
-            spectra = chain.from_iterable(
-                np.linalg.eigvalsh(np.tensordot(v[lo : lo + step], ctx.a_stack, axes=(1, 0)))
-                for lo in range(0, len(v), step)
-            )
-        for i, (a, b) in enumerate(rays):
-            k = np.arange(1, M // max(a, abs(b)) + 1)
-            r = dw * math.hypot(a, b) * k
-            if cf_override is None:
-                lam = np.multiply.outer(r, next(spectra))
-                psi[M + k * a, M + k * b] = _psi_real_form(lam, r * shifts[i])
-            else:
-                psi[M + k * a, M + k * b] = cf_override(r, units[i])
+        else:
+            psi[a] = cf_override(np.stack(np.broadcast_arrays(freqs[a], freqs), axis=-1))
     psi[:M] = np.conj(psi[:M:-1, ::-1])
     psi[M, :M] = np.conj(psi[M, :M:-1])
     return psi
@@ -727,9 +629,10 @@ def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details
     (_lattice_density) truncated at the smallest ladder radius
     T = 4 * 1.5^j whose fourier_tail_bound is at most tol_tail; the
     distance is (1/2) sum |f - phi_K| dx^K over the x grid.  cf_override
-    replaces the characteristic function (radius array, unit direction) ->
-    complex array, for cross-checks against closed-form laws; it is taken
-    to be a law of the context's form and mu, and gets the same T.  With
+    replaces the characteristic function, mapping a (..., K) frequency
+    array w to psi*(w) of shape (...), for cross-checks against closed-form
+    laws; it is taken to be a law of the context's form and mu, and gets
+    the same T.  With
     details=True returns (tv, info), info holding T and the tail bound at
     it (None with a cf_override).  tol_tail, x_max and dx must be positive
     and finite.
@@ -764,16 +667,12 @@ def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details
 def moment_diagnostics(ctx) -> dict:
     """Third-cumulant tensor of the standardized statistic.
 
-    cum3[k, l, m] = 8 tr(D_k D_l D_m); for symmetric factors every ordering
-    of the product has the same trace, and every entry tends to zero in
-    the Gaussian limit.  With a joint spectrum it is
-    8 sum_j lam_kj lam_lj lam_mj, lam = Gamma^{-1/2} joint.
+    cum3[k, l, m] = 8 tr(D_k D_l D_m) = 8 sum_j lam_kj lam_lj lam_mj,
+    lam = Gamma^{-1/2} joint; every entry tends to zero in the Gaussian
+    limit.
     """
-    if ctx.joint is not None:
-        lam = ctx.gamma_inv_sqrt @ ctx.joint
-        cum3 = 8.0 * np.einsum("aj,bj,cj->abc", lam, lam, lam)
-    else:
-        cum3 = 8.0 * np.einsum("aij,bjk,cki->abc", *(3 * [ctx.d_stack]), optimize=True)
+    lam = ctx.gamma_inv_sqrt @ ctx.joint
+    cum3 = 8.0 * np.einsum("aj,bj,cj->abc", lam, lam, lam)
     return {
         "third_cumulant": cum3,
         "max_abs_third_cumulant": float(np.max(np.abs(cum3))),

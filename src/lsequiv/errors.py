@@ -31,10 +31,6 @@ class ConfigurationError(TypedError, ValueError):
     """A configuration asks for something numerically meaningless."""
 
 
-class TermBudgetError(TypedError, RuntimeError):
-    """A symbolic expansion would exceed the configured term budget."""
-
-
 class SingularMatrixError(TypedError, RuntimeError):
     """A symmetric matrix is numerically singular where an inverse is needed."""
 

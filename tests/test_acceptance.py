@@ -191,7 +191,7 @@ EXPANSION_CASES = [(256, (0, 0), 8), (1024, (0, 0), 8), (256, (0, 1), 5), (1024,
 def test_criterion_06_expansion_coefficients_and_remainder():
     for n, window, q in EXPANSION_CASES:
         ctx = build_char_context(np.eye(n), np.eye(n), build_basis(n, *window))
-        exp = edgeworth_build(ctx, q, seed=0)
+        exp = edgeworth_build(ctx, q)
         for m, coef in exp.nu.items():
             assert abs(coef) <= exp.coefficient_bound(m)
         radius = exp.validity_radius

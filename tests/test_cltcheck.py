@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from lsequiv.cltcheck import (
     _lattice_density,
     _lattice_psi,
     _lattice_step,
-    _psi_real_form,
     _truncation,
     RadialProfile,
     build_char_context,
@@ -36,7 +36,7 @@ from lsequiv.cltcheck import (
     standardized_log_characteristic,
     tv_oracle,
 )
-from lsequiv.errors import PreconditionError, RangeError, SingularMatrixError, TermBudgetError
+from lsequiv.errors import PreconditionError, RangeError, SingularMatrixError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
 from lsequiv.harness import RunConfig, config_density
 from lsequiv.rng import make_rng
@@ -119,7 +119,7 @@ def test_moment_diagnostics_identity_window():
 
 
 def test_third_order_coefficient_exact():
-    exp = edgeworth_build(CTX, 4, seed=0)
+    exp = edgeworth_build(CTX, 4)
     assert sorted(exp.nu) == [(3,), (4,)]
     kappa3 = 8.0 * N / (2.0 * N) ** 1.5
     assert exp.nu[(3,)] == pytest.approx(-1j * kappa3 / 6.0, abs=1e-12)
@@ -131,18 +131,18 @@ COEFF_CASES = [(256, (0, 0), 8), (1024, (0, 0), 8), (256, (0, 1), 5)]
 @pytest.mark.parametrize("n,window,q", COEFF_CASES)
 def test_coefficient_bounds_hold(n, window, q):
     ctx = build_char_context(np.eye(n), np.eye(n), build_basis(n, *window))
-    exp = edgeworth_build(ctx, q, seed=0)
+    exp = edgeworth_build(ctx, q)
     for m, coef in exp.nu.items():
         assert abs(coef) <= exp.coefficient_bound(m)
 
 
 def test_validity_radius_matches_rate():
-    exp = edgeworth_build(CTX, 4, seed=0)
+    exp = edgeworth_build(CTX, 4)
     assert exp.validity_radius == pytest.approx(edgeworth_radius(4, 1, CTX.mu), rel=0)
 
 
 def test_remainder_within_bound_inside_region():
-    exp = edgeworth_build(CTX, 4, seed=0)
+    exp = edgeworth_build(CTX, 4)
     radius = exp.validity_radius
     rng = make_rng(123, stream=50)
     for i in range(20):
@@ -158,7 +158,7 @@ def test_remainder_within_bound_inside_region():
 
 
 def test_remainder_bound_rejects_outside_region():
-    exp = edgeworth_build(CTX, 4, seed=0)
+    exp = edgeworth_build(CTX, 4)
     with pytest.raises(RangeError):
         remainder_bound(np.array([1.0001 * exp.validity_radius]), exp)
 
@@ -166,9 +166,6 @@ def test_remainder_bound_rejects_outside_region():
 def test_edgeworth_guards():
     with pytest.raises(PreconditionError):
         edgeworth_build(CTX, 1)
-    wide = build_char_context(np.eye(64), np.eye(64), build_basis(64, 1, 5))
-    with pytest.raises(TermBudgetError):
-        edgeworth_build(wide, 8)
 
 
 def test_tail_integral_below_bound():
@@ -227,25 +224,44 @@ def test_tv_oracle_chi_square_value():
     assert details["tail_bound"] is not None
 
 
+def _gaussian_cf(w):
+    """The N(0, I_K) characteristic function at a (..., K) frequency array."""
+    return np.exp(-0.5 * np.sum(w * w, axis=-1))
+
+
 def test_tv_oracle_gaussian_override_null():
     ctx2 = build_char_context(np.eye(N), np.eye(N), build_basis(N, 0, 1))
-    tv = tv_oracle(ctx2, cf_override=lambda r, u: np.exp(-0.5 * r**2))
+    tv = tv_oracle(ctx2, cf_override=_gaussian_cf)
     assert tv <= 1e-6
+
+
+# a K = 3 context (no driver builds one), built directly from a joint spectrum
+THREE = cltcheck.CharFnContext(
+    n=N, d_vec=np.zeros(3), gamma_theta=np.eye(3), gamma_inv_sqrt=np.eye(3),
+    mu=0.05, joint=make_rng(3, stream=63).standard_normal((3, N)) / math.sqrt(2.0 * N),
+)
 
 
 def test_tv_oracle_guards():
     small = build_char_context(np.eye(8), np.eye(8), build_basis(8, 0, 1))
     with pytest.raises(RangeError):
         tv_oracle(small)
-    three = build_char_context(np.eye(N), np.eye(N), build_basis(N, 1, 0))
-    with pytest.raises(PreconditionError):
-        tv_oracle(three)
+    with pytest.raises(PreconditionError, match="K <= 2"):
+        tv_oracle(THREE)
+
+
+def test_k_guards_of_edgeworth_tv_and_tail_integral():
+    # mu^{-2} = 400 clears the tail check's integrability margin 8K + 16
+    with pytest.raises(PreconditionError, match="K <= 2"):
+        edgeworth_tv(THREE)
+    with pytest.raises(PreconditionError, match="K <= 2"):
+        fourier_tail_integral(5.0, THREE)
 
 
 def test_tv_against_shifted_gaussian_closed_form():
     # TV(N(0,1), N(1,1)) = 2 Phi(1/2) - 1, through the K = 1 lattice oracle;
     # on the oracle's grid the sum of |phi(x - 1) - phi(x)| dx / 2 is closer
-    shifted = lambda r, u: np.exp(1j * r - 0.5 * r**2)
+    shifted = lambda w: np.exp(1j * w[..., 0] - 0.5 * w[..., 0] ** 2)
     tv = tv_oracle(CTX, cf_override=shifted)
     assert tv == pytest.approx(0.3829249225480262, abs=1e-6)
     phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
@@ -298,21 +314,47 @@ def test_invert_cf_grid_guards():
 
 
 def test_context_from_state_matches_direct_build():
-    n = 32
-    basis = build_basis(n, 1, 1)
-    theta = build_theta(random_density(1, 1, make_rng(2, stream=30)), n)
-    state = ExperimentState.build(
-        basis, LocalizationConfig(beta=1.0, gamma=3.0), theta=theta, rng=make_rng(0, stream=41)
-    )
+    # the state's span coefficients against its dense covariances; a window
+    # with k1 > 0 has no closed form
+    state = _state(32, 0, 1)
     ctx = context_from_state(state)
-    direct = build_char_context(state.c_theta, state.c_mat, basis)
-    assert ctx.mu == pytest.approx(direct.mu, rel=0)
-    np.testing.assert_allclose(ctx.d_vec, direct.d_vec, atol=0)
+    direct = build_char_context(state.c_theta, state.c_mat, state.basis)
+    assert ctx.mu == pytest.approx(direct.mu, rel=1e-12)
+    np.testing.assert_allclose(ctx.d_vec, direct.d_vec, rtol=1e-12, atol=0)
+    with pytest.raises(PreconditionError, match="k1 = 0 and k2 <= 1"):
+        context_from_state(_state(32, 1, 1))
 
 
 # ---------------------------------------------------------------------------
 # closed-form context, real-arithmetic psi, lattice oracle and truncation,
 # each against the dense or per-direction computation it replaced
+
+
+def _dense_oracle(c_theta, c_mat, basis):
+    """The dense build the closed form replaced: A_k = H^T M_k H with
+    H = C^{-1} C_theta^{1/2}, d_k = tr A_k, Gamma_theta = [2 tr(A_k A_l)],
+    its inverse square root, and mu = |C_theta| |C^{-1}|^2 |Gamma^{-1/2}|
+    sqrt(sum_k |M_k|^2), each from its own decomposition."""
+    half = sym_inv(c_mat) @ sym_sqrt(c_theta)
+    a_stack = np.matmul(half.T, np.matmul(basis.mats, half))
+    a_stack = 0.5 * (a_stack + np.transpose(a_stack, (0, 2, 1)))
+    flat = a_stack.reshape(len(a_stack), -1)
+    gamma_theta = 2.0 * (flat @ flat.T)
+    w, v = np.linalg.eigh(0.5 * (gamma_theta + gamma_theta.T))
+    gamma_inv_sqrt = (v / np.sqrt(w)) @ v.T
+    mu = (
+        spectral_norm(c_theta)
+        * spectral_norm(sym_inv(c_mat)) ** 2
+        * spectral_norm(gamma_inv_sqrt)
+        * math.sqrt(np.sum(basis.spectral_norms() ** 2))
+    )
+    return SimpleNamespace(
+        a_stack=a_stack,
+        d_vec=np.trace(a_stack, axis1=1, axis2=2),
+        gamma_theta=gamma_theta,
+        gamma_inv_sqrt=gamma_inv_sqrt,
+        mu=mu,
+    )
 
 
 def _tv_decay_alpha(n, k2):
@@ -339,12 +381,6 @@ def _state(n, k1, k2):
     return state
 
 
-def _off_span_context(n=48):
-    """K = 2 context whose C_theta is a random SPD matrix outside the span."""
-    g = make_rng(7, stream=60).standard_normal((n, n)) / math.sqrt(n)
-    return build_char_context(np.eye(n) + 0.1 * (g + g.T), np.eye(n), build_basis(n, 0, 1))
-
-
 def _angles(count):
     phis = (np.arange(count) + 0.5) * np.pi / count
     return np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
@@ -358,10 +394,9 @@ def tvk2_ctx():
 
 def _assert_joint_matches_eigvalsh(ctx, dense, dirs):
     # each standardized direction's closed-form spectrum against an eigvalsh
-    # of the dense build's pencil
-    assert ctx.joint is not None and dense.joint is None
+    # of the dense oracle's pencil
     for u in dirs:
-        want = np.linalg.eigvalsh(dense.pencil(dense.gamma_inv_sqrt @ u))
+        want = np.linalg.eigvalsh(np.tensordot(dense.gamma_inv_sqrt @ u, dense.a_stack, axes=(0, 0)))
         got = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -369,13 +404,13 @@ def _assert_joint_matches_eigvalsh(ctx, dense, dirs):
 def test_joint_spectrum_matches_eigvalsh_tv_decay_k2(tvk2_ctx):
     basis, alpha = _tv_decay_alpha(512, 1)
     c_mat = basis.combine(alpha)
-    _assert_joint_matches_eigvalsh(tvk2_ctx, build_char_context(c_mat, c_mat, basis), _angles(180))
+    _assert_joint_matches_eigvalsh(tvk2_ctx, _dense_oracle(c_mat, c_mat, basis), _angles(180))
 
 
 @pytest.mark.parametrize("k2,dirs", [(1, _angles(24)), (0, np.array([[1.0], [-1.0], [0.37]]))])
 def test_joint_spectrum_matches_eigvalsh_state_context(k2, dirs):
     state = _state(64, 0, k2)
-    dense = build_char_context(state.c_theta, state.c_mat, state.basis)
+    dense = _dense_oracle(state.c_theta, state.c_mat, state.basis)
     _assert_joint_matches_eigvalsh(context_from_state(state), dense, dirs)
 
 
@@ -402,20 +437,23 @@ def _span_case(n, k2, case):
 @pytest.mark.parametrize("k2", [0, 1])
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])
 def test_closed_form_context_matches_dense_build(n, k2, case):
+    # from the span coefficients, and from the dense covariances through
+    # build_char_context, against the dense oracle
     basis, alpha_theta, alpha_c = _span_case(n, k2, case)
-    ctx = span_char_context(alpha_theta, alpha_c, basis)
-    dense = build_char_context(basis.combine(alpha_theta), basis.combine(alpha_c), basis)
+    c_theta, c_mat = basis.combine(alpha_theta), basis.combine(alpha_c)
+    dense = _dense_oracle(c_theta, c_mat, basis)
     assert case == "same" or not np.array_equal(alpha_theta, alpha_c)
 
     def rel(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
     spectra = np.stack([np.linalg.eigvalsh(a) for a in dense.a_stack])
-    assert rel(np.sort(ctx.joint, axis=1), spectra) <= 1e-12
-    assert rel(ctx.d_vec, dense.d_vec) <= 1e-12
-    assert rel(ctx.gamma_theta, dense.gamma_theta) <= 1e-12
-    assert rel(ctx.gamma_inv_sqrt, dense.gamma_inv_sqrt) <= 1e-12
-    assert ctx.mu == pytest.approx(dense.mu, rel=1e-12)
+    for ctx in (span_char_context(alpha_theta, alpha_c, basis), build_char_context(c_theta, c_mat, basis)):
+        assert rel(np.sort(ctx.joint, axis=1), spectra) <= 1e-12
+        assert rel(ctx.d_vec, dense.d_vec) <= 1e-12
+        assert rel(ctx.gamma_theta, dense.gamma_theta) <= 1e-12
+        assert rel(ctx.gamma_inv_sqrt, dense.gamma_inv_sqrt) <= 1e-12
+        assert ctx.mu == pytest.approx(dense.mu, rel=1e-12)
 
 
 def test_closed_form_context_guards():
@@ -431,84 +469,81 @@ def test_closed_form_context_guards():
         build_char_context(basis.combine(flip), np.eye(32), basis)
 
 
+def test_closed_form_context_rejects_bad_span_coefficients():
+    # a NaN coefficient reaches the spectrum guard; a wrong length is typed
+    basis = build_basis(32, 0, 1)
+    alpha = basis.project(np.ones((1, 32)))
+    for bad in (np.array([math.nan, 0.0]), np.array([alpha[0], math.inf])):
+        with pytest.raises(SingularMatrixError):
+            span_char_context(bad, alpha, basis)
+        with pytest.raises(SingularMatrixError):
+            span_char_context(alpha, bad, basis)
+    for bad in (alpha[:1], np.r_[alpha, 0.0], alpha[None]):
+        with pytest.raises(PreconditionError, match="shape"):
+            span_char_context(bad, alpha, basis)
+        with pytest.raises(PreconditionError, match="shape"):
+            span_char_context(alpha, bad, basis)
+
+
+def test_dense_entry_rejects_off_span_asymmetric_and_wide_windows():
+    n = 32
+    basis = build_basis(n, 0, 1)
+    eye = np.eye(n)
+    # a band of half-width 2, a half-width 1 band that is not I and J, and
+    # an asymmetric matrix, each as either covariance
+    wide = eye + 0.1 * (np.eye(n, k=2) + np.eye(n, k=-2))
+    ramp = eye + np.diag(np.linspace(0.0, 0.5, n))
+    skew = eye + 0.01 * np.eye(n, k=1)
+    for bad, match in ((wide, "outside half-width 1"), (ramp, "not in the span"), (skew, "not symmetric")):
+        with pytest.raises(PreconditionError, match=match):
+            build_char_context(bad, eye, basis)
+        with pytest.raises(PreconditionError, match=match):
+            build_char_context(eye, bad, basis)
+    with pytest.raises(PreconditionError, match="basis dimension"):
+        build_char_context(np.eye(n + 1), eye, basis)
+    # windows with K > 2, on covariances in their span
+    for window in ((1, 0), (0, 2), (1, 5)):
+        with pytest.raises(PreconditionError, match="k1 = 0 and k2 <= 1"):
+            build_char_context(eye, eye, build_basis(n, *window))
+
+
 @pytest.mark.parametrize("same", [False, True])
 def test_char_context_matches_separate_decompositions(same):
     # oracle: a square root and an inverse of each covariance, and eigvalsh norms
-    state = _state(32, 1, 1)
+    state = _state(32, 0, 1)
     c_theta = state.c_mat if same else state.c_theta
     ctx = build_char_context(c_theta, state.c_mat, state.basis)
-    half = sym_inv(state.c_mat) @ sym_sqrt(c_theta)
-    a_stack = np.matmul(half.T, np.matmul(state.basis.mats, half))
-    a_stack = 0.5 * (a_stack + np.transpose(a_stack, (0, 2, 1)))
-    np.testing.assert_allclose(ctx.a_stack, a_stack, rtol=0, atol=1e-12 * np.max(np.abs(a_stack)))
-    mu = (
-        spectral_norm(c_theta)
-        * spectral_norm(sym_inv(state.c_mat)) ** 2
-        * spectral_norm(ctx.gamma_inv_sqrt)
-        * math.sqrt(np.sum(state.basis.spectral_norms() ** 2))
-    )
-    assert ctx.mu == pytest.approx(mu, rel=1e-12)
+    dense = _dense_oracle(c_theta, state.c_mat, state.basis)
+    spectra = np.stack([np.linalg.eigvalsh(a) for a in dense.a_stack])
+    np.testing.assert_allclose(np.sort(ctx.joint, axis=1), spectra, rtol=0, atol=1e-12 * np.max(np.abs(spectra)))
+    assert ctx.mu == pytest.approx(dense.mu, rel=1e-12)
 
 
-def _psi_per_direction(ctx, r, u):
-    """psi* from the direction's own pencil spectrum (a fresh eigvalsh for a
-    dense context, the joint spectrum for a closed-form one) and a complex log."""
-    v = ctx.gamma_inv_sqrt @ u
-    lam = ctx.pencil_eigs(v)
-    z = 1.0 - 2j * np.multiply.outer(r, lam)
-    return np.exp(-0.5 * np.sum(np.log(z), axis=-1) - 1j * r * float(v @ ctx.d_vec))
-
-
-# a truncation inside the lattice cap for the off-span context, whose
-# certified T is past it (see test_tv_oracle_k2_rejects_lattice_above_cap)
-OFF_SPAN_T = 13.5
-
-
-def test_off_span_target_solves_each_direction():
-    ctx = _off_span_context()
-    assert ctx.joint is None
-    v = ctx.gamma_inv_sqrt @ np.array([0.6, -0.8])
-    np.testing.assert_array_equal(ctx.pencil_eigs(v), np.linalg.eigvalsh(ctx.pencil(v)))
-    dw = _lattice_step(8.0, ctx.mu)
-    tv = _tv_on_grid(_lattice_density(ctx, None, OFF_SPAN_T, dw, K2_GRID))
-    per_ray = lambda r, u: _psi_per_direction(ctx, r, u)
-    oracle = _tv_on_grid(_lattice_density(ctx, per_ray, OFF_SPAN_T, dw, K2_GRID))
-    assert abs(tv - oracle) <= 1e-12
-
-
-@pytest.mark.parametrize("block", [1 << 20, 3 * 48 * 48])
-def test_batched_ray_spectra_match_per_ray_solves(monkeypatch, block):
-    # stacked eigvalsh calls (one chunk, or chunks of 3 rays and a remainder)
-    # against one pencil_eigs per ray through the same real-form psi*
-    ctx = _off_span_context()
-    monkeypatch.setattr(cltcheck, "_RAY_BLOCK", block)
-
-    def per_ray(r, u):
-        v = ctx.gamma_inv_sqrt @ u
-        return _psi_real_form(np.multiply.outer(r, ctx.pencil_eigs(v)), r * float(v @ ctx.d_vec))
-
-    dw, M = 0.3, 12
-    got = _lattice_psi(ctx, None, dw, M)
-    assert np.max(np.abs(got - _lattice_psi(ctx, per_ray, dw, M))) <= 1e-13
+def _psi_per_direction(ctx, w):
+    """psi* at each frequency of a (..., K) array, from the pencil spectrum
+    of its own direction and a complex log."""
+    v = w @ ctx.gamma_inv_sqrt.T
+    lam = np.array([ctx.pencil_eigs(x) for x in v.reshape(-1, ctx.K)]).reshape(v.shape[:-1] + (-1,))
+    return np.exp(-0.5 * np.sum(np.log(1.0 - 2j * lam), axis=-1) - 1j * (v @ ctx.d_vec))
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["joint", "dense"])
 def test_lattice_psi_k1_matches_per_direction_oracle(dense, monkeypatch):
-    # the K = 1 half from the joint row, or from one pencil solve of a dense
-    # context, against a complex log per radius, on both halves of the lattice
+    # the K = 1 half from the joint row of the state's context, built from
+    # its span coefficients or its dense covariances, with no pencil solve,
+    # against a complex log per radius, on both halves of the lattice
     state = _state(64, 0, 0)
     ctx = build_char_context(state.c_theta, state.c_mat, state.basis) if dense else context_from_state(state)
-    assert (ctx.joint is None) == dense
     solves = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
     dw, M = 0.3, 70
     got = _lattice_psi(ctx, None, dw, M)
-    assert len(solves) == dense
-    want = _psi_per_direction(ctx, dw * np.arange(-M, M + 1), np.array([1.0]))
+    assert solves == []
+    want = _psi_per_direction(ctx, dw * np.arange(-M, M + 1)[:, None])
     assert got.shape == (2 * M + 1,) and got[M] == 1.0
     assert np.max(np.abs(got - want)) <= 1e-13
-    assert np.max(np.abs(got - _lattice_psi(ctx, lambda r, u: _psi_per_direction(ctx, r, u), dw, M))) <= 1e-13
+    assert np.max(np.abs(got - _lattice_psi(ctx, lambda w: _psi_per_direction(ctx, w), dw, M))) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
@@ -552,11 +587,10 @@ def _tv_on_grid(dens):
 
 
 def _chi_square_pair_cf(dof):
-    """(radius, direction) -> CF of two independent standardized chi-square(dof)."""
+    """(..., 2) frequencies -> CF of two independent standardized chi-square(dof)."""
     a = 1.0 / math.sqrt(2.0 * dof)
 
-    def cf(r, u):
-        w = np.multiply.outer(r, u)
+    def cf(w):
         return np.exp(np.sum(-1j * dof * a * w - 0.5 * dof * np.log(1.0 - 2j * a * w), axis=-1))
 
     return cf
@@ -583,7 +617,7 @@ def test_tv_oracle_exact_chi_square_law():
 
 
 def test_tv_oracle_k2_gaussian_override_null_is_exact():
-    assert tv_oracle(CTX2, cf_override=lambda r, u: np.exp(-0.5 * r**2)) <= 1e-12
+    assert tv_oracle(CTX2, cf_override=_gaussian_cf) <= 1e-12
 
 
 @pytest.mark.parametrize("K", [1, 2])
@@ -599,13 +633,15 @@ def test_tv_oracle_converged_in_step_and_box(K, tvk2_ctx):
 
 
 def test_lattice_psi_joint_rows_match_per_ray_oracle():
-    # the joint rows against one fresh eigensolve and complex log per ray,
-    # both halves of the lattice, on a joint-spectrum context
+    # the joint rows against a complex log at each frequency, through a
+    # cf_override (the upper half) and directly on the whole lattice
     ctx = _tv_decay_context(64, 1)
-    assert ctx.joint is not None
     dw, M = 0.3, 12
     got = _lattice_psi(ctx, None, dw, M)
-    want = _lattice_psi(ctx, lambda r, u: _psi_per_direction(ctx, r, u), dw, M)
+    w = dw * np.arange(-M, M + 1)
+    direct = _psi_per_direction(ctx, np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1))
+    assert np.max(np.abs(got - direct)) <= 1e-13
+    want = _lattice_psi(ctx, lambda w: _psi_per_direction(ctx, w), dw, M)
     assert np.max(np.abs(got - want)) <= 1e-13
     assert got[M, M] == 1.0
 
@@ -634,20 +670,9 @@ def test_tv_oracle_k2_solves_no_pencil_and_inverts_no_slice(tvk2_ctx, monkeypatc
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(cltcheck, "invert_cf_1d", counted("invert_cf_1d", invert_cf_1d))
-    # the counters count: K = 1 inverts one slice, a stack with no joint
-    # spectrum solves the pencils of its primitive lattice rays, stacked into
-    # one eigvalsh call per _RAY_BLOCK entries
+    # the counters count: K = 1 inverts one slice
     tv_oracle(CTX)
     assert calls == ["invert_cf_1d"]
-    off_span = _off_span_context()
-    assert off_span.joint is None
-    calls.clear()
-    dw = _lattice_step(8.0, off_span.mu)
-    _lattice_density(off_span, None, OFF_SPAN_T, dw, K2_GRID)
-    assert calls and set(calls) == {"eigvalsh"}
-    M = math.ceil(OFF_SPAN_T / dw)
-    rays = sum(math.gcd(a, abs(b)) == 1 for a in range(M + 1) for b in range(-M, M + 1) if a > 0 or b > 0)
-    assert len(calls) == math.ceil(rays / (cltcheck._RAY_BLOCK // off_span.n**2)) > 1
     calls.clear()
     tv_oracle(tvk2_ctx)
     assert calls == []
@@ -657,18 +682,17 @@ def test_tv_oracle_k2_rejects_lattice_above_cap(traced_peak):
     # mu^{-2} = 16.4, just above 8K: the majorant's tail falls like T^{-2.2},
     # so its T is in the ten thousands and M far past the cap, for the
     # context and for any cf_override (which gets the same T); the same
-    # holds for the off-span context (mu^{-2} = 19.6), and at K = 1 for the
-    # chi-square(6) law (mu^{-2} = 12, T = 29,927)
-    narrow, off_span, k1 = _identity_context(25, 1), _off_span_context(), _identity_context(6, 0)
-    assert 16.0 < narrow.mu ** -2.0 < 17.0 and 16.0 < off_span.mu ** -2.0 < 20.0
+    # holds at K = 1 for the chi-square(6) law (mu^{-2} = 12, T = 29,927)
+    narrow, k1 = _identity_context(25, 1), _identity_context(6, 0)
+    assert 16.0 < narrow.mu ** -2.0 < 17.0
 
-    def never(r, u):
+    def never(w):
         raise AssertionError("the lattice was evaluated")
 
     # each refused before the lattice is allocated; the last at half-width
     # 2049, one past the cap
     def refuse_all():
-        cases = ((narrow, None), (narrow, never), (off_span, None), (k1, None), (k1, never))
+        cases = ((narrow, None), (narrow, never), (k1, None), (k1, never))
         for ctx, override in cases:
             with pytest.raises(RangeError, match="lattice half-width"):
                 tv_oracle(ctx, cf_override=override)
@@ -752,23 +776,6 @@ def test_majorant_dominates_psi_in_span(n, k2, theta, cov, angle, radii):
     _assert_majorant_dominates(span_char_context(alpha_theta, alpha_c, basis), angle, radii)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(
-    n=st.integers(12, 40),
-    k2=st.integers(0, 1),
-    seed=st.integers(0, 2**16),
-    spread=st.floats(0.0, 0.15),
-    angle=st.floats(0.0, 2.0 * math.pi),
-    radii=radii_st,
-)
-def test_majorant_dominates_psi_off_span(n, k2, seed, spread, angle, radii):
-    # random symmetric perturbations of I, outside the span, for C_theta and C
-    g = make_rng(seed, stream=61).standard_normal((2, n, n)) / math.sqrt(n)
-    c_theta, c_mat = np.eye(n) + spread * (g + np.transpose(g, (0, 2, 1)))
-    ctx = build_char_context(c_theta, c_mat, build_basis(n, 0, k2))
-    _assert_majorant_dominates(ctx, angle, radii)
-
-
 @pytest.mark.parametrize("n", [16, 64, 1024])
 def test_majorant_is_exact_for_in_span_chi_square(n):
     # every |lam_j| = mu: |psi*| = m, to 1e-13 relative where m >= 1e-10 (the
@@ -786,7 +793,7 @@ def test_majorant_is_exact_for_in_span_chi_square(n):
 def test_tail_bound_is_the_majorant_tail():
     # against a quad of |S^{K-1}| int_R^inf m(r) r^{K-1} dr at mu_tail, with
     # the 1e-10 allowance
-    for ctx in (CTX, CTX2, _tv_decay_context(512, 1), _off_span_context()):
+    for ctx in (CTX, CTX2, _tv_decay_context(512, 1)):
         sphere = 2.0 if ctx.K == 1 else 2.0 * math.pi
         for R in (2.0, 6.0, 13.5):
             want, _ = quad(
@@ -827,13 +834,13 @@ def _edgeworth_tv_einsum(ctx):
 
 def test_edgeworth_tv_k2_matches_einsum_oracle(tvk2_ctx):
     # the separable sum of 1-d powers against the four-operand einsum, on the
-    # tvdecay contexts, the off-span context and a random joint spectrum
+    # tvdecay contexts and a random joint spectrum
     joint = make_rng(5, stream=62).standard_normal((2, 40))
     rand = cltcheck.CharFnContext(
         n=40, d_vec=np.zeros(2), gamma_theta=np.eye(2), gamma_inv_sqrt=np.eye(2),
         mu=1.0, joint=joint / math.sqrt(40.0),
     )
-    for ctx in (tvk2_ctx, _tv_decay_context(64, 1), _off_span_context(), rand):
+    for ctx in (tvk2_ctx, _tv_decay_context(64, 1), rand):
         want = _edgeworth_tv_einsum(ctx)
         assert abs(edgeworth_tv(ctx) - want) <= 1e-13 * want
 
@@ -869,7 +876,6 @@ TRUNCATION_CASES = {
     ),
     "gaussian-null-k1": lambda: (_gaussian_moduli(1, 1), None),
     "gaussian-null-k2": lambda: (_gaussian_moduli(2, 180), None),
-    "off-span-k2": lambda: (_profile_moduli(_off_span_context(), _angles(36)), _off_span_context()),
     # slow power-law decay reaches deep into the ladder (below p = 4 quad
     # itself reports the tail as slowly convergent and is not an oracle)
     "power-law": lambda: (

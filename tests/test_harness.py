@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -433,6 +434,24 @@ def test_cli_import_leaves_integrate_optimize_interpolate_unloaded():
 def test_cli_import_leaves_scipy_fft_unloaded():
     # both TV oracles sum on a frequency lattice by matrix products; no FFT
     assert [m for m in _modules_after_cli_import() if m.split(".")[:2] == ["scipy", "fft"]] == []
+
+
+def test_benchmark_tracer_resolves_every_target():
+    # the benchmark's tracer wraps these names by attribute; one deleted from
+    # the package would fail every traced run.  The module is only loaded.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import lsequiv.cli  # noqa: F401  (the drivers' modules, as a traced run loads them)
+
+    paths = {path for _, _, path, _ in tracer.TARGETS}
+    assert {"build_char_context", "RadialProfile.__init__", "invert_cf_1d", "QuadratureGrid.inner", "_stage"} <= paths
+    for name, module, path, _ in tracer.TARGETS:
+        bindings = tracer._bindings(module, path)
+        assert bindings, name
+        for owner, attr in bindings:
+            assert callable(vars(owner)[attr]) or isinstance(vars(owner)[attr], classmethod), (name, attr)
 
 
 def test_chain_propagates_untyped_errors(monkeypatch):
