@@ -35,13 +35,13 @@ def main():
     print(f"  max |Gram - I| on the grid = {np.max(np.abs(gram - np.eye(len(window)))):.3e}")
 
     f = random_density(2, 2, make_rng(0, stream=90))
-    lo, hi = f.range_on_grid(grid)
+    lo, hi = f.range_on_grid()
     print("\nrandom class member")
     print(f"  coefficient window  ({f.k1}, {f.k2})")
     print(f"  mean level          {f.mean_level():.6f}")
     print(f"  range on the grid   [{lo:.6f}, {hi:.6f}]")
     print(f"  weighted coeff sum  {f.sobolev_sum():.6f}")
-    for chk in f.check_membership(grid):
+    for chk in f.check_membership():
         print(f"  {chk.check_id:<22} lhs={chk.lhs:.6f} rhs={chk.rhs:.6f} pass={chk.passed}")
 
 

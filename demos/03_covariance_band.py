@@ -17,24 +17,23 @@ from lsequiv.basis_cov import (
     theta_spectral_check,
 )
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid, random_density, random_transfer
+from lsequiv.spectral import random_density, random_transfer
 
 RHO_STAR = 0.5
 
 
 def main():
-    grid = default_grid()
     f = random_density(2, 2, make_rng(3, stream=91), rho_star=RHO_STAR)
-    lo_f, hi_f = f.range_on_grid(grid)
+    lo_f, hi_f = f.range_on_grid()
     print(f"density range [{lo_f:.4f}, {hi_f:.4f}]; admissible band is 2 pi times that")
 
     print(f"\n  {'n':>5} {'min eig':>10} {'max eig':>10} {'band ok':>8} {'presmooth rel':>14}")
     for n in (32, 64, 128, 256):
-        theta = build_theta(f, n, grid)
+        theta = build_theta(f, n)
         lo, hi = theta.eig_range()
         checks = theta_spectral_check(theta, RHO_STAR, delta=0.0)
         ok = all(c.passed for c in checks)
-        rel = presmoothing_residual(f, theta, build_basis(n, 2, 2), grid=grid)[1]
+        rel = presmoothing_residual(f, theta, build_basis(n, 2, 2))[1]
         print(f"  {n:>5} {lo:>10.5f} {hi:>10.5f} {str(ok):>8} {rel:>14.3e}")
     print(f"  reference band [{2 * math.pi * RHO_STAR:.5f}, {2 * math.pi / RHO_STAR:.5f}]")
 

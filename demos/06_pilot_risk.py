@@ -10,19 +10,17 @@ from lsequiv.basis_cov import abstract_rho
 from lsequiv.gaussianize import pilot_risk_bound
 from lsequiv.harness import RunConfig, config_density, run_risk_study
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid
 from lsequiv.whitenoise import noise_level, pilot_estimate, simulate_wn, target_coefficients
 
 
 def main():
-    grid = default_grid()
     cfg = RunConfig()
     f = config_density(cfg)
     n = 256
 
-    obs = simulate_wn(f, n, rng=make_rng(0, stream=95), grid=grid)
-    pilot = pilot_estimate(obs, f=f, grid=grid)
-    targets = target_coefficients(f, obs.indices, n, grid=grid)
+    obs = simulate_wn(f, n, rng=make_rng(0, stream=95))
+    pilot = pilot_estimate(obs, f=f)
+    targets = target_coefficients(f, obs.indices, n)
     print(f"white-noise observation at n = {n}")
     print(f"  noise level a_n         {noise_level(n):.6f}")
     print(f"  observed coefficients   {len(obs.values)}")

@@ -10,26 +10,24 @@ from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
 from lsequiv.harness import RunConfig, config_density, whitening_matrix
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid
 from lsequiv.whitenoise import goe_connection
 
 
 def main():
-    grid = default_grid()
     cfg = RunConfig(n_grid=(128, 256, 512))
     f = config_density(cfg)
-    fv = f.on_grid(grid)
+    fv = f.on_grid()
 
     print(f"  {'n':>5} {'K':>3} {'kl':>12} {'bound sum':>12} {'dict gap ok':>12}")
     for n in cfg.n_grid:
         sched = cfg.window(n)
         basis = build_basis(n, sched.k1, sched.k2)
-        theta = build_theta(f, n, grid=grid)
+        theta = build_theta(f, n)
         loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
         state = ExperimentState.build(
             basis, loc, theta=theta, rng=make_rng(cfg.seed, stream=11_000_000)
         )
-        w = whitening_matrix(fv, basis, cfg.rho_star, grid=grid)
+        w = whitening_matrix(fv, basis, cfg.rho_star)
         cmp = goe_connection(state, w, gamma=sched.gamma)
         gap_ok = cmp.dictionary_gap_check.passed
         print(

@@ -49,7 +49,7 @@ def check_size(n):
         raise PreconditionError(f"dense matrix size {n} outside [1, {DENSE_N_MAX}]")
 
 
-def check_symmetric(a, tol=1e-10, what="matrix"):
+def check_symmetric(a, what, tol=1e-10):
     """max |A - A^T|; raises unless it is finite and <= tol max(1, max |A|).
 
     A NaN or infinite entry makes the deviation NaN or infinite, so it
@@ -92,8 +92,8 @@ def guarded_eig(a, require_pd):
     return w, v
 
 
-def sym_inv(a, require_pd=False):
-    w, v = guarded_eig(a, require_pd=require_pd)
+def sym_inv(a):
+    w, v = guarded_eig(a, require_pd=False)
     return (v / w) @ v.T
 
 

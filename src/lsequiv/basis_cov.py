@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ from .report import CheckResult
 from .spectral import (
     POS,
     BasisIndex,
-    QuadratureGrid,
     SpectralDensity,
     TransferFunction,
     basis_norm,
@@ -48,22 +46,22 @@ from .spectral import (
 TWO_PI = 2.0 * math.pi
 
 
-def abstract_rho(rho_star: float, safety: float = 0.9) -> float:
+def abstract_rho(rho_star: float) -> float:
     """Eigenvalue band parameter for the matrix experiment.
 
     theta(f) eigenvalues live in [2 pi rho_star, 2 pi / rho_star]; the band
     [rho, 1/rho] must contain them on both sides, so take the tighter end and
-    shrink by a safety factor.
+    shrink by the safety factor 0.9.
     """
     if not (0.0 < rho_star <= 1.0):
         raise ConfigurationError("rho_star must lie in (0, 1]")
-    return safety * min(TWO_PI * rho_star, rho_star / TWO_PI)
+    return 0.9 * min(TWO_PI * rho_star, rho_star / TWO_PI)
 
 
 @dataclass
 class CovarianceMatrix:
-    """Real symmetric covariance in lower band storage, with binary export
-    and import.  entries is a dense view of it, formed on each read."""
+    """Real symmetric covariance in lower band storage.  entries is a dense
+    view of it, formed on each read."""
 
     band: np.ndarray
 
@@ -102,23 +100,6 @@ class CovarianceMatrix:
             CheckResult("covariance.eig_lower", "spectral-band", lo - delta, wmin),
             CheckResult("covariance.eig_upper", "spectral-band", wmax, hi + delta),
         ]
-
-    def save_binary(self, path):
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<Q", self.n))
-            fh.write(self.entries.astype("<f8").tobytes(order="C"))
-
-    @classmethod
-    def load_binary(cls, path) -> "CovarianceMatrix":
-        with open(path, "rb") as fh:
-            raw = fh.read(8)
-            if len(raw) != 8:
-                raise RangeError("covariance file too short for header")
-            (n,) = struct.unpack("<Q", raw)
-            body = fh.read()
-        if len(body) != 8 * n * n:
-            raise RangeError("covariance file body does not match header size")
-        return cls.from_dense(np.frombuffer(body, dtype="<f8").reshape(n, n))
 
 
 def _band_profile(idx: BasisIndex, n: int) -> np.ndarray:
@@ -279,7 +260,7 @@ def build_basis(n: int, k1: int, k2: int) -> BasisSystem:
     return BasisSystem(n, k1, k2)
 
 
-def build_theta(f, n: int, grid: QuadratureGrid = None) -> CovarianceMatrix:
+def build_theta(f, n: int) -> CovarianceMatrix:
     """Covariance with entry (a,b) = integral exp(i(a-b)x) f(min(a,b)/n, x) dx.
 
     Closed form for densities in the basis span; quadrature in x for
@@ -301,7 +282,7 @@ def build_theta(f, n: int, grid: QuadratureGrid = None) -> CovarianceMatrix:
             ab[j2, : n - j2] += c * basis_norm(idx) * xweight * trig(TWO_PI * j * m / n)
         return CovarianceMatrix(ab)
     check_size(n)
-    grid = grid or default_grid()
+    grid = default_grid()
     u = np.arange(n) / n
     fvals = np.asarray(f(u[:, None], grid.x[None, :]), dtype=float)  # (n, nx)
     cosdx = np.cos(np.outer(np.arange(n), grid.x))  # (n, nx)
@@ -310,7 +291,11 @@ def build_theta(f, n: int, grid: QuadratureGrid = None) -> CovarianceMatrix:
     return CovarianceMatrix(np.ascontiguousarray(np.triu(h[:, ::-1])[:, ::-1].T))
 
 
-def build_vartheta(a, n: int, grid: QuadratureGrid = None, tol: float = 1e-8) -> CovarianceMatrix:
+# relative size of an imaginary or asymmetric part that marks a bad symbol
+_SYMBOL_TOL = 1e-8
+
+
+def build_vartheta(a, n: int) -> CovarianceMatrix:
     """Moving-average covariance: entry (s,t) integrates e^{ix(s-t)} A A-bar.
 
     Exact banded form for TransferFunction inputs; quadrature for callables.
@@ -324,7 +309,7 @@ def build_vartheta(a, n: int, grid: QuadratureGrid = None, tol: float = 1e-8) ->
         cvals = {m: a.components[m].eval(u) for m in ms}
         for m in ms:
             leak = float(np.max(np.abs(cvals[m].imag)))
-            if leak > tol:
+            if leak > _SYMBOL_TOL:
                 raise DomainError("transfer components must be real-valued")
             cvals[m] = cvals[m].real
         lo, hi = ms[0], ms[-1]
@@ -340,32 +325,29 @@ def build_vartheta(a, n: int, grid: QuadratureGrid = None, tol: float = 1e-8) ->
                     acc += cvals[m][rows] * cvals[m - d][cols]
             out[rows, cols] += TWO_PI * acc
         sym = 0.5 * (out + out.T)
-        if float(np.max(np.abs(out - out.T))) > tol * max(1.0, float(np.max(np.abs(out)))):
+        if float(np.max(np.abs(out - out.T))) > _SYMBOL_TOL * max(1.0, float(np.max(np.abs(out)))):
             raise DomainError("covariance came out asymmetric; check the symbol")
         return CovarianceMatrix.from_dense(sym)
-    grid = grid or default_grid()
+    grid = default_grid()
     avals = np.asarray(a(u[:, None], grid.x[None, :]), dtype=complex)  # (n, nx)
     g = avals * np.exp(1j * np.outer(np.arange(n), grid.x)) * np.sqrt(grid.wx)[None, :]
     v = g @ np.conj(g.T)
-    if float(np.max(np.abs(v.imag))) > tol * max(1.0, float(np.max(np.abs(v.real)))):
+    if float(np.max(np.abs(v.imag))) > _SYMBOL_TOL * max(1.0, float(np.max(np.abs(v.real)))):
         raise DomainError("covariance has an imaginary part; check conjugate symmetry")
     return CovarianceMatrix.from_dense(0.5 * (v.real + v.real.T))
 
 
-def density_coefficients(f, basis: BasisSystem, grid: QuadratureGrid = None) -> np.ndarray:
+def density_coefficients(f, basis: BasisSystem) -> np.ndarray:
     """<f, phi_k> in enumeration order; exact for span densities."""
     if isinstance(f, SpectralDensity):
         return np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
-    grid = grid or default_grid()
-    return grid.project(f, basis.indices)
+    return default_grid().project(f, basis.indices)
 
 
-def presmoothing_residual(
-    f, theta: CovarianceMatrix, basis: BasisSystem, grid: QuadratureGrid = None
-):
+def presmoothing_residual(f, theta: CovarianceMatrix, basis: BasisSystem):
     """(frobErr, relErr) of theta against its basis reconstructions.
 
-    theta must be build_theta(f, n, grid), as the chain builds it.  frobErr
+    theta must be build_theta(f, n), as the chain builds it.  frobErr
     uses the raw matrices weighted by the density coefficients; relErr
     whitens the Frobenius projection by theta^{-1/2} on both sides: its square
     is tr(G G) = <G, G^T>_F for G = theta^{-1} E, one band product of
@@ -374,7 +356,7 @@ def presmoothing_residual(
     """
     if basis.n != theta.n:
         raise ConfigurationError("basis size does not match theta")
-    recon = basis.band(density_coefficients(f, basis, grid) * basis.raw_norms)
+    recon = basis.band(density_coefficients(f, basis) * basis.raw_norms)
     frob_err = signed_frob(signed_band(theta.band), signed_band(recon))
 
     inverse = band_function(theta.band, -1.0, error=RangeError, what="covariance")[0]
@@ -402,16 +384,13 @@ def class_c1(s: float, L: float) -> float:
     return 2.0 * math.sqrt(TWO_PI) * math.sqrt(L) * math.sqrt(lattice)
 
 
-def theta_lipschitz_check(
-    f: SpectralDensity, g: SpectralDensity, n: int, grid: QuadratureGrid = None
-) -> list:
+def theta_lipschitz_check(f: SpectralDensity, g: SpectralDensity, n: int) -> list:
     """Both Frobenius-Lipschitz bounds as report entries."""
-    grid = grid or default_grid()
-    theta_f, theta_g = (signed_band(build_theta(h, n, grid).band) for h in (f, g))
+    theta_f, theta_g = (signed_band(build_theta(h, n).band) for h in (f, g))
     lhs = signed_frob(theta_f, theta_g) ** 2
-    hvals = f.on_grid(grid) - g.on_grid(grid)
+    hvals = f.on_grid() - g.on_grid()
     h_sup = float(np.max(np.abs(hvals)))
-    h_l2_sq = float(grid.integrate(hvals**2))
+    h_l2_sq = float(default_grid().integrate(hvals**2))
     out = [
         CheckResult(
             "theta.lipschitz_sup",

@@ -23,7 +23,7 @@ from .harness import (
     run_verify,
     schedule,
 )
-from .report import SCHEMA, fmt_float, write_csv_rows
+from .report import SCHEMA, fmt_float, stable_value, write_csv_rows
 
 _DEFAULT_VERIFY_N = 64
 
@@ -92,17 +92,10 @@ def _load_config(args) -> RunConfig:
 
 
 def _study_json(header, rows) -> str:
-    def stable(v):
-        if isinstance(v, bool) or v is None:
-            return v
-        if isinstance(v, float):
-            return float(fmt_float(v))
-        return v
-
     payload = {
         "schema": SCHEMA,
         "columns": list(header),
-        "rows": [{key: stable(v) for key, v in zip(header, row)} for row in rows],
+        "rows": [{key: stable_value(v) for key, v in zip(header, row)} for row in rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

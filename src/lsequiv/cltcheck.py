@@ -12,7 +12,7 @@ from the Gaussian limit (K <= 2).
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -94,9 +94,11 @@ class CharFnContext:
 
 # Relative accuracy to which a dense covariance must be rebuilt from its span coefficients
 _SPAN_RTOL = 1e-12
+# Largest entry of |std std^T - I / 2| a closed-form context may carry
+_ORTHO_TOL = 1e-8
 
 
-def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
+def build_char_context(c_theta, c_mat, basis):
     """span_char_context of a dense covariance pair.
 
     Each covariance must be symmetric and lie in the span of the basis: its
@@ -115,10 +117,10 @@ def build_char_context(c_theta, c_mat, basis, ortho_tol=1e-8):
         if np.max(np.abs(basis.band(alpha) - band)) > _SPAN_RTOL * np.max(np.abs(band)):
             raise PreconditionError(f"{what} is not in the span of the basis")
         alphas.append(alpha)
-    return span_char_context(*alphas, basis, ortho_tol)
+    return span_char_context(*alphas, basis)
 
 
-def span_char_context(alpha_theta, alpha_c, basis, ortho_tol=1e-8):
+def span_char_context(alpha_theta, alpha_c, basis):
     """CharFnContext of C_theta = sum_k alpha_theta[k] M_k and
     C = sum_k alpha_c[k] M_k for a window with k1 = 0, k2 <= 1, in O(K n).
 
@@ -128,7 +130,7 @@ def span_char_context(alpha_theta, alpha_c, basis, ortho_tol=1e-8):
     m_1(j) = 2 b_1 cos(pi j / (n + 1)).  With c = alpha_c . m and
     c_theta = alpha_theta . m, A_k has eigenvalues joint[k] = c_theta m_k / c^2,
     all in one order; d = joint 1, Gamma_theta = 2 joint joint^T (its
-    standardized rows must have Gram matrix I / 2 to ortho_tol) and
+    standardized rows must have Gram matrix I / 2 to _ORTHO_TOL) and
     mu = |C_theta| |C^{-1}|^2 |Gamma^{-1/2}| sqrt(sum_k |M_k|_2^2), |M_k|_2 =
     max_j |m_k(j)|.  Coefficients not of shape (K,) raise PreconditionError;
     a non-finite or (near-)singular c or c_theta, or a c_theta that is not
@@ -157,7 +159,7 @@ def span_char_context(alpha_theta, alpha_c, basis, ortho_tol=1e-8):
     gamma_inv_sqrt = (v_gamma / np.sqrt(w_gamma)) @ v_gamma.T
     std = gamma_inv_sqrt @ joint
     defect = np.max(np.abs(std @ std.T - 0.5 * np.eye(basis.K)))
-    if defect > ortho_tol:
+    if defect > _ORTHO_TOL:
         raise AccuracyError(f"standardized stack lost orthonormality: defect {defect:.3e}")
     m_norm = math.sqrt(np.sum(np.max(np.abs(m_hat), axis=1) ** 2))
     return CharFnContext(
@@ -291,7 +293,7 @@ class EdgeworthExpansion:
     Q: int
     K: int
     mu: float
-    nu: dict = field(default_factory=dict)
+    nu: dict
 
     def poly_eval(self, t) -> complex:
         t = np.asarray(t, dtype=float)
@@ -589,8 +591,8 @@ def invert_cf_1d(psi_half, dw, x):
     return dens.reshape(-1)[:count]
 
 
-def _lattice_density(ctx, cf_override, T, dw, grid):
-    """Density on grid^K, K <= 2: the trapezoid sum over the lattice of step
+def _lattice_density(ctx, cf_override, T, dw, x):
+    """Density on x^K, K <= 2: the trapezoid sum over the lattice of step
     dw and half-width M = ceil(T / dw) in each coordinate, which covers the
     ball of radius T.  K = 1 is invert_cf_1d on the half a >= 0.  For K = 2,
     with E[i, a] = exp(-i x_i dw a) = C - iS and psi* = P + iQ on it,
@@ -602,8 +604,8 @@ def _lattice_density(ctx, cf_override, T, dw, grid):
     M = _half_width(T, dw, ctx.K)
     psi = _lattice_psi(ctx, cf_override, dw, M)
     if ctx.K == 1:
-        return invert_cf_1d(psi[M:], dw, grid)
-    phase = np.multiply.outer(grid, dw * np.arange(-M, M + 1))
+        return invert_cf_1d(psi[M:], dw, x)
+    phase = np.multiply.outer(x, dw * np.arange(-M, M + 1))
     c, s = np.cos(phase), np.sin(phase)
     left = np.hstack([c, s]) @ np.block([[psi.real, psi.imag], [psi.imag, -psi.real]])
     return (left @ np.vstack([c.T, s.T])) * (dw / (2.0 * math.pi)) ** 2

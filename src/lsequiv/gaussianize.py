@@ -39,18 +39,16 @@ from .errors import (
     PreconditionError,
 )
 from .report import CheckResult
-from .rng import make_rng
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass
 class LocalizationConfig:
-    """Contamination scale, truncation radius, and the stream seed."""
+    """Contamination scale and truncation radius."""
 
     beta: float
     gamma: float
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta <= 0.0 or self.gamma <= 0.0:
@@ -81,7 +79,7 @@ def rejection_attempts(accept: float) -> int:
     return math.ceil(math.log(REJECTION_FAILURE_PROB) / math.log1p(-accept))
 
 
-def sample_truncated_noise(cfg: LocalizationConfig, k: int, rng=None) -> np.ndarray:
+def sample_truncated_noise(cfg: LocalizationConfig, k: int, rng) -> np.ndarray:
     """Rejection draw of N(0, beta^2 I_k) conditioned on norm <= gamma.
 
     The number of draws is capped by rejection_attempts; past the cap the
@@ -93,7 +91,6 @@ def sample_truncated_noise(cfg: LocalizationConfig, k: int, rng=None) -> np.ndar
             f"truncation acceptance probability {accept:.3g} too small; "
             "raise gamma or lower beta"
         )
-    rng = rng if rng is not None else make_rng(cfg.seed)
     attempts = rejection_attempts(accept)
     for _ in range(attempts):
         draw = cfg.beta * rng.standard_normal(k)
@@ -277,9 +274,9 @@ class ExperimentState:
         cls,
         basis: BasisSystem,
         cfg: LocalizationConfig,
+        rng,
         alpha_theta=None,
         theta=None,
-        rng=None,
     ) -> "ExperimentState":
         """Assemble the chain state from either coefficients or a covariance.
 

@@ -3,7 +3,9 @@
 Everything here is a pure function of (config, seed).  Randomness goes
 through counter-based streams keyed by (seed, stream id), report floats are
 serialized at 17 significant digits, and CSV output follows RFC 4180, so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  Grid functionals are taken on the one
+256 x 256 quadrature grid of spectral.default_grid, a constant of the
+instrument rather than a setting of a run.
 """
 
 import contextlib
@@ -48,7 +50,7 @@ from .gaussianize import (
 )
 from .report import SCHEMA, CheckResult, VerificationReport, fmt_float
 from .rng import make_rng
-from .spectral import default_grid, random_density
+from .spectral import random_density
 from .whitenoise import (
     gamma_min_eig_check,
     gamma_variants,
@@ -208,17 +210,13 @@ DEFAULT_BUDGETS = {
 }
 
 
-def condition_checker(n: int, sched: Schedule = None, budgets: dict = None) -> list:
+def condition_checker(n: int, sched: Schedule) -> list:
     """Numeric value of every displayed rate condition at this n.
 
-    Each quantity must tend to zero along the schedule; the budgets say how
-    large a desk-scale value is still acceptable.  The final entry is the
+    Each quantity must tend to zero along the schedule; DEFAULT_BUDGETS say
+    how large a desk-scale value is still acceptable.  The final entry is the
     hard admissibility constraint R^2 >= Q + K + 1.
     """
-    sched = schedule(n) if sched is None else sched
-    merged = dict(DEFAULT_BUDGETS)
-    if budgets:
-        merged.update(budgets)
     K, g, R, Q = sched.K, sched.gamma, sched.R, sched.Q
     values = {
         "k10-log-over-n": K**10 * math.log(n) / n,
@@ -228,7 +226,7 @@ def condition_checker(n: int, sched: Schedule = None, budgets: dict = None) -> l
         "r-sq-over-n": R**2 / n,
     }
     entries = [
-        CheckResult("condition-" + key, "asymptotic-rate", values[key], merged[key])
+        CheckResult("condition-" + key, "asymptotic-rate", values[key], DEFAULT_BUDGETS[key])
         for key in sorted(values)
     ]
     entries.append(
@@ -244,6 +242,10 @@ def condition_checker(n: int, sched: Schedule = None, budgets: dict = None) -> l
 
 # ---------------------------------------------------------------------------
 # run configuration
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclasses.dataclass
@@ -263,16 +265,30 @@ class RunConfig:
     timings: bool = False
 
     def __post_init__(self):
-        grid = tuple(int(v) for v in self.n_grid)
+        if not isinstance(self.n_grid, (list, tuple)) or not all(map(_is_int, self.n_grid)):
+            raise ConfigurationError(f"n_grid must be a list of integers, got {self.n_grid!r}")
+        grid = tuple(self.n_grid)
         if not grid:
             raise ConfigurationError("n_grid must be nonempty")
         if any(v < 8 for v in grid):
             raise ConfigurationError("all sample sizes must be >= 8")
-        if list(grid) != sorted(grid):
-            raise ConfigurationError("n_grid must be sorted ascending")
+        if any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ConfigurationError("n_grid must be strictly increasing")
         self.n_grid = grid
-        if self.replicates < 1:
-            raise ConfigurationError("replicates must be positive")
+        if not _is_int(self.replicates) or self.replicates < 1:
+            raise ConfigurationError(f"replicates must be a positive integer, got {self.replicates!r}")
+        if not _is_int(self.seed):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("k1", "k2"):
+            k = getattr(self, name)
+            if k is not None and not (_is_int(k) and k >= 0):
+                raise ConfigurationError(f"{name} must be a nonnegative integer or null, got {k!r}")
+        if not isinstance(self.timings, bool):
+            raise ConfigurationError(f"timings must be true or false, got {self.timings!r}")
+        for name in ("s", "L", "rho_star", "density_mean", "density_amplitude"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
+                raise ConfigurationError(f"{name} must be a finite number, got {v!r}")
         if not 0.0 < self.rho_star <= 1.0:
             raise ConfigurationError("rho_star must lie in (0, 1]")
 
@@ -329,14 +345,14 @@ def config_density(cfg: RunConfig, k1: int = None, k2: int = None):
     )
 
 
-def whitening_matrix(f_hat, basis: BasisSystem, rho_star: float, s_star: float = 7.0, grid=None):
+def whitening_matrix(f_hat, basis: BasisSystem, rho_star: float):
     """Circulant-type proxy for the inverse covariance root.
 
     Projects 1/sqrt(f_hat) onto the window, then pulls the projection back
     through the symmetric-map inverse, as k2 + 1 wrapped diagonals;
     |W / sqrt(2 pi)| plays the role of C^{-1/2} in the ensemble comparison.
     """
-    proj = inv_sqrt_projection(f_hat, basis.indices, rho_star, s_star=s_star, grid=grid)
+    proj = inv_sqrt_projection(f_hat, basis.indices, rho_star)
     return psi_inverse_real(basis.n, proj.indices, proj.coeffs)
 
 
@@ -358,9 +374,8 @@ def _timed(report, timings):
     report.extend(entries)
 
 
-def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> VerificationReport:
+def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationReport:
     """Self-contained inequality and identity suite at one sample size."""
-    grid = default_grid()
     sched = schedule(n)
     k1, k2 = sched.k1, sched.k2
     s, L, rho_star = 11.0, 5.0, 0.5
@@ -370,12 +385,12 @@ def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> Verificatio
     # class membership and covariance spectrum
     with _timed(report, timings) as out:
         f = random_density(k1, k2, make_rng(seed, stream=_DENSITY_STREAM), s=s, L=L, rho_star=rho_star)
-        out += f.check_membership(grid)
+        out += f.check_membership()
     with _timed(report, timings) as out:
-        theta = build_theta(f, n, grid)
+        theta = build_theta(f, n)
         out += theta_spectral_check(theta, rho_star)
     with _timed(report, timings) as out:
-        out += theta_lipschitz_check(f, f.scaled_deviation(0.5), n, grid)
+        out += theta_lipschitz_check(f, f.scaled_deviation(0.5), n)
 
     basis = build_basis(n, k1, k2)
     with _timed(report, timings) as out:
@@ -511,16 +526,15 @@ def run_verify(n: int = 64, seed: int = 0, timings: bool = False) -> Verificatio
             rho_star,
             gamma=sched.gamma,
             f=f,
-            grid=grid,
         )
         y, gamma_f = sufficient_Y(
-            drift.f_hat, state.alpha_theta, basis.indices, rng=make_rng(seed, stream=206), grid=grid
+            drift.f_hat, state.alpha_theta, basis.indices, rng=make_rng(seed, stream=206)
         )
-        out += [drift.sup_check, gamma_min_eig_check(gamma_f, drift.f_hat, grid)]
+        out += [drift.sup_check, gamma_min_eig_check(gamma_f, drift.f_hat)]
 
     with _timed(report, timings) as out:
-        proj = inv_sqrt_projection(drift.f_hat, basis.indices, rho_star, grid=grid)
-        out += gamma_variants(drift.f_hat, proj, basis, grid=grid).defect_checks
+        proj = inv_sqrt_projection(drift.f_hat, basis.indices, rho_star)
+        out += gamma_variants(drift.f_hat, proj, basis).defect_checks
 
     with _timed(report, timings) as out:
         w = psi_inverse_real(n, proj.indices, proj.coeffs)
@@ -588,7 +602,6 @@ def run_equivalence_chain(cfg: RunConfig):
     Stages that raise a typed error leave their column empty and tag the
     error column; later stages that do not depend on them still run.
     """
-    grid = default_grid()
     f = config_density(cfg)
     rows = []
     for n in cfg.n_grid:
@@ -600,11 +613,11 @@ def run_equivalence_chain(cfg: RunConfig):
         )
 
         basis = _stage(errors, "basis", lambda: build_basis(n, sched.k1, sched.k2))
-        theta = _stage(errors, "theta", lambda: build_theta(f, n, grid)) if basis else None
+        theta = _stage(errors, "theta", lambda: build_theta(f, n)) if basis else None
 
         if basis is not None and theta is not None:
             def presmooth():
-                _, rel = presmoothing_residual(f, theta, basis, grid)
+                _, rel = presmoothing_residual(f, theta, basis)
                 return rel
 
             row["presmooth_rel"] = _stage(errors, "presmooth", presmooth)
@@ -648,16 +661,14 @@ def run_equivalence_chain(cfg: RunConfig):
             row["pilot_risk_wn"] = _stage(
                 errors,
                 "pilot-wn",
-                lambda: pilot_risk_row(f, n, basis.indices, cfg.replicates, cfg.seed, grid=grid)[
-                    "risk_mean"
-                ],
+                lambda: pilot_risk_row(f, n, basis.indices, cfg.replicates, cfg.seed)["risk_mean"],
             )
 
         if state is not None:
             def goe_stage():
-                obs = simulate_wn(f, n, rng=make_rng(cfg.seed, stream=12_000_000 + n), grid=grid)
-                pilot = pilot_estimate(obs, indices=basis.indices, f=f, grid=grid)
-                w = whitening_matrix(pilot.density, basis, cfg.rho_star, grid=grid)
+                obs = simulate_wn(f, n, rng=make_rng(cfg.seed, stream=12_000_000 + n))
+                pilot = pilot_estimate(obs, indices=basis.indices, f=f)
+                w = whitening_matrix(pilot.density, basis, cfg.rho_star)
                 return goe_connection(state, w, gamma=sched.gamma).kl
 
             row["goe_kl"] = _stage(errors, "goe", goe_stage)
@@ -687,13 +698,12 @@ def run_tv_decay(cfg: RunConfig):
     K = (2 * k1 + 1) * (k2 + 1)
     if K > 2:
         raise ConfigurationError("tv decay needs a window with K <= 2")
-    grid = default_grid()
     f = config_density(cfg, k1=k1, k2=k2)
     rows = []
     for n in cfg.n_grid:
         started = time.perf_counter()
         basis = build_basis(n, k1, k2)
-        theta = build_theta(f, n, grid)
+        theta = build_theta(f, n)
         alpha = basis.project(theta.band)
         ctx = span_char_context(alpha, alpha, basis)
         tv, info = tv_oracle(ctx, details=True)
@@ -715,17 +725,14 @@ def run_tv_decay(cfg: RunConfig):
 RISK_HEADER = ["n", "K", "J", "replicates", "risk_mean", "risk_bound", "pass"]
 
 
-def run_risk_study(cfg: RunConfig, bound_per_k: float = 50.0):
+def run_risk_study(cfg: RunConfig):
     """Monte Carlo pilot risk in the white-noise model along the grid."""
-    grid = default_grid()
     f = config_density(cfg)
     rows = []
     for n in cfg.n_grid:
         sched = cfg.window(n)
         basis_indices = build_basis(n, sched.k1, sched.k2).indices
-        stats = pilot_risk_row(
-            f, n, basis_indices, cfg.replicates, cfg.seed, bound_per_k=bound_per_k, grid=grid
-        )
+        stats = pilot_risk_row(f, n, basis_indices, cfg.replicates, cfg.seed)
         rows.append([stats[key] for key in RISK_HEADER])
     return RISK_HEADER, rows
 
@@ -734,7 +741,7 @@ def run_risk_study(cfg: RunConfig, bound_per_k: float = 50.0):
 # basis export
 
 
-def export_basis(n: int, k1: int, k2: int, out_dir: str, fmt: str = "csv") -> dict:
+def export_basis(n: int, k1: int, k2: int, out_dir: str, fmt: str) -> dict:
     """Write both matrix families plus a manifest; returns the manifest."""
     if fmt not in ("csv", "binary"):
         raise ConfigurationError("format must be csv or binary")

@@ -20,8 +20,6 @@ SCHEMA = "lsp-equiv/1"
 
 def fmt_float(x) -> str:
     """17-significant-digit decimal form, stable across runs."""
-    if x is None:
-        return ""
     return format(float(x), ".17g")
 
 
@@ -32,7 +30,8 @@ class CheckResult:
     lhs: float
     rhs: float
     tol: float = 0.0
-    runtime_ms: float | None = None
+    # wall time of the check's group, set after the check is made
+    runtime_ms: float | None = field(default=None, init=False)
     skipped: bool = False
 
     @property
@@ -50,7 +49,7 @@ class CheckResult:
             return True
         return bool(self.lhs <= self.rhs + self.tol)
 
-    def as_dict(self, timings=False):
+    def as_dict(self, timings):
         d = {
             "check_id": self.check_id,
             "ref": self.ref,
@@ -68,14 +67,8 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    entries: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    schema: str = SCHEMA
-
-    def add(self, *args, **kwargs):
-        entry = args[0] if args and isinstance(args[0], CheckResult) else CheckResult(*args, **kwargs)
-        self.entries.append(entry)
-        return entry
+    config: dict
+    entries: list = field(default_factory=list, init=False)
 
     def extend(self, entries):
         self.entries.extend(entries)
@@ -89,10 +82,12 @@ class VerificationReport:
 
     def to_json(self, timings=False) -> str:
         payload = {
-            "schema": self.schema,
+            "schema": SCHEMA,
             "config": self.config,
             "all_pass": self.all_passed,
-            "checks": [_stable_numbers(e.as_dict(timings)) for e in self.entries],
+            "checks": [
+                {k: stable_value(v) for k, v in e.as_dict(timings).items()} for e in self.entries
+            ],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -104,30 +99,16 @@ class VerificationReport:
         buf.write(",".join(cols) + "\r\n")
         for e in self.entries:
             d = e.as_dict(timings)
-            row = []
-            for c in cols:
-                v = d[c]
-                if isinstance(v, bool):
-                    row.append("true" if v else "false")
-                elif isinstance(v, float) or v is None:
-                    row.append(fmt_float(v))
-                else:
-                    row.append(csv_quote(str(v)))
-            buf.write(",".join(row) + "\r\n")
+            buf.write(",".join(csv_cell(d[c]) for c in cols) + "\r\n")
         return buf.getvalue()
 
 
-def _stable_numbers(d):
-    # JSON floats round-trip through the 17g form so json output is byte-stable.
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, bool) or v is None:
-            out[k] = v
-        elif isinstance(v, float):
-            out[k] = float(fmt_float(v))
-        else:
-            out[k] = v
-    return out
+def stable_value(v):
+    """A JSON value whose float round-trips through the 17g form, so json
+    output is byte-stable."""
+    if isinstance(v, float):
+        return float(fmt_float(v))
+    return v
 
 
 def csv_quote(s: str) -> str:
@@ -136,21 +117,21 @@ def csv_quote(s: str) -> str:
     return s
 
 
+def csv_cell(v) -> str:
+    """One RFC-4180 cell: true/false, empty for None, floats at 17
+    significant digits, anything else as quoted text."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return fmt_float(v)
+    return csv_quote(str(v))
+
+
 def write_csv_rows(path, header, rows):
-    """RFC-4180 writer: CRLF line ends, floats at 17 significant digits."""
+    """RFC-4180 writer: CRLF line ends, cells by csv_cell."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, bool):
-                    cells.append("true" if v else "false")
-                elif v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(fmt_float(v))
-                elif isinstance(v, int):
-                    cells.append(str(v))
-                else:
-                    cells.append(csv_quote(str(v)))
-            fh.write(",".join(cells) + "\r\n")
+            fh.write(",".join(csv_cell(v) for v in row) + "\r\n")

@@ -6,12 +6,15 @@ exact in law, with no time-discretization bias.  From the pilot density
 estimate the chain proceeds through the localized drift, the sufficient
 statistic in coefficient space, inverse-square-root projections and
 their circulant counterparts, down to the Gaussian-orthogonal-ensemble
-comparison.
+comparison.  Functionals are taken on the package's one quadrature grid
+(spectral.default_grid), and the grid functions here (the pilot density and
+its log, f_n, f_hat, the projected inverse root) are plain arrays of values
+on it.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .circulant import (
 from .errors import PreconditionError, RangeError, SingularMatrixError
 from .report import SCHEMA, CheckResult, fmt_float
 from .rng import make_rng
-from .spectral import GridFunction, default_grid, leading_indices
+from .spectral import default_grid, leading_indices
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,16 +126,14 @@ class WhiteNoiseObservation:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def simulate_wn(f, n, j_count=None, rng=None, grid=None) -> WhiteNoiseObservation:
-    """Draw the first j_count coefficient functionals of the sheet.
+def simulate_wn(f, n, rng) -> WhiteNoiseObservation:
+    """Draw the first ceil(sqrt(n)) coefficient functionals of the sheet.
 
     Orthonormality makes the noise part of the coefficient vector iid
     N(0, a_n^2) exactly; the drift part is <phi_j, log f> by quadrature.
     """
-    grid = default_grid() if grid is None else grid
-    rng = make_rng(0) if rng is None else rng
-    if j_count is None:
-        j_count = int(math.ceil(math.sqrt(n)))
+    grid = default_grid()
+    j_count = int(math.ceil(math.sqrt(n)))
     indices = leading_indices(j_count)
     means = grid.project(np.log(grid._as_values(f)), indices)
     a_n = noise_level(n)
@@ -144,20 +145,19 @@ def simulate_wn(f, n, j_count=None, rng=None, grid=None) -> WhiteNoiseObservatio
 # pilot estimator
 
 
-def target_coefficients(f, indices, n, grid=None):
+def target_coefficients(f, indices, n):
     """Localization targets <f, phi_j> * |M_j raw|_F = <f, phi_j> sqrt(2 pi (n - j2))."""
-    grid = default_grid() if grid is None else grid
     j2 = np.array([idx.j2 for idx in indices])
-    return grid.project(f, indices) * np.sqrt(TWO_PI * (n - j2))
+    return default_grid().project(f, indices) * np.sqrt(TWO_PI * (n - j2))
 
 
-def log_tail_functional(f, j_count, grid=None) -> float:
+def log_tail_functional(f, j_count) -> float:
     """Energy of log f beyond the first j_count basis coefficients.
 
     Evaluated as |log f|_{L2}^2 minus the captured coefficient energy,
     avoiding any enumeration of the discarded tail.
     """
-    grid = default_grid() if grid is None else grid
+    grid = default_grid()
     logf = np.log(grid._as_values(f))
     total = grid.integrate(logf**2)
     captured = np.sum(grid.project(logf, leading_indices(j_count)) ** 2)
@@ -166,19 +166,20 @@ def log_tail_functional(f, j_count, grid=None) -> float:
 
 @dataclass
 class WhiteNoisePilot:
-    """Pilot density estimate and its diagnostics."""
+    """Pilot density estimate and its diagnostics; log_estimate and density
+    are grid values."""
 
     n: int
     indices: list
     alpha_tilde: np.ndarray
-    log_estimate: GridFunction
-    density: GridFunction
+    log_estimate: np.ndarray
+    density: np.ndarray
     alpha_hat: np.ndarray
-    alpha_target: np.ndarray | None = None
-    span_targets: np.ndarray | None = None
-    risk: float | None = None
-    span_gap: float | None = None
-    b_tail: float | None = None
+    alpha_target: np.ndarray
+    span_targets: np.ndarray
+    risk: float
+    span_gap: float
+    b_tail: float
 
     def to_json(self) -> str:
         payload = {
@@ -194,57 +195,51 @@ class WhiteNoisePilot:
                 }
                 for idx, v in zip(self.indices, self.alpha_hat)
             ],
+            "risk": fmt_float(self.risk),
+            "b_tail": fmt_float(self.b_tail),
         }
-        if self.risk is not None:
-            payload["risk"] = fmt_float(self.risk)
-        if self.b_tail is not None:
-            payload["b_tail"] = fmt_float(self.b_tail)
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def pilot_estimate(obs, indices=None, f=None, grid=None) -> WhiteNoisePilot:
+def pilot_estimate(obs, f, indices=None) -> WhiteNoisePilot:
     """Exponentiate the smoothed log-observation and project back.
 
     The smoother keeps every observed coefficient; alpha_hat is reported
-    on `indices` (default: the observed ones).  Passing the true f adds
-    risk diagnostics against the localization targets.
+    on `indices` (default: the observed ones), with risk diagnostics against
+    the localization targets of the true density f.
     """
-    grid = default_grid() if grid is None else grid
+    grid = default_grid()
     if indices is None:
         indices = obs.indices
     n = obs.n
     scale = math.sqrt(TWO_PI * n)
     smooth = grid.synthesize(obs.indices, obs.values)
-    log_estimate = GridFunction(grid, smooth)
-    density = GridFunction(grid, np.exp(smooth))
-    alpha_hat = scale * grid.project(density.values, indices)
-
-    alpha_target = span_targets = None
-    risk = span_gap = b_tail = None
-    if f is not None:
-        alpha_target = target_coefficients(f, indices, n, grid=grid)
-        span_targets = scale * grid.project(f, indices)
-        risk = float(np.sum((alpha_hat - alpha_target) ** 2))
-        span_gap = float(np.sum((span_targets - alpha_target) ** 2))
-        b_tail = log_tail_functional(f, obs.j_count, grid=grid)
+    density = np.exp(smooth)
+    alpha_hat = scale * grid.project(density, indices)
+    alpha_target = target_coefficients(f, indices, n)
+    span_targets = scale * grid.project(f, indices)
     return WhiteNoisePilot(
         n=n,
         indices=list(indices),
         alpha_tilde=obs.alpha_tilde,
-        log_estimate=log_estimate,
+        log_estimate=smooth,
         density=density,
         alpha_hat=alpha_hat,
         alpha_target=alpha_target,
         span_targets=span_targets,
-        risk=risk,
-        span_gap=span_gap,
-        b_tail=b_tail,
+        risk=float(np.sum((alpha_hat - alpha_target) ** 2)),
+        span_gap=float(np.sum((span_targets - alpha_target) ** 2)),
+        b_tail=log_tail_functional(f, obs.j_count),
     )
 
 
-def pilot_risk_row(f, n, indices, replicates, seed, bound_per_k=50.0, grid=None):
+# pilot risk budget per basis coefficient
+RISK_BOUND_PER_K = 50.0
+
+
+def pilot_risk_row(f, n, indices, replicates, seed):
     """One risk-study CSV row; the replicates stream through project_exp."""
-    grid = default_grid() if grid is None else grid
+    grid = default_grid()
     j_count = int(math.ceil(math.sqrt(n)))
     lead = leading_indices(j_count)
     means = grid.project(np.log(grid._as_values(f)), lead)
@@ -253,11 +248,11 @@ def pilot_risk_row(f, n, indices, replicates, seed, bound_per_k=50.0, grid=None)
     draws = means + a_n * rng.standard_normal((replicates, j_count))
 
     alpha_hat = math.sqrt(TWO_PI * n) * grid.project_exp(lead, draws, indices)
-    target = target_coefficients(f, indices, n, grid=grid)
+    target = target_coefficients(f, indices, n)
     risks = np.sum((alpha_hat - target) ** 2, axis=1)
     risk_mean = float(np.mean(risks))
     K = len(indices)
-    bound = bound_per_k * K
+    bound = RISK_BOUND_PER_K * K
     return {
         "n": n,
         "K": K,
@@ -275,14 +270,15 @@ def pilot_risk_row(f, n, indices, replicates, seed, bound_per_k=50.0, grid=None)
 
 @dataclass
 class LocalizedDrift:
-    """Span density f_n, its noisy companion, and equivalence functionals."""
+    """Span density f_n, its noisy companion (both grid values), and
+    equivalence functionals."""
 
-    f_n: GridFunction
-    f_hat: GridFunction
-    equiv1: float | None
+    f_n: np.ndarray
+    f_hat: np.ndarray
+    equiv1: float
     equiv2: float
     sup_gap: float
-    sup_check: CheckResult | None = None
+    sup_check: CheckResult
 
 
 def localized_drift(
@@ -291,9 +287,8 @@ def localized_drift(
     n,
     indices,
     rho_star,
-    gamma=None,
-    f=None,
-    grid=None,
+    gamma,
+    f,
 ) -> LocalizedDrift:
     """Build f_n and f_hat from localized coefficients and noise.
 
@@ -302,7 +297,7 @@ def localized_drift(
     [rho*/2, 2/rho*]; equiv1 measures n/(4 pi) |log f - log f_n|^2 and
     equiv2 the second-order log-versus-linear gap between f_n and f_hat.
     """
-    grid = default_grid() if grid is None else grid
+    grid = default_grid()
     alpha_theta = np.asarray(alpha_theta, dtype=float)
     eta_tilde = np.asarray(eta_tilde, dtype=float)
     scale = 1.0 / math.sqrt(TWO_PI * n)
@@ -315,31 +310,22 @@ def localized_drift(
                 f"{name} leaves [{lo:.6g}, {hi:.6g}]: "
                 f"range [{vals.min():.6g}, {vals.max():.6g}]"
             )
-    f_n = GridFunction(grid, fn_vals)
-    f_hat = GridFunction(grid, fhat_vals)
-
-    equiv1 = None
-    if f is not None:
-        logf = np.log(grid._as_values(f))
-        gap = logf - np.log(fn_vals)
-        equiv1 = float(n / (4.0 * math.pi) * grid.integrate(gap**2))
+    gap = np.log(grid._as_values(f)) - np.log(fn_vals)
+    equiv1 = float(n / (4.0 * math.pi) * grid.integrate(gap**2))
     ratio = fn_vals / fhat_vals
     second = np.log(ratio) - (ratio - 1.0)
     equiv2 = float(n / (4.0 * math.pi) * grid.integrate(second**2))
 
     sup_gap = float(np.max(np.abs(fn_vals - fhat_vals)))
-    sup_check = None
-    if gamma is not None:
-        K = len(indices)
-        sup_check = CheckResult(
-            check_id="drift-sup-gap",
-            ref="drift-noise-sup",
-            lhs=sup_gap,
-            rhs=math.sqrt(K) * gamma / (math.pi * math.sqrt(n)),
-        )
+    sup_check = CheckResult(
+        check_id="drift-sup-gap",
+        ref="drift-noise-sup",
+        lhs=sup_gap,
+        rhs=math.sqrt(len(indices)) * gamma / (math.pi * math.sqrt(n)),
+    )
     return LocalizedDrift(
-        f_n=f_n,
-        f_hat=f_hat,
+        f_n=fn_vals,
+        f_hat=fhat_vals,
         equiv1=equiv1,
         equiv2=equiv2,
         sup_gap=sup_gap,
@@ -351,14 +337,13 @@ def localized_drift(
 # sufficient statistic
 
 
-def sufficient_Y(f_hat, alpha_theta, indices, rng=None, grid=None):
+def sufficient_Y(f_hat, alpha_theta, indices, rng):
     """Draw the sufficient statistic Y ~ N(Gamma alpha / (2 pi sqrt 2), Gamma).
 
     Gamma has entries int phi_j phi_j' / f_hat^2; it must be positive
     definite, with minimum eigenvalue at least 1 / sup(f_hat)^2.
     """
-    grid = default_grid() if grid is None else grid
-    rng = make_rng(0) if rng is None else rng
+    grid = default_grid()
     fvals = grid._as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
@@ -371,10 +356,9 @@ def sufficient_Y(f_hat, alpha_theta, indices, rng=None, grid=None):
     return y, gamma_f
 
 
-def gamma_min_eig_check(gamma_f, f_hat, grid=None) -> CheckResult:
+def gamma_min_eig_check(gamma_f, f_hat) -> CheckResult:
     """min eig(Gamma) >= 1 / sup(f_hat)^2, stated as rhs <= lhs flipped."""
-    grid = default_grid() if grid is None else grid
-    fvals = grid._as_values(f_hat)
+    fvals = default_grid()._as_values(f_hat)
     w, _ = sym_eig(gamma_f)
     return CheckResult(
         check_id="gamma-min-eig",
@@ -391,25 +375,19 @@ def gamma_min_eig_check(gamma_f, f_hat, grid=None) -> CheckResult:
 
 @dataclass
 class InvSqrtProjection:
-    """Window projection of f_hat^{-1/2} with sup-norm diagnostics."""
+    """Window projection of f_hat^{-1/2} (values on the grid) with sup-norm
+    diagnostics."""
 
     indices: list
     coeffs: np.ndarray
-    values: GridFunction
+    values: np.ndarray
     sup_error: float
-    s_star: float
-    sup_check: CheckResult | None = None
+    sup_check: CheckResult
 
 
-def inv_sqrt_projection(f_hat, indices, rho_star, s_star=7.0, grid=None):
-    """Project f_hat^{-1/2} onto the index window.
-
-    s_star records the smoothness exponent used by the decay budget
-    K^{1 - s*/2}; it must exceed 2.
-    """
-    if s_star <= 2.0:
-        raise PreconditionError("s_star must exceed 2")
-    grid = default_grid() if grid is None else grid
+def inv_sqrt_projection(f_hat, indices, rho_star):
+    """Project f_hat^{-1/2} onto the index window."""
+    grid = default_grid()
     fvals = grid._as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
@@ -426,9 +404,8 @@ def inv_sqrt_projection(f_hat, indices, rho_star, s_star=7.0, grid=None):
     return InvSqrtProjection(
         indices=list(indices),
         coeffs=coeffs,
-        values=GridFunction(grid, values),
+        values=values,
         sup_error=sup_error,
-        s_star=s_star,
         sup_check=sup_check,
     )
 
@@ -448,14 +425,14 @@ class GammaVariants:
     delta_sq_bounds: np.ndarray
     gram_gap: float
     w_elem: CirculantElement
-    defect_checks: list = field(default_factory=list)
+    defect_checks: list
 
 
 # empirical headroom over the K^2/n^2 + K^4/n^4 defect budget
 DEFECT_BUDGET_CONST = 200.0
 
 
-def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
+def gamma_variants(f_hat, projection, basis) -> GammaVariants:
     """Covariance variants and the circulant product-defect accounting.
 
     gamma_tilde replaces 1/f_hat^2 by the fourth power of the projected
@@ -464,13 +441,13 @@ def gamma_variants(f_hat, projection, basis, grid=None) -> GammaVariants:
     coefficient algebra.  delta_j is the function-space defect between
     the conjugated dictionary element and wtilde^2 phi_j.
     """
-    grid = default_grid() if grid is None else grid
+    grid = default_grid()
     if list(projection.indices) != list(basis.indices):
         raise PreconditionError("projection and basis must share one window")
     n = basis.n
     indices = basis.indices
     fvals = grid._as_values(f_hat)
-    wvals = projection.values.values
+    wvals = projection.values
     sup_w = float(np.max(np.abs(wvals)))
 
     gamma_f = grid.weighted_gram(indices, fvals**-2.0)
@@ -546,8 +523,8 @@ class GoeComparison:
     b1: float
     b2: float
     b3: float
-    bound_check: CheckResult = None
-    dictionary_gap_check: CheckResult = None
+    bound_check: CheckResult
+    dictionary_gap_check: CheckResult | None
 
     @property
     def bound_sum(self) -> float:

@@ -46,10 +46,9 @@ from lsequiv.harness import (
     whitening_matrix,
 )
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid, random_density, random_transfer
+from lsequiv.spectral import random_density, random_transfer
 from lsequiv.whitenoise import goe_connection
 
-GRID = default_grid()
 
 
 def test_criterion_01_exact_algebra():
@@ -158,7 +157,7 @@ def test_criterion_04_presmoothing_decay():
     for n in cfg.n_grid:
         sched = cfg.window(n)
         basis = build_basis(n, sched.k1, sched.k2)
-        rels.append(presmoothing_residual(f, build_theta(f, n, GRID), basis, grid=GRID)[1])
+        rels.append(presmoothing_residual(f, build_theta(f, n), basis)[1])
     assert rels[0] > rels[1] > rels[2] > rels[3]
     assert rels[3] <= 0.1
     elapsed = time.perf_counter() - t0
@@ -226,7 +225,7 @@ def test_criterion_08_pilot_risk():
     n = 256
     sched = cfg.window(n)
     basis = build_basis(n, sched.k1, sched.k2)
-    theta = build_theta(f, n, grid=GRID)
+    theta = build_theta(f, n)
     alpha = basis.project(theta.band)
     root = np.linalg.cholesky(theta.entries)
     rng = make_rng(cfg.seed, stream=13_000_000 + n)
@@ -270,17 +269,17 @@ def test_criterion_09_ensemble_match():
     # ensemble-shift divergence shrinks along the schedule (fixed noise draw)
     cfg = RunConfig(n_grid=(256, 512, 1024))
     f = config_density(cfg)
-    fv = f.on_grid(GRID)
+    fv = f.on_grid()
     kls = []
     for n in cfg.n_grid:
         sched = cfg.window(n)
         basis = build_basis(n, sched.k1, sched.k2)
-        theta = build_theta(f, n, grid=GRID)
+        theta = build_theta(f, n)
         loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
         state = ExperimentState.build(
             basis, loc, theta=theta, rng=make_rng(cfg.seed, stream=11_000_000)
         )
-        w_dense = whitening_matrix(fv, basis, cfg.rho_star, grid=GRID)
+        w_dense = whitening_matrix(fv, basis, cfg.rho_star)
         kls.append(goe_connection(state, w_dense, gamma=sched.gamma).kl)
     assert kls[0] > kls[1] > kls[2]
     assert all(0.0 < v < 0.05 for v in kls)

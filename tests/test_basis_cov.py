@@ -1,5 +1,4 @@
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -109,7 +108,7 @@ def test_theta_spectral_window(seed):
 def test_density_coefficients_match_grid_projection():
     grid = default_grid()
     alpha = density_coefficients(DENSITY, BASIS)
-    proj = grid.project(DENSITY.on_grid(grid), BASIS.indices)
+    proj = grid.project(DENSITY.on_grid(), BASIS.indices)
     np.testing.assert_allclose(alpha, proj, atol=1e-12)
 
 
@@ -196,15 +195,6 @@ def test_class_c1_rejects_s_at_most_two():
 def test_basis_proximity_small():
     # max_k Frobenius distance between the two normalized families
     assert 0.0 < np.max(BASIS.mcheck_gaps()) < 1.0
-
-
-def test_covariance_binary_roundtrip(tmp_path):
-    theta = build_theta(DENSITY, 16)
-    path = tmp_path / "theta.bin"
-    theta.save_binary(path)
-    back = CovarianceMatrix.load_binary(path)
-    assert back.n == 16
-    np.testing.assert_allclose(back.entries, theta.entries, atol=0)
 
 
 def test_covariance_symmetrizes_only_asymmetric_input():
@@ -295,15 +285,9 @@ NON_FINITE_ENTRIES = [
 
 
 @pytest.mark.parametrize("entries", NON_FINITE_ENTRIES)
-def test_covariance_rejects_non_finite_entries(entries, tmp_path):
+def test_covariance_rejects_non_finite_entries(entries):
     with pytest.raises(PreconditionError, match="not symmetric"):
         CovarianceMatrix.from_dense(np.array(entries))
-    path = tmp_path / "cov.bin"
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", 2))
-        fh.write(np.array(entries, dtype="<f8").tobytes())
-    with pytest.raises(PreconditionError, match="not symmetric"):
-        CovarianceMatrix.load_binary(path)
 
 
 @pytest.mark.parametrize("entries", NON_FINITE_ENTRIES)

@@ -40,7 +40,7 @@ from lsequiv.errors import PreconditionError, RangeError, SingularMatrixError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
 from lsequiv.harness import RunConfig, config_density
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid, random_density
+from lsequiv.spectral import random_density
 
 N = 64
 
@@ -361,7 +361,7 @@ def _tv_decay_alpha(n, k2):
     """(basis, span coefficients of C = C_theta) as run_tv_decay builds them."""
     basis = build_basis(n, 0, k2)
     f = config_density(RunConfig(n_grid=(n,), k1=0, k2=k2), k1=0, k2=k2)
-    return basis, basis.project(build_theta(f, n, default_grid()).band)
+    return basis, basis.project(build_theta(f, n).band)
 
 
 def _tv_decay_context(n, k2):

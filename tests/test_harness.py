@@ -145,6 +145,38 @@ def test_run_config_validation():
         RunConfig(rho_star=1.5)
     with pytest.raises(ConfigurationError):
         RunConfig.from_json('{"n_grid": [64], "bogus": 1}')
+    malformed = [
+        {"n_grid": "8888"},
+        {"n_grid": [64.7]},
+        {"n_grid": [16.0, 32]},
+        {"n_grid": [True, 64]},
+        {"n_grid": [64, 64]},
+        {"n_grid": 64},
+        {"replicates": 2.5},
+        {"replicates": True},
+        {"replicates": "many"},
+        {"seed": 1.5},
+        {"seed": "0"},
+        {"seed": False},
+        {"k1": -1},
+        {"k1": 1.0},
+        {"k2": "1"},
+        {"k2": True},
+        {"timings": 1},
+        {"timings": "yes"},
+        {"s": "11"},
+        {"L": None},
+        {"rho_star": "0.5"},
+        {"density_mean": True},
+        {"density_amplitude": math.nan},
+    ]
+    for fields in malformed:
+        with pytest.raises(ConfigurationError):
+            RunConfig(**fields)
+        with pytest.raises(ConfigurationError):
+            RunConfig.from_json(json.dumps(fields))
+    # lists from JSON are accepted and held as tuples
+    assert RunConfig.from_json('{"n_grid": [16, 32], "k1": 0, "k2": null}').n_grid == (16, 32)
 
 
 def test_config_density_deterministic_and_in_span():
@@ -171,10 +203,9 @@ def test_chain_row_past_dense_limit_keeps_band_stages():
 
 
 def test_whitening_matrix_constant_density_is_identity():
-    grid = default_grid()
     basis = build_basis(32, 1, 1)
-    ones = np.ones(grid.mesh[0].shape)
-    w = whitening_matrix(ones, basis, 0.5, grid=grid)
+    ones = np.ones(default_grid().mesh[0].shape)
+    w = whitening_matrix(ones, basis, 0.5)
     assert w.shape == (basis.k2 + 1, 32)
     np.testing.assert_allclose(band_to_dense(w), np.eye(32), atol=1e-12)
 
@@ -495,6 +526,26 @@ def test_cli_malformed_config_returns_one(tmp_path):
     for text in ("{", "[64, 128]", '{"n_grid": 64}', '{"replicates": "many"}'):
         cfg_path.write_text(text)
         assert main(["chain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["riskstudy", "--config", "{cfg}", "--out", "{out}"],
+        ["chain", "--config", "{cfg}", "--out", "{out}"],
+        ["chain", "--n", "64", "64", "--out", "{out}"],
+    ],
+    ids=["riskstudy-fractional-replicates", "chain-fractional-replicates", "repeated-n"],
+)
+def test_cli_malformed_values_exit_one_with_one_line(argv, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"n_grid": [16], "replicates": 2.5}')
+    argv = [a.format(cfg=cfg_path, out=tmp_path / "out") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigurationError:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_untyped_error_propagates(tmp_path, monkeypatch):

@@ -1,0 +1,147 @@
+"""No option with one value in use.
+
+Every parameter with a default in src/lsequiv, and every dataclass field
+with a default (a parameter of the generated __init__), must be passed by
+some call in src/, tests/ or demos/, by keyword or by position.  A default
+that no call overrides is a value only one configuration uses: it belongs in
+the code as a constant.  Calls are matched by name (the function's name, or
+the class name for __init__ and dataclass fields); a call that unpacks
+*args or **kwargs passes nothing this scan can see.
+
+Run as a script to print, for each defaulted parameter, the calls that pass
+it and the values they pass:
+
+    python tests/test_options.py
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lsequiv"
+CALLERS = ("src", "tests", "demos")
+
+# (module, function, parameter) whose default stays although no scanned call
+# passes it, each with the reason.
+ALLOWED = {
+    # the values arrive from a JSON run configuration (RunConfig.from_json
+    # unpacks it as **payload) or from CLI flags through dataclasses.replace
+    ("harness.py", "RunConfig", "s"),
+    ("harness.py", "RunConfig", "L"),
+    ("harness.py", "RunConfig", "timings"),
+}
+
+
+def _is_dataclass(node):
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value):
+    return (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", getattr(value.func, "attr", None)) == "field"
+        and any(k.arg == "init" and getattr(k.value, "value", True) is False for k in value.keywords)
+    )
+
+
+def _dataclass_params(cls):
+    fields = [
+        s
+        for s in cls.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name) and not _init_false(s.value)
+    ]
+    return [(cls.name, f.target.id, pos) for pos, f in enumerate(fields) if f.value is not None]
+
+
+def _function_params(fn, owner):
+    """(call name, parameter, position in a call) for each defaulted parameter;
+    a method's position skips self or cls, a keyword-only one has none."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if owner and positional and positional[0].arg in ("self", "cls") else 0
+    name = owner if fn.name == "__init__" else fn.name
+    first = len(positional) - len(args.defaults)
+    out = [(name, a.arg, pos - skip) for pos, a in enumerate(positional) if pos >= first]
+    out += [(name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def defaulted_parameters():
+    """{(module, function, parameter): (call name, position)} over src/lsequiv."""
+    found = {}
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    for name, param, pos in _dataclass_params(child):
+                        found[(module, name, param)] = (name, pos)
+                visit(child, module, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for name, param, pos in _function_params(child, owner):
+                    qual = f"{owner}.{child.name}" if owner and child.name != "__init__" else name
+                    found[(module, qual, param)] = (name, pos)
+                visit(child, module, None)
+            else:
+                visit(child, module, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def calls_by_name():
+    """{called name: [(path, call node)]} over every call in the caller trees."""
+    calls = {}
+    for tree in CALLERS:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append((path.relative_to(ROOT), node))
+    return calls
+
+
+def passing_calls(call_name, param, pos, calls):
+    """[(path, line, value source)] of the calls that pass param."""
+    out = []
+    for path, node in calls.get(call_name, []):
+        value = next((k.value for k in node.keywords if k.arg == param), None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        if value is None and pos is not None and pos < len(node.args) and not starred:
+            value = node.args[pos]
+        if value is not None:
+            out.append((path, node.lineno, ast.unparse(value)))
+    return out
+
+
+def scan():
+    calls = calls_by_name()
+    return {
+        key: passing_calls(name, key[2], pos, calls)
+        for key, (name, pos) in sorted(defaulted_parameters().items())
+    }
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    report = scan()
+    assert len(report) > 40  # the scan found the package's parameters
+    unpassed = sorted(key for key, hits in report.items() if not hits and key not in ALLOWED)
+    assert unpassed == [], "defaults no call overrides; make them constants: " + ", ".join(
+        f"{module}:{fn}({param})" for module, fn, param in unpassed
+    )
+
+
+def test_allowlist_names_existing_parameters():
+    assert ALLOWED <= set(scan())
+
+
+if __name__ == "__main__":
+    for (module, fn, param), hits in scan().items():
+        values = sorted({value for _, _, value in hits})
+        mark = " (allowed)" if (module, fn, param) in ALLOWED else ""
+        print(f"{module} {fn}({param}){mark}: {len(hits)} calls pass it: {', '.join(values)}")

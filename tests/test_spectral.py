@@ -6,6 +6,7 @@ import pytest
 from lsequiv.errors import ConfigurationError, RangeError
 from lsequiv.rng import make_rng
 from lsequiv.spectral import (
+    GRID_NODES,
     BasisIndex,
     SpectralDensity,
     TrigPoly1D,
@@ -108,7 +109,7 @@ def test_grid_l2_norm_parseval():
     coeffs = rng.standard_normal(len(indices))
     values = GRID.synthesize(indices, coeffs)
     ssq = sum(c * c for c in coeffs)
-    assert GRID.l2_norm(values) ** 2 == pytest.approx(ssq, rel=1e-12)
+    assert GRID.integrate(values**2) == pytest.approx(ssq, rel=1e-12)
 
 
 # oracles for the separable grid maps: one basis_eval call per index
@@ -122,7 +123,7 @@ def _basis_stack(indices):
 
 def test_grid_factors_match_basis_eval():
     T, X = GRID.factors(GRID_INDICES)
-    assert T.shape == (GRID.nt, len(GRID_INDICES)) and X.shape == (GRID.nx, len(GRID_INDICES))
+    assert T.shape == X.shape == (GRID_NODES, len(GRID_INDICES))
     np.testing.assert_allclose(np.einsum("ak,bk->kab", T, X), _basis_stack(GRID_INDICES), rtol=0, atol=1e-13)
 
 
@@ -149,7 +150,7 @@ def test_grid_stacked_maps_equal_row_by_row():
     rng = make_rng(14, stream=3)
     coeffs = rng.standard_normal((3, 2, len(GRID_INDICES)))
     values = GRID.synthesize(GRID_INDICES, coeffs)
-    assert values.shape == (3, 2, GRID.nt, GRID.nx)
+    assert values.shape == (3, 2, GRID_NODES, GRID_NODES)
     back = GRID.project(values, GRID_INDICES)
     assert back.shape == coeffs.shape
     for a in range(3):

@@ -9,7 +9,7 @@ from lsequiv.circulant import psi_inverse_real
 from lsequiv.errors import PreconditionError, RangeError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
 from lsequiv.rng import make_rng
-from lsequiv.spectral import GridFunction, default_grid, leading_indices, random_density
+from lsequiv.spectral import default_grid, leading_indices, random_density
 from lsequiv.whitenoise import (
     A_STAR,
     WhiteNoiseObservation,
@@ -35,7 +35,7 @@ THETA = build_theta(DENSITY, N)
 STATE = ExperimentState.build(
     BASIS, LocalizationConfig(beta=1.0, gamma=3.0), theta=THETA, rng=make_rng(0, stream=64)
 )
-ONES = GridFunction(GRID, np.ones(GRID.mesh[0].shape))
+ONES = np.ones(GRID.mesh[0].shape)
 
 
 def test_noise_level_identity():
@@ -49,7 +49,7 @@ def test_simulate_wn_statistics():
     assert obs.j_count == 8
     assert obs.indices == leading_indices(8)
     assert obs.noise == pytest.approx(noise_level(N), rel=0)
-    logf = np.log(DENSITY.on_grid(GRID))
+    logf = np.log(DENSITY.on_grid())
     means = np.array([GRID.inner(logf, idx) for idx in obs.indices])
     reps = 600
     vals = np.array(
@@ -64,7 +64,7 @@ def test_simulate_wn_statistics():
 def test_target_coefficients_quadrature():
     indices = leading_indices(6)
     targ = target_coefficients(DENSITY, indices, N)
-    proj = GRID.project(DENSITY.on_grid(GRID), indices)
+    proj = GRID.project(DENSITY.on_grid(), indices)
     expected = [proj[k] * math.sqrt(2.0 * math.pi * (N - idx.j2)) for k, idx in enumerate(indices)]
     np.testing.assert_allclose(targ, expected, rtol=1e-12)
 
@@ -80,7 +80,7 @@ def test_noiseless_in_span_recovery():
     rng = make_rng(2, stream=63)
     coeffs = 0.05 * rng.standard_normal(8)
     logf = GRID.synthesize(indices, coeffs)
-    f = GridFunction(GRID, np.exp(logf))
+    f = np.exp(logf)
     obs = WhiteNoiseObservation(n=N, indices=indices, values=coeffs, noise=0.0)
     pilot = pilot_estimate(obs, f=f)
     assert pilot.risk == pytest.approx(pilot.span_gap, rel=1e-12)
@@ -99,7 +99,7 @@ def test_pilot_risk_row_matches_stacked_formula():
     # oracle: the former dense (J, nt*nx) and (K, nt*nx) basis stacks
     n, seed, reps = 256, 7, 40
     lead = leading_indices(int(math.ceil(math.sqrt(n))))
-    logf = np.log(DENSITY.on_grid(GRID))
+    logf = np.log(DENSITY.on_grid())
     means = np.array([GRID.inner(logf, idx) for idx in lead])
     draws = means + noise_level(n) * make_rng(seed, stream=n).standard_normal((reps, len(lead)))
     stack = np.stack([GRID.basis_values(idx).ravel() for idx in lead])
@@ -148,11 +148,9 @@ def test_localized_drift_decay_and_sup_check():
 
 def test_localized_drift_guards():
     with pytest.raises(RangeError):
-        localized_drift(np.full(BASIS.K, 5.0), STATE.eta_tilde, N, BASIS.indices, 0.5, gamma=3.0)
-    ld = localized_drift(
-        BASIS.project(THETA.band), STATE.eta_tilde, N, BASIS.indices, 0.5, gamma=3.0
-    )
-    assert ld.equiv1 is None  # needs the true density
+        localized_drift(
+            np.full(BASIS.K, 5.0), STATE.eta_tilde, N, BASIS.indices, 0.5, gamma=3.0, f=DENSITY
+        )
 
 
 def test_sufficient_y_constant_density():
@@ -167,7 +165,7 @@ def test_sufficient_y_constant_density():
 
 
 def test_sufficient_y_rejects_nonpositive_density():
-    bad = GridFunction(GRID, np.zeros(GRID.mesh[0].shape))
+    bad = np.zeros(GRID.mesh[0].shape)
     with pytest.raises(RangeError):
         sufficient_Y(bad, np.zeros(6), leading_indices(6), rng=make_rng(0, stream=63))
 
@@ -179,8 +177,6 @@ def test_inv_sqrt_projection_constant():
     assert proj.sup_error <= 1e-12
     assert proj.sup_check.check_id == "inv-sqrt-sup"
     assert proj.sup_check.passed
-    with pytest.raises(PreconditionError):
-        inv_sqrt_projection(ONES, BASIS.indices, 0.5, s_star=2.0)
 
 
 def test_gamma_variants_constant_density():
@@ -204,7 +200,7 @@ def test_gamma_variants_window_mismatch():
 
 def test_gram_gap_is_window_functional():
     # the gap depends only on the density and the window, never on n
-    fv = GridFunction(GRID, DENSITY.on_grid(GRID))
+    fv = DENSITY.on_grid()
     gaps = []
     for n in (32, 64, 128):
         basis = build_basis(n, 1, 1)
@@ -215,7 +211,7 @@ def test_gram_gap_is_window_functional():
 
 
 def test_goe_connection_bound_and_zero_case():
-    fv = GridFunction(GRID, DENSITY.on_grid(GRID))
+    fv = DENSITY.on_grid()
     proj = inv_sqrt_projection(fv, BASIS.indices, 0.5)
     w = psi_inverse_real(N, proj.indices, proj.coeffs)
     comp = goe_connection(STATE, w, gamma=3.0)
@@ -235,7 +231,7 @@ def test_goe_connection_bound_and_zero_case():
 
 def test_goe_connection_matches_dense_stacks():
     # oracle: Dcheck and the dictionary gap straight from the (K, n, n) stacks
-    fv = GridFunction(GRID, DENSITY.on_grid(GRID))
+    fv = DENSITY.on_grid()
     proj = inv_sqrt_projection(fv, BASIS.indices, 0.5)
     w = psi_inverse_real(N, proj.indices, proj.coeffs)
     comp = goe_connection(STATE, w, gamma=3.0)
