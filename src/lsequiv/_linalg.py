@@ -4,9 +4,13 @@ All spectral decompositions in the package go through this module so that the
 singularity policy is uniform: eigenvalues below ``rtol * max|eig|`` raise
 instead of being pseudo-inverted.  Banded symmetric matrices are held in
 LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for ``j = 0..width``;
-they are factored by banded Cholesky (``cholesky_banded``), whose failure is
-the positive-definiteness check, and their extreme eigenvalues come from
-``eig_banded``.  A function x**power (-1 <= power < 0) of an SPD band is a
+they are factored by banded Cholesky (``dpbtrf``), whose failure is the
+positive-definiteness check, their extreme eigenvalues come from ``dsbevx``
+and their full spectrum from ``dsbevd``.  These LAPACK routines are called
+from scipy's extension module ``scipy.linalg._flapack``, loaded on its own:
+importing the scipy package would double the start-up time of every command
+line run.  A non-finite band raises PreconditionError before it reaches
+LAPACK.  A function x**power (-1 <= power < 0) of an SPD band is a
 Chebyshev polynomial in it, held as a band of certified half-width
 (``band_function``); a band too ill-conditioned for that half-width to stay
 below 4 sqrt(n) is given the exact function, dense.
@@ -30,12 +34,60 @@ storage.  Rows s and s - n add up to one cyclic diagonal (``signed_to_dense``).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
-from .errors import PreconditionError, SingularMatrixError
+from .errors import AccuracyError, PreconditionError, SingularMatrixError
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, without running scipy/__init__.py or
+    scipy/linalg/__init__.py.  It is registered under its own name, so a
+    later import of scipy.linalg finds this module and not a second copy."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(scipy_dir, "linalg")]
+    )
+    if spec is None:
+        raise ImportError("scipy.linalg._flapack not found: lsequiv needs scipy's LAPACK extension")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = sys.modules.get("scipy.linalg._flapack") or _load_flapack()
+# the absolute tolerance scipy's eig_banded passes to dsbevx
+_ABSTOL = 2.0 * _flapack.dlamch("s")
+
+
+def _lapack(routine, *args, **kwargs):
+    """The outputs of the _flapack routine, LAPACK's info last.
+
+    A negative info names an illegal argument, a bug in the call, and raises
+    RuntimeError; a positive one from an eigensolver (dsbev*) means it did
+    not converge and raises AccuracyError.  dpbtrf's positive info, the order
+    of the leading minor that is not positive definite, is the caller's.
+    """
+    out = getattr(_flapack, routine)(*args, **kwargs)
+    info = out[-1]
+    if info < 0:
+        raise RuntimeError(f"illegal value in argument {-info} of {routine}")
+    if info > 0 and routine.startswith("dsbev"):
+        raise AccuracyError(f"{routine} did not converge (info = {info})")
+    return out
+
+
+def check_finite(a, what):
+    """PreconditionError unless every entry of a is finite (LAPACK would
+    return garbage or loop on a NaN)."""
+    if not np.isfinite(a).all():
+        raise PreconditionError(f"{what} has a non-finite entry")
 
 # Largest edge of an n x n array: formed from band storage (band_to_dense),
 # built dense (quadrature theta, vartheta, cyclic elements) or exact in band_function.
@@ -165,26 +217,45 @@ def dense_to_band(a, width, what="matrix"):
 
 
 def band_extremes(ab):
-    """(min eig, max eig) of a symmetric matrix in lower band storage."""
-    n = ab.shape[1]
+    """(min eig, max eig) of a symmetric matrix in lower band storage, each
+    from one dsbevx call that selects it by index (1-based, il = iu)."""
+    check_finite(ab, "band")
     lo, hi = (
-        eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(k, k))[0]
-        for k in (0, n - 1)
+        _lapack(
+            "dsbevx", ab, 0.0, 1.0, k, k,
+            compute_v=0, mmax=1, range=2, lower=1, overwrite_ab=0, abstol=_ABSTOL,
+        )[0][0]
+        for k in (1, ab.shape[1])
     )
     return float(lo), float(hi)
+
+
+def band_eigh(ab, vectors):
+    """Ascending eigenvalues of a symmetric matrix in lower band storage and,
+    if vectors, its eigenvectors (w, v), by dsbevd."""
+    check_finite(ab, "band")
+    w, v, _ = _lapack("dsbevd", ab, compute_v=int(vectors), lower=1, overwrite_ab=0)
+    return (w, v) if vectors else w
 
 
 def band_cholesky(ab, error=SingularMatrixError, what="matrix"):
     """Lower banded Cholesky factor of an SPD matrix in lower band storage.
 
-    A failed factorization is the positive-definiteness check: it raises
-    error, with min eig computed for the message only.
+    A failed factorization (dpbtrf's positive info) is the
+    positive-definiteness check: it raises error, with min eig computed for
+    the message only.  A non-finite entry raises PreconditionError.
     """
-    try:
-        return cholesky_banded(ab, lower=True)
-    except np.linalg.LinAlgError:
+    check_finite(ab, what)
+    factor, info = _lapack("dpbtrf", ab, lower=1, overwrite_ab=0)
+    if info > 0:
         lo, _ = band_extremes(ab)
-        raise error(f"{what} is not positive definite (min eig = {lo:.3e})") from None
+        raise error(f"{what} is not positive definite (min eig = {lo:.3e})")
+    return factor
+
+
+def chol_solve(factor, b):
+    """A**-1 b from the dense lower Cholesky factor of A, by dpotrs."""
+    return _lapack("dpotrs", factor, b, lower=1, overwrite_b=0)[0]
 
 
 def wrapped_band(wd):
@@ -312,7 +383,7 @@ def band_function(ab, power, extremes=None, error=SingularMatrixError, what="mat
     |A**power|_2.  It is summed by the three-term recurrence on signed
     storage.  Its band products cost O((d k2)^2 n); past d max(k2, 1) >=
     4 sqrt(n) the exact A**power is cheaper, dense: A**-1 from the banded
-    Cholesky factor, any other power from the eigenvectors of eig_banded,
+    Cholesky factor (dpbtrs), any other power from the eigenvectors of dsbevd,
     and products of it by BLAS (band_product).  With one BLAS thread the two
     paths cost the same near half-width 90 at n = 512 and 1024 and near 140
     at n = 2048.  An indefinite or (near-)singular A raises error first; the
@@ -333,9 +404,10 @@ def band_function(ab, power, extremes=None, error=SingularMatrixError, what="mat
         check_size(n)
         if power == -1.0:
             eye = np.eye(n, order="F")
-            dense = cho_solve_banded((band_cholesky(ab, error, what), True), eye, overwrite_b=True)
+            factor = band_cholesky(ab, error, what)
+            dense = _lapack("dpbtrs", factor, eye, lower=1, overwrite_b=1)[0]
         else:
-            w, v = eig_banded(ab, lower=True)
+            w, v = band_eigh(ab, vectors=True)
             v *= w ** (0.5 * power)
             dense = v @ v.T
         return dense_to_band(dense, n - 1), 0, 0.0

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import zeta
 
 from ._linalg import (
+    band_eigh,
     band_function,
     band_product,
     band_to_dense,
@@ -246,7 +245,7 @@ class BasisSystem:
             for pos, j2 in enumerate(self.offsets):
                 bands = np.zeros((j2 + 1, self.n))
                 bands[j2] = self.bands[pos]
-                w = scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True)
+                w = band_eigh(bands, vectors=False)
                 out[pos] = float(np.max(np.abs(w)))
             self._spectral_norms = out
         return self._spectral_norms
@@ -367,6 +366,34 @@ def presmoothing_residual(f, theta: CovarianceMatrix, basis: BasisSystem):
     return frob_err, math.sqrt(max(float(np.vdot(g, band_transpose(g))), 0.0))
 
 
+# Euler-Maclaurin for _hurwitz_zeta: direct terms, and B_2k / (2k)! for k = 1..8
+_ZETA_TERMS = 10
+_ZETA_BERNOULLI = tuple(
+    b / math.factorial(2 * k)
+    for k, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), 1)
+)
+
+
+def _hurwitz_zeta(sigma: float, a: float) -> float:
+    """zeta(sigma, a) = sum_{j >= 0} (j + a)^-sigma, sigma > 1, 0 < a <= 1.
+
+    Euler-Maclaurin from x = _ZETA_TERMS + a: the direct terms below x, then
+    x^(1-sigma) / (sigma-1) + x^-sigma / 2 and the corrections
+    B_2k / (2k)! sigma (sigma+1)...(sigma+2k-2) x^(1-sigma-2k), k <= 8.  The
+    remainder is at most the first omitted correction (real sigma), below
+    1e-18 of zeta(sigma, a) for every sigma > 1 at a in {1/4, 3/4, 1}.
+    """
+    x = _ZETA_TERMS + a
+    head = math.fsum((j + a) ** -sigma for j in range(_ZETA_TERMS))
+    tail = x ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * x**-sigma
+    # sigma (sigma+1)...(sigma+2k-2) x^(1-sigma-2k), k = 1, 2, ...
+    rise = sigma * x ** (-sigma - 1.0)
+    for k, coef in enumerate(_ZETA_BERNOULLI, 1):
+        tail += coef * rise
+        rise *= (sigma + 2 * k - 1) * (sigma + 2 * k) / (x * x)
+    return head + tail
+
+
 def class_c1(s: float, L: float) -> float:
     """Uniform first-argument derivative bound over the class, s > 2.
 
@@ -374,13 +401,14 @@ def class_c1(s: float, L: float) -> float:
     sigma = s-1, over nonzero nonnegative pairs: exactly zeta(sigma) beta(sigma)
     + zeta(2 sigma), beta(sigma) = 4^(-sigma) (zeta(sigma, 1/4) - zeta(sigma, 3/4)),
     as Z^2 minus the origin sums to 4 zeta(sigma) beta(sigma) (Borwein, Glasser,
-    McPhedran, Wan & Zucker, Lattice Sums Then and Now, 2013).
+    McPhedran, Wan & Zucker, Lattice Sums Then and Now, 2013), with
+    zeta(sigma) = zeta(sigma, 1).
     """
     if s <= 2.0:
         raise ConfigurationError("the derivative bound needs s > 2")
     sigma = s - 1.0
-    beta = 4.0**-sigma * (zeta(sigma, 0.25) - zeta(sigma, 0.75))
-    lattice = float(zeta(sigma) * beta + zeta(2.0 * sigma))
+    beta = 4.0**-sigma * (_hurwitz_zeta(sigma, 0.25) - _hurwitz_zeta(sigma, 0.75))
+    lattice = _hurwitz_zeta(sigma, 1.0) * beta + _hurwitz_zeta(2.0 * sigma, 1.0)
     return 2.0 * math.sqrt(TWO_PI) * math.sqrt(L) * math.sqrt(lattice)
 
 

@@ -253,7 +253,7 @@ def psi_forward(elem: CirculantElement, convention: str = "plain") -> FourierFun
     return FourierFunction(elem.n, elem.k1, elem.k2, elem.coeffs / _psi_rotation(elem, convention))
 
 
-def psi_inverse(fn: FourierFunction, convention: str = "plain") -> CirculantElement:
+def psi_inverse(fn: FourierFunction, convention: str) -> CirculantElement:
     """Element with the function's table, the inverse of psi_forward."""
     return CirculantElement(fn.n, fn.k1, fn.k2, fn.coeffs * _psi_rotation(fn, convention))
 

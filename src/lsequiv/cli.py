@@ -9,6 +9,7 @@ a traceback.
 import argparse
 import dataclasses
 import json
+import locale  # noqa: F401  argparse's gettext imports it when the first parser is built
 import os
 import sys
 

@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import betainc
-from scipy.special import gamma as gamma_fn
 
 from ._linalg import _guard_spectrum, check_symmetric, dense_to_band, guarded_eig
 from .errors import AccuracyError, PreconditionError, RangeError
@@ -380,21 +377,72 @@ def fourier_tail_bound(R, ctx) -> float:
     and |lam_j| <= mu = ctx.mu_tail.  s -> log1p(4 r^2 s) is concave and zero at zero, so
     log1p(4 r^2 lam_j^2) >= (lam_j^2 / mu^2) log1p(4 r^2 mu^2), and summing
     gives |psi*(r u)| <= m(r) = (1 + 4 r^2 mu^2)^{-q}, q = 1 / (8 mu^2), with
-    equality when every |lam_j| = mu.  With s = 4 mu^2 r^2 and x = 1 / (1 + s)
-    its tail |S^{K-1}| int_R^inf m(r) r^{K-1} dr is
-    |S^{K-1}| (2 mu)^{-K} / 2 B(K/2, q - K/2) I_x(q - K/2, K/2) at
-    x = 1 / (1 + 4 mu^2 R^2), infinite unless mu^{-2} > 4K.  The bound is
-    that tail times 1 + _TAIL_ALLOWANCE: a relative 1e-10 that covers the
-    quadrature and rounding error of a numeric tail meeting m exactly.
+    equality when every |lam_j| = mu.  Its tail
+    |S^{K-1}| int_R^inf m(r) r^{K-1} dr is |S^{K-1}| (2 mu)^{-K} / 2 B_x(a, K/2),
+    a = q - K/2, with B_x the unregularized incomplete beta function at
+    x = 1 / (1 + 4 mu^2 R^2) (substitute t = 1 / (1 + 4 mu^2 r^2)); infinite unless
+    mu^{-2} > 4K.  For K = 2, B_x(a, 1) = x^a / a.  For K = 1,
+    B_x(a, 1/2) = x^a y^{1/2} / a times the continued fraction of I_x(a, 1/2)
+    (_beta_fraction), y = 1 - x, which converges where x < (a + 1) / (a + 5/2),
+    that is R^2 > 3 / (1 + 4 mu^2); elsewhere this raises RangeError.  The
+    bound is that tail times 1 + _TAIL_ALLOWANCE: a relative 1e-10 that
+    covers the quadrature and rounding error of a numeric tail meeting m
+    exactly.
     """
     K, mu = ctx.K, ctx.mu_tail
+    if K > 2:
+        raise PreconditionError("the tail bound is implemented for K <= 2 only")
     q = 1.0 / (8.0 * mu * mu)
     if q <= K / 2.0:
         return math.inf
-    sphere = 2.0 * math.pi ** (K / 2.0) / gamma_fn(K / 2.0)
-    tail = sphere * 0.5 * (2.0 * mu) ** -K * beta_fn(K / 2.0, q - K / 2.0)
-    x = 1.0 / (1.0 + 4.0 * mu * mu * R * R)
-    return float((1.0 + _TAIL_ALLOWANCE) * tail * betainc(q - K / 2.0, K / 2.0, x))
+    a, x = q - K / 2.0, 1.0 / (1.0 + 4.0 * mu * mu * R * R)
+    if K == 2:
+        sphere, incomplete = 2.0 * math.pi, x**a / a
+    else:
+        y = 1.0 - x
+        if not x < (a + 1.0) / (a + 2.5):
+            raise RangeError(f"the K = 1 tail bound needs R^2 > 3 / (1 + 4 mu^2), got R = {R!r}")
+        sphere, incomplete = 2.0, x**a * math.sqrt(y) / a * _beta_fraction(a, 0.5, x, y)
+    return float((1.0 + _TAIL_ALLOWANCE) * sphere * 0.5 * (2.0 * mu) ** -K * incomplete)
+
+
+# pairs of levels _beta_fraction may take; about 50 converge at R = 2 for any q
+_FRACTION_PAIRS = 1000
+
+
+def _beta_fraction(a, b, x, y):
+    """The continued fraction 1 / (1 + e_0 / (1 + e_1 / (1 + ...))) of
+    a B(a, b) I_x(a, b) / (x^a y^b), y = 1 - x exact, for x < (a + 1) / (a + b + 2)
+    (Numerical Recipes 6.4; DiDonato and Morris, ACM TOMS 18, 1992), with
+    e_{2m-1} = m (b - m) x / ((a + 2m - 1)(a + 2m)) and
+    e_{2m} = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)).
+
+    Modified Lentz, one pair of levels (2m - 1, 2m) a step.  For large a and
+    x near 1, e_{2m} is near -1, so 1 + e_{2m} is formed from y without
+    cancellation and the even level's Lentz ratios from it, not as 1 + e d:
+    the plain recurrence loses a factor 1 / (1 + e_0) of relative accuracy,
+    6e-12 at q = 2^17, R = 2.  Raises AccuracyError after _FRACTION_PAIRS pairs.
+    """
+
+    def even_level(m):
+        # (1 + e_{2m}, e_{2m}), the first from y, free of cancellation
+        den = (a + 2 * m) * (a + 2 * m + 1)
+        lead = (2 * m + 1 - b) * a + 3 * m * m + (2 - b) * m
+        return (lead + (a + m) * (a + b + m) * y) / den, -(a + m) * (a + b + m) * x / den
+
+    h = d = 1.0 / even_level(0)[0]
+    c = 1.0
+    for m in range(1, _FRACTION_PAIRS + 1):
+        odd = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d_odd, c_odd = 1.0 / (1.0 + odd * d), 1.0 + odd / c
+        base, even = even_level(m)
+        # 1 + even d_odd = base - even odd d d_odd, as 1 - d_odd = odd d d_odd; c alike
+        d, c = 1.0 / (base - even * odd * d * d_odd), base - even * odd / (c * c_odd)
+        step = d_odd * c_odd * d * c
+        h *= step
+        if abs(step - 1.0) <= 2.0**-51:
+            return h
+    raise AccuracyError(f"incomplete beta fraction at a = {a!r}, x = {x!r} did not converge")
 
 
 def _require_positive(name, value):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtr
 
 from ._linalg import (
     band_cholesky,
@@ -34,9 +33,11 @@ from ._linalg import (
 )
 from .basis_cov import BasisSystem
 from .errors import (
+    AccuracyError,
     ConfigurationError,
     LocalizationError,
     PreconditionError,
+    RangeError,
 )
 from .report import CheckResult
 
@@ -58,13 +59,48 @@ class LocalizationConfig:
         """P(|N(0, beta^2 I_K)| <= gamma), exact via the chi-square cdf."""
         if not math.isfinite(self.gamma):
             return 1.0
-        return float(chdtr(k, (self.gamma / self.beta) ** 2))
+        return chi2_cdf(k, (self.gamma / self.beta) ** 2)
 
     def truncation_budget(self, k: int) -> float:
         """K beta^2 / gamma^2, the reported tail-mass budget."""
         if not math.isfinite(self.gamma):
             return 0.0
         return k * self.beta**2 / self.gamma**2
+
+
+def chi2_cdf(k: int, x: float) -> float:
+    """P(chi^2_k <= x) for a positive integer k and x >= 0.
+
+    With z = x / 2, m = k // 2 and u_i = z^(i+f) / Gamma(i+f+1), f = (k mod 2) / 2,
+    P = e^-z sum_{i >= m} u_i (the lower incomplete gamma series)
+      = 1 - e^-z sum_{i < m} u_i, or erf(sqrt(z)) - e^-z sum_{i < m} u_i for odd k
+    (the finite Poisson sum).  The finite sum is taken where x >= k, so
+    P >= 1/2 roughly and 1 - Q loses no relative accuracy; below, the series,
+    whose terms fall by z / (i + f + 1) < 1 from i = m on.  Past z = 700,
+    where e^-z underflows, k <= z is needed, and then P = 1 to within 1e-90.
+    """
+    z, m = 0.5 * x, k // 2
+    if z > 700.0:
+        if k > z:
+            raise RangeError(f"chi-square cdf at x = {x:.3g} needs k <= x / 2, got {k}")
+        return 1.0
+    # e^-z u_i, from e^-z u_0 = e^-z (1 for even k, z^(1/2) / Gamma(3/2) for odd k)
+    term = math.exp(-z) * (2.0 * math.sqrt(z / math.pi) if k % 2 else 1.0)
+    frac = 0.5 * (k % 2)
+    head = 0.0
+    for i in range(1, m + 1):
+        head += term
+        term *= z / (i + frac)
+    if x >= k:
+        return (math.erf(math.sqrt(z)) if k % 2 else 1.0) - head
+    total = 0.0
+    # terms fall at least geometrically from i = m; the bound is generous
+    for i in range(m + 1, m + 64 + 10 * math.isqrt(int(z) + 1)):
+        total += term
+        if term <= 2.0**-56 * total:
+            return total
+        term *= z / (i + frac)
+    raise AccuracyError(f"chi-square cdf series at k = {k}, x = {x:.17g} did not converge")
 
 
 # rejected draws allowed before giving up: P(all rejected) <= this

@@ -17,9 +17,8 @@ import struct
 import time
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from ._linalg import band_cholesky
+from ._linalg import band_cholesky, check_finite, chol_solve
 from .basis_cov import (
     BasisSystem,
     build_basis,
@@ -110,10 +109,6 @@ def _chol_logdet(chol_factor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol_factor))))
 
 
-def _chol_solve(chol_factor, b):
-    return cho_solve((chol_factor, True), b)
-
-
 def gaussian_divergences(mean1, cov1, mean2, cov2) -> GaussianDivergences:
     """Closed-form divergences between two Gaussian laws.
 
@@ -128,6 +123,9 @@ def gaussian_divergences(mean1, cov1, mean2, cov2) -> GaussianDivergences:
     k = m1.size
     if m2.size != k or c1.shape != (k, k) or c2.shape != (k, k):
         raise PreconditionError("mean/covariance dimensions do not agree")
+    inputs = {"first mean": m1, "first covariance": c1, "second mean": m2, "second covariance": c2}
+    for what, a in inputs.items():
+        check_finite(a, what)
     l1 = _chol(c1, "first covariance")
     l2 = _chol(c2, "second covariance")
     ld1 = _chol_logdet(l1)
@@ -135,8 +133,8 @@ def gaussian_divergences(mean1, cov1, mean2, cov2) -> GaussianDivergences:
     diff = m2 - m1
 
     kl = 0.5 * (
-        float(np.trace(_chol_solve(l2, c1)))
-        + float(diff @ _chol_solve(l2, diff))
+        float(np.trace(chol_solve(l2, c1)))
+        + float(diff @ chol_solve(l2, diff))
         - k
         + ld2
         - ld1
@@ -149,7 +147,7 @@ def gaussian_divergences(mean1, cov1, mean2, cov2) -> GaussianDivergences:
         0.25 * ld1
         + 0.25 * ld2
         - 0.5 * _chol_logdet(lm)
-        - 0.125 * float(diff @ _chol_solve(lm, diff))
+        - 0.125 * float(diff @ chol_solve(lm, diff))
     )
     hell = max(-math.expm1(min(log_affinity, 0.0)), 0.0)
     tv_upper = math.sqrt(max(-math.expm1(-kl), 0.0))

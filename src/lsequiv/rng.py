@@ -6,10 +6,12 @@ stream, so parallel or reordered execution cannot change any draw.
 
 from __future__ import annotations
 
-import numpy as np
+# numpy.random is imported with the package, so that the first make_rng of a
+# run does not pay for loading it
+from numpy.random import Generator, Philox
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+def make_rng(seed: int, stream: int = 0) -> Generator:
     seed = int(seed) & (2**64 - 1)
     stream = int(stream) & (2**64 - 1)
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + stream))
+    return Generator(Philox(key=(seed << 64) + stream))

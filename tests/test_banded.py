@@ -16,10 +16,11 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lsequiv import gaussianize, harness
+from lsequiv import _linalg, gaussianize, harness
 from lsequiv._linalg import (
     DENSE_N_MAX,
     band_cholesky,
+    band_eigh,
     band_extremes,
     band_function,
     band_product,
@@ -147,6 +148,70 @@ def test_band_cholesky_raises_typed_error():
         band_cholesky(ab)
     with pytest.raises(LocalizationError, match="C is not positive definite"):
         band_cholesky(ab, error=LocalizationError, what="C")
+
+
+def _spd_band(n, width, seed):
+    """A random strictly diagonally dominant (so SPD) band, zero past row n."""
+    rng = make_rng(seed, stream=79)
+    ab = rng.standard_normal((width + 1, n))
+    for j in range(1, width + 1):
+        ab[j, n - j :] = 0.0
+    ab[0] = np.abs(band_to_dense(ab)).sum(axis=1) + 0.1
+    return ab
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), width=st.integers(0, 6), seed=st.integers(0, 2**16))
+def test_lapack_calls_match_scipy_wrappers_bitwise(n, width, seed):
+    # the routines scipy's cholesky_banded, eig_banded and cho_solve call,
+    # with the arguments they pass: the same bits
+    ab = _spd_band(n, min(width, n - 1), seed)
+    eig_banded = scipy.linalg.eig_banded
+    np.testing.assert_array_equal(band_cholesky(ab), scipy.linalg.cholesky_banded(ab, lower=True))
+    want = [
+        float(eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(k, k))[0])
+        for k in (0, n - 1)
+    ]
+    assert band_extremes(ab) == tuple(want)
+    w, v = band_eigh(ab, vectors=True)
+    want_w, want_v = eig_banded(ab, lower=True)
+    np.testing.assert_array_equal(w, want_w)
+    np.testing.assert_array_equal(v, want_v)
+    np.testing.assert_array_equal(band_eigh(ab, vectors=False), eig_banded(ab, lower=True, eigvals_only=True))
+    factor = np.linalg.cholesky(band_to_dense(ab))
+    b = make_rng(seed, stream=80).standard_normal((n, 2))
+    want = scipy.linalg.cho_solve((factor, True), b)
+    np.testing.assert_array_equal(_linalg.chol_solve(factor, b), want)
+
+
+def test_exact_band_inverse_matches_scipy_bitwise():
+    # past the Chebyshev break-even band_function solves by dpbtrs on the
+    # banded Cholesky factor, as cho_solve_banded did
+    ab = _spd_band(50, 2, 3)
+    # row 7 dominant by 1e-9 only: too ill-conditioned for a Chebyshev band
+    ab[0, 7] = 1e-9 + np.abs(ab[1:, 7]).sum() + np.abs(ab[1, 6]) + np.abs(ab[2, 5])
+    fab, degree, _ = band_function(ab, -1.0)
+    assert degree == 0
+    want = scipy.linalg.cho_solve_banded(
+        (scipy.linalg.cholesky_banded(ab, lower=True), True), np.eye(50, order="F"), overwrite_b=True
+    )
+    np.testing.assert_array_equal(band_to_dense(fab), band_to_dense(dense_to_band(want, 49)))
+
+
+def test_lapack_paths_refuse_non_finite_bands_and_illegal_arguments():
+    ab = np.array([[2.0, 2.0, 2.0], [0.5, np.nan, 0.0]])
+    calls = [
+        ("matrix", band_cholesky),
+        ("band", band_extremes),
+        ("band", lambda a: band_eigh(a, vectors=True)),
+        ("C_theta", lambda a: band_function(a, -1.0, extremes=(1.0, 3.0), what="C_theta")),
+    ]
+    for what, call in calls:
+        with pytest.raises(PreconditionError, match=f"{what} has a non-finite entry"):
+            call(ab)
+    # a negative info names an illegal argument (here vu < vl): a bug, not a typed error
+    with pytest.raises(RuntimeError, match="argument 11 of dsbevx"):
+        _linalg._lapack("dsbevx", np.ones((1, 3)), 1.0, 0.0, 1, 1, compute_v=0, mmax=3, range=1, lower=1)
 
 
 @pytest.mark.parametrize("k1,k2", WINDOWS)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from lsequiv._linalg import DENSE_N_MAX, band_to_dense, dense_to_band
 from lsequiv.basis_cov import (
@@ -184,6 +185,17 @@ def test_class_c1_closed_form_matches_dense(s):
         assert partial * (1.0 - slack) <= got <= with_tail * (1.0 + slack)
     else:
         assert got == pytest.approx(with_tail, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [2.2, 2.5, 4.0, 11.0])
+def test_class_c1_matches_scipy_zeta(s):
+    # the Euler-Maclaurin Hurwitz zeta against scipy.special.zeta in the
+    # closed form zeta(sigma) beta(sigma) + zeta(2 sigma), sigma = s - 1
+    sigma = s - 1.0
+    beta = 4.0**-sigma * (special.zeta(sigma, 0.25) - special.zeta(sigma, 0.75))
+    lattice = special.zeta(sigma) * beta + special.zeta(2.0 * sigma)
+    want = 2.0 * math.sqrt(TWO_PI) * math.sqrt(5.0) * math.sqrt(lattice)
+    assert abs(class_c1(s, 5.0) / want - 1.0) <= 1e-14
 
 
 def test_class_c1_rejects_s_at_most_two():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 from scipy.integrate import quad
 
 from lsequiv import cltcheck
@@ -802,6 +803,47 @@ def test_tail_bound_is_the_majorant_tail():
             )
             got = fourier_tail_bound(R, ctx)
             assert abs(got / (1.0 + 1e-10) - sphere * want) <= 1e-11 * sphere * want
+
+
+# the radii the tail bound is asked at: R = 2, the verify check's R = 5 and
+# the truncation ladder 4 * 1.5^j
+TAIL_RADII = [2.0, 5.0, *(4.0 * 1.5**j for j in range(40))]
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_tail_bound_matches_scipy_special(K):
+    # |S^{K-1}| (2 mu)^{-K} / 2 B(b, a) I_x(a, b), a = q - K/2, b = K/2, by
+    # scipy's gamma and betainc at mu = 1/sqrt(2n), n = 8..2^20.  scipy's
+    # complete beta(b, a) drifts with a (2.6e-10 relative at n = 2^20), so it
+    # is used as is for n <= 512 only; at every n B(b, a) is also taken exact
+    # for the integer q = n/4: 1 / a for K = 2, pi C(2q-2, q-1) / 4^(q-1),
+    # a binomial probability, for K = 1.
+    b = K / 2.0
+    for n in 2 ** np.arange(3, 21):
+        mu = 1.0 / math.sqrt(2.0 * n)
+        q, a = n // 4, 1.0 / (8.0 * mu * mu) - b
+        exact_beta = 1.0 / a if K == 2 else math.pi * stats.binom.pmf(q - 1, 2 * q - 2, 0.5)
+        scale = (1.0 + cltcheck._TAIL_ALLOWANCE) * math.pi**b / special.gamma(b) * (2.0 * mu) ** -K
+        for R in TAIL_RADII:
+            x = 1.0 / (1.0 + 4.0 * mu * mu * R * R)
+            got = fourier_tail_bound(R, SimpleNamespace(K=K, mu_tail=mu))
+            want = scale * exact_beta * special.betainc(a, b, x)
+            if want < 1e-290:  # underflow: no relative accuracy to ask for
+                assert got < 1e-280
+                continue
+            assert abs(got / want - 1.0) <= 1e-13
+            if n <= 512:
+                literal = scale * special.beta(b, a) * special.betainc(a, b, x)
+                assert abs(got / literal - 1.0) <= 1e-13
+
+
+def test_tail_bound_guards():
+    # K = 1's continued fraction converges for R^2 > 3 / (1 + 4 mu^2) only
+    with pytest.raises(RangeError, match="R\\^2 > 3"):
+        fourier_tail_bound(1.5, SimpleNamespace(K=1, mu_tail=0.01))
+    assert fourier_tail_bound(1.5, SimpleNamespace(K=2, mu_tail=0.01)) > 0.0
+    with pytest.raises(PreconditionError, match="K <= 2"):
+        fourier_tail_bound(5.0, SimpleNamespace(K=3, mu_tail=0.01))
 
 
 def test_edgeworth_tv_k2_matches_k1_closed_form_on_a_rank_one_tensor():

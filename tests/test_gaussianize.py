@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.linalg import cho_factor, cho_solve
 
 from lsequiv._linalg import band_to_dense, dense_to_band, sym_inv, sym_inv_sqrt, sym_sqrt
@@ -12,6 +12,7 @@ from lsequiv.errors import (
     ConfigurationError,
     LocalizationError,
     PreconditionError,
+    RangeError,
     SingularMatrixError,
 )
 from lsequiv.gaussianize import (
@@ -22,6 +23,7 @@ from lsequiv.gaussianize import (
     _loglik_differences,
     _sampling_root,
     build_localized_C,
+    chi2_cdf,
     gaussian_summaries,
     goe_sample,
     likelihood_affinity_check,
@@ -46,6 +48,28 @@ STATE = ExperimentState.build(BASIS, LOC, theta=THETA, rng=make_rng(0, stream=41
 def test_acceptance_probability_closed_form():
     assert LOC.acceptance_probability(6) == pytest.approx(stats.chi2.cdf(9.0, 6), rel=1e-12)
     assert LOC.truncation_budget(6) == pytest.approx(6.0 / 9.0, rel=1e-12)
+
+
+def test_acceptance_probability_matches_chdtr_on_the_schedule():
+    # the schedule's (gamma / beta)^2 = K log log(n + e^2), K = 1..91: the
+    # finite Poisson sums against scipy's chdtr
+    for n in (8, 64, 512, 4096, 2**16, 2**20):
+        slow = math.log(math.log(n + math.e**2))
+        for k in range(1, 92):
+            cfg = LocalizationConfig(beta=math.sqrt(k * slow), gamma=k * slow)
+            want = special.chdtr(k, (cfg.gamma / cfg.beta) ** 2)
+            assert abs(cfg.acceptance_probability(k) / want - 1.0) <= 1e-14
+
+
+def test_chi2_cdf_off_the_schedule():
+    # below the mean the lower series keeps relative accuracy where 1 - Q
+    # would cancel; far above it the cdf is 1
+    for k, x in ((5, 1e-8), (6, 1e-8), (40, 3.0), (91, 60.0), (1, 0.3)):
+        assert abs(chi2_cdf(k, x) / special.chdtr(k, x) - 1.0) <= 1e-13
+    assert chi2_cdf(3, 0.0) == 0.0
+    assert chi2_cdf(6, 9e24) == 1.0
+    with pytest.raises(RangeError, match="needs k <= x / 2"):
+        chi2_cdf(2000, 1500.0)
 
 
 def test_truncated_noise_stays_in_ball():

@@ -8,9 +8,9 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import lsequiv
+import lsequiv._linalg as linalg
 import lsequiv.cli as cli
 import lsequiv.harness as harness
 from lsequiv._linalg import DENSE_N_MAX, band_cholesky, band_to_dense
@@ -83,6 +83,11 @@ def test_divergences_guards():
         gaussian_divergences(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3))
     with pytest.raises(SingularMatrixError):
         gaussian_divergences(np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.eye(2))
+    # a non-finite mean or covariance is refused before LAPACK sees it
+    with pytest.raises(PreconditionError, match="second mean has a non-finite entry"):
+        gaussian_divergences(np.zeros(2), np.eye(2), np.array([0.0, np.inf]), np.eye(2))
+    with pytest.raises(PreconditionError, match="first covariance has a non-finite entry"):
+        gaussian_divergences(np.zeros(2), np.diag([1.0, np.nan]), np.zeros(2), np.eye(2))
 
 
 SCHEDULE_CASES = [
@@ -255,15 +260,25 @@ def test_tv_decay_defaults_to_scalar_window():
 
 
 def test_tv_decay_k2_forms_no_n_by_n_array(monkeypatch, traced_peak):
-    # the closed-form context: no eigensolve of size n, and a traced peak
-    # below one n x n float64 array
+    # the closed-form context: no eigensolve of size n, dense or banded (every
+    # LAPACK call of the package goes through _linalg._lapack), and a traced
+    # peak below one n x n float64 array
     n, sizes = 4096, []
+    default_grid()  # built once per process, by a size-256 eigvalsh in leggauss
 
     def counted(fn):
         return lambda a, *args, **kwargs: sizes.append(np.shape(a)[-1]) or fn(a, *args, **kwargs)
 
-    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded")):
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    lapack = linalg._lapack
+
+    def counted_lapack(routine, *args, **kwargs):
+        if routine in ("dsbevx", "dsbevd"):
+            sizes.append(np.shape(args[0])[-1])
+        return lapack(routine, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_lapack", counted_lapack)
     out = []
     peak = traced_peak(lambda: out.extend(run_tv_decay(RunConfig(n_grid=(n,), k1=0, k2=1))))
     header, rows = out
@@ -435,36 +450,57 @@ def test_config_rejects_tolerances_key():
         RunConfig.from_json('{"tolerances": {}}')
 
 
-def _modules_after_cli_import():
-    """sys.modules of a fresh interpreter after import lsequiv.cli and default_grid()."""
+def _fresh_interpreter(code):
+    """stdout of code run by a fresh interpreter with this package on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lsequiv.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, lsequiv.cli; from lsequiv.spectral import default_grid; default_grid(); "
-        "print('\\n'.join(sys.modules))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    return out.stdout.split()
+    return out.stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats costs about half a second of every CLI start-up
-    assert [m for m in _modules_after_cli_import() if m.startswith("scipy.stats")] == []
+# what every CLI run does before its command: the set-up a benchmark times
+SETUP = "import sys, lsequiv.cli; from lsequiv.spectral import default_grid; default_grid(); "
 
 
-def test_cli_import_leaves_integrate_optimize_interpolate_unloaded():
-    # the tail integrals and the TV oracle's spline need none of them; together
-    # they cost about a quarter second of every CLI start-up
-    heavy = {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
-    loaded = [m for m in _modules_after_cli_import() if ".".join(m.split(".")[:2]) in heavy]
-    assert loaded == []
+def test_cli_import_loads_only_the_lapack_extension_of_scipy():
+    # the scipy package (scipy.stats, .integrate, .optimize, .interpolate,
+    # .fft, .special and scipy.linalg itself) would double every CLI
+    # start-up; _linalg loads the one extension module it calls
+    modules = _fresh_interpreter(SETUP + "print('\\n'.join(sys.modules))").split()
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == ["scipy.linalg._flapack"]
+    assert "numpy.random" in modules
 
 
-def test_cli_import_leaves_scipy_fft_unloaded():
-    # both TV oracles sum on a frequency lattice by matrix products; no FFT
-    assert [m for m in _modules_after_cli_import() if m.split(".")[:2] == ["scipy", "fft"]] == []
+def test_lapack_routines_are_the_ones_scipy_exports():
+    # loaded before scipy, the extension is the module scipy.linalg.lapack
+    # then uses; a scipy that moved it would fail here, not in a wrong answer
+    names = ("dpbtrf", "dpbtrs", "dsbevx", "dsbevd", "dpotrs", "dlamch")
+    code = (
+        "import lsequiv._linalg as linalg; import scipy.linalg.lapack as lapack; "
+        "print(lapack._flapack is linalg._flapack, "
+        f"*(getattr(lapack, f) is getattr(linalg._flapack, f) for f in {names!r}))"
+    )
+    assert _fresh_interpreter(code).split() == ["True"] * (1 + len(names))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--n", "64"], ["chain", "--n", "64"], ["tvdecay", "--config", "{tv_k2}", "--n", "64"]],
+    ids=["verify", "chain", "tvdecay-k2"],
+)
+def test_commands_import_nothing_after_setup(argv, tmp_path):
+    # a module a command loads on first use is paid inside its timed run; the
+    # last line printed is the exit code and the modules the command added
+    config = tmp_path / "tv-k2.json"
+    config.write_text(json.dumps({"k1": 0, "k2": 1}))
+    argv = [a.format(tv_k2=config) for a in argv] + ["--out", str(tmp_path)]
+    code = SETUP + (
+        "before = set(sys.modules); code = lsequiv.cli.main(" + repr(argv) + "); "
+        "print(code, *sorted(set(sys.modules) - before))"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1].split() == ["0"]
 
 
 def test_benchmark_tracer_resolves_every_target():
