@@ -464,13 +464,35 @@ def _fresh_interpreter(code):
 SETUP = "import sys, lsequiv.cli; from lsequiv.spectral import default_grid; default_grid(); "
 
 
+def _modules_after_cli_import():
+    return _fresh_interpreter(SETUP + "print('\\n'.join(sys.modules))").split()
+
+
 def test_cli_import_loads_only_the_lapack_extension_of_scipy():
     # the scipy package (scipy.stats, .integrate, .optimize, .interpolate,
     # .fft, .special and scipy.linalg itself) would double every CLI
     # start-up; _linalg loads the one extension module it calls
-    modules = _fresh_interpreter(SETUP + "print('\\n'.join(sys.modules))").split()
+    modules = _modules_after_cli_import()
     assert [m for m in modules if m.split(".")[0] == "scipy"] == ["scipy.linalg._flapack"]
     assert "numpy.random" in modules
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats costs about half a second of every CLI start-up
+    assert [m for m in _modules_after_cli_import() if m.startswith("scipy.stats")] == []
+
+
+def test_cli_import_leaves_integrate_optimize_interpolate_unloaded():
+    # the tail integrals and the TV oracle's spline need none of them; together
+    # they cost about a quarter second of every CLI start-up
+    heavy = {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+    loaded = [m for m in _modules_after_cli_import() if ".".join(m.split(".")[:2]) in heavy]
+    assert loaded == []
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # both TV oracles sum on a frequency lattice by matrix products; no FFT
+    assert [m for m in _modules_after_cli_import() if m.split(".")[:2] == ["scipy", "fft"]] == []
 
 
 def test_lapack_routines_are_the_ones_scipy_exports():
