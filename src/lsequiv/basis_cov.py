@@ -155,11 +155,20 @@ class BasisSystem:
         """Dense (K, n, n) cyclic companion stack, built on first use."""
         return build_mcheck_basis(self.n, self.k1, self.k2)
 
+    def mcheck_profiles(self) -> np.ndarray:
+        """(K, n) wrapped diagonals of the cyclic companions: Mcheck_k holds
+        row k at (i + j2 mod n, i) and, mirrored, at (i, i + j2 mod n)."""
+        scale = math.sqrt(TWO_PI / self.n)
+        out = np.empty((self.K, self.n))
+        for pos, idx in enumerate(self.indices):
+            out[pos] = scale * mcheck_diagonal(self.n, idx)
+        return out
+
     def mcheck_gaps(self) -> np.ndarray:
         """|Mcheck_k - M_k|_F per k.  Both are one diagonal at offset j2, cyclic
         and plain, so the gap is one wrapped diagonal, counted twice if j2 > 0."""
-        scale = math.sqrt(TWO_PI / self.n)
-        gaps = [scale * mcheck_diagonal(self.n, i) - b for i, b in zip(self.indices, self.bands)]
+        gaps = self.mcheck_profiles()
+        gaps -= self.bands
         return np.linalg.norm(gaps, axis=1) * np.where(self.offsets > 0, math.sqrt(2.0), 1.0)
 
     def raw_mat(self, k: int) -> np.ndarray:
@@ -250,9 +259,17 @@ class BasisSystem:
             self._spectral_norms = out
         return self._spectral_norms
 
-    def gram(self) -> np.ndarray:
-        flat = self.mats.reshape(self.K, -1)
-        return flat @ flat.T
+
+def diagonal_gram(offsets, profiles) -> np.ndarray:
+    """Frobenius Gram [<A_k, A_l>_F] of symmetric matrices that each hold one
+    diagonal, plain or wrapped: values profiles[k] at offset offsets[k] and,
+    for an offset j2 > 0, the mirror image (2 j2 < n for wrapped ones).
+    Diagonals at different offsets do not meet, so
+    <A_k, A_l>_F = [j2_k = j2_l] c profiles[k] . profiles[l], c = 2 if j2 > 0
+    and 1 otherwise: O(K^2 n) on the profiles, no n x n array."""
+    offsets, profiles = np.asarray(offsets), np.asarray(profiles, dtype=float)
+    same = offsets[:, None] == offsets[None, :]
+    return np.where(same, np.where(offsets > 0, 2.0, 1.0) * (profiles @ profiles.T), 0.0)
 
 
 def build_basis(n: int, k1: int, k2: int) -> BasisSystem:

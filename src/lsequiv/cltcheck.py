@@ -220,6 +220,10 @@ def standardized_exp_series(t, ctx) -> complex:
     return char_fn_standardized(t, ctx) * math.exp(0.5 * float(t @ t))
 
 
+# Radius x eigenvalue entries RadialProfile.abs_psi forms at a time (0.5 MB)
+_RADIUS_BLOCK = 1 << 16
+
+
 class RadialProfile:
     """One-dimensional slice r -> |char_fn_standardized(r * u)|, for the
     tail quadrature of fourier_tail_integral.
@@ -227,7 +231,8 @@ class RadialProfile:
     Along a fixed unit direction u the pencil eigenvalues scale linearly
     in the radius, so one spectrum, read from the joint spectrum by
     ctx.pencil_eigs, serves every r.  abs_psi is vectorized over radius
-    arrays.
+    arrays, taken in blocks of at most _RADIUS_BLOCK radius x eigenvalue
+    entries; each radius is one sum over the spectrum, whatever the block.
     """
 
     def __init__(self, ctx, u):
@@ -240,8 +245,14 @@ class RadialProfile:
 
     def abs_psi(self, r):
         r = np.asarray(r, dtype=float)
-        x = 2.0 * np.multiply.outer(r, self.eigs)
-        return np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
+        flat = r.reshape(-1)
+        out = np.empty(flat.shape)
+        step = max(1, _RADIUS_BLOCK // len(self.eigs))
+        for r0 in range(0, len(flat), step):
+            x = 2.0 * np.multiply.outer(flat[r0 : r0 + step], self.eigs)
+            out[r0 : r0 + step] = np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
+        # [()] turns the 0-d result of a scalar r into a scalar
+        return out.reshape(r.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +391,12 @@ def fourier_tail_bound(R, ctx) -> float:
     equality when every |lam_j| = mu.  Its tail
     |S^{K-1}| int_R^inf m(r) r^{K-1} dr is |S^{K-1}| (2 mu)^{-K} / 2 B_x(a, K/2),
     a = q - K/2, with B_x the unregularized incomplete beta function at
-    x = 1 / (1 + 4 mu^2 R^2) (substitute t = 1 / (1 + 4 mu^2 r^2)); infinite unless
-    mu^{-2} > 4K.  For K = 2, B_x(a, 1) = x^a / a.  For K = 1,
+    x = 1 / (1 + s), s = 4 mu^2 R^2 (substitute t = 1 / (1 + 4 mu^2 r^2)); infinite
+    unless mu^{-2} > 4K.  x^a is taken as exp(-a log1p(s)), since a rounded x
+    raised to a ~ 1 / (8 mu^2) would carry a times its rounding error, and
+    y = 1 - x as s / (1 + s).  For K = 2, B_x(a, 1) = x^a / a.  For K = 1,
     B_x(a, 1/2) = x^a y^{1/2} / a times the continued fraction of I_x(a, 1/2)
-    (_beta_fraction), y = 1 - x, which converges where x < (a + 1) / (a + 5/2),
+    (_beta_fraction), which converges where x < (a + 1) / (a + 5/2),
     that is R^2 > 3 / (1 + 4 mu^2); elsewhere this raises RangeError.  The
     bound is that tail times 1 + _TAIL_ALLOWANCE: a relative 1e-10 that
     covers the quadrature and rounding error of a numeric tail meeting m
@@ -395,14 +408,15 @@ def fourier_tail_bound(R, ctx) -> float:
     q = 1.0 / (8.0 * mu * mu)
     if q <= K / 2.0:
         return math.inf
-    a, x = q - K / 2.0, 1.0 / (1.0 + 4.0 * mu * mu * R * R)
+    a, s = q - K / 2.0, 4.0 * mu * mu * R * R
+    x_pow_a = np.exp(-a * np.log1p(s))
     if K == 2:
-        sphere, incomplete = 2.0 * math.pi, x**a / a
+        sphere, incomplete = 2.0 * math.pi, x_pow_a / a
     else:
-        y = 1.0 - x
+        x, y = 1.0 / (1.0 + s), s / (1.0 + s)
         if not x < (a + 1.0) / (a + 2.5):
             raise RangeError(f"the K = 1 tail bound needs R^2 > 3 / (1 + 4 mu^2), got R = {R!r}")
-        sphere, incomplete = 2.0, x**a * math.sqrt(y) / a * _beta_fraction(a, 0.5, x, y)
+        sphere, incomplete = 2.0, x_pow_a * math.sqrt(y) / a * _beta_fraction(a, 0.5, x, y)
     return float((1.0 + _TAIL_ALLOWANCE) * sphere * 0.5 * (2.0 * mu) ** -K * incomplete)
 
 
@@ -567,12 +581,16 @@ def _lattice_step(x_max, mu):
     return 2.0 * math.pi / (x_max + max(x_max, reach))
 
 
-def _psi_real_form(lam, phase):
+def _psi_real_form(lam, phase, counts=None):
     """exp(-i phase) prod_j (1 - 2i lam_j)^{-1/2} over the last axis of lam, as
-    exp(-(1/4) sum log1p(4 lam^2) + i ((1/2) sum arctan(2 lam) - phase))."""
+    exp(-(1/4) sum log1p(4 lam^2) + i ((1/2) sum arctan(2 lam) - phase)); with
+    counts, the eigenvalue lam_j is counted counts[j] times."""
     x = 2.0 * lam
-    modulus = np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
-    return modulus * np.exp(1j * (0.5 * np.sum(np.arctan(x), axis=-1) - phase))
+    if counts is None:
+        modulus = np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
+        return modulus * np.exp(1j * (0.5 * np.sum(np.arctan(x), axis=-1) - phase))
+    modulus = np.exp(-0.25 * (np.log1p(x * x) @ counts))
+    return modulus * np.exp(1j * (0.5 * (np.arctan(x) @ counts) - phase))
 
 
 def _lattice_psi(ctx, cf_override, dw, M):
@@ -580,11 +598,12 @@ def _lattice_psi(ctx, cf_override, dw, M):
     (K = 2), for |a|, |b| <= M.
 
     The half a >= 0 is evaluated, the rest is psi*(-w) = conj psi*(w).  K = 1
-    takes one pencil spectrum, the joint row, or one cf_override call on the
-    (M + 1, 1) frequencies.  For K = 2 the pencil of w has eigenvalues
-    w_1 Lambda_1 + w_2 Lambda_2, Lambda = Gamma^{-1/2} joint, formed one
-    frequency row (2M + 1, n) at a time; a cf_override gets the same rows as
-    (2M + 1, 2) frequency arrays.
+    takes one pencil spectrum, the joint row, summed over its distinct values
+    weighted by their counts (a K = 1 span context has one), or one
+    cf_override call on the (M + 1, 1) frequencies.  For K = 2 the pencil of
+    w has eigenvalues w_1 Lambda_1 + w_2 Lambda_2, Lambda = Gamma^{-1/2} joint,
+    formed one frequency row (2M + 1, n) at a time; a cf_override gets the
+    same rows as (2M + 1, 2) frequency arrays.
     """
     size = 2 * M + 1
     freqs = dw * np.arange(-M, M + 1)
@@ -592,7 +611,8 @@ def _lattice_psi(ctx, cf_override, dw, M):
         r = freqs[M:]
         if cf_override is None:
             v = ctx.gamma_inv_sqrt[:, 0]
-            half = _psi_real_form(np.multiply.outer(r, ctx.pencil_eigs(v)), r * float(v @ ctx.d_vec))
+            lam, counts = np.unique(ctx.pencil_eigs(v), return_counts=True)
+            half = _psi_real_form(np.multiply.outer(r, lam), r * float(v @ ctx.d_vec), counts)
         else:
             half = cf_override(r[:, None])
         return np.concatenate([np.conj(half[:0:-1]), half])

@@ -440,25 +440,37 @@ def sp_perturbation_check(a, b) -> CheckResult:
     return CheckResult("perturbation.whitened_inverse", "spd-perturbation", lhs, rhs)
 
 
+# Normal entries of one row block of the likelihood affinity draws (0.5 MB)
+_DRAW_BLOCK = 1 << 16
+
+
 def _loglik_differences(state: ExperimentState, reps: int, rng):
     """([T, 1] rows, log N(x; 0, B^{-1}) - log N(x; 0, C)) for reps draws x ~ N(0, C).
 
     C = V diag(w) V^T draws x = V sqrt(w) z (the stream order of reps
     _gaussian_vector calls), solves C^{-1} x = V z / sqrt(w) and gives log det C;
-    B enters as its band and its banded Cholesky factor."""
+    B enters dense for the quadratic forms and as its banded Cholesky factor
+    for log det B.  The z are drawn in row blocks of _DRAW_BLOCK entries,
+    which read the stream as one (reps, n) draw, so that only V, B and one
+    block are held besides the (reps, K + 1) and (reps,) results."""
     w, v = sym_eig(state.c_mat)
     if w[0] <= 0.0:
         raise PreconditionError("covariances must be positive definite")
     b_chol = band_cholesky(state.b_band, PreconditionError, "B")
-    z = rng.standard_normal((reps, state.n))
-    xs = z @ (v * np.sqrt(w)).T
-    c_solved = z @ (v / np.sqrt(w)).T
+    b_dense, root_w = state.b_theta, np.sqrt(w)
     logdet_b = -2.0 * float(np.sum(np.log(b_chol[0])))
     logdet_c = float(np.sum(np.log(w)))
-    quad_b = np.sum(xs * (xs @ state.b_theta), axis=1)
-    quad_c = np.sum(z * z, axis=1)
-    diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
-    return np.column_stack([state.basis.quad_form(c_solved), np.ones(reps)]), diffs
+    draws = np.ones((reps, state.K + 1))
+    diffs = np.empty(reps)
+    step = max(1, _DRAW_BLOCK // state.n)
+    for r0 in range(0, reps, step):
+        z = rng.standard_normal((min(step, reps - r0), state.n))
+        rows = slice(r0, r0 + len(z))
+        xs = (z * root_w) @ v.T
+        draws[rows, :-1] = state.basis.quad_form((z / root_w) @ v.T)
+        quad_b = np.sum(xs * (xs @ b_dense), axis=1)
+        diffs[rows] = -0.5 * (quad_b + logdet_b) + 0.5 * (np.sum(z * z, axis=1) + logdet_c)
+    return draws, diffs
 
 
 def likelihood_affinity_check(state: ExperimentState, reps: int, rng) -> CheckResult:

@@ -69,7 +69,9 @@ def test_criterion_01_exact_algebra():
             assert abs(raw_sq - 2.0 * math.pi * (n - idx.j2)) <= 1e-10 * n
 
         # both orthonormal stacks have identity Grams
-        assert np.max(np.abs(basis.gram() - np.eye(28))) <= 1e-10
+        stack = basis.mats
+        gram = np.einsum("aij,bij->ab", stack, stack)
+        assert np.max(np.abs(gram - np.eye(28))) <= 1e-10
         stack = basis.mcheck
         gram = np.einsum("aij,bij->ab", stack, stack)
         assert np.max(np.abs(gram - np.eye(28))) <= 1e-10

@@ -15,6 +15,7 @@ from lsequiv.basis_cov import (
     class_c1,
     coeff_identity_check,
     density_coefficients,
+    diagonal_gram,
     presmoothing_residual,
     theta_lipschitz_check,
     theta_spectral_check,
@@ -55,7 +56,8 @@ def test_raw_norm_closed_form():
 
 
 def test_normalized_stack_orthonormal():
-    np.testing.assert_allclose(BASIS.gram(), np.eye(BASIS.K), atol=1e-12)
+    flat = BASIS.mats.reshape(BASIS.K, -1)
+    np.testing.assert_allclose(flat @ flat.T, np.eye(BASIS.K), atol=1e-12)
 
 
 def test_quad_form_matches_dense():
@@ -275,6 +277,23 @@ def test_band_operations_match_dense(k1, k2):
     np.testing.assert_allclose(
         basis.mcheck_gaps(), np.linalg.norm(basis.mcheck - mats, axis=(1, 2)), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("k1, k2", [(0, 0), (1, 1), (2, 0), (3, 3)])
+def test_diagonal_gram_matches_dense(k1, k2):
+    # the Grams of both families from their profiles against flat @ flat.T of
+    # the dense stacks; a profile scaled by 1 + 1e-9 moves the Gram past the
+    # 1e-10 tolerance of verify's band-gram and circulant-gram checks
+    n = 64
+    basis = build_basis(n, k1, k2)
+    for profiles, stack in ((basis.bands, basis.mats), (basis.mcheck_profiles(), basis.mcheck)):
+        flat = stack.reshape(basis.K, -1)
+        got = diagonal_gram(basis.offsets, profiles)
+        assert np.max(np.abs(got - flat @ flat.T)) <= 1e-14
+        assert np.max(np.abs(got - np.eye(basis.K))) <= 1e-10
+        bent = profiles.copy()
+        bent[-1] *= 1.0 + 1e-9
+        assert np.max(np.abs(diagonal_gram(basis.offsets, bent) - np.eye(basis.K))) > 1e-10
 
 
 def test_size_and_symmetry_guards_are_typed():

@@ -2,6 +2,7 @@ import cmath
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -547,6 +548,46 @@ def test_lattice_psi_k1_matches_per_direction_oracle(dense, monkeypatch):
     assert np.max(np.abs(got - _lattice_psi(ctx, lambda w: _psi_per_direction(ctx, w), dw, M))) <= 1e-13
 
 
+def _full_spectrum_half(ctx, dw, M):
+    """The K = 1 half a >= 0 of psi*, a sum over every eigenvalue of the
+    pencil (oracle)."""
+    r = dw * np.arange(M + 1)
+    v = ctx.gamma_inv_sqrt[:, 0]
+    return cltcheck._psi_real_form(np.multiply.outer(r, ctx.pencil_eigs(v)), r * float(v @ ctx.d_vec))
+
+
+def _assert_distinct_sum_matches_full_spectrum(ctx):
+    # 20 lattice steps reach the truncation radius of a 1e-8 tail
+    M = 20
+    dw = _truncation(ctx, 1e-8) / M
+    got = _lattice_psi(ctx, None, dw, M)[M:]
+    assert np.max(np.abs(got - _full_spectrum_half(ctx, dw, M))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384, 65536])
+def test_lattice_psi_k1_sums_distinct_eigenvalues(n):
+    # a K = 1 span context has one distinct eigenvalue, counted n times
+    ctx = _tv_decay_context(n, 0)
+    assert len(np.unique(ctx.joint)) == 1
+    _assert_distinct_sum_matches_full_spectrum(ctx)
+
+
+def test_lattice_psi_k1_on_a_spectrum_of_distinct_values():
+    n = 512
+    joint = make_rng(5, stream=50).uniform(0.5, 1.5, size=(1, n))
+    gamma_theta = 2.0 * joint @ joint.T
+    ctx = cltcheck.CharFnContext(
+        n=n,
+        d_vec=np.sum(joint, axis=1),
+        gamma_theta=gamma_theta,
+        gamma_inv_sqrt=1.0 / np.sqrt(gamma_theta),
+        mu=float(np.max(joint) / np.sqrt(gamma_theta[0, 0])),
+        joint=joint,
+    )
+    assert len(np.unique(ctx.joint)) == n
+    _assert_distinct_sum_matches_full_spectrum(ctx)
+
+
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 def test_tv_oracle_k1_exact_chi_square_law(n):
     # the identity window's law is the standardized chi-square(n): against
@@ -791,6 +832,20 @@ def test_majorant_is_exact_for_in_span_chi_square(n):
     assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 
 
+def test_abs_psi_blocks_match_one_block():
+    # 1e5 radii take several blocks of _RADIUS_BLOCK entries; each radius is
+    # the same sum over the spectrum as in one (radii, n) array
+    ctx = _tv_decay_context(32, 1)
+    profile = RadialProfile(ctx, np.array([0.6, 0.8]))
+    r = np.linspace(0.0, 200.0, 100_000)
+    assert len(r) * len(profile.eigs) > 4 * cltcheck._RADIUS_BLOCK
+    x = 2.0 * np.multiply.outer(r, profile.eigs)
+    want = np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
+    np.testing.assert_array_equal(profile.abs_psi(r), want)
+    np.testing.assert_array_equal(profile.abs_psi(r.reshape(400, 250)), want.reshape(400, 250))
+    assert profile.abs_psi(r[7]) == want[7]
+
+
 def test_tail_bound_is_the_majorant_tail():
     # against a quad of |S^{K-1}| int_R^inf m(r) r^{K-1} dr at mu_tail, with
     # the 1e-10 allowance
@@ -813,13 +868,14 @@ TAIL_RADII = [2.0, 5.0, *(4.0 * 1.5**j for j in range(40))]
 @pytest.mark.parametrize("K", [1, 2])
 def test_tail_bound_matches_scipy_special(K):
     # |S^{K-1}| (2 mu)^{-K} / 2 B(b, a) I_x(a, b), a = q - K/2, b = K/2, by
-    # scipy's gamma and betainc at mu = 1/sqrt(2n), n = 8..2^20.  scipy's
-    # complete beta(b, a) drifts with a (2.6e-10 relative at n = 2^20), so it
-    # is used as is for n <= 512 only; at every n B(b, a) is also taken exact
-    # for the integer q = n/4: 1 / a for K = 2, pi C(2q-2, q-1) / 4^(q-1),
+    # scipy's gamma and betainc at mu = 1/sqrt(2n), n = 8..512.  scipy takes
+    # the rounded x = 1 / (1 + 4 mu^2 R^2), whose rounding error x^a carries a
+    # times over (8e-13 relative at n = 2^16), so past n = 512 the oracle is
+    # the mpmath test below.  B(b, a) is taken both from scipy's beta and
+    # exact for the integer q = n/4: 1 / a for K = 2, pi C(2q-2, q-1) / 4^(q-1),
     # a binomial probability, for K = 1.
     b = K / 2.0
-    for n in 2 ** np.arange(3, 21):
+    for n in 2 ** np.arange(3, 10):
         mu = 1.0 / math.sqrt(2.0 * n)
         q, a = n // 4, 1.0 / (8.0 * mu * mu) - b
         exact_beta = 1.0 / a if K == 2 else math.pi * stats.binom.pmf(q - 1, 2 * q - 2, 0.5)
@@ -832,9 +888,31 @@ def test_tail_bound_matches_scipy_special(K):
                 assert got < 1e-280
                 continue
             assert abs(got / want - 1.0) <= 1e-13
-            if n <= 512:
-                literal = scale * special.beta(b, a) * special.betainc(a, b, x)
-                assert abs(got / literal - 1.0) <= 1e-13
+            literal = scale * special.beta(b, a) * special.betainc(a, b, x)
+            assert abs(got / literal - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_tail_bound_matches_mpmath_in_the_exact_s(K):
+    # the same tail at 50 digits from the exact s = 4 mu^2 R^2 of the float mu
+    # and R, n = 8..2^20; where the leading x^a / a factor of the tail is below
+    # 1e-280 the bound may underflow and need only be as small
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    b = mp.mpf(K) / 2
+    for n in 2 ** np.arange(3, 21):
+        mu = 1.0 / math.sqrt(2.0 * n)
+        m = mp.mpf(mu)
+        a = 1 / (8 * m * m) - b
+        scale = (1 + mp.mpf(cltcheck._TAIL_ALLOWANCE)) * mp.pi**b / mp.gamma(b) * (2 * m) ** -K
+        for R in TAIL_RADII:
+            x = 1 / (1 + 4 * m * m * mp.mpf(R) ** 2)
+            got = fourier_tail_bound(R, SimpleNamespace(K=K, mu_tail=mu))
+            if scale * x**a / a < 1e-280:
+                assert got < 1e-270
+                continue
+            want = scale * mp.betainc(a, b, 0, x)
+            assert abs(mp.mpf(got) / want - 1) <= 1e-13
 
 
 def test_tail_bound_guards():

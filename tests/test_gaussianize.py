@@ -6,7 +6,8 @@ import pytest
 from scipy import special, stats
 from scipy.linalg import cho_factor, cho_solve
 
-from lsequiv._linalg import band_to_dense, dense_to_band, sym_inv, sym_inv_sqrt, sym_sqrt
+from lsequiv import gaussianize
+from lsequiv._linalg import band_cholesky, band_to_dense, dense_to_band, sym_inv, sym_inv_sqrt, sym_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.errors import (
     ConfigurationError,
@@ -309,6 +310,60 @@ def test_loglik_differences_match_dense_cho_solve():
     want_draws, want = _loglik_differences_dense(STATE, 200, make_rng(3, stream=45))
     assert np.max(np.abs(diffs - want)) <= 1e-10 * np.max(np.abs(want))
     assert np.max(np.abs(draws - want_draws)) <= 1e-10 * np.max(np.abs(want_draws))
+
+
+@pytest.fixture(scope="module")
+def state_256():
+    # a state at verify's n = 256, where 800 draws take four row blocks
+    basis = build_basis(256, 1, 1)
+    theta = build_theta(random_density(1, 1, make_rng(2, stream=30)), 256)
+    return ExperimentState.build(basis, LOC, theta=theta, rng=make_rng(0, stream=41))
+
+
+def _loglik_differences_one_block(state, reps, rng):
+    """(z, [T, 1] rows, differences) by the single-block formula: one
+    (reps, n) draw z, x = z (V sqrt(w))^T and C^{-1} x = z (V / sqrt(w))^T."""
+    w, v = np.linalg.eigh(state.c_mat)
+    z = rng.standard_normal((reps, state.n))
+    xs = z @ (v * np.sqrt(w)).T
+    c_solved = z @ (v / np.sqrt(w)).T
+    logdet_b = -2.0 * float(np.sum(np.log(band_cholesky(state.b_band)[0])))
+    logdet_c = float(np.sum(np.log(w)))
+    quad_b = np.sum(xs * (xs @ state.b_theta), axis=1)
+    quad_c = np.sum(z * z, axis=1)
+    diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
+    return z, np.column_stack([state.basis.quad_form(c_solved), np.ones(reps)]), diffs
+
+
+class _RecordingStream:
+    """A generator that keeps every normal block it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, []
+
+    def standard_normal(self, size):
+        self.blocks.append(self.rng.standard_normal(size))
+        return self.blocks[-1]
+
+
+@pytest.mark.parametrize("reps", [1, 255, 256, 800])
+def test_loglik_differences_blocks_match_one_block(state_256, reps):
+    stream = _RecordingStream(make_rng(0, stream=205))
+    draws, diffs = _loglik_differences(state_256, reps, stream)
+    z, want_draws, want = _loglik_differences_one_block(state_256, reps, make_rng(0, stream=205))
+    assert len(stream.blocks) == -(-reps // (gaussianize._DRAW_BLOCK // 256))
+    np.testing.assert_array_equal(np.concatenate(stream.blocks), z)
+    assert np.max(np.abs(draws - want_draws)) <= 1e-12 * np.max(np.abs(want_draws))
+    assert np.max(np.abs(diffs - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_loglik_differences_memory_is_one_block(state_256, traced_peak):
+    # four times the draws add only the (reps, K + 1) and (reps,) results
+    peaks = [
+        traced_peak(lambda: _loglik_differences(state_256, reps, make_rng(0, stream=205)))
+        for reps in (800, 3200)
+    ]
+    assert peaks[1] - peaks[0] < 8 * gaussianize._DRAW_BLOCK
 
 
 @pytest.mark.parametrize("field", ["c_band", "b_band"])

@@ -571,6 +571,19 @@ def test_chain_builds_no_dense_stack(monkeypatch):
     assert rows[0][header.index("goe_kl")] is not None
 
 
+def test_verify_builds_no_dense_stack(monkeypatch, traced_peak):
+    # the Gram identities come from the band profiles, the affinity draws and
+    # the tail radii in blocks: verify at n = 256 holds no (K, n, n) array
+    def forbidden(self):
+        raise AssertionError("dense basis stack built")
+
+    monkeypatch.setattr(BasisSystem, "mats", property(forbidden))
+    monkeypatch.setattr(BasisSystem, "mcheck", property(forbidden))
+    report = run_verify(n=256)
+    assert report.all_passed and len(report.entries) == 56
+    assert traced_peak(lambda: run_verify(n=256)) <= 6e6
+
+
 def test_verify_timings_only_add_runtimes():
     plain = run_verify(n=32)
     timed = run_verify(n=32, timings=True)
