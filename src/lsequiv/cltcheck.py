@@ -405,18 +405,19 @@ def fourier_tail_bound(R, ctx) -> float:
     K, mu = ctx.K, ctx.mu_tail
     if K > 2:
         raise PreconditionError("the tail bound is implemented for K <= 2 only")
-    q = 1.0 / (8.0 * mu * mu)
-    if q <= K / 2.0:
+    a = 1.0 / (8.0 * mu * mu) - K / 2.0
+    if a <= 0.0:
         return math.inf
-    a, s = q - K / 2.0, 4.0 * mu * mu * R * R
-    x_pow_a = np.exp(-a * np.log1p(s))
+    s = 4.0 * mu * mu * R * R
+    # x^a / a, the whole of B_x(a, 1) for K = 2
+    lead = math.exp(-a * math.log1p(s)) / a
     if K == 2:
-        sphere, incomplete = 2.0 * math.pi, x_pow_a / a
+        sphere, incomplete = 2.0 * math.pi, lead
     else:
         x, y = 1.0 / (1.0 + s), s / (1.0 + s)
         if not x < (a + 1.0) / (a + 2.5):
             raise RangeError(f"the K = 1 tail bound needs R^2 > 3 / (1 + 4 mu^2), got R = {R!r}")
-        sphere, incomplete = 2.0, x_pow_a * math.sqrt(y) / a * _beta_fraction(a, 0.5, x, y)
+        sphere, incomplete = 2.0, lead * math.sqrt(y) * _beta_fraction(a, 0.5, x, y)
     return float((1.0 + _TAIL_ALLOWANCE) * sphere * 0.5 * (2.0 * mu) ** -K * incomplete)
 
 
