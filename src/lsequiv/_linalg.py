@@ -5,15 +5,16 @@ singularity policy is uniform: eigenvalues below ``rtol * max|eig|`` raise
 instead of being pseudo-inverted.  Banded symmetric matrices are held in
 LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for ``j = 0..width``;
 they are factored by banded Cholesky (``dpbtrf``), whose failure is the
-positive-definiteness check, their extreme eigenvalues come from ``dsbevx``
-and their full spectrum from ``dsbevd``.  These LAPACK routines are called
-from scipy's extension module ``scipy.linalg._flapack``, loaded on its own:
-importing the scipy package would double the start-up time of every command
-line run.  A non-finite band raises PreconditionError before it reaches
-LAPACK.  A function x**power (-1 <= power < 0) of an SPD band is a
-Chebyshev polynomial in it, held as a band of certified half-width
-(``band_function``); a band too ill-conditioned for that half-width to stay
-below 4 sqrt(n) is given the exact function, dense.
+positive-definiteness check, and solved from the factor (``dpbtrs``); their
+extreme eigenvalues come from ``dsbevx`` and their full spectrum from
+``dsbevd``.  These LAPACK routines are called from scipy's extension module
+``scipy.linalg._flapack``, loaded on its own: importing the scipy package
+would double the start-up time of every command line run.  A non-finite band
+raises PreconditionError before it reaches LAPACK.  A function x**power
+(-1 <= power < 0) of an SPD band is a Chebyshev polynomial in it, held as a
+band of certified half-width (``band_function``); a band too ill-conditioned
+for that half-width to stay below 4 sqrt(n) is given the exact function,
+dense.
 
 A symmetric wrapped band of half-width w has A[i, l] = 0 unless the cyclic
 distance min(|i - l|, n - |i - l|) is at most w, with 2w < n; the cyclic
@@ -23,7 +24,9 @@ Reordering the indices as 0, n-1, 1, n-2, ... turns it into a plain band of
 half-width 2w with the same spectrum and Frobenius norm (``wrapped_band``),
 so ``band_extremes`` applies.  An n x n array is formed from band storage
 only by ``band_to_dense`` and ``signed_to_dense``, the latter for a band that
-fills (2w >= n).
+fills (2w >= n).  The ``verify`` suite forms one such array, the B of its
+likelihood affinity check; every spectrum and draw it takes of a covariance
+comes from band storage.
 
 Products of bands (not symmetric in general) use signed storage,
 ``g[w + s, i] = A[(i + s) mod n, i]`` for ``s = -w..w`` (``signed_band``).  A
@@ -188,11 +191,6 @@ def frob(a):
     return float(np.linalg.norm(a))
 
 
-def eig_range(a):
-    w = np.linalg.eigvalsh(a)
-    return float(w[0]), float(w[-1])
-
-
 def band_to_dense(ab):
     """Dense symmetric matrix from lower band storage or from wrapped
     diagonals (2w < n)."""
@@ -251,6 +249,11 @@ def band_cholesky(ab, error=SingularMatrixError, what="matrix"):
         lo, _ = band_extremes(ab)
         raise error(f"{what} is not positive definite (min eig = {lo:.3e})")
     return factor
+
+
+def band_chol_solve(factor, b):
+    """A**-1 b, b of shape (n, nrhs), from band_cholesky's factor, by dpbtrs."""
+    return _lapack("dpbtrs", factor, b, lower=1, overwrite_b=0)[0]
 
 
 def chol_solve(factor, b):

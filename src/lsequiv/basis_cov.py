@@ -18,6 +18,7 @@ import numpy as np
 
 from ._linalg import (
     band_eigh,
+    band_extremes,
     band_function,
     band_product,
     band_to_dense,
@@ -25,7 +26,6 @@ from ._linalg import (
     check_size,
     check_symmetric,
     dense_to_band,
-    eig_range,
     signed_band,
     signed_frob,
 )
@@ -91,7 +91,7 @@ class CovarianceMatrix:
         return band_to_dense(self.band)
 
     def eig_range(self):
-        return eig_range(self.entries)
+        return band_extremes(self.band)
 
     def spectral_check(self, lo: float, hi: float, delta: float = 0.0) -> list:
         wmin, wmax = self.eig_range()

@@ -35,15 +35,6 @@ def lambda_phase(n: int, j) -> complex:
     return np.exp(2j * math.pi * j / n)
 
 
-def cm(n: int, j: int, j2: int) -> np.ndarray:
-    """Dense dictionary element Lambda^j * S^j2, periodic in both indices."""
-    check_size(n)
-    out = np.zeros((n, n), dtype=complex)
-    i = np.arange(n)
-    out[i, (i + j2) % n] = np.exp(2j * math.pi * j * i / n)
-    return out
-
-
 def window_guard(n: int, k1: int, k2: int):
     """Alias-free window: both cutoffs below floor((n-1)/2)/2."""
     lim = ((n - 1) // 2) / 2.0

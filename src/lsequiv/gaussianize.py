@@ -6,6 +6,10 @@ matrix C close to it, the sufficient statistic T built from C, and the
 closed-form Gaussian summaries (d, Gamma variants) that T converges to.  GOE
 perturbation experiments and the symmetric-perturbation inequality live here
 too, since the equivalence chain passes through them.
+
+The chain's pilot draws N(0, theta) and the likelihood affinity check N(0, C)
+through the banded Cholesky factor (band_gaussian_blocks); the check's only
+n x n array is B.
 """
 
 from __future__ import annotations
@@ -16,20 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
+    _guard_spectrum,
+    band_chol_solve,
     band_cholesky,
     band_extremes,
     band_function,
     band_product,
     band_to_dense,
     check_symmetric,
-    eig_range,
     frob,
     signed_band,
     spectral_norm,
     sym_eig,
     sym_inv,
     sym_inv_sqrt,
-    sym_sqrt,
 )
 from .basis_cov import BasisSystem
 from .errors import (
@@ -351,13 +355,11 @@ class ExperimentState:
 
     def summary(self) -> dict:
         c_mat, delta = self.c_mat, self.delta
-        lo_t, hi_t = eig_range(self.c_theta)
-        lo_c, hi_c = eig_range(c_mat)
         return {
             "n": self.n,
             "K": self.K,
-            "eig_c_theta": [lo_t, hi_t],
-            "eig_c": [lo_c, hi_c],
+            "eig_c_theta": list(band_extremes(self.c_theta_band)),
+            "eig_c": list(band_extremes(self.c_band)),
             "delta_frob": frob(delta),
             "contraction": spectral_norm(np.linalg.solve(c_mat, delta)),
             "eta_norm": float(np.linalg.norm(self.eta_tilde)),
@@ -368,17 +370,32 @@ class ExperimentState:
 MODEL_IDS = ("A", "B", "D", "G", "H", "I", "J", "K", "L")
 
 
-def _sampling_root(cov) -> np.ndarray:
-    """R with R R^T = cov, from the eigendecomposition; cov must be PSD."""
+def _gaussian_vector(mean, cov, rng) -> np.ndarray:
+    """mean + R z with R R^T = cov from the eigendecomposition; cov must be PSD."""
     w, v = sym_eig(np.asarray(cov, dtype=float))
     if w[0] < -1e-10 * max(abs(w[-1]), 1.0):
         raise PreconditionError("covariance has a negative eigenvalue")
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _gaussian_vector(mean, cov, rng) -> np.ndarray:
-    root = _sampling_root(cov)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
     return np.asarray(mean, dtype=float) + root @ rng.standard_normal(len(root))
+
+
+# Normal entries of one row block of band_gaussian_blocks (0.5 MB)
+_DRAW_BLOCK = 1 << 16
+
+
+def band_gaussian_blocks(factor, reps, rng):
+    """reps draws x = L z ~ N(0, L L^T) for the lower banded Cholesky factor
+    L[i + j, i] = factor[j, i] (band_cholesky), as row blocks (rows, z, x):
+    each z holds at most _DRAW_BLOCK normals, so the blocks read the stream
+    as one (reps, n) draw, and rows is the slice of the draws it holds."""
+    n = factor.shape[1]
+    step = max(1, _DRAW_BLOCK // n)
+    for r0 in range(0, reps, step):
+        z = rng.standard_normal((min(step, reps - r0), n))
+        xs = z * factor[0]
+        for j in range(1, len(factor)):
+            xs[:, j:] += z[:, : n - j] * factor[j, : n - j]
+        yield slice(r0, r0 + len(z)), z, xs
 
 
 def sample_experiment(state: ExperimentState, model_id: str, rng) -> np.ndarray:
@@ -419,11 +436,13 @@ def sp_perturbation_check(a, b) -> CheckResult:
     b = np.asarray(b, dtype=float)
     check_symmetric(a, what="first matrix")
     check_symmetric(b, what="second matrix")
-    w, _ = sym_eig(a)
+    # a^{-1/2}, a^{1/2} and a^{-1} from one eigendecomposition
+    w, v = sym_eig(a)
     if w[0] <= 0.0:
         raise PreconditionError("first matrix must be positive definite")
-    ai_sqrt = sym_inv_sqrt(a)
-    a_sqrt = sym_sqrt(a)
+    _guard_spectrum(w, require_pd=True)
+    root = np.sqrt(w)
+    ai_sqrt, a_sqrt, a_inv = (v / root) @ v.T, (v * root) @ v.T, (v / w) @ v.T
     e_mat = ai_sqrt @ (b - a) @ ai_sqrt
     eps_f = frob(e_mat)
     eps_sp = spectral_norm(e_mat)
@@ -435,39 +454,28 @@ def sp_perturbation_check(a, b) -> CheckResult:
             rhs=1.0,
             skipped=True,
         )
-    lhs = frob(a_sqrt @ (sym_inv(a) - sym_inv(b)) @ a_sqrt)
+    lhs = frob(a_sqrt @ (a_inv - sym_inv(b)) @ a_sqrt)
     rhs = eps_f / (1.0 - eps_sp)
     return CheckResult("perturbation.whitened_inverse", "spd-perturbation", lhs, rhs)
-
-
-# Normal entries of one row block of the likelihood affinity draws (0.5 MB)
-_DRAW_BLOCK = 1 << 16
 
 
 def _loglik_differences(state: ExperimentState, reps: int, rng):
     """([T, 1] rows, log N(x; 0, B^{-1}) - log N(x; 0, C)) for reps draws x ~ N(0, C).
 
-    C = V diag(w) V^T draws x = V sqrt(w) z (the stream order of reps
-    _gaussian_vector calls), solves C^{-1} x = V z / sqrt(w) and gives log det C;
-    B enters dense for the quadratic forms and as its banded Cholesky factor
-    for log det B.  The z are drawn in row blocks of _DRAW_BLOCK entries,
-    which read the stream as one (reps, n) draw, so that only V, B and one
-    block are held besides the (reps, K + 1) and (reps,) results."""
-    w, v = sym_eig(state.c_mat)
-    if w[0] <= 0.0:
-        raise PreconditionError("covariances must be positive definite")
+    The draws are x = L z for the banded Cholesky factor L of C
+    (band_gaussian_blocks), so x^T C^{-1} x = |z|^2, C^{-1} x comes from L by
+    dpbtrs and log det C from its diagonal; B enters dense for x^T B x and as
+    its banded Cholesky factor for log det B.  Only B and one row block are
+    held besides the (reps, K + 1) and (reps,) results, whatever reps is."""
+    c_chol = band_cholesky(state.c_band, PreconditionError, "C")
     b_chol = band_cholesky(state.b_band, PreconditionError, "B")
-    b_dense, root_w = state.b_theta, np.sqrt(w)
+    b_dense = state.b_theta
     logdet_b = -2.0 * float(np.sum(np.log(b_chol[0])))
-    logdet_c = float(np.sum(np.log(w)))
+    logdet_c = 2.0 * float(np.sum(np.log(c_chol[0])))
     draws = np.ones((reps, state.K + 1))
     diffs = np.empty(reps)
-    step = max(1, _DRAW_BLOCK // state.n)
-    for r0 in range(0, reps, step):
-        z = rng.standard_normal((min(step, reps - r0), state.n))
-        rows = slice(r0, r0 + len(z))
-        xs = (z * root_w) @ v.T
-        draws[rows, :-1] = state.basis.quad_form((z / root_w) @ v.T)
+    for rows, z, xs in band_gaussian_blocks(c_chol, reps, rng):
+        draws[rows, :-1] = state.basis.quad_form(band_chol_solve(c_chol, xs.T).T)
         quad_b = np.sum(xs * (xs @ b_dense), axis=1)
         diffs[rows] = -0.5 * (quad_b + logdet_b) + 0.5 * (np.sum(z * z, axis=1) + logdet_c)
     return draws, diffs

@@ -29,7 +29,7 @@ from .basis_cov import (
     theta_lipschitz_check,
     theta_spectral_check,
 )
-from .circulant import CirculantElement, cm, hom_defect, matrix_csv, psi_inverse_real
+from .circulant import CirculantElement, hom_defect, lambda_phase, matrix_csv, psi_inverse_real
 from .cltcheck import (
     char_fn_standardized,
     context_from_state,
@@ -44,6 +44,7 @@ from .errors import ConfigurationError, PreconditionError, SingularMatrixError, 
 from .gaussianize import (
     ExperimentState,
     LocalizationConfig,
+    band_gaussian_blocks,
     goe_sample,
     likelihood_affinity_check,
     sp_perturbation_check,
@@ -417,14 +418,16 @@ def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationRepo
 
     # norms and Gram matrices of both matrix families
     with _timed(report, timings) as out:
-        worst_cm = 0.0
-        for j in range(min(k1, 2) + 1):
-            for j2 in range(min(k2, 2) + 1):
-                frob_sq = float(np.sum(np.abs(cm(n, j, j2)) ** 2))
-                worst_cm = max(worst_cm, abs(frob_sq - n))
+        # from the nonzero diagonals: Lambda^j S^j2 has one, lambda^(j i) for
+        # every j2, and the raw M_k one band, mirrored when j2 > 0
+        worst_cm = max(
+            abs(float(np.sum(np.abs(lambda_phase(n, j * np.arange(n))) ** 2)) - n)
+            for j in range(min(k1, 2) + 1)
+        )
         worst_m = 0.0
         for k, idx in enumerate(basis.indices):
-            frob_sq = float(np.sum(basis.raw_mat(k) ** 2))
+            raw = basis.raw_norms[k] * basis.bands[k]
+            frob_sq = (2.0 if idx.j2 else 1.0) * math.fsum(raw * raw)
             worst_m = max(worst_m, abs(frob_sq - 2.0 * math.pi * (n - idx.j2)))
         eye = np.eye(basis.K)
         band_gap = float(np.max(np.abs(diagonal_gram(basis.offsets, basis.bands) - eye)))
@@ -576,23 +579,12 @@ def _stage(errors: list, name: str, fn):
         return None
 
 
-# Draw entries of one row block of the abstract pilot (4 MB)
-_PILOT_BLOCK = 1 << 19
-
-
 def _abstract_pilot_risk(theta_band, alpha_theta, basis, replicates, rng) -> float:
-    # x = L z for the banded Cholesky factor of theta, L[i + j, i] = factor[j, i],
-    # from (rows, n) normal blocks: the stream order of one draw per replicate
+    # x = L z for the banded Cholesky factor L of theta, one draw per replicate
     factor = band_cholesky(theta_band, what="covariance")
-    n = basis.n
-    step = max(1, _PILOT_BLOCK // n)
     stats = np.empty((replicates, basis.K))
-    for r0 in range(0, replicates, step):
-        z = rng.standard_normal((min(step, replicates - r0), n))
-        xs = z * factor[0]
-        for j in range(1, len(factor)):
-            xs[:, j:] += z[:, : n - j] * factor[j, : n - j]
-        stats[r0 : r0 + len(z)] = basis.quad_form(xs)
+    for rows, _, xs in band_gaussian_blocks(factor, replicates, rng):
+        stats[rows] = basis.quad_form(xs)
     return float(np.sum((stats - alpha_theta) ** 2)) / replicates
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
+    _guard_spectrum,
     band_extremes,
     band_function,
     band_product,
@@ -30,7 +31,6 @@ from ._linalg import (
     sym_abs,
     sym_eig,
     sym_inv_sqrt,
-    sym_sqrt,
     wrapped_band,
 )
 from .circulant import (
@@ -348,11 +348,12 @@ def sufficient_Y(f_hat, alpha_theta, indices, rng):
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
     gamma_f = grid.weighted_gram(indices, fvals**-2.0)
-    w, _ = sym_eig(gamma_f)
+    w, v = sym_eig(gamma_f)
     if w.min() <= 0.0:
         raise SingularMatrixError("coefficient covariance is not PD")
+    _guard_spectrum(w, require_pd=True)
     mean = Y_SHIFT_SCALE * (gamma_f @ np.asarray(alpha_theta, dtype=float))
-    y = mean + sym_sqrt(gamma_f) @ rng.standard_normal(len(indices))
+    y = mean + ((v * np.sqrt(w)) @ v.T) @ rng.standard_normal(len(indices))
     return y, gamma_f
 
 

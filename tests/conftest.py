@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 
@@ -16,3 +17,23 @@ def _traced_peak(fn):
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """watch(*names) replaces those numpy.linalg functions by wrappers that
+    log each call as (name, shape of its first argument); it returns the log."""
+
+    def watch(*names):
+        calls = []
+        for name in names:
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, _real=real, _name=name, **kwargs):
+                calls.append((_name, np.shape(args[0])))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, wrapper)
+        return calls
+
+    return watch

@@ -591,33 +591,21 @@ def test_chain_row_of_an_ill_conditioned_density():
         assert row["goe_kl"] == pytest.approx(goe_kl, rel=1e-10)
 
 
-def _counting(monkeypatch, *names):
-    """Replace numpy.linalg functions by wrappers that log their calls."""
-    calls = []
-    for name in names:
-        real = getattr(np.linalg, name)
-
-        def wrapper(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, wrapper)
-    return calls
-
-
 @pytest.mark.parametrize("w_spread,pd", [(0.1, True), (3.0, False)])
-def test_goe_connection_takes_dense_abs_only_for_indefinite_w(monkeypatch, w_spread, pd):
+def test_goe_connection_takes_dense_abs_only_for_indefinite_w(
+    monkeypatch, linalg_calls, w_spread, pd
+):
     state, w = _goe_case(2, 2, w_spread=w_spread)
     assert (np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0) == pd
-    calls = _counting(monkeypatch, "eigh", "eigvalsh")
+    calls = linalg_calls("eigh", "eigvalsh")
     comp = goe_connection(state, w)
-    assert calls == ([] if pd else ["eigh"])
+    assert [name for name, _ in calls] == ([] if pd else ["eigh"])
     monkeypatch.undo()
     _check_goe_against_oracle(comp, state, w)
 
 
-def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch):
-    calls = _counting(monkeypatch, "eigh", "eigvalsh")
+def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch, linalg_calls):
+    calls = linalg_calls("eigh", "eigvalsh")
     seen = {}
 
     def traced(name):

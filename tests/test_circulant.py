@@ -10,7 +10,6 @@ from lsequiv.circulant import (
     CirculantElement,
     FourierFunction,
     build_mcheck_basis,
-    cm,
     hom_defect,
     lambda_phase,
     matrix_csv,
@@ -32,9 +31,14 @@ PRODUCT_QUADS = [tuple(int(v) for v in RNG.integers(0, 4, size=4)) for _ in rang
 HOM_SEEDS = list(range(8))
 
 
+def _element(n, j, j2):
+    """Dense dictionary element Lambda^j S^j2."""
+    return CirculantElement.basis(n, j, j2).to_matrix()
+
+
 def test_cm_small_literal():
     # one nonzero per row: row i carries exp(2*pi*i*j*i/n) at column (i + j2) mod n
-    got = cm(4, 1, 1)
+    got = _element(4, 1, 1)
     expected = np.zeros((4, 4), dtype=complex)
     for i in range(4):
         expected[i, (i + 1) % 4] = np.exp(2j * np.pi * i / 4.0)
@@ -44,22 +48,22 @@ def test_cm_small_literal():
 def test_cm_frobenius_exact():
     for n in (8, 64):
         for j, j2 in ((0, 0), (1, 2), (3, 3)):
-            assert np.linalg.norm(cm(n, j, j2)) ** 2 == pytest.approx(n, rel=0, abs=1e-11)
+            assert np.linalg.norm(_element(n, j, j2)) ** 2 == pytest.approx(n, rel=0, abs=1e-11)
 
 
 def test_shift_permutation_matches_cm():
     # Lambda^0 S^1 is the cyclic shift S with S[i, (i + 1) mod n] = 1
     n = 6
-    np.testing.assert_allclose(np.roll(np.eye(n), 1, axis=1), cm(n, 0, 1), atol=0)
+    np.testing.assert_allclose(np.roll(np.eye(n), 1, axis=1), _element(n, 0, 1), atol=0)
 
 
 def _window_projection(a, k1, k2):
-    """Coefficients <cm(j, j2), A>_F / n for |j| <= k1, |j2| <= k2: the
+    """Coefficients <Lambda^j S^j2, A>_F / n for |j| <= k1, |j2| <= k2: the
     orthogonal projection onto the window, as the dictionary elements are
     orthogonal with squared Frobenius norm n."""
     n = len(a)
     return np.array([
-        [np.vdot(cm(n, j, j2), a) / n for j2 in range(-k2, k2 + 1)] for j in range(-k1, k1 + 1)
+        [np.vdot(_element(n, j, j2), a) / n for j2 in range(-k2, k2 + 1)] for j in range(-k1, k1 + 1)
     ])
 
 
@@ -67,8 +71,8 @@ def _window_projection(a, k1, k2):
 def test_cm_product_law(a1, a2, b1, b2):
     # matrix product shifts by the second window and picks up one phase twist
     n = 16
-    lhs = cm(n, a1, a2) @ cm(n, b1, b2)
-    rhs = lambda_phase(n, b1 * a2) * cm(n, a1 + b1, a2 + b2)
+    lhs = _element(n, a1, a2) @ _element(n, b1, b2)
+    rhs = lambda_phase(n, b1 * a2) * _element(n, a1 + b1, a2 + b2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 

@@ -20,9 +20,7 @@ from lsequiv.gaussianize import (
     MODEL_IDS,
     ExperimentState,
     LocalizationConfig,
-    _gaussian_vector,
     _loglik_differences,
-    _sampling_root,
     build_localized_C,
     chi2_cdf,
     gaussian_summaries,
@@ -259,15 +257,17 @@ def test_likelihood_affinity_check_passes():
 
 
 def _affinity_lhs_per_draw(state, reps, rng):
-    """Reference: one eigendecomposition and two LU solves per draw."""
+    """Reference: x = L z from the dense Cholesky factor of C, one draw at a
+    time, and two LU solves per draw."""
     n, k_count = state.n, state.K
+    chol = np.linalg.cholesky(state.c_mat)
     b_inv = sym_inv(state.b_theta)
     _, logdet_b = np.linalg.slogdet(b_inv)
     _, logdet_c = np.linalg.slogdet(state.c_mat)
     draws = np.empty((reps, k_count + 1))
     diffs = np.empty(reps)
     for r in range(reps):
-        x = _gaussian_vector(np.zeros(n), state.c_mat, rng)
+        x = chol @ rng.standard_normal(n)
         # the sufficient statistic T_k = x^T C^{-1} M_k C^{-1} x
         draws[r, :k_count] = state.basis.quad_form(np.linalg.solve(state.c_mat, x))
         draws[r, k_count] = 1.0
@@ -281,12 +281,13 @@ def _affinity_lhs_per_draw(state, reps, rng):
 
 
 def test_affinity_batched_draws_match_per_draw_stream():
-    # the statistic rows of the batched draws against one _gaussian_vector
-    # call and one solve per draw, on the same stream
+    # the statistic rows of the batched draws against one dense-Cholesky
+    # draw x = L z and one solve per draw, on the same stream
     reps = 50
     batched, _ = _loglik_differences(STATE, reps, make_rng(3, stream=45))
     rng = make_rng(3, stream=45)
-    xs = [_gaussian_vector(np.zeros(N), STATE.c_mat, rng) for _ in range(reps)]
+    chol = np.linalg.cholesky(STATE.c_mat)
+    xs = [chol @ rng.standard_normal(N) for _ in range(reps)]
     looped = np.array([STATE.basis.quad_form(np.linalg.solve(STATE.c_mat, x)) for x in xs])
     assert np.max(np.abs(batched[:, :-1] - looped)) <= 1e-10 * np.max(np.abs(looped))
 
@@ -297,7 +298,7 @@ def _loglik_differences_dense(state, reps, rng):
     c_mat, b_inv = state.c_mat, sym_inv(state.b_theta)
     _, logdet_b = np.linalg.slogdet(b_inv)
     _, logdet_c = np.linalg.slogdet(c_mat)
-    xs = rng.standard_normal((reps, state.n)) @ _sampling_root(c_mat).T
+    xs = rng.standard_normal((reps, state.n)) @ np.linalg.cholesky(c_mat).T
     c_solved = cho_solve(cho_factor(c_mat), xs.T).T
     b_solved = cho_solve(cho_factor(b_inv), xs.T).T
     quad_b, quad_c = np.sum(xs * b_solved, axis=1), np.sum(xs * c_solved, axis=1)
@@ -322,13 +323,14 @@ def state_256():
 
 def _loglik_differences_one_block(state, reps, rng):
     """(z, [T, 1] rows, differences) by the single-block formula: one
-    (reps, n) draw z, x = z (V sqrt(w))^T and C^{-1} x = z (V / sqrt(w))^T."""
-    w, v = np.linalg.eigh(state.c_mat)
+    (reps, n) draw z, x = z L^T for the dense Cholesky factor L of C, and
+    C^{-1} x by cho_solve on L."""
+    chol = np.linalg.cholesky(state.c_mat)
     z = rng.standard_normal((reps, state.n))
-    xs = z @ (v * np.sqrt(w)).T
-    c_solved = z @ (v / np.sqrt(w)).T
+    xs = z @ chol.T
+    c_solved = cho_solve((chol, True), xs.T).T
     logdet_b = -2.0 * float(np.sum(np.log(band_cholesky(state.b_band)[0])))
-    logdet_c = float(np.sum(np.log(w)))
+    logdet_c = 2.0 * float(np.sum(np.log(np.diag(chol))))
     quad_b = np.sum(xs * (xs @ state.b_theta), axis=1)
     quad_c = np.sum(z * z, axis=1)
     diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)

@@ -12,6 +12,7 @@ import pytest
 import lsequiv
 import lsequiv._linalg as linalg
 import lsequiv.cli as cli
+import lsequiv.gaussianize as gaussianize
 import lsequiv.harness as harness
 from lsequiv._linalg import DENSE_N_MAX, band_cholesky, band_to_dense
 from lsequiv.basis_cov import BasisSystem, build_basis, build_theta
@@ -571,7 +572,7 @@ def test_chain_builds_no_dense_stack(monkeypatch):
     assert rows[0][header.index("goe_kl")] is not None
 
 
-def test_verify_builds_no_dense_stack(monkeypatch, traced_peak):
+def test_verify_builds_no_dense_stack(monkeypatch, traced_peak, linalg_calls):
     # the Gram identities come from the band profiles, the affinity draws and
     # the tail radii in blocks: verify at n = 256 holds no (K, n, n) array
     def forbidden(self):
@@ -579,9 +580,28 @@ def test_verify_builds_no_dense_stack(monkeypatch, traced_peak):
 
     monkeypatch.setattr(BasisSystem, "mats", property(forbidden))
     monkeypatch.setattr(BasisSystem, "mcheck", property(forbidden))
+    # its one n x n array is B: every spectrum, draw and solve of a covariance
+    # comes from band storage.  The quadrature grid's 256-node Gauss-Legendre
+    # rule takes an eigvalsh of that size, so the grid is built first.
+    default_grid()
+    eig_calls = linalg_calls("eigh", "eigvalsh")
+    dense_callers = []
+    real = linalg.band_to_dense
+
+    def logged(ab):
+        dense_callers.append(sys._getframe(1).f_code.co_name)
+        return real(ab)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lsequiv") and getattr(module, "band_to_dense", None) is real:
+            monkeypatch.setattr(module, "band_to_dense", logged)
     report = run_verify(n=256)
     assert report.all_passed and len(report.entries) == 56
-    assert traced_peak(lambda: run_verify(n=256)) <= 6e6
+    assert [shape for _, shape in eig_calls if shape[-2:] == (256, 256)] == []
+    assert dense_callers == ["b_theta"]
+    # 4.36 MB measured, at the GOE sampler check and the localized drift; a
+    # 15 % margin
+    assert traced_peak(lambda: run_verify(n=256)) <= 5e6
 
 
 def test_verify_timings_only_add_runtimes():
@@ -594,7 +614,15 @@ def test_verify_timings_only_add_runtimes():
 
 def test_cli_malformed_config_returns_one(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    for text in ("{", "[64, 128]", '{"n_grid": 64}', '{"replicates": "many"}'):
+    # a seed outside [0, 2^64) would wrap onto another seed's stream
+    for text in (
+        "{",
+        "[64, 128]",
+        '{"n_grid": 64}',
+        '{"replicates": "many"}',
+        '{"seed": -1}',
+        '{"seed": 18446744073709551616}',
+    ):
         cfg_path.write_text(text)
         assert main(["chain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
@@ -686,16 +714,16 @@ def test_abstract_pilot_risk_block_draws_match_per_replicate_loop():
 
 
 def test_abstract_pilot_risk_row_blocks_match_one_block():
-    # at n = 8192 the 100 replicates take two row blocks (64 + 36); the oracle
+    # at n = 1024 the 100 replicates take two row blocks (64 + 36); the oracle
     # is the single-block formula, one (replicates, n) draw and one quad_form
-    n, reps = 8192, 100
+    n, reps = 1024, 100
     basis = build_basis(n, 1, 1)
     cov = build_theta(config_density(RunConfig(n_grid=(n,))), n)
     alpha = basis.project(cov.band)
-    assert harness._PILOT_BLOCK // n < reps
-    got = harness._abstract_pilot_risk(cov.band, alpha, basis, reps, make_rng(0, stream=8192))
+    assert gaussianize._DRAW_BLOCK // n < reps
+    got = harness._abstract_pilot_risk(cov.band, alpha, basis, reps, make_rng(0, stream=1024))
     factor = band_cholesky(cov.band)
-    z = make_rng(0, stream=8192).standard_normal((reps, n))
+    z = make_rng(0, stream=1024).standard_normal((reps, n))
     xs = z * factor[0]
     for j in range(1, len(factor)):
         xs[:, j:] += z[:, : n - j] * factor[j, : n - j]
