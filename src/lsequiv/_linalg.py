@@ -5,16 +5,16 @@ singularity policy is uniform: eigenvalues below ``rtol * max|eig|`` raise
 instead of being pseudo-inverted.  Banded symmetric matrices are held in
 LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for ``j = 0..width``;
 they are factored by banded Cholesky (``dpbtrf``), whose failure is the
-positive-definiteness check, and solved from the factor (``dpbtrs``); their
-extreme eigenvalues come from ``dsbevx`` and their full spectrum from
-``dsbevd``.  These LAPACK routines are called from scipy's extension module
-``scipy.linalg._flapack``, loaded on its own: importing the scipy package
-would double the start-up time of every command line run.  A non-finite band
-raises PreconditionError before it reaches LAPACK.  A function x**power
-(-1 <= power < 0) of an SPD band is a Chebyshev polynomial in it, held as a
-band of certified half-width (``band_function``); a band too ill-conditioned
-for that half-width to stay below 4 sqrt(n) is given the exact function,
-dense.
+positive-definiteness check, and solved from the factor (``dpbtrs``, or
+``dtbtrs`` for one triangular solve); their extreme eigenvalues come from
+``dsbevx`` and their full spectrum from ``dsbevd``.  These LAPACK routines
+are called from scipy's extension module ``scipy.linalg._flapack``, loaded on
+its own: importing the scipy package would double the start-up time of every
+command line run.  A non-finite band raises PreconditionError before it
+reaches LAPACK.  A function x**power (-1 <= power < 0) of an SPD band is a
+Chebyshev polynomial in it, held as a band of certified half-width
+(``band_function``); a band too ill-conditioned for that half-width to stay
+below 4 sqrt(n) is given the exact function, dense.
 
 A symmetric wrapped band of half-width w has A[i, l] = 0 unless the cyclic
 distance min(|i - l|, n - |i - l|) is at most w, with 2w < n; the cyclic
@@ -251,9 +251,17 @@ def band_cholesky(ab, error=SingularMatrixError, what="matrix"):
     return factor
 
 
-def band_chol_solve(factor, b):
-    """A**-1 b, b of shape (n, nrhs), from band_cholesky's factor, by dpbtrs."""
-    return _lapack("dpbtrs", factor, b, lower=1, overwrite_b=0)[0]
+def is_positive_definite(ab, what="matrix"):
+    """Whether the symmetric matrix in lower band storage ab is positive
+    definite: whether its banded Cholesky factorization (dpbtrf) succeeds."""
+    check_finite(ab, what)
+    return _lapack("dpbtrf", ab, lower=1, overwrite_ab=0)[1] == 0
+
+
+def band_chol_solve_t(factor, b):
+    """L**-T b, b of shape (n, nrhs), for the lower banded Cholesky factor L
+    of band_cholesky, by one triangular band solve (dtbtrs)."""
+    return _lapack("dtbtrs", factor, b, uplo=b"L", trans=b"T", overwrite_b=0)[0]
 
 
 def chol_solve(factor, b):
@@ -297,12 +305,20 @@ def _accumulate(out, g, scale):
     out[wo - wg : wo + wg + 1] += scale * g
 
 
-def band_transpose(g):
-    """A^T in signed storage."""
-    w, n = len(g) // 2, g.shape[1]
+def transpose_index(w, n):
+    """Flat index of A^T in signed storage of half-width w and length n:
+    A^T is g.ravel()[transpose_index(w, n)], reshaped as g."""
     # A^T[i + s, i] = A[i, i + s], held at column i + s of row -s
     s = np.arange(-w, w + 1)[:, None]
-    return g[w - s, (np.arange(n) + s) % n]
+    index = np.arange(n) + s
+    index %= n
+    index += (w - s) * n
+    return index.ravel()
+
+
+def band_transpose(g):
+    """A^T in signed storage."""
+    return g.ravel()[transpose_index(len(g) // 2, g.shape[1])].reshape(g.shape)
 
 
 def signed_to_dense(g):

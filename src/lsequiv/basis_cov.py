@@ -28,6 +28,7 @@ from ._linalg import (
     dense_to_band,
     signed_band,
     signed_frob,
+    transpose_index,
 )
 from .circulant import build_mcheck_basis, mcheck_diagonal
 from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
@@ -230,7 +231,8 @@ class BasisSystem:
             s = signed_band(sb)
             prods = np.stack([band_product(s, signed_band(self.band(e))) for e in np.eye(self.K)])
             flat = prods.reshape(self.K, -1)
-            out = 2.0 * np.stack([flat @ band_transpose(p).ravel() for p in prods], axis=1)
+            index = transpose_index(len(prods[0]) // 2, n)
+            out = 2.0 * np.stack([flat @ p[index] for p in flat], axis=1)
             return 0.5 * (out + out.T)
         s = band_to_dense(sb)
         groups = self._by_offset()

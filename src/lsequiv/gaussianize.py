@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import (
     _guard_spectrum,
-    band_chol_solve,
+    band_chol_solve_t,
     band_cholesky,
     band_extremes,
     band_function,
@@ -463,10 +463,11 @@ def _loglik_differences(state: ExperimentState, reps: int, rng):
     """([T, 1] rows, log N(x; 0, B^{-1}) - log N(x; 0, C)) for reps draws x ~ N(0, C).
 
     The draws are x = L z for the banded Cholesky factor L of C
-    (band_gaussian_blocks), so x^T C^{-1} x = |z|^2, C^{-1} x comes from L by
-    dpbtrs and log det C from its diagonal; B enters dense for x^T B x and as
-    its banded Cholesky factor for log det B.  Only B and one row block are
-    held besides the (reps, K + 1) and (reps,) results, whatever reps is."""
+    (band_gaussian_blocks), so x^T C^{-1} x = |z|^2, C^{-1} x = L^{-T} z is
+    one triangular band solve and log det C comes from L's diagonal; B enters
+    dense for x^T B x and as its banded Cholesky factor for log det B.  Only B
+    and one row block are held besides the (reps, K + 1) and (reps,) results,
+    whatever reps is."""
     c_chol = band_cholesky(state.c_band, PreconditionError, "C")
     b_chol = band_cholesky(state.b_band, PreconditionError, "B")
     b_dense = state.b_theta
@@ -475,7 +476,7 @@ def _loglik_differences(state: ExperimentState, reps: int, rng):
     draws = np.ones((reps, state.K + 1))
     diffs = np.empty(reps)
     for rows, z, xs in band_gaussian_blocks(c_chol, reps, rng):
-        draws[rows, :-1] = state.basis.quad_form(band_chol_solve(c_chol, xs.T).T)
+        draws[rows, :-1] = state.basis.quad_form(band_chol_solve_t(c_chol, z.T).T)
         quad_b = np.sum(xs * (xs @ b_dense), axis=1)
         diffs[rows] = -0.5 * (quad_b + logdet_b) + 0.5 * (np.sum(z * z, axis=1) + logdet_c)
     return draws, diffs

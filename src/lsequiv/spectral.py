@@ -95,15 +95,21 @@ def leading_indices(count: int) -> list:
     if count < 1:
         raise RangeError("count must be positive")
     reach = int(math.ceil(2.0 * math.sqrt(count))) + 2
-    pool = [BasisIndex(POS, j, j2) for j in range(reach) for j2 in range(reach)]
-    pool += [BasisIndex(NEG, j, j2) for j in range(1, reach) for j2 in range(reach)]
-    pool.sort(key=lambda idx: (idx.weight, idx.parity, idx.j, idx.j2))
+    # (weight, parity, j, j2) tuples sort as the indices do; only count are built
+    pool = [
+        (j * j + j2 * j2, parity, j, j2)
+        for parity, j0 in ((POS, 0), (NEG, 1))
+        for j in range(j0, reach)
+        for j2 in range(reach)
+    ]
     if count > len(pool):
         raise RangeError(f"enumeration pool exhausted at {len(pool)}")
-    return pool[:count]
+    pool.sort()
+    return [BasisIndex(parity, j, j2) for _, parity, j, j2 in pool[:count]]
 
 
-# Grid entries of one block of exponentiated replicates in project_exp (4 MB)
+# Half-grid entries of one block of exponentiated replicates in project_exp
+# (4 MB, 16 rows of 256 x 128)
 _EXP_BLOCK = 1 << 19
 
 # Gauss-Legendre nodes per axis of the one quadrature grid
@@ -171,21 +177,33 @@ class QuadratureGrid:
 
     def project_exp(self, lead, coeffs, indices) -> np.ndarray:
         """project(exp(synthesize(lead, c)), indices) for each row c of an
-        (R, J) coeffs -> (R, K).  The rows pass in blocks of at most
-        _EXP_BLOCK grid entries through one reused buffer, so memory does not
-        grow with R; each row takes the products of the stacked call, so the
-        result is bitwise equal to it."""
-        T, X = self.factors(lead)
+        (R, J) coeffs -> (R, K), folded onto the nodes x > 0.
+
+        The x-nodes and weights mirror exactly (x[-1 - b] = -x[b]) and every
+        basis function is even in x (cos(j2 x)), so exp of a synthesis is
+        even too, and the projection is a sum over the x > 0 half of the
+        grid with doubled weights.  The synthesis runs through the distinct
+        cos(j2 x) of the lead set, one column per frequency.  The rows pass
+        in blocks of at most _EXP_BLOCK half-grid entries through one reused
+        buffer, so memory does not grow with R, and each row takes the
+        products it would take alone, so blocking does not change results."""
+        half = slice(GRID_NODES // 2, None)
+        T, _ = self.factors(lead)
+        j2 = np.array([idx.j2 for idx in lead], dtype=float)
+        freqs = np.array(sorted(set(j2)))
+        # group[k, m] = 1 where lead k has the frequency freqs[m]
+        group = np.equal.outer(j2, freqs).astype(float)
+        Xf = np.cos(np.outer(self.x[half], freqs))
         Tk, Xk = self.factors(indices)
-        wT, wX = self.wt[:, None] * Tk, self.wx[:, None] * Xk
+        wT, wX = self.wt[:, None] * Tk, (2.0 * self.wx[half, None]) * Xk[half]
         coeffs = np.asarray(coeffs, dtype=float)
-        step = max(1, _EXP_BLOCK // GRID_NODES**2)
-        buf = np.empty((min(step, len(coeffs)), GRID_NODES, GRID_NODES))
+        step = max(1, _EXP_BLOCK // (GRID_NODES * len(Xf)))
+        buf = np.empty((min(step, len(coeffs)), GRID_NODES, len(Xf)))
         out = np.empty((len(coeffs), Tk.shape[1]))
         for r0 in range(0, len(coeffs), step):
             rows = coeffs[r0 : r0 + step]
             vals = buf[: len(rows)]
-            np.matmul(T * rows[:, None, :], X.T, out=vals)
+            np.matmul(T @ (rows[:, :, None] * group), Xf.T, out=vals)
             np.exp(vals, out=vals)
             out[r0 : r0 + len(rows)] = np.sum(wT * (vals @ wX), axis=-2)
         return out

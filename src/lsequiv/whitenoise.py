@@ -15,6 +15,7 @@ on it.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from ._linalg import (
     band_product,
     band_to_dense,
     frob,
+    is_positive_definite,
     signed_band,
     signed_frob,
     signed_to_dense,
@@ -516,20 +518,91 @@ def gamma_variants(f_hat, projection, basis) -> GammaVariants:
 # GOE comparison
 
 
-@dataclass
+@dataclass(eq=False)
 class GoeComparison:
-    """Exact divergence between the two ensemble shifts and its bound."""
+    """Exact divergence between the two ensemble shifts and its bound.
+
+    kl is computed with the comparison.  The three-term bound b1 + b2 + b3,
+    the spectral norms and the gaps it takes are computed on first read from
+    the bands kept here, so a caller that reads only kl does not pay for the
+    norms of W and Dcheck (dsbevx on reordered wrapped bands, O(n^2)).  W and
+    Dcheck are wrapped diagonals, x = sqrt(2 pi) C^{-1/2} is in signed
+    storage, and abs_w is the dense |W| of an indefinite W (None when W is
+    positive definite, its own |W|).
+    """
 
     kl: float
-    b1: float
-    b2: float
-    b3: float
-    bound_check: CheckResult
-    dictionary_gap_check: CheckResult | None
+    state: object
+    gamma: float | None
+    w: np.ndarray
+    delta_check: np.ndarray
+    x_signed: np.ndarray
+    abs_w: np.ndarray | None
+    c_lo: float
 
-    @property
+    @cached_property
+    def w_sp(self) -> float:
+        """|W|_2."""
+        return max(abs(e) for e in band_extremes(wrapped_band(self.w)))
+
+    @cached_property
+    def delta_check_sp(self) -> float:
+        """|Dcheck|_2."""
+        return max(abs(e) for e in band_extremes(wrapped_band(self.delta_check)))
+
+    @cached_property
+    def delta_sp(self) -> float:
+        """|Delta|_2."""
+        return max(abs(e) for e in band_extremes(self.state.delta_band))
+
+    @cached_property
+    def dict_gap_sq(self) -> float:
+        """|Dcheck - Delta|_F^2."""
+        return signed_frob(signed_band(self.delta_check), signed_band(self.state.delta_band)) ** 2
+
+    @cached_property
+    def root_gap_sq(self) -> float:
+        """| |W / sqrt(2 pi)| - C^{-1/2} |_F^2."""
+        if self.abs_w is None:
+            return signed_frob(signed_band(self.w), self.x_signed) ** 2 / A_STAR
+        return frob(self.abs_w - signed_to_dense(self.x_signed)) ** 2 / A_STAR
+
+    @cached_property
+    def b1(self) -> float:
+        return 3.0 / A_STAR * self.root_gap_sq * self.delta_check_sp**2 * self.w_sp**2
+
+    @cached_property
+    def b2(self) -> float:
+        return 3.0 / A_STAR * (1.0 / self.c_lo) * self.dict_gap_sq * self.w_sp**2
+
+    @cached_property
+    def b3(self) -> float:
+        return 3.0 * (1.0 / self.c_lo) * self.delta_sp**2 * self.root_gap_sq
+
+    @cached_property
     def bound_sum(self) -> float:
         return self.b1 + self.b2 + self.b3
+
+    @cached_property
+    def bound_check(self) -> CheckResult:
+        return CheckResult(
+            check_id="goe-kl-bound",
+            ref="ensemble-comparison",
+            lhs=4.0 * self.kl,
+            rhs=self.bound_sum,
+            tol=1e-9 * max(1.0, self.bound_sum),
+        )
+
+    @cached_property
+    def dictionary_gap_check(self) -> CheckResult | None:
+        if self.gamma is None:
+            return None
+        return CheckResult(
+            check_id="dictionary-gap",
+            ref="ensemble-comparison",
+            lhs=self.dict_gap_sq,
+            rhs=float(self.gamma**2 * np.sum(self.state.basis.mcheck_gaps() ** 2)),
+        )
 
 
 def goe_connection(state, w, gamma=None) -> GoeComparison:
@@ -537,79 +610,52 @@ def goe_connection(state, w, gamma=None) -> GoeComparison:
 
     kl is the exact Kullback-Leibler divergence
     | |W/sqrt(2 pi)| Dcheck |W/sqrt(2 pi)| - C^{-1/2} D C^{-1/2} |_F^2 / 4;
-    b1 + b2 + b3 is its three-term upper bound, certified to dominate.
-    x = sqrt(2 pi) C^{-1/2} is band_function's polynomial in the state's C
-    (exact and dense for a C too ill-conditioned for a band), x Delta x two
-    band products.  W and Dcheck are k2 + 1 wrapped diagonals (see _linalg),
-    as is every cyclic expansion on the window.  A positive definite W is its
-    own |W|, |W| Dcheck |W| two wrapped-band products, and the gaps to
-    x Delta x, x and Delta are formed entry by entry in signed storage: no
-    n x n array for a well-conditioned C.  Only an indefinite W takes |W|
-    from a dense eigendecomposition, with dense gaps.  Spectral norms are
-    extreme eigenvalues of bands; 2 pi is folded into the scalars.
+    b1 + b2 + b3 is its three-term upper bound, certified to dominate, taken
+    when it is read (GoeComparison).  x = sqrt(2 pi) C^{-1/2} is
+    band_function's polynomial in the state's C (exact and dense for a C too
+    ill-conditioned for a band), x Delta x two band products.  W and Dcheck
+    are k2 + 1 wrapped diagonals (see _linalg), as is every cyclic expansion
+    on the window.  W is positive definite when the banded Cholesky
+    factorization of its reordered band succeeds; then it is its own |W|,
+    |W| Dcheck |W| two wrapped-band products, and the gap to x Delta x is
+    formed entry by entry in signed storage: no n x n array for a
+    well-conditioned C.  Only an indefinite W takes |W| from a dense
+    eigendecomposition, with a dense gap.  2 pi is folded into the scalars.
     """
     basis = state.basis
     n, k2 = basis.n, basis.k2
     w = np.asarray(w, dtype=float)
     if w.shape != (k2 + 1, n):
         raise PreconditionError(f"W must be {k2 + 1} wrapped diagonals of length {n}")
-    w_lo, w_hi = band_extremes(wrapped_band(w))
-    w_sp = max(-w_lo, w_hi)
+    w_pd = is_positive_definite(wrapped_band(w), "W")
 
     # Dcheck = sum_k eta_k Mcheck_k with Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, basis.indices, scale * state.eta_tilde)
-    dc_lo, dc_hi = band_extremes(wrapped_band(delta_check))
-    delta_check_sp = max(-dc_lo, dc_hi)
-    dc_signed, delta_signed = signed_band(delta_check), signed_band(state.delta_band)
-    dict_gap_sq = signed_frob(dc_signed, delta_signed) ** 2
 
     c_extremes = band_extremes(state.c_band)
     x_signed = signed_band(
         band_function(state.c_band, -0.5, extremes=c_extremes, what="localized C")[0]
     )
     x_signed *= math.sqrt(A_STAR)
-    whitened_delta = band_product(band_product(x_signed, delta_signed), x_signed)
-    if w_lo > 0.0:
+    whitened_delta = band_product(band_product(x_signed, signed_band(state.delta_band)), x_signed)
+    abs_w = None
+    if w_pd:
         w_signed = signed_band(w)
-        root_gap_sq = signed_frob(w_signed, x_signed) ** 2 / A_STAR
-        sandwich = band_product(band_product(w_signed, dc_signed), w_signed)
+        sandwich = band_product(band_product(w_signed, signed_band(delta_check)), w_signed)
         gap = signed_frob(sandwich, whitened_delta)
     else:
         abs_w = sym_abs(band_to_dense(w))[0]
-        root_gap_sq = frob(abs_w - signed_to_dense(x_signed)) ** 2 / A_STAR
         gap = abs_w @ band_to_dense(delta_check) @ abs_w
         gap -= signed_to_dense(whitened_delta)
         gap = frob(gap)
-    kl = gap**2 / (4.0 * A_STAR**2)
-
-    w_sp_sq = w_sp**2
-    cis_sp_sq = 1.0 / c_extremes[0]
-    delta_sp = max(abs(e) for e in band_extremes(state.delta_band))
-    b1 = 3.0 / A_STAR * root_gap_sq * delta_check_sp**2 * w_sp_sq
-    b2 = 3.0 / A_STAR * cis_sp_sq * dict_gap_sq * w_sp_sq
-    b3 = 3.0 * cis_sp_sq * delta_sp**2 * root_gap_sq
-    bound_check = CheckResult(
-        check_id="goe-kl-bound",
-        ref="ensemble-comparison",
-        lhs=4.0 * kl,
-        rhs=b1 + b2 + b3,
-        tol=1e-9 * max(1.0, b1 + b2 + b3),
-    )
-    gap_check = None
-    if gamma is not None:
-        rhs = float(gamma**2 * np.sum(basis.mcheck_gaps() ** 2))
-        gap_check = CheckResult(
-            check_id="dictionary-gap",
-            ref="ensemble-comparison",
-            lhs=dict_gap_sq,
-            rhs=rhs,
-        )
     return GoeComparison(
-        kl=kl,
-        b1=float(b1),
-        b2=float(b2),
-        b3=float(b3),
-        bound_check=bound_check,
-        dictionary_gap_check=gap_check,
+        kl=gap**2 / (4.0 * A_STAR**2),
+        state=state,
+        gamma=gamma,
+        w=w,
+        delta_check=delta_check,
+        x_signed=x_signed,
+        abs_w=abs_w,
+        c_lo=c_extremes[0],
     )

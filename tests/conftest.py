@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lsequiv import _linalg
+
 
 def _traced_peak(fn):
     """Peak traced heap bytes while fn() runs."""
@@ -34,6 +36,25 @@ def linalg_calls(monkeypatch):
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, wrapper)
+        return calls
+
+    return watch
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """watch() replaces _linalg._lapack by a wrapper that logs each LAPACK
+    call as (routine, shape of its first argument); it returns the log."""
+
+    def watch():
+        calls = []
+        real = _linalg._lapack
+
+        def wrapper(routine, *args, **kwargs):
+            calls.append((routine, np.shape(args[0])))
+            return real(routine, *args, **kwargs)
+
+        monkeypatch.setattr(_linalg, "_lapack", wrapper)
         return calls
 
     return watch

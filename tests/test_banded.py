@@ -628,6 +628,18 @@ def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch, linalg_calls)
     assert np.linalg.eigvalsh(band_to_dense(seen["goe_connection"][0][1]))[0] > 0.0
 
 
+def test_chain_row_takes_band_extremes_of_tridiagonal_bands_only(lapack_calls):
+    # K = 6 (k2 = 1) at n = 1024: every extreme eigenvalue a chain row takes is
+    # of a half-width-1 band; the O(n^2) dsbevx of reordered wrapped bands
+    # belongs to the GOE bound, which the chain does not report
+    calls = lapack_calls()
+    _, rows = run_equivalence_chain(RunConfig(n_grid=(1024,)))
+    row = dict(zip(CHAIN_HEADER, rows[0]))
+    assert row["K"] == 6 and row["error"] == "" and row["goe_kl"] is not None
+    shapes = [shape for name, shape in calls if name == "dsbevx"]
+    assert shapes and set(shapes) == {(2, 1024)}
+
+
 def test_goe_connection_memory_peak(traced_peak):
     # on the positive definite path the peak is a few signed bands of the
     # half-width of x Delta x, O(n w) and well under one n x n array

@@ -62,6 +62,16 @@ def test_basis_index_weight_and_order():
     ]
 
 
+def test_leading_indices_match_sorted_pool():
+    # oracle: the whole pool of validated indices, sorted by their key
+    for count in range(1, 301):
+        reach = int(math.ceil(2.0 * math.sqrt(count))) + 2
+        pool = [BasisIndex("+", j, j2) for j in range(reach) for j2 in range(reach)]
+        pool += [BasisIndex("-", j, j2) for j in range(1, reach) for j2 in range(reach)]
+        pool.sort(key=lambda idx: (idx.weight, idx.parity, idx.j, idx.j2))
+        assert leading_indices(count) == pool[:count]
+
+
 def test_enumerate_indices_layout():
     idx = enumerate_indices(2, 1)
     # (k1 + 1)(k2 + 1) cosine and k1 (k2 + 1) sine functions
@@ -159,14 +169,34 @@ def test_grid_stacked_maps_equal_row_by_row():
             np.testing.assert_allclose(back[a, b], GRID.project(values[a, b], GRID_INDICES), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("reps", [1, 7, 8, 9, 100])
+@pytest.mark.parametrize("reps", [1, 7, 8, 9, 15, 16, 17, 100])
 def test_project_exp_equals_stacked_maps(reps):
-    # a short block, an exact 8-row block, a ragged last block, many blocks
+    # one row, short blocks, an exact 16-row block, a ragged last block, many
+    # blocks: the stacked call equals its row-at-a-time maps bit for bit
     lead = leading_indices(16)
     coeffs = 0.3 * make_rng(reps, stream=4).standard_normal((reps, len(lead)))
     got = GRID.project_exp(lead, coeffs, GRID_INDICES)
     assert got.shape == (reps, len(GRID_INDICES))
-    assert np.array_equal(got, GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES))
+    rows = [GRID.project_exp(lead, coeffs[r : r + 1], GRID_INDICES)[0] for r in range(reps)]
+    assert np.array_equal(got, np.stack(rows))
+
+
+@pytest.mark.parametrize("reps", [1, 17])
+def test_project_exp_matches_unfolded_projection(reps):
+    # oracle: exp of the synthesis on the full grid, projected unfolded
+    lead = leading_indices(32)
+    coeffs = 0.3 * make_rng(reps, stream=5).standard_normal((reps, len(lead)))
+    want = GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES)
+    got = GRID.project_exp(lead, coeffs, GRID_INDICES)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_grid_mirrors_for_the_fold():
+    # project_exp's premise: the x-nodes and weights mirror, and every
+    # cos(j2 x) the pilot synthesizes is even, to the bit
+    assert np.array_equal(GRID.x[::-1], -GRID.x) and np.array_equal(GRID.wx[::-1], GRID.wx)
+    for j2 in range(13):
+        assert np.array_equal(np.cos(j2 * GRID.x[::-1]), np.cos(j2 * GRID.x))
 
 
 RANDOM_DENSITY_SEEDS = list(range(6))

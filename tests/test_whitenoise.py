@@ -113,7 +113,7 @@ def test_pilot_risk_row_matches_stacked_formula():
 
 
 def test_pilot_risk_row_memory_does_not_grow_with_replicates(traced_peak):
-    # the replicates stream through one 8-row (8, 256, 256) block (4 MB);
+    # the replicates stream through one 16-row (16, 256, 128) block (4 MB);
     # the stacked form held all of them, 213 MB at 400
     peaks = [
         traced_peak(lambda: pilot_risk_row(DENSITY, 256, BASIS.indices, reps, seed=1))
@@ -229,12 +229,9 @@ def test_goe_connection_bound_and_zero_case():
     assert comp0.kl <= 1e-20
 
 
-def test_goe_connection_matches_dense_stacks():
-    # oracle: Dcheck and the dictionary gap straight from the (K, n, n) stacks
-    fv = DENSITY.on_grid()
-    proj = inv_sqrt_projection(fv, BASIS.indices, 0.5)
-    w = psi_inverse_real(N, proj.indices, proj.coeffs)
-    comp = goe_connection(STATE, w, gamma=3.0)
+def _dense_stack_oracle(w):
+    """(kl, b1, b2, b3, dictionary gap, its rhs at gamma = 3) with Dcheck and
+    the dictionary gap straight from the (K, n, n) stacks."""
     w_dense = band_to_dense(w)
 
     delta_check = np.tensordot(STATE.eta_tilde, BASIS.mcheck, axes=(0, 0))
@@ -250,9 +247,39 @@ def test_goe_connection_matches_dense_stacks():
     b3 = 3.0 * cis_sp_sq * spectral_norm(STATE.delta) ** 2 * root_gap_sq
     dict_lhs = frob(delta_check - STATE.delta) ** 2
     dict_rhs = 9.0 * np.sum((BASIS.mcheck - BASIS.mats) ** 2)
-    assert comp.kl == pytest.approx(frob(gap) ** 2 / 4.0, rel=1e-12)
+    return frob(gap) ** 2 / 4.0, b1, b2, b3, dict_lhs, dict_rhs
+
+
+def _whitening_w():
+    proj = inv_sqrt_projection(DENSITY.on_grid(), BASIS.indices, 0.5)
+    return psi_inverse_real(N, proj.indices, proj.coeffs)
+
+
+def test_goe_connection_matches_dense_stacks():
+    w = _whitening_w()
+    comp = goe_connection(STATE, w, gamma=3.0)
+    kl, b1, b2, b3, dict_lhs, dict_rhs = _dense_stack_oracle(w)
+    assert comp.kl == pytest.approx(kl, rel=1e-12)
     assert comp.b1 == pytest.approx(b1, rel=1e-12)
     assert comp.b2 == pytest.approx(b2, rel=1e-12)
     assert comp.b3 == pytest.approx(b3, rel=1e-12)
     assert comp.dictionary_gap_check.lhs == pytest.approx(dict_lhs, rel=1e-12)
     assert comp.dictionary_gap_check.rhs == pytest.approx(dict_rhs, rel=1e-12)
+
+
+def test_goe_kl_alone_takes_no_wrapped_band_norm(lapack_calls):
+    # kl needs C's extremes only; the norms of W and Dcheck (dsbevx on their
+    # reordered bands, half-width 2 k2) are taken when the bound is read
+    w = _whitening_w()
+    calls = lapack_calls()
+    comp = goe_connection(STATE, w, gamma=3.0)
+    kl = comp.kl
+    assert [shape for name, shape in calls if name == "dsbevx"] == [STATE.c_band.shape] * 2
+    check = comp.bound_check
+    wrapped = (2 * BASIS.k2 + 1, N)
+    assert [shape for name, shape in calls if name == "dsbevx"].count(wrapped) == 4
+    want_kl, b1, b2, b3, _, _ = _dense_stack_oracle(w)
+    assert kl == pytest.approx(want_kl, rel=1e-12)
+    assert check.lhs == pytest.approx(4.0 * want_kl, rel=1e-12)
+    assert check.rhs == pytest.approx(b1 + b2 + b3, rel=1e-12)
+    assert check.passed
