@@ -2,7 +2,7 @@
 
 Two covariance constructions: the band-limited map theta(f) whose entry
 (a, b) integrates exp(i(a-b)x) f(min(a,b)/n, x), and the moving-average
-covariance built from a transfer function.  The companion basis {M_k} uses a
+covariance vartheta of a symbol, a band of half-width 2 k2.  The companion basis {M_k} uses a
 nilpotent (truncated) shift instead of the cyclic one, giving exact
 Frobenius norms 2*pi*(n - j2) and exact orthogonality; its distance to the
 cyclic family shrinks like K^(1/4)/sqrt(n).
@@ -309,43 +309,29 @@ def build_theta(f, n: int) -> CovarianceMatrix:
     return CovarianceMatrix(np.ascontiguousarray(np.triu(h[:, ::-1])[:, ::-1].T))
 
 
-# relative size of an imaginary or asymmetric part that marks a bad symbol
+# relative size of an imaginary part that marks a bad callable symbol
 _SYMBOL_TOL = 1e-8
 
 
 def build_vartheta(a, n: int) -> CovarianceMatrix:
     """Moving-average covariance: entry (s,t) integrates e^{ix(s-t)} A A-bar.
 
-    Exact banded form for TransferFunction inputs; quadrature for callables.
-    A noticeably asymmetric result means the symbol was not conjugate
+    For a TransferFunction the entries are exact: entry (s + d, s) is
+    2 pi sum_m c_m(s/n) c_{m-d}((s+d)/n), zero past d = 2 k2, so the result
+    is the band of half-width 2 k2, built at any n.  A callable symbol is
+    integrated by quadrature into a full band, dense by nature and capped at
+    DENSE_N_MAX; a noticeable imaginary part means it was not conjugate
     symmetric, which is an input error.
     """
-    check_size(n)
     u = np.arange(n) / n
     if isinstance(a, TransferFunction):
-        ms = sorted(a.components)
-        cvals = {m: a.components[m].eval(u) for m in ms}
-        for m in ms:
-            leak = float(np.max(np.abs(cvals[m].imag)))
-            if leak > _SYMBOL_TOL:
-                raise DomainError("transfer components must be real-valued")
-            cvals[m] = cvals[m].real
-        lo, hi = ms[0], ms[-1]
-        out = np.zeros((n, n))
-        s = np.arange(n)
-        for d in range(-(hi - lo), hi - lo + 1):
-            # entry (s, s+d) sums c_m(s/n) c_{m-d}((s+d)/n) over valid m
-            rows = s[(s + d >= 0) & (s + d < n)]
-            cols = rows + d
-            acc = np.zeros(rows.size)
-            for m in ms:
-                if (m - d) in a.components:
-                    acc += cvals[m][rows] * cvals[m - d][cols]
-            out[rows, cols] += TWO_PI * acc
-        sym = 0.5 * (out + out.T)
-        if float(np.max(np.abs(out - out.T))) > _SYMBOL_TOL * max(1.0, float(np.max(np.abs(out)))):
-            raise DomainError("covariance came out asymmetric; check the symbol")
-        return CovarianceMatrix.from_dense(sym)
+        comps = a.components(u)  # comps[s, m + k2] = c_m(s / n)
+        w = comps.shape[1]
+        ab = np.zeros((min(w, n), n))
+        for d in range(len(ab)):
+            ab[d, : n - d] = TWO_PI * np.sum(comps[: n - d, d:] * comps[d:, : w - d], axis=1)
+        return CovarianceMatrix(ab)
+    check_size(n)
     grid = default_grid()
     avals = np.asarray(a(u[:, None], grid.x[None, :]), dtype=complex)  # (n, nx)
     g = avals * np.exp(1j * np.outer(np.arange(n), grid.x)) * np.sqrt(grid.wx)[None, :]

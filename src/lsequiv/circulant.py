@@ -25,7 +25,7 @@ import numpy as np
 
 from ._linalg import band_to_dense, check_size
 from .errors import ConfigurationError, PreconditionError, RangeError
-from .spectral import POS, BasisIndex, basis_norm, enumerate_indices
+from .spectral import POS, BasisIndex, basis_norm, enumerate_indices, table_eval
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,7 +117,6 @@ class CirculantElement(_WindowTable):
     """
 
     def __init__(self, n: int, k1: int, k2: int, coeffs):
-        check_size(n)
         if k1 < 0 or k2 < 0:
             raise ConfigurationError("window sizes must be nonnegative")
         c = np.asarray(coeffs, dtype=complex)
@@ -137,6 +136,7 @@ class CirculantElement(_WindowTable):
         return el
 
     def to_matrix(self) -> np.ndarray:
+        check_size(self.n)
         out = np.zeros((self.n, self.n), dtype=complex)
         i = np.arange(self.n)
         for j2 in range(-self.k2, self.k2 + 1):
@@ -204,15 +204,7 @@ class FourierFunction(_WindowTable):
         self.coeffs = c
 
     def eval(self, u, x):
-        u = np.asarray(u, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(u, x).shape, dtype=complex)
-        for j in range(-self.k1, self.k1 + 1):
-            for j2 in range(-self.k2, self.k2 + 1):
-                c = self.coeffs[j + self.k1, j2 + self.k2]
-                if c != 0.0:
-                    out = out + c * np.exp(2j * math.pi * j * u + 1j * j2 * x)
-        return out
+        return table_eval(self.coeffs, u, x)
 
     @property
     def l2n_sq(self) -> float:

@@ -1,4 +1,4 @@
-"""Tensor trig basis on [0,1] x [-pi,pi], densities, transfer functions.
+"""Tensor trig basis on [0,1] x [-pi,pi], densities, moving-average symbols.
 
 The basis is cos(2*pi*j*t)*cos(j2*x) ("+" parity) and sin(2*pi*j*t)*cos(j2*x)
 ("-" parity, j >= 1), L2-normalized on the rectangle.  Densities carry a
@@ -8,7 +8,10 @@ is exact trig algebra or Gauss-Legendre quadrature; no FFT shortcuts, so the
 same code paths serve tests and verification reports.  Quadrature runs on one
 fixed grid, GRID_NODES = 256 nodes per axis (see QuadratureGrid for why that
 suffices), reached through default_grid(); a function on it is held as the
-plain array of its values.
+plain array of its values.  A moving-average symbol A(u, x) is one complex
+coefficient table a[r + k1, m + k2] of e^{2 pi i r u} e^{i m x}, the layout of
+circulant.FourierFunction, evaluated by the shared table_eval; its covariance
+(basis_cov.build_vartheta) is a band of half-width 2 k2.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigurationError, DomainError, RangeError
+from .errors import ConfigurationError, RangeError
 from .report import CheckResult
 
 POS = "+"
@@ -334,174 +337,96 @@ class SpectralDensity:
         return SpectralDensity(coeffs, self.s, self.L, self.rho_star)
 
 
-class TrigPoly1D:
-    """Trig polynomial sum_r c_r * exp(2*pi*i*r*u), Hermitian coefficients.
+def table_profiles(coeffs, u):
+    """sum_r a[r + k1, m] exp(2 pi i r u) for each column m of a (2k1+1, w)
+    table: u (...) -> (..., w), one matrix product with the exponentials."""
+    k1 = len(coeffs) // 2
+    u = np.asarray(u, dtype=float)
+    return np.exp(2j * math.pi * np.multiply.outer(u, np.arange(-k1, k1 + 1))) @ coeffs
 
-    Stored as a complex array over r = -deg..deg.  Products are exact
-    coefficient convolutions, which keeps downstream covariance formulas
-    free of quadrature error.
-    """
 
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=complex)
-        if c.ndim != 1 or c.size % 2 == 0:
-            raise ConfigurationError("coefficient array must have odd length")
-        self.c = c
+def table_eval(coeffs, u, x):
+    """sum a[r + k1, m + k2] exp(2 pi i r u) exp(i m x) on broadcastable u, x.
 
-    @property
-    def deg(self) -> int:
-        return (self.c.size - 1) // 2
-
-    @classmethod
-    def zero(cls) -> "TrigPoly1D":
-        return cls(np.zeros(1, dtype=complex))
-
-    @classmethod
-    def constant(cls, value) -> "TrigPoly1D":
-        return cls(np.array([value], dtype=complex))
-
-    @classmethod
-    def from_real(cls, a0: float, a_cos, b_sin) -> "TrigPoly1D":
-        """Build a0 + sum a_r cos(2 pi r u) + sum b_r sin(2 pi r u)."""
-        a_cos = np.asarray(a_cos, dtype=float)
-        b_sin = np.asarray(b_sin, dtype=float)
-        deg = max(a_cos.size, b_sin.size)
-        c = np.zeros(2 * deg + 1, dtype=complex)
-        c[deg] = a0
-        for r in range(1, deg + 1):
-            ar = a_cos[r - 1] if r <= a_cos.size else 0.0
-            br = b_sin[r - 1] if r <= b_sin.size else 0.0
-            c[deg + r] = 0.5 * (ar - 1j * br)
-            c[deg - r] = 0.5 * (ar + 1j * br)
-        return cls(c)
-
-    def real_parts(self):
-        """Back to (a0, a_cos, b_sin); requires Hermitian coefficients."""
-        if not self.is_real():
-            raise DomainError("coefficients are not Hermitian")
-        d = self.deg
-        a0 = float(self.c[d].real)
-        a = 2.0 * self.c[d + 1 :].real
-        b = -2.0 * self.c[d + 1 :].imag
-        return a0, np.asarray(a), np.asarray(b)
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.c - np.conj(self.c[::-1]))) <= tol * max(1.0, np.max(np.abs(self.c))))
-
-    def coeff(self, r: int) -> complex:
-        d = self.deg
-        if -d <= r <= d:
-            return complex(self.c[d + r])
-        return 0.0 + 0.0j
-
-    def eval(self, u):
-        u = np.asarray(u, dtype=float)
-        d = self.deg
-        out = np.zeros(u.shape, dtype=complex)
-        for r in range(-d, d + 1):
-            out += self.c[d + r] * np.exp(2j * math.pi * r * u)
-        return out
-
-    def __add__(self, other: "TrigPoly1D") -> "TrigPoly1D":
-        d = max(self.deg, other.deg)
-        c = np.zeros(2 * d + 1, dtype=complex)
-        c[d - self.deg : d + self.deg + 1] += self.c
-        c[d - other.deg : d + other.deg + 1] += other.c
-        return TrigPoly1D(c)
-
-    def __mul__(self, other):
-        if isinstance(other, TrigPoly1D):
-            return TrigPoly1D(np.convolve(self.c, other.c))
-        return TrigPoly1D(self.c * other)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "TrigPoly1D":
-        return TrigPoly1D(np.conj(self.c[::-1]))
-
-    def mean(self) -> complex:
-        return complex(self.c[self.deg])
+    The one evaluator of the (2k1+1, 2k2+1) coefficient tables that
+    TransferFunction and circulant.FourierFunction hold."""
+    k2 = coeffs.shape[1] // 2
+    u, x = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(x, dtype=float))
+    xexp = np.exp(1j * np.multiply.outer(x, np.arange(-k2, k2 + 1)))
+    return np.sum(table_profiles(coeffs, u) * xexp, axis=-1)
 
 
 @dataclass
 class TransferFunction:
-    """Moving-average symbol A(u, x) = sum_m c_m(u) exp(i m x).
+    """Moving-average symbol A(u, x) = sum a[r + k1, m + k2] e^{2 pi i r u} e^{i m x}.
 
-    Each component c_m is a real-valued trig polynomial of the scaled time u,
-    so the squared modulus |A|^2 expands exactly into the tensor cos/sin
-    basis.  Components are keyed by the integer space frequency m.
+    Column m of the table holds the component c_m(u) = sum_r a[r, m]
+    e^{2 pi i r u}, a real-valued trig polynomial of the scaled time u, so
+    the table is Hermitian in r: a[-r, m] = conj a[r, m].  Products of
+    components are exact coefficient convolutions, so |A|^2 expands exactly
+    into the tensor cos/sin basis.
     """
 
-    components: dict
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        for m, poly in self.components.items():
-            if not isinstance(poly, TrigPoly1D):
-                raise ConfigurationError("components must be TrigPoly1D")
-            if not poly.is_real(1e-10):
-                raise ConfigurationError(f"component m={m} is not real-valued")
+        a = self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        if a.ndim != 2 or a.shape[0] % 2 == 0 or a.shape[1] % 2 == 0:
+            raise ConfigurationError(f"symbol table has shape {a.shape}, not (2 k1 + 1, 2 k2 + 1)")
+        if np.max(np.abs(a - np.conj(a[::-1]))) > 1e-10 * max(1.0, np.max(np.abs(a))):
+            raise ConfigurationError("symbol components are not real-valued")
 
     def eval(self, u, x):
-        u = np.asarray(u, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(u, x).shape, dtype=complex)
-        for m, poly in self.components.items():
-            out += poly.eval(u) * np.exp(1j * m * x)
-        return out
+        return table_eval(self.coeffs, u, x)
 
-    def component(self, m: int) -> TrigPoly1D:
-        return self.components.get(m, TrigPoly1D.zero())
-
-    def squared_modulus_profiles(self) -> dict:
-        """x-frequency profiles g_k(u) of |A|^2, keys k >= 0.
-
-        g_k(u) = sum_m c_{m+k}(u) * conj(c_m(u)); real components make the
-        conjugate a no-op but it is kept for exactness.
-        """
-        ms = sorted(self.components)
-        lo, hi = ms[0], ms[-1]
-        out = {}
-        for k in range(0, hi - lo + 1):
-            acc = TrigPoly1D.zero()
-            for m in ms:
-                if (m + k) in self.components:
-                    acc = acc + self.components[m + k] * self.components[m].conjugate()
-            out[k] = acc
-        return out
+    def components(self, u):
+        """Component values c_m(u), u (...) -> (..., 2 k2 + 1), m = -k2..k2."""
+        return table_profiles(self.coeffs, u).real
 
     def to_spectral_density(self, s: float, L: float, rho_star: float) -> SpectralDensity:
-        """Exact expansion of |A|^2 in the tensor basis."""
-        profiles = self.squared_modulus_profiles()
+        """Exact expansion of |A|^2 in the tensor basis.
+
+        The x-frequency k >= 0 profile of |A|^2 is g_k = sum_m c_{m+k} c_m,
+        whose u-coefficients are the convolutions of the table's columns;
+        its cos and sin parts give the "+" and "-" coefficients of (j, k).
+        """
+        a = self.coeffs
+        w = a.shape[1]
+        deg = len(a) - 1
         coeffs = {}
-        for k, g in profiles.items():
-            if not g.is_real(1e-10):
-                raise DomainError("squared modulus profile is not real")
-            a0, a, b = g.real_parts()
-            # cos(k x) weight: 1 for k = 0, 2 for k >= 1 (conjugate pair)
+        for k in range(w):
+            g = sum(np.convolve(a[:, m + k], a[:, m]) for m in range(w - k))
+            # cos(k x) weight: 1 for k = 0, 2 for k >= 1 (conjugate pair);
+            # the real parts of g are a0 and a_r / 2, its imaginary parts -b_r / 2
             xw = 1.0 if k == 0 else 2.0
-            vals = [(POS, 0, a0)]
-            vals += [(POS, j, a[j - 1]) for j in range(1, g.deg + 1)]
-            vals += [(NEG, j, b[j - 1]) for j in range(1, g.deg + 1)]
-            for parity, j, v in vals:
-                if parity == NEG and j == 0:
-                    continue
+            terms = [(POS, 0, g[deg].real)]
+            terms += [(POS, j, 2.0 * g[deg + j].real) for j in range(1, deg + 1)]
+            terms += [(NEG, j, -2.0 * g[deg + j].imag) for j in range(1, deg + 1)]
+            for parity, j, v in terms:
                 idx = BasisIndex(parity, j, k)
                 c = xw * v / basis_norm(idx)
                 if c != 0.0:
-                    coeffs[idx] = coeffs.get(idx, 0.0) + c
+                    coeffs[idx] = c
         return SpectralDensity(coeffs, s, L, rho_star)
 
 
 def random_transfer(k1: int, k2: int, rng) -> TransferFunction:
-    """Random symbol with the constant floor 1, components decaying in |m|."""
-    comps = {}
+    """Random symbol with the constant floor 1, components decaying in |m|.
+
+    Component m is a0 + sum_r a_r cos(2 pi r u) + b_r sin(2 pi r u), whose
+    coefficients r and -r are (a_r -+ i b_r) / 2."""
+    table = np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex)
+    roll = (1.0 + np.arange(1, k1 + 1)) ** 2
     for m in range(-k2, k2 + 1):
         decay = 0.15 / (1.0 + m * m)
         a0 = 1.0 if m == 0 else decay * rng.standard_normal()
-        a = decay * rng.standard_normal(k1) / (1.0 + np.arange(1, k1 + 1)) ** 2
-        b = decay * rng.standard_normal(k1) / (1.0 + np.arange(1, k1 + 1)) ** 2
-        comps[m] = TrigPoly1D.from_real(a0, a, b)
-    return TransferFunction(comps)
+        a = decay * rng.standard_normal(k1) / roll
+        b = decay * rng.standard_normal(k1) / roll
+        col = table[:, m + k2]
+        col[k1] = a0
+        col[k1 + 1 :] = 0.5 * (a - 1j * b)
+        col[:k1] = 0.5 * (a + 1j * b)[::-1]
+    return TransferFunction(table)
 
 
 def random_density(

@@ -12,7 +12,6 @@ its log, f_n, f_hat, the projected inverse root) are plain arrays of values
 on it.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,7 +42,7 @@ from .circulant import (
     real_expansion_to_element,
 )
 from .errors import PreconditionError, RangeError, SingularMatrixError
-from .report import SCHEMA, CheckResult, fmt_float
+from .report import CheckResult
 from .rng import make_rng
 from .spectral import default_grid, leading_indices
 
@@ -109,24 +108,6 @@ class WhiteNoiseObservation:
         """Rescaled coefficients sqrt(2 pi n) <phi_j, dX>."""
         return math.sqrt(TWO_PI * self.n) * self.values
 
-    def to_json(self) -> str:
-        payload = {
-            "schema": SCHEMA,
-            "kind": "white-noise-observation",
-            "n": self.n,
-            "noise": fmt_float(self.noise),
-            "coefficients": [
-                {
-                    "parity": idx.parity,
-                    "j": idx.j,
-                    "j2": idx.j2,
-                    "value": fmt_float(v),
-                }
-                for idx, v in zip(self.indices, self.values)
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def simulate_wn(f, n, rng) -> WhiteNoiseObservation:
     """Draw the first ceil(sqrt(n)) coefficient functionals of the sheet.
@@ -182,25 +163,6 @@ class WhiteNoisePilot:
     risk: float
     span_gap: float
     b_tail: float
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": SCHEMA,
-            "kind": "white-noise-pilot",
-            "n": self.n,
-            "coefficients": [
-                {
-                    "parity": idx.parity,
-                    "j": idx.j,
-                    "j2": idx.j2,
-                    "alpha_hat": fmt_float(v),
-                }
-                for idx, v in zip(self.indices, self.alpha_hat)
-            ],
-            "risk": fmt_float(self.risk),
-            "b_tail": fmt_float(self.b_tail),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def pilot_estimate(obs, f, indices=None) -> WhiteNoisePilot:

@@ -151,6 +151,40 @@ def test_vartheta_close_to_theta_and_shrinking():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def _vartheta_loop(a, n):
+    """The dense double loop that build_vartheta's band replaced, kept as an
+    oracle: entry (s, s + d) sums 2 pi c_m(s/n) c_{m-d}((s+d)/n) over m,
+    then the matrix is symmetrized."""
+    c = a.components(np.arange(n) / n)
+    k2 = c.shape[1] // 2
+    out = np.zeros((n, n))
+    s = np.arange(n)
+    for d in range(-2 * k2, 2 * k2 + 1):
+        rows = s[(s + d >= 0) & (s + d < n)]
+        for m in range(max(-k2, d - k2), min(k2, d + k2) + 1):
+            out[rows, rows + d] += TWO_PI * c[rows, m + k2] * c[rows + d, m - d + k2]
+    return 0.5 * (out + out.T)
+
+
+@pytest.mark.parametrize("n", [32, 128, 512])
+def test_vartheta_band_matches_dense_loop(n):
+    for k1, k2, seed, stream in [(2, 2, 5, 1), (1, 1, 4, 30), (3, 2, 7, 9), (0, 1, 1, 2)]:
+        a = random_transfer(k1, k2, make_rng(seed, stream=stream))
+        vt = build_vartheta(a, n)
+        assert vt.band.shape == (2 * k2 + 1, n)
+        np.testing.assert_allclose(vt.entries, _vartheta_loop(a, n), rtol=0, atol=1e-13)
+
+
+def test_vartheta_band_past_dense_limit():
+    # the symbol's band has half-width 2 k2 at any n; only the dense view is capped
+    a = random_transfer(2, 2, make_rng(5, stream=1))
+    n = 2 * DENSE_N_MAX
+    vt = build_vartheta(a, n)
+    assert vt.band.shape == (5, n) and np.all(np.isfinite(vt.band))
+    with pytest.raises(PreconditionError, match="dense matrix size"):
+        vt.entries
+
+
 def test_abstract_rho_band():
     # tighter end of the eigenvalue band [2 pi rho*, 2 pi / rho*], shrunk by 0.9
     assert abstract_rho(0.5) == pytest.approx(0.9 * 0.5 / TWO_PI, rel=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsequiv._linalg import band_to_dense
+from lsequiv._linalg import DENSE_N_MAX, band_to_dense
 from lsequiv.circulant import (
     CirculantElement,
     FourierFunction,
@@ -128,6 +128,21 @@ def test_hom_defect_bounded(seed, convention):
     b = CirculantElement(n, k1b, k2b, rng.standard_normal((2 * k1b + 1, 2 * k2b + 1)))
     lhs, bound = hom_defect(a, b, convention=convention)
     assert lhs <= bound * (1.0 + 1e-12)
+
+
+def test_element_algebra_past_dense_limit():
+    # an element holds only its coefficient table; the dense view is capped
+    rng = make_rng(2, stream=22)
+    n = 2 * DENSE_N_MAX
+    a = CirculantElement(n, 2, 1, rng.standard_normal((5, 3)))
+    b = CirculantElement(n, 1, 2, rng.standard_normal((3, 5)))
+    prod = a * b
+    assert prod.coeffs.shape == (7, 7) and np.all(np.isfinite(prod.coeffs))
+    for convention in ("plain", "symmetric"):
+        lhs, bound = hom_defect(a, b, convention=convention)
+        assert math.isfinite(lhs) and lhs <= bound * (1.0 + 1e-12)
+    with pytest.raises(PreconditionError, match="dense matrix size"):
+        a.to_matrix()
 
 
 MCHECK_INDICES = enumerate_indices(2, 2)

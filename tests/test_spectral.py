@@ -9,7 +9,7 @@ from lsequiv.spectral import (
     GRID_NODES,
     BasisIndex,
     SpectralDensity,
-    TrigPoly1D,
+    TransferFunction,
     basis_eval,
     basis_norm,
     default_grid,
@@ -245,14 +245,58 @@ def test_scaled_deviation_keeps_mean():
     assert g.coeffs[idx] == pytest.approx(0.5 * f.coeffs[idx], rel=1e-12)
 
 
-def test_trig_poly_real_eval():
-    p = TrigPoly1D.from_real(1.0, a_cos=(0.5, -0.2), b_sin=(0.3,))
-    u = 0.7
-    w = 2.0 * math.pi * u
-    expected = 1.0 + 0.5 * math.cos(w) - 0.2 * math.cos(2 * w) + 0.3 * math.sin(w)
-    assert p.eval(u).real == pytest.approx(expected, rel=1e-14)
-    assert p.is_real()
-    assert p.conjugate().eval(u) == pytest.approx(np.conj(p.eval(u)), rel=1e-14)
+def _real_form_symbol(k1, k2, seed):
+    """Symbol with components c_m = a0 + sum_r a_r cos(2 pi r u) + b_r sin(2 pi r u)
+    of random (a0, a, b), and c_m itself as an oracle callable."""
+    rng = make_rng(seed, stream=31)
+    a0 = rng.standard_normal(2 * k2 + 1)
+    a, b = rng.standard_normal((2, k1, 2 * k2 + 1))
+    table = np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex)
+    table[k1] = a0
+    table[k1 + 1 :] = 0.5 * (a - 1j * b)
+    table[:k1] = 0.5 * (a + 1j * b)[::-1]
+    r = np.arange(1, k1 + 1)
+
+    def components(u):
+        w = 2.0 * math.pi * np.multiply.outer(u, r)
+        return a0 + np.cos(w) @ a + np.sin(w) @ b
+
+    return TransferFunction(table), components
+
+
+@pytest.mark.parametrize("k1,k2", [(2, 2), (0, 1), (3, 0)])
+def test_symbol_table_eval(k1, k2):
+    # column m of the table is the real component c_m(u), A = sum_m c_m(u) e^{imx}
+    sym, components = _real_form_symbol(k1, k2, seed=k1 + 3 * k2)
+    u = np.linspace(0.0, 1.0, 23)
+    x = np.linspace(-math.pi, math.pi, 19)
+    expected = components(u) @ np.exp(1j * np.outer(np.arange(-k2, k2 + 1), x))
+    np.testing.assert_allclose(sym.components(u), components(u), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sym.eval(u[:, None], x[None, :]), expected, rtol=0, atol=1e-13)
+    scalar = components(0.3) @ np.exp(-1.2j * np.arange(-k2, k2 + 1))
+    assert sym.eval(0.3, -1.2) == pytest.approx(scalar, rel=0, abs=1e-13)
+
+
+def test_symbol_table_must_be_hermitian():
+    table = random_transfer(2, 1, make_rng(3, stream=1)).coeffs.copy()
+    table[3, 0] += 1e-6j
+    with pytest.raises(ConfigurationError, match="not real-valued"):
+        TransferFunction(table)
+    with pytest.raises(ConfigurationError, match="shape"):
+        TransferFunction(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("k1,k2,seed,stream", [(2, 2, 5, 1), (1, 1, 4, 30), (3, 2, 7, 9), (0, 1, 1, 2)])
+def test_transfer_density_matches_grid_projection(k1, k2, seed, stream):
+    # the exact expansion of |A|^2 against quadrature on the one grid
+    a = random_transfer(k1, k2, make_rng(seed, stream=stream))
+    f = a.to_spectral_density(11.0, 5.0, 0.5)
+    indices = enumerate_indices(2 * k1, 2 * k2)
+    assert set(f.coeffs) <= set(indices)
+    tt, xx = GRID.mesh
+    projected = GRID.project(np.abs(a.eval(tt, xx)) ** 2, indices)
+    exact = np.array([f.coeffs.get(idx, 0.0) for idx in indices])
+    np.testing.assert_allclose(exact, projected, rtol=0, atol=1e-12)
 
 
 def test_transfer_squared_modulus_matches_density():
