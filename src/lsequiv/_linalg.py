@@ -152,11 +152,6 @@ def sym_inv(a):
     return (v / w) @ v.T
 
 
-def sym_sqrt(a):
-    w, v = guarded_eig(a, require_pd=True)
-    return (v * np.sqrt(w)) @ v.T
-
-
 def sym_inv_sqrt(a):
     w, v = guarded_eig(a, require_pd=True)
     return (v / np.sqrt(w)) @ v.T

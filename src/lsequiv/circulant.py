@@ -171,11 +171,6 @@ class CirculantElement(_WindowTable):
         table = self.twisted_product(other, lambda j1, j1p, j2, j2p: lambda_phase(n, j1p * j2))
         return CirculantElement(n, k1, k2, table)
 
-    def adjoint(self) -> "CirculantElement":
-        j, j2 = self._index_grids()
-        table = np.conj(self.coeffs[::-1, ::-1]) * lambda_phase(self.n, j * j2)
-        return CirculantElement(self.n, self.k1, self.k2, table)
-
     def inner(self, other: "CirculantElement") -> complex:
         """Frobenius inner product <A, B> = tr(B* A) in coefficient space."""
         self._check_peer(other)

@@ -2,17 +2,19 @@
 
 Conditionally on the localizing covariance, the vector of quadratic
 statistics has a characteristic function that factors over the eigenvalues
-of a matrix pencil.  This module evaluates that product exactly, expands
-the standardized version in an Edgeworth-type series with certified
-coefficient and remainder bounds, bounds Fourier tails, and inverts the
-characteristic function numerically to measure total-variation distance
-from the Gaussian limit (K <= 2).
+of a matrix pencil.  A context stores the standardized spectrum
+lam = Gamma^{-1/2} joint and shift s = Gamma^{-1/2} d once; one log-form
+evaluator (_log_psi) turns t . lam and t . s into psi*, log psi* or |psi*|.
+On it the module expands psi* in an Edgeworth-type series with certified
+coefficient and remainder bounds, bounds Fourier tails, and inverts psi*
+numerically to measure total-variation distance from the Gaussian limit
+(K <= 2).
 """
 
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -26,8 +28,6 @@ __all__ = [
     "EdgeworthExpansion",
     "RadialProfile",
     "build_char_context",
-    "char_fn",
-    "char_fn_modulus",
     "char_fn_standardized",
     "context_from_state",
     "edgeworth_build",
@@ -39,7 +39,6 @@ __all__ = [
     "moment_diagnostics",
     "remainder_bound",
     "span_char_context",
-    "standardized_exp_series",
     "standardized_log_characteristic",
     "tv_oracle",
 ]
@@ -58,8 +57,10 @@ class CharFnContext:
     the standardized D_k = sum_l (Gamma^{-1/2})_{kl} A_l make {sqrt(2) D_k}
     Frobenius-orthonormal.  mu is the spectral budget behind every bound.
     joint holds the (K, n) spectra of the A_k in the one eigenbasis they
-    share, so the pencil sum_k v_k A_k of any direction v has eigenvalues
-    v . joint (span_char_context builds it in closed form).
+    share (span_char_context builds it in closed form).  lam = Gamma^{-1/2}
+    joint, the spectra of the D_k, and shift = Gamma^{-1/2} d are formed
+    here, once: the standardized pencil sum_k t_k D_k has eigenvalues
+    t . lam, and psi*(t) the phase t . shift.
     """
 
     n: int
@@ -68,6 +69,12 @@ class CharFnContext:
     gamma_inv_sqrt: np.ndarray
     mu: float
     joint: np.ndarray
+    lam: np.ndarray = field(init=False)
+    shift: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.lam = self.gamma_inv_sqrt @ self.joint
+        self.shift = self.gamma_inv_sqrt @ self.d_vec
 
     @property
     def K(self) -> int:
@@ -75,18 +82,10 @@ class CharFnContext:
 
     @functools.cached_property
     def mu_tail(self) -> float:
-        """Bound on the standardized pencil's |eigenvalues| u . Lambda_{:,j} in
-        every unit direction u, Lambda = Gamma^{-1/2} joint: max_j |Lambda_{:,j}|_2
-        (or mu, if that is smaller by rounding)."""
-        lam = self.gamma_inv_sqrt @ self.joint
-        return min(self.mu, float(np.max(np.linalg.norm(lam, axis=0))))
-
-    def pencil_eigs(self, v) -> np.ndarray:
-        """Ascending eigenvalues of the pencil sum_k v_k A_k.
-
-        The standardized pencil sum_k t_k D_k is that of gamma_inv_sqrt @ t.
-        """
-        return np.sort(np.asarray(v, dtype=float) @ self.joint)
+        """Bound on the standardized pencil's |eigenvalues| u . lam_{:,j} in
+        every unit direction u: max_j |lam_{:,j}|_2 (or mu, if that is
+        smaller by rounding)."""
+        return min(self.mu, float(np.max(np.linalg.norm(self.lam, axis=0))))
 
 
 # Relative accuracy to which a dense covariance must be rebuilt from its span coefficients
@@ -154,12 +153,8 @@ def span_char_context(alpha_theta, alpha_c, basis):
     gamma_theta = 0.5 * (gamma_theta + gamma_theta.T)
     w_gamma, v_gamma = guarded_eig(gamma_theta, require_pd=True)
     gamma_inv_sqrt = (v_gamma / np.sqrt(w_gamma)) @ v_gamma.T
-    std = gamma_inv_sqrt @ joint
-    defect = np.max(np.abs(std @ std.T - 0.5 * np.eye(basis.K)))
-    if defect > _ORTHO_TOL:
-        raise AccuracyError(f"standardized stack lost orthonormality: defect {defect:.3e}")
     m_norm = math.sqrt(np.sum(np.max(np.abs(m_hat), axis=1) ** 2))
-    return CharFnContext(
+    ctx = CharFnContext(
         n=n,
         d_vec=np.sum(joint, axis=1),
         gamma_theta=gamma_theta,
@@ -167,6 +162,10 @@ def span_char_context(alpha_theta, alpha_c, basis):
         mu=float(np.max(c_theta) / np.min(np.abs(c_hat)) ** 2 / math.sqrt(np.min(w_gamma)) * m_norm),
         joint=joint,
     )
+    defect = np.max(np.abs(ctx.lam @ ctx.lam.T - 0.5 * np.eye(basis.K)))
+    if defect > _ORTHO_TOL:
+        raise AccuracyError(f"standardized stack lost orthonormality: defect {defect:.3e}")
+    return ctx
 
 
 def context_from_state(state):
@@ -180,44 +179,50 @@ def context_from_state(state):
 # characteristic function
 
 
-def char_fn(t, ctx) -> complex:
-    """Product form of the conditional characteristic function at t.
+def _log_psi(lam, phase, counts=None):
+    """(Re, Im) of log psi* at the pencil spectra lam (eigenvalues on the last
+    axis) and phases t . shift: each factor (1 - 2i lam_j)^{-1/2} in polar
+    form (Imhof, Biometrika 48, 1961),
 
-    Each factor (1 - 2i*lam)^{-1/2} uses the principal branch, which is
-    unambiguous because every 1 - 2i*lam has real part one.
+        log psi* = -(1/4) sum_j log1p(4 lam_j^2) + i ((1/2) sum_j arctan(2 lam_j) - phase),
+
+    so no power multiplies a rounding error and the phase is continuous in
+    t.  With counts, lam_j is counted counts[j] times; with phase None, Im is
+    None (|psi*| = exp(Re) needs no arctan).
     """
-    lam = ctx.pencil_eigs(t)
-    return complex(np.prod((1.0 - 2j * lam) ** (-0.5)))
+    x = 2.0 * lam
+    total = (lambda v: np.sum(v, axis=-1)) if counts is None else (lambda v: v @ counts)
+    re = -0.25 * total(np.log1p(x * x))
+    return re, None if phase is None else 0.5 * total(np.arctan(x)) - phase
 
 
-def char_fn_modulus(t, ctx) -> float:
-    """|char_fn(t)| through the closed form prod (1 + 4 lam^2)^{-1/4}."""
-    lam = ctx.pencil_eigs(t)
-    return float(np.prod((1.0 + 4.0 * lam**2) ** (-0.25)))
+def _psi(lam, phase, counts=None):
+    """psi* = exp(log psi*) of _log_psi."""
+    re, im = _log_psi(lam, phase, counts)
+    psi = np.exp(1j * im)
+    psi *= np.exp(re)  # in place: one (2M + 1,) lattice-row temporary fewer
+    return psi
 
 
-def char_fn_standardized(t, ctx) -> complex:
-    """Characteristic function of the centered, whitened statistic."""
+def _spectra(t, ctx):
+    """The standardized pencil's spectra t . lam and phases t . shift at
+    (..., K) frequencies t."""
     t = np.asarray(t, dtype=float)
-    v = ctx.gamma_inv_sqrt @ t
-    phase = float(v @ ctx.d_vec)
-    return complex(np.exp(-1j * phase) * char_fn(v, ctx))
+    return t @ ctx.lam, t @ ctx.shift
 
 
-def standardized_log_characteristic(t, ctx) -> complex:
-    """log of char_fn_standardized evaluated without branch ambiguity."""
-    t = np.asarray(t, dtype=float)
-    v = ctx.gamma_inv_sqrt @ t
-    lam = ctx.pencil_eigs(v)
-    return complex(
-        -1j * float(v @ ctx.d_vec) - 0.5 * np.sum(np.log(1.0 - 2j * lam))
-    )
+def char_fn_standardized(t, ctx):
+    """psi*(t), the characteristic function of the centered, whitened
+    statistic, at (..., K) frequencies t: an array of shape (...), a scalar
+    for one frequency."""
+    return _psi(*_spectra(t, ctx))[()]
 
 
-def standardized_exp_series(t, ctx) -> complex:
-    """char_fn_standardized(t) with the Gaussian factor exp(-|t|^2/2) removed."""
-    t = np.asarray(t, dtype=float)
-    return char_fn_standardized(t, ctx) * math.exp(0.5 * float(t @ t))
+def standardized_log_characteristic(t, ctx):
+    """log psi*(t) at (..., K) frequencies t, continuous along every ray from
+    the origin (no 2 pi jumps): its imaginary part is a sum of arctangents."""
+    re, im = _log_psi(*_spectra(t, ctx))
+    return (re + 1j * im)[()]
 
 
 # Radius x eigenvalue entries RadialProfile.abs_psi forms at a time (0.5 MB)
@@ -228,11 +233,11 @@ class RadialProfile:
     """One-dimensional slice r -> |char_fn_standardized(r * u)|, for the
     tail quadrature of fourier_tail_integral.
 
-    Along a fixed unit direction u the pencil eigenvalues scale linearly
-    in the radius, so one spectrum, read from the joint spectrum by
-    ctx.pencil_eigs, serves every r.  abs_psi is vectorized over radius
-    arrays, taken in blocks of at most _RADIUS_BLOCK radius x eigenvalue
-    entries; each radius is one sum over the spectrum, whatever the block.
+    Along a fixed unit direction u the pencil eigenvalues r (u . lam) scale
+    linearly in the radius, so one spectrum u . lam serves every r.  abs_psi
+    is vectorized over radius arrays, taken in blocks of at most
+    _RADIUS_BLOCK radius x eigenvalue entries; each radius is one sum over
+    the spectrum, whatever the block.
     """
 
     def __init__(self, ctx, u):
@@ -241,7 +246,7 @@ class RadialProfile:
         if nrm == 0.0:
             raise PreconditionError("direction must be nonzero")
         u = u / nrm
-        self.eigs = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
+        self.eigs = np.sort(u @ ctx.lam)
 
     def abs_psi(self, r):
         r = np.asarray(r, dtype=float)
@@ -249,8 +254,8 @@ class RadialProfile:
         out = np.empty(flat.shape)
         step = max(1, _RADIUS_BLOCK // len(self.eigs))
         for r0 in range(0, len(flat), step):
-            x = 2.0 * np.multiply.outer(flat[r0 : r0 + step], self.eigs)
-            out[r0 : r0 + step] = np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
+            lam = np.multiply.outer(flat[r0 : r0 + step], self.eigs)
+            out[r0 : r0 + step] = np.exp(_log_psi(lam, None)[0])
         # [()] turns the 0-d result of a scalar r into a scalar
         return out.reshape(r.shape)[()]
 
@@ -275,10 +280,9 @@ def _multinomial(m) -> int:
 
 
 def _trace_polys_joint(ctx, Q):
-    # tr[(sum_k t_k D_k)^l] = sum_j (sum_k t_k lam_kj)^l, lam = Gamma^{-1/2} joint,
-    # so the coefficient of t^m is multinomial(m) sum_j prod_k lam_kj^{m_k}
-    lam = ctx.gamma_inv_sqrt @ ctx.joint
-    coef = lambda m: _multinomial(m) * np.sum(np.prod(lam ** np.array(m)[:, None], axis=0))
+    # tr[(sum_k t_k D_k)^l] = sum_j (sum_k t_k lam_kj)^l, so the coefficient
+    # of t^m is multinomial(m) sum_j prod_k lam_kj^{m_k}
+    coef = lambda m: _multinomial(m) * np.sum(np.prod(ctx.lam ** np.array(m)[:, None], axis=0))
     return {ell: {m: complex(coef(m)) for m in _monomials(ctx.K, ell)} for ell in range(3, Q + 1)}
 
 
@@ -582,48 +586,34 @@ def _lattice_step(x_max, mu):
     return 2.0 * math.pi / (x_max + max(x_max, reach))
 
 
-def _psi_real_form(lam, phase, counts=None):
-    """exp(-i phase) prod_j (1 - 2i lam_j)^{-1/2} over the last axis of lam, as
-    exp(-(1/4) sum log1p(4 lam^2) + i ((1/2) sum arctan(2 lam) - phase)); with
-    counts, the eigenvalue lam_j is counted counts[j] times."""
-    x = 2.0 * lam
-    if counts is None:
-        modulus = np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
-        return modulus * np.exp(1j * (0.5 * np.sum(np.arctan(x), axis=-1) - phase))
-    modulus = np.exp(-0.25 * (np.log1p(x * x) @ counts))
-    return modulus * np.exp(1j * (0.5 * (np.arctan(x) @ counts) - phase))
-
-
 def _lattice_psi(ctx, cf_override, dw, M):
     """psi*(dw a) at [M + a] (K = 1), or psi*(dw (a, b)) at [M + a, M + b]
     (K = 2), for |a|, |b| <= M.
 
-    The half a >= 0 is evaluated, the rest is psi*(-w) = conj psi*(w).  K = 1
-    takes one pencil spectrum, the joint row, summed over its distinct values
-    weighted by their counts (a K = 1 span context has one), or one
-    cf_override call on the (M + 1, 1) frequencies.  For K = 2 the pencil of
-    w has eigenvalues w_1 Lambda_1 + w_2 Lambda_2, Lambda = Gamma^{-1/2} joint,
-    formed one frequency row (2M + 1, n) at a time; a cf_override gets the
-    same rows as (2M + 1, 2) frequency arrays.
+    The half a >= 0 is evaluated, the rest is psi*(-w) = conj psi*(w), each
+    value by _psi.  K = 1 takes one pencil spectrum, the row lam[0], summed
+    over its distinct values weighted by their counts (a K = 1 span context
+    has one), or one cf_override call on the (M + 1, 1) frequencies.  For
+    K = 2 the pencil of w has eigenvalues w_1 lam_1 + w_2 lam_2, formed one
+    frequency row (2M + 1, n) at a time; a cf_override gets the same rows as
+    (2M + 1, 2) frequency arrays.
     """
     size = 2 * M + 1
     freqs = dw * np.arange(-M, M + 1)
     if ctx.K == 1:
         r = freqs[M:]
         if cf_override is None:
-            v = ctx.gamma_inv_sqrt[:, 0]
-            lam, counts = np.unique(ctx.pencil_eigs(v), return_counts=True)
-            half = _psi_real_form(np.multiply.outer(r, lam), r * float(v @ ctx.d_vec), counts)
+            lam, counts = np.unique(ctx.lam[0], return_counts=True)
+            half = _psi(np.multiply.outer(r, lam), r * ctx.shift[0], counts)
         else:
             half = cf_override(r[:, None])
         return np.concatenate([np.conj(half[:0:-1]), half])
     psi = np.empty((size, size), dtype=complex)
-    lam = ctx.gamma_inv_sqrt @ ctx.joint
-    shift = ctx.gamma_inv_sqrt @ ctx.d_vec
+    lam, shift = ctx.lam, ctx.shift
     for a in range(M, size):
         if cf_override is None:
             row = np.multiply.outer(freqs, lam[1]) + freqs[a] * lam[0]
-            psi[a] = _psi_real_form(row, freqs[a] * shift[0] + freqs * shift[1])
+            psi[a] = _psi(row, freqs[a] * shift[0] + freqs * shift[1])
         else:
             psi[a] = cf_override(np.stack(np.broadcast_arrays(freqs[a], freqs), axis=-1))
     psi[:M] = np.conj(psi[:M:-1, ::-1])
@@ -738,12 +728,10 @@ def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details
 def moment_diagnostics(ctx) -> dict:
     """Third-cumulant tensor of the standardized statistic.
 
-    cum3[k, l, m] = 8 tr(D_k D_l D_m) = 8 sum_j lam_kj lam_lj lam_mj,
-    lam = Gamma^{-1/2} joint; every entry tends to zero in the Gaussian
-    limit.
+    cum3[k, l, m] = 8 tr(D_k D_l D_m) = 8 sum_j lam_kj lam_lj lam_mj; every
+    entry tends to zero in the Gaussian limit.
     """
-    lam = ctx.gamma_inv_sqrt @ ctx.joint
-    cum3 = 8.0 * np.einsum("aj,bj,cj->abc", lam, lam, lam)
+    cum3 = 8.0 * np.einsum("aj,bj,cj->abc", ctx.lam, ctx.lam, ctx.lam)
     return {
         "third_cumulant": cum3,
         "max_abs_third_cumulant": float(np.max(np.abs(cum3))),

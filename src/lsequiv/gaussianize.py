@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,8 +153,9 @@ def contraction_bound(c_lo, delta_band) -> float:
 
 
 def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
-    """(C, Delta, (C^{-1}, P), B) for the revealed coefficients alpha + eta,
-    all in lower band storage.
+    """(C, Delta, (C^{-1}, P), B, extremes) for the revealed coefficients
+    alpha + eta, all in lower band storage; extremes holds the (min eig,
+    max eig) of C and of C_theta.
 
     C = sum (alpha + eta)_k M_k and Delta = C - C_theta have half-width k2;
     C^{-1} is band_function's polynomial in C, of half-width w (or, for a C
@@ -172,8 +174,8 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
     delta_band = c_band - c_theta_band
     # |C^{-1} Delta|_2 >= min eig(C_theta) / min eig(C) - 1 (at the lowest
     # eigenvector of C): a C this close to singular fails before C^{-1} is formed
-    c_extremes, theta_lo = band_extremes(c_band), band_extremes(c_theta_band)[0]
-    c_lo = c_extremes[0]
+    c_extremes, theta_extremes = band_extremes(c_band), band_extremes(c_theta_band)
+    c_lo, theta_lo = c_extremes[0], theta_extremes[0]
     if 0.0 < 2.0 * c_lo < theta_lo:
         raise LocalizationError(
             f"perturbation not a contraction (|C^-1 Delta|_sp >= {theta_lo / c_lo - 1.0:.3g})"
@@ -193,14 +195,16 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
     p = p[len(p) // 2 :]
     b_band = p.copy()
     b_band[: len(c_inv)] += c_inv
-    return c_band, delta_band, (c_inv, p), b_band
+    return c_band, delta_band, (c_inv, p), b_band, (c_extremes, theta_extremes)
 
 
 def pilot_risk_bound(k: int, rho: float) -> float:
     return 4.0 * k / rho**2
 
 
-def gaussian_summaries(c_theta_band, inverse, basis: BasisSystem, alpha_theta=None):
+def gaussian_summaries(
+    c_theta_band, inverse, basis: BasisSystem, alpha_theta=None, theta_extremes=None
+):
     """(d, Gamma_theta, Gamma, Gamma_tilde_theta) for the summary experiments.
 
     With H = C^{-1} C_theta C^{-1}, all four come from trace identities on
@@ -208,11 +212,11 @@ def gaussian_summaries(c_theta_band, inverse, basis: BasisSystem, alpha_theta=No
     Gamma_theta,kl = 2 tr(H M_k H M_l) and Gamma_tilde_kl = 2 tr(C_theta^{-1}
     M_k C_theta^{-1} M_l).  Every matrix is a band: inverse is the pair
     (C^{-1}, P) of build_localized_C, so H = C^{-1} - P, and C_theta^{-1} is
-    band_function's polynomial in C_theta (lower band storage).  The results
-    are symmetric by construction and positive semidefinite in exact
-    arithmetic (Gram matrices), which is not enforced.  When alpha_theta is
-    supplied (C_theta is exactly its combination), d = Gamma alpha / 2 is
-    enforced to 1e-8 relative.
+    band_function's polynomial in C_theta (on theta_extremes, when the
+    caller has them).  The results are symmetric by construction and positive
+    semidefinite in exact arithmetic (Gram matrices), which is not enforced.
+    When alpha_theta is supplied (C_theta is exactly its combination),
+    d = Gamma alpha / 2 is enforced to 1e-8 relative.
     """
     c_inv, p = inverse
     h = -p
@@ -220,7 +224,8 @@ def gaussian_summaries(c_theta_band, inverse, basis: BasisSystem, alpha_theta=No
     d_vec = basis.project(h)
     gamma = basis.trace_gram(c_inv)
     gamma_theta = basis.trace_gram(h)
-    gamma_tilde = basis.trace_gram(band_function(c_theta_band, -1.0, what="C_theta")[0])
+    c_theta_inv = band_function(c_theta_band, -1.0, extremes=theta_extremes, what="C_theta")[0]
+    gamma_tilde = basis.trace_gram(c_theta_inv)
 
     if alpha_theta is not None:
         target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
@@ -267,7 +272,8 @@ class ExperimentState:
 
     theta, C_theta, C, Delta = C - C_theta and B = C^{-1} + C^{-1} Delta C^{-1}
     are held in lower band storage; theta, c_theta, c_mat, delta and b_theta
-    are dense views of them, formed on each read.
+    are dense views of them, formed on each read.  c_extremes, (min eig,
+    max eig) of C, is the pair build_localized_C took, or taken on first read.
     """
 
     n: int
@@ -309,6 +315,10 @@ class ExperimentState:
     def b_theta(self) -> np.ndarray:
         return band_to_dense(self.b_band)
 
+    @cached_property
+    def c_extremes(self) -> tuple:
+        return band_extremes(self.c_band)
+
     @classmethod
     def build(
         cls,
@@ -332,11 +342,11 @@ class ExperimentState:
         c_theta_band = basis.band(alpha_theta)
         eta = sample_truncated_noise(cfg, basis.K, rng)
         # one band C^{-1} serves the localization and the summaries
-        c_band, delta_band, inverse, b_band = build_localized_C(alpha_theta, eta, basis)
+        c_band, delta_band, inverse, b_band, extremes = build_localized_C(alpha_theta, eta, basis)
         d_vec, gamma_theta, gamma, gamma_tilde = gaussian_summaries(
-            c_theta_band, inverse, basis, alpha_theta=alpha_theta
+            c_theta_band, inverse, basis, alpha_theta=alpha_theta, theta_extremes=extremes[1]
         )
-        return cls(
+        state = cls(
             n=basis.n,
             basis=basis,
             alpha_theta=alpha_theta,
@@ -352,6 +362,8 @@ class ExperimentState:
             gamma_tilde=gamma_tilde,
             config=cfg,
         )
+        state.__dict__["c_extremes"] = extremes[0]  # the cached_property's slot
+        return state
 
     def summary(self) -> dict:
         c_mat, delta = self.c_mat, self.delta
@@ -359,7 +371,7 @@ class ExperimentState:
             "n": self.n,
             "K": self.K,
             "eig_c_theta": list(band_extremes(self.c_theta_band)),
-            "eig_c": list(band_extremes(self.c_band)),
+            "eig_c": list(self.c_extremes),
             "delta_frob": frob(delta),
             "contraction": spectral_norm(np.linalg.solve(c_mat, delta)),
             "eta_norm": float(np.linalg.norm(self.eta_tilde)),

@@ -8,6 +8,7 @@ repeated runs are byte-identical.  Grid functionals are taken on the one
 instrument rather than a setting of a run.
 """
 
+import cmath
 import contextlib
 import dataclasses
 import json
@@ -374,6 +375,15 @@ def _timed(report, timings):
     report.extend(entries)
 
 
+def _chi_square_cf(t, n) -> complex:
+    """(1 - 2it / sqrt(2n))^{-n/2} exp(-it sqrt(n/2)), the characteristic
+    function of (chi-square(n) - n) / sqrt(2n), in log form: with
+    x = 2t / sqrt(2n) its log is -(n/4) log1p(x^2) + i ((n/2) arctan x -
+    t sqrt(n/2)), so the power n/2 multiplies no rounding of the base."""
+    x = 2.0 * t / math.sqrt(2.0 * n)
+    return cmath.exp(complex(-0.25 * n * math.log1p(x * x), 0.5 * n * math.atan(x) - t * math.sqrt(n / 2.0)))
+
+
 def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationReport:
     """Self-contained inequality and identity suite at one sample size."""
     sched = schedule(n)
@@ -486,11 +496,8 @@ def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationRepo
         ctx = span_char_context(alpha_eye, alpha_eye, scalar)
         worst = 0.0
         for t in (0.3, 1.1, 2.7):
-            got = char_fn_standardized(np.array([t]), ctx)
-            want = (1.0 - 2.0j * t / math.sqrt(2.0 * n)) ** (-n / 2.0) * np.exp(
-                -1.0j * t * math.sqrt(n / 2.0)
-            )
-            worst = max(worst, abs(complex(got) - complex(want)))
+            got = complex(char_fn_standardized(np.array([t]), ctx))
+            worst = max(worst, abs(got - _chi_square_cf(t, n)))
         out.append(CheckResult("charfn-quadratic-law", "exact-identity", worst, 0.0, tol=1e-12))
 
     # series expansion remainder inside its validity ball

@@ -595,7 +595,7 @@ def goe_connection(state, w, gamma=None) -> GoeComparison:
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, basis.indices, scale * state.eta_tilde)
 
-    c_extremes = band_extremes(state.c_band)
+    c_extremes = state.c_extremes
     x_signed = signed_band(
         band_function(state.c_band, -0.5, extremes=c_extremes, what="localized C")[0]
     )

@@ -228,9 +228,12 @@ def test_band_is_combine(k1, k2):
 def test_build_localized_c_matches_dense(k1, k2):
     basis = build_basis(N, k1, k2)
     alpha, eta = _coeffs(basis, 1)
-    c_band, delta_band, (c_inv, p), b_band = build_localized_C(alpha, eta, basis)
+    c_band, delta_band, (c_inv, p), b_band, extremes = build_localized_C(alpha, eta, basis)
     c_dense = _dense(basis, alpha + eta)
     delta_dense = c_dense - _dense(basis, alpha)
+    for (lo, hi), dense in zip(extremes, (c_dense, c_dense - delta_dense)):
+        w = np.linalg.eigvalsh(dense)
+        assert abs(lo - w[0]) <= 1e-12 * w[-1] and abs(hi - w[-1]) <= 1e-12 * w[-1]
     c_inv_dense = np.linalg.inv(c_dense)
     p_dense = c_inv_dense @ delta_dense @ c_inv_dense
     assert c_band.shape == delta_band.shape == (k2 + 1, N)
@@ -631,13 +634,16 @@ def test_chain_row_goe_and_presmooth_run_no_dense_eig(monkeypatch, linalg_calls)
 def test_chain_row_takes_band_extremes_of_tridiagonal_bands_only(lapack_calls):
     # K = 6 (k2 = 1) at n = 1024: every extreme eigenvalue a chain row takes is
     # of a half-width-1 band; the O(n^2) dsbevx of reordered wrapped bands
-    # belongs to the GOE bound, which the chain does not report
+    # belongs to the GOE bound, which the chain does not report.  Each band's
+    # pair is taken once, two dsbevx calls: theta's in the presmoothing
+    # residual, C's, C_theta's and Delta's in the localization, and the
+    # summaries and the GOE stage reuse C_theta's and C's
     calls = lapack_calls()
     _, rows = run_equivalence_chain(RunConfig(n_grid=(1024,)))
     row = dict(zip(CHAIN_HEADER, rows[0]))
     assert row["K"] == 6 and row["error"] == "" and row["goe_kl"] is not None
     shapes = [shape for name, shape in calls if name == "dsbevx"]
-    assert shapes and set(shapes) == {(2, 1024)}
+    assert len(shapes) == 8 and set(shapes) == {(2, 1024)}
 
 
 def test_goe_connection_memory_peak(traced_peak):
@@ -699,7 +705,7 @@ def test_contraction_bound_falls_back_to_exact():
     basis, alpha, eta = _diagonal_case(2.5)
     c_band = basis.band(alpha + eta)
     bound = contraction_bound(band_extremes(c_band)[0], c_band - basis.band(alpha))
-    c_band, delta_band, _, _ = build_localized_C(alpha, eta, basis)
+    c_band, delta_band, _, _, _ = build_localized_C(alpha, eta, basis)
     exact = np.linalg.norm(np.linalg.solve(band_to_dense(c_band), band_to_dense(delta_band)), 2)
     assert bound == pytest.approx(10.0, rel=1e-12)
     assert exact == pytest.approx(5.0 / 9.5, rel=1e-12)

@@ -11,7 +11,7 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from lsequiv import cltcheck
-from lsequiv._linalg import spectral_norm, sym_inv, sym_sqrt
+from lsequiv._linalg import spectral_norm, sym_inv
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.cltcheck import (
     _ladder_tails,
@@ -21,8 +21,6 @@ from lsequiv.cltcheck import (
     _truncation,
     RadialProfile,
     build_char_context,
-    char_fn,
-    char_fn_modulus,
     char_fn_standardized,
     context_from_state,
     edgeworth_build,
@@ -34,13 +32,12 @@ from lsequiv.cltcheck import (
     moment_diagnostics,
     remainder_bound,
     span_char_context,
-    standardized_exp_series,
     standardized_log_characteristic,
     tv_oracle,
 )
 from lsequiv.errors import PreconditionError, RangeError, SingularMatrixError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
-from lsequiv.harness import RunConfig, config_density
+from lsequiv.harness import RunConfig, _chi_square_cf, config_density
 from lsequiv.rng import make_rng
 from lsequiv.spectral import random_density
 
@@ -57,6 +54,31 @@ def _identity_context(n, k2):
 CTX = _identity_context(N, 0)
 # the K = 1 oracle's default x grid
 K1_GRID = np.arange(-20.0, 20.0 + 0.001, 0.002)
+
+
+def _pencil_eigs(ctx, v):
+    """Ascending eigenvalues v . joint of the pencil sum_k v_k A_k."""
+    return np.sort(np.asarray(v, dtype=float) @ ctx.joint)
+
+
+def _char_fn(v, ctx):
+    """Product form prod_j (1 - 2i lam_j)^{-1/2} of the conditional
+    characteristic function at v (oracle).  Each factor takes the principal
+    branch, unambiguous because every 1 - 2i lam has real part one."""
+    return complex(np.prod((1.0 - 2j * _pencil_eigs(ctx, v)) ** (-0.5)))
+
+
+def _char_fn_standardized(t, ctx):
+    """psi*(t) = exp(-i v . d) char_fn(v), v = Gamma^{-1/2} t, in product
+    form from the joint spectrum (oracle)."""
+    v = ctx.gamma_inv_sqrt @ np.asarray(t, dtype=float)
+    return cmath.exp(-1j * float(v @ ctx.d_vec)) * _char_fn(v, ctx)
+
+
+def _sym_sqrt(a):
+    """The positive square root of an SPD matrix, from its eigh."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.sqrt(w)) @ v.T
 
 
 def test_mu_scale_invariant():
@@ -78,6 +100,31 @@ def test_quadratic_law_chi_square_cf(t):
     assert abs(got - expected) <= 1e-12
 
 
+def _chi_square_cf_mp(t, n):
+    """(1 - 2it / sqrt(2n))^{-n/2} exp(-it sqrt(n/2)), the characteristic
+    function of (chi-square(n) - n) / sqrt(2n), at 40 digits in the float t."""
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    t, n = mp.mpf(t), mp.mpf(n)
+    return (1 - 2j * t / mp.sqrt(2 * n)) ** (-n / 2) * mp.exp(-1j * t * mp.sqrt(n / 2))
+
+
+@pytest.mark.parametrize("t", [0.3, 1.1, 2.7])
+def test_quadratic_law_cf_at_65536_matches_mpmath(t):
+    # the identity window's psi* at n = 65536, past verify's default grid;
+    # the product of n factors was off by 3.5e-12 at t = 1.1
+    got = char_fn_standardized(np.array([t]), _identity_context(65536, 0))
+    assert abs(complex(got) - complex(_chi_square_cf_mp(t, 65536))) <= 1e-13
+
+
+@pytest.mark.parametrize("n,tol", [(65536, 1e-13), (1 << 20, 2e-13)])
+def test_verify_chi_square_reference_matches_mpmath(n, tol):
+    # verify's charfn-quadratic-law reference, in log form; the power of the
+    # rounded base was off by 3.4e-12 at n = 65536 and 2.0e-11 at n = 2^20
+    for t in (0.3, 1.1, 2.7):
+        assert abs(_chi_square_cf(t, n) - complex(_chi_square_cf_mp(t, n))) <= tol
+
+
 def _cumulant_series(t, ctx, lmax):
     """Partial sum (l = 3..lmax) of the trace series
 
@@ -85,7 +132,7 @@ def _cumulant_series(t, ctx, lmax):
 
     which converges for |sum t_k D_k|_sp < 1/2.
     """
-    w = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ t)
+    w = _pencil_eigs(ctx, ctx.gamma_inv_sqrt @ t)
     return complex(sum(0.5 * (2j) ** ell * np.sum(w**ell) / ell for ell in range(3, lmax + 1)))
 
 
@@ -95,7 +142,7 @@ def test_log_branch_and_series_consistency():
     assert abs(cmath.exp(log_val) - char_fn_standardized(t, CTX)) <= 1e-12
     partial = _cumulant_series(t, CTX, 40)
     assert abs(partial - (log_val + 0.5 * float(t @ t))) <= 1e-12
-    assert abs(cmath.exp(partial) - standardized_exp_series(t, CTX)) <= 1e-12
+    assert abs(cmath.exp(partial) - _char_fn_standardized(t, CTX) * math.exp(0.5 * float(t @ t))) <= 1e-12
 
 
 def test_series_partial_sums_monotone_refinement():
@@ -110,7 +157,11 @@ def test_radial_profile_matches_cf():
     prof = RadialProfile(CTX, u)
     r = 1.3
     assert abs(prof.abs_psi(r) - abs(char_fn_standardized(r * u, CTX))) <= 1e-13
-    assert char_fn_modulus(r * u, CTX) == pytest.approx(abs(char_fn(r * u, CTX)), abs=1e-14)
+    # the product forms of |psi*| and psi* (oracles)
+    v = CTX.gamma_inv_sqrt @ (r * u)
+    modulus = float(np.prod((1.0 + 4.0 * _pencil_eigs(CTX, v) ** 2) ** (-0.25)))
+    assert prof.abs_psi(r) == pytest.approx(modulus, abs=1e-14)
+    assert modulus == pytest.approx(abs(_char_fn(v, CTX)), abs=1e-14)
 
 
 def test_moment_diagnostics_identity_window():
@@ -337,7 +388,7 @@ def _dense_oracle(c_theta, c_mat, basis):
     H = C^{-1} C_theta^{1/2}, d_k = tr A_k, Gamma_theta = [2 tr(A_k A_l)],
     its inverse square root, and mu = |C_theta| |C^{-1}|^2 |Gamma^{-1/2}|
     sqrt(sum_k |M_k|^2), each from its own decomposition."""
-    half = sym_inv(c_mat) @ sym_sqrt(c_theta)
+    half = sym_inv(c_mat) @ _sym_sqrt(c_theta)
     a_stack = np.matmul(half.T, np.matmul(basis.mats, half))
     a_stack = 0.5 * (a_stack + np.transpose(a_stack, (0, 2, 1)))
     flat = a_stack.reshape(len(a_stack), -1)
@@ -395,11 +446,11 @@ def tvk2_ctx():
 
 
 def _assert_joint_matches_eigvalsh(ctx, dense, dirs):
-    # each standardized direction's closed-form spectrum against an eigvalsh
-    # of the dense oracle's pencil
+    # each standardized direction's closed-form spectrum u . lam against an
+    # eigvalsh of the dense oracle's pencil
     for u in dirs:
         want = np.linalg.eigvalsh(np.tensordot(dense.gamma_inv_sqrt @ u, dense.a_stack, axes=(0, 0)))
-        got = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
+        got = np.sort(u @ ctx.lam)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -525,7 +576,7 @@ def _psi_per_direction(ctx, w):
     """psi* at each frequency of a (..., K) array, from the pencil spectrum
     of its own direction and a complex log."""
     v = w @ ctx.gamma_inv_sqrt.T
-    lam = np.array([ctx.pencil_eigs(x) for x in v.reshape(-1, ctx.K)]).reshape(v.shape[:-1] + (-1,))
+    lam = np.array([_pencil_eigs(ctx, x) for x in v.reshape(-1, ctx.K)]).reshape(v.shape[:-1] + (-1,))
     return np.exp(-0.5 * np.sum(np.log(1.0 - 2j * lam), axis=-1) - 1j * (v @ ctx.d_vec))
 
 
@@ -548,12 +599,55 @@ def test_lattice_psi_k1_matches_per_direction_oracle(dense, monkeypatch):
     assert np.max(np.abs(got - _lattice_psi(ctx, lambda w: _psi_per_direction(ctx, w), dw, M))) <= 1e-13
 
 
+def _evaluator_context(case, K):
+    """A K = 1 or 2 context at n <= 512: a span context with C = C_theta
+    ("same") or C a span perturbation of it ("differ"), or
+    build_char_context of a localization state's dense C_theta != C ("state")."""
+    if case == "state":
+        state = _state(64, 0, K - 1)
+        return build_char_context(state.c_theta, state.c_mat, state.basis)
+    basis, alpha_theta, alpha_c = _span_case(512 if case == "same" else 256, K - 1, case)
+    return span_char_context(alpha_theta, alpha_c, basis)
+
+
+@pytest.mark.parametrize("case", ["same", "differ", "state"])
+@pytest.mark.parametrize("K", [1, 2])
+def test_log_form_evaluator_matches_product_form(K, case):
+    # psi*, exp(log psi*) and |psi*| along rays out to r = 40, where
+    # |Im log psi*| passes 100, against the product form from the joint spectrum
+    ctx = _evaluator_context(case, K)
+    dirs = np.array([[1.0], [-1.0]]) if K == 1 else _angles(7)
+    r = np.linspace(0.0, 40.0, 81)
+    w = r[:, None, None] * dirs
+    want = np.array([[_char_fn_standardized(x, ctx) for x in row] for row in w])
+    log_psi = standardized_log_characteristic(w, ctx)
+    assert log_psi.shape == want.shape and np.max(np.abs(log_psi.imag)) > 100.0
+    for got in (char_fn_standardized(w, ctx), np.exp(log_psi)):
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+    for j, u in enumerate(dirs):
+        assert np.max(np.abs(RadialProfile(ctx, u).abs_psi(r) / np.abs(want[:, j]) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_log_characteristic_has_no_2pi_jumps(K):
+    # along a fine ray Im log psi* moves by far less than 2 pi a step and is
+    # the unwrapped argument of psi*, past |Im log psi*| = 100
+    ctx = _evaluator_context("same", K)
+    u = np.array([1.0]) if K == 1 else _angles(7)[2]
+    w = np.linspace(0.0, 40.0, 4001)[:, None] * u
+    log_psi = standardized_log_characteristic(w, ctx)
+    assert log_psi[0] == 0.0 and np.max(np.abs(log_psi.imag)) > 100.0
+    assert np.max(np.abs(np.diff(log_psi.imag))) < 1.0
+    unwrapped = np.unwrap(np.angle(char_fn_standardized(w, ctx)))
+    assert np.max(np.abs(log_psi.imag - unwrapped)) <= 1e-9
+
+
 def _full_spectrum_half(ctx, dw, M):
     """The K = 1 half a >= 0 of psi*, a sum over every eigenvalue of the
     pencil (oracle)."""
     r = dw * np.arange(M + 1)
     v = ctx.gamma_inv_sqrt[:, 0]
-    return cltcheck._psi_real_form(np.multiply.outer(r, ctx.pencil_eigs(v)), r * float(v @ ctx.d_vec))
+    return cltcheck._psi(np.multiply.outer(r, _pencil_eigs(ctx, v)), r * float(v @ ctx.d_vec))
 
 
 def _assert_distinct_sum_matches_full_spectrum(ctx):
@@ -1030,7 +1124,7 @@ def test_tv_decay_k2_truncation_from_the_column_norm_majorant(n, want):
     lam = ctx.gamma_inv_sqrt @ ctx.joint
     u = lam[:, np.argmax(np.linalg.norm(lam, axis=0))]
     u /= np.linalg.norm(u)
-    eigs = ctx.pencil_eigs(ctx.gamma_inv_sqrt @ u)
+    eigs = _pencil_eigs(ctx, ctx.gamma_inv_sqrt @ u)
     assert np.max(np.abs(eigs)) == pytest.approx(ctx.mu_tail, rel=1e-12)
     assert ctx.mu_tail < 0.9 * ctx.mu
     moduli = _profile_moduli(ctx, _angles(180))

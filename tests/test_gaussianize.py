@@ -7,7 +7,7 @@ from scipy import special, stats
 from scipy.linalg import cho_factor, cho_solve
 
 from lsequiv import gaussianize
-from lsequiv._linalg import band_cholesky, band_to_dense, dense_to_band, sym_inv, sym_inv_sqrt, sym_sqrt
+from lsequiv._linalg import band_cholesky, band_to_dense, dense_to_band, sym_inv, sym_inv_sqrt
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.errors import (
     ConfigurationError,
@@ -118,7 +118,7 @@ def test_truncated_noise_raises_past_the_attempt_cap():
 def test_build_localized_c_identities():
     alpha = BASIS.project(THETA.band)
     eta = sample_truncated_noise(LOC, BASIS.K, make_rng(1, stream=40))
-    c_band, delta_band, _, b_band = build_localized_C(alpha, eta, BASIS)
+    c_band, delta_band, _, b_band, _ = build_localized_C(alpha, eta, BASIS)
     c_mat, delta = band_to_dense(c_band), band_to_dense(delta_band)
     np.testing.assert_allclose(c_mat, BASIS.combine(alpha + eta), atol=1e-12)
     np.testing.assert_allclose(delta, c_mat - BASIS.combine(alpha), atol=1e-12)
@@ -178,7 +178,7 @@ def test_summaries_identity_block():
     n = 16
     basis1 = build_basis(n, 0, 0)
     alpha = np.array([math.sqrt(n)])
-    _, _, inverse, _ = build_localized_C(alpha, np.zeros(1), basis1)
+    _, _, inverse, _, _ = build_localized_C(alpha, np.zeros(1), basis1)
     d, g_theta, g_mat, g_tilde = gaussian_summaries(
         basis1.band(alpha), inverse, basis1, alpha_theta=alpha
     )
@@ -411,7 +411,8 @@ def test_sp_perturbation_check_small_and_skipped():
 
 def _dense_summaries(c_theta, c_mat, basis):
     """The stacked-matmul formulas through matrix square roots (oracle)."""
-    ci_sqrt, ct_sqrt, cti_sqrt = sym_inv_sqrt(c_mat), sym_sqrt(c_theta), sym_inv_sqrt(c_theta)
+    w, v = np.linalg.eigh(c_theta)
+    ci_sqrt, ct_sqrt, cti_sqrt = sym_inv_sqrt(c_mat), (v * np.sqrt(w)) @ v.T, sym_inv_sqrt(c_theta)
     k = basis.K
 
     def gram(stack):
@@ -439,7 +440,7 @@ def test_summaries_match_dense_stacks(k1, k2):
     c_theta = basis.combine(alpha)
     c_mat = basis.combine(alpha + eta)
     assert not np.array_equal(c_theta, c_mat)
-    _, _, inverse, _ = build_localized_C(alpha, eta, basis)
+    _, _, inverse, _, _ = build_localized_C(alpha, eta, basis)
     got = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
     want = _dense_summaries(c_theta, c_mat, basis)
     for g, w in zip(got, want):
@@ -456,7 +457,7 @@ def test_summaries_match_dense_stacks_ill_conditioned():
     c_theta = np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n)))
     alpha = basis.project(dense_to_band(c_theta, 0))
     eta = 1e-4 * make_rng(0, stream=46).standard_normal(basis.K)
-    c_band, _, inverse, _ = build_localized_C(alpha, eta, basis)
+    c_band, _, inverse, _, _ = build_localized_C(alpha, eta, basis)
     assert len(inverse[0]) == n
     got = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
     want = _dense_summaries(basis.combine(alpha), band_to_dense(c_band), basis)

@@ -1,11 +1,13 @@
-"""No unused import.
+"""No unused import and no stale export.
 
 Every name that a module in src/lsequiv imports must be read in that module
 or listed in its __all__, so that deleting the code that used an import
 deletes the import too.  __future__ imports bind no name the module reads
-and are skipped.
+and are skipped.  Every entry of a module's __all__ must be a name the
+module defines or imports at its top level, so that deleting a function
+deletes its export too.
 
-Run as a script to print the unused imports:
+Run as a script to print the unused imports and stale exports:
 
     python tests/test_imports.py
 """
@@ -43,6 +45,28 @@ def exported_names(tree):
     return set()
 
 
+def top_level_names(tree):
+    """Names the module's top level binds by def, class or assignment."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
+
+
+def stale_exports():
+    """[(module, name)] of __all__ entries the module neither defines nor imports."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = top_level_names(tree) | set(imported_names(tree))
+        found += [(path.name, name) for name in sorted(exported_names(tree) - bound)]
+    return found
+
+
 def unused_imports():
     """[(module, name, line)] of imported names neither read nor exported."""
     found = []
@@ -64,6 +88,13 @@ def test_allowlist_names_unused_imports():
     assert ALLOWED <= {entry[:2] for entry in unused_imports()}
 
 
+def test_every_export_is_bound():
+    stale = stale_exports()
+    assert stale == [], "stale exports: " + ", ".join(f"{m} {name}" for m, name in stale)
+
+
 if __name__ == "__main__":
     for module, name, line in unused_imports():
         print(f"{module}:{line}: {name}")
+    for module, name in stale_exports():
+        print(f"{module}: __all__ names {name}, which it does not bind")
