@@ -60,7 +60,9 @@ class CharFnContext:
     share (span_char_context builds it in closed form).  lam = Gamma^{-1/2}
     joint, the spectra of the D_k, and shift = Gamma^{-1/2} d are formed
     here, once: the standardized pencil sum_k t_k D_k has eigenvalues
-    t . lam, and psi*(t) the phase t . shift.
+    t . lam, and psi*(t) the phase t . shift.  span_char_context sets symbol:
+    rows c_theta, c, m_0.. of linear polynomials u_0 + u_1 z with joint =
+    c_theta m / c^2 at z = cos(pi j / (n + 1)); built directly, a context has none.
     """
 
     n: int
@@ -71,6 +73,7 @@ class CharFnContext:
     joint: np.ndarray
     lam: np.ndarray = field(init=False)
     shift: np.ndarray = field(init=False)
+    symbol: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
         self.lam = self.gamma_inv_sqrt @ self.joint
@@ -80,12 +83,81 @@ class CharFnContext:
     def K(self) -> int:
         return len(self.d_vec)
 
+    def spectrum(self, R):
+        """(nodes, weights) whose weighted sums give log psi*(t), |t| <= R:
+        for K = 1 the distinct values of lam with their counts (exact); with
+        a symbol and the m of _symbol_order, Gamma^{-1/2} joint(pi i / m),
+        i = 0..m, weighted (n + 1) / m, the two ends (1/2)((n + 1) / m - 1);
+        else the n columns of lam, weights None (1 each)."""
+        if self.K == 1:
+            lam, counts = np.unique(self.lam[0], return_counts=True)
+            return lam[None], counts
+        m = None if self.symbol is None else _symbol_order(self, R)[0]
+        if m is None:
+            return self.lam, None
+        weights = np.full(m + 1, (self.n + 1) / m)
+        weights[[0, -1]] = 0.5 * ((self.n + 1) / m - 1.0)
+        nodes = _joint_symbol(self.symbol, np.cos(np.pi * np.arange(m + 1) / m))
+        return self.gamma_inv_sqrt @ nodes, weights
+
     @functools.cached_property
     def mu_tail(self) -> float:
         """Bound on the standardized pencil's |eigenvalues| u . lam_{:,j} in
         every unit direction u: max_j |lam_{:,j}|_2 (or mu, if that is
         smaller by rounding)."""
         return min(self.mu, float(np.max(np.linalg.norm(self.lam, axis=0))))
+
+
+def _joint_symbol(symbol, z):
+    """joint = c_theta m / c^2 of a symbol's linear polynomials at z."""
+    poly = symbol[:, 0, None] + symbol[:, 1, None] * np.ravel(z)
+    return (poly[0] * poly[2:] / poly[1] ** 2).reshape((-1,) + np.shape(z))
+
+
+# Largest |Delta log psi*| the symbol quadrature may leave; the strip half-widths
+# a_max i / 32 it tries (a_max: nearest zero of c, at most 4); samples of a line
+_SYMBOL_TOL, _STRIP_FRACTIONS, _STRIP_CAP, _LINE_SAMPLES = 1e-13, np.arange(1, 32) / 32.0, 4.0, 128
+
+
+def _symbol_order(ctx, R):
+    """(m, bound): the least m whose (m + 1)-node sum (spectrum) moves
+    log psi*(t), |t| <= R, by at most bound <= _SYMBOL_TOL; (None, inf) if no
+    m < n does.  With N = n + 1, g(theta) = log(1 - 2i t . Lambda(theta)),
+    Lambda = Gamma^{-1/2} joint (even, 2 pi-periodic), sum_j g(pi j / N) is
+    half the 2N-point trapezoid sum on the period less g(0) and g(pi); the
+    weights make the same of the 2m-point sum times N / m.  If |g| <= B on
+    |Im theta| <= a, a P-point sum is within 2PB / (e^{aP} - 1) of P / 2 pi
+    times the integral (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 3.2),
+    so |Delta log psi*| <= N B [(e^{2aN} - 1)^{-1} + (e^{2am} - 1)^{-1}].
+    Lambda is analytic for cosh a < |c_0 / c_1|; Re(1 - 2i t . Lambda) is
+    harmonic, so its minimum is 1 - 2R |Im Lambda|_2 on the line
+    Im theta = a (Lambda(-conj theta) = conj Lambda(theta)), and where that is
+    positive B = max(log(1 + 2R |Lambda|_2), -log min Re) + pi / 2 (maximum
+    modulus).  The line's maxima are enclosed by _LINE_SAMPLES + 1 samples of
+    x in [0, pi] plus a Lipschitz margin L pi / (2 _LINE_SAMPLES), L =
+    |Gamma^{-1/2}|_2 cosh a |d joint / dz|_2 from |sin theta|, |cos theta| <=
+    cosh a, |u_0 + u_1 z| <= |u_0| + |u_1| cosh a and |c| >= |c_0| - |c_1| cosh a.
+    """
+    sym, n = ctx.symbol, ctx.n
+    c0, c1 = abs(sym[1, 0]), abs(sym[1, 1])
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan B and r only refuse an a
+        a = min(math.acosh(max(c0 / c1, 1.0)) if c1 else math.inf, _STRIP_CAP) * _STRIP_FRACTIONS
+        ch = np.cosh(a)
+        up, low = np.abs(sym[:, :1]) + np.abs(sym[:, 1:]) * ch, c0 - c1 * ch
+        slope = abs(sym[0, 1]) * up[2:] + up[0] * np.abs(sym[2:, 1:])
+        slope = slope / low**2 + 2 * c1 * up[0] * up[2:] / low**3
+        lip = np.linalg.norm(ctx.gamma_inv_sqrt, 2) * ch * np.linalg.norm(slope, axis=0)
+        x = math.pi * np.arange(_LINE_SAMPLES + 1) / _LINE_SAMPLES
+        lam = np.tensordot(ctx.gamma_inv_sqrt, _joint_symbol(sym, np.cos(np.add.outer(1j * a, x))), 1)
+        norm, im = (np.max(np.linalg.norm(v, axis=0), axis=1) + lip * x[1] / 2 for v in (lam, lam.imag))
+        B = np.maximum(np.log1p(2.0 * R * norm), -np.log1p(-2.0 * R * im)) + math.pi / 2
+        tail = lambda p: np.exp(-2.0 * a * p) / -np.expm1(-2.0 * a * p)  # (e^{2ap} - 1)^{-1}
+        r = _SYMBOL_TOL / ((n + 1) * B) - tail(n + 1)
+        m = np.where(r > 0, np.ceil(np.log1p(1.0 / r) / (2.0 * a)), np.inf)
+    k = int(np.argmin(m))
+    if not m[k] < n:
+        return None, math.inf
+    return int(m[k]), float((n + 1) * B[k] * (tail(n + 1) + tail(m[k]))[k])
 
 
 # Relative accuracy to which a dense covariance must be rebuilt from its span coefficients
@@ -165,6 +237,9 @@ def span_char_context(alpha_theta, alpha_c, basis):
     defect = np.max(np.abs(ctx.lam @ ctx.lam.T - 0.5 * np.eye(basis.K)))
     if defect > _ORTHO_TOL:
         raise AccuracyError(f"standardized stack lost orthonormality: defect {defect:.3e}")
+    m_poly = np.zeros((basis.K, 2))
+    m_poly[0, 0], m_poly[1:, 1] = basis.bands[0, 0], 2.0 * basis.bands[1:, 0]
+    ctx.symbol = np.vstack([alpha_theta @ m_poly, alpha_c @ m_poly, m_poly])
     return ctx
 
 
@@ -591,29 +666,28 @@ def _lattice_psi(ctx, cf_override, dw, M):
     (K = 2), for |a|, |b| <= M.
 
     The half a >= 0 is evaluated, the rest is psi*(-w) = conj psi*(w), each
-    value by _psi.  K = 1 takes one pencil spectrum, the row lam[0], summed
-    over its distinct values weighted by their counts (a K = 1 span context
-    has one), or one cf_override call on the (M + 1, 1) frequencies.  For
-    K = 2 the pencil of w has eigenvalues w_1 lam_1 + w_2 lam_2, formed one
-    frequency row (2M + 1, n) at a time; a cf_override gets the same rows as
-    (2M + 1, 2) frequency arrays.
+    value by _psi over ctx.spectrum(R), R = sqrt(K) M dw the lattice corner
+    (K = 1: distinct values and counts; K = 2: a certified symbol quadrature
+    or the n exact columns), with the pencil of w, w_1 nodes_1 + w_2 nodes_2,
+    formed one (2M + 1, p) frequency row at a time.  A cf_override gets the
+    (M + 1, 1) frequencies (K = 1), or the same rows as (2M + 1, 2) arrays.
     """
     size = 2 * M + 1
     freqs = dw * np.arange(-M, M + 1)
+    if cf_override is None:
+        nodes, weights = ctx.spectrum(math.sqrt(ctx.K) * M * dw)
     if ctx.K == 1:
         r = freqs[M:]
         if cf_override is None:
-            lam, counts = np.unique(ctx.lam[0], return_counts=True)
-            half = _psi(np.multiply.outer(r, lam), r * ctx.shift[0], counts)
+            half = _psi(np.multiply.outer(r, nodes[0]), r * ctx.shift[0], weights)
         else:
             half = cf_override(r[:, None])
         return np.concatenate([np.conj(half[:0:-1]), half])
     psi = np.empty((size, size), dtype=complex)
-    lam, shift = ctx.lam, ctx.shift
     for a in range(M, size):
         if cf_override is None:
-            row = np.multiply.outer(freqs, lam[1]) + freqs[a] * lam[0]
-            psi[a] = _psi(row, freqs[a] * shift[0] + freqs * shift[1])
+            row = np.multiply.outer(freqs, nodes[1]) + freqs[a] * nodes[0]
+            psi[a] = _psi(row, freqs[a] * ctx.shift[0] + freqs * ctx.shift[1], weights)
         else:
             psi[a] = cf_override(np.stack(np.broadcast_arrays(freqs[a], freqs), axis=-1))
     psi[:M] = np.conj(psi[:M:-1, ::-1])
@@ -667,7 +741,9 @@ def _lattice_density(ctx, cf_override, T, dw, x):
     phase = np.multiply.outer(x, dw * np.arange(-M, M + 1))
     c, s = np.cos(phase), np.sin(phase)
     left = np.hstack([c, s]) @ np.block([[psi.real, psi.imag], [psi.imag, -psi.real]])
-    return (left @ np.vstack([c.T, s.T])) * (dw / (2.0 * math.pi)) ** 2
+    dens = left @ np.vstack([c.T, s.T])
+    dens *= (dw / (2.0 * math.pi)) ** 2
+    return dens
 
 
 # Default half-width and step of the oracle's x grid, by K
@@ -675,12 +751,16 @@ _X_MAX = {1: 20.0, 2: 8.0}
 _DX = {1: 0.002, 2: 0.04}
 
 
+@functools.lru_cache(maxsize=4)
 def _gaussian_grid(K, x_max, dx):
     """The x grid from -x_max to x_max at step dx, and the N(0, I_K) density
-    on grid^K: what tv_oracle and edgeworth_tv (K = 2) sum over."""
+    on grid^K: what tv_oracle and edgeworth_tv (K = 2) sum over.  Memoized
+    on (K, x_max, dx), so the arrays are read-only."""
     x = np.arange(-x_max, x_max + dx / 2, dx)
     sq = x * x if K == 1 else np.add.outer(x * x, x * x)
-    return x, np.exp(-sq / 2.0) / (2.0 * math.pi) ** (K / 2.0)
+    phi = np.exp(-sq / 2.0) / (2.0 * math.pi) ** (K / 2.0)
+    x.flags.writeable = phi.flags.writeable = False
+    return x, phi
 
 
 def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details=False):
@@ -714,7 +794,8 @@ def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details
     _half_width(T, dw, K)  # refuse before the grid is allocated
     grid, ref = _gaussian_grid(K, x_max, dx)
     dens = _lattice_density(ctx, cf_override, T, dw, grid)
-    tv = float(min(max(0.5 * np.sum(np.abs(dens - ref)) * dx**K, 0.0), 1.0))
+    dens -= ref  # in place, as is the abs: no (N_x, N_x) temporary
+    tv = float(min(max(0.5 * np.sum(np.abs(dens, out=dens)) * dx**K, 0.0), 1.0))
     if not details:
         return tv
     tail = fourier_tail_bound(T, ctx) if cf_override is None else None

@@ -115,8 +115,9 @@ def leading_indices(count: int) -> list:
 # (4 MB, 16 rows of 256 x 128)
 _EXP_BLOCK = 1 << 19
 
-# Gauss-Legendre nodes per axis of the one quadrature grid
-GRID_NODES = 256
+# Gauss-Legendre nodes per axis of the one quadrature grid; index tuples whose
+# factors it keeps at a time
+GRID_NODES, _FACTOR_CACHE = 256, 32
 
 
 class QuadratureGrid:
@@ -142,21 +143,28 @@ class QuadratureGrid:
         self.wt = 0.5 * w
         self.x = math.pi * u
         self.wx = math.pi * w
+        self._factors = {}
 
     @property
     def mesh(self):
         return np.meshgrid(self.t, self.x, indexing="ij")
 
     def factors(self, indices):
-        """(T, X) with phi_k(t_a, x_b) = T[a, k] * X[b, k]; norms sit in T."""
-        indices = list(indices)
-        j = np.array([idx.j for idx in indices], dtype=float)
-        j2 = np.array([idx.j2 for idx in indices], dtype=float)
-        sin = np.array([idx.parity == NEG for idx in indices])
-        norms = np.array([basis_norm(idx) for idx in indices])
-        arg = np.outer(self.t, TWO_PI * j)
-        T = norms * np.where(sin, np.sin(arg), np.cos(arg))
-        return T, np.cos(np.outer(self.x, j2))
+        """(T, X) with phi_k(t_a, x_b) = T[a, k] * X[b, k]; norms sit in T.
+        Cached on the grid per index tuple, so the arrays are read-only."""
+        key = tuple(indices)
+        if key not in self._factors:
+            if len(self._factors) >= _FACTOR_CACHE:
+                self._factors.clear()
+            j = np.array([idx.j for idx in key], dtype=float)
+            j2 = np.array([idx.j2 for idx in key], dtype=float)
+            sin = np.array([idx.parity == NEG for idx in key])
+            norms = np.array([basis_norm(idx) for idx in key])
+            arg = np.outer(self.t, TWO_PI * j)
+            T, X = norms * np.where(sin, np.sin(arg), np.cos(arg)), np.cos(np.outer(self.x, j2))
+            T.flags.writeable = X.flags.writeable = False
+            self._factors[key] = T, X
+        return self._factors[key]
 
     def basis_values(self, idx: BasisIndex):
         return self.synthesize([idx], np.ones(1))

@@ -708,6 +708,111 @@ def test_tv_oracle_k2_memory_peak(tvk2_ctx, traced_peak):
     assert traced_peak(lambda: tv_oracle(tvk2_ctx)) <= TVK2_REFERENCE_PEAK
 
 
+def test_tv_oracle_k2_memory_peak_at_65536(traced_peak):
+    # one (2M + 1, n) complex row over the n exact columns alone is 70 MB here
+    ctx = _tv_decay_context(65536, 1)
+    assert traced_peak(lambda: tv_oracle(ctx)) < 16_000_000
+
+
+def _span_context(n, k2, case):
+    basis, alpha_theta, alpha_c = _span_case(n, k2, case)
+    return span_char_context(alpha_theta, alpha_c, basis)
+
+
+# span contexts: tvdecay's C = C_theta, C a span perturbation of C_theta, and
+# C_theta != C of a localization state, all K = 2, and tvdecay's K = 1
+SYMBOL_CASES = {
+    "same-512": lambda: _tv_decay_context(512, 1),
+    "same-4096": lambda: _tv_decay_context(4096, 1),
+    "same-65536": lambda: _tv_decay_context(65536, 1),
+    "differ-512": lambda: _span_context(512, 1, "differ"),
+    "differ-4096": lambda: _span_context(4096, 1, "differ"),
+    "chain-512": lambda: _span_context(512, 1, "chain"),
+    "k1-512": lambda: _tv_decay_context(512, 0),
+}
+
+
+def _oracle_lattice(ctx):
+    """(dw, M, R): tv_oracle's default lattice step, half-width and corner radius."""
+    dw = _lattice_step(cltcheck._X_MAX[ctx.K], ctx.mu)
+    M = math.ceil(_truncation(ctx, 1e-8) / dw)
+    return dw, M, math.sqrt(ctx.K) * M * dw
+
+
+def _half_lattice_rows(ctx, spec, dw, M):
+    """(t . spec, t . shift) over the half lattice a >= 0, one row of t at a time."""
+    freqs = dw * np.arange(-M, M + 1)
+    if ctx.K == 1:
+        return [(np.multiply.outer(freqs[M:], spec[0]), freqs[M:] * ctx.shift[0])]
+    shift = ctx.shift
+    return [(np.multiply.outer(freqs, spec[1]) + w * spec[0], w * shift[0] + freqs * shift[1]) for w in freqs[M:]]
+
+
+def _log_psi_gap(ctx, dw, M):
+    """Largest |Re| or |Im| gap over the half lattice between log psi* from
+    ctx.spectrum's weighted sum and from the n exact columns of lam."""
+    nodes, weights = ctx.spectrum(math.sqrt(ctx.K) * M * dw)
+    gap = 0.0
+    rows = zip(_half_lattice_rows(ctx, ctx.lam, dw, M), _half_lattice_rows(ctx, nodes, dw, M))
+    for (exact, phase), (quad, _) in rows:
+        for e, q in zip(cltcheck._log_psi(exact, phase), cltcheck._log_psi(quad, phase, weights)):
+            gap = max(gap, float(np.max(np.abs(e - q))))
+    return gap
+
+
+@pytest.mark.parametrize("case", list(SYMBOL_CASES))
+def test_symbol_quadrature_matches_exact_nodes(case):
+    ctx = SYMBOL_CASES[case]()
+    dw, M, R = _oracle_lattice(ctx)
+    nodes, weights = ctx.spectrum(R)
+    assert nodes.shape[1] <= 64 and len(weights) == nodes.shape[1]
+    if ctx.K == 2:
+        # the symbol reproduces the joint spectrum at the n DST-I nodes
+        theta = np.pi * np.arange(1, ctx.n + 1) / (ctx.n + 1)
+        joint = cltcheck._joint_symbol(ctx.symbol, np.cos(theta))
+        assert np.max(np.abs(joint - ctx.joint)) <= 1e-15 * np.max(np.abs(ctx.joint))
+    assert _log_psi_gap(ctx, dw, M) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-3])
+@pytest.mark.parametrize("case", ["same-512", "differ-512", "same-4096"])
+def test_symbol_certificate_bounds_the_observed_gap(case, tol, monkeypatch):
+    # at 1e-3 the quadrature error (3e-9 to 2e-8) stands far above rounding
+    monkeypatch.setattr(cltcheck, "_SYMBOL_TOL", tol)
+    ctx = SYMBOL_CASES[case]()
+    dw, M, R = _oracle_lattice(ctx)
+    m, bound = cltcheck._symbol_order(ctx, R)
+    assert m < ctx.n and bound <= tol
+    gap = _log_psi_gap(ctx, dw, M)
+    assert gap <= bound + 2e-13
+    assert tol < 1e-6 or gap > 1e-10
+
+
+# tv_oracle of the tvdecay --n 64 context (window (0, 1)) over the n exact columns
+TVK2_64_EXACT = 0.0882534421907466
+
+
+def test_symbol_certificate_refuses_compression_at_64(monkeypatch):
+    ctx = _tv_decay_context(64, 1)
+    dw, M, R = _oracle_lattice(ctx)
+    assert cltcheck._symbol_order(ctx, R) == (None, math.inf)
+    nodes, weights = ctx.spectrum(R)
+    assert nodes is ctx.lam and weights is None
+    assert tv_oracle(ctx) == TVK2_64_EXACT
+    # the 65-node quadrature it refuses is 1e-5 off
+    monkeypatch.setattr(cltcheck, "_symbol_order", lambda ctx, R: (64, math.nan))
+    assert ctx.spectrum(R)[0].shape == (2, 65)
+    assert _log_psi_gap(ctx, dw, M) > 1e-6
+
+
+def test_gaussian_grid_is_memoized_read_only():
+    x, phi = cltcheck._gaussian_grid(2, 8.0, 0.04)
+    assert cltcheck._gaussian_grid(2, 8.0, 0.04)[1] is phi
+    assert not x.flags.writeable and not phi.flags.writeable
+    np.testing.assert_array_equal(x, K2_GRID)
+    np.testing.assert_array_equal(phi, np.exp(-np.add.outer(x * x, x * x) / 2.0) / (2.0 * math.pi))
+
+
 # the K = 2 oracle's default x grid, and a K = 2 context with mu >= 1/sqrt(120)
 K2_GRID = np.arange(-8.0, 8.0 + 0.02, 0.04)
 CTX2 = _identity_context(N, 1)

@@ -137,6 +137,18 @@ def test_grid_factors_match_basis_eval():
     np.testing.assert_allclose(np.einsum("ak,bk->kab", T, X), _basis_stack(GRID_INDICES), rtol=0, atol=1e-13)
 
 
+def test_grid_factors_are_cached_read_only():
+    # one read-only pair per index tuple, whatever iterable carries it, and
+    # bitwise the pair a fresh grid computes
+    T, X = GRID.factors(GRID_INDICES)
+    again = GRID.factors(iter(GRID_INDICES))
+    assert again[0] is T and again[1] is X
+    assert not T.flags.writeable and not X.flags.writeable
+    fresh = type(GRID)().factors(list(GRID_INDICES))
+    assert np.array_equal(fresh[0], T) and np.array_equal(fresh[1], X)
+    assert GRID.factors(GRID_INDICES[:2])[0].shape == (GRID_NODES, 2)
+
+
 def test_grid_project_synthesize_gram_match_basis_eval():
     stack = _basis_stack(GRID_INDICES)
     w2 = np.outer(GRID.wt, GRID.wx)
