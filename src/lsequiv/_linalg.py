@@ -44,6 +44,7 @@ import os
 import sys
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import AccuracyError, PreconditionError, SingularMatrixError
 
@@ -300,45 +301,59 @@ def _accumulate(out, g, scale):
     out[wo - wg : wo + wg + 1] += scale * g
 
 
-def transpose_index(w, n):
-    """Flat index of A^T in signed storage of half-width w and length n:
-    A^T is g.ravel()[transpose_index(w, n)], reshaped as g."""
+def band_transpose(g):
+    """A^T in signed storage."""
+    w, n = len(g) // 2, g.shape[1]
     # A^T[i + s, i] = A[i, i + s], held at column i + s of row -s
     s = np.arange(-w, w + 1)[:, None]
     index = np.arange(n) + s
     index %= n
     index += (w - s) * n
-    return index.ravel()
+    return g.ravel()[index]
 
 
-def band_transpose(g):
-    """A^T in signed storage."""
-    return g.ravel()[transpose_index(len(g) // 2, g.shape[1])].reshape(g.shape)
+def _skew(g):
+    """The n x n view A[x, y] = g[n - 1 + x - y, y] of signed storage g of
+    half-width n - 1: flat (n - 1) n + x n - y (n - 1), within g for
+    0 <= x, y < n."""
+    n, step = g.shape[1], g.itemsize
+    return as_strided(g.reshape(-1)[(n - 1) * n :], (n, n), (n * step, -(n - 1) * step))
 
 
 def signed_to_dense(g):
     """Dense matrix from signed storage: A[(i + s) mod n, i] = g[w + s, i],
-    rows s and s - n added."""
+    rows s and s - n added.
+
+    A band with 2w < n is one scatter: entry ((i + s) mod n, i) is at flat
+    index r n + i (n + 1), r = s mod n, less n^2 where i + r >= n, each
+    written once.  A wider one is summed first, in the order of s, into one
+    row per cyclic diagonal, copied to s and s - n, and read through _skew.
+    """
     w, n = len(g) // 2, g.shape[1]
     check_size(n)
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)
-    for s in range(-w, w + 1):
-        # with r = s mod n, entry (i + r, i) is at flat index r n + i (n + 1)
-        # for i < n - r, and (i + r - n, i) at n - r + (i + r - n)(n + 1) after
-        r = s % n
-        flat[r * n :: n + 1] += g[w + s, : n - r]
-        flat[n - r : r * n : n + 1] += g[w + s, n - r :]
-    return out
+    if 2 * w < n:
+        index = np.add.outer(np.arange(-w, w + 1) % n * n, np.arange(n) * (n + 1))
+        np.subtract(index, n * n, out=index, where=index >= n * n)
+        out = np.zeros((n, n))
+        out.reshape(-1)[index] = g
+        return out
+    h = np.zeros((2 * n - 1, n))
+    # rows r = 0..n-1 of folded hold cyclic diagonal r; n rows of g at a time
+    folded = h[n - 1 :]
+    for p in range(0, 2 * w + 1, n):
+        chunk, r = g[p : p + n], (p - w) % n
+        k = min(len(chunk), n - r)
+        folded[r : r + k] += chunk[:k]
+        folded[: len(chunk) - k] += chunk[k:]
+    h[: n - 1] = h[n:]
+    return _skew(h).copy()
 
 
 def dense_signed(a):
     """Signed storage of half-width n - 1 of a dense n x n matrix, as a plain
     band: zero where i + s leaves [0, n)."""
-    n = len(a)
-    g = np.zeros((2 * n - 1, n))
-    for s in range(1 - n, n):
-        g[n - 1 + s, max(0, -s) : n - max(0, s)] = np.diagonal(a, -s)
+    g = np.zeros((2 * len(a) - 1, len(a)))
+    _skew(g)[...] = a
     return g
 
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._linalg import (
     band_eigh,
@@ -28,7 +29,6 @@ from ._linalg import (
     dense_to_band,
     signed_band,
     signed_frob,
-    transpose_index,
 )
 from .circulant import build_mcheck_basis, mcheck_diagonal
 from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
@@ -214,37 +214,54 @@ class BasisSystem:
     def trace_gram(self, sb) -> np.ndarray:
         """[2 tr(S M_k S M_l)]_kl for a symmetric S in lower band storage.
 
-        tr(S M_k S M_l) = <S M_k, (S M_l)^T>_F, and each S M_k is one band
-        product of half-width w + k2 in signed storage, where the entries of
-        all K products line up: one K x K Gram product, O(K^2 n w) in all.
-        When the K products would outgrow two n x n arrays, S is read dense
-        instead.  M_k is a strip of values p at corner (0, j2) plus, for
-        j2 > 0, its mirror at (j2, 0).  A strip with values p at (ra+i, ca+i)
-        and one with values w at (rb+i, cb+i) contribute p^T (S[ca:, rb:] *
-        S[ra:, cb:]) w; by the symmetry of S, mirroring both strips leaves
-        that unchanged, so each pair of offsets needs two Hadamard blocks,
-        O((k2 + 1)^2 n^2 + K^2 n^2) in all.
+        M_k is a strip of values p at corner (0, j2) plus, for j2 > 0, its
+        mirror at (j2, 0).  A strip with values p at (ra+i, ca+i) and one with
+        values q at (rb+i, cb+i) contribute p^T (S[ca:, rb:] * S[ra:, cb:]) q;
+        by the symmetry of S, mirroring both strips leaves that unchanged, so
+        each pair of offsets (oa, ob) needs the Hadamard sum
+        had[i, k] = S[oa+i, k] S[i, ob+k] + S[oa+i, ob+k] S[i, k].
+        For S of half-width w, had[i, i + d] vanishes unless
+        -w - ob <= d <= w + oa, and its diagonals are row slices of S's
+        signed storage, those read at row oa + i shifted by oa columns: each
+        pair is (2w + 1 + oa + ob) n products and one windowed sum against
+        the profiles q, O(K n (w + k2)) in all, with no band product.  A wide
+        S, whose diagonals of had would outgrow two n x n arrays, is read
+        dense instead, O((k2 + 1)^2 n^2 + K^2 n^2) in all.
         """
         sb = np.asarray(sb, dtype=float)
-        n = self.n
-        if self.K * (2 * (len(sb) + self.k2) - 1) <= 2 * n:
-            s = signed_band(sb)
-            prods = np.stack([band_product(s, signed_band(self.band(e))) for e in np.eye(self.K)])
-            flat = prods.reshape(self.K, -1)
-            index = transpose_index(len(prods[0]) // 2, n)
-            out = 2.0 * np.stack([flat @ p[index] for p in flat], axis=1)
-            return 0.5 * (out + out.T)
-        s = band_to_dense(sb)
+        n, w = self.n, len(sb) - 1
+        if self.K * (2 * (w + self.k2) + 1) <= 2 * n:
+            # g[pad + w + t, c] = S[c + t, c], with zero rows for |t| > w
+            pad = 2 * self.k2
+            g = np.zeros((2 * (w + pad) + 1, n))
+            g[pad : pad + 2 * w + 1] = signed_band(sb)
+
+            def pair(oa, ob, pa, pb):
+                la, rows = n - oa, 2 * w + 1 + oa + ob
+                # row r holds had[i, i + r - w - ob]
+                had = g[pad - oa - ob : pad + 2 * w + 1, oa:] * g[pad : pad + rows, :la]
+                had += g[pad - oa : pad - oa + rows, oa:] * g[pad - ob : pad - ob + rows, :la]
+                # window[b, r, i] = pb[b, i + r - w - ob], zero off the profile
+                padded = np.zeros((len(pb), n + 2 * w + ob))
+                padded[:, w + ob : w + ob + n] = pb
+                window = sliding_window_view(padded, la, axis=1)
+                return pa @ np.einsum("bri,ri->ib", window, had)
+        else:
+            s = band_to_dense(sb)
+
+            def pair(oa, ob, pa, pb):
+                la, lb = n - oa, n - ob
+                had = s[oa:, :lb] * s[:la, ob:]
+                had += s[oa:, ob:] * s[:la, :lb]
+                return pa @ had @ pb[:, :lb].T
+
         groups = self._by_offset()
         out = np.empty((self.K, self.K))
         for a, (oa, ka) in enumerate(groups):
-            la, pa = n - oa, self.bands[ka, : n - oa] * (2.0 if oa else 1.0)
+            pa = self.bands[ka, : n - oa] * (2.0 if oa else 1.0)
             for ob, kb in groups[a:]:
-                lb, pb = n - ob, self.bands[kb, : n - ob] * (2.0 if ob else 1.0)
                 # strip pairs (0, oa)-(0, ob) and (0, oa)-(ob, 0)
-                had = s[oa:, :lb] * s[:la, ob:]
-                had += s[oa:, ob:] * s[:la, :lb]
-                block = pa @ had @ pb.T
+                block = pair(oa, ob, pa, self.bands[kb] * (2.0 if ob else 1.0))
                 out[np.ix_(ka, kb)] = block
                 out[np.ix_(kb, ka)] = block.T
         return 0.5 * (out + out.T)

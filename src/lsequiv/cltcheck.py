@@ -751,14 +751,21 @@ _X_MAX = {1: 20.0, 2: 8.0}
 _DX = {1: 0.002, 2: 0.04}
 
 
-@functools.lru_cache(maxsize=4)
 def _gaussian_grid(K, x_max, dx):
     """The x grid from -x_max to x_max at step dx, and the N(0, I_K) density
-    on grid^K: what tv_oracle and edgeworth_tv (K = 2) sum over.  Memoized
-    on (K, x_max, dx), so the arrays are read-only."""
+    on grid^K: what tv_oracle and edgeworth_tv (K = 2) sum over.  A K = 2
+    pair, read twice a tvdecay row, is memoized on (x_max, dx), so its arrays
+    are read-only; a K = 1 pair is read once a run and built on each call."""
+    if K == 2:
+        return _k2_gaussian_grid(x_max, dx)
     x = np.arange(-x_max, x_max + dx / 2, dx)
-    sq = x * x if K == 1 else np.add.outer(x * x, x * x)
-    phi = np.exp(-sq / 2.0) / (2.0 * math.pi) ** (K / 2.0)
+    return x, np.exp(-x * x / 2.0) / (2.0 * math.pi) ** 0.5
+
+
+@functools.lru_cache(maxsize=4)
+def _k2_gaussian_grid(x_max, dx):
+    x = np.arange(-x_max, x_max + dx / 2, dx)
+    phi = np.exp(-np.add.outer(x * x, x * x) / 2.0) / (2.0 * math.pi)
     x.flags.writeable = phi.flags.writeable = False
     return x, phi
 

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
+    SYM_RTOL,
     _guard_spectrum,
     band_chol_solve_t,
     band_cholesky,
@@ -43,6 +44,7 @@ from .errors import (
     LocalizationError,
     PreconditionError,
     RangeError,
+    SingularMatrixError,
 )
 from .report import CheckResult
 
@@ -205,34 +207,38 @@ def pilot_risk_bound(k: int, rho: float) -> float:
 def gaussian_summaries(
     c_theta_band, inverse, basis: BasisSystem, alpha_theta=None, theta_extremes=None
 ):
-    """(d, Gamma_theta, Gamma, Gamma_tilde_theta) for the summary experiments.
+    """(d, Gamma_theta, Gamma) for the summary experiments.
 
-    With H = C^{-1} C_theta C^{-1}, all four come from trace identities on
-    the band profiles: d_k = <H, M_k>, Gamma_kl = 2 tr(C^{-1} M_k C^{-1} M_l),
-    Gamma_theta,kl = 2 tr(H M_k H M_l) and Gamma_tilde_kl = 2 tr(C_theta^{-1}
-    M_k C_theta^{-1} M_l).  Every matrix is a band: inverse is the pair
-    (C^{-1}, P) of build_localized_C, so H = C^{-1} - P, and C_theta^{-1} is
-    band_function's polynomial in C_theta (on theta_extremes, when the
-    caller has them).  The results are symmetric by construction and positive
-    semidefinite in exact arithmetic (Gram matrices), which is not enforced.
-    When alpha_theta is supplied (C_theta is exactly its combination),
-    d = Gamma alpha / 2 is enforced to 1e-8 relative.
+    With H = C^{-1} C_theta C^{-1}, all three come from trace identities on
+    the band profiles: d_k = <H, M_k>, Gamma_kl = 2 tr(C^{-1} M_k C^{-1} M_l)
+    and Gamma_theta,kl = 2 tr(H M_k H M_l).  Every matrix is a band: inverse
+    is the pair (C^{-1}, P) of build_localized_C, so H = C^{-1} - P.  C_theta
+    must be positive definite, min eig > SYM_RTOL |max eig| on
+    theta_extremes (band_extremes when the caller has none); its own Gram
+    Gamma_tilde is ExperimentState.gamma_tilde, formed when read.  The results
+    are symmetric by construction and positive semidefinite in exact
+    arithmetic (Gram matrices), which is not enforced.  When alpha_theta is
+    supplied (C_theta is exactly its combination), d = Gamma alpha / 2 is
+    enforced to 1e-8 relative.
     """
+    lo, hi = band_extremes(c_theta_band) if theta_extremes is None else theta_extremes
+    if not lo > SYM_RTOL * abs(hi):
+        raise SingularMatrixError(
+            f"C_theta is not positive definite (min eig = {lo:.3e}, max eig = {hi:.3e})"
+        )
     c_inv, p = inverse
     h = -p
     h[: len(c_inv)] += c_inv
     d_vec = basis.project(h)
     gamma = basis.trace_gram(c_inv)
     gamma_theta = basis.trace_gram(h)
-    c_theta_inv = band_function(c_theta_band, -1.0, extremes=theta_extremes, what="C_theta")[0]
-    gamma_tilde = basis.trace_gram(c_theta_inv)
 
     if alpha_theta is not None:
         target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
         rel = float(np.linalg.norm(d_vec - target) / max(np.linalg.norm(d_vec), 1e-300))
         if rel > 1e-8:
             raise LocalizationError(f"summary identity d = Gamma alpha / 2 off by {rel:.3g}")
-    return d_vec, gamma_theta, gamma, gamma_tilde
+    return d_vec, gamma_theta, gamma
 
 
 def neumann_residual_bound(gamma: float, c_rho: float, sp_sq_sum: float) -> float:
@@ -273,7 +279,8 @@ class ExperimentState:
     theta, C_theta, C, Delta = C - C_theta and B = C^{-1} + C^{-1} Delta C^{-1}
     are held in lower band storage; theta, c_theta, c_mat, delta and b_theta
     are dense views of them, formed on each read.  c_extremes, (min eig,
-    max eig) of C, is the pair build_localized_C took, or taken on first read.
+    max eig) of C, is the pair build_localized_C took, or taken on first read;
+    gamma_tilde is formed on first read.
     """
 
     n: int
@@ -288,7 +295,6 @@ class ExperimentState:
     d_vec: np.ndarray
     gamma_theta: np.ndarray
     gamma: np.ndarray
-    gamma_tilde: np.ndarray
     config: LocalizationConfig
 
     @property
@@ -319,6 +325,13 @@ class ExperimentState:
     def c_extremes(self) -> tuple:
         return band_extremes(self.c_band)
 
+    @cached_property
+    def gamma_tilde(self) -> np.ndarray:
+        """[2 tr(C_theta^{-1} M_k C_theta^{-1} M_l)]_kl, from band_function's
+        C_theta^{-1}: the covariance of model L, which no driver samples."""
+        c_theta_inv = band_function(self.c_theta_band, -1.0, what="C_theta")[0]
+        return self.basis.trace_gram(c_theta_inv)
+
     @classmethod
     def build(
         cls,
@@ -343,7 +356,7 @@ class ExperimentState:
         eta = sample_truncated_noise(cfg, basis.K, rng)
         # one band C^{-1} serves the localization and the summaries
         c_band, delta_band, inverse, b_band, extremes = build_localized_C(alpha_theta, eta, basis)
-        d_vec, gamma_theta, gamma, gamma_tilde = gaussian_summaries(
+        d_vec, gamma_theta, gamma = gaussian_summaries(
             c_theta_band, inverse, basis, alpha_theta=alpha_theta, theta_extremes=extremes[1]
         )
         state = cls(
@@ -359,7 +372,6 @@ class ExperimentState:
             d_vec=d_vec,
             gamma_theta=gamma_theta,
             gamma=gamma,
-            gamma_tilde=gamma_tilde,
             config=cfg,
         )
         state.__dict__["c_extremes"] = extremes[0]  # the cached_property's slot

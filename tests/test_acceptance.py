@@ -98,7 +98,7 @@ def test_criterion_01_exact_algebra():
         theta = build_theta(random_density(3, 3, make_rng(n, stream=81)), n)
         alpha = basis.project(theta.band)
         _, _, inverse, _, _ = build_localized_C(alpha, np.zeros(basis.K), basis)
-        d, _, g_mat, _ = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
+        d, _, g_mat = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
         rel = np.linalg.norm(d - 0.5 * g_mat @ alpha) / np.linalg.norm(d)
         assert rel <= 1e-8
 

@@ -16,7 +16,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lsequiv import _linalg, gaussianize, harness
+from lsequiv import _linalg, basis_cov, gaussianize, harness, whitenoise
 from lsequiv._linalg import (
     DENSE_N_MAX,
     band_cholesky,
@@ -488,6 +488,31 @@ def test_presmooth_and_abstract_pilot_stay_below_one_dense_array(traced_peak):
     assert traced_peak(run) < n * n * 8
 
 
+def _dense_signed_loop(a):
+    """dense_signed as one diagonal copy per row of signed storage (oracle)."""
+    n = len(a)
+    g = np.zeros((2 * n - 1, n))
+    for s in range(1 - n, n):
+        g[n - 1 + s, max(0, -s) : n - max(0, s)] = np.diagonal(a, -s)
+    return g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 70), width=st.integers(0, 150), seed=st.integers(0, 2**16))
+def test_dense_conversions_match_loops(n, width, seed):
+    # a band with 2w < n is scattered entry by entry, bitwise the per-diagonal
+    # oracle; a wider one (w >= n too) sums the rows of one cyclic diagonal first
+    rng = make_rng(seed, stream=82)
+    g = rng.standard_normal((2 * width + 1, n))
+    got, want = signed_to_dense(g), _signed_to_dense(g, wrapped=True)
+    if 2 * width < n:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    a = rng.standard_normal((n, n))
+    np.testing.assert_array_equal(dense_signed(a), _dense_signed_loop(a))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
 def test_dense_conversions_round_trip(n):
     a = make_rng(n, stream=80).standard_normal((n, n))
@@ -682,10 +707,29 @@ def test_state_build_takes_one_band_function_per_matrix(monkeypatch):
         return band_function(ab, power, **kwargs)
 
     monkeypatch.setattr(gaussianize, "band_function", counting)
-    ExperimentState.build(
+    state = ExperimentState.build(
         basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha, rng=make_rng(6)
     )
+    assert taken == [("localized C", -1.0)]
+    # Gamma_tilde takes C_theta^{-1} when it is read, once
+    first = state.gamma_tilde
+    assert state.gamma_tilde is first
     assert taken == [("localized C", -1.0), ("C_theta", -1.0)]
+
+
+def test_chain_row_takes_three_band_functions(monkeypatch):
+    # theta^{-1} (presmoothing), C^{-1} (localization) and C^{-1/2} (GOE)
+    taken = []
+
+    def counting(ab, power, **kwargs):
+        taken.append((kwargs.get("what"), power))
+        return band_function(ab, power, **kwargs)
+
+    for module in (basis_cov, gaussianize, whitenoise):
+        monkeypatch.setattr(module, "band_function", counting)
+    header, rows = run_equivalence_chain(RunConfig(n_grid=(1024,)))
+    assert rows[0][header.index("error")] == ""
+    assert sorted(taken) == [("covariance", -1.0), ("localized C", -1.0), ("localized C", -0.5)]
 
 
 def _diagonal_case(delta_scale):

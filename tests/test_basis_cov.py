@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from lsequiv._linalg import DENSE_N_MAX, band_to_dense, dense_to_band
@@ -291,6 +293,43 @@ def test_trace_gram_matches_dense(k1, k2):
     p = band_to_dense(narrow) @ basis.mats
     want = 2.0 * p.reshape(basis.K, -1) @ np.transpose(p, (0, 2, 1)).reshape(basis.K, -1).T
     assert _max_rel(basis.trace_gram(narrow), want) <= 1e-12
+
+
+def _symmetric_band(n, width, seed):
+    """Lower band storage of a random symmetric matrix of half-width width."""
+    ab = make_rng(seed, stream=34).standard_normal((width + 1, n))
+    for j in range(1, width + 1):
+        ab[j, n - j :] = 0.0
+    return ab
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    window=st.sampled_from(ORACLE_WINDOWS + [(1, 2)]),
+    n=st.sampled_from([33, 64, 200]),
+    width=st.sampled_from([0, 1, 5, 17, -1]),
+    seed=st.integers(0, 2**16),
+)
+def test_trace_gram_matches_dense_formula(window, n, width, seed):
+    # Hadamard diagonals of a band S (and the dense branch for a wide one)
+    # against 2 tr(S M_k S M_l); width -1 is the full band, n - 1
+    basis = build_basis(n, *window)
+    sb = _symmetric_band(n, width % n, seed)
+    s = band_to_dense(sb)
+    half = np.matmul(s, basis.mats)
+    want = 2.0 * np.einsum("kij,lji->kl", half, half)
+    got = basis.trace_gram(sb)
+    assert _max_rel(got, want) <= 1e-12
+    np.testing.assert_array_equal(got, got.T)
+
+
+def test_trace_gram_of_a_long_band_holds_no_band_products(traced_peak):
+    # n = 65536, half-width 19, K = 6: the K band products S M_k of half-width
+    # 20 held at once, and their stack, took 265 MiB
+    n = 65536
+    basis = build_basis(n, 1, 1)
+    sb = _symmetric_band(n, 19, 0)
+    assert traced_peak(lambda: basis.trace_gram(sb)) < 128 * 2**20
 
 
 @pytest.mark.parametrize("k1,k2", ORACLE_WINDOWS)

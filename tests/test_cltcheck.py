@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import mpmath
@@ -811,6 +813,18 @@ def test_gaussian_grid_is_memoized_read_only():
     assert not x.flags.writeable and not phi.flags.writeable
     np.testing.assert_array_equal(x, K2_GRID)
     np.testing.assert_array_equal(phi, np.exp(-np.add.outer(x * x, x * x) / 2.0) / (2.0 * math.pi))
+
+
+def test_gaussian_grid_keeps_no_k1_grid():
+    # verify reads the K = 1 pair once: it is freed with its last reference,
+    # while the K = 2 pair stays memoized
+    x, phi = cltcheck._gaussian_grid(1, 20.0, 0.002)
+    np.testing.assert_array_equal(x, K1_GRID)
+    np.testing.assert_allclose(phi, np.exp(-(x * x) / 2.0) / np.sqrt(2.0 * np.pi), rtol=1e-15)
+    refs = [weakref.ref(phi), weakref.ref(cltcheck._gaussian_grid(2, 8.0, 0.04)[1])]
+    del x, phi
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is not None
 
 
 # the K = 2 oracle's default x grid, and a K = 2 context with mu >= 1/sqrt(120)

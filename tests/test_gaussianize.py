@@ -179,12 +179,12 @@ def test_summaries_identity_block():
     basis1 = build_basis(n, 0, 0)
     alpha = np.array([math.sqrt(n)])
     _, _, inverse, _, _ = build_localized_C(alpha, np.zeros(1), basis1)
-    d, g_theta, g_mat, g_tilde = gaussian_summaries(
+    d, g_theta, g_mat = gaussian_summaries(
         basis1.band(alpha), inverse, basis1, alpha_theta=alpha
     )
     np.testing.assert_allclose(g_mat, [[2.0]], atol=1e-12)
     np.testing.assert_allclose(g_theta, [[2.0]], atol=1e-12)
-    np.testing.assert_allclose(g_tilde, [[2.0]], atol=1e-12)
+    np.testing.assert_allclose(_gamma_tilde(basis1, alpha), [[2.0]], atol=1e-12)
     np.testing.assert_allclose(d, [math.sqrt(n)], atol=1e-12)
 
 
@@ -409,6 +409,13 @@ def test_sp_perturbation_check_small_and_skipped():
     assert huge.skipped and huge.passed
 
 
+def _gamma_tilde(basis, alpha):
+    """ExperimentState.gamma_tilde of an in-span state with coefficients
+    alpha; it reads C_theta alone, so the state's small noise does not enter."""
+    cfg = LocalizationConfig(beta=1e-6, gamma=1e-5)
+    return ExperimentState.build(basis, cfg, make_rng(0, stream=47), alpha_theta=alpha).gamma_tilde
+
+
 def _dense_summaries(c_theta, c_mat, basis):
     """The stacked-matmul formulas through matrix square roots (oracle)."""
     w, v = np.linalg.eigh(c_theta)
@@ -442,7 +449,9 @@ def test_summaries_match_dense_stacks(k1, k2):
     assert not np.array_equal(c_theta, c_mat)
     _, _, inverse, _, _ = build_localized_C(alpha, eta, basis)
     got = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
+    got += (_gamma_tilde(basis, alpha),)
     want = _dense_summaries(c_theta, c_mat, basis)
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert float(np.max(np.abs(g - w)) / np.max(np.abs(w))) <= 1e-12
     for g in got[1:]:
@@ -460,7 +469,9 @@ def test_summaries_match_dense_stacks_ill_conditioned():
     c_band, _, inverse, _, _ = build_localized_C(alpha, eta, basis)
     assert len(inverse[0]) == n
     got = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
+    got += (_gamma_tilde(basis, alpha),)
     want = _dense_summaries(basis.combine(alpha), band_to_dense(c_band), basis)
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert float(np.max(np.abs(g - w)) / np.max(np.abs(w))) <= 1e-12
 
@@ -475,3 +486,14 @@ def test_summaries_guards():
     indefinite = np.r_[-1.0, np.ones(n - 1)][None, :]
     with pytest.raises(SingularMatrixError):
         gaussian_summaries(indefinite, inverse, basis1)
+
+
+def test_gamma_tilde_is_formed_when_read():
+    # 2 tr(C_theta^{-1} M_k C_theta^{-1} M_l) against the dense inverse, once
+    state = ExperimentState.build(BASIS, LOC, theta=THETA, rng=make_rng(0, stream=41))
+    assert "gamma_tilde" not in vars(state)
+    half = np.matmul(np.linalg.inv(state.c_theta), BASIS.mats)
+    want = 2.0 * np.einsum("kij,lji->kl", half, half)
+    got = state.gamma_tilde
+    assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) <= 1e-12
+    assert state.gamma_tilde is got
