@@ -37,7 +37,7 @@ def main():
     f = random_density(2, 2, make_rng(0, stream=90))
     lo, hi = f.range_on_grid()
     print("\nrandom class member")
-    print(f"  coefficient window  ({f.k1}, {f.k2})")
+    print(f"  coefficient window  ({max(idx.j for idx in f.coeffs)}, {max(idx.j2 for idx in f.coeffs)})")
     print(f"  mean level          {f.mean_level():.6f}")
     print(f"  range on the grid   [{lo:.6f}, {hi:.6f}]")
     print(f"  weighted coeff sum  {f.sobolev_sum():.6f}")

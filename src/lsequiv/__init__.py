@@ -10,7 +10,6 @@ limiting experiment), harness (schedules, studies, divergences), cli.
 from .errors import (
     AccuracyError,
     ConfigurationError,
-    DomainError,
     LocalizationError,
     PreconditionError,
     RangeError,
@@ -39,7 +38,6 @@ __all__ = [
     "BasisIndex",
     "CheckResult",
     "ConfigurationError",
-    "DomainError",
     "GaussianDivergences",
     "LocalizationError",
     "PreconditionError",

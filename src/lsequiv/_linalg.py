@@ -22,11 +22,12 @@ dictionary sums and the whitening matrix W are of this kind.  It is held as
 its wrapped diagonals, ``wd[j, i] = A[(i + j) mod n, i]`` for ``j = 0..w``.
 Reordering the indices as 0, n-1, 1, n-2, ... turns it into a plain band of
 half-width 2w with the same spectrum and Frobenius norm (``wrapped_band``),
-so ``band_extremes`` applies.  An n x n array is formed from band storage
-only by ``band_to_dense`` and ``signed_to_dense``, the latter for a band that
-fills (2w >= n).  The ``verify`` suite forms one such array, the B of its
-likelihood affinity check; every spectrum and draw it takes of a covariance
-comes from band storage.
+so ``band_extremes`` applies.  No covariance is built dense: theta,
+vartheta and every matrix of a chain row are bands.  An n x n array is formed
+from band storage only by ``band_to_dense`` and ``signed_to_dense``, the
+latter for a band that fills (2w >= n), for test oracles, ``export-basis``
+and the B of ``verify``'s likelihood affinity check; every spectrum and draw
+``verify`` takes of a covariance comes from band storage.
 
 Products of bands (not symmetric in general) use signed storage,
 ``g[w + s, i] = A[(i + s) mod n, i]`` for ``s = -w..w`` (``signed_band``).  A
@@ -94,7 +95,7 @@ def check_finite(a, what):
         raise PreconditionError(f"{what} has a non-finite entry")
 
 # Largest edge of an n x n array: formed from band storage (band_to_dense),
-# built dense (quadrature theta, vartheta, cyclic elements) or exact in band_function.
+# built dense (CirculantElement.to_matrix) or exact in band_function.
 DENSE_N_MAX = 4096
 
 SYM_RTOL = 1e-12
@@ -105,8 +106,8 @@ def check_size(n):
         raise PreconditionError(f"dense matrix size {n} outside [1, {DENSE_N_MAX}]")
 
 
-def check_symmetric(a, what, tol=1e-10):
-    """max |A - A^T|; raises unless it is finite and <= tol max(1, max |A|).
+def check_symmetric(a, what):
+    """max |A - A^T|; raises unless it is finite and <= 1e-10 max(1, max |A|).
 
     A NaN or infinite entry makes the deviation NaN or infinite, so it
     raises too, with no numpy warning (inf - inf is NaN).  One n x n
@@ -118,7 +119,7 @@ def check_symmetric(a, what, tol=1e-10):
         dev = a - a.T
     np.abs(dev, out=dev)
     dev = float(dev.max())
-    if not (np.isfinite(dev) and dev <= tol * max(1.0, float(a.max()), -float(a.min()))):
+    if not (np.isfinite(dev) and dev <= 1e-10 * max(1.0, float(a.max()), -float(a.min()))):
         raise PreconditionError(f"{what} is not symmetric (max deviation {dev:.3e})")
     return dev
 
@@ -288,11 +289,16 @@ def wrapped_band(wd):
 
 def signed_band(ab):
     """Signed storage of the symmetric matrix held in lower band storage or as
-    wrapped diagonals ab."""
+    wrapped diagonals ab: row -j is row j shifted cyclically by j columns."""
     w, n = len(ab) - 1, ab.shape[1]
-    # A[i - j, i] = A[i, i - j], held at column i - j of row j
-    j = np.arange(w, 0, -1)[:, None]
-    return np.concatenate([ab[j, (np.arange(n) - j) % n], ab])
+    g = np.empty((2 * w + 1, n), dtype=ab.dtype)
+    g[w:] = ab
+    for j in range(1, w + 1):
+        # A[i - j, i] = A[i, i - j], held at column (i - j) mod n of row j
+        k = j % n
+        g[w - j, :k] = ab[j, n - k :]
+        g[w - j, k:] = ab[j, : n - k]
+    return g
 
 
 def _accumulate(out, g, scale):

@@ -24,14 +24,11 @@ from ._linalg import (
     band_product,
     band_to_dense,
     band_transpose,
-    check_size,
-    check_symmetric,
-    dense_to_band,
     signed_band,
     signed_frob,
 )
 from .circulant import build_mcheck_basis, mcheck_diagonal
-from .errors import ConfigurationError, DomainError, PreconditionError, RangeError
+from .errors import ConfigurationError, PreconditionError, RangeError
 from .report import CheckResult
 from .spectral import (
     POS,
@@ -60,8 +57,8 @@ def abstract_rho(rho_star: float) -> float:
 
 @dataclass
 class CovarianceMatrix:
-    """Real symmetric covariance in lower band storage.  entries is a dense
-    view of it, formed on each read."""
+    """Real symmetric covariance in lower band storage, its only form: a
+    dense view is band_to_dense(cov.band), for oracles and exports."""
 
     band: np.ndarray
 
@@ -74,22 +71,9 @@ class CovarianceMatrix:
         if not np.all(np.isfinite(ab)) or any(np.any(ab[j, -j:]) for j in range(1, len(ab))):
             raise PreconditionError("covariance band is not finite lower band storage")
 
-    @classmethod
-    def from_dense(cls, entries) -> "CovarianceMatrix":
-        """The covariance of a dense symmetric array, as a full band."""
-        a = np.asarray(entries, dtype=float)
-        # an exactly symmetric a is its own symmetrization
-        if check_symmetric(a, tol=1e-12, what="covariance") > 0.0:
-            a = 0.5 * (a + a.T)
-        return cls(dense_to_band(a, len(a) - 1))
-
     @property
     def n(self) -> int:
         return self.band.shape[1]
-
-    @property
-    def entries(self) -> np.ndarray:
-        return band_to_dense(self.band)
 
     def eig_range(self):
         return band_extremes(self.band)
@@ -171,9 +155,6 @@ class BasisSystem:
         gaps = self.mcheck_profiles()
         gaps -= self.bands
         return np.linalg.norm(gaps, axis=1) * np.where(self.offsets > 0, math.sqrt(2.0), 1.0)
-
-    def raw_mat(self, k: int) -> np.ndarray:
-        return self.raw_norms[k] * self.mat(k)
 
     def project(self, ab) -> np.ndarray:
         """Frobenius coefficients <A, M_k> of a symmetric A in lower band
@@ -295,85 +276,66 @@ def build_basis(n: int, k1: int, k2: int) -> BasisSystem:
     return BasisSystem(n, k1, k2)
 
 
-def build_theta(f, n: int) -> CovarianceMatrix:
+def _require(obj, cls, what):
+    """PreconditionError unless obj is a cls: a density is a SpectralDensity
+    and a symbol a TransferFunction, never a callable."""
+    if not isinstance(obj, cls):
+        raise PreconditionError(f"{what} needs a {cls.__name__}, got {type(obj).__name__}")
+
+
+def build_theta(f: SpectralDensity, n: int) -> CovarianceMatrix:
     """Covariance with entry (a,b) = integral exp(i(a-b)x) f(min(a,b)/n, x) dx.
 
-    Closed form for densities in the basis span; quadrature in x for
-    callables.  The result is held as a band: of the density's largest j2 for
-    span densities, at any n, and full (n - 1) for a quadrature theta, which
-    is dense by nature and capped at DENSE_N_MAX.
+    f is a density in the basis span, so the entries are in closed form and
+    theta is the band of the density's largest j2, built at any n.
     """
-    if isinstance(f, SpectralDensity):
-        terms = [(idx, c) for idx, c in f.coeffs.items() if c != 0.0]
-        width = max((idx.j2 for idx, _ in terms), default=0)
-        if width >= n:
-            raise PreconditionError("density band exceeds matrix size")
-        ab = np.zeros((width + 1, n))
-        for idx, c in terms:
-            j, j2 = idx.j, idx.j2
-            trig = np.cos if idx.parity == POS else np.sin
-            xweight = math.pi * (2.0 if j2 == 0 else 1.0)
-            m = np.arange(n - j2)
-            ab[j2, : n - j2] += c * basis_norm(idx) * xweight * trig(TWO_PI * j * m / n)
-        return CovarianceMatrix(ab)
-    check_size(n)
-    grid = default_grid()
-    u = np.arange(n) / n
-    fvals = np.asarray(f(u[:, None], grid.x[None, :]), dtype=float)  # (n, nx)
-    cosdx = np.cos(np.outer(np.arange(n), grid.x))  # (n, nx)
-    h = fvals @ (grid.wx[None, :] * cosdx).T  # h[m, d]
-    # entry (m + d, m) is h[m, d]: the band is h^T with entries past m + d = n - 1 cleared
-    return CovarianceMatrix(np.ascontiguousarray(np.triu(h[:, ::-1])[:, ::-1].T))
+    _require(f, SpectralDensity, "build_theta")
+    terms = [(idx, c) for idx, c in f.coeffs.items() if c != 0.0]
+    width = max((idx.j2 for idx, _ in terms), default=0)
+    if width >= n:
+        raise PreconditionError("density band exceeds matrix size")
+    ab = np.zeros((width + 1, n))
+    for idx, c in terms:
+        j, j2 = idx.j, idx.j2
+        trig = np.cos if idx.parity == POS else np.sin
+        xweight = math.pi * (2.0 if j2 == 0 else 1.0)
+        m = np.arange(n - j2)
+        ab[j2, : n - j2] += c * basis_norm(idx) * xweight * trig(TWO_PI * j * m / n)
+    return CovarianceMatrix(ab)
 
 
-# relative size of an imaginary part that marks a bad callable symbol
-_SYMBOL_TOL = 1e-8
-
-
-def build_vartheta(a, n: int) -> CovarianceMatrix:
+def build_vartheta(a: TransferFunction, n: int) -> CovarianceMatrix:
     """Moving-average covariance: entry (s,t) integrates e^{ix(s-t)} A A-bar.
 
-    For a TransferFunction the entries are exact: entry (s + d, s) is
-    2 pi sum_m c_m(s/n) c_{m-d}((s+d)/n), zero past d = 2 k2, so the result
-    is the band of half-width 2 k2, built at any n.  A callable symbol is
-    integrated by quadrature into a full band, dense by nature and capped at
-    DENSE_N_MAX; a noticeable imaginary part means it was not conjugate
-    symmetric, which is an input error.
+    The entries are exact: entry (s + d, s) is 2 pi sum_m c_m(s/n)
+    c_{m-d}((s+d)/n), zero past d = 2 k2, so the result is the band of
+    half-width 2 k2, built at any n.
     """
-    u = np.arange(n) / n
-    if isinstance(a, TransferFunction):
-        comps = a.components(u)  # comps[s, m + k2] = c_m(s / n)
-        w = comps.shape[1]
-        ab = np.zeros((min(w, n), n))
-        for d in range(len(ab)):
-            ab[d, : n - d] = TWO_PI * np.sum(comps[: n - d, d:] * comps[d:, : w - d], axis=1)
-        return CovarianceMatrix(ab)
-    check_size(n)
-    grid = default_grid()
-    avals = np.asarray(a(u[:, None], grid.x[None, :]), dtype=complex)  # (n, nx)
-    g = avals * np.exp(1j * np.outer(np.arange(n), grid.x)) * np.sqrt(grid.wx)[None, :]
-    v = g @ np.conj(g.T)
-    if float(np.max(np.abs(v.imag))) > _SYMBOL_TOL * max(1.0, float(np.max(np.abs(v.real)))):
-        raise DomainError("covariance has an imaginary part; check conjugate symmetry")
-    return CovarianceMatrix.from_dense(0.5 * (v.real + v.real.T))
+    _require(a, TransferFunction, "build_vartheta")
+    comps = a.components(np.arange(n) / n)  # comps[s, m + k2] = c_m(s / n)
+    w = comps.shape[1]
+    ab = np.zeros((min(w, n), n))
+    for d in range(len(ab)):
+        ab[d, : n - d] = TWO_PI * np.sum(comps[: n - d, d:] * comps[d:, : w - d], axis=1)
+    return CovarianceMatrix(ab)
 
 
-def density_coefficients(f, basis: BasisSystem) -> np.ndarray:
-    """<f, phi_k> in enumeration order; exact for span densities."""
-    if isinstance(f, SpectralDensity):
-        return np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
-    return default_grid().project(f, basis.indices)
+def density_coefficients(f: SpectralDensity, basis: BasisSystem) -> np.ndarray:
+    """<f, phi_k> in enumeration order, read off the span density."""
+    _require(f, SpectralDensity, "density_coefficients")
+    return np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
 
 
 def presmoothing_residual(f, theta: CovarianceMatrix, basis: BasisSystem):
     """(frobErr, relErr) of theta against its basis reconstructions.
 
-    theta must be build_theta(f, n), as the chain builds it.  frobErr
-    uses the raw matrices weighted by the density coefficients; relErr
-    whitens the Frobenius projection by theta^{-1/2} on both sides: its square
-    is tr(G G) = <G, G^T>_F for G = theta^{-1} E, one band product of
-    band_function's theta^{-1} (exact, full band, for a quadrature theta) and
-    the residual E = theta - sum_k <theta, M_k> M_k.
+    theta must be build_theta(f, n) for the span density f, as the chain
+    builds it.  frobErr uses the raw matrices weighted by the density
+    coefficients; relErr whitens the Frobenius projection by theta^{-1/2} on
+    both sides: its square is tr(G G) = <G, G^T>_F for G = theta^{-1} E, one
+    band product of band_function's theta^{-1} (a Chebyshev band, or the
+    exact inverse as a full band for an ill-conditioned theta) and the
+    residual E = theta - sum_k <theta, M_k> M_k.
     """
     if basis.n != theta.n:
         raise ConfigurationError("basis size does not match theta")

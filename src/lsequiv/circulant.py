@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import band_to_dense, check_size
-from .errors import ConfigurationError, PreconditionError, RangeError
+from .errors import ConfigurationError, PreconditionError
 from .spectral import POS, BasisIndex, basis_norm, enumerate_indices, table_eval
 
 TWO_PI = 2.0 * math.pi
@@ -55,11 +55,6 @@ class _WindowTable:
     def zero(cls, n: int, k1: int, k2: int):
         return cls(n, k1, k2, np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex))
 
-    def coeff(self, j: int, j2: int) -> complex:
-        if abs(j) <= self.k1 and abs(j2) <= self.k2:
-            return complex(self.coeffs[j + self.k1, j2 + self.k2])
-        return 0.0 + 0.0j
-
     def table(self, k1: int, k2: int) -> np.ndarray:
         """Coefficient table on the window (k1, k2): zero-filled, truncated."""
         out = np.zeros((2 * k1 + 1, 2 * k2 + 1), dtype=complex)
@@ -68,17 +63,6 @@ class _WindowTable:
             self.k1 - a1 : self.k1 + a1 + 1, self.k2 - a2 : self.k2 + a2 + 1
         ]
         return out
-
-    def pad(self, k1: int, k2: int):
-        """Same object on the larger window (k1, k2), zeros outside."""
-        if k1 < self.k1 or k2 < self.k2:
-            raise RangeError("pad target window smaller than current support")
-        return type(self)(self.n, k1, k2, self.table(k1, k2))
-
-    def __add__(self, other):
-        self._check_peer(other)
-        k1, k2 = max(self.k1, other.k1), max(self.k2, other.k2)
-        return type(self)(self.n, k1, k2, self.table(k1, k2) + other.table(k1, k2))
 
     def __sub__(self, other):
         self._check_peer(other)
@@ -153,9 +137,6 @@ class CirculantElement(_WindowTable):
     def frob_sq(self) -> float:
         # dictionary elements are orthogonal with squared norm n
         return float(self.n * np.sum(np.abs(self.coeffs) ** 2))
-
-    def frob(self) -> float:
-        return math.sqrt(self.frob_sq)
 
     def __rmul__(self, scalar) -> "CirculantElement":
         return CirculantElement(self.n, self.k1, self.k2, scalar * self.coeffs)

@@ -39,7 +39,6 @@ __all__ = [
     "moment_diagnostics",
     "remainder_bound",
     "span_char_context",
-    "standardized_log_characteristic",
     "tv_oracle",
 ]
 
@@ -291,13 +290,6 @@ def char_fn_standardized(t, ctx):
     statistic, at (..., K) frequencies t: an array of shape (...), a scalar
     for one frequency."""
     return _psi(*_spectra(t, ctx))[()]
-
-
-def standardized_log_characteristic(t, ctx):
-    """log psi*(t) at (..., K) frequencies t, continuous along every ray from
-    the origin (no 2 pi jumps): its imaginary part is a sum of arctangents."""
-    re, im = _log_psi(*_spectra(t, ctx))
-    return (re + 1j * im)[()]
 
 
 # Radius x eigenvalue entries RadialProfile.abs_psi forms at a time (0.5 MB)

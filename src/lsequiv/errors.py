@@ -11,10 +11,6 @@ class TypedError(Exception):
     """Base of every error below."""
 
 
-class DomainError(TypedError, ValueError):
-    """A function left its admissible range (non-positive density, etc.)."""
-
-
 class RangeError(TypedError, ValueError):
     """An argument lies outside the validity region of a bound or map."""
 

@@ -68,12 +68,6 @@ class LocalizationConfig:
             return 1.0
         return chi2_cdf(k, (self.gamma / self.beta) ** 2)
 
-    def truncation_budget(self, k: int) -> float:
-        """K beta^2 / gamma^2, the reported tail-mass budget."""
-        if not math.isfinite(self.gamma):
-            return 0.0
-        return k * self.beta**2 / self.gamma**2
-
 
 def chi2_cdf(k: int, x: float) -> float:
     """P(chi^2_k <= x) for a positive integer k and x >= 0.
@@ -277,9 +271,9 @@ class ExperimentState:
     """Everything the chain of samplers needs, built once and frozen.
 
     theta, C_theta, C, Delta = C - C_theta and B = C^{-1} + C^{-1} Delta C^{-1}
-    are held in lower band storage; theta, c_theta, c_mat, delta and b_theta
-    are dense views of them, formed on each read.  c_extremes, (min eig,
-    max eig) of C, is the pair build_localized_C took, or taken on first read;
+    are held only in lower band storage (theta_band, c_theta_band, c_band,
+    delta_band, b_band); a dense view is band_to_dense of one of them.
+    c_extremes, (min eig, max eig) of C, is the pair build_localized_C took;
     gamma_tilde is formed on first read.
     """
 
@@ -295,35 +289,12 @@ class ExperimentState:
     d_vec: np.ndarray
     gamma_theta: np.ndarray
     gamma: np.ndarray
+    c_extremes: tuple
     config: LocalizationConfig
 
     @property
     def K(self) -> int:
         return self.basis.K
-
-    @property
-    def theta(self) -> np.ndarray:
-        return band_to_dense(self.theta_band)
-
-    @property
-    def c_theta(self) -> np.ndarray:
-        return band_to_dense(self.c_theta_band)
-
-    @property
-    def c_mat(self) -> np.ndarray:
-        return band_to_dense(self.c_band)
-
-    @property
-    def delta(self) -> np.ndarray:
-        return band_to_dense(self.delta_band)
-
-    @property
-    def b_theta(self) -> np.ndarray:
-        return band_to_dense(self.b_band)
-
-    @cached_property
-    def c_extremes(self) -> tuple:
-        return band_extremes(self.c_band)
 
     @cached_property
     def gamma_tilde(self) -> np.ndarray:
@@ -359,7 +330,7 @@ class ExperimentState:
         d_vec, gamma_theta, gamma = gaussian_summaries(
             c_theta_band, inverse, basis, alpha_theta=alpha_theta, theta_extremes=extremes[1]
         )
-        state = cls(
+        return cls(
             n=basis.n,
             basis=basis,
             alpha_theta=alpha_theta,
@@ -372,23 +343,9 @@ class ExperimentState:
             d_vec=d_vec,
             gamma_theta=gamma_theta,
             gamma=gamma,
+            c_extremes=extremes[0],
             config=cfg,
         )
-        state.__dict__["c_extremes"] = extremes[0]  # the cached_property's slot
-        return state
-
-    def summary(self) -> dict:
-        c_mat, delta = self.c_mat, self.delta
-        return {
-            "n": self.n,
-            "K": self.K,
-            "eig_c_theta": list(band_extremes(self.c_theta_band)),
-            "eig_c": list(self.c_extremes),
-            "delta_frob": frob(delta),
-            "contraction": spectral_norm(np.linalg.solve(c_mat, delta)),
-            "eta_norm": float(np.linalg.norm(self.eta_tilde)),
-            "truncation_budget": self.config.truncation_budget(self.K),
-        }
 
 
 MODEL_IDS = ("A", "B", "D", "G", "H", "I", "J", "K", "L")
@@ -427,11 +384,11 @@ def sample_experiment(state: ExperimentState, model_id: str, rng) -> np.ndarray:
     if model_id not in MODEL_IDS:
         raise ConfigurationError(f"unknown experiment id {model_id!r}")
     if model_id == "A":
-        return _gaussian_vector(np.zeros(state.n), state.theta, rng)
+        return _gaussian_vector(np.zeros(state.n), band_to_dense(state.theta_band), rng)
     if model_id == "B":
-        return _gaussian_vector(np.zeros(state.n), state.c_theta, rng)
+        return _gaussian_vector(np.zeros(state.n), band_to_dense(state.c_theta_band), rng)
     if model_id == "D":
-        return _gaussian_vector(np.zeros(state.n), sym_inv(state.b_theta), rng)
+        return _gaussian_vector(np.zeros(state.n), sym_inv(band_to_dense(state.b_band)), rng)
     if model_id == "G":
         return _gaussian_vector(state.d_vec, state.gamma_theta, rng)
     if model_id == "H":
@@ -443,11 +400,10 @@ def sample_experiment(state: ExperimentState, model_id: str, rng) -> np.ndarray:
         return _gaussian_vector(
             state.alpha_theta, 4.0 * sym_inv(state.gamma_tilde), rng
         )
-    ci_sqrt = sym_inv_sqrt(state.c_mat)
+    ci_sqrt = sym_inv_sqrt(band_to_dense(state.c_band))
     goe = goe_sample(state.n, rng)
-    if model_id == "J":
-        return ci_sqrt @ state.c_theta @ ci_sqrt + goe
-    return ci_sqrt @ state.delta @ ci_sqrt + goe
+    middle = state.c_theta_band if model_id == "J" else state.delta_band
+    return ci_sqrt @ band_to_dense(middle) @ ci_sqrt + goe
 
 
 def sp_perturbation_check(a, b) -> CheckResult:
@@ -494,7 +450,7 @@ def _loglik_differences(state: ExperimentState, reps: int, rng):
     whatever reps is."""
     c_chol = band_cholesky(state.c_band, PreconditionError, "C")
     b_chol = band_cholesky(state.b_band, PreconditionError, "B")
-    b_dense = state.b_theta
+    b_dense = band_to_dense(state.b_band)
     logdet_b = -2.0 * float(np.sum(np.log(b_chol[0])))
     logdet_c = 2.0 * float(np.sum(np.log(c_chol[0])))
     draws = np.ones((reps, state.K + 1))

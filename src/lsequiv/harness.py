@@ -384,6 +384,13 @@ def _chi_square_cf(t, n) -> complex:
     return cmath.exp(complex(-0.25 * n * math.log1p(x * x), 0.5 * n * math.atan(x) - t * math.sqrt(n / 2.0)))
 
 
+def pinned_hom_defect(n: int) -> float:
+    """hom_defect of U = (Lambda S) / sqrt(n) with itself in closed form,
+    |lambda - 1|^2 / n = 4 sin^2(pi / n) / n, lambda = exp(2 pi i / n): the
+    sine form loses no digits to the cancellation in 2 - 2 cos(2 pi / n)."""
+    return 4.0 * math.sin(math.pi / n) ** 2 / n
+
+
 def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationReport:
     """Self-contained inequality and identity suite at one sample size."""
     sched = schedule(n)
@@ -410,7 +417,7 @@ def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationRepo
     with _timed(report, timings) as out:
         unit = (1.0 / math.sqrt(n)) * CirculantElement.basis(n, 1, 1)
         lhs, bound = hom_defect(unit, unit)
-        closed = (2.0 - 2.0 * math.cos(2.0 * math.pi / n)) / n
+        closed = pinned_hom_defect(n)
         out += [
             CheckResult("psi-hom-pinned", "exact-identity", abs(lhs - closed), 0.0, tol=1e-14),
             CheckResult("psi-hom-pinned-bound", "closed-form-bound", lhs, bound),

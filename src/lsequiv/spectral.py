@@ -1,29 +1,30 @@
 """Tensor trig basis on [0,1] x [-pi,pi], densities, moving-average symbols.
 
 The basis is cos(2*pi*j*t)*cos(j2*x) ("+" parity) and sin(2*pi*j*t)*cos(j2*x)
-("-" parity, j >= 1), L2-normalized on the rectangle.  Densities carry a
-smoothness budget: the squared coefficients weighted by (j^2 + j2^2)^s must
-stay below L, and the values must stay inside [rho, 1/rho].  Everything here
-is exact trig algebra or Gauss-Legendre quadrature; no FFT shortcuts, so the
-same code paths serve tests and verification reports.  Quadrature runs on one
-fixed grid, GRID_NODES = 256 nodes per axis (see QuadratureGrid for why that
-suffices), reached through default_grid(); a function on it is held as the
-plain array of its values.  A moving-average symbol A(u, x) is one complex
-coefficient table a[r + k1, m + k2] of e^{2 pi i r u} e^{i m x}, the layout of
+("-" parity, j >= 1), L2-normalized on the rectangle.  A density is a
+SpectralDensity, a finite expansion in this basis, and never a callable.  It
+carries a smoothness budget: the squared coefficients weighted by
+(j^2 + j2^2)^s must stay below L, and the values must stay inside
+[rho, 1/rho].  Everything here is exact trig algebra or Gauss-Legendre
+quadrature; no FFT shortcuts, so the same code paths serve tests and
+verification reports.  Quadrature runs on one fixed grid, GRID_NODES = 256
+nodes per axis (see QuadratureGrid for why that suffices), reached through
+default_grid(); a function on it is held as the plain array of its values.
+A moving-average symbol A(u, x) is one complex coefficient table
+a[r + k1, m + k2] of e^{2 pi i r u} e^{i m x}, the layout of
 circulant.FourierFunction, evaluated by the shared table_eval; its covariance
 (basis_cov.build_vartheta) is a band of half-width 2 k2.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigurationError, RangeError
+from .errors import ConfigurationError, PreconditionError, RangeError
 from .report import CheckResult
 
 POS = "+"
@@ -145,10 +146,6 @@ class QuadratureGrid:
         self.wx = math.pi * w
         self._factors = {}
 
-    @property
-    def mesh(self):
-        return np.meshgrid(self.t, self.x, indexing="ij")
-
     def factors(self, indices):
         """(T, X) with phi_k(t_a, x_b) = T[a, k] * X[b, k]; norms sit in T.
         Cached on the grid per index tuple, so the arrays are read-only."""
@@ -169,21 +166,16 @@ class QuadratureGrid:
     def basis_values(self, idx: BasisIndex):
         return self.synthesize([idx], np.ones(1))
 
-    def evaluate(self, fn):
-        """Values of a callable f(t, x) on the grid, indexed [t, x]."""
-        tt, xx = self.mesh
-        return np.asarray(fn(tt, xx), dtype=float)
-
     def integrate(self, values) -> float:
         return float(self.wt @ np.asarray(values) @ self.wx)
 
     def inner(self, values, idx: BasisIndex) -> float:
         return float(self.project(values, [idx])[0])
 
-    def project(self, values_or_fn, indices) -> np.ndarray:
+    def project(self, values, indices) -> np.ndarray:
         """Coefficients <v, phi_k> in index order; values (..., t, x) -> (..., K)."""
         T, X = self.factors(indices)
-        values = self._as_values(values_or_fn)
+        values = self._as_values(values)
         return np.sum((self.wt[:, None] * T) * (values @ (self.wx[:, None] * X)), axis=-2)
 
     def project_exp(self, lead, coeffs, indices) -> np.ndarray:
@@ -234,13 +226,17 @@ class QuadratureGrid:
         return 0.5 * (g + g.T)
 
     def _as_values(self, f):
-        """Grid values of a density given as an array, an object with
-        on_grid (a SpectralDensity) or a callable f(t, x)."""
-        if hasattr(f, "on_grid"):
+        """Grid values of a density given as a SpectralDensity or as an array
+        (..., GRID_NODES, GRID_NODES) of its values; anything else raises."""
+        if isinstance(f, SpectralDensity):
             return f.on_grid()
-        if callable(f):
-            return self.evaluate(f)
-        return np.asarray(f, dtype=float)
+        values = np.asarray(f)
+        if values.dtype.kind not in "biuf" or values.shape[-2:] != (GRID_NODES, GRID_NODES):
+            raise PreconditionError(
+                f"grid values must be a SpectralDensity or a real (..., {GRID_NODES}, "
+                f"{GRID_NODES}) array, got {type(f).__name__}"
+            )
+        return values.astype(float, copy=False)
 
 
 _DEFAULT_GRID = None
@@ -267,26 +263,6 @@ class SpectralDensity:
         if not (0.0 < self.rho_star <= 1.0):
             raise ConfigurationError("rho_star must lie in (0, 1]")
         self.coeffs = {idx: float(v) for idx, v in self.coeffs.items()}
-
-    @property
-    def k1(self) -> int:
-        return max((idx.j for idx in self.coeffs), default=0)
-
-    @property
-    def k2(self) -> int:
-        return max((idx.j2 for idx in self.coeffs), default=0)
-
-    def eval(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(t, x).shape)
-        for idx, c in self.coeffs.items():
-            if c != 0.0:
-                out += c * basis_eval(idx, t, x)
-        return out
-
-    def __call__(self, t, x):
-        return self.eval(t, x)
 
     def on_grid(self) -> np.ndarray:
         return default_grid().synthesize(list(self.coeffs), list(self.coeffs.values()))
@@ -318,23 +294,6 @@ class SpectralDensity:
         for chk in self.check_membership():
             if not chk.passed:
                 raise RangeError(f"density violates {chk.check_id}: {chk.lhs} vs {chk.rhs}")
-
-    def to_json(self) -> str:
-        items = [
-            {"parity": idx.parity, "j": idx.j, "j2": idx.j2, "value": float(v)}
-            for idx, v in sorted(self.coeffs.items())
-        ]
-        payload = {"s": self.s, "L": self.L, "rho_star": self.rho_star, "coeffs": items}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralDensity":
-        payload = json.loads(text)
-        coeffs = {
-            BasisIndex(it["parity"], int(it["j"]), int(it["j2"])): float(it["value"])
-            for it in payload["coeffs"]
-        }
-        return cls(coeffs, float(payload["s"]), float(payload["L"]), float(payload["rho_star"]))
 
     def scaled_deviation(self, factor: float) -> "SpectralDensity":
         """Shrink every non-constant coefficient by a common factor."""

@@ -44,7 +44,7 @@ from lsequiv.gaussianize import (
 )
 from lsequiv.harness import CHAIN_HEADER, RunConfig, config_density, run_equivalence_chain
 from lsequiv.rng import make_rng
-from lsequiv.spectral import random_density
+from lsequiv.spectral import POS, BasisIndex, SpectralDensity, random_density
 from lsequiv.whitenoise import A_STAR, goe_connection
 
 N = 40
@@ -87,6 +87,29 @@ def test_band_helpers_match_dense():
     assert _rel(band_to_dense(band_function(ab, -1.0)[0]), np.linalg.inv(dense)) <= 1e-13
     with pytest.raises(PreconditionError, match="outside half-width 1"):
         dense_to_band(dense, 1)
+
+
+def _signed_band_gather(ab):
+    """signed_band as one modulo gather, row -j = ab[j, (i - j) mod n]."""
+    w, n = len(ab) - 1, ab.shape[1]
+    j = np.arange(w, 0, -1)[:, None]
+    return np.concatenate([ab[j, (np.arange(n) - j) % n], ab])
+
+
+@pytest.mark.parametrize(
+    "n,width,wrapped",
+    [(1, 0, False), (40, 0, False), (40, 3, False), (17, 16, False), (33, 16, True), (64, 5, True), (6, 8, True)],
+)
+def test_signed_band_shifts_match_gather(n, width, wrapped):
+    # narrow and full (w = n - 1) plain bands, wrapped diagonals (2w < n) and
+    # rows past n - 1, which a Chebyshev band of band_function has at small n
+    ab = make_rng(n, stream=77 + width).standard_normal((width + 1, n))
+    if not wrapped:
+        for j in range(1, width + 1):
+            ab[j, n - j :] = 0.0
+    got = signed_band(ab)
+    assert got.shape == (2 * width + 1, n)
+    np.testing.assert_array_equal(got, _signed_band_gather(ab))
 
 
 def _wrapped_case(n, width, seed):
@@ -400,7 +423,7 @@ def test_presmoothing_residual_matches_dense(k1, k2):
     f = random_density(4, 4, make_rng(k1, stream=72 + k2))
     cov = build_theta(f, N)
     _, rel = presmoothing_residual(f, cov, basis)
-    theta = cov.entries
+    theta = band_to_dense(cov.band)
     inv_sqrt = _dense_inv_sqrt(theta)
     resid = theta - _dense(basis, basis.project(cov.band))
     want = np.linalg.norm(inv_sqrt @ resid @ inv_sqrt)
@@ -409,16 +432,13 @@ def test_presmoothing_residual_matches_dense(k1, k2):
 
 
 def test_presmoothing_residual_full_width_theta_matches_cholesky():
-    # a callable density gives a quadrature theta with no zero diagonal
+    # a span density with j2 up to n - 1 gives a theta with no zero diagonal
     n = 24
     basis = build_basis(n, 1, 1)
-
-    def f(u, x):
-        return np.exp(0.5 * np.cos(x) + 0.3 * u * np.sin(2.0 * x))
-
+    f = random_density(1, n - 1, make_rng(24, stream=73))
     cov = build_theta(f, n)
     _, rel = presmoothing_residual(f, cov, basis)
-    theta = cov.entries
+    theta = band_to_dense(cov.band)
     assert cov.band.shape == (n, n) and cov.band[-1, 0] != 0.0
     chol = scipy.linalg.cholesky(theta, lower=True)
     resid = theta - _dense(basis, basis.project(cov.band))
@@ -430,7 +450,7 @@ def test_presmoothing_residual_full_width_theta_matches_cholesky():
 
 def test_presmoothing_residual_rejects_indefinite_theta():
     basis = build_basis(16, 1, 1)
-    f = lambda u, x: -1.0 + 0.0 * u * x
+    f = SpectralDensity({BasisIndex(POS, 0, 0): -math.sqrt(2.0 * math.pi)}, 11.0, 5.0, 0.5)
     theta = build_theta(f, 16)
     with pytest.raises(RangeError, match="positive definite"):
         presmoothing_residual(f, theta, basis)
@@ -444,33 +464,37 @@ def _presmooth_oracle(theta, basis):
     return math.sqrt(np.einsum("ij,ji->", solved, solved))
 
 
-def _quadrature_density(u, x):
-    return np.exp(0.5 * np.cos(x) + 0.3 * u * np.sin(2.0 * x))
-
-
 ILL_CONDITIONED = dict(rho_star=1e-3, density_mean=0.5, density_amplitude=0.99)
 
 
 @pytest.mark.parametrize(
-    "n,case",
-    [(64, "span"), (512, "span"), (2048, "span"), (64, "quadrature"), (64, "ill"), (128, "ill")],
+    "n,case", [(64, "span"), (512, "span"), (2048, "span"), (64, "ill"), (128, "ill")]
 )
-def test_presmoothing_residual_matches_dense_cholesky(n, case):
-    # the chain's span density, a callable (full-band theta through the exact
-    # inverse) and a rho_star = 1e-3 density
+def test_presmoothing_residual_matches_dense_cholesky(n, case, monkeypatch):
+    # the chain's span density and a rho_star = 1e-3 density, whose theta
+    # takes band_function's exact (degree 0, full band) inverse
     cfg = RunConfig(n_grid=(n,), **(ILL_CONDITIONED if case == "ill" else {}))
-    f = _quadrature_density if case == "quadrature" else config_density(cfg)
+    f = config_density(cfg)
     sched = cfg.window(n)
     basis = build_basis(n, sched.k1, sched.k2)
     cov = build_theta(f, n)
+    degrees = []
+
+    def logged(*args, **kwargs):
+        out = band_function(*args, **kwargs)
+        degrees.append(out[1])
+        return out
+
+    monkeypatch.setattr(basis_cov, "band_function", logged)
     frob_err, rel = presmoothing_residual(f, cov, basis)
-    want = _presmooth_oracle(cov.entries, basis)
+    assert len(degrees) == 1 and (degrees[0] == 0) == (case == "ill")
+    theta = band_to_dense(cov.band)
+    want = _presmooth_oracle(theta, basis)
     assert want > 1e-8
     assert abs(rel - want) <= 1e-12 * want
-    if case != "quadrature":
-        coeffs = np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
-        want = np.linalg.norm(cov.entries - basis.combine(coeffs * basis.raw_norms))
-        assert abs(frob_err - want) <= 1e-12 * want
+    coeffs = np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
+    want = np.linalg.norm(theta - basis.combine(coeffs * basis.raw_norms))
+    assert abs(frob_err - want) <= 1e-12 * want
 
 
 def test_presmooth_and_abstract_pilot_stay_below_one_dense_array(traced_peak):
@@ -533,16 +557,17 @@ def _goe_oracle(state, w):
     w_dense = band_to_dense(w)
     basis = state.basis
     delta_check = np.tensordot(state.eta_tilde, basis.mcheck, axes=(0, 0))
-    w, v = np.linalg.eigh(state.c_mat)
+    w, v = np.linalg.eigh(band_to_dense(state.c_band))
     ci_sqrt = (v / np.sqrt(w)) @ v.T
     wv, vv = np.linalg.eigh(w_dense / math.sqrt(A_STAR))
     abs_w = (vv * np.abs(wv)) @ vv.T
-    gap = abs_w @ delta_check @ abs_w - ci_sqrt @ state.delta @ ci_sqrt
+    delta = band_to_dense(state.delta_band)
+    gap = abs_w @ delta_check @ abs_w - ci_sqrt @ delta @ ci_sqrt
     root_gap_sq = np.linalg.norm(abs_w - ci_sqrt) ** 2
     w_sp_sq = np.max(np.abs(np.linalg.eigvalsh(w_dense))) ** 2
     dc_sp_sq = np.max(np.abs(np.linalg.eigvalsh(delta_check))) ** 2
-    d_sp_sq = np.max(np.abs(np.linalg.eigvalsh(state.delta))) ** 2
-    dict_sq = np.linalg.norm(delta_check - state.delta) ** 2
+    d_sp_sq = np.max(np.abs(np.linalg.eigvalsh(delta))) ** 2
+    dict_sq = np.linalg.norm(delta_check - delta) ** 2
     return (
         np.linalg.norm(gap) ** 2 / 4.0,
         3.0 / A_STAR * root_gap_sq * dc_sp_sq * w_sp_sq,
@@ -694,7 +719,8 @@ def test_goe_connection_input_guards():
     eye = np.zeros((2, N))
     eye[0] = 1.0
     with pytest.raises(SingularMatrixError, match="not positive definite"):
-        goe_connection(dataclasses.replace(state, c_band=-state.c_band), eye)
+        negated = dataclasses.replace(state, c_band=-state.c_band, c_extremes=band_extremes(-state.c_band))
+        goe_connection(negated, eye)
 
 
 def test_state_build_takes_one_band_function_per_matrix(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from lsequiv._linalg import DENSE_N_MAX, band_to_dense, dense_to_band
+from lsequiv._linalg import DENSE_N_MAX, band_to_dense, check_symmetric, dense_to_band
 from lsequiv.basis_cov import (
     CovarianceMatrix,
     abstract_rho,
@@ -26,6 +26,7 @@ from lsequiv.errors import ConfigurationError, PreconditionError
 from lsequiv.rng import make_rng
 from lsequiv.spectral import (
     POS,
+    BasisIndex,
     SpectralDensity,
     basis_norm,
     default_grid,
@@ -52,7 +53,7 @@ def test_build_basis_guards():
 def test_raw_norm_closed_form():
     # squared Frobenius norm of a raw band matrix is 2 pi (n - j2)
     for k, idx in enumerate(BASIS.indices):
-        raw = BASIS.raw_mat(k)
+        raw = BASIS.raw_norms[k] * BASIS.mat(k)
         assert np.linalg.norm(raw) ** 2 == pytest.approx(TWO_PI * (32 - idx.j2), rel=1e-11)
         assert BASIS.raw_norms[k] == pytest.approx(math.sqrt(TWO_PI * (32 - idx.j2)), rel=1e-12)
 
@@ -87,15 +88,29 @@ def test_spectral_norms_match_dense():
 
 
 def test_theta_constant_density_is_scaled_identity():
-    f = lambda t, x: 0.7 * np.ones(np.broadcast(t, x).shape)
+    f = SpectralDensity({BasisIndex(POS, 0, 0): 0.7 * math.sqrt(TWO_PI)}, 11.0, 5.0, 0.5)
     theta = build_theta(f, 8)
-    np.testing.assert_allclose(theta.entries, TWO_PI * 0.7 * np.eye(8), atol=1e-10)
+    assert theta.band.shape == (1, 8)
+    np.testing.assert_allclose(band_to_dense(theta.band), TWO_PI * 0.7 * np.eye(8), rtol=1e-15, atol=0)
 
 
-def test_theta_callable_matches_density_object():
-    direct = build_theta(DENSITY, 16).entries
-    via_callable = build_theta(lambda t, x: DENSITY.eval(t, x), 16).entries
-    np.testing.assert_allclose(via_callable, direct, atol=1e-10)
+def test_callable_density_is_rejected():
+    # a density is a SpectralDensity and a symbol a TransferFunction; a
+    # callable is not integrated by quadrature but raises a typed error
+    f = lambda t, x: 0.7 + 0.0 * t * x
+    for build in (lambda: build_theta(f, 16), lambda: build_vartheta(f, 16)):
+        with pytest.raises(PreconditionError, match="needs a"):
+            build()
+    with pytest.raises(PreconditionError, match="needs a SpectralDensity"):
+        density_coefficients(f, BASIS)
+    with pytest.raises(PreconditionError, match="needs a SpectralDensity"):
+        presmoothing_residual(f, build_theta(DENSITY, 32), BASIS)
+    for values in (f, DENSITY.coeffs, np.ones((4, 4)), np.full((256, 256), "x")):
+        with pytest.raises(PreconditionError, match="grid values"):
+            default_grid().project(values, BASIS.indices)
+    np.testing.assert_array_equal(
+        default_grid().project(DENSITY, BASIS.indices), default_grid().project(DENSITY.on_grid(), BASIS.indices)
+    )
 
 
 @pytest.mark.parametrize("seed", DENSITY_SEEDS)
@@ -147,9 +162,9 @@ def test_vartheta_close_to_theta_and_shrinking():
     f = a.to_spectral_density(11.0, 5.0, 0.5)
     gaps = []
     for n in (32, 64, 128):
-        vt = build_vartheta(a, n).entries
+        vt = band_to_dense(build_vartheta(a, n).band)
         np.testing.assert_allclose(vt, vt.T, atol=0)
-        gaps.append(np.linalg.norm(vt - build_theta(f, n).entries, 2))
+        gaps.append(np.linalg.norm(vt - band_to_dense(build_theta(f, n).band), 2))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -174,7 +189,7 @@ def test_vartheta_band_matches_dense_loop(n):
         a = random_transfer(k1, k2, make_rng(seed, stream=stream))
         vt = build_vartheta(a, n)
         assert vt.band.shape == (2 * k2 + 1, n)
-        np.testing.assert_allclose(vt.entries, _vartheta_loop(a, n), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(band_to_dense(vt.band), _vartheta_loop(a, n), rtol=0, atol=1e-13)
 
 
 def test_vartheta_band_past_dense_limit():
@@ -184,7 +199,7 @@ def test_vartheta_band_past_dense_limit():
     vt = build_vartheta(a, n)
     assert vt.band.shape == (5, n) and np.all(np.isfinite(vt.band))
     with pytest.raises(PreconditionError, match="dense matrix size"):
-        vt.entries
+        band_to_dense(vt.band)
 
 
 def test_abstract_rho_band():
@@ -247,20 +262,8 @@ def test_basis_proximity_small():
     assert 0.0 < np.max(BASIS.mcheck_gaps()) < 1.0
 
 
-def test_covariance_symmetrizes_only_asymmetric_input():
-    exact = build_theta(DENSITY, 16).entries
-    assert np.array_equal(exact, exact.T)
-    np.testing.assert_array_equal(CovarianceMatrix.from_dense(exact.copy()).entries, exact)
-    skewed = exact.copy()
-    skewed[0, 1] += 1e-14
-    entries = CovarianceMatrix.from_dense(skewed).entries
-    np.testing.assert_array_equal(entries, entries.T)
-    np.testing.assert_array_equal(entries, 0.5 * (skewed + skewed.T))
-    assert entries[0, 1] != skewed[0, 1]
-
-
 def test_covariance_spectral_check_ids():
-    cov = CovarianceMatrix.from_dense(np.diag([1.0, 2.0]))
+    cov = CovarianceMatrix(np.array([[1.0, 2.0]]))
     checks = cov.spectral_check(0.5, 3.0)
     assert [c.check_id for c in checks] == ["covariance.eig_lower", "covariance.eig_upper"]
     assert all(c.passed for c in checks)
@@ -376,7 +379,7 @@ def test_size_and_symmetry_guards_are_typed():
     with pytest.raises(PreconditionError):
         big.combine(np.ones(1))
     with pytest.raises(PreconditionError):
-        CovarianceMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]), what="covariance")
 
 
 NON_FINITE_ENTRIES = [
@@ -391,7 +394,7 @@ NON_FINITE_ENTRIES = [
 @pytest.mark.parametrize("entries", NON_FINITE_ENTRIES)
 def test_covariance_rejects_non_finite_entries(entries):
     with pytest.raises(PreconditionError, match="not symmetric"):
-        CovarianceMatrix.from_dense(np.array(entries))
+        check_symmetric(np.array(entries), what="covariance")
 
 
 @pytest.mark.parametrize("entries", NON_FINITE_ENTRIES)
@@ -400,7 +403,7 @@ def test_non_finite_covariance_raises_without_numpy_warning(entries):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="not symmetric"):
-            CovarianceMatrix.from_dense(np.array(entries))
+            check_symmetric(np.array(entries), what="covariance")
 
 
 @pytest.mark.parametrize("k1,k2", ORACLE_WINDOWS)
@@ -419,14 +422,8 @@ def test_quad_form_block_matches_per_row(k1, k2):
 
 
 def _dense_theta(f, n):
-    """theta(f) as the dense builder formed it: a span density entry by entry
-    from its closed form, a callable as h[min(a, b), |a - b|]."""
-    i = np.arange(n)
-    if not isinstance(f, SpectralDensity):
-        grid = default_grid()
-        fvals = np.asarray(f(i[:, None] / n, grid.x[None, :]), dtype=float)
-        h = fvals @ (grid.wx[None, :] * np.cos(np.outer(i, grid.x))).T
-        return h[np.minimum.outer(i, i), np.abs(np.subtract.outer(i, i))]
+    """theta(f) as the dense builder formed it, entry by entry from the span
+    density's closed form."""
     out = np.zeros((n, n))
     for idx, c in f.coeffs.items():
         if c == 0.0:
@@ -443,23 +440,19 @@ def _dense_theta(f, n):
 
 @pytest.mark.parametrize("n", [8, 16, 77])
 def test_theta_band_is_the_dense_theta(n):
-    # the band holds exactly the entries the dense builder formed: of the
-    # density's half-width for a span density, full for a quadrature theta
+    # the band holds exactly the entries the dense builder formed, of the
+    # density's half-width
     f = random_density(3, 3, make_rng(n, stream=35))
     cov = build_theta(f, n)
     assert len(cov.band) == 1 + max(idx.j2 for idx, c in f.coeffs.items() if c != 0.0)
-    np.testing.assert_array_equal(cov.entries, _dense_theta(f, n))
-    g = lambda u, x: f.eval(u, x)
-    cov = build_theta(g, n)
-    assert cov.band.shape == (n, n)
-    np.testing.assert_array_equal(cov.entries, _dense_theta(g, n))
+    np.testing.assert_array_equal(band_to_dense(cov.band), _dense_theta(f, n))
 
 
 def test_covariance_band_is_validated():
     # a dense covariance is not lower band storage: its trailing entries
     # ab[j, n - j:] are nonzero, so passing one where a band is due raises
     exact = build_theta(DENSITY, 16)
-    np.testing.assert_array_equal(CovarianceMatrix(exact.band).entries, exact.entries)
-    for bad in (exact.entries, np.ones(16), np.ones((17, 16)), np.full((1, 4), np.nan)):
+    np.testing.assert_array_equal(CovarianceMatrix(exact.band).band, exact.band)
+    for bad in (band_to_dense(exact.band), np.ones(16), np.ones((17, 16)), np.full((1, 4), np.nan)):
         with pytest.raises(PreconditionError, match="covariance band"):
             CovarianceMatrix(bad)

@@ -13,7 +13,7 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from lsequiv import cltcheck
-from lsequiv._linalg import spectral_norm, sym_inv
+from lsequiv._linalg import band_to_dense, spectral_norm, sym_inv
 from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.cltcheck import (
     _ladder_tails,
@@ -34,7 +34,6 @@ from lsequiv.cltcheck import (
     moment_diagnostics,
     remainder_bound,
     span_char_context,
-    standardized_log_characteristic,
     tv_oracle,
 )
 from lsequiv.errors import PreconditionError, RangeError, SingularMatrixError
@@ -138,9 +137,16 @@ def _cumulant_series(t, ctx, lmax):
     return complex(sum(0.5 * (2j) ** ell * np.sum(w**ell) / ell for ell in range(3, lmax + 1)))
 
 
+def _log_characteristic(t, ctx):
+    """log psi*(t) from the package's log-form evaluator, continuous along
+    every ray from the origin: its imaginary part is a sum of arctangents."""
+    re, im = cltcheck._log_psi(*cltcheck._spectra(t, ctx))
+    return (re + 1j * im)[()]
+
+
 def test_log_branch_and_series_consistency():
     t = np.array([0.4])
-    log_val = standardized_log_characteristic(t, CTX)
+    log_val = _log_characteristic(t, CTX)
     assert abs(cmath.exp(log_val) - char_fn_standardized(t, CTX)) <= 1e-12
     partial = _cumulant_series(t, CTX, 40)
     assert abs(partial - (log_val + 0.5 * float(t @ t))) <= 1e-12
@@ -149,7 +155,7 @@ def test_log_branch_and_series_consistency():
 
 def test_series_partial_sums_monotone_refinement():
     t = np.array([0.6])
-    target = standardized_log_characteristic(t, CTX) + 0.5 * float(t @ t)
+    target = _log_characteristic(t, CTX) + 0.5 * float(t @ t)
     errs = [abs(_cumulant_series(t, CTX, lmax) - target) for lmax in (3, 6, 12)]
     assert errs[0] > errs[1] > errs[2]
 
@@ -373,7 +379,7 @@ def test_context_from_state_matches_direct_build():
     # with k1 > 0 has no closed form
     state = _state(32, 0, 1)
     ctx = context_from_state(state)
-    direct = build_char_context(state.c_theta, state.c_mat, state.basis)
+    direct = build_char_context(*_dense_covariances(state), state.basis)
     assert ctx.mu == pytest.approx(direct.mu, rel=1e-12)
     np.testing.assert_allclose(ctx.d_vec, direct.d_vec, rtol=1e-12, atol=0)
     with pytest.raises(PreconditionError, match="k1 = 0 and k2 <= 1"):
@@ -425,6 +431,11 @@ def _tv_decay_context(n, k2):
     return span_char_context(alpha, alpha, basis)
 
 
+def _dense_covariances(state):
+    """(C_theta, C) of a localization state, dense."""
+    return band_to_dense(state.c_theta_band), band_to_dense(state.c_band)
+
+
 def _state(n, k1, k2):
     """A localization state, where C_theta and C differ."""
     basis = build_basis(n, k1, k2)
@@ -432,7 +443,7 @@ def _state(n, k1, k2):
     state = ExperimentState.build(
         basis, LocalizationConfig(beta=1.0, gamma=3.0), theta=theta, rng=make_rng(0, stream=41)
     )
-    assert not np.array_equal(state.c_theta, state.c_mat)
+    assert not np.array_equal(*_dense_covariances(state))
     return state
 
 
@@ -465,7 +476,7 @@ def test_joint_spectrum_matches_eigvalsh_tv_decay_k2(tvk2_ctx):
 @pytest.mark.parametrize("k2,dirs", [(1, _angles(24)), (0, np.array([[1.0], [-1.0], [0.37]]))])
 def test_joint_spectrum_matches_eigvalsh_state_context(k2, dirs):
     state = _state(64, 0, k2)
-    dense = _dense_oracle(state.c_theta, state.c_mat, state.basis)
+    dense = _dense_oracle(*_dense_covariances(state), state.basis)
     _assert_joint_matches_eigvalsh(context_from_state(state), dense, dirs)
 
 
@@ -566,9 +577,10 @@ def test_dense_entry_rejects_off_span_asymmetric_and_wide_windows():
 def test_char_context_matches_separate_decompositions(same):
     # oracle: a square root and an inverse of each covariance, and eigvalsh norms
     state = _state(32, 0, 1)
-    c_theta = state.c_mat if same else state.c_theta
-    ctx = build_char_context(c_theta, state.c_mat, state.basis)
-    dense = _dense_oracle(c_theta, state.c_mat, state.basis)
+    c_theta, c_mat = _dense_covariances(state)
+    c_theta = c_mat if same else c_theta
+    ctx = build_char_context(c_theta, c_mat, state.basis)
+    dense = _dense_oracle(c_theta, c_mat, state.basis)
     spectra = np.stack([np.linalg.eigvalsh(a) for a in dense.a_stack])
     np.testing.assert_allclose(np.sort(ctx.joint, axis=1), spectra, rtol=0, atol=1e-12 * np.max(np.abs(spectra)))
     assert ctx.mu == pytest.approx(dense.mu, rel=1e-12)
@@ -588,7 +600,7 @@ def test_lattice_psi_k1_matches_per_direction_oracle(dense, monkeypatch):
     # its span coefficients or its dense covariances, with no pencil solve,
     # against a complex log per radius, on both halves of the lattice
     state = _state(64, 0, 0)
-    ctx = build_char_context(state.c_theta, state.c_mat, state.basis) if dense else context_from_state(state)
+    ctx = build_char_context(*_dense_covariances(state), state.basis) if dense else context_from_state(state)
     solves = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
@@ -607,7 +619,7 @@ def _evaluator_context(case, K):
     build_char_context of a localization state's dense C_theta != C ("state")."""
     if case == "state":
         state = _state(64, 0, K - 1)
-        return build_char_context(state.c_theta, state.c_mat, state.basis)
+        return build_char_context(*_dense_covariances(state), state.basis)
     basis, alpha_theta, alpha_c = _span_case(512 if case == "same" else 256, K - 1, case)
     return span_char_context(alpha_theta, alpha_c, basis)
 
@@ -622,7 +634,7 @@ def test_log_form_evaluator_matches_product_form(K, case):
     r = np.linspace(0.0, 40.0, 81)
     w = r[:, None, None] * dirs
     want = np.array([[_char_fn_standardized(x, ctx) for x in row] for row in w])
-    log_psi = standardized_log_characteristic(w, ctx)
+    log_psi = _log_characteristic(w, ctx)
     assert log_psi.shape == want.shape and np.max(np.abs(log_psi.imag)) > 100.0
     for got in (char_fn_standardized(w, ctx), np.exp(log_psi)):
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
@@ -637,7 +649,7 @@ def test_log_characteristic_has_no_2pi_jumps(K):
     ctx = _evaluator_context("same", K)
     u = np.array([1.0]) if K == 1 else _angles(7)[2]
     w = np.linspace(0.0, 40.0, 4001)[:, None] * u
-    log_psi = standardized_log_characteristic(w, ctx)
+    log_psi = _log_characteristic(w, ctx)
     assert log_psi[0] == 0.0 and np.max(np.abs(log_psi.imag)) > 100.0
     assert np.max(np.abs(np.diff(log_psi.imag))) < 1.0
     unwrapped = np.unwrap(np.angle(char_fn_standardized(w, ctx)))

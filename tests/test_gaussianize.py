@@ -46,7 +46,6 @@ STATE = ExperimentState.build(BASIS, LOC, theta=THETA, rng=make_rng(0, stream=41
 
 def test_acceptance_probability_closed_form():
     assert LOC.acceptance_probability(6) == pytest.approx(stats.chi2.cdf(9.0, 6), rel=1e-12)
-    assert LOC.truncation_budget(6) == pytest.approx(6.0 / 9.0, rel=1e-12)
 
 
 def test_acceptance_probability_matches_chdtr_on_the_schedule():
@@ -137,8 +136,9 @@ def test_build_localized_c_guards():
 
 def test_state_build_consistency():
     np.testing.assert_allclose(STATE.alpha_theta, BASIS.project(THETA.band), atol=1e-12)
-    np.testing.assert_allclose(STATE.c_theta, BASIS.combine(STATE.alpha_theta), atol=1e-12)
-    np.testing.assert_allclose(STATE.delta, STATE.c_mat - STATE.c_theta, atol=1e-12)
+    c_theta, c_mat = band_to_dense(STATE.c_theta_band), band_to_dense(STATE.c_band)
+    np.testing.assert_allclose(c_theta, BASIS.combine(STATE.alpha_theta), atol=1e-12)
+    np.testing.assert_allclose(band_to_dense(STATE.delta_band), c_mat - c_theta, atol=1e-12)
     assert np.linalg.norm(STATE.eta_tilde) <= LOC.gamma
     # the drift identity ties the three summary pieces together
     np.testing.assert_allclose(
@@ -148,16 +148,16 @@ def test_state_build_consistency():
 
 def test_state_dense_views_are_the_band_combinations():
     c_mat = BASIS.combine(STATE.alpha_theta + STATE.eta_tilde)
-    np.testing.assert_array_equal(STATE.c_theta, BASIS.combine(STATE.alpha_theta))
-    np.testing.assert_array_equal(STATE.c_mat, c_mat)
-    np.testing.assert_array_equal(STATE.delta, c_mat - BASIS.combine(STATE.alpha_theta))
+    np.testing.assert_array_equal(band_to_dense(STATE.c_theta_band), BASIS.combine(STATE.alpha_theta))
+    np.testing.assert_array_equal(band_to_dense(STATE.c_band), c_mat)
+    np.testing.assert_array_equal(band_to_dense(STATE.delta_band), c_mat - BASIS.combine(STATE.alpha_theta))
     # with only alpha given, theta is the in-span combination itself
     state = ExperimentState.build(BASIS, LOC, alpha_theta=STATE.alpha_theta, rng=make_rng(0))
-    np.testing.assert_array_equal(state.theta, state.c_theta)
+    np.testing.assert_array_equal(state.theta_band, state.c_theta_band)
 
 
 def test_state_holds_no_dense_array():
-    # theta, C_theta, C, Delta and B are bands; their dense forms are views
+    # theta, C_theta, C, Delta and B are bands, the state's only form of them
     n = 256
     basis = build_basis(n, 1, 1)
     theta = build_theta(DENSITY, n)
@@ -168,9 +168,8 @@ def test_state_holds_no_dense_array():
     assert square == set()
     for name in ("theta_band", "c_theta_band", "c_band", "delta_band"):
         assert getattr(state, name).shape == (basis.k2 + 1, n)
-    np.testing.assert_array_equal(state.theta, theta.entries)
+    np.testing.assert_array_equal(state.theta_band, theta.band)
     assert state.b_band.shape[1] == n and len(state.b_band) < n / 4
-    np.testing.assert_array_equal(state.b_theta, band_to_dense(state.b_band))
 
 
 def test_summaries_identity_block():
@@ -219,7 +218,7 @@ def test_goe_sample_block_equals_single_draws(n, reps):
 def test_pilot_alpha_unbiased():
     reps = 2000
     rng = make_rng(7, stream=47)
-    root = np.linalg.cholesky(THETA.entries)
+    root = np.linalg.cholesky(band_to_dense(THETA.band))
     acc = np.zeros(BASIS.K)
     for _ in range(reps):
         # the pilot coefficients <x x^T, M_k> of one observation
@@ -260,19 +259,20 @@ def _affinity_lhs_per_draw(state, reps, rng):
     """Reference: x = L z from the dense Cholesky factor of C, one draw at a
     time, and two LU solves per draw."""
     n, k_count = state.n, state.K
-    chol = np.linalg.cholesky(state.c_mat)
-    b_inv = sym_inv(state.b_theta)
+    c_mat = band_to_dense(state.c_band)
+    chol = np.linalg.cholesky(c_mat)
+    b_inv = sym_inv(band_to_dense(state.b_band))
     _, logdet_b = np.linalg.slogdet(b_inv)
-    _, logdet_c = np.linalg.slogdet(state.c_mat)
+    _, logdet_c = np.linalg.slogdet(c_mat)
     draws = np.empty((reps, k_count + 1))
     diffs = np.empty(reps)
     for r in range(reps):
         x = chol @ rng.standard_normal(n)
         # the sufficient statistic T_k = x^T C^{-1} M_k C^{-1} x
-        draws[r, :k_count] = state.basis.quad_form(np.linalg.solve(state.c_mat, x))
+        draws[r, :k_count] = state.basis.quad_form(np.linalg.solve(c_mat, x))
         draws[r, k_count] = 1.0
         quad_b = float(x @ np.linalg.solve(b_inv, x))
-        quad_c = float(x @ np.linalg.solve(state.c_mat, x))
+        quad_c = float(x @ np.linalg.solve(c_mat, x))
         diffs[r] = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
     coef, *_ = np.linalg.lstsq(draws, diffs, rcond=None)
     resid = float(np.max(np.abs(diffs - draws @ coef)))
@@ -286,16 +286,17 @@ def test_affinity_batched_draws_match_per_draw_stream():
     reps = 50
     batched, _ = _loglik_differences(STATE, reps, make_rng(3, stream=45))
     rng = make_rng(3, stream=45)
-    chol = np.linalg.cholesky(STATE.c_mat)
+    c_mat = band_to_dense(STATE.c_band)
+    chol = np.linalg.cholesky(c_mat)
     xs = [chol @ rng.standard_normal(N) for _ in range(reps)]
-    looped = np.array([STATE.basis.quad_form(np.linalg.solve(STATE.c_mat, x)) for x in xs])
+    looped = np.array([STATE.basis.quad_form(np.linalg.solve(c_mat, x)) for x in xs])
     assert np.max(np.abs(batched[:, :-1] - looped)) <= 1e-10 * np.max(np.abs(looped))
 
 
 def _loglik_differences_dense(state, reps, rng):
     """Reference: B^{-1} formed densely, then Cholesky solves against C and
     B^{-1} with every draw as a right-hand side."""
-    c_mat, b_inv = state.c_mat, sym_inv(state.b_theta)
+    c_mat, b_inv = band_to_dense(state.c_band), sym_inv(band_to_dense(state.b_band))
     _, logdet_b = np.linalg.slogdet(b_inv)
     _, logdet_c = np.linalg.slogdet(c_mat)
     xs = rng.standard_normal((reps, state.n)) @ np.linalg.cholesky(c_mat).T
@@ -325,13 +326,13 @@ def _loglik_differences_one_block(state, reps, rng):
     """(z, [T, 1] rows, differences) by the single-block formula: one
     (reps, n) draw z, x = z L^T for the dense Cholesky factor L of C, and
     C^{-1} x by cho_solve on L."""
-    chol = np.linalg.cholesky(state.c_mat)
+    chol = np.linalg.cholesky(band_to_dense(state.c_band))
     z = rng.standard_normal((reps, state.n))
     xs = z @ chol.T
     c_solved = cho_solve((chol, True), xs.T).T
     logdet_b = -2.0 * float(np.sum(np.log(band_cholesky(state.b_band)[0])))
     logdet_c = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    quad_b = np.sum(xs * (xs @ state.b_theta), axis=1)
+    quad_b = np.sum(xs * (xs @ band_to_dense(state.b_band)), axis=1)
     quad_c = np.sum(z * z, axis=1)
     diffs = -0.5 * (quad_b + logdet_b) + 0.5 * (quad_c + logdet_c)
     return z, np.column_stack([state.basis.quad_form(c_solved), np.ones(reps)]), diffs
@@ -383,8 +384,9 @@ def test_affinity_check_detects_wrong_slope():
 
 
 def test_neumann_residual_below_series_bound():
-    resid = neumann_residual(STATE.c_theta, STATE.c_mat, STATE.b_theta)
-    c_rho = float(np.linalg.eigvalsh(STATE.c_theta)[0])
+    c_theta = band_to_dense(STATE.c_theta_band)
+    resid = neumann_residual(c_theta, band_to_dense(STATE.c_band), band_to_dense(STATE.b_band))
+    c_rho = float(np.linalg.eigvalsh(c_theta)[0])
     sp_sq = float(np.sum(BASIS.spectral_norms() ** 2))
     bound = neumann_residual_bound(LOC.gamma, c_rho, sp_sq)
     assert 0.0 < resid <= bound
@@ -492,7 +494,7 @@ def test_gamma_tilde_is_formed_when_read():
     # 2 tr(C_theta^{-1} M_k C_theta^{-1} M_l) against the dense inverse, once
     state = ExperimentState.build(BASIS, LOC, theta=THETA, rng=make_rng(0, stream=41))
     assert "gamma_tilde" not in vars(state)
-    half = np.matmul(np.linalg.inv(state.c_theta), BASIS.mats)
+    half = np.matmul(np.linalg.inv(band_to_dense(state.c_theta_band)), BASIS.mats)
     want = 2.0 * np.einsum("kij,lji->kl", half, half)
     got = state.gamma_tilde
     assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) <= 1e-12

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,7 @@ from lsequiv.harness import (
     config_density,
     export_basis,
     gaussian_divergences,
+    pinned_hom_defect,
     run_equivalence_chain,
     run_risk_study,
     run_tv_decay,
@@ -36,7 +38,7 @@ from lsequiv.harness import (
     whitening_matrix,
 )
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid
+from lsequiv.spectral import GRID_NODES, default_grid
 
 DIV_PAIRS = []
 _rng = make_rng(17, stream=70)
@@ -189,10 +191,10 @@ def test_config_density_deterministic_and_in_span():
     cfg = RunConfig(n_grid=(32, 64))
     f = config_density(cfg)
     g = config_density(cfg)
-    assert f.to_json() == g.to_json()
+    assert f == g
     f.require_membership()
     sched = cfg.window(32)
-    assert f.k1 <= sched.k1 and f.k2 <= sched.k2
+    assert max(idx.j for idx in f.coeffs) <= sched.k1 and max(idx.j2 for idx in f.coeffs) <= sched.k2
     assert f.mean_level() == pytest.approx(cfg.density_mean, rel=1e-12)
 
 
@@ -210,7 +212,7 @@ def test_chain_row_past_dense_limit_keeps_band_stages():
 
 def test_whitening_matrix_constant_density_is_identity():
     basis = build_basis(32, 1, 1)
-    ones = np.ones(default_grid().mesh[0].shape)
+    ones = np.ones((GRID_NODES, GRID_NODES))
     w = whitening_matrix(ones, basis, 0.5)
     assert w.shape == (basis.k2 + 1, 32)
     np.testing.assert_allclose(band_to_dense(w), np.eye(32), atol=1e-12)
@@ -598,10 +600,21 @@ def test_verify_builds_no_dense_stack(monkeypatch, traced_peak, linalg_calls):
     report = run_verify(n=256)
     assert report.all_passed and len(report.entries) == 56
     assert [shape for _, shape in eig_calls if shape[-2:] == (256, 256)] == []
-    assert dense_callers == ["b_theta"]
+    assert dense_callers == ["_loglik_differences"]
     # 4.36 MB measured, at the GOE sampler check and the localized drift; a
     # 15 % margin
     assert traced_peak(lambda: run_verify(n=256)) <= 5e6
+
+
+def test_pinned_hom_defect_reference_does_not_cancel():
+    # 4 sin^2(pi / n) / n against 40 digits at n = 2^18, where the cosine
+    # form 2 (1 - cos(2 pi / n)) / n is 1.6e-7 relative off
+    n = 2**18
+    with mpmath.workdps(40):
+        want = 4 * mpmath.sin(mpmath.pi / n) ** 2 / n
+        assert abs(mpmath.mpf(pinned_hom_defect(n)) / want - 1) <= 1e-15
+        cosine_form = (2.0 - 2.0 * math.cos(2.0 * math.pi / n)) / n
+        assert abs(mpmath.mpf(cosine_form) / want - 1) > 1e-8
 
 
 def test_verify_timings_only_add_runtimes():
@@ -701,7 +714,7 @@ def test_abstract_pilot_risk_block_draws_match_per_replicate_loop():
     n, reps = 256, 100
     basis = build_basis(n, 1, 1)
     cov = build_theta(config_density(RunConfig(n_grid=(n,))), n)
-    theta = cov.entries
+    theta = band_to_dense(cov.band)
     alpha = basis.project(cov.band)
     got = harness._abstract_pilot_risk(cov.band, alpha, basis, reps, make_rng(0, stream=13_000_256))
     rng = make_rng(0, stream=13_000_256)

@@ -9,7 +9,7 @@ from lsequiv.circulant import psi_inverse_real
 from lsequiv.errors import PreconditionError, RangeError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid, leading_indices, random_density
+from lsequiv.spectral import GRID_NODES, default_grid, leading_indices, random_density
 from lsequiv.whitenoise import (
     A_STAR,
     WhiteNoiseObservation,
@@ -35,7 +35,7 @@ THETA = build_theta(DENSITY, N)
 STATE = ExperimentState.build(
     BASIS, LocalizationConfig(beta=1.0, gamma=3.0), theta=THETA, rng=make_rng(0, stream=64)
 )
-ONES = np.ones(GRID.mesh[0].shape)
+ONES = np.ones((GRID_NODES, GRID_NODES))
 
 
 def test_noise_level_identity():
@@ -165,7 +165,7 @@ def test_sufficient_y_constant_density():
 
 
 def test_sufficient_y_rejects_nonpositive_density():
-    bad = np.zeros(GRID.mesh[0].shape)
+    bad = np.zeros((GRID_NODES, GRID_NODES))
     with pytest.raises(RangeError):
         sufficient_Y(bad, np.zeros(6), leading_indices(6), rng=make_rng(0, stream=63))
 
@@ -235,17 +235,18 @@ def _dense_stack_oracle(w):
     w_dense = band_to_dense(w)
 
     delta_check = np.tensordot(STATE.eta_tilde, BASIS.mcheck, axes=(0, 0))
-    ci_sqrt = sym_inv_sqrt(STATE.c_mat)
+    ci_sqrt = sym_inv_sqrt(band_to_dense(STATE.c_band))
+    delta = band_to_dense(STATE.delta_band)
     abs_w, _ = sym_abs(w_dense / math.sqrt(A_STAR))
-    gap = abs_w @ delta_check @ abs_w - ci_sqrt @ STATE.delta @ ci_sqrt
+    gap = abs_w @ delta_check @ abs_w - ci_sqrt @ delta @ ci_sqrt
     root_gap_sq = frob(abs_w - ci_sqrt) ** 2
     w_sp_sq = spectral_norm(w_dense) ** 2
     b1 = 3.0 / A_STAR * root_gap_sq * spectral_norm(delta_check) ** 2 * w_sp_sq
     # |C^{-1/2}|^2 from a separate eigvalsh of the square root
     cis_sp_sq = spectral_norm(ci_sqrt) ** 2
-    b2 = 3.0 / A_STAR * cis_sp_sq * frob(delta_check - STATE.delta) ** 2 * w_sp_sq
-    b3 = 3.0 * cis_sp_sq * spectral_norm(STATE.delta) ** 2 * root_gap_sq
-    dict_lhs = frob(delta_check - STATE.delta) ** 2
+    b2 = 3.0 / A_STAR * cis_sp_sq * frob(delta_check - delta) ** 2 * w_sp_sq
+    b3 = 3.0 * cis_sp_sq * spectral_norm(delta) ** 2 * root_gap_sq
+    dict_lhs = frob(delta_check - delta) ** 2
     dict_rhs = 9.0 * np.sum((BASIS.mcheck - BASIS.mats) ** 2)
     return frob(gap) ** 2 / 4.0, b1, b2, b3, dict_lhs, dict_rhs
 
