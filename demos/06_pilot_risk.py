@@ -19,7 +19,7 @@ def main():
     n = 256
 
     obs = simulate_wn(f, n, rng=make_rng(0, stream=95))
-    pilot = pilot_estimate(obs, f=f)
+    pilot = pilot_estimate(obs, f=f, indices=obs.indices)
     targets = target_coefficients(f, obs.indices, n)
     print(f"white-noise observation at n = {n}")
     print(f"  noise level a_n         {noise_level(n):.6f}")

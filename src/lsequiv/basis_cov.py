@@ -75,16 +75,6 @@ class CovarianceMatrix:
     def n(self) -> int:
         return self.band.shape[1]
 
-    def eig_range(self):
-        return band_extremes(self.band)
-
-    def spectral_check(self, lo: float, hi: float, delta: float = 0.0) -> list:
-        wmin, wmax = self.eig_range()
-        return [
-            CheckResult("covariance.eig_lower", "spectral-band", lo - delta, wmin),
-            CheckResult("covariance.eig_upper", "spectral-band", wmax, hi + delta),
-        ]
-
 
 def _band_profile(idx: BasisIndex, n: int) -> np.ndarray:
     """Strip values of the truncated-shift image of one basis function."""
@@ -434,7 +424,17 @@ def coeff_identity_check(f: SpectralDensity, basis: BasisSystem) -> list:
     return [CheckResult("theta.coeff_shortcut", "coefficient-identity", resid, budget)]
 
 
-def theta_spectral_check(
-    cov: CovarianceMatrix, rho_star: float, delta: float = 0.5
-) -> list:
-    return cov.spectral_check(TWO_PI * rho_star, TWO_PI / rho_star, delta)
+# Allowance on each side of the admissible band [2 pi rho*, 2 pi / rho*]
+_SPECTRAL_DELTA = 0.5
+
+
+def theta_spectral_check(cov: CovarianceMatrix, rho_star: float) -> list:
+    """The extreme eigenvalues of cov (one band_extremes call) against the
+    admissible band [2 pi rho*, 2 pi / rho*] of a density with values in
+    [rho*, 1 / rho*], widened by _SPECTRAL_DELTA = 0.5 on each side."""
+    wmin, wmax = band_extremes(cov.band)
+    lo, hi = TWO_PI * rho_star - _SPECTRAL_DELTA, TWO_PI / rho_star + _SPECTRAL_DELTA
+    return [
+        CheckResult("covariance.eig_lower", "spectral-band", lo, wmin),
+        CheckResult("covariance.eig_upper", "spectral-band", wmax, hi),
+    ]

@@ -6,14 +6,14 @@ twisted-convolution law, so all norms, products, and defects are computed in
 coefficient space; dense matrices are only materialized for oracles and
 exports.
 
-Two coefficient conventions coexist on purpose:
-
-* "plain": the raw dictionary.  The product of two elements picks up the
-  phase exp(2*pi*i*j1p*j2/n).  The function-side relabeling is the identity,
-  which is what the approximate-multiplicativity defect is measured against.
-* "symmetric": dictionary elements are pre-rotated by exp(i*pi*j*j2/n).
-  Conjugation and transposition then act as pure index flips, which makes
-  the images of the real cos/sin basis functions exactly real and symmetric.
+The isometry Psi (psi_forward, psi_inverse) uses one coefficient
+convention, the "symmetric" one: dictionary elements are pre-rotated by
+exp(i*pi*j*j2/n).  Conjugation and transposition then act as pure index
+flips, which makes the images of the real cos/sin basis functions exactly
+real and symmetric.  The approximate-multiplicativity defect (hom_defect)
+is measured in that convention and in the "plain" one, the raw dictionary,
+whose product picks up the phase exp(2*pi*i*j1p*j2/n) and whose
+function-side relabeling is the identity.
 """
 
 from __future__ import annotations
@@ -194,27 +194,23 @@ class FourierFunction(_WindowTable):
         return FourierFunction(self.n, k1, k2, self.twisted_product(other))
 
 
-def _psi_rotation(obj: _WindowTable, convention: str):
-    """exp(i pi j j2 / n) over obj's window in the symmetric convention, 1 in the plain one."""
-    if convention == "plain":
-        return 1.0
-    if convention != "symmetric":
-        raise ConfigurationError("convention must be 'plain' or 'symmetric'")
+def _psi_rotation(obj: _WindowTable):
+    """exp(i pi j j2 / n) over obj's window: the symmetric convention's rotation."""
     j, j2 = obj._index_grids()
     return np.exp(1j * math.pi * j * j2 / obj.n)
 
 
-def psi_forward(elem: CirculantElement, convention: str = "plain") -> FourierFunction:
-    """Function with the element's table, rotated by exp(-i pi j j2 / n) if symmetric.
+def psi_forward(elem: CirculantElement) -> FourierFunction:
+    """Function with the element's table rotated by exp(-i pi j j2 / n).
 
     The symmetric rotation pairs real symmetric matrices with real functions.
     """
-    return FourierFunction(elem.n, elem.k1, elem.k2, elem.coeffs / _psi_rotation(elem, convention))
+    return FourierFunction(elem.n, elem.k1, elem.k2, elem.coeffs / _psi_rotation(elem))
 
 
-def psi_inverse(fn: FourierFunction, convention: str) -> CirculantElement:
+def psi_inverse(fn: FourierFunction) -> CirculantElement:
     """Element with the function's table, the inverse of psi_forward."""
-    return CirculantElement(fn.n, fn.k1, fn.k2, fn.coeffs * _psi_rotation(fn, convention))
+    return CirculantElement(fn.n, fn.k1, fn.k2, fn.coeffs * _psi_rotation(fn))
 
 
 def hom_defect(a: CirculantElement, b: CirculantElement, convention: str = "plain"):
@@ -225,7 +221,8 @@ def hom_defect(a: CirculantElement, b: CirculantElement, convention: str = "plai
     estimate 4 pi^2 |A|_F^2 |B|_F^2 m^2 / n^3, where m = k2(A) * k1(B) in the
     plain convention and the symmetrized average in the symmetric one.
     The defect table is the product law with twist lambda^{j1p j2} - 1, or
-    lambda^{(j1p j2 - j1 j2p) / 2} - 1 in the symmetric convention.
+    lambda^{(j1p j2 - j1 j2p) / 2} - 1 in the symmetric convention.  Any
+    other convention raises ConfigurationError.
     """
     if a.n != b.n:
         raise ConfigurationError("elements live on different sizes")
@@ -235,11 +232,13 @@ def hom_defect(a: CirculantElement, b: CirculantElement, convention: str = "plai
     if convention == "plain":
         m = a.k2 * b.k1
         defect = a.twisted_product(b, lambda j1, j1p, j2, j2p: lambda_phase(n, j1p * j2) - 1.0)
-    else:
+    elif convention == "symmetric":
         m = 0.5 * (a.k2 * b.k1 + a.k1 * b.k2)
         defect = a.twisted_product(
             b, lambda j1, j1p, j2, j2p: lambda_phase(n, 0.5 * (j1p * j2 - j1 * j2p)) - 1.0
         )
+    else:
+        raise ConfigurationError("convention must be 'plain' or 'symmetric'")
     lhs = float(n * np.sum(np.abs(defect) ** 2))
     bound = 4.0 * math.pi**2 * a.frob_sq * b.frob_sq * m**2 / n**3
     return lhs, bound
@@ -314,7 +313,7 @@ def real_expansion_to_element(n: int, indices, coeffs) -> CirculantElement:
     for idx, c in zip(indices, coeffs):
         fn = real_function_table(n, idx)
         acc.coeffs += float(c) * fn.table(k1, k2)
-    return psi_inverse(acc, convention="symmetric")
+    return psi_inverse(acc)
 
 
 def matrix_csv(mat) -> str:

@@ -92,6 +92,12 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _single_n(args, cfg) -> int:
+    """The one n of verify, conditions and export-basis: the first of the
+    grid when --n or --config sets it, else _DEFAULT_VERIFY_N."""
+    return cfg.n_grid[0] if (args.n is not None or args.config) else _DEFAULT_VERIFY_N
+
+
 def _study_json(header, rows) -> str:
     payload = {
         "schema": SCHEMA,
@@ -114,7 +120,7 @@ def _write_study(args, stem, header, rows) -> str:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    n = cfg.n_grid[0] if (args.n is not None or args.config) else _DEFAULT_VERIFY_N
+    n = _single_n(args, cfg)
     report = run_verify(n, seed=cfg.seed, timings=cfg.timings)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_report.{args.fmt}")
@@ -159,7 +165,7 @@ def _cmd_riskstudy(args) -> int:
 
 def _cmd_conditions(args) -> int:
     cfg = _load_config(args)
-    n = cfg.n_grid[0] if (args.n is not None or args.config) else _DEFAULT_VERIFY_N
+    n = _single_n(args, cfg)
     sched = cfg.window(n)
     entries = condition_checker(n, sched)
     print(f"n={n} window=({sched.k1},{sched.k2}) K={sched.K} gamma={fmt_float(sched.gamma)}")
@@ -172,7 +178,7 @@ def _cmd_conditions(args) -> int:
 
 def _cmd_export_basis(args) -> int:
     cfg = _load_config(args)
-    n = cfg.n_grid[0] if (args.n is not None or args.config) else _DEFAULT_VERIFY_N
+    n = _single_n(args, cfg)
     sched = schedule(n, cfg.k1, cfg.k2)
     k1 = args.k1 if args.k1 is not None else sched.k1
     k2 = args.k2 if args.k2 is not None else sched.k2

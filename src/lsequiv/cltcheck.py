@@ -13,7 +13,6 @@ numerically to measure total-variation distance from the Gaussian limit
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -531,28 +530,25 @@ def _beta_fraction(a, b, x, y):
     raise AccuracyError(f"incomplete beta fraction at a = {a!r}, x = {x!r} did not converge")
 
 
-def _require_positive(name, value):
-    """PreconditionError unless value is a positive finite number."""
-    # written as not(>) so that NaN is rejected too
-    if not (value > 0.0 and math.isfinite(value)):
-        raise PreconditionError(f"{name} must be positive and finite, got {value!r}")
+# Half-circle directions of the K = 2 numeric tail
+_TAIL_ANGLES = 64
 
 
-def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
+def fourier_tail_integral(R, ctx) -> CheckResult:
     """Numeric tail mass of |char_fn_standardized| beyond radius R vs bound.
 
     Returns a CheckResult with lhs = numeric, rhs = bound.  The numeric
     tail is 2 w sum_u int_R^inf |psi*(r u)| r^{K-1} dr over the direction
-    [1] (w = 1) for K = 1, or the n_angles half-circle directions
-    (w = pi / n_angles) for K = 2, each integral on the Gauss-Legendre
-    ladder that starts at R.  When the integrability margin
+    [1] (w = 1) for K = 1, or the _TAIL_ANGLES = 64 midpoint directions of
+    the half circle (w = pi / 64) for K = 2, each integral on the
+    Gauss-Legendre ladder that starts at R.  When the integrability margin
     mu^{-2} > 8K + 16 fails, the check is reported as skipped with the
     margin recorded instead.
     """
     K = ctx.K
-    _require_positive("tail radius", R)
-    if not (isinstance(n_angles, numbers.Integral) and n_angles >= 1):
-        raise PreconditionError(f"n_angles must be a positive integer, got {n_angles!r}")
+    # written as not(>) so that NaN is rejected too
+    if not (R > 0.0 and math.isfinite(R)):
+        raise PreconditionError(f"tail radius must be positive and finite, got {R!r}")
     margin = ctx.mu ** (-2.0)
     needed = 8.0 * K + 16.0
     if margin <= needed:
@@ -566,13 +562,13 @@ def fourier_tail_integral(R, ctx, n_angles=64) -> CheckResult:
     if K == 1:
         dirs, weight = np.ones((1, 1)), 1.0
     elif K == 2:
-        angles = (np.arange(n_angles) + 0.5) * np.pi / n_angles
-        dirs, weight = np.stack([np.cos(angles), np.sin(angles)], axis=1), np.pi / n_angles
+        angles = (np.arange(_TAIL_ANGLES) + 0.5) * np.pi / _TAIL_ANGLES
+        dirs, weight = np.stack([np.cos(angles), np.sin(angles)], axis=1), np.pi / _TAIL_ANGLES
     else:
         raise PreconditionError("tail quadrature implemented for K <= 2 only")
     profiles = [RadialProfile(ctx, u) for u in dirs]
     moduli = lambda r: np.stack([profile.abs_psi(r) for profile in profiles]) * r ** (K - 1)
-    numeric = 2.0 * weight * np.sum(_ladder_tails(moduli, 40, start=R)[:, 0])
+    numeric = 2.0 * weight * np.sum(_ladder_tails(moduli, 40, R)[:, 0])
     return CheckResult(
         check_id=f"fourier-tail-R{R:g}",
         ref="tail-quadrature",
@@ -591,7 +587,7 @@ _TRUNCATION_START = 4.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _ladder_tails(moduli, count, start=_TRUNCATION_START):
+def _ladder_tails(moduli, count, start):
     """int_{T_j}^inf moduli(r) dr for j < count, one row per direction.
 
     T_j = start * 1.5^j, count <= 40.  moduli maps a radius array to one
@@ -611,17 +607,21 @@ def _ladder_tails(moduli, count, start=_TRUNCATION_START):
     return far[:, None] + np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
 
 
-def _truncation(ctx, tol_tail):
+# Largest fourier_tail_bound the oracle's truncation radius may leave
+_TOL_TAIL = 1e-8
+
+
+def _truncation(ctx):
     """The smallest ladder radius T_j = 4 * 1.5^j, j < 40, whose
-    fourier_tail_bound is at most tol_tail."""
+    fourier_tail_bound is at most _TOL_TAIL."""
     for T in _TRUNCATION_START * _LADDER_RATIOS[:40]:
-        if fourier_tail_bound(T, ctx) <= tol_tail:
+        if fourier_tail_bound(T, ctx) <= _TOL_TAIL:
             return float(T)
     raise RangeError("characteristic function tail does not decay; no usable T")
 
 
 # Largest lattice half-width M = ceil(T / dw) the oracle accepts, by K; at the K = 1
-# cap invert_cf_1d on the default grid takes 75 MB, the K = 2 lattice alone 270 MB
+# cap invert_cf_1d on its x grid takes 75 MB, the K = 2 lattice alone 270 MB
 _LATTICE_CAP = {1: 1 << 14, 2: 2048}
 # Aliased probability mass allowed per marginal over the x window
 _ALIAS_TOL = 1e-12
@@ -738,7 +738,7 @@ def _lattice_density(ctx, cf_override, T, dw, x):
     return dens
 
 
-# Default half-width and step of the oracle's x grid, by K
+# Half-width and step of the oracle's x grid, by K
 _X_MAX = {1: 20.0, 2: 8.0}
 _DX = {1: 0.002, 2: 0.04}
 
@@ -762,33 +762,30 @@ def _k2_gaussian_grid(x_max, dx):
     return x, phi
 
 
-def tv_oracle(ctx, tol_tail=1e-8, x_max=None, dx=None, cf_override=None, details=False):
+def tv_oracle(ctx, cf_override=None, details=False):
     """Total-variation distance of the standardized law from N(0, I_K), K <= 2.
 
     The density f is one trapezoid sum on a frequency lattice
     (_lattice_density) truncated at the smallest ladder radius
-    T = 4 * 1.5^j whose fourier_tail_bound is at most tol_tail; the
-    distance is (1/2) sum |f - phi_K| dx^K over the x grid.  cf_override
+    T = 4 * 1.5^j whose fourier_tail_bound is at most _TOL_TAIL = 1e-8; the
+    distance is (1/2) sum |f - phi_K| dx^K over the x grid from -_X_MAX[K]
+    to _X_MAX[K] at step _DX[K].  cf_override
     replaces the characteristic function, mapping a (..., K) frequency
     array w to psi*(w) of shape (...), for cross-checks against closed-form
     laws; it is taken to be a law of the context's form and mu, and gets
     the same T.  With
     details=True returns (tv, info), info holding T and the tail bound at
-    it (None with a cf_override).  tol_tail, x_max and dx must be positive
-    and finite.
+    it (None with a cf_override).
     """
     K = ctx.K
     if K > 2:
         raise PreconditionError("tv_oracle supports K <= 2 only")
-    x_max = _X_MAX[K] if x_max is None else x_max
-    dx = _DX[K] if dx is None else dx
-    for name, value in (("tol_tail", tol_tail), ("x_max", x_max), ("dx", dx)):
-        _require_positive(name, value)
+    x_max, dx = _X_MAX[K], _DX[K]
     if ctx.mu ** (-2.0) <= 8.0 * K and cf_override is None:
         raise RangeError(
             "characteristic function not certifiably integrable at this mu"
         )
-    T = _truncation(ctx, tol_tail)
+    T = _truncation(ctx)
     dw = _lattice_step(x_max, ctx.mu)
     _half_width(T, dw, K)  # refuse before the grid is allocated
     grid, ref = _gaussian_grid(K, x_max, dx)
@@ -825,7 +822,7 @@ def edgeworth_tv(ctx) -> float:
     kappa is moment_diagnostics' third-cumulant tensor and He_abc(x) =
     x_a x_b x_c - delta_ab x_c - delta_ac x_b - delta_bc x_a.  For K = 1 the
     integral is closed, int phi |He_3| = (2 + 8 e^{-3/2}) / sqrt(2 pi); for
-    K = 2 it is a Riemann sum on the oracle's default K = 2 grid (_gaussian_grid).
+    K = 2 it is a Riemann sum on the oracle's K = 2 grid (_gaussian_grid).
     The next Edgeworth term is even while the sign of He_abc is odd, so
     |tv - TV_1| = O(n^{-3/2}) (Bhattacharya & Rao, 1976).
     """

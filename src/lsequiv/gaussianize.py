@@ -198,24 +198,22 @@ def pilot_risk_bound(k: int, rho: float) -> float:
     return 4.0 * k / rho**2
 
 
-def gaussian_summaries(
-    c_theta_band, inverse, basis: BasisSystem, alpha_theta=None, theta_extremes=None
-):
+def gaussian_summaries(inverse, basis: BasisSystem, alpha_theta, theta_extremes):
     """(d, Gamma_theta, Gamma) for the summary experiments.
 
     With H = C^{-1} C_theta C^{-1}, all three come from trace identities on
     the band profiles: d_k = <H, M_k>, Gamma_kl = 2 tr(C^{-1} M_k C^{-1} M_l)
     and Gamma_theta,kl = 2 tr(H M_k H M_l).  Every matrix is a band: inverse
-    is the pair (C^{-1}, P) of build_localized_C, so H = C^{-1} - P.  C_theta
-    must be positive definite, min eig > SYM_RTOL |max eig| on
-    theta_extremes (band_extremes when the caller has none); its own Gram
-    Gamma_tilde is ExperimentState.gamma_tilde, formed when read.  The results
-    are symmetric by construction and positive semidefinite in exact
-    arithmetic (Gram matrices), which is not enforced.  When alpha_theta is
-    supplied (C_theta is exactly its combination), d = Gamma alpha / 2 is
-    enforced to 1e-8 relative.
+    is the pair (C^{-1}, P) of build_localized_C, so H = C^{-1} - P.
+    C_theta, the combination of alpha_theta, must be positive definite, min
+    eig > SYM_RTOL |max eig| on theta_extremes, its (min eig, max eig) from
+    build_localized_C.  Its own Gram Gamma_tilde is
+    ExperimentState.gamma_tilde, formed when read.  The results are
+    symmetric by construction and positive semidefinite in exact arithmetic
+    (Gram matrices), which is not enforced; d = Gamma alpha / 2 is enforced
+    to 1e-8 relative.
     """
-    lo, hi = band_extremes(c_theta_band) if theta_extremes is None else theta_extremes
+    lo, hi = theta_extremes
     if not lo > SYM_RTOL * abs(hi):
         raise SingularMatrixError(
             f"C_theta is not positive definite (min eig = {lo:.3e}, max eig = {hi:.3e})"
@@ -227,11 +225,10 @@ def gaussian_summaries(
     gamma = basis.trace_gram(c_inv)
     gamma_theta = basis.trace_gram(h)
 
-    if alpha_theta is not None:
-        target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
-        rel = float(np.linalg.norm(d_vec - target) / max(np.linalg.norm(d_vec), 1e-300))
-        if rel > 1e-8:
-            raise LocalizationError(f"summary identity d = Gamma alpha / 2 off by {rel:.3g}")
+    target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
+    rel = float(np.linalg.norm(d_vec - target) / max(np.linalg.norm(d_vec), 1e-300))
+    if rel > 1e-8:
+        raise LocalizationError(f"summary identity d = Gamma alpha / 2 off by {rel:.3g}")
     return d_vec, gamma_theta, gamma
 
 
@@ -304,38 +301,22 @@ class ExperimentState:
         return self.basis.trace_gram(c_theta_inv)
 
     @classmethod
-    def build(
-        cls,
-        basis: BasisSystem,
-        cfg: LocalizationConfig,
-        rng,
-        alpha_theta=None,
-        theta=None,
-    ) -> "ExperimentState":
-        """Assemble the chain state from either coefficients or a covariance.
-
-        With theta (a CovarianceMatrix) given, alpha_theta defaults to its
-        basis projection (the pre-smoothing step); with only alpha_theta
-        given, theta is taken to be the in-span combination itself.
-        """
-        if alpha_theta is None and theta is None:
-            raise ConfigurationError("need alpha_theta or theta")
-        if alpha_theta is None:
-            alpha_theta = basis.project(theta.band)
-        alpha_theta = np.asarray(alpha_theta, dtype=float)
+    def build(cls, basis: BasisSystem, cfg: LocalizationConfig, rng, theta) -> "ExperimentState":
+        """Assemble the chain state from the covariance theta (a
+        CovarianceMatrix): alpha_theta is its basis projection (the
+        pre-smoothing step) and C_theta the combination of alpha_theta."""
+        alpha_theta = basis.project(theta.band)
         c_theta_band = basis.band(alpha_theta)
         eta = sample_truncated_noise(cfg, basis.K, rng)
         # one band C^{-1} serves the localization and the summaries
         c_band, delta_band, inverse, b_band, extremes = build_localized_C(alpha_theta, eta, basis)
-        d_vec, gamma_theta, gamma = gaussian_summaries(
-            c_theta_band, inverse, basis, alpha_theta=alpha_theta, theta_extremes=extremes[1]
-        )
+        d_vec, gamma_theta, gamma = gaussian_summaries(inverse, basis, alpha_theta, extremes[1])
         return cls(
             n=basis.n,
             basis=basis,
             alpha_theta=alpha_theta,
             eta_tilde=eta,
-            theta_band=c_theta_band if theta is None else theta.band,
+            theta_band=theta.band,
             c_theta_band=c_theta_band,
             c_band=c_band,
             delta_band=delta_band,

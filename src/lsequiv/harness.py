@@ -395,7 +395,8 @@ def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationRepo
     """Self-contained inequality and identity suite at one sample size."""
     sched = schedule(n)
     k1, k2 = sched.k1, sched.k2
-    s, L, rho_star = 11.0, 5.0, 0.5
+    # the density class of the study drivers: RunConfig's defaults
+    s, L, rho_star = RunConfig.s, RunConfig.L, RunConfig.rho_star
     config = dict(command="verify", n=n, seed=seed, k1=k1, k2=k2, s=s, L=L, rho_star=rho_star)
     report = VerificationReport(config=config)
 

@@ -165,16 +165,14 @@ class WhiteNoisePilot:
     b_tail: float
 
 
-def pilot_estimate(obs, f, indices=None) -> WhiteNoisePilot:
+def pilot_estimate(obs, f, indices) -> WhiteNoisePilot:
     """Exponentiate the smoothed log-observation and project back.
 
     The smoother keeps every observed coefficient; alpha_hat is reported
-    on `indices` (default: the observed ones), with risk diagnostics against
+    on `indices` (the chain's basis indices), with risk diagnostics against
     the localization targets of the true density f.
     """
     grid = default_grid()
-    if indices is None:
-        indices = obs.indices
     n = obs.n
     scale = math.sqrt(TWO_PI * n)
     smooth = grid.synthesize(obs.indices, obs.values)
@@ -431,13 +429,13 @@ def gamma_variants(f_hat, projection, basis) -> GammaVariants:
             gamma_check[a, b] = val
             gamma_check[b, a] = val
 
-    w_fn = psi_forward(w_elem, convention="symmetric")
+    w_fn = psi_forward(w_elem)
     delta_sq = np.empty(K)
     delta_sq_bounds = np.empty(K)
     checks = []
     for j, (m, mw, t) in enumerate(zip(m_elems, m_w, conjugated)):
-        phi_fn = psi_forward(m, convention="symmetric")
-        exact = psi_forward(t, convention="symmetric")
+        phi_fn = psi_forward(m)
+        exact = psi_forward(t)
         product = (w_fn * phi_fn) * w_fn
         delta_sq[j] = (exact - product).l2n_sq
         _, b1 = hom_defect(w_elem, mw, convention="symmetric")
@@ -490,12 +488,13 @@ class GoeComparison:
     norms of W and Dcheck (dsbevx on reordered wrapped bands, O(n^2)).  W and
     Dcheck are wrapped diagonals, x = sqrt(2 pi) C^{-1/2} is in signed
     storage, and abs_w is the dense |W| of an indefinite W (None when W is
-    positive definite, its own |W|).
+    positive definite, its own |W|).  gamma, the localization scale, sets
+    the dictionary-gap bound gamma^2 sum_k |Mcheck_k - M_k|_F^2.
     """
 
     kl: float
     state: object
-    gamma: float | None
+    gamma: float
     w: np.ndarray
     delta_check: np.ndarray
     x_signed: np.ndarray
@@ -556,9 +555,7 @@ class GoeComparison:
         )
 
     @cached_property
-    def dictionary_gap_check(self) -> CheckResult | None:
-        if self.gamma is None:
-            return None
+    def dictionary_gap_check(self) -> CheckResult:
         return CheckResult(
             check_id="dictionary-gap",
             ref="ensemble-comparison",
@@ -567,7 +564,7 @@ class GoeComparison:
         )
 
 
-def goe_connection(state, w, gamma=None) -> GoeComparison:
+def goe_connection(state, w, gamma) -> GoeComparison:
     """Compare the circulant-shift ensemble with the whitened-shift one.
 
     kl is the exact Kullback-Leibler divergence
@@ -583,6 +580,8 @@ def goe_connection(state, w, gamma=None) -> GoeComparison:
     formed entry by entry in signed storage: no n x n array for a
     well-conditioned C.  Only an indefinite W takes |W| from a dense
     eigendecomposition, with a dense gap.  2 pi is folded into the scalars.
+    gamma is the schedule's localization scale, read by the dictionary-gap
+    check.
     """
     basis = state.basis
     n, k2 = basis.n, basis.k2

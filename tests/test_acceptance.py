@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from lsequiv._linalg import band_to_dense
+from lsequiv._linalg import band_extremes, band_to_dense
 from lsequiv.basis_cov import (
     abstract_rho,
     build_basis,
@@ -98,8 +98,8 @@ def test_criterion_01_exact_algebra():
         # drift identity d = Gamma alpha / 2 of the summary experiment
         theta = build_theta(random_density(3, 3, make_rng(n, stream=81)), n)
         alpha = basis.project(theta.band)
-        _, _, inverse, _, _ = build_localized_C(alpha, np.zeros(basis.K), basis)
-        d, _, g_mat = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
+        _, _, inverse, _, extremes = build_localized_C(alpha, np.zeros(basis.K), basis)
+        d, _, g_mat = gaussian_summaries(inverse, basis, alpha, extremes[1])
         rel = np.linalg.norm(d - 0.5 * g_mat @ alpha) / np.linalg.norm(d)
         assert rel <= 1e-8
 
@@ -138,8 +138,8 @@ def test_criterion_03_covariance_window_and_transfer_decay():
     for seed in range(20):
         f = random_density(2, 2, make_rng(seed, stream=80), s=11.0, L=5.0, rho_star=0.5)
         theta = build_theta(f, 512)
-        assert all(c.passed for c in theta_spectral_check(theta, 0.5, delta=0.5))
-        lo, hi = theta.eig_range()
+        assert all(c.passed for c in theta_spectral_check(theta, 0.5))
+        lo, hi = band_extremes(theta.band)
         assert lo >= math.pi - 0.5 and hi <= 4.0 * math.pi + 0.5
 
     # finite-order transfer covariances converge to the density covariance

@@ -33,7 +33,7 @@ from lsequiv._linalg import (
     signed_to_dense,
     wrapped_band,
 )
-from lsequiv.basis_cov import build_basis, build_theta, presmoothing_residual
+from lsequiv.basis_cov import CovarianceMatrix, build_basis, build_theta, presmoothing_residual
 from lsequiv.circulant import psi_inverse_real
 from lsequiv.errors import LocalizationError, PreconditionError, RangeError, SingularMatrixError
 from lsequiv.gaussianize import (
@@ -581,7 +581,7 @@ def _goe_case(k1, k2, n=N, w_spread=0.1):
     basis = build_basis(n, k1, k2)
     alpha, _ = _coeffs(basis, 3)
     state = ExperimentState.build(
-        basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha,
+        basis, LocalizationConfig(beta=0.3, gamma=3.0), theta=CovarianceMatrix(basis.band(alpha)),
         rng=make_rng(3, stream=73 + k2),
     )
     rng = make_rng(4, stream=74)
@@ -602,7 +602,7 @@ def _check_goe_against_oracle(comp, state, w):
 @pytest.mark.parametrize("k1,k2", WINDOWS)
 def test_goe_connection_matches_dense(k1, k2):
     state, w = _goe_case(k1, k2)
-    _check_goe_against_oracle(goe_connection(state, w), state, w)
+    _check_goe_against_oracle(goe_connection(state, w, state.config.gamma), state, w)
 
 
 def test_goe_connection_matches_dense_ill_conditioned():
@@ -611,16 +611,16 @@ def test_goe_connection_matches_dense_ill_conditioned():
     n = 64
     basis = build_basis(n, 1, 1)
     c_theta = np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n)))
-    alpha = basis.project(dense_to_band(c_theta, 0))
+    theta = CovarianceMatrix(dense_to_band(c_theta, 0))
     state = ExperimentState.build(
-        basis, LocalizationConfig(beta=1e-4, gamma=1.0), alpha_theta=alpha, rng=make_rng(8)
+        basis, LocalizationConfig(beta=1e-4, gamma=1.0), theta=theta, rng=make_rng(8)
     )
     w_coeffs = 0.1 * make_rng(4, stream=74).standard_normal(basis.K)
     w_coeffs[0] = 2.0
     w = psi_inverse_real(n, basis.indices, w_coeffs)
     lo, hi = band_extremes(state.c_band)
     assert hi / lo > 500.0 and band_function(state.c_band, -0.5)[1] == 0
-    _check_goe_against_oracle(goe_connection(state, w), state, w)
+    _check_goe_against_oracle(goe_connection(state, w, state.config.gamma), state, w)
 
 
 def test_chain_row_of_an_ill_conditioned_density():
@@ -651,7 +651,7 @@ def test_goe_connection_takes_dense_abs_only_for_indefinite_w(
     state, w = _goe_case(2, 2, w_spread=w_spread)
     assert (np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0) == pd
     calls = linalg_calls("eigh", "eigvalsh")
-    comp = goe_connection(state, w)
+    comp = goe_connection(state, w, state.config.gamma)
     assert [name for name, _ in calls] == ([] if pd else ["eigh"])
     monkeypatch.undo()
     _check_goe_against_oracle(comp, state, w)
@@ -703,7 +703,7 @@ def test_goe_connection_memory_peak(traced_peak):
     state, w = _goe_case(2, 2, n=n, w_spread=0.02)
     assert np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0
     width = 2 * (len(band_function(state.c_band, -0.5)[0]) - 1) + state.basis.k2
-    peak = traced_peak(lambda: goe_connection(state, w))
+    peak = traced_peak(lambda: goe_connection(state, w, state.config.gamma))
     assert peak <= 4 * (2 * width + 1) * n * 8 <= n * n * 8 / 2
 
 
@@ -711,16 +711,17 @@ def test_goe_connection_input_guards():
     basis = build_basis(N, 1, 1)
     alpha, _ = _coeffs(basis, 3)
     state = ExperimentState.build(
-        basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha, rng=make_rng(3)
+        basis, LocalizationConfig(beta=0.3, gamma=3.0), theta=CovarianceMatrix(basis.band(alpha)),
+        rng=make_rng(3),
     )
     # W is held as k2 + 1 = 2 wrapped diagonals; a dense W is the wrong shape
     with pytest.raises(PreconditionError, match="W must be 2 wrapped diagonals of length 40"):
-        goe_connection(state, np.eye(N))
+        goe_connection(state, np.eye(N), state.config.gamma)
     eye = np.zeros((2, N))
     eye[0] = 1.0
     with pytest.raises(SingularMatrixError, match="not positive definite"):
         negated = dataclasses.replace(state, c_band=-state.c_band, c_extremes=band_extremes(-state.c_band))
-        goe_connection(negated, eye)
+        goe_connection(negated, eye, state.config.gamma)
 
 
 def test_state_build_takes_one_band_function_per_matrix(monkeypatch):
@@ -734,7 +735,8 @@ def test_state_build_takes_one_band_function_per_matrix(monkeypatch):
 
     monkeypatch.setattr(gaussianize, "band_function", counting)
     state = ExperimentState.build(
-        basis, LocalizationConfig(beta=0.3, gamma=3.0), alpha_theta=alpha, rng=make_rng(6)
+        basis, LocalizationConfig(beta=0.3, gamma=3.0), theta=CovarianceMatrix(basis.band(alpha)),
+        rng=make_rng(6),
     )
     assert taken == [("localized C", -1.0)]
     # Gamma_tilde takes C_theta^{-1} when it is read, once

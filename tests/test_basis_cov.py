@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from lsequiv._linalg import DENSE_N_MAX, band_to_dense, check_symmetric, dense_to_band
+from lsequiv._linalg import DENSE_N_MAX, band_extremes, band_to_dense, check_symmetric, dense_to_band
 from lsequiv.basis_cov import (
     CovarianceMatrix,
     abstract_rho,
@@ -117,10 +117,10 @@ def test_callable_density_is_rejected():
 def test_theta_spectral_window(seed):
     f = random_density(2, 2, make_rng(seed, stream=32))
     theta = build_theta(f, 48)
-    checks = theta_spectral_check(theta, 0.5, delta=0.5)
+    checks = theta_spectral_check(theta, 0.5)
     assert [c.check_id for c in checks] == ["covariance.eig_lower", "covariance.eig_upper"]
     assert all(c.passed for c in checks)
-    lo, hi = theta.eig_range()
+    lo, hi = band_extremes(theta.band)
     assert lo >= TWO_PI * 0.5 - 0.5
     assert hi <= TWO_PI / 0.5 + 0.5
 
@@ -263,12 +263,14 @@ def test_basis_proximity_small():
 
 
 def test_covariance_spectral_check_ids():
-    cov = CovarianceMatrix(np.array([[1.0, 2.0]]))
-    checks = cov.spectral_check(0.5, 3.0)
+    # eigenvalues 4 and 5 against [2 pi rho* - 0.5, 2 pi / rho* + 0.5]
+    cov = CovarianceMatrix(np.array([[4.0, 5.0]]))
+    checks = theta_spectral_check(cov, 0.5)
     assert [c.check_id for c in checks] == ["covariance.eig_lower", "covariance.eig_upper"]
+    assert [(c.lhs, c.rhs) for c in checks] == [(TWO_PI * 0.5 - 0.5, 4.0), (5.0, TWO_PI / 0.5 + 0.5)]
     assert all(c.passed for c in checks)
-    bad = cov.spectral_check(1.5, 3.0)
-    assert not bad[0].passed
+    bad = theta_spectral_check(cov, 0.9)
+    assert not bad[0].passed and bad[1].passed
 
 
 ORACLE_WINDOWS = [(0, 0), (0, 1), (1, 1), (2, 0), (3, 3)]

@@ -105,14 +105,13 @@ def test_element_inner_matches_dense():
     assert a.inner(b) == pytest.approx(complex(dense), rel=1e-12)
 
 
-@pytest.mark.parametrize("convention", ["plain", "symmetric"])
-def test_psi_roundtrip_and_isometry(convention):
+def test_psi_roundtrip_and_isometry():
     rng = make_rng(5, stream=21)
     n, k1, k2 = 16, 2, 1
     a = CirculantElement(n, k1, k2, rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
-    fn = psi_forward(a, convention=convention)
+    fn = psi_forward(a)
     assert fn.l2n_sq == pytest.approx(a.frob_sq, rel=1e-12)
-    back = psi_inverse(fn, convention=convention)
+    back = psi_inverse(fn)
     np.testing.assert_allclose(back.coeffs, a.coeffs, atol=1e-12)
 
 
@@ -168,7 +167,7 @@ def test_mcheck_via_psi_matches_direct():
     # the real table mapped back through the symmetric Psi is the real Mcheck
     n = 24
     for idx in (BasisIndex("+", 1, 2), BasisIndex("-", 2, 0)):
-        dense = psi_inverse(real_function_table(n, idx), convention="symmetric").to_matrix()
+        dense = psi_inverse(real_function_table(n, idx)).to_matrix()
         assert np.max(np.abs(dense.imag)) <= 1e-10
         np.testing.assert_allclose(dense.real, mcheck_element(n, idx), atol=1e-12)
 
@@ -184,7 +183,7 @@ def test_mcheck_stack_orthonormal():
 def test_real_function_table_matches_symmetric_psi():
     n, idx = 16, BasisIndex("+", 1, 1)
     elem = CirculantElement(n, 1, 1, _window_projection(mcheck_element(n, idx), 1, 1))
-    fn = psi_forward(elem, convention="symmetric")
+    fn = psi_forward(elem)
     tab = real_function_table(n, idx)
     np.testing.assert_allclose(fn.coeffs, tab.coeffs, atol=1e-13)
     assert tab.l2n_sq == pytest.approx(n / (2.0 * math.pi), rel=1e-12)
@@ -285,11 +284,10 @@ def test_window_table_shared_methods(cls):
 
 
 def test_psi_rejects_unknown_convention():
-    a = CirculantElement.basis(16, 1, 1)
-    with pytest.raises(ConfigurationError):
-        psi_forward(a, convention="skew")
-    with pytest.raises(ConfigurationError):
-        psi_inverse(psi_forward(a), convention="skew")
+    # hom_defect takes the plain and the symmetric convention, nothing else
+    a = CirculantElement.basis(32, 1, 1)
+    with pytest.raises(ConfigurationError, match="convention must be"):
+        hom_defect(a, a, convention="skew")
 
 
 def test_real_expansion_to_element_matches_mcheck_sum():
@@ -364,17 +362,11 @@ def test_adjoint_is_conjugate_transpose(n, k1, k2, seed):
 
 
 @KERNEL_SETTINGS
-@given(
-    n=st.sampled_from([32, 64]),
-    k1=WINDOW,
-    k2=WINDOW,
-    seed=st.integers(0, 2**16),
-    convention=st.sampled_from(["plain", "symmetric"]),
-)
-def test_psi_roundtrip_and_isometry_property(n, k1, k2, seed, convention):
+@given(n=st.sampled_from([32, 64]), k1=WINDOW, k2=WINDOW, seed=st.integers(0, 2**16))
+def test_psi_roundtrip_and_isometry_property(n, k1, k2, seed):
     a = _random_table(CirculantElement, n, k1, k2, seed, 23)
-    fn = psi_forward(a, convention)
-    np.testing.assert_allclose(psi_inverse(fn, convention).coeffs, a.coeffs, rtol=0, atol=1e-14)
+    fn = psi_forward(a)
+    np.testing.assert_allclose(psi_inverse(fn).coeffs, a.coeffs, rtol=0, atol=1e-14)
     assert fn.l2n_sq == pytest.approx(a.frob_sq, rel=1e-13)
 
 

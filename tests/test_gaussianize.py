@@ -7,8 +7,15 @@ from scipy import special, stats
 from scipy.linalg import cho_factor, cho_solve
 
 from lsequiv import gaussianize
-from lsequiv._linalg import band_cholesky, band_to_dense, dense_to_band, sym_inv, sym_inv_sqrt
-from lsequiv.basis_cov import build_basis, build_theta
+from lsequiv._linalg import (
+    band_cholesky,
+    band_extremes,
+    band_to_dense,
+    dense_to_band,
+    sym_inv,
+    sym_inv_sqrt,
+)
+from lsequiv.basis_cov import CovarianceMatrix, build_basis, build_theta
 from lsequiv.errors import (
     ConfigurationError,
     LocalizationError,
@@ -151,9 +158,6 @@ def test_state_dense_views_are_the_band_combinations():
     np.testing.assert_array_equal(band_to_dense(STATE.c_theta_band), BASIS.combine(STATE.alpha_theta))
     np.testing.assert_array_equal(band_to_dense(STATE.c_band), c_mat)
     np.testing.assert_array_equal(band_to_dense(STATE.delta_band), c_mat - BASIS.combine(STATE.alpha_theta))
-    # with only alpha given, theta is the in-span combination itself
-    state = ExperimentState.build(BASIS, LOC, alpha_theta=STATE.alpha_theta, rng=make_rng(0))
-    np.testing.assert_array_equal(state.theta_band, state.c_theta_band)
 
 
 def test_state_holds_no_dense_array():
@@ -177,10 +181,8 @@ def test_summaries_identity_block():
     n = 16
     basis1 = build_basis(n, 0, 0)
     alpha = np.array([math.sqrt(n)])
-    _, _, inverse, _, _ = build_localized_C(alpha, np.zeros(1), basis1)
-    d, g_theta, g_mat = gaussian_summaries(
-        basis1.band(alpha), inverse, basis1, alpha_theta=alpha
-    )
+    _, _, inverse, _, extremes = build_localized_C(alpha, np.zeros(1), basis1)
+    d, g_theta, g_mat = gaussian_summaries(inverse, basis1, alpha, extremes[1])
     np.testing.assert_allclose(g_mat, [[2.0]], atol=1e-12)
     np.testing.assert_allclose(g_theta, [[2.0]], atol=1e-12)
     np.testing.assert_allclose(_gamma_tilde(basis1, alpha), [[2.0]], atol=1e-12)
@@ -193,7 +195,7 @@ def test_summaries_reject_inconsistent_alpha():
     eye_band = np.ones((1, n))
     inverse = (eye_band, np.zeros((1, n)))
     with pytest.raises(RuntimeError):
-        gaussian_summaries(eye_band, inverse, basis1, alpha_theta=np.array([1.0]))
+        gaussian_summaries(inverse, basis1, np.array([1.0]), (1.0, 1.0))
 
 
 def test_goe_sample_variances():
@@ -415,7 +417,8 @@ def _gamma_tilde(basis, alpha):
     """ExperimentState.gamma_tilde of an in-span state with coefficients
     alpha; it reads C_theta alone, so the state's small noise does not enter."""
     cfg = LocalizationConfig(beta=1e-6, gamma=1e-5)
-    return ExperimentState.build(basis, cfg, make_rng(0, stream=47), alpha_theta=alpha).gamma_tilde
+    theta = CovarianceMatrix(basis.band(alpha))
+    return ExperimentState.build(basis, cfg, make_rng(0, stream=47), theta).gamma_tilde
 
 
 def _dense_summaries(c_theta, c_mat, basis):
@@ -449,8 +452,8 @@ def test_summaries_match_dense_stacks(k1, k2):
     c_theta = basis.combine(alpha)
     c_mat = basis.combine(alpha + eta)
     assert not np.array_equal(c_theta, c_mat)
-    _, _, inverse, _, _ = build_localized_C(alpha, eta, basis)
-    got = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
+    _, _, inverse, _, extremes = build_localized_C(alpha, eta, basis)
+    got = gaussian_summaries(inverse, basis, alpha, extremes[1])
     got += (_gamma_tilde(basis, alpha),)
     want = _dense_summaries(c_theta, c_mat, basis)
     assert len(got) == len(want)
@@ -468,9 +471,9 @@ def test_summaries_match_dense_stacks_ill_conditioned():
     c_theta = np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n)))
     alpha = basis.project(dense_to_band(c_theta, 0))
     eta = 1e-4 * make_rng(0, stream=46).standard_normal(basis.K)
-    c_band, _, inverse, _, _ = build_localized_C(alpha, eta, basis)
+    c_band, _, inverse, _, extremes = build_localized_C(alpha, eta, basis)
     assert len(inverse[0]) == n
-    got = gaussian_summaries(basis.band(alpha), inverse, basis, alpha_theta=alpha)
+    got = gaussian_summaries(inverse, basis, alpha, extremes[1])
     got += (_gamma_tilde(basis, alpha),)
     want = _dense_summaries(basis.combine(alpha), band_to_dense(c_band), basis)
     assert len(got) == len(want)
@@ -484,10 +487,10 @@ def test_summaries_guards():
     eye_band = np.ones((1, n))
     inverse = (eye_band, np.zeros((1, n)))
     with pytest.raises(LocalizationError):
-        gaussian_summaries(eye_band, inverse, basis1, alpha_theta=np.array([1.0]))
+        gaussian_summaries(inverse, basis1, np.array([1.0]), (1.0, 1.0))
     indefinite = np.r_[-1.0, np.ones(n - 1)][None, :]
     with pytest.raises(SingularMatrixError):
-        gaussian_summaries(indefinite, inverse, basis1)
+        gaussian_summaries(inverse, basis1, np.array([1.0]), band_extremes(indefinite))
 
 
 def test_gamma_tilde_is_formed_when_read():

@@ -2,14 +2,18 @@
 
 Every parameter with a default in src/lsequiv, and every dataclass field
 with a default (a parameter of the generated __init__), must be passed by
-some call in src/, tests/ or demos/, by keyword or by position.  A default
-that no call overrides is a value only one configuration uses: it belongs in
-the code as a constant.  Calls are matched by name (the function's name, or
-the class name for __init__ and dataclass fields); a call that unpacks
-*args or **kwargs passes nothing this scan can see.
+some call in src/, by keyword or by position.  A default that no call in the
+program overrides is a value only one configuration uses: it belongs in the
+code as a constant.  Calls in tests/ and demos/ do not count, so a knob or a
+mode that only a test selects fails the scan too.  Calls are matched by name
+(the function's name, or the class name for __init__ and dataclass fields);
+a call that unpacks *args or **kwargs passes nothing this scan can see.
 
-Run as a script to print, for each defaulted parameter, the calls that pass
-it and the values they pass:
+Run as a script to print, for each defaulted parameter, the calls in src/
+that pass it with the values they pass, and how many calls of that name rely
+on the default (neither pass it nor unpack arguments).  A default no call
+relies on is taken only by tests; a value default such as what= or stream=
+may stay so, a default that selects a mode should go:
 
     python tests/test_options.py
 """
@@ -19,16 +23,25 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lsequiv"
-CALLERS = ("src", "tests", "demos")
+CALLERS = ("src",)
 
-# (module, function, parameter) whose default stays although no scanned call
+_FROM_OUTSIDE = (
+    "a run setting: it arrives from a JSON run configuration (RunConfig.from_json "
+    "unpacks it as **payload) or from a CLI flag through dataclasses.replace"
+)
+
+# (module, function, parameter) whose default stays although no call in src/
 # passes it, each with the reason.
 ALLOWED = {
-    # the values arrive from a JSON run configuration (RunConfig.from_json
-    # unpacks it as **payload) or from CLI flags through dataclasses.replace
-    ("harness.py", "RunConfig", "s"),
-    ("harness.py", "RunConfig", "L"),
-    ("harness.py", "RunConfig", "timings"),
+    **{
+        ("harness.py", "RunConfig", field): _FROM_OUTSIDE
+        for field in ("n_grid", "seed", "k1", "k2", "s", "L", "rho_star")
+        + ("density_mean", "density_amplitude", "replicates", "timings")
+    },
+    ("cli.py", "main", "argv"): (
+        "the console entry point: argv=None makes argparse read sys.argv, and "
+        "tests pass an argument list"
+    ),
 }
 
 
@@ -106,17 +119,35 @@ def calls_by_name():
     return calls
 
 
+def _passed_value(node, param, pos):
+    """The expression a call node passes for param, or None."""
+    value = next((k.value for k in node.keywords if k.arg == param), None)
+    starred = any(isinstance(a, ast.Starred) for a in node.args)
+    if value is None and pos is not None and pos < len(node.args) and not starred:
+        value = node.args[pos]
+    return value
+
+
 def passing_calls(call_name, param, pos, calls):
     """[(path, line, value source)] of the calls that pass param."""
     out = []
     for path, node in calls.get(call_name, []):
-        value = next((k.value for k in node.keywords if k.arg == param), None)
-        starred = any(isinstance(a, ast.Starred) for a in node.args)
-        if value is None and pos is not None and pos < len(node.args) and not starred:
-            value = node.args[pos]
+        value = _passed_value(node, param, pos)
         if value is not None:
             out.append((path, node.lineno, ast.unparse(value)))
     return out
+
+
+def relying_calls(call_name, param, pos, calls):
+    """How many calls of call_name take param's default: they neither pass it
+    nor unpack *args or **kwargs."""
+    return sum(
+        1
+        for _, node in calls.get(call_name, [])
+        if _passed_value(node, param, pos) is None
+        and not any(isinstance(a, ast.Starred) for a in node.args)
+        and all(k.arg is not None for k in node.keywords)
+    )
 
 
 def scan():
@@ -137,11 +168,17 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 
 def test_allowlist_names_existing_parameters():
-    assert ALLOWED <= set(scan())
+    assert set(ALLOWED) <= set(scan())
+    assert all(reason for reason in ALLOWED.values())
 
 
 if __name__ == "__main__":
-    for (module, fn, param), hits in scan().items():
+    calls = calls_by_name()
+    for (module, fn, param), (name, pos) in sorted(defaulted_parameters().items()):
+        hits = passing_calls(name, param, pos, calls)
         values = sorted({value for _, _, value in hits})
         mark = " (allowed)" if (module, fn, param) in ALLOWED else ""
-        print(f"{module} {fn}({param}){mark}: {len(hits)} calls pass it: {', '.join(values)}")
+        print(
+            f"{module} {fn}({param}){mark}: {len(hits)} calls pass it: {', '.join(values)}; "
+            f"{relying_calls(name, param, pos, calls)} rely on the default"
+        )

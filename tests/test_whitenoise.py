@@ -82,7 +82,7 @@ def test_noiseless_in_span_recovery():
     logf = GRID.synthesize(indices, coeffs)
     f = np.exp(logf)
     obs = WhiteNoiseObservation(n=N, indices=indices, values=coeffs, noise=0.0)
-    pilot = pilot_estimate(obs, f=f)
+    pilot = pilot_estimate(obs, f=f, indices=obs.indices)
     assert pilot.risk == pytest.approx(pilot.span_gap, rel=1e-12)
     assert pilot.b_tail >= 0.0
 
