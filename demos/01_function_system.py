@@ -34,7 +34,7 @@ def main():
     print(f"\nwindow (2, 2): {len(window)} functions")
     print(f"  max |Gram - I| on the grid = {np.max(np.abs(gram - np.eye(len(window)))):.3e}")
 
-    f = random_density(2, 2, make_rng(0, stream=90))
+    f = random_density(2, 2, make_rng(0, stream=90), s=11.0, L=5.0, rho_star=0.5)
     lo, hi = f.range_on_grid()
     print("\nrandom class member")
     print(f"  coefficient window  ({max(idx.j for idx in f.coeffs)}, {max(idx.j2 for idx in f.coeffs)})")

@@ -24,7 +24,7 @@ RHO_STAR = 0.5
 
 
 def main():
-    f = random_density(2, 2, make_rng(3, stream=91), rho_star=RHO_STAR)
+    f = random_density(2, 2, make_rng(3, stream=91), s=11.0, L=5.0, rho_star=RHO_STAR)
     lo_f, hi_f = f.range_on_grid()
     print(f"density range [{lo_f:.4f}, {hi_f:.4f}]; admissible band is 2 pi times that")
 
@@ -35,7 +35,7 @@ def main():
         checks = theta_spectral_check(theta, RHO_STAR)
         lo, hi = checks[0].rhs, checks[1].lhs
         ok = all(c.passed for c in checks)
-        rel = presmoothing_residual(f, theta, build_basis(n, 2, 2))[1]
+        rel = presmoothing_residual(theta, build_basis(n, 2, 2))
         print(f"  {n:>5} {lo:>10.5f} {hi:>10.5f} {str(ok):>8} {rel:>14.3e}")
     print(f"  reference band [{2 * math.pi * RHO_STAR:.5f}, {2 * math.pi / RHO_STAR:.5f}]")
 

@@ -24,7 +24,7 @@ from lsequiv.spectral import random_density
 def main():
     n = 64
     sched = schedule(n)
-    f = random_density(sched.k1, sched.k2, make_rng(4, stream=92))
+    f = random_density(sched.k1, sched.k2, make_rng(4, stream=92), s=11.0, L=5.0, rho_star=0.5)
     basis = build_basis(n, sched.k1, sched.k2)
     theta = build_theta(f, n)
     loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)

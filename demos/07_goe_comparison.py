@@ -27,7 +27,7 @@ def main():
         state = ExperimentState.build(
             basis, loc, theta=theta, rng=make_rng(cfg.seed, stream=11_000_000)
         )
-        w = whitening_matrix(fv, basis, cfg.rho_star)
+        w = whitening_matrix(fv, basis)
         cmp = goe_connection(state, w, gamma=sched.gamma)
         gap_ok = cmp.dictionary_gap_check.passed
         print(

@@ -316,28 +316,23 @@ def density_coefficients(f: SpectralDensity, basis: BasisSystem) -> np.ndarray:
     return np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
 
 
-def presmoothing_residual(f, theta: CovarianceMatrix, basis: BasisSystem):
-    """(frobErr, relErr) of theta against its basis reconstructions.
+def presmoothing_residual(theta: CovarianceMatrix, basis: BasisSystem) -> float:
+    """relErr of theta against its basis reconstruction.
 
-    theta must be build_theta(f, n) for the span density f, as the chain
-    builds it.  frobErr uses the raw matrices weighted by the density
-    coefficients; relErr whitens the Frobenius projection by theta^{-1/2} on
-    both sides: its square is tr(G G) = <G, G^T>_F for G = theta^{-1} E, one
-    band product of band_function's theta^{-1} (a Chebyshev band, or the
-    exact inverse as a full band for an ill-conditioned theta) and the
-    residual E = theta - sum_k <theta, M_k> M_k.
+    relErr whitens the Frobenius projection by theta^{-1/2} on both sides:
+    its square is tr(G G) = <G, G^T>_F for G = theta^{-1} E, one band
+    product of band_function's theta^{-1} (a Chebyshev band, or the exact
+    inverse as a full band for an ill-conditioned theta) and the residual
+    E = theta - sum_k <theta, M_k> M_k.
     """
     if basis.n != theta.n:
         raise ConfigurationError("basis size does not match theta")
-    recon = basis.band(density_coefficients(f, basis) * basis.raw_norms)
-    frob_err = signed_frob(signed_band(theta.band), signed_band(recon))
-
     inverse = band_function(theta.band, -1.0, error=RangeError, what="covariance")[0]
     proj = basis.band(basis.project(theta.band))
     resid = np.pad(theta.band, ((0, max(len(proj) - len(theta.band), 0)), (0, 0)))
     resid[: len(proj)] -= proj
     g = band_product(signed_band(inverse), signed_band(resid))
-    return frob_err, math.sqrt(max(float(np.vdot(g, band_transpose(g))), 0.0))
+    return math.sqrt(max(float(np.vdot(g, band_transpose(g))), 0.0))
 
 
 # Euler-Maclaurin for _hurwitz_zeta: direct terms, and B_2k / (2k)! for k = 1..8

@@ -152,13 +152,6 @@ class CirculantElement(_WindowTable):
         table = self.twisted_product(other, lambda j1, j1p, j2, j2p: lambda_phase(n, j1p * j2))
         return CirculantElement(n, k1, k2, table)
 
-    def inner(self, other: "CirculantElement") -> complex:
-        """Frobenius inner product <A, B> = tr(B* A) in coefficient space."""
-        self._check_peer(other)
-        k1, k2 = max(self.k1, other.k1), max(self.k2, other.k2)
-        a, b = self.table(k1, k2), other.table(k1, k2)
-        return complex(self.n * np.sum(a * np.conj(b)))
-
 
 @dataclass
 class FourierFunction(_WindowTable):

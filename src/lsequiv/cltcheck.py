@@ -743,19 +743,22 @@ _X_MAX = {1: 20.0, 2: 8.0}
 _DX = {1: 0.002, 2: 0.04}
 
 
-def _gaussian_grid(K, x_max, dx):
-    """The x grid from -x_max to x_max at step dx, and the N(0, I_K) density
-    on grid^K: what tv_oracle and edgeworth_tv (K = 2) sum over.  A K = 2
-    pair, read twice a tvdecay row, is memoized on (x_max, dx), so its arrays
-    are read-only; a K = 1 pair is read once a run and built on each call."""
+def _gaussian_grid(K):
+    """The x grid from -_X_MAX[K] to _X_MAX[K] at step _DX[K], and the
+    N(0, I_K) density on grid^K: what tv_oracle and edgeworth_tv (K = 2) sum
+    over.  The K = 2 pair, read twice a tvdecay row, is memoized, so its
+    arrays are read-only; the K = 1 pair is read once a run and built on
+    each call."""
     if K == 2:
-        return _k2_gaussian_grid(x_max, dx)
+        return _k2_gaussian_grid()
+    x_max, dx = _X_MAX[1], _DX[1]
     x = np.arange(-x_max, x_max + dx / 2, dx)
     return x, np.exp(-x * x / 2.0) / (2.0 * math.pi) ** 0.5
 
 
-@functools.lru_cache(maxsize=4)
-def _k2_gaussian_grid(x_max, dx):
+@functools.cache
+def _k2_gaussian_grid():
+    x_max, dx = _X_MAX[2], _DX[2]
     x = np.arange(-x_max, x_max + dx / 2, dx)
     phi = np.exp(-np.add.outer(x * x, x * x) / 2.0) / (2.0 * math.pi)
     x.flags.writeable = phi.flags.writeable = False
@@ -788,7 +791,7 @@ def tv_oracle(ctx, cf_override=None, details=False):
     T = _truncation(ctx)
     dw = _lattice_step(x_max, ctx.mu)
     _half_width(T, dw, K)  # refuse before the grid is allocated
-    grid, ref = _gaussian_grid(K, x_max, dx)
+    grid, ref = _gaussian_grid(K)
     dens = _lattice_density(ctx, cf_override, T, dw, grid)
     dens -= ref  # in place, as is the abs: no (N_x, N_x) temporary
     tv = float(min(max(0.5 * np.sum(np.abs(dens, out=dens)) * dx**K, 0.0), 1.0))
@@ -833,7 +836,7 @@ def edgeworth_tv(ctx) -> float:
     if ctx.K != 2:
         raise PreconditionError("edgeworth_tv supports K <= 2 only")
     dx = _DX[2]
-    x, phi = _gaussian_grid(2, _X_MAX[2], dx)
+    x, phi = _gaussian_grid(2)
     # kappa is symmetric: sum kappa He = sum_{p+q=3} C(3, p) kappa_{0^p 1^q} x_1^p x_2^q
     # - 3 sum_c (sum_a kappa_aac) x_c, as outer products of 1-d powers
     lin = 3.0 * np.trace(kappa)

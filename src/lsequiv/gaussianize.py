@@ -287,7 +287,6 @@ class ExperimentState:
     gamma_theta: np.ndarray
     gamma: np.ndarray
     c_extremes: tuple
-    config: LocalizationConfig
 
     @property
     def K(self) -> int:
@@ -325,7 +324,6 @@ class ExperimentState:
             gamma_theta=gamma_theta,
             gamma=gamma,
             c_extremes=extremes[0],
-            config=cfg,
         )
 
 

@@ -62,7 +62,6 @@ from .whitenoise import (
     pilot_estimate,
     pilot_risk_row,
     simulate_wn,
-    sufficient_Y,
 )
 
 __all__ = [
@@ -346,14 +345,14 @@ def config_density(cfg: RunConfig, k1: int = None, k2: int = None):
     )
 
 
-def whitening_matrix(f_hat, basis: BasisSystem, rho_star: float):
+def whitening_matrix(f_hat, basis: BasisSystem):
     """Circulant-type proxy for the inverse covariance root.
 
     Projects 1/sqrt(f_hat) onto the window, then pulls the projection back
     through the symmetric-map inverse, as k2 + 1 wrapped diagonals;
     |W / sqrt(2 pi)| plays the role of C^{-1/2} in the ensemble comparison.
     """
-    proj = inv_sqrt_projection(f_hat, basis.indices, rho_star)
+    proj = inv_sqrt_projection(f_hat, basis.indices)
     return psi_inverse_real(basis.n, proj.indices, proj.coeffs)
 
 
@@ -534,25 +533,16 @@ def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationRepo
         tv_null = tv_oracle(ctx, cf_override=lambda w: np.exp(-0.5 * np.sum(w * w, axis=-1)))
         out.append(CheckResult("tv-oracle-gaussian-null", "numeric-oracle", tv_null, 0.0, tol=1e-6))
 
-    # localized drift, sufficient statistic, and projection defects
+    # localized drift, sufficient-statistic covariance, and projection defects
     with _timed(report, timings) as out:
-        drift = localized_drift(
-            state.alpha_theta,
-            state.eta_tilde,
-            n,
-            basis.indices,
-            rho_star,
-            gamma=sched.gamma,
-            f=f,
+        f_hat, sup_check = localized_drift(
+            state.alpha_theta, state.eta_tilde, n, basis.indices, rho_star, gamma=sched.gamma
         )
-        y, gamma_f = sufficient_Y(
-            drift.f_hat, state.alpha_theta, basis.indices, rng=make_rng(seed, stream=206)
-        )
-        out += [drift.sup_check, gamma_min_eig_check(gamma_f, drift.f_hat)]
+        out += [sup_check, gamma_min_eig_check(f_hat, basis.indices)]
 
     with _timed(report, timings) as out:
-        proj = inv_sqrt_projection(drift.f_hat, basis.indices, rho_star)
-        out += gamma_variants(drift.f_hat, proj, basis).defect_checks
+        proj = inv_sqrt_projection(f_hat, basis.indices)
+        out += gamma_variants(proj, basis)
 
     with _timed(report, timings) as out:
         w = psi_inverse_real(n, proj.indices, proj.coeffs)
@@ -623,11 +613,9 @@ def run_equivalence_chain(cfg: RunConfig):
         theta = _stage(errors, "theta", lambda: build_theta(f, n)) if basis else None
 
         if basis is not None and theta is not None:
-            def presmooth():
-                _, rel = presmoothing_residual(f, theta, basis)
-                return rel
-
-            row["presmooth_rel"] = _stage(errors, "presmooth", presmooth)
+            row["presmooth_rel"] = _stage(
+                errors, "presmooth", lambda: presmoothing_residual(theta, basis)
+            )
 
         state = None
         if basis is not None and theta is not None:
@@ -674,8 +662,7 @@ def run_equivalence_chain(cfg: RunConfig):
         if state is not None:
             def goe_stage():
                 obs = simulate_wn(f, n, rng=make_rng(cfg.seed, stream=12_000_000 + n))
-                pilot = pilot_estimate(obs, indices=basis.indices, f=f)
-                w = whitening_matrix(pilot.density, basis, cfg.rho_star)
+                w = whitening_matrix(pilot_estimate(obs), basis)
                 return goe_connection(state, w, gamma=sched.gamma).kl
 
             row["goe_kl"] = _stage(errors, "goe", goe_stage)

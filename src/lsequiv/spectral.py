@@ -400,9 +400,9 @@ def random_density(
     k1: int,
     k2: int,
     rng,
-    s: float = 11.0,
-    L: float = 5.0,
-    rho_star: float = 0.5,
+    s: float,
+    L: float,
+    rho_star: float,
     mean: float = None,
     amplitude: float = 0.8,
 ) -> SpectralDensity:

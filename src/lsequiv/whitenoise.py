@@ -3,13 +3,13 @@
 The continuous observation dX = log f dt dx + 2 sqrt(pi/n) dW is carried
 entirely through coefficient functionals against the orthonormal basis:
 exact in law, with no time-discretization bias.  From the pilot density
-estimate the chain proceeds through the localized drift, the sufficient
-statistic in coefficient space, inverse-square-root projections and
-their circulant counterparts, down to the Gaussian-orthogonal-ensemble
-comparison.  Functionals are taken on the package's one quadrature grid
-(spectral.default_grid), and the grid functions here (the pilot density and
-its log, f_n, f_hat, the projected inverse root) are plain arrays of values
-on it.
+estimate the chain proceeds through the localized drift, the covariance of
+the sufficient statistic in coefficient space, the inverse-square-root
+projection and its circulant counterpart, down to the
+Gaussian-orthogonal-ensemble comparison.  Functionals are taken on the
+package's one quadrature grid (spectral.default_grid), and the grid
+functions here (the pilot density, f_hat, the projected inverse root) are
+plain arrays of values on it.
 """
 
 import math
@@ -19,29 +19,26 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
-    _guard_spectrum,
     band_extremes,
     band_function,
     band_product,
     band_to_dense,
     frob,
+    guarded_eig,
     is_positive_definite,
     signed_band,
     signed_frob,
     signed_to_dense,
     sym_abs,
-    sym_eig,
-    sym_inv_sqrt,
     wrapped_band,
 )
 from .circulant import (
-    CirculantElement,
     hom_defect,
     psi_forward,
     psi_inverse_real,
     real_expansion_to_element,
 )
-from .errors import PreconditionError, RangeError, SingularMatrixError
+from .errors import PreconditionError, RangeError
 from .report import CheckResult
 from .rng import make_rng
 from .spectral import default_grid, leading_indices
@@ -50,29 +47,21 @@ TWO_PI = 2.0 * math.pi
 
 # a_n * sqrt(pi n) = 2 pi exactly for a_n = 2 sqrt(pi / n)
 A_STAR = TWO_PI
-# normalization of the sufficient-statistic shift
-Y_SHIFT_SCALE = 1.0 / (TWO_PI * math.sqrt(2.0))
 
 __all__ = [
     "A_STAR",
-    "GammaVariants",
     "GoeComparison",
     "InvSqrtProjection",
-    "LocalizedDrift",
     "WhiteNoiseObservation",
-    "WhiteNoisePilot",
-    "Y_SHIFT_SCALE",
     "gamma_min_eig_check",
     "gamma_variants",
     "goe_connection",
     "inv_sqrt_projection",
     "localized_drift",
-    "log_tail_functional",
     "noise_level",
     "pilot_estimate",
     "pilot_risk_row",
     "simulate_wn",
-    "sufficient_Y",
     "target_coefficients",
 ]
 
@@ -94,19 +83,16 @@ class WhiteNoiseObservation:
     the indices walk the basis in frequency-shell order.
     """
 
-    n: int
     indices: list
     values: np.ndarray
-    noise: float
 
-    @property
-    def j_count(self) -> int:
-        return len(self.indices)
 
-    @property
-    def alpha_tilde(self) -> np.ndarray:
-        """Rescaled coefficients sqrt(2 pi n) <phi_j, dX>."""
-        return math.sqrt(TWO_PI * self.n) * self.values
+def _wn_means(f, n):
+    """The first J = ceil(sqrt(n)) indices, the drift <phi_j, log f> on them
+    by quadrature, and the noise scale a_n."""
+    grid = default_grid()
+    lead = leading_indices(int(math.ceil(math.sqrt(n))))
+    return lead, grid.project(np.log(grid._as_values(f)), lead), noise_level(n)
 
 
 def simulate_wn(f, n, rng) -> WhiteNoiseObservation:
@@ -115,13 +101,8 @@ def simulate_wn(f, n, rng) -> WhiteNoiseObservation:
     Orthonormality makes the noise part of the coefficient vector iid
     N(0, a_n^2) exactly; the drift part is <phi_j, log f> by quadrature.
     """
-    grid = default_grid()
-    j_count = int(math.ceil(math.sqrt(n)))
-    indices = leading_indices(j_count)
-    means = grid.project(np.log(grid._as_values(f)), indices)
-    a_n = noise_level(n)
-    values = means + a_n * rng.standard_normal(j_count)
-    return WhiteNoiseObservation(n=n, indices=indices, values=values, noise=a_n)
+    lead, means, a_n = _wn_means(f, n)
+    return WhiteNoiseObservation(indices=lead, values=means + a_n * rng.standard_normal(len(lead)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,65 +115,12 @@ def target_coefficients(f, indices, n):
     return default_grid().project(f, indices) * np.sqrt(TWO_PI * (n - j2))
 
 
-def log_tail_functional(f, j_count) -> float:
-    """Energy of log f beyond the first j_count basis coefficients.
+def pilot_estimate(obs) -> np.ndarray:
+    """Pilot density on the grid: the exponentiated smoothed log-observation.
 
-    Evaluated as |log f|_{L2}^2 minus the captured coefficient energy,
-    avoiding any enumeration of the discarded tail.
+    The smoother keeps every observed coefficient.
     """
-    grid = default_grid()
-    logf = np.log(grid._as_values(f))
-    total = grid.integrate(logf**2)
-    captured = np.sum(grid.project(logf, leading_indices(j_count)) ** 2)
-    return float(max(total - captured, 0.0))
-
-
-@dataclass
-class WhiteNoisePilot:
-    """Pilot density estimate and its diagnostics; log_estimate and density
-    are grid values."""
-
-    n: int
-    indices: list
-    alpha_tilde: np.ndarray
-    log_estimate: np.ndarray
-    density: np.ndarray
-    alpha_hat: np.ndarray
-    alpha_target: np.ndarray
-    span_targets: np.ndarray
-    risk: float
-    span_gap: float
-    b_tail: float
-
-
-def pilot_estimate(obs, f, indices) -> WhiteNoisePilot:
-    """Exponentiate the smoothed log-observation and project back.
-
-    The smoother keeps every observed coefficient; alpha_hat is reported
-    on `indices` (the chain's basis indices), with risk diagnostics against
-    the localization targets of the true density f.
-    """
-    grid = default_grid()
-    n = obs.n
-    scale = math.sqrt(TWO_PI * n)
-    smooth = grid.synthesize(obs.indices, obs.values)
-    density = np.exp(smooth)
-    alpha_hat = scale * grid.project(density, indices)
-    alpha_target = target_coefficients(f, indices, n)
-    span_targets = scale * grid.project(f, indices)
-    return WhiteNoisePilot(
-        n=n,
-        indices=list(indices),
-        alpha_tilde=obs.alpha_tilde,
-        log_estimate=smooth,
-        density=density,
-        alpha_hat=alpha_hat,
-        alpha_target=alpha_target,
-        span_targets=span_targets,
-        risk=float(np.sum((alpha_hat - alpha_target) ** 2)),
-        span_gap=float(np.sum((span_targets - alpha_target) ** 2)),
-        b_tail=log_tail_functional(f, obs.j_count),
-    )
+    return np.exp(default_grid().synthesize(obs.indices, obs.values))
 
 
 # pilot risk budget per basis coefficient
@@ -201,15 +129,11 @@ RISK_BOUND_PER_K = 50.0
 
 def pilot_risk_row(f, n, indices, replicates, seed):
     """One risk-study CSV row; the replicates stream through project_exp."""
-    grid = default_grid()
-    j_count = int(math.ceil(math.sqrt(n)))
-    lead = leading_indices(j_count)
-    means = grid.project(np.log(grid._as_values(f)), lead)
-    a_n = noise_level(n)
+    lead, means, a_n = _wn_means(f, n)
     rng = make_rng(seed, stream=n)
-    draws = means + a_n * rng.standard_normal((replicates, j_count))
+    draws = means + a_n * rng.standard_normal((replicates, len(lead)))
 
-    alpha_hat = math.sqrt(TWO_PI * n) * grid.project_exp(lead, draws, indices)
+    alpha_hat = math.sqrt(TWO_PI * n) * default_grid().project_exp(lead, draws, indices)
     target = target_coefficients(f, indices, n)
     risks = np.sum((alpha_hat - target) ** 2, axis=1)
     risk_mean = float(np.mean(risks))
@@ -218,7 +142,7 @@ def pilot_risk_row(f, n, indices, replicates, seed):
     return {
         "n": n,
         "K": K,
-        "J": j_count,
+        "J": len(lead),
         "replicates": replicates,
         "risk_mean": risk_mean,
         "risk_bound": bound,
@@ -230,34 +154,13 @@ def pilot_risk_row(f, n, indices, replicates, seed):
 # localized drift
 
 
-@dataclass
-class LocalizedDrift:
-    """Span density f_n, its noisy companion (both grid values), and
-    equivalence functionals."""
+def localized_drift(alpha_theta, eta_tilde, n, indices, rho_star, gamma):
+    """(f_hat, sup_check): the noisy span density and its noise check.
 
-    f_n: np.ndarray
-    f_hat: np.ndarray
-    equiv1: float
-    equiv2: float
-    sup_gap: float
-    sup_check: CheckResult
-
-
-def localized_drift(
-    alpha_theta,
-    eta_tilde,
-    n,
-    indices,
-    rho_star,
-    gamma,
-    f,
-) -> LocalizedDrift:
-    """Build f_n and f_hat from localized coefficients and noise.
-
-    f_n resynthesizes the localization targets at white-noise scale;
-    f_hat adds the truncated noise.  Both must stay inside
-    [rho*/2, 2/rho*]; equiv1 measures n/(4 pi) |log f - log f_n|^2 and
-    equiv2 the second-order log-versus-linear gap between f_n and f_hat.
+    f_n resynthesizes the localization targets at white-noise scale and
+    f_hat adds the truncated noise; both must stay inside
+    [rho*/2, 2/rho*].  f_hat is returned as grid values; sup_check bounds
+    sup |f_n - f_hat| by sqrt(K) gamma / (pi sqrt(n)).
     """
     grid = default_grid()
     alpha_theta = np.asarray(alpha_theta, dtype=float)
@@ -272,57 +175,31 @@ def localized_drift(
                 f"{name} leaves [{lo:.6g}, {hi:.6g}]: "
                 f"range [{vals.min():.6g}, {vals.max():.6g}]"
             )
-    gap = np.log(grid._as_values(f)) - np.log(fn_vals)
-    equiv1 = float(n / (4.0 * math.pi) * grid.integrate(gap**2))
-    ratio = fn_vals / fhat_vals
-    second = np.log(ratio) - (ratio - 1.0)
-    equiv2 = float(n / (4.0 * math.pi) * grid.integrate(second**2))
-
-    sup_gap = float(np.max(np.abs(fn_vals - fhat_vals)))
     sup_check = CheckResult(
         check_id="drift-sup-gap",
         ref="drift-noise-sup",
-        lhs=sup_gap,
+        lhs=float(np.max(np.abs(fn_vals - fhat_vals))),
         rhs=math.sqrt(len(indices)) * gamma / (math.pi * math.sqrt(n)),
     )
-    return LocalizedDrift(
-        f_n=fn_vals,
-        f_hat=fhat_vals,
-        equiv1=equiv1,
-        equiv2=equiv2,
-        sup_gap=sup_gap,
-        sup_check=sup_check,
-    )
+    return fhat_vals, sup_check
 
 
 # ---------------------------------------------------------------------------
 # sufficient statistic
 
 
-def sufficient_Y(f_hat, alpha_theta, indices, rng):
-    """Draw the sufficient statistic Y ~ N(Gamma alpha / (2 pi sqrt 2), Gamma).
+def gamma_min_eig_check(f_hat, indices) -> CheckResult:
+    """min eig(Gamma) >= 1 / sup(f_hat)^2, stated as rhs <= lhs flipped.
 
-    Gamma has entries int phi_j phi_j' / f_hat^2; it must be positive
-    definite, with minimum eigenvalue at least 1 / sup(f_hat)^2.
+    Gamma, the covariance of the sufficient statistic Y, has entries
+    int phi_j phi_j' / f_hat^2; f_hat must be positive and Gamma positive
+    definite.
     """
     grid = default_grid()
     fvals = grid._as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
-    gamma_f = grid.weighted_gram(indices, fvals**-2.0)
-    w, v = sym_eig(gamma_f)
-    if w.min() <= 0.0:
-        raise SingularMatrixError("coefficient covariance is not PD")
-    _guard_spectrum(w, require_pd=True)
-    mean = Y_SHIFT_SCALE * (gamma_f @ np.asarray(alpha_theta, dtype=float))
-    y = mean + ((v * np.sqrt(w)) @ v.T) @ rng.standard_normal(len(indices))
-    return y, gamma_f
-
-
-def gamma_min_eig_check(gamma_f, f_hat) -> CheckResult:
-    """min eig(Gamma) >= 1 / sup(f_hat)^2, stated as rhs <= lhs flipped."""
-    fvals = default_grid()._as_values(f_hat)
-    w, _ = sym_eig(gamma_f)
+    w, _ = guarded_eig(grid.weighted_gram(indices, fvals**-2.0), require_pd=True)
     return CheckResult(
         check_id="gamma-min-eig",
         ref="sufficient-covariance",
@@ -338,115 +215,67 @@ def gamma_min_eig_check(gamma_f, f_hat) -> CheckResult:
 
 @dataclass
 class InvSqrtProjection:
-    """Window projection of f_hat^{-1/2} (values on the grid) with sup-norm
-    diagnostics."""
+    """Window projection of f_hat^{-1/2}: its coefficients on the window,
+    and its values on the grid when they are read."""
 
     indices: list
     coeffs: np.ndarray
-    values: np.ndarray
-    sup_error: float
-    sup_check: CheckResult
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return default_grid().synthesize(self.indices, self.coeffs)
 
 
-def inv_sqrt_projection(f_hat, indices, rho_star):
+def inv_sqrt_projection(f_hat, indices):
     """Project f_hat^{-1/2} onto the index window."""
     grid = default_grid()
     fvals = grid._as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
-    target = fvals**-0.5
-    coeffs = grid.project(target, indices)
-    values = grid.synthesize(indices, coeffs)
-    sup_error = float(np.max(np.abs(values - target)))
-    sup_check = CheckResult(
-        check_id="inv-sqrt-sup",
-        ref="inv-sqrt-projection",
-        lhs=float(np.max(np.abs(values))),
-        rhs=math.sqrt(3.0 / rho_star),
-    )
-    return InvSqrtProjection(
-        indices=list(indices),
-        coeffs=coeffs,
-        values=values,
-        sup_error=sup_error,
-        sup_check=sup_check,
-    )
+    return InvSqrtProjection(indices=list(indices), coeffs=grid.project(fvals**-0.5, indices))
 
 
 # ---------------------------------------------------------------------------
-# covariance geometry in circulant coordinates
-
-
-@dataclass
-class GammaVariants:
-    """Quadrature and circulant versions of the coefficient covariance."""
-
-    gamma_f: np.ndarray
-    gamma_tilde: np.ndarray
-    gamma_check: np.ndarray
-    delta_sq: np.ndarray
-    delta_sq_bounds: np.ndarray
-    gram_gap: float
-    w_elem: CirculantElement
-    defect_checks: list
+# circulant product defects
 
 
 # empirical headroom over the K^2/n^2 + K^4/n^4 defect budget
 DEFECT_BUDGET_CONST = 200.0
 
 
-def gamma_variants(f_hat, projection, basis) -> GammaVariants:
-    """Covariance variants and the circulant product-defect accounting.
+def gamma_variants(projection, basis) -> list:
+    """The circulant product-defect checks of the projected inverse root.
 
-    gamma_tilde replaces 1/f_hat^2 by the fourth power of the projected
-    inverse root; gamma_check conjugates the cyclic dictionary by the
-    matrix counterpart W of that projection, evaluated entirely in exact
-    coefficient algebra.  delta_j is the function-space defect between
-    the conjugated dictionary element and wtilde^2 phi_j.
+    W, the matrix counterpart of the projection w, conjugates each cyclic
+    dictionary element M_j in exact coefficient algebra; delta_j is the
+    function-space defect between W M_j W and w^2 phi_j, checked against the
+    homomorphism defects of its two products, and the largest delta_j
+    against the K^2/n^2 + K^4/n^4 budget.
     """
-    grid = default_grid()
     if list(projection.indices) != list(basis.indices):
         raise PreconditionError("projection and basis must share one window")
     n = basis.n
     indices = basis.indices
-    fvals = grid._as_values(f_hat)
-    wvals = projection.values
-    sup_w = float(np.max(np.abs(wvals)))
-
-    gamma_f = grid.weighted_gram(indices, fvals**-2.0)
-    gamma_tilde = grid.weighted_gram(indices, wvals**4.0)
+    sup_w = float(np.max(np.abs(projection.values)))
 
     w_elem = real_expansion_to_element(n, indices, projection.coeffs)
-    m_elems = [real_expansion_to_element(n, [idx], [1.0]) for idx in indices]
-
-    m_w = [m * w_elem for m in m_elems]
-    conjugated = [w_elem * mw for mw in m_w]
-    K = len(indices)
-    gamma_check = np.empty((K, K))
-    for a in range(K):
-        for b in range(a, K):
-            val = (TWO_PI / n) * conjugated[a].inner(conjugated[b]).real
-            gamma_check[a, b] = val
-            gamma_check[b, a] = val
-
     w_fn = psi_forward(w_elem)
+    K = len(indices)
     delta_sq = np.empty(K)
-    delta_sq_bounds = np.empty(K)
     checks = []
-    for j, (m, mw, t) in enumerate(zip(m_elems, m_w, conjugated)):
-        phi_fn = psi_forward(m)
-        exact = psi_forward(t)
-        product = (w_fn * phi_fn) * w_fn
-        delta_sq[j] = (exact - product).l2n_sq
+    for j, idx in enumerate(indices):
+        m = real_expansion_to_element(n, [idx], [1.0])
+        mw = m * w_elem
+        product = (w_fn * psi_forward(m)) * w_fn
+        delta_sq[j] = (psi_forward(w_elem * mw) - product).l2n_sq
         _, b1 = hom_defect(w_elem, mw, convention="symmetric")
         _, b2 = hom_defect(m, w_elem, convention="symmetric")
-        delta_sq_bounds[j] = (math.sqrt(b1) + sup_w * math.sqrt(b2)) ** 2
         checks.append(
             CheckResult(
                 check_id=f"circulant-defect-{j}",
                 ref="product-defect",
                 lhs=float(delta_sq[j]),
-                rhs=float(delta_sq_bounds[j]),
+                rhs=float((math.sqrt(b1) + sup_w * math.sqrt(b2)) ** 2),
                 tol=1e-12,
             )
         )
@@ -459,19 +288,7 @@ def gamma_variants(f_hat, projection, basis) -> GammaVariants:
             rhs=float(budget),
         )
     )
-
-    inv_root = sym_inv_sqrt(gamma_f)
-    gram_gap = float(frob(inv_root @ (gamma_f - gamma_tilde) @ inv_root) ** 2)
-    return GammaVariants(
-        gamma_f=gamma_f,
-        gamma_tilde=gamma_tilde,
-        gamma_check=gamma_check,
-        delta_sq=delta_sq,
-        delta_sq_bounds=delta_sq_bounds,
-        gram_gap=gram_gap,
-        w_elem=w_elem,
-        defect_checks=checks,
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------

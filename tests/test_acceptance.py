@@ -96,7 +96,8 @@ def test_criterion_01_exact_algebra():
         assert defect <= bound
 
         # drift identity d = Gamma alpha / 2 of the summary experiment
-        theta = build_theta(random_density(3, 3, make_rng(n, stream=81)), n)
+        f = random_density(3, 3, make_rng(n, stream=81), s=11.0, L=5.0, rho_star=0.5)
+        theta = build_theta(f, n)
         alpha = basis.project(theta.band)
         _, _, inverse, _, extremes = build_localized_C(alpha, np.zeros(basis.K), basis)
         d, _, g_mat = gaussian_summaries(inverse, basis, alpha, extremes[1])
@@ -164,7 +165,7 @@ def test_criterion_04_presmoothing_decay():
     for n in cfg.n_grid:
         sched = cfg.window(n)
         basis = build_basis(n, sched.k1, sched.k2)
-        rels.append(presmoothing_residual(f, build_theta(f, n), basis)[1])
+        rels.append(presmoothing_residual(build_theta(f, n), basis))
     assert rels[0] > rels[1] > rels[2] > rels[3]
     assert rels[3] <= 0.1
     elapsed = time.perf_counter() - t0
@@ -286,7 +287,7 @@ def test_criterion_09_ensemble_match():
         state = ExperimentState.build(
             basis, loc, theta=theta, rng=make_rng(cfg.seed, stream=11_000_000)
         )
-        w_dense = whitening_matrix(fv, basis, cfg.rho_star)
+        w_dense = whitening_matrix(fv, basis)
         kls.append(goe_connection(state, w_dense, gamma=sched.gamma).kl)
     assert kls[0] > kls[1] > kls[2]
     assert all(0.0 < v < 0.05 for v in kls)

@@ -420,9 +420,9 @@ def test_band_product_matches_roll_form_bitwise(wa, wb, n):
 @pytest.mark.parametrize("k1,k2", WINDOWS)
 def test_presmoothing_residual_matches_dense(k1, k2):
     basis = build_basis(N, k1, k2)
-    f = random_density(4, 4, make_rng(k1, stream=72 + k2))
+    f = random_density(4, 4, make_rng(k1, stream=72 + k2), s=11.0, L=5.0, rho_star=0.5)
     cov = build_theta(f, N)
-    _, rel = presmoothing_residual(f, cov, basis)
+    rel = presmoothing_residual(cov, basis)
     theta = band_to_dense(cov.band)
     inv_sqrt = _dense_inv_sqrt(theta)
     resid = theta - _dense(basis, basis.project(cov.band))
@@ -435,9 +435,9 @@ def test_presmoothing_residual_full_width_theta_matches_cholesky():
     # a span density with j2 up to n - 1 gives a theta with no zero diagonal
     n = 24
     basis = build_basis(n, 1, 1)
-    f = random_density(1, n - 1, make_rng(24, stream=73))
+    f = random_density(1, n - 1, make_rng(24, stream=73), s=11.0, L=5.0, rho_star=0.5)
     cov = build_theta(f, n)
-    _, rel = presmoothing_residual(f, cov, basis)
+    rel = presmoothing_residual(cov, basis)
     theta = band_to_dense(cov.band)
     assert cov.band.shape == (n, n) and cov.band[-1, 0] != 0.0
     chol = scipy.linalg.cholesky(theta, lower=True)
@@ -453,7 +453,7 @@ def test_presmoothing_residual_rejects_indefinite_theta():
     f = SpectralDensity({BasisIndex(POS, 0, 0): -math.sqrt(2.0 * math.pi)}, 11.0, 5.0, 0.5)
     theta = build_theta(f, 16)
     with pytest.raises(RangeError, match="positive definite"):
-        presmoothing_residual(f, theta, basis)
+        presmoothing_residual(theta, basis)
 
 
 def _presmooth_oracle(theta, basis):
@@ -486,15 +486,12 @@ def test_presmoothing_residual_matches_dense_cholesky(n, case, monkeypatch):
         return out
 
     monkeypatch.setattr(basis_cov, "band_function", logged)
-    frob_err, rel = presmoothing_residual(f, cov, basis)
+    rel = presmoothing_residual(cov, basis)
     assert len(degrees) == 1 and (degrees[0] == 0) == (case == "ill")
     theta = band_to_dense(cov.band)
     want = _presmooth_oracle(theta, basis)
     assert want > 1e-8
     assert abs(rel - want) <= 1e-12 * want
-    coeffs = np.array([f.coeffs.get(idx, 0.0) for idx in basis.indices])
-    want = np.linalg.norm(theta - basis.combine(coeffs * basis.raw_norms))
-    assert abs(frob_err - want) <= 1e-12 * want
 
 
 def test_presmooth_and_abstract_pilot_stay_below_one_dense_array(traced_peak):
@@ -506,7 +503,7 @@ def test_presmooth_and_abstract_pilot_stay_below_one_dense_array(traced_peak):
     alpha = basis.project(theta.band)
 
     def run():
-        presmoothing_residual(f, theta, basis)
+        presmoothing_residual(theta, basis)
         harness._abstract_pilot_risk(theta.band, alpha, basis, cfg.replicates, make_rng(0))
 
     assert traced_peak(run) < n * n * 8
@@ -602,7 +599,7 @@ def _check_goe_against_oracle(comp, state, w):
 @pytest.mark.parametrize("k1,k2", WINDOWS)
 def test_goe_connection_matches_dense(k1, k2):
     state, w = _goe_case(k1, k2)
-    _check_goe_against_oracle(goe_connection(state, w, state.config.gamma), state, w)
+    _check_goe_against_oracle(goe_connection(state, w, 3.0), state, w)
 
 
 def test_goe_connection_matches_dense_ill_conditioned():
@@ -620,7 +617,7 @@ def test_goe_connection_matches_dense_ill_conditioned():
     w = psi_inverse_real(n, basis.indices, w_coeffs)
     lo, hi = band_extremes(state.c_band)
     assert hi / lo > 500.0 and band_function(state.c_band, -0.5)[1] == 0
-    _check_goe_against_oracle(goe_connection(state, w, state.config.gamma), state, w)
+    _check_goe_against_oracle(goe_connection(state, w, 1.0), state, w)
 
 
 def test_chain_row_of_an_ill_conditioned_density():
@@ -651,7 +648,7 @@ def test_goe_connection_takes_dense_abs_only_for_indefinite_w(
     state, w = _goe_case(2, 2, w_spread=w_spread)
     assert (np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0) == pd
     calls = linalg_calls("eigh", "eigvalsh")
-    comp = goe_connection(state, w, state.config.gamma)
+    comp = goe_connection(state, w, 3.0)
     assert [name for name, _ in calls] == ([] if pd else ["eigh"])
     monkeypatch.undo()
     _check_goe_against_oracle(comp, state, w)
@@ -703,7 +700,7 @@ def test_goe_connection_memory_peak(traced_peak):
     state, w = _goe_case(2, 2, n=n, w_spread=0.02)
     assert np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0
     width = 2 * (len(band_function(state.c_band, -0.5)[0]) - 1) + state.basis.k2
-    peak = traced_peak(lambda: goe_connection(state, w, state.config.gamma))
+    peak = traced_peak(lambda: goe_connection(state, w, 3.0))
     assert peak <= 4 * (2 * width + 1) * n * 8 <= n * n * 8 / 2
 
 
@@ -716,12 +713,12 @@ def test_goe_connection_input_guards():
     )
     # W is held as k2 + 1 = 2 wrapped diagonals; a dense W is the wrong shape
     with pytest.raises(PreconditionError, match="W must be 2 wrapped diagonals of length 40"):
-        goe_connection(state, np.eye(N), state.config.gamma)
+        goe_connection(state, np.eye(N), 3.0)
     eye = np.zeros((2, N))
     eye[0] = 1.0
     with pytest.raises(SingularMatrixError, match="not positive definite"):
         negated = dataclasses.replace(state, c_band=-state.c_band, c_extremes=band_extremes(-state.c_band))
-        goe_connection(negated, eye, state.config.gamma)
+        goe_connection(negated, eye, 3.0)
 
 
 def test_state_build_takes_one_band_function_per_matrix(monkeypatch):

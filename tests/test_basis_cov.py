@@ -37,7 +37,7 @@ from lsequiv.spectral import (
 TWO_PI = 2.0 * math.pi
 
 BASIS = build_basis(32, 1, 1)
-DENSITY = random_density(1, 1, make_rng(2, stream=30))
+DENSITY = random_density(1, 1, make_rng(2, stream=30), s=11.0, L=5.0, rho_star=0.5)
 DENSITY_SEEDS = list(range(5))
 
 
@@ -103,8 +103,6 @@ def test_callable_density_is_rejected():
             build()
     with pytest.raises(PreconditionError, match="needs a SpectralDensity"):
         density_coefficients(f, BASIS)
-    with pytest.raises(PreconditionError, match="needs a SpectralDensity"):
-        presmoothing_residual(f, build_theta(DENSITY, 32), BASIS)
     for values in (f, DENSITY.coeffs, np.ones((4, 4)), np.full((256, 256), "x")):
         with pytest.raises(PreconditionError, match="grid values"):
             default_grid().project(values, BASIS.indices)
@@ -115,7 +113,7 @@ def test_callable_density_is_rejected():
 
 @pytest.mark.parametrize("seed", DENSITY_SEEDS)
 def test_theta_spectral_window(seed):
-    f = random_density(2, 2, make_rng(seed, stream=32))
+    f = random_density(2, 2, make_rng(seed, stream=32), s=11.0, L=5.0, rho_star=0.5)
     theta = build_theta(f, 48)
     checks = theta_spectral_check(theta, 0.5)
     assert [c.check_id for c in checks] == ["covariance.eig_lower", "covariance.eig_upper"]
@@ -139,7 +137,7 @@ def test_coeff_identity_check_passes():
 
 
 def test_theta_lipschitz_check_passes():
-    g = random_density(1, 1, make_rng(3, stream=30))
+    g = random_density(1, 1, make_rng(3, stream=30), s=11.0, L=5.0, rho_star=0.5)
     checks = theta_lipschitz_check(DENSITY, g, 32)
     assert [c.check_id for c in checks] == ["theta.lipschitz_sup", "theta.lipschitz_l2"]
     assert all(c.passed for c in checks)
@@ -149,12 +147,12 @@ def test_presmoothing_residual_decreases():
     errs = []
     for n in (32, 64, 128):
         basis = build_basis(n, 1, 1)
-        frob, rel = presmoothing_residual(DENSITY, build_theta(DENSITY, n), basis)
-        assert frob > 0 and rel > 0
+        rel = presmoothing_residual(build_theta(DENSITY, n), basis)
+        assert rel > 0
         errs.append(rel)
     assert errs[0] > errs[1] > errs[2]
     with pytest.raises(ConfigurationError):
-        presmoothing_residual(DENSITY, build_theta(DENSITY, 64), build_basis(32, 1, 1))
+        presmoothing_residual(build_theta(DENSITY, 64), build_basis(32, 1, 1))
 
 
 def test_vartheta_close_to_theta_and_shrinking():
@@ -444,7 +442,7 @@ def _dense_theta(f, n):
 def test_theta_band_is_the_dense_theta(n):
     # the band holds exactly the entries the dense builder formed, of the
     # density's half-width
-    f = random_density(3, 3, make_rng(n, stream=35))
+    f = random_density(3, 3, make_rng(n, stream=35), s=11.0, L=5.0, rho_star=0.5)
     cov = build_theta(f, n)
     assert len(cov.band) == 1 + max(idx.j2 for idx, c in f.coeffs.items() if c != 0.0)
     np.testing.assert_array_equal(band_to_dense(cov.band), _dense_theta(f, n))

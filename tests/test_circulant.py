@@ -96,15 +96,6 @@ def test_element_roundtrip_and_algebra():
     assert a.frob_sq == pytest.approx(np.linalg.norm(a.to_matrix()) ** 2, rel=1e-12)
 
 
-def test_element_inner_matches_dense():
-    rng = make_rng(4, stream=21)
-    n = 10
-    a = CirculantElement(n, 1, 1, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    b = CirculantElement(n, 1, 1, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    dense = np.trace(a.to_matrix() @ b.to_matrix().conj().T)
-    assert a.inner(b) == pytest.approx(complex(dense), rel=1e-12)
-
-
 def test_psi_roundtrip_and_isometry():
     rng = make_rng(5, stream=21)
     n, k1, k2 = 16, 2, 1

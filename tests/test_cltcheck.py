@@ -439,7 +439,8 @@ def _dense_covariances(state):
 def _state(n, k1, k2):
     """A localization state, where C_theta and C differ."""
     basis = build_basis(n, k1, k2)
-    theta = build_theta(random_density(k1, k2, make_rng(2, stream=30)), n)
+    f = random_density(k1, k2, make_rng(2, stream=30), s=11.0, L=5.0, rho_star=0.5)
+    theta = build_theta(f, n)
     state = ExperimentState.build(
         basis, LocalizationConfig(beta=1.0, gamma=3.0), theta=theta, rng=make_rng(0, stream=41)
     )
@@ -486,7 +487,8 @@ def _span_case(n, k2, case):
     C = alpha_theta + eta_tilde of a localization state ("chain")."""
     if case == "chain":
         basis = build_basis(n, 0, k2)
-        theta = build_theta(random_density(0, k2, make_rng(2, stream=30)), n)
+        f = random_density(0, k2, make_rng(2, stream=30), s=11.0, L=5.0, rho_star=0.5)
+        theta = build_theta(f, n)
         state = ExperimentState.build(
             basis, LocalizationConfig(beta=1.0, gamma=3.0), theta=theta, rng=make_rng(0, stream=41)
         )
@@ -820,8 +822,8 @@ def test_symbol_certificate_refuses_compression_at_64(monkeypatch):
 
 
 def test_gaussian_grid_is_memoized_read_only():
-    x, phi = cltcheck._gaussian_grid(2, 8.0, 0.04)
-    assert cltcheck._gaussian_grid(2, 8.0, 0.04)[1] is phi
+    x, phi = cltcheck._gaussian_grid(2)
+    assert cltcheck._gaussian_grid(2)[1] is phi
     assert not x.flags.writeable and not phi.flags.writeable
     np.testing.assert_array_equal(x, K2_GRID)
     np.testing.assert_array_equal(phi, np.exp(-np.add.outer(x * x, x * x) / 2.0) / (2.0 * math.pi))
@@ -830,10 +832,10 @@ def test_gaussian_grid_is_memoized_read_only():
 def test_gaussian_grid_keeps_no_k1_grid():
     # verify reads the K = 1 pair once: it is freed with its last reference,
     # while the K = 2 pair stays memoized
-    x, phi = cltcheck._gaussian_grid(1, 20.0, 0.002)
+    x, phi = cltcheck._gaussian_grid(1)
     np.testing.assert_array_equal(x, K1_GRID)
     np.testing.assert_allclose(phi, np.exp(-(x * x) / 2.0) / np.sqrt(2.0 * np.pi), rtol=1e-15)
-    refs = [weakref.ref(phi), weakref.ref(cltcheck._gaussian_grid(2, 8.0, 0.04)[1])]
+    refs = [weakref.ref(phi), weakref.ref(cltcheck._gaussian_grid(2)[1])]
     del x, phi
     gc.collect()
     assert refs[0]() is None and refs[1]() is not None

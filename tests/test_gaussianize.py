@@ -45,7 +45,7 @@ from lsequiv.spectral import random_density
 
 N = 32
 BASIS = build_basis(N, 1, 1)
-DENSITY = random_density(1, 1, make_rng(2, stream=30))
+DENSITY = random_density(1, 1, make_rng(2, stream=30), s=11.0, L=5.0, rho_star=0.5)
 THETA = build_theta(DENSITY, N)
 LOC = LocalizationConfig(beta=1.0, gamma=3.0)
 STATE = ExperimentState.build(BASIS, LOC, theta=THETA, rng=make_rng(0, stream=41))
@@ -320,7 +320,8 @@ def test_loglik_differences_match_dense_cho_solve():
 def state_256():
     # a state at verify's n = 256, where 800 draws take four row blocks
     basis = build_basis(256, 1, 1)
-    theta = build_theta(random_density(1, 1, make_rng(2, stream=30)), 256)
+    f = random_density(1, 1, make_rng(2, stream=30), s=11.0, L=5.0, rho_star=0.5)
+    theta = build_theta(f, 256)
     return ExperimentState.build(basis, LOC, theta=theta, rng=make_rng(0, stream=41))
 
 

@@ -38,7 +38,7 @@ from lsequiv.harness import (
     whitening_matrix,
 )
 from lsequiv.rng import make_rng
-from lsequiv.spectral import GRID_NODES, default_grid
+from lsequiv.spectral import GRID_NODES, QuadratureGrid, default_grid
 
 DIV_PAIRS = []
 _rng = make_rng(17, stream=70)
@@ -213,7 +213,7 @@ def test_chain_row_past_dense_limit_keeps_band_stages():
 def test_whitening_matrix_constant_density_is_identity():
     basis = build_basis(32, 1, 1)
     ones = np.ones((GRID_NODES, GRID_NODES))
-    w = whitening_matrix(ones, basis, 0.5)
+    w = whitening_matrix(ones, basis)
     assert w.shape == (basis.k2 + 1, 32)
     np.testing.assert_allclose(band_to_dense(w), np.eye(32), atol=1e-12)
 
@@ -229,6 +229,20 @@ def test_run_verify_passes_and_serializes_stably():
     assert payload["schema"] == "lsp-equiv/1"
     assert payload["all_pass"] is True
     assert all(e["pass"] for e in payload["checks"])
+
+
+def test_run_verify_builds_gamma_once(monkeypatch):
+    # Gamma = [int phi_j phi_j' / f_hat^2] is built once, for its min-eig check
+    calls = []
+    weighted_gram = QuadratureGrid.weighted_gram
+
+    def counted(self, indices, weights):
+        calls.append(len(indices))
+        return weighted_gram(self, indices, weights)
+
+    monkeypatch.setattr(QuadratureGrid, "weighted_gram", counted)
+    assert run_verify(n=32, seed=0).all_passed
+    assert calls == [schedule(32).K]
 
 
 def test_equivalence_chain_row_layout():

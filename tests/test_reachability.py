@@ -50,6 +50,7 @@ ALLOWED = {
     "gaussianize.py:_gaussian_vector": SAMPLER,
     "gaussianize.py:ExperimentState.gamma_tilde": SAMPLER,
     "_linalg.py:sym_abs": "reference for test_goe_connection_matches_dense_stacks",
+    "_linalg.py:sym_inv_sqrt": "reference for test_goe_connection_matches_dense_stacks",
     "basis_cov.py:BasisSystem.spectral_norms": "reference for test_neumann_residual_below_series_bound",
     "basis_cov.py:abstract_rho": "reference for test_criterion_08_pilot_risk",
     "circulant.py:CirculantElement.to_matrix": "reference for test_element_product_matches_dense",

@@ -216,7 +216,7 @@ RANDOM_DENSITY_SEEDS = list(range(6))
 
 @pytest.mark.parametrize("seed", RANDOM_DENSITY_SEEDS)
 def test_random_density_membership(seed):
-    f = random_density(2, 2, make_rng(seed, stream=1))
+    f = random_density(2, 2, make_rng(seed, stream=1), s=11.0, L=5.0, rho_star=0.5)
     checks = f.check_membership()
     assert [c.check_id for c in checks] == [
         "density.smoothness", "density.lower", "density.upper",
@@ -229,7 +229,7 @@ def test_random_density_membership(seed):
 
 
 def test_random_density_default_mean():
-    f = random_density(1, 1, make_rng(0, stream=1), rho_star=0.5)
+    f = random_density(1, 1, make_rng(0, stream=1), s=11.0, L=5.0, rho_star=0.5)
     # default centering at the midpoint of the admissible band
     assert f.mean_level() == pytest.approx(0.5 * (0.5 + 2.0), rel=1e-12)
 
@@ -241,7 +241,7 @@ def test_require_membership_raises_on_violation():
 
 
 def test_scaled_deviation_keeps_mean():
-    f = random_density(2, 2, make_rng(9, stream=1))
+    f = random_density(2, 2, make_rng(9, stream=1), s=11.0, L=5.0, rho_star=0.5)
     g = f.scaled_deviation(0.5)
     assert g.mean_level() == pytest.approx(f.mean_level(), rel=1e-12)
     idx = BasisIndex("+", 1, 1)
