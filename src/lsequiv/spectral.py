@@ -5,11 +5,13 @@ The basis is cos(2*pi*j*t)*cos(j2*x) ("+" parity) and sin(2*pi*j*t)*cos(j2*x)
 SpectralDensity, a finite expansion in this basis, and never a callable.  It
 carries a smoothness budget: the squared coefficients weighted by
 (j^2 + j2^2)^s must stay below L, and the values must stay inside
-[rho, 1/rho].  Everything here is exact trig algebra or Gauss-Legendre
-quadrature; no FFT shortcuts, so the same code paths serve tests and
-verification reports.  Quadrature runs on one fixed grid, GRID_NODES = 256
-nodes per axis (see QuadratureGrid for why that suffices), reached through
+[rho, 1/rho].  Everything here is exact trig algebra or quadrature, with no
+FFT shortcuts, so the same code paths serve tests and verification reports.
+Quadrature runs on one fixed Gauss-Legendre grid, GRID_NODES = 256 nodes per
+axis (see QuadratureGrid for why that suffices), reached through
 default_grid(); a function on it is held as the plain array of its values.
+Only the white-noise pilot's project_exp leaves it: its integrand is entire
+and periodic, where a trapezoid rule of certified order needs fewer nodes.
 A moving-average symbol A(u, x) is one complex coefficient table
 a[r + k1, m + k2] of e^{2 pi i r u} e^{i m x}, the layout of
 circulant.FourierFunction, evaluated by the shared table_eval; its covariance
@@ -112,21 +114,26 @@ def leading_indices(count: int) -> list:
     return [BasisIndex(parity, j, j2) for _, parity, j, j2 in pool[:count]]
 
 
-# Half-grid entries of one block of exponentiated replicates in project_exp
-# (4 MB, 16 rows of 256 x 128)
-_EXP_BLOCK = 1 << 19
-
 # Gauss-Legendre nodes per axis of the one quadrature grid; index tuples whose
 # factors it keeps at a time
 GRID_NODES, _FACTOR_CACHE = 256, 32
 
 
+def _separable(indices, t, x):
+    """(T, X) with phi_k(t_a, x_b) = T[a, k] * X[b, k] at nodes t, x; norms sit in T."""
+    j, j2 = (np.array([getattr(idx, f) for idx in indices], dtype=float) for f in ("j", "j2"))
+    arg, norms = np.outer(t, TWO_PI * j), np.array([basis_norm(idx) for idx in indices])
+    sin = np.array([idx.parity == NEG for idx in indices])
+    return norms * np.where(sin, np.sin(arg), np.cos(arg)), np.cos(np.outer(x, j2))
+
+
 class QuadratureGrid:
     """Tensor Gauss-Legendre grid on [0,1] x [-pi,pi], GRID_NODES per axis.
 
-    It is the one grid of the package: every coefficient functional, range
-    check and grid integral is taken on it, and a grid function is a plain
-    (GRID_NODES, GRID_NODES) array of its values at the nodes, t first.
+    It is the one grid of the package: every coefficient functional but
+    project_exp's (see there), every range check and grid integral is taken
+    on it, and a grid function is a plain (GRID_NODES, GRID_NODES) array of
+    its values at the nodes, t first.
     An m-node rule is exact for polynomials of degree 2m - 1 and converges
     geometrically on analytic integrands.  The integrands here are trig
     polynomials of low frequency (at most 12 per axis for the pilot's
@@ -153,12 +160,7 @@ class QuadratureGrid:
         if key not in self._factors:
             if len(self._factors) >= _FACTOR_CACHE:
                 self._factors.clear()
-            j = np.array([idx.j for idx in key], dtype=float)
-            j2 = np.array([idx.j2 for idx in key], dtype=float)
-            sin = np.array([idx.parity == NEG for idx in key])
-            norms = np.array([basis_norm(idx) for idx in key])
-            arg = np.outer(self.t, TWO_PI * j)
-            T, X = norms * np.where(sin, np.sin(arg), np.cos(arg)), np.cos(np.outer(self.x, j2))
+            T, X = _separable(key, self.t, self.x)
             T.flags.writeable = X.flags.writeable = False
             self._factors[key] = T, X
         return self._factors[key]
@@ -177,39 +179,6 @@ class QuadratureGrid:
         T, X = self.factors(indices)
         values = self._as_values(values)
         return np.sum((self.wt[:, None] * T) * (values @ (self.wx[:, None] * X)), axis=-2)
-
-    def project_exp(self, lead, coeffs, indices) -> np.ndarray:
-        """project(exp(synthesize(lead, c)), indices) for each row c of an
-        (R, J) coeffs -> (R, K), folded onto the nodes x > 0.
-
-        The x-nodes and weights mirror exactly (x[-1 - b] = -x[b]) and every
-        basis function is even in x (cos(j2 x)), so exp of a synthesis is
-        even too, and the projection is a sum over the x > 0 half of the
-        grid with doubled weights.  The synthesis runs through the distinct
-        cos(j2 x) of the lead set, one column per frequency.  The rows pass
-        in blocks of at most _EXP_BLOCK half-grid entries through one reused
-        buffer, so memory does not grow with R, and each row takes the
-        products it would take alone, so blocking does not change results."""
-        half = slice(GRID_NODES // 2, None)
-        T, _ = self.factors(lead)
-        j2 = np.array([idx.j2 for idx in lead], dtype=float)
-        freqs = np.array(sorted(set(j2)))
-        # group[k, m] = 1 where lead k has the frequency freqs[m]
-        group = np.equal.outer(j2, freqs).astype(float)
-        Xf = np.cos(np.outer(self.x[half], freqs))
-        Tk, Xk = self.factors(indices)
-        wT, wX = self.wt[:, None] * Tk, (2.0 * self.wx[half, None]) * Xk[half]
-        coeffs = np.asarray(coeffs, dtype=float)
-        step = max(1, _EXP_BLOCK // (GRID_NODES * len(Xf)))
-        buf = np.empty((min(step, len(coeffs)), GRID_NODES, len(Xf)))
-        out = np.empty((len(coeffs), Tk.shape[1]))
-        for r0 in range(0, len(coeffs), step):
-            rows = coeffs[r0 : r0 + step]
-            vals = buf[: len(rows)]
-            np.matmul(T @ (rows[:, :, None] * group), Xf.T, out=vals)
-            np.exp(vals, out=vals)
-            out[r0 : r0 + len(rows)] = np.sum(wT * (vals @ wX), axis=-2)
-        return out
 
     def synthesize(self, indices, coeffs):
         """sum_k c_k phi_k on the grid; coeffs (..., K) -> (..., t, x)."""
@@ -248,6 +217,76 @@ def default_grid() -> QuadratureGrid:
     if _DEFAULT_GRID is None:
         _DEFAULT_GRID = QuadratureGrid()
     return _DEFAULT_GRID
+
+
+# project_exp's relative accuracy, its ladder step and largest order, the strip
+# half-widths its bound tries, and the entries of one block of replicates (0.5 MB)
+_EXP_TOL, _EXP_STEP, _EXP_CAP, _EXP_BLOCK = 1e-15, 16, 1024, 1 << 16
+_EXP_STRIPS = 2.0 ** (np.arange(-24, 9) / 4.0)
+
+
+def _exp_orders(lead, coeffs, indices):
+    """Per row, the least order N on the ladder of _EXP_STEP multiples with
+    min_a 4 pi (M_t + M_x) / (e^{aN} - 1) <= _EXP_TOL e^l over a in
+    _EXP_STRIPS (see project_exp); RangeError above _EXP_CAP.  On each axis
+    |cos|, |sin| <= cosh(f a) at frequency f, so log M - l <=
+    sum_{j != 00} |c_j| |phi_j|_inf cosh(f_j a) + max_k f_k a."""
+    sup = np.abs(coeffs) * [basis_norm(idx) for idx in lead]
+    sup[:, [idx.j == idx.j2 == 0 for idx in lead]] = 0.0
+    log_t, log_x = (
+        sup @ np.cosh(np.outer([getattr(idx, f) for idx in lead], _EXP_STRIPS))
+        + max(getattr(idx, f) for idx in indices) * _EXP_STRIPS
+        for f in ("j", "j2")
+    )
+    log_m = math.log(2.0 * TWO_PI / _EXP_TOL) + np.logaddexp(log_t, log_x)
+    need = np.logaddexp(0.0, log_m) / _EXP_STRIPS  # e^{aN} >= 1 + e^{log_m}
+    orders = _EXP_STEP * np.ceil(np.min(need, axis=1, initial=math.inf) / _EXP_STEP)
+    if np.any(orders > _EXP_CAP):
+        raise RangeError(f"exp projection needs order {np.max(orders):.6g} > {_EXP_CAP}")
+    return orders.astype(int)
+
+
+def _trapezoid_project_exp(lead, coeffs, indices, order):
+    """project_exp's rule at one order.  The rows pass in blocks of at most
+    _EXP_BLOCK entries through one reused buffer, each taking the products
+    it would take alone."""
+    t, x = np.arange(order) / order, TWO_PI * np.arange(order // 2 + 1) / order
+    (T, X), (Tk, Xk) = _separable(lead, t, x), _separable(indices, t, x)
+    freqs = sorted(set(j2 := [idx.j2 for idx in lead]))
+    # group[k, m] = 1 where lead k has the frequency freqs[m]
+    group, Xf = np.equal.outer(j2, freqs).astype(float), X[:, [j2.index(f) for f in freqs]]
+    wT, wX = Tk / order, np.r_[1.0, np.full(order // 2 - 1, 2.0), 1.0][:, None] * (TWO_PI / order) * Xk
+    step = max(1, _EXP_BLOCK // (order * len(x)))
+    buf = np.empty((min(step, len(coeffs)), order, len(x)))
+    out = np.empty((len(coeffs), len(indices)))
+    for r0 in range(0, len(coeffs), step):
+        rows = coeffs[r0 : r0 + step]
+        vals = buf[: len(rows)]
+        np.matmul(T @ (rows[:, :, None] * group), Xf.T, out=vals)
+        np.exp(vals, out=vals)
+        out[r0 : r0 + len(rows)] = np.sum(wT * (vals @ wX), axis=-2)
+    return out
+
+
+def project_exp(lead, coeffs, indices) -> np.ndarray:
+    """project(exp(synthesize(lead, c)), indices) for each row c of an (R, J)
+    coeffs -> (R, K), to within _EXP_TOL e^l per coefficient, l = c_00 phi_00.
+
+    The one functional off the Gauss-Legendre grid.  exp(p) phi_k is entire
+    and periodic, so the N-point product trapezoid rule misses its integral by
+    at most 4 pi (M_t + M_x) / (e^{aN} - 1), M_t and M_x its bounds on
+    |Im 2 pi t| <= a and |Im x| <= a (Trefethen & Weideman, SIAM Rev. 56,
+    2014, Thm 3.2, on each axis).  Each row takes its least certified N
+    (_exp_orders): 48 to 80 nodes per axis at n <= 4096 instead of 256.  The
+    rule is folded onto the N / 2 + 1 nodes x in [0, pi] (the integrand is
+    even in x) and synthesizes through the distinct cos(j2 x) of the lead set.
+    Rows are grouped by order, and each gets the result it gets alone."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    orders = _exp_orders(lead, coeffs, indices)
+    out = np.empty((len(coeffs), len(indices)))
+    for order in sorted(set(orders.tolist())):
+        out[orders == order] = _trapezoid_project_exp(lead, coeffs[orders == order], indices, order)
+    return out
 
 
 @dataclass

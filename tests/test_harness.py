@@ -526,12 +526,21 @@ def test_lapack_routines_are_the_ones_scipy_exports():
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--n", "64"], ["chain", "--n", "64"], ["tvdecay", "--config", "{tv_k2}", "--n", "64"]],
-    ids=["verify", "chain", "tvdecay-k2"],
+    [
+        ["verify", "--n", "64"],
+        ["chain", "--n", "64"],
+        ["tvdecay", "--config", "{tv_k2}", "--n", "64"],
+        ["tvdecay", "--n", "64"],
+        ["riskstudy", "--n", "64"],
+    ],
+    ids=["verify", "chain", "tvdecay-k2", "tvdecay", "riskstudy"],
 )
 def test_commands_import_nothing_after_setup(argv, tmp_path):
     # a module a command loads on first use is paid inside its timed run; the
-    # last line printed is the exit code and the modules the command added
+    # last line printed is the exit code and the modules the command added.
+    # A plain np.unique loads numpy.ma on its first call (about 15 ms):
+    # riskstudy runs pilot_risk_row and the default tvdecay (K = 1) calls
+    # np.unique with counts
     config = tmp_path / "tv-k2.json"
     config.write_text(json.dumps({"k1": 0, "k2": 1}))
     argv = [a.format(tv_k2=config) for a in argv] + ["--out", str(tmp_path)]

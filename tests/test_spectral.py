@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lsequiv import spectral
 from lsequiv.errors import ConfigurationError, RangeError
 from lsequiv.rng import make_rng
 from lsequiv.spectral import (
@@ -15,9 +16,11 @@ from lsequiv.spectral import (
     default_grid,
     enumerate_indices,
     leading_indices,
+    project_exp,
     random_density,
     random_transfer,
 )
+from lsequiv.whitenoise import _wn_means
 
 GRID = default_grid()
 
@@ -183,13 +186,14 @@ def test_grid_stacked_maps_equal_row_by_row():
 
 @pytest.mark.parametrize("reps", [1, 7, 8, 9, 15, 16, 17, 100])
 def test_project_exp_equals_stacked_maps(reps):
-    # one row, short blocks, an exact 16-row block, a ragged last block, many
-    # blocks: the stacked call equals its row-at-a-time maps bit for bit
+    # one row, short blocks, rows of two orders, a ragged last block of the
+    # 54-row blocks at order 48: the stacked call equals its row-at-a-time
+    # maps bit for bit
     lead = leading_indices(16)
     coeffs = 0.3 * make_rng(reps, stream=4).standard_normal((reps, len(lead)))
-    got = GRID.project_exp(lead, coeffs, GRID_INDICES)
+    got = project_exp(lead, coeffs, GRID_INDICES)
     assert got.shape == (reps, len(GRID_INDICES))
-    rows = [GRID.project_exp(lead, coeffs[r : r + 1], GRID_INDICES)[0] for r in range(reps)]
+    rows = [project_exp(lead, coeffs[r : r + 1], GRID_INDICES)[0] for r in range(reps)]
     assert np.array_equal(got, np.stack(rows))
 
 
@@ -199,16 +203,112 @@ def test_project_exp_matches_unfolded_projection(reps):
     lead = leading_indices(32)
     coeffs = 0.3 * make_rng(reps, stream=5).standard_normal((reps, len(lead)))
     want = GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES)
-    got = GRID.project_exp(lead, coeffs, GRID_INDICES)
+    got = project_exp(lead, coeffs, GRID_INDICES)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
-def test_grid_mirrors_for_the_fold():
-    # project_exp's premise: the x-nodes and weights mirror, and every
-    # cos(j2 x) the pilot synthesizes is even, to the bit
-    assert np.array_equal(GRID.x[::-1], -GRID.x) and np.array_equal(GRID.wx[::-1], GRID.wx)
-    for j2 in range(13):
-        assert np.array_equal(np.cos(j2 * GRID.x[::-1]), np.cos(j2 * GRID.x))
+def _pilot_draws(n, scale):
+    """Five rows of the pilot's ceil(sqrt(n)) leading coefficients: scale times
+    standard normals, or (scale None) chain-like draws around the projected
+    log of a class density with the noise a_n."""
+    lead, means, a_n = _wn_means(PILOT_DENSITY, n)
+    z = make_rng(n, stream=6).standard_normal((5, len(lead)))
+    return lead, (means + a_n * z if scale is None else scale * z)
+
+
+def _trapezoid_bound(lead, coeff, order):
+    """The certificate's bound on the error at one order for one row,
+    relative to e^l: min over the strips a of 4 pi (M_t + M_x) / (e^{a order} - 1),
+    each M bounding |exp(p) phi_k| e^-l on its axis's strip, summed term by term."""
+    best = math.inf
+    for a in spectral._EXP_STRIPS:
+        logs = []
+        for axis in ("j", "j2"):
+            log_m = max(getattr(idx, axis) for idx in GRID_INDICES) * a
+            for idx, c in zip(lead, coeff):
+                if (idx.j, idx.j2) != (0, 0):
+                    log_m += abs(c) * basis_norm(idx) * math.cosh(getattr(idx, axis) * a)
+            logs.append(log_m)
+        best = min(best, math.log(4.0 * math.pi) + np.logaddexp(*logs) - math.log(math.expm1(a * order)))
+    return math.exp(best)
+
+
+PILOT_DENSITY = random_density(2, 2, make_rng(0, stream=1), s=11.0, L=5.0, rho_star=0.5)
+# not n = 65536 at scale 0.3: there p spans [-9, 8], the rows need 656 to 688
+# nodes, and the 256-node Gauss-Legendre oracle is off by 3e-11 of the largest
+# coefficient where the 1024-node trapezoid rule agrees to 2e-15
+ORACLE_CASES = [(64, 0.3), (1024, 0.3), (16384, 0.3), (64, None), (1024, None), (16384, None), (65536, None)]
+
+
+@pytest.mark.parametrize("n,scale", ORACLE_CASES)
+def test_project_exp_matches_grid_oracle(n, scale):
+    lead, coeffs = _pilot_draws(n, scale)
+    want = GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES)
+    got = project_exp(lead, coeffs, GRID_INDICES)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n,scale", [(64, 0.3), (1024, 0.3), (1024, None), (16384, None)])
+def test_project_exp_certificate_is_sound_and_minimal(n, scale):
+    # every ladder order up to the chosen one stays within its own bound of
+    # the oracle (plus its rounding), and the chosen order is the first whose
+    # bound is at most the tolerance
+    lead, coeffs = _pilot_draws(n, scale)
+    want = GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES)
+    level = np.exp(coeffs[:, 0] * basis_norm(lead[0]))[:, None]
+    orders = spectral._exp_orders(lead, coeffs, GRID_INDICES)
+    step = spectral._EXP_STEP
+    for r, chosen in enumerate(orders):
+        bounds = [_trapezoid_bound(lead, coeffs[r], m) for m in range(step, chosen + 1, step)]
+        assert bounds[-1] <= spectral._EXP_TOL < min(bounds[:-1], default=math.inf)
+        for m, bound in zip(range(step, chosen + 1, step), bounds):
+            got = spectral._trapezoid_project_exp(lead, coeffs[r : r + 1], GRID_INDICES, m)[0]
+            err = np.max(np.abs(got - want[r]))
+            assert err <= bound * level[r, 0] + 1e-14 * np.max(np.abs(want[r]))
+
+
+def test_project_exp_groups_rows_by_order():
+    # rows of three scales need three orders; each row is its own order's
+    # rule, bit for bit, wherever it sits in the call
+    lead = leading_indices(32)
+    z = make_rng(7, stream=7).standard_normal((9, len(lead)))
+    coeffs = np.repeat([0.02, 0.1, 0.3], 3)[:, None] * z
+    orders = spectral._exp_orders(lead, coeffs, GRID_INDICES)
+    assert len(set(orders.tolist())) == 3
+    got = project_exp(lead, coeffs, GRID_INDICES)
+    for r, order in enumerate(orders):
+        alone = spectral._trapezoid_project_exp(lead, coeffs[r : r + 1], GRID_INDICES, order)
+        assert np.array_equal(got[r], alone[0])
+
+
+def test_project_exp_cap_raises_before_allocating(traced_peak):
+    # a 1024-node row block alone would take 4 MB
+    lead = leading_indices(32)
+    coeffs = np.full((100, len(lead)), 50.0)
+
+    def call():
+        with pytest.raises(RangeError, match="exp projection needs order"):
+            project_exp(lead, coeffs, GRID_INDICES)
+
+    assert traced_peak(call) < 2e5
+
+
+def test_trapezoid_fold_equals_full_period_sum():
+    # the folded rule's premise: on the nodes 2 pi b / N the integrand is even
+    # in x, so the N / 2 + 1 nodes x in [0, pi] with the inner ones doubled
+    # give the full N-point trapezoid sum on the period
+    lead = leading_indices(32)
+    coeffs = 0.3 * make_rng(3, stream=8).standard_normal((2, len(lead)))
+    order = 48
+    t = (np.arange(order) / order)[:, None]
+    x = (2.0 * math.pi * np.arange(order) / order)[None, :]
+    p = sum(c[:, None, None] * basis_eval(idx, t, x) for idx, c in zip(lead, coeffs.T))
+    want = [
+        [np.sum(np.exp(p[r]) * basis_eval(idx, t, x)) * 2.0 * math.pi / order**2 for idx in GRID_INDICES]
+        for r in range(2)
+    ]
+    got = spectral._trapezoid_project_exp(lead, coeffs, GRID_INDICES, order)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 RANDOM_DENSITY_SEEDS = list(range(6))

@@ -102,8 +102,8 @@ def test_pilot_risk_row_matches_stacked_formula():
 
 
 def test_pilot_risk_row_memory_does_not_grow_with_replicates(traced_peak):
-    # the replicates stream through one 16-row (16, 256, 128) block (4 MB);
-    # the stacked form held all of them, 213 MB at 400
+    # the replicates stream through one block of at most 2^16 trapezoid
+    # nodes (0.5 MB); the stacked form held all of them, 213 MB at 400
     peaks = [
         traced_peak(lambda: pilot_risk_row(DENSITY, 256, BASIS.indices, reps, seed=1))
         for reps in (16, 400)
