@@ -13,8 +13,9 @@ its own: importing the scipy package would double the start-up time of every
 command line run.  A non-finite band raises PreconditionError before it
 reaches LAPACK.  A function x**power (-1 <= power < 0) of an SPD band is a
 Chebyshev polynomial in it, held as a band of certified half-width
-(``band_function``); a band too ill-conditioned for that half-width to stay
-below 4 sqrt(n) is given the exact function, dense.
+(``band_function``); several powers share one three-term recurrence, run on
+lower halves since each T_k is symmetric.  A band too ill-conditioned for
+that half-width to stay below 4 sqrt(n) is given the exact function, dense.
 
 A symmetric wrapped band of half-width w has A[i, l] = 0 unless the cyclic
 distance min(|i - l|, n - |i - l|) is at most w, with 2w < n; the cyclic
@@ -34,6 +35,9 @@ Products of bands (not symmetric in general) use signed storage,
 plain band is zero where i + s leaves [0, n), so one layout serves plain and
 wrapped bands, and rows s >= 0 of a symmetric result are its lower band
 storage.  Rows s and s - n add up to one cyclic diagonal (``signed_to_dense``).
+A symmetric S M S is formed by those rows only (``band_sandwich``), about
+half the work of both halves, and |G - H|_F of two symmetric results is read
+from their lower halves (``lower_frob``).
 """
 
 from __future__ import annotations
@@ -301,12 +305,6 @@ def signed_band(ab):
     return g
 
 
-def _accumulate(out, g, scale):
-    """out += scale * g for signed storage g no wider than out."""
-    wo, wg = out.shape[0] // 2, g.shape[0] // 2
-    out[wo - wg : wo + wg + 1] += scale * g
-
-
 def band_transpose(g):
     """A^T in signed storage."""
     w, n = len(g) // 2, g.shape[1]
@@ -384,14 +382,56 @@ def band_product(a, b):
     return out
 
 
+def _lower_product(a, b):
+    """Rows s >= 0 of A @ B in signed storage, for wa >= wb: band_product's
+    loop with each diagonal of B applied only to the rows of A that land at
+    s >= 0, (2 wb + 1)(wa + 1) n work, or the lower half of its dense matmul
+    when the product fills (wa + wb >= n).  Each entry gains the same terms
+    in the same order, so the rows are bitwise band_product's."""
+    wa, wb, n = a.shape[0] // 2, b.shape[0] // 2, a.shape[1]
+    if wa + wb >= n:
+        g = band_product(a, b)
+        return g[len(g) // 2 :]
+    out = np.zeros((wa + wb + 1, n))
+    term = np.empty_like(out)
+    for t in range(-wb, wb + 1):
+        # rows u >= -t of A land at s = u + t >= 0
+        k, part = t % n, term[: wa + t + 1]
+        np.multiply(a[wa - t :, k:], b[wb + t, : n - k], out=part[:, : n - k])
+        np.multiply(a[wa - t :, :k], b[wb + t, n - k :], out=part[:, n - k :])
+        out[: wa + t + 1] += part
+    return out
+
+
+def band_sandwich(s, m):
+    """S @ M @ S in lower band storage (rows s >= 0 of signed storage, of
+    half-width 2 ws + wm) for symmetric S and M in signed storage, plain or
+    wrapped.  S M is one band_product; of (S M) S only the rows s >= 0 are
+    formed, bitwise those of band_product(band_product(s, m), s)."""
+    return _lower_product(band_product(s, m), s)
+
+
+def lower_frob(g, h):
+    """|G - H|_F for symmetric G and H in lower band storage: |D_0|^2 plus
+    twice the squares of the rows s >= 1 of D = G - H, each of which stands
+    for itself and its mirror row -s.  Where rows s and s - n name one
+    cyclic diagonal (2w >= n) the difference is formed by signed_frob."""
+    g, h = (g, h) if len(g) >= len(h) else (h, g)
+    if 2 * (len(g) - 1) >= g.shape[1]:
+        return signed_frob(signed_band(g), signed_band(h))
+    d = g.copy()
+    d[: len(h)] -= h
+    return math.sqrt(float(np.dot(d[0], d[0])) + 2.0 * float(np.vdot(d[1:], d[1:])))
+
+
 def signed_frob(g, h):
     """|G - H|_F for matrices in signed storage, the difference formed entry
     by entry.  Rows that name one cyclic diagonal (2w >= n) are summed first;
     that is the only case that forms an n x n array."""
     # the wider copied, the narrower subtracted: +-(G - H)
     g, h = (g, h) if len(g) >= len(h) else (h, g)
-    g = g.copy()
-    _accumulate(g, h, -1.0)
+    g, lo = g.copy(), len(g) // 2 - len(h) // 2
+    g[lo : lo + len(h)] -= h
     if len(g) > g.shape[1]:
         g = signed_to_dense(g)
     return frob(g)
@@ -405,7 +445,8 @@ CHEB_TOL = 1e-15
 def band_function(ab, power, extremes=None, error=SingularMatrixError, what="matrix"):
     """(A**power, degree, bound) for an SPD A in lower band storage and
     -1 <= power < 0, with extremes = (min eig, max eig) of A taken from
-    band_extremes when not given.  A**power is lower band storage of
+    band_extremes when not given; for a tuple of powers, a tuple of those
+    triples from one recurrence.  A**power is lower band storage of
     half-width degree k2 < 4 sqrt(n), or of n - 1 with degree 0 when exact.
 
     With spec(A) in [lo, hi], kappa = hi / lo and rho = (sqrt(kappa) + 1) /
@@ -415,11 +456,14 @@ def band_function(ab, power, extremes=None, error=SingularMatrixError, what="mat
     degree d is within bound = 4 M rho**-d / (rho - 1) of A**power in the
     2-norm, rounding aside (the Bernstein-ellipse bound; Demko, Moss and
     Smith 1984), and d is the least degree with bound <= CHEB_TOL
-    |A**power|_2.  It is summed by the three-term recurrence on signed
-    storage.  Its band products cost O((d k2)^2 n); past d max(k2, 1) >=
-    4 sqrt(n) the exact A**power is cheaper, dense: A**-1 from the banded
-    Cholesky factor (dpbtrs), any other power from the eigenvectors of dsbevd,
-    and products of it by BLAS (band_product).  With one BLAS thread the two
+    |A**power|_2.  It is summed by the three-term recurrence on lower band
+    storage, since each T_k(X) is symmetric: T_{k+1} takes only the rows
+    s >= 0 of T_k X (_lower_product), and each power sums the T_k up to its own
+    degree, so its band is bitwise the one a call for it alone returns.
+    The band products cost O((d k2)^2 n); past d max(k2, 1) >= 4 sqrt(n)
+    the exact A**power is cheaper, dense: A**-1 from the banded Cholesky
+    factor (dpbtrs), any other power from the eigenvectors of dsbevd, and
+    products of it by BLAS (band_product).  With one BLAS thread the two
     paths cost the same near half-width 90 at n = 512 and 1024 and near 140
     at n = 2048.  An indefinite or (near-)singular A raises error first; the
     exact path past DENSE_N_MAX raises PreconditionError.
@@ -431,39 +475,54 @@ def band_function(ab, power, extremes=None, error=SingularMatrixError, what="mat
     lo, hi = lo - 1e-14 * hi, hi + 1e-14 * hi
     root = math.sqrt(hi / lo)
     rho = (root + 1.0) / (root - 1.0)
-    scale = (lo * hi) ** (0.5 * power)
-    ratio = 4.0 * scale / ((rho - 1.0) * CHEB_TOL * lo**power)
-    degree = max(1, math.ceil(math.log(ratio) / math.log(rho)))
-    k2, n = ab.shape[0] - 1, ab.shape[1]
-    if degree * max(k2, 1) >= 4.0 * math.sqrt(n):
-        check_size(n)
-        if power == -1.0:
-            eye = np.eye(n, order="F")
-            factor = band_cholesky(ab, error, what)
-            dense = _lapack("dpbtrs", factor, eye, lower=1, overwrite_b=1)[0]
-        else:
-            w, v = band_eigh(ab, vectors=True)
-            v *= w ** (0.5 * power)
-            dense = v @ v.T
-        return dense_to_band(dense, n - 1), 0, 0.0
-    theta = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
     centre, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    nodes = centre + radius * np.cos(theta)
-    coef = np.cos(np.outer(np.arange(degree + 1), theta)) @ nodes**power
-    coef *= 2.0 / (degree + 1)
-    coef[0] *= 0.5
-    # T_k(X) for X = (A - centre I) / radius, spectrum in [-1, 1]
-    x = signed_band(ab) / radius
-    x[k2] -= centre / radius
-    width = degree * k2
-    out = np.zeros((2 * width + 1, n))
-    out[width] = coef[0]
-    _accumulate(out, x, coef[1])
-    prev, cur = np.ones((1, n)), x
-    for c in coef[2:]:
-        nxt = band_product(cur, x)
-        nxt *= 2.0
-        _accumulate(nxt, prev, -1.0)
-        _accumulate(out, nxt, c)
-        prev, cur = cur, nxt
-    return out[width:], degree, 4.0 * scale * rho**-degree / (rho - 1.0)
+    k2, n = ab.shape[0] - 1, ab.shape[1]
+    results, sums = [], []
+    for p in power if isinstance(power, tuple) else (power,):
+        scale = (lo * hi) ** (0.5 * p)
+        ratio = 4.0 * scale / ((rho - 1.0) * CHEB_TOL * lo**p)
+        degree = max(1, math.ceil(math.log(ratio) / math.log(rho)))
+        if degree * max(k2, 1) >= 4.0 * math.sqrt(n):
+            results.append((_exact_power(ab, p, error, what), 0, 0.0))
+            continue
+        theta = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+        nodes = centre + radius * np.cos(theta)
+        coef = np.cos(np.outer(np.arange(degree + 1), theta)) @ nodes**p
+        coef *= 2.0 / (degree + 1)
+        coef[0] *= 0.5
+        out = np.zeros((degree * k2 + 1, n))
+        out[0] = coef[0]
+        results.append((out, degree, 4.0 * scale * rho**-degree / (rho - 1.0)))
+        sums.append((out, coef))
+    if sums:
+        # T_k(X) for X = (A - centre I) / radius, spectrum in [-1, 1]
+        x = signed_band(ab) / radius
+        x[k2] -= centre / radius
+        prev, cur = np.ones((1, n)), x[k2:]
+        for out, coef in sums:
+            out[: k2 + 1] += coef[1] * cur
+        for k in range(2, max(len(c) for _, c in sums)):
+            nxt = _lower_product(signed_band(cur), x)
+            nxt *= 2.0
+            nxt[: len(prev)] -= prev
+            for out, coef in sums:
+                if k < len(coef):
+                    out[: len(nxt)] += coef[k] * nxt
+            prev, cur = cur, nxt
+    return tuple(results) if isinstance(power, tuple) else results[0]
+
+
+def _exact_power(ab, power, error, what):
+    """A**power of an SPD band as a full band: A**-1 from the banded Cholesky
+    factor (dpbtrs), any other power from the eigenvectors of dsbevd."""
+    n = ab.shape[1]
+    check_size(n)
+    if power == -1.0:
+        eye = np.eye(n, order="F")
+        factor = band_cholesky(ab, error, what)
+        dense = _lapack("dpbtrs", factor, eye, lower=1, overwrite_b=1)[0]
+    else:
+        w, v = band_eigh(ab, vectors=True)
+        v *= w ** (0.5 * power)
+        dense = v @ v.T
+    return dense_to_band(dense, n - 1)

@@ -28,6 +28,7 @@ from ._linalg import (
     band_extremes,
     band_function,
     band_product,
+    band_sandwich,
     band_to_dense,
     check_symmetric,
     frob,
@@ -139,29 +140,35 @@ def sample_truncated_noise(cfg: LocalizationConfig, k: int, rng) -> np.ndarray:
 
 
 def contraction_bound(c_lo, delta_band) -> float:
-    """|Delta|_2 / min eig(C), an upper bound on |C^{-1} Delta|_2.
+    """max_i sum_l |Delta_il| / min eig(C), an upper bound on |C^{-1} Delta|_2.
 
     c_lo is min eig(C) and Delta is in lower band storage; infinite when
-    c_lo <= 0.
+    c_lo <= 0.  The largest absolute row sum of the symmetric Delta
+    (Gershgorin) is at least |Delta|_2 and costs O(n k2), no eigensolver.
     """
-    d_lo, d_hi = band_extremes(delta_band)
-    return max(-d_lo, d_hi) / c_lo if c_lo > 0.0 else math.inf
+    rows = np.abs(delta_band)
+    # row i holds |Delta[i + j, i]| and, below the diagonal, |Delta[i, i - j]|
+    sums = rows.sum(axis=0)
+    for j in range(1, len(rows)):
+        sums[j:] += rows[j, : len(sums) - j]
+    return float(sums.max()) / c_lo if c_lo > 0.0 else math.inf
 
 
 def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
-    """(C, Delta, (C^{-1}, P), B, extremes) for the revealed coefficients
-    alpha + eta, all in lower band storage; extremes holds the (min eig,
-    max eig) of C and of C_theta.
+    """(C, Delta, (C^{-1}, P), C^{-1/2}, B, extremes) for the revealed
+    coefficients alpha + eta, all in lower band storage; extremes holds the
+    (min eig, max eig) of C and of C_theta.
 
     C = sum (alpha + eta)_k M_k and Delta = C - C_theta have half-width k2;
-    C^{-1} is band_function's polynomial in C, of half-width w (or, for a C
-    too ill-conditioned for w < 4 sqrt(n), its exact inverse as a full band),
-    and P = C^{-1} Delta C^{-1} (half-width 2w + k2) two band products;
-    B = C^{-1} + P.  C must be positive definite and C^{-1} Delta a spectral
-    contraction; both failures raise a localization error so Monte Carlo
-    drivers can count them.  |C^{-1} Delta|_2^2 = max eig(C^{-1} Delta^2
-    C^{-1}) is computed only when the bound |Delta|_2 / min eig(C) is >= 1,
-    so every decision is the exact one.
+    C^{-1} and C^{-1/2} are band_function's polynomials in C from one
+    recurrence (each, for a C too ill-conditioned for a half-width below
+    4 sqrt(n), its exact power as a full band), and P = C^{-1} Delta C^{-1}
+    (half-width 2w + k2) is band_sandwich's lower half; B = C^{-1} + P.  C
+    must be positive definite and C^{-1} Delta a spectral contraction; both
+    failures raise a localization error so Monte Carlo drivers can count
+    them.  |C^{-1} Delta|_2^2 = max eig(C^{-1} Delta^2 C^{-1}) is computed
+    only when contraction_bound, the row-sum bound over min eig(C), is
+    >= 1, so every decision is the exact one.
     """
     alpha_theta = np.asarray(alpha_theta, dtype=float)
     eta_tilde = np.asarray(eta_tilde, dtype=float)
@@ -176,22 +183,21 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
         raise LocalizationError(
             f"perturbation not a contraction (|C^-1 Delta|_sp >= {theta_lo / c_lo - 1.0:.3g})"
         )
-    c_inv = band_function(
-        c_band, -1.0, extremes=c_extremes, error=LocalizationError, what="localized C"
-    )[0]
+    (c_inv, _, _), (c_inv_sqrt, _, _) = band_function(
+        c_band, (-1.0, -0.5), extremes=c_extremes, error=LocalizationError, what="localized C"
+    )
     c_signed, delta_signed = signed_band(c_inv), signed_band(delta_band)
     if contraction_bound(c_lo, delta_band) >= 1.0:
-        z = band_product(band_product(c_signed, band_product(delta_signed, delta_signed)), c_signed)
-        contraction = math.sqrt(max(band_extremes(z[len(z) // 2 :])[1], 0.0))
+        z = band_sandwich(c_signed, band_product(delta_signed, delta_signed))
+        contraction = math.sqrt(max(band_extremes(z)[1], 0.0))
         if contraction >= 1.0:
             raise LocalizationError(
                 f"perturbation not a contraction (|C^-1 Delta|_sp = {contraction:.3g})"
             )
-    p = band_product(band_product(c_signed, delta_signed), c_signed)
-    p = p[len(p) // 2 :]
+    p = band_sandwich(c_signed, delta_signed)
     b_band = p.copy()
     b_band[: len(c_inv)] += c_inv
-    return c_band, delta_band, (c_inv, p), b_band, (c_extremes, theta_extremes)
+    return c_band, delta_band, (c_inv, p), c_inv_sqrt, b_band, (c_extremes, theta_extremes)
 
 
 def pilot_risk_bound(k: int, rho: float) -> float:
@@ -267,10 +273,12 @@ def goe_sample(n: int, rng, reps=None) -> np.ndarray:
 class ExperimentState:
     """Everything the chain of samplers needs, built once and frozen.
 
-    theta, C_theta, C, Delta = C - C_theta and B = C^{-1} + C^{-1} Delta C^{-1}
-    are held only in lower band storage (theta_band, c_theta_band, c_band,
-    delta_band, b_band); a dense view is band_to_dense of one of them.
-    c_extremes, (min eig, max eig) of C, is the pair build_localized_C took;
+    theta, C_theta, C, Delta = C - C_theta, B = C^{-1} + C^{-1} Delta C^{-1}
+    and C^{-1/2} are held only in lower band storage (theta_band,
+    c_theta_band, c_band, delta_band, b_band, c_inv_sqrt_band); a dense view
+    is band_to_dense of one of them.  c_inv_sqrt_band, from the recurrence
+    that gives C^{-1}, and c_extremes, (min eig, max eig) of C, are what
+    build_localized_C formed and took, kept for goe_connection;
     gamma_tilde is formed on first read.
     """
 
@@ -283,6 +291,7 @@ class ExperimentState:
     c_band: np.ndarray
     delta_band: np.ndarray
     b_band: np.ndarray
+    c_inv_sqrt_band: np.ndarray
     d_vec: np.ndarray
     gamma_theta: np.ndarray
     gamma: np.ndarray
@@ -308,7 +317,9 @@ class ExperimentState:
         c_theta_band = basis.band(alpha_theta)
         eta = sample_truncated_noise(cfg, basis.K, rng)
         # one band C^{-1} serves the localization and the summaries
-        c_band, delta_band, inverse, b_band, extremes = build_localized_C(alpha_theta, eta, basis)
+        c_band, delta_band, inverse, c_inv_sqrt, b_band, extremes = build_localized_C(
+            alpha_theta, eta, basis
+        )
         d_vec, gamma_theta, gamma = gaussian_summaries(inverse, basis, alpha_theta, extremes[1])
         return cls(
             n=basis.n,
@@ -320,6 +331,7 @@ class ExperimentState:
             c_band=c_band,
             delta_band=delta_band,
             b_band=b_band,
+            c_inv_sqrt_band=c_inv_sqrt,
             d_vec=d_vec,
             gamma_theta=gamma_theta,
             gamma=gamma,

@@ -21,12 +21,12 @@ import numpy as np
 
 from ._linalg import (
     band_extremes,
-    band_function,
-    band_product,
+    band_sandwich,
     band_to_dense,
     frob,
     guarded_eig,
     is_positive_definite,
+    lower_frob,
     signed_band,
     signed_frob,
     signed_to_dense,
@@ -388,15 +388,16 @@ def goe_connection(state, w, gamma) -> GoeComparison:
     kl is the exact Kullback-Leibler divergence
     | |W/sqrt(2 pi)| Dcheck |W/sqrt(2 pi)| - C^{-1/2} D C^{-1/2} |_F^2 / 4;
     b1 + b2 + b3 is its three-term upper bound, certified to dominate, taken
-    when it is read (GoeComparison).  x = sqrt(2 pi) C^{-1/2} is
-    band_function's polynomial in the state's C (exact and dense for a C too
-    ill-conditioned for a band), x Delta x two band products.  W and Dcheck
-    are k2 + 1 wrapped diagonals (see _linalg), as is every cyclic expansion
-    on the window.  W is positive definite when the banded Cholesky
-    factorization of its reordered band succeeds; then it is its own |W|,
-    |W| Dcheck |W| two wrapped-band products, and the gap to x Delta x is
-    formed entry by entry in signed storage: no n x n array for a
-    well-conditioned C.  Only an indefinite W takes |W| from a dense
+    when it is read (GoeComparison).  x = sqrt(2 pi) C^{-1/2} is the state's
+    C^{-1/2}, band_function's polynomial in C from the recurrence that gave
+    C^{-1} (exact and dense for a C too ill-conditioned for a band), and
+    x Delta x is band_sandwich's lower half.  W and Dcheck are k2 + 1
+    wrapped diagonals (see _linalg), as is every cyclic expansion on the
+    window.  W is positive definite when the banded Cholesky factorization
+    of its reordered band succeeds; then it is its own |W|, |W| Dcheck |W|
+    is band_sandwich's lower half of wrapped bands, and the gap to x Delta x
+    is read from the two lower halves entry by entry (lower_frob): no n x n
+    array for a well-conditioned C.  Only an indefinite W takes |W| from a dense
     eigendecomposition, with a dense gap.  2 pi is folded into the scalars.
     gamma is the schedule's localization scale, read by the dictionary-gap
     check.
@@ -412,21 +413,17 @@ def goe_connection(state, w, gamma) -> GoeComparison:
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, basis.indices, scale * state.eta_tilde)
 
-    c_extremes = state.c_extremes
-    x_signed = signed_band(
-        band_function(state.c_band, -0.5, extremes=c_extremes, what="localized C")[0]
-    )
+    x_signed = signed_band(state.c_inv_sqrt_band)
     x_signed *= math.sqrt(A_STAR)
-    whitened_delta = band_product(band_product(x_signed, signed_band(state.delta_band)), x_signed)
+    whitened_delta = band_sandwich(x_signed, signed_band(state.delta_band))
     abs_w = None
     if w_pd:
-        w_signed = signed_band(w)
-        sandwich = band_product(band_product(w_signed, signed_band(delta_check)), w_signed)
-        gap = signed_frob(sandwich, whitened_delta)
+        sandwich = band_sandwich(signed_band(w), signed_band(delta_check))
+        gap = lower_frob(sandwich, whitened_delta)
     else:
         abs_w = sym_abs(band_to_dense(w))[0]
         gap = abs_w @ band_to_dense(delta_check) @ abs_w
-        gap -= signed_to_dense(whitened_delta)
+        gap -= band_to_dense(whitened_delta)
         gap = frob(gap)
     return GoeComparison(
         kl=gap**2 / (4.0 * A_STAR**2),
@@ -436,5 +433,5 @@ def goe_connection(state, w, gamma) -> GoeComparison:
         delta_check=delta_check,
         x_signed=x_signed,
         abs_w=abs_w,
-        c_lo=c_extremes[0],
+        c_lo=state.c_extremes[0],
     )

@@ -99,7 +99,7 @@ def test_criterion_01_exact_algebra():
         f = random_density(3, 3, make_rng(n, stream=81), s=11.0, L=5.0, rho_star=0.5)
         theta = build_theta(f, n)
         alpha = basis.project(theta.band)
-        _, _, inverse, _, extremes = build_localized_C(alpha, np.zeros(basis.K), basis)
+        _, _, inverse, _, _, extremes = build_localized_C(alpha, np.zeros(basis.K), basis)
         d, _, g_mat = gaussian_summaries(inverse, basis, alpha, extremes[1])
         rel = np.linalg.norm(d - 0.5 * g_mat @ alpha) / np.linalg.norm(d)
         assert rel <= 1e-8

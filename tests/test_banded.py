@@ -5,15 +5,22 @@ localization, pre-smoothing residual, GOE comparison, wrapped bands) is
 compared with the dense formula it replaced, at 1e-12 relative, on windows
 (0,0), (0,1), (1,1), (2,0) and (3,3); the Gaussian summaries have the same
 oracle in test_gaussianize.
+
+Run as a script to print, for one default chain row at n = 512 and 1024,
+the calls and wall milliseconds of each band kernel: each LAPACK routine
+(dsbevx among them), band_function by power, the symmetric products
+(band_sandwich) and the other band products:
+
+    python tests/test_banded.py
 """
 
-import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lsequiv import _linalg, basis_cov, gaussianize, harness, whitenoise
@@ -24,10 +31,12 @@ from lsequiv._linalg import (
     band_extremes,
     band_function,
     band_product,
+    band_sandwich,
     band_to_dense,
     band_transpose,
     dense_signed,
     dense_to_band,
+    lower_frob,
     signed_band,
     signed_frob,
     signed_to_dense,
@@ -251,7 +260,7 @@ def test_band_is_combine(k1, k2):
 def test_build_localized_c_matches_dense(k1, k2):
     basis = build_basis(N, k1, k2)
     alpha, eta = _coeffs(basis, 1)
-    c_band, delta_band, (c_inv, p), b_band, extremes = build_localized_C(alpha, eta, basis)
+    c_band, delta_band, (c_inv, p), c_inv_sqrt, b_band, extremes = build_localized_C(alpha, eta, basis)
     c_dense = _dense(basis, alpha + eta)
     delta_dense = c_dense - _dense(basis, alpha)
     for (lo, hi), dense in zip(extremes, (c_dense, c_dense - delta_dense)):
@@ -263,6 +272,7 @@ def test_build_localized_c_matches_dense(k1, k2):
     assert _rel(band_to_dense(c_band), c_dense) <= 1e-12
     assert _rel(band_to_dense(delta_band), delta_dense) <= 1e-12
     assert _rel(band_to_dense(c_inv), c_inv_dense) <= 1e-12
+    assert _rel(band_to_dense(c_inv_sqrt), _dense_inv_sqrt(c_dense)) <= 1e-12
     assert _rel(band_to_dense(p), p_dense) <= 1e-12
     assert _rel(band_to_dense(b_band), c_inv_dense + p_dense) <= 1e-12
     assert len(p) == len(b_band) == min(2 * (len(c_inv) - 1) + k2, N - 1) + 1
@@ -320,6 +330,41 @@ def test_band_function_matches_eigh(case, power):
         assert fab.shape == (degree * k2 + 1, n) and degree * k2 < 4.0 * math.sqrt(n)
         assert (case == "wide") == (2 * degree * k2 >= n)
         assert 0.0 < bound <= 1e-15 * w[0] ** power
+
+
+def _mixed_path_band():
+    """A half-width 2 band at n = 24 whose extremes, passed as (1, 1.1166),
+    put C^{-1} on a Chebyshev band of degree 9 (half-width 18) and C^{-1/2}
+    past 4 sqrt(n), on the exact path."""
+    ab = 0.05 * _small_ill_conditioned_band()
+    ab[0] = 1.03 + 0.002 * np.arange(24)
+    return ab, (1.0, 1.1166)
+
+
+@pytest.mark.parametrize("case", ["chain-512", "wide", "ill-conditioned", "mixed"])
+def test_band_function_takes_a_tuple_of_powers(case):
+    # one recurrence for both powers: each band, degree and bound is bitwise
+    # what a call for that power alone returns, on the polynomial path, the
+    # exact path (dpbtrs for -1, dsbevd for -1/2) and one of each
+    extremes = None
+    if case == "chain-512":
+        ab = _chain_c_band(512)
+    elif case == "mixed":
+        ab, extremes = _mixed_path_band()
+    else:
+        ab = _small_wide_band() if case == "wide" else _small_ill_conditioned_band()
+    powers = (-1.0, -0.5)
+    both = band_function(ab, powers, extremes=extremes)
+    assert len(both) == 2
+    for power, (fab, degree, bound) in zip(powers, both):
+        want_fab, want_degree, want_bound = band_function(ab, power, extremes=extremes)
+        np.testing.assert_array_equal(fab, want_fab)
+        assert (degree, bound) == (want_degree, want_bound)
+        w, v = np.linalg.eigh(band_to_dense(ab))
+        assert _rel(band_to_dense(fab), (v * w**power) @ v.T) <= 1e-12
+    degrees = [degree for _, degree, _ in both]
+    assert {"ill-conditioned": [0, 0], "mixed": [9, 0]}.get(case, degrees) == degrees
+    assert (case in ("ill-conditioned", "mixed")) == (0 in degrees)
 
 
 def test_band_function_rejects_indefinite_and_singular_input():
@@ -392,6 +437,51 @@ def test_band_product_and_signed_frob_match_dense(widths, wrapped):
         assert signed_frob(got, zero) == pytest.approx(np.linalg.norm(want), rel=1e-13)
         gap = np.linalg.norm(want - dense[0])
         assert signed_frob(got, a) == pytest.approx(gap, rel=1e-13)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    wrapped=st.booleans(),
+    ws=st.integers(0, 6),
+    wm=st.integers(0, 6),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+# wrapped products whose rows s and s - n name one cyclic diagonal
+# (2 (2 ws + wm) >= n), and plain ones past n - 1 (dense matmuls)
+@example(wrapped=True, ws=3, wm=2, n=9, seed=0)
+@example(wrapped=True, ws=6, wm=6, n=13, seed=1)
+@example(wrapped=False, ws=4, wm=3, n=9, seed=2)
+@example(wrapped=False, ws=6, wm=6, n=7, seed=3)
+def test_band_sandwich_matches_dense_and_nested_products(wrapped, ws, wm, n, seed):
+    # S and M symmetric, plain or wrapped, of half-width <= 6
+    if wrapped:
+        assume(n > 2 * max(ws, wm))
+        (s_ab, s_dense), (m_ab, m_dense) = _wrapped_case(n, ws, seed), _wrapped_case(n, wm, seed + 1)
+    else:
+        assume(n > max(ws, wm))
+        s_ab, m_ab = _plain_band(n, ws, seed), _plain_band(n, wm, seed + 1)
+        s_dense, m_dense = band_to_dense(s_ab), band_to_dense(m_ab)
+    s, m = signed_band(s_ab), signed_band(m_ab)
+    got = band_sandwich(s, m)
+    nested = band_product(band_product(s, m), s)
+    np.testing.assert_array_equal(got, nested[len(nested) // 2 :])
+    want = s_dense @ m_dense @ s_dense
+    width = len(got) - 1
+    assert width == min(2 * ws + wm, n - 1)
+    assert _rel(band_to_dense(got), want) <= 1e-13
+    if wrapped and 2 * width < n:
+        # rows j are the wrapped diagonals A[(i + j) mod n, i]
+        i = np.arange(n)
+        lower = np.stack([want[(i + j) % n, i] for j in range(width + 1)])
+        assert _rel(got, lower) <= 1e-13
+    elif not wrapped:
+        lower = np.stack([np.pad(np.diagonal(want, -j), (0, j)) for j in range(width + 1)])
+        assert _rel(got, lower) <= 1e-13
+    # |G - H|_F read from two lower halves
+    other = band_sandwich(m, s)
+    gap = np.linalg.norm(want - m_dense @ s_dense @ m_dense)
+    assert lower_frob(got, other) == pytest.approx(gap, rel=1e-12, abs=1e-12 * np.linalg.norm(want))
 
 
 def _band_product_roll(a, b):
@@ -683,25 +773,28 @@ def test_chain_row_takes_band_extremes_of_tridiagonal_bands_only(lapack_calls):
     # of a half-width-1 band; the O(n^2) dsbevx of reordered wrapped bands
     # belongs to the GOE bound, which the chain does not report.  Each band's
     # pair is taken once, two dsbevx calls: theta's in the presmoothing
-    # residual, C's, C_theta's and Delta's in the localization, and the
-    # summaries and the GOE stage reuse C_theta's and C's
+    # residual, C's and C_theta's in the localization, and the summaries and
+    # the GOE stage reuse C_theta's and C's.  Delta's norm is screened by its
+    # row sums, with no dsbevx
     calls = lapack_calls()
     _, rows = run_equivalence_chain(RunConfig(n_grid=(1024,)))
     row = dict(zip(CHAIN_HEADER, rows[0]))
     assert row["K"] == 6 and row["error"] == "" and row["goe_kl"] is not None
     shapes = [shape for name, shape in calls if name == "dsbevx"]
-    assert len(shapes) == 8 and set(shapes) == {(2, 1024)}
+    assert len(shapes) == 6 and set(shapes) == {(2, 1024)}
 
 
 def test_goe_connection_memory_peak(traced_peak):
     # on the positive definite path the peak is a few signed bands of the
-    # half-width of x Delta x, O(n w) and well under one n x n array
+    # half-width of x Delta x, O(n w) and well under one n x n array: 2.29
+    # of them (2.20 MB) with the products' lower halves, 2.78 (2.66 MB)
+    # when both halves were formed
     n = 1024
     state, w = _goe_case(2, 2, n=n, w_spread=0.02)
     assert np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0
-    width = 2 * (len(band_function(state.c_band, -0.5)[0]) - 1) + state.basis.k2
+    width = 2 * (len(state.c_inv_sqrt_band) - 1) + state.basis.k2
     peak = traced_peak(lambda: goe_connection(state, w, 3.0))
-    assert peak <= 4 * (2 * width + 1) * n * 8 <= n * n * 8 / 2
+    assert peak <= 3 * (2 * width + 1) * n * 8 <= n * n * 8 / 2
 
 
 def test_goe_connection_input_guards():
@@ -714,11 +807,12 @@ def test_goe_connection_input_guards():
     # W is held as k2 + 1 = 2 wrapped diagonals; a dense W is the wrong shape
     with pytest.raises(PreconditionError, match="W must be 2 wrapped diagonals of length 40"):
         goe_connection(state, np.eye(N), 3.0)
-    eye = np.zeros((2, N))
-    eye[0] = 1.0
-    with pytest.raises(SingularMatrixError, match="not positive definite"):
-        negated = dataclasses.replace(state, c_band=-state.c_band, c_extremes=band_extremes(-state.c_band))
-        goe_connection(negated, eye, 3.0)
+    # C^{-1/2} is formed with the state, so a negated C fails at build
+    with pytest.raises(LocalizationError, match="localized C is not positive definite"):
+        ExperimentState.build(
+            basis, LocalizationConfig(beta=0.3, gamma=3.0),
+            theta=CovarianceMatrix(basis.band(-alpha)), rng=make_rng(3),
+        )
 
 
 def test_state_build_takes_one_band_function_per_matrix(monkeypatch):
@@ -735,26 +829,29 @@ def test_state_build_takes_one_band_function_per_matrix(monkeypatch):
         basis, LocalizationConfig(beta=0.3, gamma=3.0), theta=CovarianceMatrix(basis.band(alpha)),
         rng=make_rng(6),
     )
-    assert taken == [("localized C", -1.0)]
+    # C^{-1} and C^{-1/2} from one recurrence
+    assert taken == [("localized C", (-1.0, -0.5))]
     # Gamma_tilde takes C_theta^{-1} when it is read, once
     first = state.gamma_tilde
     assert state.gamma_tilde is first
-    assert taken == [("localized C", -1.0), ("C_theta", -1.0)]
+    assert taken == [("localized C", (-1.0, -0.5)), ("C_theta", -1.0)]
 
 
-def test_chain_row_takes_three_band_functions(monkeypatch):
-    # theta^{-1} (presmoothing), C^{-1} (localization) and C^{-1/2} (GOE)
+def test_chain_row_takes_two_band_functions(monkeypatch):
+    # theta^{-1} (presmoothing), and C^{-1} with C^{-1/2} (localization; the
+    # GOE stage reads the state's C^{-1/2})
     taken = []
 
     def counting(ab, power, **kwargs):
         taken.append((kwargs.get("what"), power))
         return band_function(ab, power, **kwargs)
 
-    for module in (basis_cov, gaussianize, whitenoise):
+    for module in (basis_cov, gaussianize):
         monkeypatch.setattr(module, "band_function", counting)
+    assert not hasattr(whitenoise, "band_function")
     header, rows = run_equivalence_chain(RunConfig(n_grid=(1024,)))
     assert rows[0][header.index("error")] == ""
-    assert sorted(taken) == [("covariance", -1.0), ("localized C", -1.0), ("localized C", -0.5)]
+    assert sorted(taken) == [("covariance", -1.0), ("localized C", (-1.0, -0.5))]
 
 
 def _diagonal_case(delta_scale):
@@ -774,7 +871,7 @@ def test_contraction_bound_falls_back_to_exact():
     basis, alpha, eta = _diagonal_case(2.5)
     c_band = basis.band(alpha + eta)
     bound = contraction_bound(band_extremes(c_band)[0], c_band - basis.band(alpha))
-    c_band, delta_band, _, _, _ = build_localized_C(alpha, eta, basis)
+    c_band, delta_band, _, _, _, _ = build_localized_C(alpha, eta, basis)
     exact = np.linalg.norm(np.linalg.solve(band_to_dense(c_band), band_to_dense(delta_band)), 2)
     assert bound == pytest.approx(10.0, rel=1e-12)
     assert exact == pytest.approx(5.0 / 9.5, rel=1e-12)
@@ -832,3 +929,52 @@ def test_contraction_bound_dominates_exact(window, seed, level, spread, scale):
     c_mat = band_to_dense(c_band)
     exact = np.linalg.norm(np.linalg.solve(c_mat, c_mat - basis.combine(alpha)), 2)
     assert bound >= exact * (1.0 - 1e-12)
+
+
+def _kernel_profile(n):
+    """(row ms, {kernel: [calls, ms]}) of one default chain row at n, the
+    kernels wrapped where the chain's modules call them."""
+    stats = {}
+
+    def timed(fn, key):
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                entry = stats.setdefault(key(*args), [0, 0.0])
+                entry[0] += 1
+                entry[1] += 1e3 * (time.perf_counter() - started)
+
+        return wrapper
+
+    patches = [
+        (_linalg, "_lapack", lambda routine, *args: routine),
+        (basis_cov, "band_function", lambda ab, power, *args: f"band_function {power}"),
+        (gaussianize, "band_function", lambda ab, power, *args: f"band_function {power}"),
+        (gaussianize, "band_sandwich", lambda *args: "band_sandwich"),
+        (whitenoise, "band_sandwich", lambda *args: "band_sandwich"),
+        (basis_cov, "band_product", lambda *args: "band_product"),
+        (gaussianize, "band_product", lambda *args: "band_product"),
+    ]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    for module, name, key in patches:
+        setattr(module, name, timed(getattr(module, name), key))
+    try:
+        started = time.perf_counter()
+        _, rows = run_equivalence_chain(RunConfig(n_grid=(n,)))
+        row_ms = 1e3 * (time.perf_counter() - started)
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    assert dict(zip(CHAIN_HEADER, rows[0]))["error"] == ""
+    return row_ms, stats
+
+
+if __name__ == "__main__":
+    run_equivalence_chain(RunConfig(n_grid=(512,)))  # first-call costs
+    for n in (512, 1024):
+        row_ms, stats = _kernel_profile(n)
+        print(f"n = {n}: chain row {row_ms:.1f} ms")
+        for key, (calls, ms) in sorted(stats.items()):
+            print(f"  {key:32s} {calls:3d} calls {ms:8.2f} ms")

@@ -124,7 +124,7 @@ def test_truncated_noise_raises_past_the_attempt_cap():
 def test_build_localized_c_identities():
     alpha = BASIS.project(THETA.band)
     eta = sample_truncated_noise(LOC, BASIS.K, make_rng(1, stream=40))
-    c_band, delta_band, _, b_band, _ = build_localized_C(alpha, eta, BASIS)
+    c_band, delta_band, _, _, b_band, _ = build_localized_C(alpha, eta, BASIS)
     c_mat, delta = band_to_dense(c_band), band_to_dense(delta_band)
     np.testing.assert_allclose(c_mat, BASIS.combine(alpha + eta), atol=1e-12)
     np.testing.assert_allclose(delta, c_mat - BASIS.combine(alpha), atol=1e-12)
@@ -181,7 +181,7 @@ def test_summaries_identity_block():
     n = 16
     basis1 = build_basis(n, 0, 0)
     alpha = np.array([math.sqrt(n)])
-    _, _, inverse, _, extremes = build_localized_C(alpha, np.zeros(1), basis1)
+    _, _, inverse, _, _, extremes = build_localized_C(alpha, np.zeros(1), basis1)
     d, g_theta, g_mat = gaussian_summaries(inverse, basis1, alpha, extremes[1])
     np.testing.assert_allclose(g_mat, [[2.0]], atol=1e-12)
     np.testing.assert_allclose(g_theta, [[2.0]], atol=1e-12)
@@ -453,7 +453,7 @@ def test_summaries_match_dense_stacks(k1, k2):
     c_theta = basis.combine(alpha)
     c_mat = basis.combine(alpha + eta)
     assert not np.array_equal(c_theta, c_mat)
-    _, _, inverse, _, extremes = build_localized_C(alpha, eta, basis)
+    _, _, inverse, _, _, extremes = build_localized_C(alpha, eta, basis)
     got = gaussian_summaries(inverse, basis, alpha, extremes[1])
     got += (_gamma_tilde(basis, alpha),)
     want = _dense_summaries(c_theta, c_mat, basis)
@@ -472,7 +472,7 @@ def test_summaries_match_dense_stacks_ill_conditioned():
     c_theta = np.diag(5.0 * (1.0 + 0.998 * np.cos(2.0 * math.pi * np.arange(n) / n)))
     alpha = basis.project(dense_to_band(c_theta, 0))
     eta = 1e-4 * make_rng(0, stream=46).standard_normal(basis.K)
-    c_band, _, inverse, _, extremes = build_localized_C(alpha, eta, basis)
+    c_band, _, inverse, _, _, extremes = build_localized_C(alpha, eta, basis)
     assert len(inverse[0]) == n
     got = gaussian_summaries(inverse, basis, alpha, extremes[1])
     got += (_gamma_tilde(basis, alpha),)

@@ -236,6 +236,13 @@ def test_goe_connection_matches_dense_stacks():
     assert comp.dictionary_gap_check.rhs == pytest.approx(dict_rhs, rel=1e-12)
 
 
+def test_state_holds_c_inv_sqrt_of_its_c():
+    # C^{-1/2}, formed with C^{-1} in one recurrence, against the dense oracle
+    want = sym_inv_sqrt(band_to_dense(STATE.c_band))
+    got = band_to_dense(STATE.c_inv_sqrt_band)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_goe_kl_alone_takes_no_wrapped_band_norm(lapack_calls):
     # kl needs C's extremes only, which the state took when it was built; the
     # norms of W and Dcheck (dsbevx on their reordered bands, half-width 2 k2)
