@@ -29,7 +29,7 @@ def main():
 
     window = enumerate_indices(2, 2)
     gram = np.array(
-        [[grid.inner(grid.basis_values(a), b) for b in window] for a in window]
+        [[grid.inner(grid.synthesize([a], [1.0]), b) for b in window] for a in window]
     )
     print(f"\nwindow (2, 2): {len(window)} functions")
     print(f"  max |Gram - I| on the grid = {np.max(np.abs(gram - np.eye(len(window)))):.3e}")
@@ -39,7 +39,7 @@ def main():
     print("\nrandom class member")
     print(f"  coefficient window  ({max(idx.j for idx in f.coeffs)}, {max(idx.j2 for idx in f.coeffs)})")
     print(f"  mean level          {f.mean_level():.6f}")
-    print(f"  range on the grid   [{lo:.6f}, {hi:.6f}]")
+    print(f"  range enclosure     [{lo:.6f}, {hi:.6f}]")
     print(f"  weighted coeff sum  {f.sobolev_sum():.6f}")
     for chk in f.check_membership():
         print(f"  {chk.check_id:<22} lhs={chk.lhs:.6f} rhs={chk.rhs:.6f} pass={chk.passed}")

@@ -4,7 +4,7 @@ Subpackage map: spectral (function system and densities), circulant
 (coefficient algebra behind the matrix-to-function map), basis_cov
 (covariance operators and their band projections), gaussianize (localized
 summaries), cltcheck (characteristic-function analysis), whitenoise (the
-limiting experiment), harness (schedules, studies, divergences), cli.
+limiting experiment), harness (schedules, studies, the Gaussian KL), cli.
 """
 
 from .errors import (
@@ -17,11 +17,10 @@ from .errors import (
     TypedError,
 )
 from .harness import (
-    GaussianDivergences,
     RunConfig,
     Schedule,
     condition_checker,
-    gaussian_divergences,
+    gaussian_kl,
     run_equivalence_chain,
     run_risk_study,
     run_tv_decay,
@@ -38,7 +37,6 @@ __all__ = [
     "BasisIndex",
     "CheckResult",
     "ConfigurationError",
-    "GaussianDivergences",
     "LocalizationError",
     "PreconditionError",
     "RangeError",
@@ -50,7 +48,7 @@ __all__ = [
     "VerificationReport",
     "condition_checker",
     "default_grid",
-    "gaussian_divergences",
+    "gaussian_kl",
     "random_density",
     "run_equivalence_chain",
     "run_risk_study",

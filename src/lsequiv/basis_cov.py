@@ -38,6 +38,7 @@ from .spectral import (
     basis_norm,
     default_grid,
     enumerate_indices,
+    node_gap,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -382,11 +383,13 @@ def class_c1(s: float, L: float) -> float:
 
 
 def theta_lipschitz_check(f: SpectralDensity, g: SpectralDensity, n: int) -> list:
-    """Both Frobenius-Lipschitz bounds as report entries."""
+    """Both Frobenius-Lipschitz bounds as report entries; sup |f - g| is its
+    node maximum widened by node_gap."""
     theta_f, theta_g = (signed_band(build_theta(h, n).band) for h in (f, g))
     lhs = signed_frob(theta_f, theta_g) ** 2
-    hvals = f.on_grid() - g.on_grid()
-    h_sup = float(np.max(np.abs(hvals)))
+    h = {idx: f.coeffs.get(idx, 0.0) - g.coeffs.get(idx, 0.0) for idx in f.coeffs | g.coeffs}
+    hvals = default_grid().synthesize(list(h), list(h.values()))
+    h_sup = float(np.max(np.abs(hvals))) + node_gap(h)
     h_l2_sq = float(default_grid().integrate(hvals**2))
     out = [
         CheckResult(

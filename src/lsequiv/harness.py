@@ -1,11 +1,12 @@
-"""Study drivers: divergence formulas, schedules, chain runner, exports.
+"""Study drivers: the Gaussian KL, schedules, chain runner, exports.
 
 Everything here is a pure function of (config, seed).  Randomness goes
 through counter-based streams keyed by (seed, stream id), report floats are
 serialized at 17 significant digits, and CSV output follows RFC 4180, so
 repeated runs are byte-identical.  Grid functionals are taken on the one
-256 x 256 quadrature grid of spectral.default_grid, a constant of the
-instrument rather than a setting of a run.
+quadrature rule, spectral.QuadratureGrid, at the order 256 of
+spectral.default_grid, a constant of the instrument rather than a setting of
+a run.
 """
 
 import cmath
@@ -65,8 +66,7 @@ from .whitenoise import (
 )
 
 __all__ = [
-    "GaussianDivergences",
-    "gaussian_divergences",
+    "gaussian_kl",
     "Schedule",
     "schedule",
     "DEFAULT_BUDGETS",
@@ -88,16 +88,7 @@ _CAUGHT = (TypedError,)
 
 
 # ---------------------------------------------------------------------------
-# closed-form Gaussian divergences
-
-
-@dataclasses.dataclass(frozen=True)
-class GaussianDivergences:
-    """KL, squared Hellinger, and the KL-based total-variation ceiling."""
-
-    kl: float
-    hellinger_sq: float
-    tv_upper: float
+# closed-form Gaussian divergence
 
 
 def _chol(cov, what):
@@ -111,13 +102,8 @@ def _chol_logdet(chol_factor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol_factor))))
 
 
-def gaussian_divergences(mean1, cov1, mean2, cov2) -> GaussianDivergences:
-    """Closed-form divergences between two Gaussian laws.
-
-    kl is KL(N1 || N2); hellinger_sq the squared Hellinger distance; and
-    tv_upper = sqrt(1 - exp(-kl)) dominates the total variation, which in
-    turn dominates hellinger_sq / 2.
-    """
+def gaussian_kl(mean1, cov1, mean2, cov2) -> float:
+    """KL(N1 || N2) between two Gaussian laws, in closed form."""
     m1 = np.asarray(mean1, dtype=float).ravel()
     m2 = np.asarray(mean2, dtype=float).ravel()
     c1 = np.asarray(cov1, dtype=float)
@@ -128,32 +114,17 @@ def gaussian_divergences(mean1, cov1, mean2, cov2) -> GaussianDivergences:
     inputs = {"first mean": m1, "first covariance": c1, "second mean": m2, "second covariance": c2}
     for what, a in inputs.items():
         check_finite(a, what)
-    l1 = _chol(c1, "first covariance")
+    ld1 = _chol_logdet(_chol(c1, "first covariance"))
     l2 = _chol(c2, "second covariance")
-    ld1 = _chol_logdet(l1)
-    ld2 = _chol_logdet(l2)
     diff = m2 - m1
-
     kl = 0.5 * (
         float(np.trace(chol_solve(l2, c1)))
         + float(diff @ chol_solve(l2, diff))
         - k
-        + ld2
+        + _chol_logdet(l2)
         - ld1
     )
-    kl = max(kl, 0.0)
-
-    mid = 0.5 * (c1 + c2)
-    lm = _chol(mid, "average covariance")
-    log_affinity = (
-        0.25 * ld1
-        + 0.25 * ld2
-        - 0.5 * _chol_logdet(lm)
-        - 0.125 * float(diff @ chol_solve(lm, diff))
-    )
-    hell = max(-math.expm1(min(log_affinity, 0.0)), 0.0)
-    tv_upper = math.sqrt(max(-math.expm1(-kl), 0.0))
-    return GaussianDivergences(kl=kl, hellinger_sq=hell, tv_upper=tv_upper)
+    return max(kl, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +603,7 @@ def run_equivalence_chain(cfg: RunConfig):
             row["summary_kl"] = _stage(
                 errors,
                 "summary",
-                lambda: gaussian_divergences(
-                    state.d_vec, state.gamma_theta, state.d_vec, state.gamma
-                ).kl,
+                lambda: gaussian_kl(state.d_vec, state.gamma_theta, state.d_vec, state.gamma),
             )
             if basis.K <= 2:
                 row["tv"] = _stage(

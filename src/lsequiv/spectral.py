@@ -7,11 +7,11 @@ carries a smoothness budget: the squared coefficients weighted by
 (j^2 + j2^2)^s must stay below L, and the values must stay inside
 [rho, 1/rho].  Everything here is exact trig algebra or quadrature, with no
 FFT shortcuts, so the same code paths serve tests and verification reports.
-Quadrature runs on one fixed Gauss-Legendre grid, GRID_NODES = 256 nodes per
-axis (see QuadratureGrid for why that suffices), reached through
-default_grid(); a function on it is held as the plain array of its values.
-Only the white-noise pilot's project_exp leaves it: its integrand is entire
-and periodic, where a trapezoid rule of certified order needs fewer nodes.
+Quadrature runs on one rule, the folded periodic trapezoid grid
+QuadratureGrid: default_grid() is its order GRID_NODES = 256 (see
+QuadratureGrid for why that suffices), and the white-noise pilot's
+project_exp takes it at the least order whose error bound it certifies.  A
+function on a grid is held as the plain array of its values at the nodes.
 A moving-average symbol A(u, x) is one complex coefficient table
 a[r + k1, m + k2] of e^{2 pi i r u} e^{i m x}, the layout of
 circulant.FourierFunction, evaluated by the shared table_eval; its covariance
@@ -20,6 +20,7 @@ circulant.FourierFunction, evaluated by the shared table_eval; its covariance
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,8 +115,8 @@ def leading_indices(count: int) -> list:
     return [BasisIndex(parity, j, j2) for _, parity, j, j2 in pool[:count]]
 
 
-# Gauss-Legendre nodes per axis of the one quadrature grid; index tuples whose
-# factors it keeps at a time
+# nodes per axis of the default grid; index tuples whose factors a grid keeps
+# at a time
 GRID_NODES, _FACTOR_CACHE = 256, 32
 
 
@@ -128,45 +129,57 @@ def _separable(indices, t, x):
 
 
 class QuadratureGrid:
-    """Tensor Gauss-Legendre grid on [0,1] x [-pi,pi], GRID_NODES per axis.
+    """Folded periodic trapezoid rule of order N on [0,1) x [-pi,pi).
 
-    It is the one grid of the package: every coefficient functional but
-    project_exp's (see there), every range check and grid integral is taken
-    on it, and a grid function is a plain (GRID_NODES, GRID_NODES) array of
-    its values at the nodes, t first.
-    An m-node rule is exact for polynomials of degree 2m - 1 and converges
-    geometrically on analytic integrands.  The integrands here are trig
-    polynomials of low frequency (at most 12 per axis for the pilot's
-    ceil(sqrt(n)) leading indices at n = 65536) and exp, log or powers of
-    them for densities bounded away from zero; their coefficients on 128,
-    256, 512 and 768 nodes agree to 1e-13, so 256 nodes leave the quadrature
-    error at rounding level, far below the tolerances of the checks.  The
-    basis is separable, so every coefficient map is two matrix products with
-    the time and space factors that `factors` returns.
+    The one quadrature of the package: every coefficient functional, range
+    check and grid integral is taken on it, at N = GRID_NODES on
+    default_grid() and at project_exp's certified orders there.  The nodes
+    are t_a = a / N, of weight 1 / N, and x_b = 2 pi b / N for b = 0..N/2,
+    of weight 4 pi / N, halved at b = 0 and b = N/2: the N-point rule in x
+    folded onto [0, pi], since every integrand (a function of the density
+    times basis functions cos(j2 x)) is even in x.  A grid function is the
+    (N, N/2 + 1) array of its values at the nodes, t first.
+    The integrands are periodic and analytic: trig polynomials, and exp, log
+    or powers of them for densities bounded away from zero.  On such an
+    integrand the N-point rule is exact below degree N per axis and
+    otherwise misses by a multiple of e^{-aN}, a the half-width of its strip
+    of analyticity (Trefethen & Weideman, SIAM Rev. 56, 2014), at no more
+    nodes than an N-point Gauss rule needs.  The study densities' log and
+    f^(-1/2) coefficients settle at rounding from N = 24, so N = 256 leaves
+    the quadrature error far below the tolerances of the checks.  The basis
+    is separable, so every coefficient map is two matrix products with the
+    time and space factors that `factors` returns.
     """
 
-    def __init__(self):
-        u, w = leggauss(GRID_NODES)
-        self.t = 0.5 * (u + 1.0)
-        self.wt = 0.5 * w
-        self.x = math.pi * u
-        self.wx = math.pi * w
+    def __init__(self, order):
+        self.t = np.arange(order) / order
+        self.wt = np.full(order, 1.0 / order)
+        self.x = TWO_PI * np.arange(order // 2 + 1) / order
+        self.wx = np.full(order // 2 + 1, 2.0 * TWO_PI / order)
+        self.wx[[0, -1]] = TWO_PI / order
         self._factors = {}
 
-    def factors(self, indices):
-        """(T, X) with phi_k(t_a, x_b) = T[a, k] * X[b, k]; norms sit in T.
-        Cached on the grid per index tuple, so the arrays are read-only."""
+    def _cached(self, indices):
+        """factors' (T, X), and (group, Xf) with X = Xf @ group.T: Xf holds
+        one column per distinct j2 of the indices, in increasing order, and
+        group[k, m] = 1 where index k has the m-th of them."""
         key = tuple(indices)
         if key not in self._factors:
             if len(self._factors) >= _FACTOR_CACHE:
                 self._factors.clear()
             T, X = _separable(key, self.t, self.x)
-            T.flags.writeable = X.flags.writeable = False
-            self._factors[key] = T, X
+            j2 = [idx.j2 for idx in key]
+            freqs = sorted(set(j2))
+            entry = T, X, np.equal.outer(j2, freqs).astype(float), X[:, [j2.index(f) for f in freqs]]
+            for a in entry:
+                a.flags.writeable = False
+            self._factors[key] = entry
         return self._factors[key]
 
-    def basis_values(self, idx: BasisIndex):
-        return self.synthesize([idx], np.ones(1))
+    def factors(self, indices):
+        """(T, X) with phi_k(t_a, x_b) = T[a, k] * X[b, k]; norms sit in T.
+        Cached on the grid per index tuple, so the arrays are read-only."""
+        return self._cached(indices)[:2]
 
     def integrate(self, values) -> float:
         return float(self.wt @ np.asarray(values) @ self.wx)
@@ -181,10 +194,12 @@ class QuadratureGrid:
         return np.sum((self.wt[:, None] * T) * (values @ (self.wx[:, None] * X)), axis=-2)
 
     def synthesize(self, indices, coeffs):
-        """sum_k c_k phi_k on the grid; coeffs (..., K) -> (..., t, x)."""
-        T, X = self.factors(indices)
+        """sum_k c_k phi_k on the grid; coeffs (..., K) -> (..., t, x).  The
+        coefficients are first summed per distinct cos(j2 x), so the product
+        with the x factor runs over those columns only."""
+        T, _, group, Xf = self._cached(indices)
         coeffs = np.asarray(coeffs, dtype=float)
-        return (T * coeffs[..., None, :]) @ X.T
+        return (T @ (coeffs[..., :, None] * group)) @ Xf.T
 
     def weighted_gram(self, indices, weight_vals):
         """[int w phi_k phi_l] by quadrature, exactly symmetric."""
@@ -196,31 +211,41 @@ class QuadratureGrid:
 
     def _as_values(self, f):
         """Grid values of a density given as a SpectralDensity or as an array
-        (..., GRID_NODES, GRID_NODES) of its values; anything else raises."""
+        (..., N, N/2 + 1) of its values at the nodes; anything else raises."""
         if isinstance(f, SpectralDensity):
-            return f.on_grid()
-        values = np.asarray(f)
-        if values.dtype.kind not in "biuf" or values.shape[-2:] != (GRID_NODES, GRID_NODES):
+            return self.synthesize(list(f.coeffs), list(f.coeffs.values()))
+        values, shape = np.asarray(f), (len(self.t), len(self.x))
+        if values.dtype.kind not in "biuf" or values.shape[-2:] != shape:
             raise PreconditionError(
-                f"grid values must be a SpectralDensity or a real (..., {GRID_NODES}, "
-                f"{GRID_NODES}) array, got {type(f).__name__}"
+                f"grid values must be a SpectralDensity or a real (..., {shape[0]}, "
+                f"{shape[1]}) array, got {type(f).__name__}"
             )
         return values.astype(float, copy=False)
 
 
-_DEFAULT_GRID = None
+@functools.cache
+def _grid(order) -> QuadratureGrid:
+    """The grid of one order, kept for the process: GRID_NODES and the
+    multiples of _EXP_STEP up to _EXP_CAP that project_exp certifies."""
+    return QuadratureGrid(order)
 
 
 def default_grid() -> QuadratureGrid:
-    """The quadrature grid, built on first use."""
-    global _DEFAULT_GRID
-    if _DEFAULT_GRID is None:
-        _DEFAULT_GRID = QuadratureGrid()
-    return _DEFAULT_GRID
+    """The order-GRID_NODES grid, built on first use."""
+    return _grid(GRID_NODES)
+
+
+def node_gap(coeffs) -> float:
+    """How far sum_k c_k phi_k (a dict {index: c_k}) can move from its value
+    at the nearest default-grid node: (pi / N) sum_k |c_k| |phi_k|_inf
+    (j_k + j2_k), N = GRID_NODES.  The nearest node lies within 1 / (2N) in t
+    and, for the even function on [0, pi], within pi / N in x, where the
+    derivatives of phi_k are at most 2 pi j_k |phi_k|_inf and j2_k |phi_k|_inf."""
+    return math.pi / GRID_NODES * sum(abs(c) * basis_norm(idx) * (idx.j + idx.j2) for idx, c in coeffs.items())
 
 
 # project_exp's relative accuracy, its ladder step and largest order, the strip
-# half-widths its bound tries, and the entries of one block of replicates (0.5 MB)
+# half-widths its bound tries, and the node values of one block of replicates (0.5 MB)
 _EXP_TOL, _EXP_STEP, _EXP_CAP, _EXP_BLOCK = 1e-15, 16, 1024, 1 << 16
 _EXP_STRIPS = 2.0 ** (np.arange(-24, 9) / 4.0)
 
@@ -246,46 +271,29 @@ def _exp_orders(lead, coeffs, indices):
     return orders.astype(int)
 
 
-def _trapezoid_project_exp(lead, coeffs, indices, order):
-    """project_exp's rule at one order.  The rows pass in blocks of at most
-    _EXP_BLOCK entries through one reused buffer, each taking the products
-    it would take alone."""
-    t, x = np.arange(order) / order, TWO_PI * np.arange(order // 2 + 1) / order
-    (T, X), (Tk, Xk) = _separable(lead, t, x), _separable(indices, t, x)
-    freqs = sorted(set(j2 := [idx.j2 for idx in lead]))
-    # group[k, m] = 1 where lead k has the frequency freqs[m]
-    group, Xf = np.equal.outer(j2, freqs).astype(float), X[:, [j2.index(f) for f in freqs]]
-    wT, wX = Tk / order, np.r_[1.0, np.full(order // 2 - 1, 2.0), 1.0][:, None] * (TWO_PI / order) * Xk
-    step = max(1, _EXP_BLOCK // (order * len(x)))
-    buf = np.empty((min(step, len(coeffs)), order, len(x)))
-    out = np.empty((len(coeffs), len(indices)))
-    for r0 in range(0, len(coeffs), step):
-        rows = coeffs[r0 : r0 + step]
-        vals = buf[: len(rows)]
-        np.matmul(T @ (rows[:, :, None] * group), Xf.T, out=vals)
-        np.exp(vals, out=vals)
-        out[r0 : r0 + len(rows)] = np.sum(wT * (vals @ wX), axis=-2)
-    return out
-
-
 def project_exp(lead, coeffs, indices) -> np.ndarray:
     """project(exp(synthesize(lead, c)), indices) for each row c of an (R, J)
     coeffs -> (R, K), to within _EXP_TOL e^l per coefficient, l = c_00 phi_00.
 
-    The one functional off the Gauss-Legendre grid.  exp(p) phi_k is entire
-    and periodic, so the N-point product trapezoid rule misses its integral by
-    at most 4 pi (M_t + M_x) / (e^{aN} - 1), M_t and M_x its bounds on
-    |Im 2 pi t| <= a and |Im x| <= a (Trefethen & Weideman, SIAM Rev. 56,
-    2014, Thm 3.2, on each axis).  Each row takes its least certified N
-    (_exp_orders): 48 to 80 nodes per axis at n <= 4096 instead of 256.  The
-    rule is folded onto the N / 2 + 1 nodes x in [0, pi] (the integrand is
-    even in x) and synthesizes through the distinct cos(j2 x) of the lead set.
-    Rows are grouped by order, and each gets the result it gets alone."""
+    exp(p) phi_k is entire and periodic, so the N-point product trapezoid
+    rule misses its integral by at most 4 pi (M_t + M_x) / (e^{aN} - 1), M_t
+    and M_x its bounds on |Im 2 pi t| <= a and |Im x| <= a (Trefethen &
+    Weideman, SIAM Rev. 56, 2014, Thm 3.2, on each axis).  Each row takes the
+    grid of its least certified order N (_exp_orders): 48 to 80 nodes per
+    axis at n <= 4096 instead of GRID_NODES.  Rows are grouped by order and
+    pass in blocks of at most _EXP_BLOCK node values, and each gets the
+    result it gets alone."""
     coeffs = np.asarray(coeffs, dtype=float)
     orders = _exp_orders(lead, coeffs, indices)
     out = np.empty((len(coeffs), len(indices)))
     for order in sorted(set(orders.tolist())):
-        out[orders == order] = _trapezoid_project_exp(lead, coeffs[orders == order], indices, order)
+        grid, rows = _grid(order), np.flatnonzero(orders == order)
+        step = max(1, _EXP_BLOCK // (order * (order // 2 + 1)))
+        for block in np.split(rows, range(step, len(rows), step)):
+            # exp in place: a second fresh block per step cost a third of
+            # the call at n = 65536
+            vals = grid.synthesize(lead, coeffs[block])
+            out[block] = grid.project(np.exp(vals, out=vals), indices)
     return out
 
 
@@ -304,7 +312,7 @@ class SpectralDensity:
         self.coeffs = {idx: float(v) for idx, v in self.coeffs.items()}
 
     def on_grid(self) -> np.ndarray:
-        return default_grid().synthesize(list(self.coeffs), list(self.coeffs.values()))
+        return default_grid()._as_values(self)
 
     def mean_level(self) -> float:
         """Average of the density over the rectangle."""
@@ -317,8 +325,10 @@ class SpectralDensity:
         )
 
     def range_on_grid(self):
-        v = self.on_grid()
-        return float(np.min(v)), float(np.max(v))
+        """An enclosure of the range on the rectangle: the extremes at the
+        default-grid nodes widened by node_gap."""
+        v, gap = self.on_grid(), node_gap(self.coeffs)
+        return float(np.min(v)) - gap, float(np.max(v)) + gap
 
     def check_membership(self) -> list:
         """Smoothness and range checks as report entries."""
@@ -435,6 +445,20 @@ def random_transfer(k1: int, k2: int, rng) -> TransferFunction:
     return TransferFunction(table)
 
 
+# random_density's normalization sample, with no weights: the GRID_NODES x
+# GRID_NODES Gauss-Legendre nodes (t, x).  max |f - mean| over them sets the
+# scale of every study density, so of every figure a run reports; on the
+# trapezoid nodes the maximum is larger (by 2.8e-5 relative for the default
+# configuration's density), which would move them all.  Built at
+# import, so a command line run pays its size-GRID_NODES eigensolve in set-up.
+def _legendre_nodes():
+    u = leggauss(GRID_NODES)[0]
+    return 0.5 * (u + 1.0), math.pi * u
+
+
+_LEGENDRE_NODES = _legendre_nodes()
+
+
 def random_density(
     k1: int,
     k2: int,
@@ -449,7 +473,8 @@ def random_density(
 
     The deviation from the constant level is shrunk until both the range band
     and the smoothness budget hold with a little headroom, so the result is a
-    strict interior point of the class.
+    strict interior point of the class.  Its sup is taken over
+    _LEGENDRE_NODES.
     """
     if mean is None:
         mean = 0.5 * (rho_star + 1.0 / rho_star)
@@ -466,8 +491,8 @@ def random_density(
         coeffs[idx] = decay * rng.standard_normal()
 
     dens = SpectralDensity(coeffs, s, L, rho_star)
-    dev = dens.on_grid() - mean
-    dev_sup = float(np.max(np.abs(dev)))
+    T, X = _separable(list(dens.coeffs), *_LEGENDRE_NODES)
+    dev_sup = float(np.max(np.abs((T * list(dens.coeffs.values())) @ X.T - mean)))
     if dev_sup > 0.0:
         target = amplitude * min(lo_room, hi_room)
         dens = dens.scaled_deviation(target / dev_sup)

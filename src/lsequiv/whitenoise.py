@@ -7,10 +7,11 @@ estimate the chain proceeds through the localized drift, the covariance of
 the sufficient statistic in coefficient space, the inverse-square-root
 projection and its circulant counterpart, down to the
 Gaussian-orthogonal-ensemble comparison.  Functionals are taken on the
-package's one quadrature grid (spectral.default_grid), and the grid
-functions here (the pilot density, f_hat, the projected inverse root) are
-plain arrays of values on it, but for the pilot risk's exp projection
-(spectral.project_exp), whose entire periodic integrand takes fewer nodes.
+package's one quadrature rule, the folded periodic trapezoid grid: at order
+256 (spectral.default_grid), whose value arrays are the grid functions here
+(the pilot density, f_hat, the projected inverse root), and, for the pilot
+risk's exp projection (spectral.project_exp), at each replicate's least
+certified order.
 """
 
 import math

@@ -21,14 +21,7 @@ PACKAGE = ROOT / "src" / "lsequiv"
 READERS = ("src",)
 
 # "module.py:Class.field" that no src/ expression reads, each with the reason.
-_PUBLIC_DIVERGENCE = (
-    "a result of gaussian_divergences, exported from lsequiv; the chain reads "
-    "its kl only, and test_harness.py holds this one to its closed form"
-)
-ALLOWED = {
-    "harness.py:GaussianDivergences.hellinger_sq": _PUBLIC_DIVERGENCE,
-    "harness.py:GaussianDivergences.tv_upper": _PUBLIC_DIVERGENCE,
-}
+ALLOWED = {}
 
 
 def _decorator_names(node):

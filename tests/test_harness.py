@@ -28,7 +28,7 @@ from lsequiv.harness import (
     condition_checker,
     config_density,
     export_basis,
-    gaussian_divergences,
+    gaussian_kl,
     pinned_hom_defect,
     run_equivalence_chain,
     run_risk_study,
@@ -38,7 +38,7 @@ from lsequiv.harness import (
     whitening_matrix,
 )
 from lsequiv.rng import make_rng
-from lsequiv.spectral import GRID_NODES, QuadratureGrid, default_grid
+from lsequiv.spectral import GRID_NODES, QuadratureGrid
 
 DIV_PAIRS = []
 _rng = make_rng(17, stream=70)
@@ -53,44 +53,46 @@ for _ in range(30):
 
 def test_divergences_identical_vanish():
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-    d = gaussian_divergences(np.zeros(2), cov, np.zeros(2), cov)
-    assert d.kl == 0.0
-    assert d.hellinger_sq == 0.0
-    assert d.tv_upper == 0.0
+    assert gaussian_kl(np.zeros(2), cov, np.zeros(2), cov) == 0.0
 
 
 def test_divergences_mean_shift_closed_form():
     m = np.array([1.0, -0.5])
-    d = gaussian_divergences(np.zeros(2), np.eye(2), m, np.eye(2))
-    msq = float(m @ m)
-    assert d.kl == pytest.approx(msq / 2.0, rel=1e-12)
-    assert d.hellinger_sq == pytest.approx(1.0 - math.exp(-msq / 8.0), rel=1e-12)
-    assert d.tv_upper == pytest.approx(math.sqrt(1.0 - math.exp(-msq / 2.0)), rel=1e-12)
+    assert gaussian_kl(np.zeros(2), np.eye(2), m, np.eye(2)) == pytest.approx(float(m @ m) / 2.0, rel=1e-12)
+
+
+def _hellinger_sq(m1, c1, m2, c2):
+    """1 - BC, BC the Bhattacharyya coefficient of two Gaussian laws, from slogdet."""
+    mid, diff = 0.5 * (c1 + c2), m2 - m1
+    ld1, ld2, ldm = (np.linalg.slogdet(a)[1] for a in (c1, c2, mid))
+    log_bc = 0.25 * (ld1 + ld2) - 0.5 * ldm - 0.125 * diff @ np.linalg.solve(mid, diff)
+    return -math.expm1(log_bc)
 
 
 @pytest.mark.parametrize("m1,c1,m2,c2", DIV_PAIRS)
 def test_hellinger_never_exceeds_kl(m1, c1, m2, c2):
-    d = gaussian_divergences(m1, c1, m2, c2)
-    assert 0.0 <= d.hellinger_sq <= d.kl + 1e-12
-    assert 0.0 <= d.tv_upper <= 1.0
+    # KL >= -2 log BC >= 2 (1 - BC)
+    kl = gaussian_kl(m1, c1, m2, c2)
+    assert 0.0 <= 2.0 * _hellinger_sq(m1, c1, m2, c2) <= kl + 1e-12
 
 
 def test_tv_upper_dominates_quadrature_tv():
-    # 1-D shifted pair whose exact total variation is 2 Phi(1/2) - 1
-    d = gaussian_divergences(np.zeros(1), np.eye(1), np.ones(1), np.eye(1))
-    assert d.tv_upper >= 0.3829249225480262
+    # Bretagnolle-Huber: TV <= sqrt(1 - exp(-KL)); for this 1-D shifted pair
+    # the exact total variation is 2 Phi(1/2) - 1
+    kl = gaussian_kl(np.zeros(1), np.eye(1), np.ones(1), np.eye(1))
+    assert math.sqrt(-math.expm1(-kl)) >= 0.3829249225480262
 
 
 def test_divergences_guards():
     with pytest.raises(PreconditionError):
-        gaussian_divergences(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3))
+        gaussian_kl(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3))
     with pytest.raises(SingularMatrixError):
-        gaussian_divergences(np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.eye(2))
+        gaussian_kl(np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.eye(2))
     # a non-finite mean or covariance is refused before LAPACK sees it
     with pytest.raises(PreconditionError, match="second mean has a non-finite entry"):
-        gaussian_divergences(np.zeros(2), np.eye(2), np.array([0.0, np.inf]), np.eye(2))
+        gaussian_kl(np.zeros(2), np.eye(2), np.array([0.0, np.inf]), np.eye(2))
     with pytest.raises(PreconditionError, match="first covariance has a non-finite entry"):
-        gaussian_divergences(np.zeros(2), np.diag([1.0, np.nan]), np.zeros(2), np.eye(2))
+        gaussian_kl(np.zeros(2), np.diag([1.0, np.nan]), np.zeros(2), np.eye(2))
 
 
 SCHEDULE_CASES = [
@@ -212,7 +214,7 @@ def test_chain_row_past_dense_limit_keeps_band_stages():
 
 def test_whitening_matrix_constant_density_is_identity():
     basis = build_basis(32, 1, 1)
-    ones = np.ones((GRID_NODES, GRID_NODES))
+    ones = np.ones((GRID_NODES, GRID_NODES // 2 + 1))
     w = whitening_matrix(ones, basis)
     assert w.shape == (basis.k2 + 1, 32)
     np.testing.assert_allclose(band_to_dense(w), np.eye(32), atol=1e-12)
@@ -281,7 +283,6 @@ def test_tv_decay_k2_forms_no_n_by_n_array(monkeypatch, traced_peak):
     # LAPACK call of the package goes through _linalg._lapack), and a traced
     # peak below one n x n float64 array
     n, sizes = 4096, []
-    default_grid()  # built once per process, by a size-256 eigvalsh in leggauss
 
     def counted(fn):
         return lambda a, *args, **kwargs: sizes.append(np.shape(a)[-1]) or fn(a, *args, **kwargs)
@@ -606,9 +607,8 @@ def test_verify_builds_no_dense_stack(monkeypatch, traced_peak, linalg_calls):
     monkeypatch.setattr(BasisSystem, "mats", property(forbidden))
     monkeypatch.setattr(BasisSystem, "mcheck", property(forbidden))
     # its one n x n array is B: every spectrum, draw and solve of a covariance
-    # comes from band storage.  The quadrature grid's 256-node Gauss-Legendre
-    # rule takes an eigvalsh of that size, so the grid is built first.
-    default_grid()
+    # comes from band storage.  random_density's 256-node Gauss-Legendre
+    # sample took an eigvalsh of that size when spectral was imported.
     eig_calls = linalg_calls("eigh", "eigvalsh")
     dense_callers = []
     real = linalg.band_to_dense

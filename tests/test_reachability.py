@@ -60,7 +60,6 @@ ALLOWED = {
     "gaussianize.py:neumann_residual_bound": "reference for test_neumann_residual_below_series_bound",
     "gaussianize.py:pilot_risk_bound": "reference for test_criterion_08_pilot_risk",
     "harness.py:RunConfig.to_json": "reference for test_run_config_defaults_and_roundtrip",
-    "spectral.py:QuadratureGrid.basis_values": "reference for test_pilot_risk_row_matches_stacked_formula",
     "spectral.py:SpectralDensity.mean_level": "reference for test_config_density_deterministic_and_in_span",
     "spectral.py:basis_eval": "reference for test_grid_factors_match_basis_eval",
 }

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from numpy.polynomial.legendre import leggauss
+
 from lsequiv import spectral
+from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.errors import ConfigurationError, RangeError
+from lsequiv.gaussianize import ExperimentState, LocalizationConfig
+from lsequiv.harness import RunConfig, config_density
 from lsequiv.rng import make_rng
 from lsequiv.spectral import (
     GRID_NODES,
     BasisIndex,
+    QuadratureGrid,
     SpectralDensity,
     TransferFunction,
     basis_eval,
@@ -16,11 +22,12 @@ from lsequiv.spectral import (
     default_grid,
     enumerate_indices,
     leading_indices,
+    node_gap,
     project_exp,
     random_density,
     random_transfer,
 )
-from lsequiv.whitenoise import _wn_means
+from lsequiv.whitenoise import _wn_means, inv_sqrt_projection, localized_drift, pilot_estimate, simulate_wn
 
 GRID = default_grid()
 
@@ -92,7 +99,7 @@ ORTHO_INDICES = enumerate_indices(2, 2)
 
 @pytest.mark.parametrize("a", range(len(ORTHO_INDICES)))
 def test_orthonormality_row(a):
-    va = GRID.basis_values(ORTHO_INDICES[a])
+    va = GRID.synthesize(ORTHO_INDICES[a : a + 1], [1.0])
     row = [GRID.inner(va, ORTHO_INDICES[b]) for b in range(len(ORTHO_INDICES))]
     expected = np.zeros(len(ORTHO_INDICES))
     expected[a] = 1.0
@@ -134,9 +141,22 @@ def _basis_stack(indices):
     return np.stack([basis_eval(idx, tt, xx) for idx in indices])
 
 
+def test_grid_nodes_and_weights():
+    # t_a = a / N of weight 1 / N; x_b = 2 pi b / N, b = 0..N/2, of weight
+    # 4 pi / N halved at both ends: the N-point rule folded onto [0, pi]
+    n = 8
+    grid = QuadratureGrid(n)
+    np.testing.assert_array_equal(grid.t, np.arange(n) / n)
+    np.testing.assert_allclose(grid.wt, np.full(n, 1.0 / n), rtol=1e-15)
+    np.testing.assert_allclose(grid.x, 2.0 * math.pi * np.arange(n // 2 + 1) / n, rtol=1e-15)
+    np.testing.assert_allclose(grid.wx, 2.0 * math.pi / n * np.array([1.0, 2.0, 2.0, 2.0, 1.0]), rtol=1e-15)
+    assert (GRID.t.size, GRID.x.size) == (GRID_NODES, GRID_NODES // 2 + 1)
+
+
 def test_grid_factors_match_basis_eval():
     T, X = GRID.factors(GRID_INDICES)
-    assert T.shape == X.shape == (GRID_NODES, len(GRID_INDICES))
+    assert T.shape == (GRID_NODES, len(GRID_INDICES))
+    assert X.shape == (GRID_NODES // 2 + 1, len(GRID_INDICES))
     np.testing.assert_allclose(np.einsum("ak,bk->kab", T, X), _basis_stack(GRID_INDICES), rtol=0, atol=1e-13)
 
 
@@ -147,7 +167,7 @@ def test_grid_factors_are_cached_read_only():
     again = GRID.factors(iter(GRID_INDICES))
     assert again[0] is T and again[1] is X
     assert not T.flags.writeable and not X.flags.writeable
-    fresh = type(GRID)().factors(list(GRID_INDICES))
+    fresh = type(GRID)(GRID_NODES).factors(list(GRID_INDICES))
     assert np.array_equal(fresh[0], T) and np.array_equal(fresh[1], X)
     assert GRID.factors(GRID_INDICES[:2])[0].shape == (GRID_NODES, 2)
 
@@ -168,20 +188,129 @@ def test_grid_project_synthesize_gram_match_basis_eval():
     np.testing.assert_allclose(gram, np.einsum("kab,lab->kl", stack * (w2 * values), stack), rtol=0, atol=1e-13)
     np.testing.assert_array_equal(gram, gram.T)
     assert GRID.inner(values, GRID_INDICES[5]) == pytest.approx(GRID.project(values, GRID_INDICES)[5], abs=1e-14)
-    np.testing.assert_array_equal(GRID.basis_values(GRID_INDICES[5]), GRID.synthesize(GRID_INDICES[5:6], [1.0]))
 
 
 def test_grid_stacked_maps_equal_row_by_row():
     rng = make_rng(14, stream=3)
     coeffs = rng.standard_normal((3, 2, len(GRID_INDICES)))
     values = GRID.synthesize(GRID_INDICES, coeffs)
-    assert values.shape == (3, 2, GRID_NODES, GRID_NODES)
+    assert values.shape == (3, 2, GRID_NODES, GRID_NODES // 2 + 1)
     back = GRID.project(values, GRID_INDICES)
     assert back.shape == coeffs.shape
     for a in range(3):
         for b in range(2):
             np.testing.assert_allclose(values[a, b], GRID.synthesize(GRID_INDICES, coeffs[a, b]), rtol=0, atol=1e-14)
             np.testing.assert_allclose(back[a, b], GRID.project(values[a, b], GRID_INDICES), rtol=0, atol=1e-14)
+
+
+class _Legendre:
+    """The GRID_NODES-node Gauss-Legendre tensor rule on [0,1] x [-pi,pi], the
+    package's grid before the trapezoid rule: an oracle for each grid
+    functional that shares no node or weight with the trapezoid grid.  Basis
+    function k is basis_eval(k, t, 0) cos(j2 x) on the nodes (t, x)."""
+
+    def __init__(self):
+        u, w = leggauss(GRID_NODES)
+        self.t, self.wt, self.x, self.wx = 0.5 * (u + 1.0), 0.5 * w, math.pi * u, math.pi * w
+
+    def factors(self, indices):
+        T = np.stack([basis_eval(idx, self.t, 0.0) for idx in indices], axis=1)
+        return T, np.cos(np.outer(self.x, [idx.j2 for idx in indices]))
+
+    def values(self, indices, coeffs):
+        T, X = self.factors(indices)
+        return (T * np.asarray(coeffs, dtype=float)[..., None, :]) @ X.T
+
+    def project(self, values, indices):
+        T, X = self.factors(indices)
+        return np.sum((self.wt[:, None] * T) * (values @ (self.wx[:, None] * X)), axis=-2)
+
+    def gram(self, indices, weight):
+        T, X = self.factors(indices)
+        wxx = np.tensordot(weight, (self.wx[:, None] * X)[:, :, None] * X[:, None, :], axes=1)
+        return np.einsum("ak,al,akl->kl", self.wt[:, None] * T, T, wxx)
+
+    def integrate(self, values):
+        return float(self.wt @ values @ self.wx)
+
+
+LEGENDRE = _Legendre()
+
+
+def _close(got, want):
+    # the oracle's agreement: 1e-13 of its largest coefficient
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+ORACLE_DENSITIES = {
+    "default": config_density(RunConfig()),
+    "tv-k2": config_density(RunConfig(k1=0, k2=1), k1=0, k2=1),
+    **{
+        f"random-{seed}": random_density(2, 2, make_rng(seed, stream=36), s=11.0, L=5.0, rho_star=0.5)
+        for seed in range(10)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_DENSITIES))
+def test_grid_functionals_match_legendre_oracle(name):
+    # the chain's functionals of a study density: f, log f and f^(-1/2)
+    # projected, f^(-2) as a Gram weight, the L2 integral and one inner product
+    f = ORACLE_DENSITIES[name]
+    lead = leading_indices(32)
+    fv, fo = f.on_grid(), LEGENDRE.values(list(f.coeffs), list(f.coeffs.values()))
+    for g in (lambda v: v, np.log, lambda v: v**-0.5):
+        _close(GRID.project(g(fv), lead), LEGENDRE.project(g(fo), lead))
+    _close(GRID.project(f, lead), LEGENDRE.project(fo, lead))
+    _close(GRID.weighted_gram(lead, fv**-2.0), LEGENDRE.gram(lead, fo**-2.0))
+    _close(GRID.integrate(fv**2), LEGENDRE.integrate(fo**2))
+    want = LEGENDRE.project(np.log(fo), lead)
+    assert abs(GRID.inner(np.log(fv), lead[4]) - want[4]) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_chain_row_functionals_match_legendre_oracle():
+    # a default chain row at n = 256: f_hat (its Gamma Gram and inverse root
+    # projection) and the pilot estimate (its inverse root projection)
+    n, cfg = 256, RunConfig()
+    f, sched = config_density(cfg), cfg.window(n)
+    basis = build_basis(n, sched.k1, sched.k2)
+    state = ExperimentState.build(
+        basis,
+        LocalizationConfig(beta=sched.beta, gamma=sched.gamma),
+        theta=build_theta(f, n),
+        rng=make_rng(cfg.seed, stream=11_000_000 + n),
+    )
+    fhat_coeffs = (state.alpha_theta + state.eta_tilde) / math.sqrt(2.0 * math.pi * n)
+    f_hat, _ = localized_drift(
+        state.alpha_theta, state.eta_tilde, n, basis.indices, cfg.rho_star, gamma=sched.gamma
+    )
+    fo = LEGENDRE.values(basis.indices, fhat_coeffs)
+    _close(GRID.weighted_gram(basis.indices, f_hat**-2.0), LEGENDRE.gram(basis.indices, fo**-2.0))
+    _close(inv_sqrt_projection(f_hat, basis.indices).coeffs, LEGENDRE.project(fo**-0.5, basis.indices))
+    obs = simulate_wn(f, n, rng=make_rng(cfg.seed, stream=12_000_000 + n))
+    pilot, po = pilot_estimate(obs), np.exp(LEGENDRE.values(obs.indices, obs.values))
+    _close(inv_sqrt_projection(pilot, basis.indices).coeffs, LEGENDRE.project(po**-0.5, basis.indices))
+    _close(GRID.project(np.log(pilot), obs.indices), obs.values)
+
+
+def _unfolded_exp_projection(lead, coeffs, order):
+    """project(exp(synthesize(lead, c)), GRID_INDICES) per row c by the full
+    N-point trapezoid sum over the period in both axes, from basis_eval."""
+    t = (np.arange(order) / order)[:, None]
+    x = (2.0 * math.pi * np.arange(order) / order)[None, :]
+    p = sum(c[:, None, None] * basis_eval(idx, t, x) for idx, c in zip(lead, coeffs.T))
+    return np.array(
+        [
+            [np.sum(np.exp(p[r]) * basis_eval(idx, t, x)) * 2.0 * math.pi / order**2 for idx in GRID_INDICES]
+            for r in range(len(coeffs))
+        ]
+    )
+
+
+def _exp_on(order, lead, coeffs):
+    """project_exp's map on the order-N grid."""
+    grid = QuadratureGrid(order)
+    return grid.project(np.exp(grid.synthesize(lead, coeffs)), GRID_INDICES)
 
 
 @pytest.mark.parametrize("reps", [1, 7, 8, 9, 15, 16, 17, 100])
@@ -199,10 +328,10 @@ def test_project_exp_equals_stacked_maps(reps):
 
 @pytest.mark.parametrize("reps", [1, 17])
 def test_project_exp_matches_unfolded_projection(reps):
-    # oracle: exp of the synthesis on the full grid, projected unfolded
+    # oracle: exp of the synthesis on the full GRID_NODES-point period, unfolded
     lead = leading_indices(32)
     coeffs = 0.3 * make_rng(reps, stream=5).standard_normal((reps, len(lead)))
-    want = GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES)
+    want = _unfolded_exp_projection(lead, coeffs, GRID_NODES)
     got = project_exp(lead, coeffs, GRID_INDICES)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
@@ -243,7 +372,7 @@ ORACLE_CASES = [(64, 0.3), (1024, 0.3), (16384, 0.3), (64, None), (1024, None), 
 @pytest.mark.parametrize("n,scale", ORACLE_CASES)
 def test_project_exp_matches_grid_oracle(n, scale):
     lead, coeffs = _pilot_draws(n, scale)
-    want = GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES)
+    want = LEGENDRE.project(np.exp(LEGENDRE.values(lead, coeffs)), GRID_INDICES)
     got = project_exp(lead, coeffs, GRID_INDICES)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
@@ -254,7 +383,7 @@ def test_project_exp_certificate_is_sound_and_minimal(n, scale):
     # the oracle (plus its rounding), and the chosen order is the first whose
     # bound is at most the tolerance
     lead, coeffs = _pilot_draws(n, scale)
-    want = GRID.project(np.exp(GRID.synthesize(lead, coeffs)), GRID_INDICES)
+    want = LEGENDRE.project(np.exp(LEGENDRE.values(lead, coeffs)), GRID_INDICES)
     level = np.exp(coeffs[:, 0] * basis_norm(lead[0]))[:, None]
     orders = spectral._exp_orders(lead, coeffs, GRID_INDICES)
     step = spectral._EXP_STEP
@@ -262,14 +391,13 @@ def test_project_exp_certificate_is_sound_and_minimal(n, scale):
         bounds = [_trapezoid_bound(lead, coeffs[r], m) for m in range(step, chosen + 1, step)]
         assert bounds[-1] <= spectral._EXP_TOL < min(bounds[:-1], default=math.inf)
         for m, bound in zip(range(step, chosen + 1, step), bounds):
-            got = spectral._trapezoid_project_exp(lead, coeffs[r : r + 1], GRID_INDICES, m)[0]
-            err = np.max(np.abs(got - want[r]))
+            err = np.max(np.abs(_exp_on(m, lead, coeffs[r]) - want[r]))
             assert err <= bound * level[r, 0] + 1e-14 * np.max(np.abs(want[r]))
 
 
 def test_project_exp_groups_rows_by_order():
     # rows of three scales need three orders; each row is its own order's
-    # rule, bit for bit, wherever it sits in the call
+    # grid map, bit for bit, wherever it sits in the call
     lead = leading_indices(32)
     z = make_rng(7, stream=7).standard_normal((9, len(lead)))
     coeffs = np.repeat([0.02, 0.1, 0.3], 3)[:, None] * z
@@ -277,8 +405,7 @@ def test_project_exp_groups_rows_by_order():
     assert len(set(orders.tolist())) == 3
     got = project_exp(lead, coeffs, GRID_INDICES)
     for r, order in enumerate(orders):
-        alone = spectral._trapezoid_project_exp(lead, coeffs[r : r + 1], GRID_INDICES, order)
-        assert np.array_equal(got[r], alone[0])
+        assert np.array_equal(got[r], _exp_on(order, lead, coeffs[r : r + 1])[0])
 
 
 def test_project_exp_cap_raises_before_allocating(traced_peak):
@@ -299,16 +426,8 @@ def test_trapezoid_fold_equals_full_period_sum():
     # give the full N-point trapezoid sum on the period
     lead = leading_indices(32)
     coeffs = 0.3 * make_rng(3, stream=8).standard_normal((2, len(lead)))
-    order = 48
-    t = (np.arange(order) / order)[:, None]
-    x = (2.0 * math.pi * np.arange(order) / order)[None, :]
-    p = sum(c[:, None, None] * basis_eval(idx, t, x) for idx, c in zip(lead, coeffs.T))
-    want = [
-        [np.sum(np.exp(p[r]) * basis_eval(idx, t, x)) * 2.0 * math.pi / order**2 for idx in GRID_INDICES]
-        for r in range(2)
-    ]
-    got = spectral._trapezoid_project_exp(lead, coeffs, GRID_INDICES, order)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+    want = _unfolded_exp_projection(lead, coeffs, 48)
+    np.testing.assert_allclose(_exp_on(48, lead, coeffs), want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 RANDOM_DENSITY_SEEDS = list(range(6))
@@ -326,6 +445,43 @@ def test_random_density_membership(seed):
     assert lo >= f.rho_star
     assert hi <= 1.0 / f.rho_star
     assert f.sobolev_sum() <= f.L ** 2
+
+
+def test_range_enclosure_fails_where_the_nodes_pass():
+    # f = 5/4 + a cos(2 pi t - theta) peaks at t = 1/512 and dips at
+    # t = 1/2 + 1/512, midway between nodes; with a between 3/4 and 3/4 over
+    # cos(pi / 256), the nodes stay inside [1/2, 2] while f leaves it at both
+    # ends, and so does the enclosure
+    theta, amp = math.pi / GRID_NODES, 0.375 * (1.0 + 1.0 / math.cos(math.pi / GRID_NODES))
+    plus, minus = BasisIndex("+", 1, 0), BasisIndex("-", 1, 0)
+    coeffs = {
+        BasisIndex("+", 0, 0): 1.25 * math.sqrt(2.0 * math.pi),
+        plus: amp * math.cos(theta) / basis_norm(plus),
+        minus: amp * math.sin(theta) / basis_norm(minus),
+    }
+    f = SpectralDensity(coeffs, s=11.0, L=5.0, rho_star=0.5)
+    fv = f.on_grid()
+    assert 0.5 < fv.min() and fv.max() < 2.0
+    for t, want in ((1.0 / 512.0, 1.25 + amp), (0.5 + 1.0 / 512.0, 1.25 - amp)):
+        assert sum(c * basis_eval(i, t, 0.0) for i, c in coeffs.items()) == pytest.approx(want, rel=1e-14)
+    lo, hi = f.range_on_grid()
+    assert lo < 1.25 - amp < 0.5 and 2.0 < 1.25 + amp < hi
+    passed = {c.check_id: c.passed for c in f.check_membership()}
+    assert passed == {"density.smoothness": True, "density.lower": False, "density.upper": False}
+    with pytest.raises(RangeError):
+        f.require_membership()
+
+
+@pytest.mark.parametrize("name", [name for name in ORACLE_DENSITIES if name.startswith("random")])
+def test_range_enclosure_contains_fine_sample_extremes(name):
+    # a 2048 x 2048 sample between the nodes stays inside the enclosure, whose
+    # widening node_gap is below 0.003 on these densities
+    f, m = ORACLE_DENSITIES[name], 2048
+    T, X = spectral._separable(list(f.coeffs), (np.arange(m) + 0.5) / m, math.pi * (2.0 * np.arange(m) + 1 - m) / m)
+    sample = (T * list(f.coeffs.values())) @ X.T
+    lo, hi = f.range_on_grid()
+    assert lo <= sample.min() and sample.max() <= hi
+    assert node_gap(f.coeffs) < 0.003
 
 
 def test_random_density_default_mean():

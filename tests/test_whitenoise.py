@@ -33,7 +33,7 @@ THETA = build_theta(DENSITY, N)
 STATE = ExperimentState.build(
     BASIS, LocalizationConfig(beta=1.0, gamma=3.0), theta=THETA, rng=make_rng(0, stream=64)
 )
-ONES = np.ones((GRID_NODES, GRID_NODES))
+ONES = np.ones((GRID_NODES, GRID_NODES // 2 + 1))
 
 
 def test_noise_level_identity():
@@ -91,8 +91,9 @@ def test_pilot_risk_row_matches_stacked_formula():
     logf = np.log(DENSITY.on_grid())
     means = np.array([GRID.inner(logf, idx) for idx in lead])
     draws = means + noise_level(n) * make_rng(seed, stream=n).standard_normal((reps, len(lead)))
-    stack = np.stack([GRID.basis_values(idx).ravel() for idx in lead])
-    kstack = np.stack([GRID.basis_values(idx).ravel() for idx in BASIS.indices])
+    # row k: basis function k on the grid, from a synthesis of the k-th unit vector
+    stack = GRID.synthesize(lead, np.eye(len(lead))).reshape(len(lead), -1)
+    kstack = GRID.synthesize(BASIS.indices, np.eye(BASIS.K)).reshape(BASIS.K, -1)
     weights = np.outer(GRID.wt, GRID.wx).ravel()
     alpha_hat = math.sqrt(2.0 * math.pi * n) * (np.exp(draws @ stack) * weights) @ kstack.T
     target = target_coefficients(DENSITY, BASIS.indices, n)
@@ -151,7 +152,7 @@ def test_gamma_min_eig_check_constant_density():
 
 
 def test_gamma_min_eig_check_rejects_nonpositive_density():
-    bad = np.zeros((GRID_NODES, GRID_NODES))
+    bad = np.zeros_like(ONES)
     with pytest.raises(RangeError):
         gamma_min_eig_check(bad, leading_indices(6))
 
