@@ -1,47 +1,49 @@
 """Symmetric-matrix helpers, dense and banded.
 
-All spectral decompositions in the package go through this module so that the
-singularity policy is uniform: eigenvalues below ``rtol * max|eig|`` raise
-instead of being pseudo-inverted.  Banded symmetric matrices are held in
-LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for ``j = 0..width``;
-they are factored by banded Cholesky (``dpbtrf``), whose failure is the
-positive-definiteness check, and solved from the factor (``dpbtrs``, or
-``dtbtrs`` for one triangular solve); their extreme eigenvalues come from
-``dsbevx`` and their full spectrum from ``dsbevd``.  These LAPACK routines
-are called from scipy's extension module ``scipy.linalg._flapack``, loaded on
-its own: importing the scipy package would double the start-up time of every
+Every Cholesky factorization and eigendecomposition in the package goes
+through this module, so that the singularity policy is uniform: eigenvalues
+below ``rtol * max|eig|`` raise instead of being pseudo-inverted, and a
+failed factorization raises a typed error.  Banded symmetric matrices are
+held in LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for
+``j = 0..width``; they are factored by banded Cholesky (``dpbtrf``), whose
+failure is the positive-definiteness check, and solved from the factor
+(``dpbtrs``, or ``dtbtrs`` for one triangular solve); their extreme
+eigenvalues come from ``dsbevx`` and their full spectrum from ``dsbevd``,
+all from scipy's extension module ``scipy.linalg._flapack``, loaded on its
+own: importing the scipy package would double the start-up time of every
 command line run.  A non-finite band raises PreconditionError before it
 reaches LAPACK.  A function x**power (-1 <= power < 0) of an SPD band is a
-Chebyshev polynomial in it, held as a band of certified half-width
-(``band_function``); several powers share one three-term recurrence, run on
-lower halves since each T_k is symmetric.  A band too ill-conditioned for
-that half-width to stay below 4 sqrt(n) is given the exact function, dense.
+Chebyshev polynomial in it of certified half-width (``band_function``), or,
+for a band too ill-conditioned for that to stay below 4 sqrt(n), the exact
+function, dense.
 
-A symmetric wrapped band of half-width w has A[i, l] = 0 unless the cyclic
-distance min(|i - l|, n - |i - l|) is at most w, with 2w < n; the cyclic
-dictionary sums and the whitening matrix W are of this kind.  It is held as
-its wrapped diagonals, ``wd[j, i] = A[(i + j) mod n, i]`` for ``j = 0..w``.
-Reordering the indices as 0, n-1, 1, n-2, ... turns it into a plain band of
-half-width 2w with the same spectrum and Frobenius norm (``wrapped_band``),
-so ``band_extremes`` applies.  No covariance is built dense: theta,
-vartheta and every matrix of a chain row are bands.  An n x n array is formed
-from band storage only by ``band_to_dense`` and ``signed_to_dense``, the
-latter for a band that fills (2w >= n), for test oracles, ``export-basis``
-and the B of ``verify``'s likelihood affinity check; every spectrum and draw
-``verify`` takes of a covariance comes from band storage.
+A symmetric wrapped band (A[i, l] = 0 past cyclic distance w), such as the
+cyclic dictionary sums and the whitening matrix W, is held as its wrapped
+diagonals, ``wd[j, i] = A[(i + j) mod n, i]`` for ``j = 0..w``; lower band
+storage is the same layout for a plain band, zero where i + j passes n - 1.
+Row j stands for itself and its mirror, and for 2w >= n the rows of one
+cyclic diagonal add up.  For 2w < n, the order 0, n-1, 1, n-2, ... makes a
+wrapped band a plain one of half-width 2w (``wrapped_band``), so
+``band_extremes`` applies.  No covariance is built dense; an n x n array is
+formed from band storage only by ``band_to_dense`` (test oracles,
+``export-basis``, the B of ``verify``'s affinity check) and for a
+difference or product that fills.
 
-Products of bands (not symmetric in general) use signed storage,
-``g[w + s, i] = A[(i + s) mod n, i]`` for ``s = -w..w`` (``signed_band``).  A
-plain band is zero where i + s leaves [0, n), so one layout serves plain and
-wrapped bands, and rows s >= 0 of a symmetric result are its lower band
-storage.  Rows s and s - n add up to one cyclic diagonal (``signed_to_dense``).
-A symmetric S M S is formed by those rows only (``band_sandwich``), about
-half the work of both halves, and |G - H|_F of two symmetric results is read
-from their lower halves (``lower_frob``).
+Every kernel another module calls takes and returns symmetric matrices in
+these two layouts.  Band products, not symmetric in general, are formed here
+in signed storage, ``g[w + s, i] = A[(i + s) mod n, i]`` for ``s = -w..w``
+(``signed_band``), zero where a plain band's i + s leaves [0, n); rows
+s >= 0 are the lower half of a symmetric matrix, and rows s and s - n add up
+to one cyclic diagonal.  ``band_product`` and ``band_sandwich``, which forms
+a symmetric S M S by its rows s >= 0 only, share one diagonal loop;
+``band_trace_square`` takes tr((A B)^2) from one product and ``lower_frob``
+reads |G - H|_F from lower halves.  Only ``BasisSystem.trace_gram`` reads
+signed storage elsewhere: its windowed sums index that layout.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -193,8 +195,7 @@ def frob(a):
 
 
 def band_to_dense(ab):
-    """Dense symmetric matrix from lower band storage or from wrapped
-    diagonals (2w < n)."""
+    """Dense symmetric matrix from lower band storage or wrapped diagonals."""
     return signed_to_dense(signed_band(ab))
 
 
@@ -265,6 +266,19 @@ def band_chol_solve_t(factor, b):
     return _lapack("dtbtrs", factor, b, uplo=b"L", trans=b"T", overwrite_b=0)[0]
 
 
+def cholesky(a, what):
+    """Dense lower Cholesky factor; SingularMatrixError unless a is SPD."""
+    try:
+        return np.linalg.cholesky(np.asarray(a, dtype=float))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(f"{what} is not positive definite")
+
+
+def chol_logdet(factor) -> float:
+    """log det A from the dense lower Cholesky factor of A."""
+    return 2.0 * float(np.sum(np.log(np.diag(factor))))
+
+
 def chol_solve(factor, b):
     """A**-1 b from the dense lower Cholesky factor of A, by dpotrs."""
     return _lapack("dpotrs", factor, b, lower=1, overwrite_b=0)[0]
@@ -292,16 +306,21 @@ def wrapped_band(wd):
 
 
 def signed_band(ab):
-    """Signed storage of the symmetric matrix held in lower band storage or as
-    wrapped diagonals ab: row -j is row j shifted cyclically by j columns."""
-    w, n = len(ab) - 1, ab.shape[1]
-    g = np.empty((2 * w + 1, n), dtype=ab.dtype)
-    g[w:] = ab
-    for j in range(1, w + 1):
+    """Signed storage of a symmetric band ab (lower storage or wrapped)."""
+    return _mirrored(ab, len(ab) - 1)
+
+
+def _mirrored(ab, rows):
+    """Rows -rows..w of the signed storage of the symmetric band ab: row -j is
+    row j shifted cyclically by j columns."""
+    n = ab.shape[1]
+    g = np.empty((rows + len(ab), n), dtype=ab.dtype)
+    g[rows:] = ab
+    for j in range(1, rows + 1):
         # A[i - j, i] = A[i, i - j], held at column (i - j) mod n of row j
         k = j % n
-        g[w - j, :k] = ab[j, n - k :]
-        g[w - j, k:] = ab[j, : n - k]
+        g[rows - j, :k] = ab[j, n - k :]
+        g[rows - j, k:] = ab[j, : n - k]
     return g
 
 
@@ -362,79 +381,72 @@ def dense_signed(a):
 
 
 def band_product(a, b):
-    """A @ B in signed storage of half-width wa + wb, one pass over the
-    diagonals of the narrower operand, (2 wa + 1)(2 wb + 1) n work.  When
-    wa + wb >= n no band is left to keep: the product is one dense matmul,
-    returned as a plain band of half-width n - 1."""
+    """A @ B in signed storage of half-width wa + wb, (2 wa + 1)(2 wb + 1) n
+    work by diagonals of the narrower operand.  When wa + wb >= n no band is
+    left to keep: the product is one dense matmul, returned as a plain band
+    of half-width n - 1."""
     wa, wb, n = a.shape[0] // 2, b.shape[0] // 2, a.shape[1]
     if wa + wb >= n:
         return dense_signed(signed_to_dense(a) @ signed_to_dense(b))
     if wa < wb:
         return band_transpose(band_product(band_transpose(b), band_transpose(a)))
-    out = np.zeros((2 * (wa + wb) + 1, n))
+    return _diagonal_products(a, b, lower=False)
+
+
+def _diagonal_products(a, b, lower):
+    """A @ B in signed storage for wa >= wb and wa + wb < n, summed over the
+    diagonals t of B in order.  With lower, a holds A's rows -wb..wa only and
+    only the rows s >= 0 are formed, (2 wb + 1)(wa + 1) n work: row u of A
+    lands at s = u + t.  Each entry gains the same terms in the same order
+    either way, so those rows are bitwise equal."""
+    wb, n = b.shape[0] // 2, a.shape[1]
+    # rows of a below s = 0, and the first row of A B formed
+    depth = wb if lower else len(a) // 2
+    first = 0 if lower else -depth - wb
+    out = np.zeros((len(a) - depth + wb - first, n))
     term = np.empty_like(a)
     for t in range(-wb, wb + 1):
-        # (A B)[i + u + t, i] gains A[i + u + t, i + t] B[i + t, i], i + t mod n
-        k = t % n
-        np.multiply(a[:, k:], b[wb + t, : n - k], out=term[:, : n - k])
-        np.multiply(a[:, :k], b[wb + t, n - k :], out=term[:, n - k :])
-        out[wb + t : wb + t + 2 * wa + 1] += term
+        # (A B)[i + u + t, i] gains A[i + u + t, i + t] B[i + t, i], i + t mod n,
+        # for the rows u >= first - t of A, from index lo = u + depth of a
+        k, lo = t % n, max(0, first - t + depth)
+        part, shift = term[lo:], t - depth - first
+        np.multiply(a[lo:, k:], b[wb + t, : n - k], out=part[:, : n - k])
+        np.multiply(a[lo:, :k], b[wb + t, n - k :], out=part[:, n - k :])
+        out[lo + shift : len(a) + shift] += part
     return out
 
 
-def _lower_product(a, b):
-    """Rows s >= 0 of A @ B in signed storage, for wa >= wb: band_product's
-    loop with each diagonal of B applied only to the rows of A that land at
-    s >= 0, (2 wb + 1)(wa + 1) n work, or the lower half of its dense matmul
-    when the product fills (wa + wb >= n).  Each entry gains the same terms
-    in the same order, so the rows are bitwise band_product's."""
-    wa, wb, n = a.shape[0] // 2, b.shape[0] // 2, a.shape[1]
-    if wa + wb >= n:
-        g = band_product(a, b)
-        return g[len(g) // 2 :]
-    out = np.zeros((wa + wb + 1, n))
-    term = np.empty_like(out)
-    for t in range(-wb, wb + 1):
-        # rows u >= -t of A land at s = u + t >= 0
-        k, part = t % n, term[: wa + t + 1]
-        np.multiply(a[wa - t :, k:], b[wb + t, : n - k], out=part[:, : n - k])
-        np.multiply(a[wa - t :, :k], b[wb + t, n - k :], out=part[:, n - k :])
-        out[: wa + t + 1] += part
-    return out
+def band_sandwich(s, *m):
+    """S M_1 ... M_r S in lower band storage, for symmetric S and M_1 ... M_r
+    (their product symmetric too), each in lower band storage or wrapped.  M
+    and S M are band products; of (S M) S only the rows s >= 0 are formed,
+    from S M's rows s >= -ws, bitwise band_product's (or its dense matmul's)."""
+    s = signed_band(s)
+    sm = band_product(s, functools.reduce(band_product, map(signed_band, m)))
+    wa, ws, n = len(sm) // 2, len(s) // 2, s.shape[1]
+    if wa + ws >= n:
+        return band_product(sm, s)[n - 1 :]
+    return _diagonal_products(sm[wa - ws :], s, lower=True)
 
 
-def band_sandwich(s, m):
-    """S @ M @ S in lower band storage (rows s >= 0 of signed storage, of
-    half-width 2 ws + wm) for symmetric S and M in signed storage, plain or
-    wrapped.  S M is one band_product; of (S M) S only the rows s >= 0 are
-    formed, bitwise those of band_product(band_product(s, m), s)."""
-    return _lower_product(band_product(s, m), s)
+def band_trace_square(a, b):
+    """tr((A B)^2) = <G, G^T>_F for symmetric A and B in lower band storage,
+    G = A B one band product."""
+    g = band_product(signed_band(a), signed_band(b))
+    return float(np.vdot(g, band_transpose(g)))
 
 
 def lower_frob(g, h):
-    """|G - H|_F for symmetric G and H in lower band storage: |D_0|^2 plus
-    twice the squares of the rows s >= 1 of D = G - H, each of which stands
-    for itself and its mirror row -s.  Where rows s and s - n name one
-    cyclic diagonal (2w >= n) the difference is formed by signed_frob."""
+    """|G - H|_F for symmetric G and H, each in lower band storage or wrapped,
+    of any half-widths: |D_0|^2 plus twice the squares of the rows j >= 1 of
+    D = G - H, each standing for itself and its mirror.  Where two rows name
+    one cyclic diagonal (2w >= n) they are summed first, in the dense D."""
     g, h = (g, h) if len(g) >= len(h) else (h, g)
-    if 2 * (len(g) - 1) >= g.shape[1]:
-        return signed_frob(signed_band(g), signed_band(h))
     d = g.copy()
     d[: len(h)] -= h
+    if 2 * (len(d) - 1) >= d.shape[1]:
+        return frob(band_to_dense(d))
     return math.sqrt(float(np.dot(d[0], d[0])) + 2.0 * float(np.vdot(d[1:], d[1:])))
-
-
-def signed_frob(g, h):
-    """|G - H|_F for matrices in signed storage, the difference formed entry
-    by entry.  Rows that name one cyclic diagonal (2w >= n) are summed first;
-    that is the only case that forms an n x n array."""
-    # the wider copied, the narrower subtracted: +-(G - H)
-    g, h = (g, h) if len(g) >= len(h) else (h, g)
-    g, lo = g.copy(), len(g) // 2 - len(h) // 2
-    g[lo : lo + len(h)] -= h
-    if len(g) > g.shape[1]:
-        g = signed_to_dense(g)
-    return frob(g)
 
 
 # the Chebyshev interpolant of A**power is asked to be within this of it,
@@ -458,8 +470,9 @@ def band_function(ab, power, extremes=None, error=SingularMatrixError, what="mat
     Smith 1984), and d is the least degree with bound <= CHEB_TOL
     |A**power|_2.  It is summed by the three-term recurrence on lower band
     storage, since each T_k(X) is symmetric: T_{k+1} takes only the rows
-    s >= 0 of T_k X (_lower_product), and each power sums the T_k up to its own
-    degree, so its band is bitwise the one a call for it alone returns.
+    s >= 0 of T_k X, which read T_k's lower half and its k2 mirrored rows
+    s = -k2..-1, and each power sums the T_k up to its own degree, so its
+    band is bitwise the one a call for it alone returns.
     The band products cost O((d k2)^2 n); past d max(k2, 1) >= 4 sqrt(n)
     the exact A**power is cheaper, dense: A**-1 from the banded Cholesky
     factor (dpbtrs), any other power from the eigenvectors of dsbevd, and
@@ -502,7 +515,11 @@ def band_function(ab, power, extremes=None, error=SingularMatrixError, what="mat
         for out, coef in sums:
             out[: k2 + 1] += coef[1] * cur
         for k in range(2, max(len(c) for _, c in sums)):
-            nxt = _lower_product(signed_band(cur), x)
+            # rows s >= 0 of T_k X read T_k's rows s >= -k2 only, unless it fills
+            if len(cur) + k2 <= n:
+                nxt = _diagonal_products(_mirrored(cur, k2), x, lower=True)
+            else:
+                nxt = band_product(signed_band(cur), x)[n - 1 :]
             nxt *= 2.0
             nxt[: len(prev)] -= prev
             for out, coef in sums:

@@ -21,11 +21,10 @@ from ._linalg import (
     band_eigh,
     band_extremes,
     band_function,
-    band_product,
     band_to_dense,
-    band_transpose,
+    band_trace_square,
+    lower_frob,
     signed_band,
-    signed_frob,
 )
 from .circulant import build_mcheck_basis, mcheck_diagonal
 from .errors import ConfigurationError, PreconditionError, RangeError
@@ -321,10 +320,10 @@ def presmoothing_residual(theta: CovarianceMatrix, basis: BasisSystem) -> float:
     """relErr of theta against its basis reconstruction.
 
     relErr whitens the Frobenius projection by theta^{-1/2} on both sides:
-    its square is tr(G G) = <G, G^T>_F for G = theta^{-1} E, one band
-    product of band_function's theta^{-1} (a Chebyshev band, or the exact
-    inverse as a full band for an ill-conditioned theta) and the residual
-    E = theta - sum_k <theta, M_k> M_k.
+    its square is tr((theta^{-1} E)^2), band_trace_square of band_function's
+    theta^{-1} (a Chebyshev band, or the exact inverse as a full band for an
+    ill-conditioned theta) and the residual E = theta - sum_k <theta, M_k> M_k,
+    both in lower band storage.
     """
     if basis.n != theta.n:
         raise ConfigurationError("basis size does not match theta")
@@ -332,8 +331,7 @@ def presmoothing_residual(theta: CovarianceMatrix, basis: BasisSystem) -> float:
     proj = basis.band(basis.project(theta.band))
     resid = np.pad(theta.band, ((0, max(len(proj) - len(theta.band), 0)), (0, 0)))
     resid[: len(proj)] -= proj
-    g = band_product(signed_band(inverse), signed_band(resid))
-    return math.sqrt(max(float(np.vdot(g, band_transpose(g))), 0.0))
+    return math.sqrt(max(band_trace_square(inverse, resid), 0.0))
 
 
 # Euler-Maclaurin for _hurwitz_zeta: direct terms, and B_2k / (2k)! for k = 1..8
@@ -385,8 +383,7 @@ def class_c1(s: float, L: float) -> float:
 def theta_lipschitz_check(f: SpectralDensity, g: SpectralDensity, n: int) -> list:
     """Both Frobenius-Lipschitz bounds as report entries; sup |f - g| is its
     node maximum widened by node_gap."""
-    theta_f, theta_g = (signed_band(build_theta(h, n).band) for h in (f, g))
-    lhs = signed_frob(theta_f, theta_g) ** 2
+    lhs = lower_frob(build_theta(f, n).band, build_theta(g, n).band) ** 2
     h = {idx: f.coeffs.get(idx, 0.0) - g.coeffs.get(idx, 0.0) for idx in f.coeffs | g.coeffs}
     hvals = default_grid().synthesize(list(h), list(h.values()))
     h_sup = float(np.max(np.abs(hvals))) + node_gap(h)

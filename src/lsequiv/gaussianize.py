@@ -27,12 +27,10 @@ from ._linalg import (
     band_cholesky,
     band_extremes,
     band_function,
-    band_product,
     band_sandwich,
     band_to_dense,
     check_symmetric,
     frob,
-    signed_band,
     spectral_norm,
     sym_eig,
     sym_inv,
@@ -162,13 +160,14 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
     C = sum (alpha + eta)_k M_k and Delta = C - C_theta have half-width k2;
     C^{-1} and C^{-1/2} are band_function's polynomials in C from one
     recurrence (each, for a C too ill-conditioned for a half-width below
-    4 sqrt(n), its exact power as a full band), and P = C^{-1} Delta C^{-1}
-    (half-width 2w + k2) is band_sandwich's lower half; B = C^{-1} + P.  C
-    must be positive definite and C^{-1} Delta a spectral contraction; both
+    4 sqrt(n), its exact power as a full band), P = C^{-1} Delta C^{-1}
+    (half-width 2w + k2) is band_sandwich(C^{-1}, Delta), and B = C^{-1} + P.
+    C must be positive definite and C^{-1} Delta a spectral contraction; both
     failures raise a localization error so Monte Carlo drivers can count
-    them.  |C^{-1} Delta|_2^2 = max eig(C^{-1} Delta^2 C^{-1}) is computed
-    only when contraction_bound, the row-sum bound over min eig(C), is
-    >= 1, so every decision is the exact one.
+    them.  |C^{-1} Delta|_2^2 = max eig(C^{-1} Delta^2 C^{-1}), with the
+    band from band_sandwich(C^{-1}, Delta, Delta), is computed only when
+    contraction_bound, the row-sum bound over min eig(C), is >= 1, so every
+    decision is the exact one.
     """
     alpha_theta = np.asarray(alpha_theta, dtype=float)
     eta_tilde = np.asarray(eta_tilde, dtype=float)
@@ -186,15 +185,14 @@ def build_localized_C(alpha_theta, eta_tilde, basis: BasisSystem):
     (c_inv, _, _), (c_inv_sqrt, _, _) = band_function(
         c_band, (-1.0, -0.5), extremes=c_extremes, error=LocalizationError, what="localized C"
     )
-    c_signed, delta_signed = signed_band(c_inv), signed_band(delta_band)
     if contraction_bound(c_lo, delta_band) >= 1.0:
-        z = band_sandwich(c_signed, band_product(delta_signed, delta_signed))
+        z = band_sandwich(c_inv, delta_band, delta_band)
         contraction = math.sqrt(max(band_extremes(z)[1], 0.0))
         if contraction >= 1.0:
             raise LocalizationError(
                 f"perturbation not a contraction (|C^-1 Delta|_sp = {contraction:.3g})"
             )
-    p = band_sandwich(c_signed, delta_signed)
+    p = band_sandwich(c_inv, delta_band)
     b_band = p.copy()
     b_band[: len(c_inv)] += c_inv
     return c_band, delta_band, (c_inv, p), c_inv_sqrt, b_band, (c_extremes, theta_extremes)

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from ._linalg import band_cholesky, check_finite, chol_solve
+from ._linalg import band_cholesky, check_finite, chol_logdet, chol_solve, cholesky
 from .basis_cov import (
     BasisSystem,
     build_basis,
@@ -42,7 +42,7 @@ from .cltcheck import (
     span_char_context,
     tv_oracle,
 )
-from .errors import ConfigurationError, PreconditionError, SingularMatrixError, TypedError
+from .errors import ConfigurationError, PreconditionError, TypedError
 from .gaussianize import (
     ExperimentState,
     LocalizationConfig,
@@ -91,17 +91,6 @@ _CAUGHT = (TypedError,)
 # closed-form Gaussian divergence
 
 
-def _chol(cov, what):
-    try:
-        return np.linalg.cholesky(np.asarray(cov, dtype=float))
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(f"{what} is not positive definite")
-
-
-def _chol_logdet(chol_factor) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol_factor))))
-
-
 def gaussian_kl(mean1, cov1, mean2, cov2) -> float:
     """KL(N1 || N2) between two Gaussian laws, in closed form."""
     m1 = np.asarray(mean1, dtype=float).ravel()
@@ -114,14 +103,14 @@ def gaussian_kl(mean1, cov1, mean2, cov2) -> float:
     inputs = {"first mean": m1, "first covariance": c1, "second mean": m2, "second covariance": c2}
     for what, a in inputs.items():
         check_finite(a, what)
-    ld1 = _chol_logdet(_chol(c1, "first covariance"))
-    l2 = _chol(c2, "second covariance")
+    ld1 = chol_logdet(cholesky(c1, "first covariance"))
+    l2 = cholesky(c2, "second covariance")
     diff = m2 - m1
     kl = 0.5 * (
         float(np.trace(chol_solve(l2, c1)))
         + float(diff @ chol_solve(l2, diff))
         - k
-        + _chol_logdet(l2)
+        + chol_logdet(l2)
         - ld1
     )
     return max(kl, 0.0)

@@ -28,9 +28,6 @@ from ._linalg import (
     guarded_eig,
     is_positive_definite,
     lower_frob,
-    signed_band,
-    signed_frob,
-    signed_to_dense,
     sym_abs,
     wrapped_band,
 )
@@ -305,10 +302,11 @@ class GoeComparison:
     the spectral norms and the gaps it takes are computed on first read from
     the bands kept here, so a caller that reads only kl does not pay for the
     norms of W and Dcheck (dsbevx on reordered wrapped bands, O(n^2)).  W and
-    Dcheck are wrapped diagonals, x = sqrt(2 pi) C^{-1/2} is in signed
-    storage, and abs_w is the dense |W| of an indefinite W (None when W is
-    positive definite, its own |W|).  gamma, the localization scale, sets
-    the dictionary-gap bound gamma^2 sum_k |Mcheck_k - M_k|_F^2.
+    Dcheck are wrapped diagonals and x = sqrt(2 pi) C^{-1/2} is lower band
+    storage, so each Frobenius gap is lower_frob's; abs_w is the dense |W|
+    of an indefinite W (None when W is positive definite, its own |W|).
+    gamma, the localization scale, sets the dictionary-gap bound
+    gamma^2 sum_k |Mcheck_k - M_k|_F^2.
     """
 
     kl: float
@@ -316,7 +314,7 @@ class GoeComparison:
     gamma: float
     w: np.ndarray
     delta_check: np.ndarray
-    x_signed: np.ndarray
+    x_band: np.ndarray
     abs_w: np.ndarray | None
     c_lo: float
 
@@ -338,14 +336,14 @@ class GoeComparison:
     @cached_property
     def dict_gap_sq(self) -> float:
         """|Dcheck - Delta|_F^2."""
-        return signed_frob(signed_band(self.delta_check), signed_band(self.state.delta_band)) ** 2
+        return lower_frob(self.delta_check, self.state.delta_band) ** 2
 
     @cached_property
     def root_gap_sq(self) -> float:
         """| |W / sqrt(2 pi)| - C^{-1/2} |_F^2."""
         if self.abs_w is None:
-            return signed_frob(signed_band(self.w), self.x_signed) ** 2 / A_STAR
-        return frob(self.abs_w - signed_to_dense(self.x_signed)) ** 2 / A_STAR
+            return lower_frob(self.w, self.x_band) ** 2 / A_STAR
+        return frob(self.abs_w - band_to_dense(self.x_band)) ** 2 / A_STAR
 
     @cached_property
     def b1(self) -> float:
@@ -391,13 +389,13 @@ def goe_connection(state, w, gamma) -> GoeComparison:
     b1 + b2 + b3 is its three-term upper bound, certified to dominate, taken
     when it is read (GoeComparison).  x = sqrt(2 pi) C^{-1/2} is the state's
     C^{-1/2}, band_function's polynomial in C from the recurrence that gave
-    C^{-1} (exact and dense for a C too ill-conditioned for a band), and
-    x Delta x is band_sandwich's lower half.  W and Dcheck are k2 + 1
-    wrapped diagonals (see _linalg), as is every cyclic expansion on the
-    window.  W is positive definite when the banded Cholesky factorization
-    of its reordered band succeeds; then it is its own |W|, |W| Dcheck |W|
-    is band_sandwich's lower half of wrapped bands, and the gap to x Delta x
-    is read from the two lower halves entry by entry (lower_frob): no n x n
+    C^{-1} (exact and dense for a C too ill-conditioned for a band), in
+    lower band storage, and x Delta x is band_sandwich(x, Delta).  W and
+    Dcheck are k2 + 1 wrapped diagonals (see _linalg), as is every cyclic
+    expansion on the window.  W is positive definite when the banded
+    Cholesky factorization of its reordered band succeeds; then it is its
+    own |W|, |W| Dcheck |W| is band_sandwich(W, Dcheck), and the gap to
+    x Delta x is read from the two lower halves (lower_frob): no n x n
     array for a well-conditioned C.  Only an indefinite W takes |W| from a dense
     eigendecomposition, with a dense gap.  2 pi is folded into the scalars.
     gamma is the schedule's localization scale, read by the dictionary-gap
@@ -414,12 +412,11 @@ def goe_connection(state, w, gamma) -> GoeComparison:
     scale = math.sqrt(TWO_PI / n)
     delta_check = psi_inverse_real(n, basis.indices, scale * state.eta_tilde)
 
-    x_signed = signed_band(state.c_inv_sqrt_band)
-    x_signed *= math.sqrt(A_STAR)
-    whitened_delta = band_sandwich(x_signed, signed_band(state.delta_band))
+    x_band = math.sqrt(A_STAR) * state.c_inv_sqrt_band
+    whitened_delta = band_sandwich(x_band, state.delta_band)
     abs_w = None
     if w_pd:
-        sandwich = band_sandwich(signed_band(w), signed_band(delta_check))
+        sandwich = band_sandwich(w, delta_check)
         gap = lower_frob(sandwich, whitened_delta)
     else:
         abs_w = sym_abs(band_to_dense(w))[0]
@@ -432,7 +429,7 @@ def goe_connection(state, w, gamma) -> GoeComparison:
         gamma=gamma,
         w=w,
         delta_check=delta_check,
-        x_signed=x_signed,
+        x_band=x_band,
         abs_w=abs_w,
         c_lo=state.c_extremes[0],
     )

@@ -9,12 +9,14 @@ oracle in test_gaussianize.
 Run as a script to print, for one default chain row at n = 512 and 1024,
 the calls and wall milliseconds of each band kernel: each LAPACK routine
 (dsbevx among them), band_function by power, the symmetric products
-(band_sandwich) and the other band products:
+(band_sandwich), the trace of presmoothing (band_trace_square) and the
+signed_band calls by caller:
 
     python tests/test_banded.py
 """
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -38,7 +40,6 @@ from lsequiv._linalg import (
     dense_to_band,
     lower_frob,
     signed_band,
-    signed_frob,
     signed_to_dense,
     wrapped_band,
 )
@@ -119,6 +120,9 @@ def test_signed_band_shifts_match_gather(n, width, wrapped):
     got = signed_band(ab)
     assert got.shape == (2 * width + 1, n)
     np.testing.assert_array_equal(got, _signed_band_gather(ab))
+    # band_function's recurrence mirrors only the rows it reads
+    for rows in range(width + 1):
+        np.testing.assert_array_equal(_linalg._mirrored(ab, rows), got[width - rows :])
 
 
 def _wrapped_case(n, width, seed):
@@ -421,22 +425,25 @@ def _plain_band(n, width, seed):
 def test_band_product_and_signed_frob_match_dense(widths, wrapped):
     # the products chain through a non-symmetric middle factor; ((12, 9, 4),
     # n = 20) fills past n - 1, so its products are dense matmuls, and
-    # (4, 4, 3) wraps past n / 2
+    # (4, 4, 3) wraps past n / 2.  The Frobenius norm and gap are read by
+    # lower_frob from the symmetric A B C B A of band_sandwich
     n = 20
 
     def make(w, seed):
         return _wrapped_case(n, w, seed)[0] if wrapped else _plain_band(n, w, seed)
 
-    a, b, c = (signed_band(make(w, seed)) for seed, w in enumerate(widths))
+    bands = [make(w, seed) for seed, w in enumerate(widths)]
+    a, b, c = (signed_band(ab) for ab in bands)
     dense = [_signed_to_dense(g, wrapped) for g in (a, b, c)]
     want = dense[0] @ dense[1] @ dense[2]
     for got in (band_product(band_product(a, b), c), band_product(a, band_product(b, c))):
         assert len(got) == 2 * min(sum(widths), n - 1) + 1
         assert _rel(_signed_to_dense(got, wrapped), want) <= 1e-13
-        zero = np.zeros((1, n))
-        assert signed_frob(got, zero) == pytest.approx(np.linalg.norm(want), rel=1e-13)
-        gap = np.linalg.norm(want - dense[0])
-        assert signed_frob(got, a) == pytest.approx(gap, rel=1e-13)
+    sym = band_sandwich(bands[0], bands[1], bands[2], bands[1])
+    want = dense[0] @ dense[1] @ dense[2] @ dense[1] @ dense[0]
+    assert lower_frob(sym, np.zeros((1, n))) == pytest.approx(np.linalg.norm(want), rel=1e-13)
+    gap = np.linalg.norm(want - dense[0])
+    assert lower_frob(sym, bands[0]) == pytest.approx(gap, rel=1e-13)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -463,7 +470,7 @@ def test_band_sandwich_matches_dense_and_nested_products(wrapped, ws, wm, n, see
         s_ab, m_ab = _plain_band(n, ws, seed), _plain_band(n, wm, seed + 1)
         s_dense, m_dense = band_to_dense(s_ab), band_to_dense(m_ab)
     s, m = signed_band(s_ab), signed_band(m_ab)
-    got = band_sandwich(s, m)
+    got = band_sandwich(s_ab, m_ab)
     nested = band_product(band_product(s, m), s)
     np.testing.assert_array_equal(got, nested[len(nested) // 2 :])
     want = s_dense @ m_dense @ s_dense
@@ -479,9 +486,79 @@ def test_band_sandwich_matches_dense_and_nested_products(wrapped, ws, wm, n, see
         lower = np.stack([np.pad(np.diagonal(want, -j), (0, j)) for j in range(width + 1)])
         assert _rel(got, lower) <= 1e-13
     # |G - H|_F read from two lower halves
-    other = band_sandwich(m, s)
+    other = band_sandwich(m_ab, s_ab)
     gap = np.linalg.norm(want - m_dense @ s_dense @ m_dense)
     assert lower_frob(got, other) == pytest.approx(gap, rel=1e-12, abs=1e-12 * np.linalg.norm(want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), w=st.integers(0, 12), k2=st.integers(0, 6), seed=st.integers(0, 2**16))
+def test_lower_rows_of_a_symmetric_product_read_its_mirrored_rows(n, w, k2, seed):
+    # T X for symmetric T of half-width w >= k2, as band_function's recurrence
+    # forms it: rows s >= 0 from T's lower half and k2 mirrored rows, bitwise
+    # those of the full band product
+    assume(k2 <= w and w + k2 < n)
+    rng = make_rng(seed, stream=83)
+    t = rng.standard_normal((w + 1, n))
+    x = signed_band(rng.standard_normal((k2 + 1, n)))
+    got = _linalg._diagonal_products(_linalg._mirrored(t, k2), x, lower=True)
+    np.testing.assert_array_equal(got, band_product(signed_band(t), x)[w + k2 :])
+
+
+def _band_dense(ab):
+    """Dense matrix of lower band storage or wrapped diagonals, any half-width:
+    row j adds A[(i + j) mod n, i] and, for j >= 1, its mirror."""
+    n = ab.shape[1]
+    out, i = np.zeros((n, n)), np.arange(n)
+    for j, row in enumerate(ab):
+        np.add.at(out, ((i + j) % n, i), row)
+        if j:
+            np.add.at(out, (i, (i + j) % n), row)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 24),
+    widths=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    wrapped=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**16),
+)
+# a plain band of half-width n - 1, wrapped ones with 2w = n and w >= n, and
+# wrapped against plain (the dictionary gap Dcheck - Delta)
+@example(n=9, widths=(8, 2), wrapped=(False, False), seed=0)
+@example(n=8, widths=(4, 4), wrapped=(True, True), seed=1)
+@example(n=5, widths=(7, 1), wrapped=(True, False), seed=2)
+@example(n=33, widths=(3, 3), wrapped=(True, False), seed=3)
+def test_lower_frob_matches_dense(n, widths, wrapped, seed):
+    rng = make_rng(seed, stream=84)
+    g, h = (
+        rng.standard_normal((w + 1, n)) if wrap else _plain_band(n, min(w, n - 1), seed + k)
+        for k, (w, wrap) in enumerate(zip(widths, wrapped))
+    )
+    want = np.linalg.norm(_band_dense(g) - _band_dense(h))
+    scale = max(np.linalg.norm(_band_dense(g)), np.linalg.norm(_band_dense(h)))
+    assert lower_frob(g, h) == pytest.approx(want, rel=1e-13, abs=1e-13 * scale)
+    assert lower_frob(h, g) == lower_frob(g, h)
+
+
+def test_band_function_mirrors_no_signed_band_per_step(monkeypatch):
+    # the recurrence mirrors the k2 rows of T_k that T_k X reads: signed_band
+    # runs once, on A, however high the degree
+    n, k2 = 512, 2
+    ab = make_rng(5, stream=85).standard_normal((k2 + 1, n))
+    ab[0] = 8.0 + np.abs(ab[0])
+    calls = []
+
+    def counted(band):
+        calls.append(band.shape)
+        return signed_band(band)
+
+    monkeypatch.setattr(_linalg, "signed_band", counted)
+    inverse, degree, _ = band_function(ab, -1.0)
+    assert degree >= 10 and calls == [ab.shape]
+    monkeypatch.undo()
+    assert _rel(band_to_dense(inverse), np.linalg.inv(band_to_dense(ab))) <= 1e-13
 
 
 def _band_product_roll(a, b):
@@ -786,9 +863,10 @@ def test_chain_row_takes_band_extremes_of_tridiagonal_bands_only(lapack_calls):
 
 def test_goe_connection_memory_peak(traced_peak):
     # on the positive definite path the peak is a few signed bands of the
-    # half-width of x Delta x, O(n w) and well under one n x n array: 2.29
-    # of them (2.20 MB) with the products' lower halves, 2.78 (2.66 MB)
-    # when both halves were formed
+    # half-width of x Delta x, O(n w) and well under one n x n array: 2.50
+    # of them (2.39 MB), x's lower band storage held beside band_sandwich's
+    # signed copy of it; 2.29 when x was held signed only, 2.78 when both
+    # halves of the products were formed
     n = 1024
     state, w = _goe_case(2, 2, n=n, w_spread=0.02)
     assert np.linalg.eigvalsh(band_to_dense(w))[0] > 0.0
@@ -933,7 +1011,8 @@ def test_contraction_bound_dominates_exact(window, seed, level, spread, scale):
 
 def _kernel_profile(n):
     """(row ms, {kernel: [calls, ms]}) of one default chain row at n, the
-    kernels wrapped where the chain's modules call them."""
+    kernels wrapped where the chain's modules call them, and signed_band,
+    keyed by its caller, in _linalg and basis_cov too."""
     stats = {}
 
     def timed(fn, key):
@@ -948,14 +1027,20 @@ def _kernel_profile(n):
 
         return wrapper
 
+    def caller(*args):
+        # the frame that called the wrapper of signed_band
+        frame = sys._getframe(2)
+        return f"signed_band <- {frame.f_globals['__name__'].split('.')[-1]}.{frame.f_code.co_name}"
+
     patches = [
         (_linalg, "_lapack", lambda routine, *args: routine),
         (basis_cov, "band_function", lambda ab, power, *args: f"band_function {power}"),
         (gaussianize, "band_function", lambda ab, power, *args: f"band_function {power}"),
         (gaussianize, "band_sandwich", lambda *args: "band_sandwich"),
         (whitenoise, "band_sandwich", lambda *args: "band_sandwich"),
-        (basis_cov, "band_product", lambda *args: "band_product"),
-        (gaussianize, "band_product", lambda *args: "band_product"),
+        (basis_cov, "band_trace_square", lambda *args: "band_trace_square"),
+        (_linalg, "signed_band", caller),
+        (basis_cov, "signed_band", caller),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
     for module, name, key in patches:
@@ -977,4 +1062,4 @@ if __name__ == "__main__":
         row_ms, stats = _kernel_profile(n)
         print(f"n = {n}: chain row {row_ms:.1f} ms")
         for key, (calls, ms) in sorted(stats.items()):
-            print(f"  {key:32s} {calls:3d} calls {ms:8.2f} ms")
+            print(f"  {key:42s} {calls:3d} calls {ms:8.2f} ms")
