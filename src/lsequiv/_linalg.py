@@ -1,21 +1,24 @@
-"""Symmetric-matrix helpers, dense and banded.
+"""Symmetric-matrix helpers, dense and banded, under one singularity policy.
 
-Every Cholesky factorization and eigendecomposition in the package goes
-through this module, so that the singularity policy is uniform: eigenvalues
-below ``rtol * max|eig|`` raise instead of being pseudo-inverted, and a
-failed factorization raises a typed error.  Banded symmetric matrices are
-held in LAPACK lower band storage, ``ab[j, i] = A[i + j, i]`` for
-``j = 0..width``; they are factored by banded Cholesky (``dpbtrf``), whose
-failure is the positive-definiteness check, and solved from the factor
-(``dpbtrs``, or ``dtbtrs`` for one triangular solve); their extreme
-eigenvalues come from ``dsbevx`` and their full spectrum from ``dsbevd``,
-all from scipy's extension module ``scipy.linalg._flapack``, loaded on its
-own: importing the scipy package would double the start-up time of every
-command line run.  A non-finite band raises PreconditionError before it
-reaches LAPACK.  A function x**power (-1 <= power < 0) of an SPD band is a
-Chebyshev polynomial in it of certified half-width (``band_function``), or,
-for a band too ill-conditioned for that to stay below 4 sqrt(n), the exact
-function, dense.
+Every factorization, eigendecomposition and solve in the package goes
+through this module (other modules call numpy.linalg for norms only), under
+one singularity policy: a failed Cholesky factorization (``cholesky``, with
+``chol_solve`` and ``chol_logdet``) raises a typed error, and so does an
+eigenvalue below ``SYM_RTOL * max|eig|`` in ``guarded_eig``, behind
+``sym_inv`` and ``sym_inv_sqrt``: none is pseudo-inverted.  ``sym_abs`` and
+``spectral_norm`` invert nothing; ``least_squares`` turns a failed SVD into
+AccuracyError.  Banded symmetric matrices are held in LAPACK lower band
+storage, ``ab[j, i] = A[i + j, i]`` for ``j = 0..width``; they are factored
+by banded Cholesky (``dpbtrf``), whose failure is the positive-definiteness
+check, and solved from the factor (``dpbtrs``, or ``dtbtrs`` for one
+triangular solve); their extreme eigenvalues come from ``dsbevx`` and their
+full spectrum from ``dsbevd``, all from scipy's extension module
+``scipy.linalg._flapack``, loaded on its own: importing the scipy package
+would double the start-up time of every command line run.  A non-finite
+band raises PreconditionError before it reaches LAPACK.  A function
+x**power (-1 <= power < 0) of an SPD band is a Chebyshev polynomial in it
+of certified half-width (``band_function``), or, for a band too
+ill-conditioned for that to stay below 4 sqrt(n), the exact function, dense.
 
 A symmetric wrapped band (A[i, l] = 0 past cyclic distance w), such as the
 cyclic dictionary sums and the whitening matrix W, is held as its wrapped
@@ -26,19 +29,18 @@ cyclic diagonal add up.  For 2w < n, the order 0, n-1, 1, n-2, ... makes a
 wrapped band a plain one of half-width 2w (``wrapped_band``), so
 ``band_extremes`` applies.  No covariance is built dense; an n x n array is
 formed from band storage only by ``band_to_dense`` (test oracles,
-``export-basis``, the B of ``verify``'s affinity check) and for a
-difference or product that fills.
+``export-basis``, the B of ``verify``'s affinity check, ``sample_experiment``'s
+J and K) and for a difference or product that fills.
 
 Every kernel another module calls takes and returns symmetric matrices in
 these two layouts.  Band products, not symmetric in general, are formed here
-in signed storage, ``g[w + s, i] = A[(i + s) mod n, i]`` for ``s = -w..w``
-(``signed_band``), zero where a plain band's i + s leaves [0, n); rows
-s >= 0 are the lower half of a symmetric matrix, and rows s and s - n add up
-to one cyclic diagonal.  ``band_product`` and ``band_sandwich``, which forms
-a symmetric S M S by its rows s >= 0 only, share one diagonal loop;
-``band_trace_square`` takes tr((A B)^2) from one product and ``lower_frob``
-reads |G - H|_F from lower halves.  Only ``BasisSystem.trace_gram`` reads
-signed storage elsewhere: its windowed sums index that layout.
+in signed storage, ``g[w + s, i] = A[(i + s) mod n, i]``, ``s = -w..w``
+(``signed_band``), zero where a plain band's i + s leaves [0, n): rows s >= 0
+are a symmetric matrix's lower half, rows s and s - n one cyclic diagonal.
+``band_product`` and ``band_sandwich`` (S M S by its rows s >= 0) share one
+diagonal loop; ``band_trace_square`` takes tr((A B)^2) from one product and
+``lower_frob`` |G - H|_F from lower halves.  Only ``BasisSystem.trace_gram``
+reads signed storage elsewhere: its windowed sums index that layout.
 """
 
 from __future__ import annotations
@@ -113,29 +115,23 @@ def check_size(n):
 
 
 def check_symmetric(a, what):
-    """max |A - A^T|; raises unless it is finite and <= 1e-10 max(1, max |A|).
+    """Raises unless max |A - A^T| is finite and <= 1e-10 max(1, max |A|).
 
     A NaN or infinite entry makes the deviation NaN or infinite, so it
     raises too, with no numpy warning (inf - inf is NaN).  One n x n
     temporary.
     """
     if not a.size:
-        return 0.0
+        return
     with np.errstate(invalid="ignore"):
         dev = a - a.T
     np.abs(dev, out=dev)
     dev = float(dev.max())
     if not (np.isfinite(dev) and dev <= 1e-10 * max(1.0, float(a.max()), -float(a.min()))):
         raise PreconditionError(f"{what} is not symmetric (max deviation {dev:.3e})")
-    return dev
 
 
-def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix, ascending eigenvalues."""
-    return np.linalg.eigh(a)
-
-
-def _guard_spectrum(w, require_pd):
+def guard_spectrum(w, require_pd):
     scale = np.max(np.abs(w)) if w.size else 0.0
     # written as not(>) so that a NaN or infinite eigenvalue is rejected too
     if not (scale > 0.0 and np.min(np.abs(w)) > SYM_RTOL * scale):
@@ -151,7 +147,7 @@ def guarded_eig(a, require_pd):
     """eigh of a symmetric matrix that raises on a (near-)singular or, with
     require_pd, a non-positive-definite input."""
     w, v = np.linalg.eigh(a)
-    _guard_spectrum(w, require_pd)
+    guard_spectrum(w, require_pd)
     return w, v
 
 
@@ -166,27 +162,24 @@ def sym_inv_sqrt(a):
 
 
 def sym_abs(a):
-    """(|A|, |A|_2) for symmetric A: |A| = (A^2)^(1/2) and the spectral
-    norm max |eig|, both from one eigh.  |A| is formed as U U^T with
+    """|A| = (A^2)^(1/2) of a symmetric A from one eigh, formed as U U^T with
     U = V |w|^(1/2), in place of the eigenvectors."""
     w, v = np.linalg.eigh(a)
-    abs_w = np.abs(w)
-    v *= np.sqrt(abs_w)
-    return v @ v.T, float(np.max(abs_w))
+    v *= np.sqrt(np.abs(w))
+    return v @ v.T
 
 
 def spectral_norm(a):
-    """2-norm; for symmetric input max |eigenvalue|, else largest singular value.
+    """2-norm of a symmetric matrix: max |eigenvalue|, from eigvalsh."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
-    Symmetric means max |A - A^T| <= 1e-12 max(1, max |A|).
-    """
-    a = np.asarray(a)
-    if a.shape[0] == a.shape[1]:
-        dev = a - a.T
-        np.abs(dev, out=dev)
-        if np.max(dev) <= 1e-12 * max(1.0, float(a.max()), -float(a.min())):
-            return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.linalg.norm(a, 2))
+
+def least_squares(a, b):
+    """lstsq's solution of a x = b; AccuracyError where its SVD fails."""
+    try:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise AccuracyError(f"least squares did not converge: {exc}")
 
 
 def frob(a):
@@ -230,12 +223,11 @@ def band_extremes(ab):
     return float(lo), float(hi)
 
 
-def band_eigh(ab, vectors):
-    """Ascending eigenvalues of a symmetric matrix in lower band storage and,
-    if vectors, its eigenvectors (w, v), by dsbevd."""
+def band_eigh(ab):
+    """(w, v), ascending eigenvalues and eigenvectors of a lower band, by dsbevd."""
     check_finite(ab, "band")
-    w, v, _ = _lapack("dsbevd", ab, compute_v=int(vectors), lower=1, overwrite_ab=0)
-    return (w, v) if vectors else w
+    w, v, _ = _lapack("dsbevd", ab, compute_v=1, lower=1, overwrite_ab=0)
+    return w, v
 
 
 def band_cholesky(ab, error=SingularMatrixError, what="matrix"):
@@ -539,7 +531,7 @@ def _exact_power(ab, power, error, what):
         factor = band_cholesky(ab, error, what)
         dense = _lapack("dpbtrs", factor, eye, lower=1, overwrite_b=1)[0]
     else:
-        w, v = band_eigh(ab, vectors=True)
+        w, v = band_eigh(ab)
         v *= w ** (0.5 * power)
         dense = v @ v.T
     return dense_to_band(dense, n - 1)

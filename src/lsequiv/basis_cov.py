@@ -18,7 +18,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._linalg import (
-    band_eigh,
     band_extremes,
     band_function,
     band_to_dense,
@@ -110,7 +109,6 @@ class BasisSystem:
         self.bands = np.zeros((self.K, n))
         for pos, idx in enumerate(self.indices):
             self.bands[pos, : n - idx.j2] = _band_profile(idx, n) / self.raw_norms[pos]
-        self._spectral_norms = None
 
     def _by_offset(self):
         """(j2, positions) for each distinct band offset, ascending."""
@@ -238,16 +236,13 @@ class BasisSystem:
         return 0.5 * (out + out.T)
 
     def spectral_norms(self) -> np.ndarray:
-        """Exact spectral norms per k via banded eigensolves."""
-        if self._spectral_norms is None:
-            out = np.empty(self.K)
-            for pos, j2 in enumerate(self.offsets):
-                bands = np.zeros((j2 + 1, self.n))
-                bands[j2] = self.bands[pos]
-                w = band_eigh(bands, vectors=False)
-                out[pos] = float(np.max(np.abs(w)))
-            self._spectral_norms = out
-        return self._spectral_norms
+        """|M_k|_2 per k: max |eig| of its one diagonal, from band_extremes."""
+        out = np.empty(self.K)
+        for pos, j2 in enumerate(self.offsets):
+            bands = np.zeros((j2 + 1, self.n))
+            bands[j2] = self.bands[pos]
+            out[pos] = max(abs(e) for e in band_extremes(bands))
+        return out
 
 
 def diagonal_gram(offsets, profiles) -> np.ndarray:

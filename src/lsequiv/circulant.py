@@ -35,13 +35,16 @@ def lambda_phase(n: int, j) -> complex:
     return np.exp(2j * math.pi * j / n)
 
 
+def window_limit(n: int) -> float:
+    """floor((n-1)/2)/2: both cutoffs of an alias-free window lie below it."""
+    return ((n - 1) // 2) / 2.0
+
+
 def window_guard(n: int, k1: int, k2: int):
-    """Alias-free window: both cutoffs below floor((n-1)/2)/2."""
-    lim = ((n - 1) // 2) / 2.0
+    """Alias-free window: both cutoffs below window_limit(n)."""
+    lim = window_limit(n)
     if not (k1 < lim and k2 < lim):
-        raise PreconditionError(
-            f"window ({k1},{k2}) too large for n={n}; need < {lim}"
-        )
+        raise PreconditionError(f"window ({k1},{k2}) too large for n={n}; need < {lim}")
 
 
 class _WindowTable:

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._linalg import _guard_spectrum, check_symmetric, dense_to_band, guarded_eig
+from ._linalg import check_symmetric, dense_to_band, guard_spectrum, guarded_eig
 from .errors import AccuracyError, PreconditionError, RangeError
 from .report import CheckResult
 
@@ -216,8 +216,8 @@ def span_char_context(alpha_theta, alpha_c, basis):
         m_hat[1] = 2.0 * basis.bands[1, 0] * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
     c_theta = alpha_theta @ m_hat
     c_hat = alpha_c @ m_hat
-    _guard_spectrum(c_theta, require_pd=True)
-    _guard_spectrum(c_hat, require_pd=False)
+    guard_spectrum(c_theta, require_pd=True)
+    guard_spectrum(c_hat, require_pd=False)
     joint = c_theta * m_hat / c_hat**2
     gamma_theta = 2.0 * (joint @ joint.T)
     gamma_theta = 0.5 * (gamma_theta + gamma_theta.T)

@@ -22,7 +22,6 @@ import numpy as np
 
 from ._linalg import (
     SYM_RTOL,
-    _guard_spectrum,
     band_chol_solve_t,
     band_cholesky,
     band_extremes,
@@ -30,9 +29,12 @@ from ._linalg import (
     band_sandwich,
     band_to_dense,
     check_symmetric,
+    chol_solve,
+    cholesky,
     frob,
+    guarded_eig,
+    least_squares,
     spectral_norm,
-    sym_eig,
     sym_inv,
     sym_inv_sqrt,
 )
@@ -340,15 +342,6 @@ class ExperimentState:
 MODEL_IDS = ("A", "B", "D", "G", "H", "I", "J", "K", "L")
 
 
-def _gaussian_vector(mean, cov, rng) -> np.ndarray:
-    """mean + R z with R R^T = cov from the eigendecomposition; cov must be PSD."""
-    w, v = sym_eig(np.asarray(cov, dtype=float))
-    if w[0] < -1e-10 * max(abs(w[-1]), 1.0):
-        raise PreconditionError("covariance has a negative eigenvalue")
-    root = v * np.sqrt(np.clip(w, 0.0, None))
-    return np.asarray(mean, dtype=float) + root @ rng.standard_normal(len(root))
-
-
 # Normal entries of one row block of band_gaussian_blocks (0.5 MB)
 _DRAW_BLOCK = 1 << 16
 
@@ -369,30 +362,33 @@ def band_gaussian_blocks(factor, reps, rng):
 
 
 def sample_experiment(state: ExperimentState, model_id: str, rng) -> np.ndarray:
-    """One observation from the named experiment in the chain."""
+    """One observation from the named experiment in the chain.
+
+    A vector model draws from the Cholesky factor L of its SPD covariance,
+    banded for A, B and D (L^-T z ~ N(0, B^{-1})), K x K for G, H, I and L
+    (2 Gamma_tilde^{-1} L z): no n x n array.  J and K, n x n, keep the
+    DENSE_N_MAX cap.  A non-SPD covariance raises SingularMatrixError.
+    """
     if model_id not in MODEL_IDS:
         raise ConfigurationError(f"unknown experiment id {model_id!r}")
-    if model_id == "A":
-        return _gaussian_vector(np.zeros(state.n), band_to_dense(state.theta_band), rng)
-    if model_id == "B":
-        return _gaussian_vector(np.zeros(state.n), band_to_dense(state.c_theta_band), rng)
+    if model_id in ("A", "B"):
+        cov = state.theta_band if model_id == "A" else state.c_theta_band
+        _, _, xs = next(band_gaussian_blocks(band_cholesky(cov, what="covariance"), 1, rng))
+        return xs[0]
     if model_id == "D":
-        return _gaussian_vector(np.zeros(state.n), sym_inv(band_to_dense(state.b_band)), rng)
+        z = rng.standard_normal((state.n, 1))
+        return band_chol_solve_t(band_cholesky(state.b_band, what="B"), z)[:, 0]
     if model_id == "G":
-        return _gaussian_vector(state.d_vec, state.gamma_theta, rng)
-    if model_id == "H":
-        return _gaussian_vector(0.5 * state.gamma @ state.alpha_theta, state.gamma, rng)
-    if model_id == "I":
-        h_obs = _gaussian_vector(0.5 * state.gamma @ state.alpha_theta, state.gamma, rng)
-        return 2.0 * np.linalg.solve(state.gamma, h_obs)
+        return state.d_vec + cholesky(state.gamma_theta, "Gamma_theta") @ rng.standard_normal(state.K)
+    if model_id in ("H", "I"):
+        factor = cholesky(state.gamma, "Gamma")
+        h_obs = 0.5 * state.gamma @ state.alpha_theta + factor @ rng.standard_normal(state.K)
+        return h_obs if model_id == "H" else 2.0 * chol_solve(factor, h_obs)
     if model_id == "L":
-        return _gaussian_vector(
-            state.alpha_theta, 4.0 * sym_inv(state.gamma_tilde), rng
-        )
-    ci_sqrt = sym_inv_sqrt(band_to_dense(state.c_band))
-    goe = goe_sample(state.n, rng)
+        factor = cholesky(state.gamma_tilde, "Gamma_tilde")
+        return state.alpha_theta + 2.0 * chol_solve(factor, factor @ rng.standard_normal(state.K))
     middle = state.c_theta_band if model_id == "J" else state.delta_band
-    return ci_sqrt @ band_to_dense(middle) @ ci_sqrt + goe
+    return band_to_dense(band_sandwich(state.c_inv_sqrt_band, middle)) + goe_sample(state.n, rng)
 
 
 def sp_perturbation_check(a, b) -> CheckResult:
@@ -401,30 +397,22 @@ def sp_perturbation_check(a, b) -> CheckResult:
     Skipped (with a report entry) when the whitened perturbation is not a
     spectral contraction, since the inequality presumes it.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = (np.asarray(m, dtype=float) for m in (a, b))
     check_symmetric(a, what="first matrix")
     check_symmetric(b, what="second matrix")
     # a^{-1/2}, a^{1/2} and a^{-1} from one eigendecomposition
-    w, v = sym_eig(a)
+    w, v = guarded_eig(a, require_pd=False)
     if w[0] <= 0.0:
         raise PreconditionError("first matrix must be positive definite")
-    _guard_spectrum(w, require_pd=True)
     root = np.sqrt(w)
     ai_sqrt, a_sqrt, a_inv = (v / root) @ v.T, (v * root) @ v.T, (v / w) @ v.T
     e_mat = ai_sqrt @ (b - a) @ ai_sqrt
-    eps_f = frob(e_mat)
     eps_sp = spectral_norm(e_mat)
     if eps_sp >= 1.0:
         return CheckResult(
-            "perturbation.whitened_inverse",
-            "spd-perturbation",
-            lhs=eps_sp,
-            rhs=1.0,
-            skipped=True,
-        )
+            "perturbation.whitened_inverse", "spd-perturbation", eps_sp, 1.0, skipped=True)
     lhs = frob(a_sqrt @ (a_inv - sym_inv(b)) @ a_sqrt)
-    rhs = eps_f / (1.0 - eps_sp)
+    rhs = frob(e_mat) / (1.0 - eps_sp)
     return CheckResult("perturbation.whitened_inverse", "spd-perturbation", lhs, rhs)
 
 
@@ -458,7 +446,7 @@ def likelihood_affinity_check(state: ExperimentState, reps: int, rng) -> CheckRe
     the residual must vanish and the slopes must match -<Delta, M_k>/2.
     """
     draws, diffs = _loglik_differences(state, reps, rng)
-    coef, *_ = np.linalg.lstsq(draws, diffs, rcond=None)
+    coef = least_squares(draws, diffs)
     resid = float(np.max(np.abs(diffs - draws @ coef)))
     # the slopes against -<Delta, M_k> / 2
     slope_err = float(np.max(np.abs(coef[: state.K] + 0.5 * state.basis.project(state.delta_band))))

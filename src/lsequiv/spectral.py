@@ -190,7 +190,7 @@ class QuadratureGrid:
     def project(self, values, indices) -> np.ndarray:
         """Coefficients <v, phi_k> in index order; values (..., t, x) -> (..., K)."""
         T, X = self.factors(indices)
-        values = self._as_values(values)
+        values = self.as_values(values)
         return np.sum((self.wt[:, None] * T) * (values @ (self.wx[:, None] * X)), axis=-2)
 
     def synthesize(self, indices, coeffs):
@@ -209,7 +209,7 @@ class QuadratureGrid:
         g = np.einsum("ak,al,akl->kl", self.wt[:, None] * T, T, wxx)
         return 0.5 * (g + g.T)
 
-    def _as_values(self, f):
+    def as_values(self, f):
         """Grid values of a density given as a SpectralDensity or as an array
         (..., N, N/2 + 1) of its values at the nodes; anything else raises."""
         if isinstance(f, SpectralDensity):
@@ -312,7 +312,7 @@ class SpectralDensity:
         self.coeffs = {idx: float(v) for idx, v in self.coeffs.items()}
 
     def on_grid(self) -> np.ndarray:
-        return default_grid()._as_values(self)
+        return default_grid().as_values(self)
 
     def mean_level(self) -> float:
         """Average of the density over the rectangle."""

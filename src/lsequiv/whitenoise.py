@@ -36,6 +36,7 @@ from .circulant import (
     psi_forward,
     psi_inverse_real,
     real_expansion_to_element,
+    window_limit,
 )
 from .errors import PreconditionError, RangeError
 from .report import CheckResult
@@ -91,7 +92,7 @@ def _wn_means(f, n):
     by quadrature, and the noise scale a_n."""
     grid = default_grid()
     lead = leading_indices(int(math.ceil(math.sqrt(n))))
-    return lead, grid.project(np.log(grid._as_values(f)), lead), noise_level(n)
+    return lead, grid.project(np.log(grid.as_values(f)), lead), noise_level(n)
 
 
 def simulate_wn(f, n, rng) -> WhiteNoiseObservation:
@@ -128,7 +129,7 @@ RISK_BOUND_PER_K = 50.0
 
 def pilot_risk_row(f, n, indices, replicates, seed):
     """One risk-study CSV row; the replicates stream through project_exp."""
-    f = default_grid()._as_values(f)  # synthesized once for both projections
+    f = default_grid().as_values(f)  # synthesized once for both projections
     lead, means, a_n = _wn_means(f, n)
     draws = means + a_n * make_rng(seed, stream=n).standard_normal((replicates, len(lead)))
 
@@ -195,7 +196,7 @@ def gamma_min_eig_check(f_hat, indices) -> CheckResult:
     definite.
     """
     grid = default_grid()
-    fvals = grid._as_values(f_hat)
+    fvals = grid.as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
     w, _ = guarded_eig(grid.weighted_gram(indices, fvals**-2.0), require_pd=True)
@@ -228,7 +229,7 @@ class InvSqrtProjection:
 def inv_sqrt_projection(f_hat, indices):
     """Project f_hat^{-1/2} onto the index window."""
     grid = default_grid()
-    fvals = grid._as_values(f_hat)
+    fvals = grid.as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
     return InvSqrtProjection(indices=list(indices), coeffs=grid.project(fvals**-0.5, indices))
@@ -249,12 +250,17 @@ def gamma_variants(projection, basis) -> list:
     dictionary element M_j in exact coefficient algebra; delta_j is the
     function-space defect between W M_j W and w^2 phi_j, checked against the
     homomorphism defects of its two products, and the largest delta_j
-    against the K^2/n^2 + K^4/n^4 budget.
+    against the K^2/n^2 + K^4/n^4 budget.  Where the doubled window of M_j W
+    is not alias-free, every row is skipped: lhs 2 max(k1, k2) >= rhs, its limit.
     """
     if list(projection.indices) != list(basis.indices):
         raise PreconditionError("projection and basis must share one window")
     n = basis.n
     indices = basis.indices
+    need, lim = 2 * max(basis.k1, basis.k2), window_limit(n)
+    if need >= lim:
+        ids = [f"circulant-defect-{j}" for j in range(len(indices))] + ["circulant-defect-budget"]
+        return [CheckResult(cid, "product-defect", float(need), lim, skipped=True) for cid in ids]
     sup_w = float(np.max(np.abs(projection.values)))
 
     w_elem = real_expansion_to_element(n, indices, projection.coeffs)
@@ -414,15 +420,11 @@ def goe_connection(state, w, gamma) -> GoeComparison:
 
     x_band = math.sqrt(A_STAR) * state.c_inv_sqrt_band
     whitened_delta = band_sandwich(x_band, state.delta_band)
-    abs_w = None
+    abs_w = None if w_pd else sym_abs(band_to_dense(w))
     if w_pd:
-        sandwich = band_sandwich(w, delta_check)
-        gap = lower_frob(sandwich, whitened_delta)
+        gap = lower_frob(band_sandwich(w, delta_check), whitened_delta)
     else:
-        abs_w = sym_abs(band_to_dense(w))[0]
-        gap = abs_w @ band_to_dense(delta_check) @ abs_w
-        gap -= band_to_dense(whitened_delta)
-        gap = frob(gap)
+        gap = frob(abs_w @ band_to_dense(delta_check) @ abs_w - band_to_dense(whitened_delta))
     return GoeComparison(
         kl=gap**2 / (4.0 * A_STAR**2),
         state=state,

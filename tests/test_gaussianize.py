@@ -8,15 +8,18 @@ from scipy.linalg import cho_factor, cho_solve
 
 from lsequiv import gaussianize
 from lsequiv._linalg import (
+    DENSE_N_MAX,
     band_cholesky,
     band_extremes,
     band_to_dense,
     dense_to_band,
+    least_squares,
     sym_inv,
     sym_inv_sqrt,
 )
 from lsequiv.basis_cov import CovarianceMatrix, build_basis, build_theta
 from lsequiv.errors import (
+    AccuracyError,
     ConfigurationError,
     LocalizationError,
     PreconditionError,
@@ -247,6 +250,90 @@ def test_sample_experiment_unknown_id():
         sample_experiment(STATE, "z", make_rng(0, stream=46))
 
 
+def _model_moments(state, model_id):
+    """(mean, covariance) of the vector model model_id, dense."""
+    mean_h = 0.5 * state.gamma @ state.alpha_theta
+    return {
+        "A": (np.zeros(state.n), band_to_dense(state.theta_band)),
+        "B": (np.zeros(state.n), band_to_dense(state.c_theta_band)),
+        "D": (np.zeros(state.n), np.linalg.inv(band_to_dense(state.b_band))),
+        "G": (state.d_vec, state.gamma_theta),
+        "H": (mean_h, state.gamma),
+        "I": (state.alpha_theta, 4.0 * np.linalg.inv(state.gamma)),
+        "L": (state.alpha_theta, 4.0 * np.linalg.inv(state.gamma_tilde)),
+    }[model_id]
+
+
+VECTOR_MODELS = ("A", "B", "D", "G", "H", "I", "L")
+
+
+def _correlated_band(n, seed):
+    """Lower band storage of R R^T for R unit lower bidiagonal with
+    subdiagonal entries in (0.5, 0.9): SPD, tridiagonal, far from diagonal."""
+    u = make_rng(seed, stream=49).uniform(0.5, 0.9, n - 1)
+    ab = np.zeros((2, n))
+    ab[0] = 1.0
+    ab[0, 1:] += u * u
+    ab[1, :-1] = u
+    return ab
+
+
+@pytest.mark.parametrize("model_id", VECTOR_MODELS)
+def test_sample_experiment_moments(model_id):
+    # an n = 16 state whose covariances are strongly correlated, so that a
+    # transposed or missing factor shows; Gamma_tilde follows C_theta
+    n, reps = 16, 4000
+    built = ExperimentState.build(
+        build_basis(n, 1, 1), LOC, theta=build_theta(DENSITY, n), rng=make_rng(1, stream=48)
+    )
+    g = make_rng(2, stream=49).standard_normal((2, built.K, built.K))
+    state = dataclasses.replace(
+        built,
+        theta_band=_correlated_band(n, 0),
+        c_theta_band=_correlated_band(n, 1),
+        b_band=_correlated_band(n, 2),
+        gamma_theta=g[0] @ g[0].T + 0.1 * np.eye(built.K),
+        gamma=g[1] @ g[1].T + 0.1 * np.eye(built.K),
+    )
+    mean, cov = _model_moments(state, model_id)
+    # R draws whitened by the model's own law, y = R^-1 (x - mean) with
+    # R R^T = cov, are iid N(0, I): each sample-mean entry has sd 1 / sqrt(R)
+    # and each sample-covariance entry sd at most sqrt(2 / R); the bounds are
+    # five of those sds
+    rng = make_rng(9, stream=48)
+    draws = np.stack([sample_experiment(state, model_id, rng) for _ in range(reps)])
+    y = np.linalg.solve(np.linalg.cholesky(cov), (draws - mean).T).T
+    assert np.max(np.abs(y.mean(axis=0))) <= 5.0 / math.sqrt(reps)
+    assert np.max(np.abs(np.cov(y.T) - np.eye(len(mean)))) <= 5.0 * math.sqrt(2.0 / reps)
+
+
+def test_sample_experiment_draws_vector_models_past_dense_limit():
+    n = 2 * DENSE_N_MAX
+    state = ExperimentState.build(
+        build_basis(n, 1, 1), LOC, theta=build_theta(DENSITY, n), rng=make_rng(0, stream=41)
+    )
+    rng = make_rng(6, stream=46)
+    for model_id in VECTOR_MODELS:
+        obs = sample_experiment(state, model_id, rng)
+        assert obs.shape == ((n,) if model_id in "ABD" else (state.K,))
+        assert np.isfinite(obs).all()
+    # J and K are n x n matrices
+    for model_id in ("J", "K"):
+        with pytest.raises(PreconditionError, match="dense matrix size"):
+            sample_experiment(state, model_id, rng)
+
+
+def test_sample_experiment_refuses_singular_gamma():
+    # the last statistic with zero variance: Gamma is singular, and H and I,
+    # drawn from its Cholesky factor, raise the typed error
+    gamma = STATE.gamma.copy()
+    gamma[-1] = gamma[:, -1] = 0.0
+    singular = dataclasses.replace(STATE, gamma=gamma)
+    for model_id in ("H", "I"):
+        with pytest.raises(SingularMatrixError):
+            sample_experiment(singular, model_id, make_rng(6, stream=46))
+
+
 def test_likelihood_affinity_check_passes():
     chk = likelihood_affinity_check(STATE, 200, make_rng(3, stream=45))
     assert chk.check_id == "sufficiency.affine_loglik"
@@ -412,6 +499,22 @@ def test_sp_perturbation_check_small_and_skipped():
     assert chk.passed and not chk.skipped
     huge = sp_perturbation_check(np.eye(3), 3.0 * np.eye(3))
     assert huge.skipped and huge.passed
+
+
+def test_sp_perturbation_check_error_types():
+    # an indefinite first matrix is a precondition; a (near-)singular one,
+    # positive definite or not, is singular
+    with pytest.raises(PreconditionError, match="positive definite"):
+        sp_perturbation_check(np.diag([-1.0, 1.0, 2.0]), np.eye(3))
+    for w in ([1e-14, 1.0, 2.0], [0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]):
+        with pytest.raises(SingularMatrixError):
+            sp_perturbation_check(np.diag(w), np.eye(3))
+
+
+def test_least_squares_failure_is_typed():
+    # a NaN stops lstsq's SVD from converging: AccuracyError, not LinAlgError
+    with pytest.raises(AccuracyError, match="least squares"):
+        least_squares(np.array([[np.nan, 1.0], [1.0, 2.0], [3.0, 4.0]]), np.ones(3))
 
 
 def _gamma_tilde(basis, alpha):

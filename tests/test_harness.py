@@ -364,6 +364,25 @@ def test_cli_verify_deterministic(tmp_path):
     assert json.loads((out1 / "verify_report.json").read_text())["all_pass"] is True
 
 
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_cli_verify_skips_circulant_defects_past_the_window_limit(tmp_path, n):
+    # the schedule's window is (1, 1) at n = 8..10; the doubled window (2, 2)
+    # of the products M_j W is not alias-free below n = 11 (limit 1.5 or 2)
+    assert schedule(n).k1 == schedule(n).k2 == 1
+    assert main(["verify", "--n", str(n), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "verify_report.csv").read_text().splitlines()
+    cols = lines[0].split(",")
+    rows = [dict(zip(cols, row.split(","))) for row in lines[1:]]
+    defects = [r for r in rows if r["check_id"].startswith("circulant-defect-")]
+    assert [r["check_id"] for r in defects] == [f"circulant-defect-{j}" for j in range(6)] + [
+        "circulant-defect-budget"
+    ]
+    limit = ((n - 1) // 2) / 2.0
+    for r in defects:
+        assert r["skipped"] == "true"
+        assert (float(r["lhs"]), float(r["rhs"])) == (2.0, limit)
+
+
 def test_cli_verify_summary_names_the_tightest_relative_margin(tmp_path, capsys):
     # margin / max(|rhs| + tol, tiny) over the checks that were not skipped,
     # recomputed from the report file: the tightest two, in order

@@ -47,7 +47,6 @@ ALLOWED = {
     "spectral.py:table_eval": SYMBOLS,
     "spectral.py:table_profiles": SYMBOLS,
     "gaussianize.py:sample_experiment": SAMPLER,
-    "gaussianize.py:_gaussian_vector": SAMPLER,
     "gaussianize.py:ExperimentState.gamma_tilde": SAMPLER,
     "_linalg.py:sym_abs": "reference for test_goe_connection_matches_dense_stacks",
     "_linalg.py:sym_inv_sqrt": "reference for test_goe_connection_matches_dense_stacks",

@@ -206,7 +206,7 @@ def _dense_stack_oracle(w):
     delta_check = np.tensordot(STATE.eta_tilde, BASIS.mcheck, axes=(0, 0))
     ci_sqrt = sym_inv_sqrt(band_to_dense(STATE.c_band))
     delta = band_to_dense(STATE.delta_band)
-    abs_w, _ = sym_abs(w_dense / math.sqrt(A_STAR))
+    abs_w = sym_abs(w_dense / math.sqrt(A_STAR))
     gap = abs_w @ delta_check @ abs_w - ci_sqrt @ delta @ ci_sqrt
     root_gap_sq = frob(abs_w - ci_sqrt) ** 2
     w_sp_sq = spectral_norm(w_dense) ** 2
