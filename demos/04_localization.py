@@ -49,7 +49,7 @@ def main():
     drift_gap = np.linalg.norm(state.d_vec - 0.5 * state.gamma @ state.alpha_theta)
     print(f"  drift identity |d - Gamma alpha / 2| = {drift_gap:.3e}")
 
-    resid = neumann_residual(c_theta, c_mat, band_to_dense(state.b_band))
+    resid = neumann_residual(c_theta, band_to_dense(state.b_band))
     c_rho = float(np.linalg.eigvalsh(c_theta)[0])
     sp_sq = float(np.sum(basis.spectral_norms() ** 2))
     bound = neumann_residual_bound(loc.gamma, c_rho, sp_sq)

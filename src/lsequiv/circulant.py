@@ -311,17 +311,3 @@ def real_expansion_to_element(n: int, indices, coeffs) -> CirculantElement:
         acc.coeffs += float(c) * fn.table(k1, k2)
     return psi_inverse(acc)
 
-
-def matrix_csv(mat) -> str:
-    """Row-major CSV of a dense matrix, 17 significant digits."""
-    mat = np.asarray(mat)
-    lines = []
-    for row in mat:
-        cells = []
-        for v in row:
-            if np.iscomplexobj(mat):
-                cells.append(f"{v.real:.17g}{v.imag:+.17g}j")
-            else:
-                cells.append(f"{float(v):.17g}")
-        lines.append(",".join(cells))
-    return "\r\n".join(lines) + "\r\n"

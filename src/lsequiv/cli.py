@@ -8,7 +8,6 @@ a traceback.
 
 import argparse
 import dataclasses
-import json
 import locale  # noqa: F401  argparse's gettext imports it when the first parser is built
 import os
 import sys
@@ -24,7 +23,7 @@ from .harness import (
     run_verify,
     schedule,
 )
-from .report import SCHEMA, fmt_float, stable_value, write_csv_rows
+from .report import SCHEMA, fmt_float, json_text, write_csv_rows, write_text
 
 _DEFAULT_VERIFY_N = 64
 
@@ -98,23 +97,14 @@ def _single_n(args, cfg) -> int:
     return cfg.n_grid[0] if (args.n is not None or args.config) else _DEFAULT_VERIFY_N
 
 
-def _study_json(header, rows) -> str:
-    payload = {
-        "schema": SCHEMA,
-        "columns": list(header),
-        "rows": [{key: stable_value(v) for key, v in zip(header, row)} for row in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _write_study(args, stem, header, rows) -> str:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{stem}.{args.fmt}")
     if args.fmt == "csv":
         write_csv_rows(path, header, rows)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(_study_json(header, rows))
+        records = [dict(zip(header, row)) for row in rows]
+        write_text(path, json_text({"schema": SCHEMA, "columns": list(header), "rows": records}))
     return path
 
 
@@ -124,9 +114,7 @@ def _cmd_verify(args) -> int:
     report = run_verify(n, seed=cfg.seed, timings=cfg.timings)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_report.{args.fmt}")
-    text = report.to_json(cfg.timings) if args.fmt == "json" else report.to_csv(cfg.timings)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    write_text(path, report.to_json() if args.fmt == "json" else report.to_csv())
     for e in report.failures():
         print(f"FAIL {e.check_id}: lhs={fmt_float(e.lhs)} rhs={fmt_float(e.rhs)}")
     passed = sum(1 for e in report.entries if e.passed)

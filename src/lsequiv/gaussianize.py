@@ -231,11 +231,16 @@ def gaussian_summaries(inverse, basis: BasisSystem, alpha_theta, theta_extremes)
     gamma = basis.trace_gram(c_inv)
     gamma_theta = basis.trace_gram(h)
 
-    target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
-    rel = float(np.linalg.norm(d_vec - target) / max(np.linalg.norm(d_vec), 1e-300))
+    rel = summary_shift_defect(d_vec, gamma, alpha_theta)
     if rel > 1e-8:
         raise LocalizationError(f"summary identity d = Gamma alpha / 2 off by {rel:.3g}")
     return d_vec, gamma_theta, gamma
+
+
+def summary_shift_defect(d_vec, gamma, alpha_theta) -> float:
+    """|d - Gamma alpha / 2| / |d|, the relative defect of the summary shift."""
+    target = 0.5 * gamma @ np.asarray(alpha_theta, dtype=float)
+    return float(np.linalg.norm(d_vec - target) / max(np.linalg.norm(d_vec), 1e-300))
 
 
 def neumann_residual_bound(gamma: float, c_rho: float, sp_sq_sum: float) -> float:
@@ -251,7 +256,7 @@ def neumann_residual_bound(gamma: float, c_rho: float, sp_sq_sum: float) -> floa
     return a**2 * root_b / (1.0 - a * root_b)
 
 
-def neumann_residual(c_theta, c_mat, b_theta) -> float:
+def neumann_residual(c_theta, b_theta) -> float:
     """|C_theta^{-1/2} (B^{-1} - C_theta) C_theta^{-1/2}|_F, exact."""
     cti_sqrt = sym_inv_sqrt(np.asarray(c_theta, dtype=float))
     middle = sym_inv(np.asarray(b_theta, dtype=float)) - c_theta

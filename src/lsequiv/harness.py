@@ -31,7 +31,7 @@ from .basis_cov import (
     theta_lipschitz_check,
     theta_spectral_check,
 )
-from .circulant import CirculantElement, hom_defect, lambda_phase, matrix_csv, psi_inverse_real
+from .circulant import CirculantElement, hom_defect, lambda_phase, psi_inverse_real
 from .cltcheck import (
     char_fn_standardized,
     context_from_state,
@@ -50,8 +50,9 @@ from .gaussianize import (
     goe_sample,
     likelihood_affinity_check,
     sp_perturbation_check,
+    summary_shift_defect,
 )
-from .report import SCHEMA, CheckResult, VerificationReport, fmt_float
+from .report import SCHEMA, CheckResult, VerificationReport, csv_text, fmt_float, json_text, write_text
 from .rng import make_rng
 from .spectral import random_density
 from .whitenoise import (
@@ -256,9 +257,7 @@ class RunConfig:
         return schedule(n, self.k1, self.k2)
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["n_grid"] = list(self.n_grid)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text(dataclasses.asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -421,10 +420,7 @@ def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationRepo
     with _timed(report, timings) as out:
         loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
         state = ExperimentState.build(basis, loc, theta=theta, rng=make_rng(seed, stream=202))
-        target = 0.5 * state.gamma @ state.alpha_theta
-        rel = float(
-            np.linalg.norm(state.d_vec - target) / max(np.linalg.norm(state.d_vec), 1e-300)
-        )
+        rel = summary_shift_defect(state.d_vec, state.gamma, state.alpha_theta)
         out.append(CheckResult("summary-shift-identity", "exact-identity", rel, 0.0, tol=1e-8))
 
     # spectral perturbation inequality on seeded SPD pairs
@@ -707,8 +703,7 @@ def export_basis(n: int, k1: int, k2: int, out_dir: str, fmt: str) -> dict:
             path = os.path.join(out_dir, name)
             mat = stack[k]
             if fmt == "csv":
-                with open(path, "w", newline="") as fh:
-                    fh.write(matrix_csv(mat))
+                write_text(path, csv_text(mat))
             else:
                 with open(path, "wb") as fh:
                     fh.write(struct.pack("<Q", n))
@@ -734,6 +729,5 @@ def export_basis(n: int, k1: int, k2: int, out_dir: str, fmt: str) -> dict:
         "layout": "row-major float64, little-endian, leading uint64 size" if fmt == "binary" else "rfc4180",
         "files": files,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", newline="") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_text(os.path.join(out_dir, "manifest.json"), json_text(manifest))
     return manifest

@@ -1,16 +1,18 @@
-"""Check results and the versioned verification report.
+"""Check results, the versioned verification report, and the file format.
 
 Every inequality the package can verify lands in a :class:`CheckResult`:
 left-hand side, right-hand side, the tolerance that was applied, and a pass
-flag that is exactly ``lhs <= rhs + tol``.  Reports serialize to JSON and
-RFC-4180 CSV with floats at 17 significant digits, so that identical runs are
-byte-identical.  Wall-clock timings are kept in memory but only serialized on
-request, to keep default outputs deterministic.
+flag that is exactly ``lhs <= rhs + tol``.  Every text file the command line
+writes is made here: CSV by :func:`csv_text` (RFC 4180, floats at 17
+significant digits, CRLF line ends), JSON by :func:`json_text` (sorted keys,
+two-space indent, final newline; floats in their shortest round-trip form),
+both written by :func:`write_text`, so identical runs give byte-identical
+files.  A check's wall-clock time is serialized only when ``run_verify``
+recorded it, to keep default outputs deterministic.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -49,7 +51,7 @@ class CheckResult:
             return True
         return bool(self.lhs <= self.rhs + self.tol)
 
-    def as_dict(self, timings):
+    def as_dict(self):
         d = {
             "check_id": self.check_id,
             "ref": self.ref,
@@ -60,7 +62,7 @@ class CheckResult:
             "pass": self.passed,
             "skipped": self.skipped,
         }
-        if timings:
+        if self.runtime_ms is not None:
             d["runtime_ms"] = self.runtime_ms
         return d
 
@@ -80,41 +82,21 @@ class VerificationReport:
     def failures(self):
         return [e for e in self.entries if not e.passed]
 
-    def to_json(self, timings=False) -> str:
+    def to_json(self) -> str:
         payload = {
             "schema": SCHEMA,
             "config": self.config,
             "all_pass": self.all_passed,
-            "checks": [
-                {k: stable_value(v) for k, v in e.as_dict(timings).items()} for e in self.entries
-            ],
+            "checks": [e.as_dict() for e in self.entries],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
 
-    def to_csv(self, timings=False) -> str:
+    def to_csv(self) -> str:
         cols = ["check_id", "ref", "lhs", "rhs", "tol", "margin", "pass", "skipped"]
-        if timings:
+        dicts = [e.as_dict() for e in self.entries]
+        if any("runtime_ms" in d for d in dicts):
             cols.append("runtime_ms")
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\r\n")
-        for e in self.entries:
-            d = e.as_dict(timings)
-            buf.write(",".join(csv_cell(d[c]) for c in cols) + "\r\n")
-        return buf.getvalue()
-
-
-def stable_value(v):
-    """A JSON value whose float round-trips through the 17g form, so json
-    output is byte-stable."""
-    if isinstance(v, float):
-        return float(fmt_float(v))
-    return v
-
-
-def csv_quote(s: str) -> str:
-    if any(ch in s for ch in ',"\r\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
+        return csv_text([cols] + [[d.get(c) for c in cols] for d in dicts])
 
 
 def csv_cell(v) -> str:
@@ -126,12 +108,28 @@ def csv_cell(v) -> str:
         return ""
     if isinstance(v, float):
         return fmt_float(v)
-    return csv_quote(str(v))
+    s = str(v)
+    if any(ch in s for ch in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def csv_text(rows) -> str:
+    """RFC-4180 text: cells by csv_cell, CRLF after every line."""
+    return "".join(",".join(csv_cell(v) for v in row) + "\r\n" for row in rows)
+
+
+def json_text(payload) -> str:
+    """Sorted two-space JSON with a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_text(path, text):
+    """Write text as it is: no newline translation, so CRLF stays CRLF."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def write_csv_rows(path, header, rows):
-    """RFC-4180 writer: CRLF line ends, cells by csv_cell."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(csv_cell(v) for v in row) + "\r\n")
+    """A header line, then one line per row, as csv_text."""
+    write_text(path, csv_text([header, *rows]))

@@ -12,7 +12,6 @@ from lsequiv.circulant import (
     build_mcheck_basis,
     hom_defect,
     lambda_phase,
-    matrix_csv,
     mcheck_diagonal,
     mcheck_element,
     psi_forward,
@@ -23,6 +22,7 @@ from lsequiv.circulant import (
     window_guard,
 )
 from lsequiv.errors import ConfigurationError, PreconditionError
+from lsequiv.report import csv_text
 from lsequiv.rng import make_rng
 from lsequiv.spectral import BasisIndex, basis_norm, enumerate_indices
 
@@ -244,7 +244,7 @@ def test_psi_inverse_real_wrapped_matches_dense_accumulation(k1, k2, n, seed):
 
 
 def test_matrix_csv_layout():
-    text = matrix_csv(np.array([[1.0, 0.5], [-2.0, 0.25]]))
+    text = csv_text(np.array([[1.0, 0.5], [-2.0, 0.25]]))
     lines = text.split("\r\n")
     assert lines[0] == "1,0.5"
     assert lines[1] == "-2,0.25"

@@ -475,7 +475,7 @@ def test_affinity_check_detects_wrong_slope():
 
 def test_neumann_residual_below_series_bound():
     c_theta = band_to_dense(STATE.c_theta_band)
-    resid = neumann_residual(c_theta, band_to_dense(STATE.c_band), band_to_dense(STATE.b_band))
+    resid = neumann_residual(c_theta, band_to_dense(STATE.b_band))
     c_rho = float(np.linalg.eigvalsh(c_theta)[0])
     sp_sq = float(np.sum(BASIS.spectral_norms() ** 2))
     bound = neumann_residual_bound(LOC.gamma, c_rho, sp_sq)
