@@ -374,20 +374,18 @@ def dense_signed(a):
 
 def band_product(a, b):
     """A @ B in signed storage of half-width wa + wb, (2 wa + 1)(2 wb + 1) n
-    work by diagonals of the narrower operand.  When wa + wb >= n no band is
-    left to keep: the product is one dense matmul, returned as a plain band
-    of half-width n - 1."""
+    work by diagonals of B.  When wa + wb >= n no band is left to keep: the
+    product is one dense matmul, returned as a plain band of half-width
+    n - 1."""
     wa, wb, n = a.shape[0] // 2, b.shape[0] // 2, a.shape[1]
     if wa + wb >= n:
         return dense_signed(signed_to_dense(a) @ signed_to_dense(b))
-    if wa < wb:
-        return band_transpose(band_product(band_transpose(b), band_transpose(a)))
     return _diagonal_products(a, b, lower=False)
 
 
 def _diagonal_products(a, b, lower):
-    """A @ B in signed storage for wa >= wb and wa + wb < n, summed over the
-    diagonals t of B in order.  With lower, a holds A's rows -wb..wa only and
+    """A @ B in signed storage for wa + wb < n, summed over the diagonals t
+    of B in order.  With lower, a holds A's rows -wb..wa only and
     only the rows s >= 0 are formed, (2 wb + 1)(wa + 1) n work: row u of A
     lands at s = u + t.  Each entry gains the same terms in the same order
     either way, so those rows are bitwise equal."""

@@ -12,7 +12,7 @@ import locale  # noqa: F401  argparse's gettext imports it when the first parser
 import os
 import sys
 
-from .errors import TypedError
+from .errors import ConfigurationError, TypedError
 from .harness import (
     RunConfig,
     condition_checker,
@@ -21,11 +21,8 @@ from .harness import (
     run_risk_study,
     run_tv_decay,
     run_verify,
-    schedule,
 )
 from .report import SCHEMA, fmt_float, json_text, write_csv_rows, write_text
-
-_DEFAULT_VERIFY_N = 64
 
 
 def _add_flags(p, grid_n: bool, flags, fmt_choices=("csv", "json")):
@@ -84,17 +81,9 @@ def _load_config(args) -> RunConfig:
         overrides["n_grid"] = tuple(n) if isinstance(n, list) else (n,)
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "timings", False):
-        overrides["timings"] = True
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
-
-
-def _single_n(args, cfg) -> int:
-    """The one n of verify, conditions and export-basis: the first of the
-    grid when --n or --config sets it, else _DEFAULT_VERIFY_N."""
-    return cfg.n_grid[0] if (args.n is not None or args.config) else _DEFAULT_VERIFY_N
 
 
 def _write_study(args, stem, header, rows) -> str:
@@ -110,8 +99,12 @@ def _write_study(args, stem, header, rows) -> str:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    n = _single_n(args, cfg)
-    report = run_verify(n, seed=cfg.seed, timings=cfg.timings)
+    # verify runs the scheduled window on RunConfig's default density class
+    read = ("n_grid", "seed")
+    ignored = [f.name for f in dataclasses.fields(cfg) if f.name not in read and getattr(cfg, f.name) != f.default]
+    if ignored:
+        raise ConfigurationError(f"verify reads only n_grid and seed of a config, not {ignored}")
+    report = run_verify(cfg.n_grid[0], cfg.seed, args.timings)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"verify_report.{args.fmt}")
     write_text(path, report.to_json() if args.fmt == "json" else report.to_csv())
@@ -136,7 +129,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_tvdecay(args) -> int:
     cfg = _load_config(args)
-    header, rows = run_tv_decay(cfg)
+    header, rows = run_tv_decay(cfg, timings=args.timings)
     path = _write_study(args, "tv_decay", header, rows)
     print(f"tvdecay: {len(rows)} rows -> {path}")
     return 0
@@ -153,7 +146,7 @@ def _cmd_riskstudy(args) -> int:
 
 def _cmd_conditions(args) -> int:
     cfg = _load_config(args)
-    n = _single_n(args, cfg)
+    n = cfg.n_grid[0]
     sched = cfg.window(n)
     entries = condition_checker(n, sched)
     print(f"n={n} window=({sched.k1},{sched.k2}) K={sched.K} gamma={fmt_float(sched.gamma)}")
@@ -166,8 +159,8 @@ def _cmd_conditions(args) -> int:
 
 def _cmd_export_basis(args) -> int:
     cfg = _load_config(args)
-    n = _single_n(args, cfg)
-    sched = schedule(n, cfg.k1, cfg.k2)
+    n = cfg.n_grid[0]
+    sched = cfg.window(n)
     k1 = args.k1 if args.k1 is not None else sched.k1
     k2 = args.k2 if args.k2 is not None else sched.k2
     manifest = export_basis(n, k1, k2, args.out, fmt=args.fmt)

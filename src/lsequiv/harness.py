@@ -1,6 +1,7 @@
 """Study drivers: the Gaussian KL, schedules, chain runner, exports.
 
-Everything here is a pure function of (config, seed).  Randomness goes
+Everything here is a pure function of (config, seed), apart from the
+runtime columns an explicit timings flag adds.  Randomness goes
 through counter-based streams keyed by (seed, stream id), report floats are
 serialized at 17 significant digits, and CSV output follows RFC 4180, so
 repeated runs are byte-identical.  Grid functionals are taken on the one
@@ -10,7 +11,6 @@ a run.
 """
 
 import cmath
-import contextlib
 import dataclasses
 import json
 import math
@@ -84,8 +84,6 @@ __all__ = [
     "run_risk_study",
     "export_basis",
 ]
-
-_CAUGHT = (TypedError,)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,6 @@ class RunConfig:
     density_mean: float = 0.6
     density_amplitude: float = 0.25
     replicates: int = 100
-    timings: bool = False
 
     def __post_init__(self):
         if not isinstance(self.n_grid, (list, tuple)) or not all(map(_is_int, self.n_grid)):
@@ -244,8 +241,6 @@ class RunConfig:
             k = getattr(self, name)
             if k is not None and not (_is_int(k) and k >= 0):
                 raise ConfigurationError(f"{name} must be a nonnegative integer or null, got {k!r}")
-        if not isinstance(self.timings, bool):
-            raise ConfigurationError(f"timings must be true or false, got {self.timings!r}")
         for name in ("s", "L", "rho_star", "density_mean", "density_amplitude"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
@@ -319,18 +314,17 @@ def whitening_matrix(f_hat, basis: BasisSystem):
 # verify driver
 
 
-@contextlib.contextmanager
-def _timed(report, timings):
-    """Collect one group of checks into report; with timings, each check
-    records the group's wall time in milliseconds."""
-    entries = []
-    started = time.perf_counter()
-    yield entries
-    if timings:
-        elapsed = (time.perf_counter() - started) * 1e3
-        for e in entries:
-            e.runtime_ms = elapsed
-    report.extend(entries)
+def _stopwatch():
+    """A clock: each call returns the wall milliseconds since its previous
+    call, the first since the clock was made."""
+    last = time.perf_counter()
+
+    def lap() -> float:
+        nonlocal last
+        started, last = last, time.perf_counter()
+        return (last - started) * 1e3
+
+    return lap
 
 
 def _chi_square_cf(t, n) -> complex:
@@ -350,165 +344,155 @@ def pinned_hom_defect(n: int) -> float:
 
 
 def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationReport:
-    """Self-contained inequality and identity suite at one sample size."""
+    """Self-contained inequality and identity suite at one sample size.
+
+    The checks come in groups, one add call each; with timings, every check
+    of a group records the wall milliseconds since the previous group."""
     sched = schedule(n)
     k1, k2 = sched.k1, sched.k2
     # the density class of the study drivers: RunConfig's defaults
     s, L, rho_star = RunConfig.s, RunConfig.L, RunConfig.rho_star
     config = dict(command="verify", n=n, seed=seed, k1=k1, k2=k2, s=s, L=L, rho_star=rho_star)
     report = VerificationReport(config=config)
+    lap = _stopwatch()
+
+    def add(entries):
+        elapsed = lap()
+        if timings:
+            for e in entries:
+                e.runtime_ms = elapsed
+        report.extend(entries)
 
     # class membership and covariance spectrum
-    with _timed(report, timings) as out:
-        f = random_density(k1, k2, make_rng(seed, stream=_DENSITY_STREAM), s=s, L=L, rho_star=rho_star)
-        out += f.check_membership()
-    with _timed(report, timings) as out:
-        theta = build_theta(f, n)
-        out += theta_spectral_check(theta, rho_star)
-    with _timed(report, timings) as out:
-        out += theta_lipschitz_check(f, f.scaled_deviation(0.5), n)
+    f = random_density(k1, k2, make_rng(seed, stream=_DENSITY_STREAM), s=s, L=L, rho_star=rho_star)
+    add(f.check_membership())
+    theta = build_theta(f, n)
+    add(theta_spectral_check(theta, rho_star))
+    add(theta_lipschitz_check(f, f.scaled_deviation(0.5), n))
 
     basis = build_basis(n, k1, k2)
-    with _timed(report, timings) as out:
-        out += coeff_identity_check(f, basis)
+    add(coeff_identity_check(f, basis))
 
     # multiplication defect of the circulant-to-function map
-    with _timed(report, timings) as out:
-        unit = (1.0 / math.sqrt(n)) * CirculantElement.basis(n, 1, 1)
-        lhs, bound = hom_defect(unit, unit)
-        closed = pinned_hom_defect(n)
-        out += [
-            CheckResult("psi-hom-pinned", "exact-identity", abs(lhs - closed), 0.0, tol=1e-14),
-            CheckResult("psi-hom-pinned-bound", "closed-form-bound", lhs, bound),
-        ]
-        rng = make_rng(seed, stream=201)
-        for i in range(5):
-            shape = (2 * k1 + 1, 2 * k2 + 1)
-            a = CirculantElement(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            b = CirculantElement(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for convention in ("plain", "symmetric"):
-                lhs, bound = hom_defect(a, b, convention=convention)
-                out.append(
-                    CheckResult(f"psi-hom-bound-{convention}-{i}", "closed-form-bound", lhs, bound)
-                )
+    unit = (1.0 / math.sqrt(n)) * CirculantElement.basis(n, 1, 1)
+    lhs, bound = hom_defect(unit, unit)
+    closed = pinned_hom_defect(n)
+    checks = [
+        CheckResult("psi-hom-pinned", "exact-identity", abs(lhs - closed), 0.0, tol=1e-14),
+        CheckResult("psi-hom-pinned-bound", "closed-form-bound", lhs, bound),
+    ]
+    rng = make_rng(seed, stream=201)
+    for i in range(5):
+        shape = (2 * k1 + 1, 2 * k2 + 1)
+        a = CirculantElement(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        b = CirculantElement(n, k1, k2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for convention in ("plain", "symmetric"):
+            lhs, bound = hom_defect(a, b, convention=convention)
+            checks.append(CheckResult(f"psi-hom-bound-{convention}-{i}", "closed-form-bound", lhs, bound))
+    add(checks)
 
-    # norms and Gram matrices of both matrix families
-    with _timed(report, timings) as out:
-        # from the nonzero diagonals: Lambda^j S^j2 has one, lambda^(j i) for
-        # every j2, and the raw M_k one band, mirrored when j2 > 0
-        worst_cm = max(
-            abs(float(np.sum(np.abs(lambda_phase(n, j * np.arange(n))) ** 2)) - n)
-            for j in range(min(k1, 2) + 1)
-        )
-        worst_m = 0.0
-        for k, idx in enumerate(basis.indices):
-            raw = basis.raw_norms[k] * basis.bands[k]
-            frob_sq = (2.0 if idx.j2 else 1.0) * math.fsum(raw * raw)
-            worst_m = max(worst_m, abs(frob_sq - 2.0 * math.pi * (n - idx.j2)))
-        eye = np.eye(basis.K)
-        band_gap = float(np.max(np.abs(diagonal_gram(basis.offsets, basis.bands) - eye)))
-        circ_gram = diagonal_gram(basis.offsets, basis.mcheck_profiles())
-        circ_gap = float(np.max(np.abs(circ_gram - eye)))
-        out += [
+    # norms and Gram matrices of both matrix families, from the nonzero
+    # diagonals: Lambda^j S^j2 has one, lambda^(j i) for every j2, and the
+    # raw M_k one band, mirrored when j2 > 0
+    worst_cm = max(
+        abs(float(np.sum(np.abs(lambda_phase(n, j * np.arange(n))) ** 2)) - n)
+        for j in range(min(k1, 2) + 1)
+    )
+    worst_m = 0.0
+    for k, idx in enumerate(basis.indices):
+        raw = basis.raw_norms[k] * basis.bands[k]
+        frob_sq = (2.0 if idx.j2 else 1.0) * math.fsum(raw * raw)
+        worst_m = max(worst_m, abs(frob_sq - 2.0 * math.pi * (n - idx.j2)))
+    eye = np.eye(basis.K)
+    band_gap = float(np.max(np.abs(diagonal_gram(basis.offsets, basis.bands) - eye)))
+    circ_gap = float(np.max(np.abs(diagonal_gram(basis.offsets, basis.mcheck_profiles()) - eye)))
+    add(
+        [
             CheckResult("circulant-norm-sq", "exact-identity", worst_cm, 0.0, tol=1e-9 * n),
             CheckResult("band-norm-sq", "exact-identity", worst_m, 0.0, tol=1e-9 * n),
             CheckResult("band-gram", "exact-identity", band_gap, 0.0, tol=1e-10),
             CheckResult("circulant-gram", "exact-identity", circ_gap, 0.0, tol=1e-10),
         ]
+    )
 
     # localized state and the summary-shift identity
-    with _timed(report, timings) as out:
-        loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
-        state = ExperimentState.build(basis, loc, theta=theta, rng=make_rng(seed, stream=202))
-        rel = summary_shift_defect(state.d_vec, state.gamma, state.alpha_theta)
-        out.append(CheckResult("summary-shift-identity", "exact-identity", rel, 0.0, tol=1e-8))
+    loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
+    state = ExperimentState.build(basis, loc, theta=theta, rng=make_rng(seed, stream=202))
+    rel = summary_shift_defect(state.d_vec, state.gamma, state.alpha_theta)
+    add([CheckResult("summary-shift-identity", "exact-identity", rel, 0.0, tol=1e-8)])
 
     # spectral perturbation inequality on seeded SPD pairs
-    with _timed(report, timings) as out:
-        rng = make_rng(seed, stream=203)
-        for i in range(3):
-            dim = 5 + i
-            base = rng.standard_normal((dim, dim))
-            a = base @ base.T + dim * np.eye(dim)
-            pert = rng.standard_normal((dim, dim))
-            b = a + 0.05 * np.linalg.norm(a, 2) * (pert + pert.T) / np.linalg.norm(pert + pert.T, 2)
-            chk = sp_perturbation_check(a, b)
-            chk.check_id = f"sp-perturbation-{i}"
-            out.append(chk)
+    checks = []
+    rng = make_rng(seed, stream=203)
+    for i in range(3):
+        dim = 5 + i
+        base = rng.standard_normal((dim, dim))
+        a = base @ base.T + dim * np.eye(dim)
+        pert = rng.standard_normal((dim, dim))
+        b = a + 0.05 * np.linalg.norm(a, 2) * (pert + pert.T) / np.linalg.norm(pert + pert.T, 2)
+        chk = sp_perturbation_check(a, b)
+        chk.check_id = f"sp-perturbation-{i}"
+        checks.append(chk)
+    add(checks)
 
     # ensemble sampler variances
-    with _timed(report, timings) as out:
-        rng = make_rng(seed, stream=204)
-        draws = goe_sample(8, rng, reps=3000)
-        diag_var = float(np.var(np.einsum("rii->ri", draws)))
-        off_var = float(np.var(draws[:, ~np.eye(8, dtype=bool)]))
-        del draws
-        out += [
+    rng = make_rng(seed, stream=204)
+    draws = goe_sample(8, rng, reps=3000)
+    diag_var = float(np.var(np.einsum("rii->ri", draws)))
+    off_var = float(np.var(draws[:, ~np.eye(8, dtype=bool)]))
+    del draws
+    add(
+        [
             CheckResult("goe-diag-variance", "monte-carlo", abs(diag_var - 2.0) / 2.0, 0.05),
             CheckResult("goe-offdiag-variance", "monte-carlo", abs(off_var - 1.0), 0.05),
         ]
+    )
 
     # likelihood affinity of paired models
-    with _timed(report, timings) as out:
-        out.append(likelihood_affinity_check(state, 800, make_rng(seed, stream=205)))
+    add([likelihood_affinity_check(state, 800, make_rng(seed, stream=205))])
 
     # characteristic function against the closed quadratic-form law
-    with _timed(report, timings) as out:
-        scalar = build_basis(n, 0, 0)
-        alpha_eye = scalar.project(np.ones((1, n)))  # I = sqrt(n) M_0
-        ctx = span_char_context(alpha_eye, alpha_eye, scalar)
-        worst = 0.0
-        for t in (0.3, 1.1, 2.7):
-            got = complex(char_fn_standardized(np.array([t]), ctx))
-            worst = max(worst, abs(got - _chi_square_cf(t, n)))
-        out.append(CheckResult("charfn-quadratic-law", "exact-identity", worst, 0.0, tol=1e-12))
+    scalar = build_basis(n, 0, 0)
+    alpha_eye = scalar.project(np.ones((1, n)))  # I = sqrt(n) M_0
+    ctx = span_char_context(alpha_eye, alpha_eye, scalar)
+    worst = 0.0
+    for t in (0.3, 1.1, 2.7):
+        got = complex(char_fn_standardized(np.array([t]), ctx))
+        worst = max(worst, abs(got - _chi_square_cf(t, n)))
+    add([CheckResult("charfn-quadratic-law", "exact-identity", worst, 0.0, tol=1e-12)])
 
     # series expansion remainder inside its validity ball
-    with _timed(report, timings) as out:
-        expansion = edgeworth_build(ctx, 4)
-        radius = expansion.validity_radius
-        for i in range(10):
-            t = np.array([(0.05 + 0.9 * i / 9.0) * radius])
-            approx = expansion.poly_eval(t)
-            exact = char_fn_standardized(t, ctx) * np.exp(0.5 * float(t @ t))
-            out.append(
-                CheckResult(
-                    f"edgeworth-remainder-{i}",
-                    "series-bound",
-                    abs(complex(exact) - complex(approx)),
-                    remainder_bound(t, expansion),
-                )
-            )
+    expansion = edgeworth_build(ctx, 4)
+    radius = expansion.validity_radius
+    checks = []
+    for i in range(10):
+        t = np.array([(0.05 + 0.9 * i / 9.0) * radius])
+        approx = expansion.poly_eval(t)
+        exact = char_fn_standardized(t, ctx) * np.exp(0.5 * float(t @ t))
+        gap = abs(complex(exact) - complex(approx))
+        checks.append(CheckResult(f"edgeworth-remainder-{i}", "series-bound", gap, remainder_bound(t, expansion)))
+    add(checks)
 
     # integral tail of the characteristic function
-    with _timed(report, timings) as out:
-        out.append(fourier_tail_integral(5.0, ctx))
+    add([fourier_tail_integral(5.0, ctx)])
 
     # inversion oracle against an exact Gaussian characteristic function
-    with _timed(report, timings) as out:
-        tv_null = tv_oracle(ctx, cf_override=lambda w: np.exp(-0.5 * np.sum(w * w, axis=-1)))
-        out.append(CheckResult("tv-oracle-gaussian-null", "numeric-oracle", tv_null, 0.0, tol=1e-6))
+    tv_null = tv_oracle(ctx, cf_override=lambda w: np.exp(-0.5 * np.sum(w * w, axis=-1)))
+    add([CheckResult("tv-oracle-gaussian-null", "numeric-oracle", tv_null, 0.0, tol=1e-6)])
 
     # localized drift, sufficient-statistic covariance, and projection defects
-    with _timed(report, timings) as out:
-        f_hat, sup_check = localized_drift(
-            state.alpha_theta, state.eta_tilde, n, basis.indices, rho_star, gamma=sched.gamma
-        )
-        out += [sup_check, gamma_min_eig_check(f_hat, basis.indices)]
-
-    with _timed(report, timings) as out:
-        proj = inv_sqrt_projection(f_hat, basis.indices)
-        out += gamma_variants(proj, basis)
-
-    with _timed(report, timings) as out:
-        w = psi_inverse_real(n, proj.indices, proj.coeffs)
-        comparison = goe_connection(state, w, gamma=sched.gamma)
-        out += [comparison.bound_check, comparison.dictionary_gap_check]
+    f_hat, sup_check = localized_drift(
+        state.alpha_theta, state.eta_tilde, n, basis.indices, rho_star, gamma=sched.gamma
+    )
+    add([sup_check, gamma_min_eig_check(f_hat, basis.indices)])
+    proj = inv_sqrt_projection(f_hat, basis.indices)
+    add(gamma_variants(proj, basis))
+    w = psi_inverse_real(n, proj.indices, proj.coeffs)
+    comparison = goe_connection(state, w, gamma=sched.gamma)
+    add([comparison.bound_check, comparison.dictionary_gap_check])
 
     # hard admissibility constraint of the schedule
-    with _timed(report, timings) as out:
-        out.append(condition_checker(n, sched)[-1])
-
+    add([condition_checker(n, sched)[-1]])
     return report
 
 
@@ -532,10 +516,15 @@ CHAIN_HEADER = [
 ]
 
 
-def _stage(errors: list, name: str, fn):
+def _stage(errors: list, name: str, fn, *needs):
+    """fn(), or None when it raises a typed error, recorded as name:Type in
+    errors; None without running fn when a stage it reads (needs) left no
+    result."""
+    if any(need is None for need in needs):
+        return None
     try:
         return fn()
-    except _CAUGHT as exc:
+    except TypedError as exc:
         errors.append(f"{name}:{type(exc).__name__}")
         return None
 
@@ -549,6 +538,56 @@ def _abstract_pilot_risk(theta_band, alpha_theta, basis, replicates, rng) -> flo
     return float(np.sum((stats - alpha_theta) ** 2)) / replicates
 
 
+def _goe_kl(f, basis, state, gamma, rng) -> float:
+    # the ensemble comparison, whitened by the pilot estimate from one
+    # white-noise observation of f
+    w = whitening_matrix(pilot_estimate(simulate_wn(f, basis.n, rng=rng)), basis)
+    return goe_connection(state, w, gamma=gamma).kl
+
+
+def _chain_row(cfg: RunConfig, f, n: int) -> list:
+    """The CHAIN_HEADER row at n, one _stage per reduction step."""
+    sched = cfg.window(n)
+    loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
+    errors = []
+    basis = _stage(errors, "basis", lambda: build_basis(n, sched.k1, sched.k2))
+    theta = _stage(errors, "theta", lambda: build_theta(f, n), basis)
+    presmooth = _stage(errors, "presmooth", lambda: presmoothing_residual(theta, basis), basis, theta)
+    state = _stage(
+        errors,
+        "localize",
+        lambda: ExperimentState.build(basis, loc, theta=theta, rng=make_rng(cfg.seed, stream=11_000_000 + n)),
+        basis,
+        theta,
+    )
+    summary_kl = _stage(
+        errors, "summary", lambda: gaussian_kl(state.d_vec, state.gamma_theta, state.d_vec, state.gamma), state
+    )
+    tv = _stage(errors, "tv", lambda: tv_oracle(context_from_state(state)), state) if sched.K <= 2 else None
+    risk_abstract = _stage(
+        errors,
+        "pilot-abstract",
+        lambda: _abstract_pilot_risk(
+            state.theta_band, state.alpha_theta, basis, cfg.replicates, make_rng(cfg.seed, stream=13_000_000 + n)
+        ),
+        state,
+    )
+    risk_wn = _stage(
+        errors,
+        "pilot-wn",
+        lambda: pilot_risk_row(f, n, basis.indices, cfg.replicates, cfg.seed)["risk_mean"],
+        basis,
+    )
+    goe = _stage(
+        errors,
+        "goe",
+        lambda: _goe_kl(f, basis, state, sched.gamma, make_rng(cfg.seed, stream=12_000_000 + n)),
+        state,
+    )
+    residuals = [presmooth, summary_kl, tv, risk_abstract, risk_wn, goe]
+    return [n, sched.k1, sched.k2, sched.K, sched.gamma, *residuals, ";".join(errors)]
+
+
 def run_equivalence_chain(cfg: RunConfig):
     """One row per n: residuals of every reduction stage, errors recorded.
 
@@ -556,74 +595,7 @@ def run_equivalence_chain(cfg: RunConfig):
     error column; later stages that do not depend on them still run.
     """
     f = config_density(cfg)
-    rows = []
-    for n in cfg.n_grid:
-        sched = cfg.window(n)
-        errors = []
-        row = {key: None for key in CHAIN_HEADER}
-        row.update(
-            {"n": n, "kappa1": sched.k1, "kappa2": sched.k2, "K": sched.K, "gamma": sched.gamma}
-        )
-
-        basis = _stage(errors, "basis", lambda: build_basis(n, sched.k1, sched.k2))
-        theta = _stage(errors, "theta", lambda: build_theta(f, n)) if basis else None
-
-        if basis is not None and theta is not None:
-            row["presmooth_rel"] = _stage(
-                errors, "presmooth", lambda: presmoothing_residual(theta, basis)
-            )
-
-        state = None
-        if basis is not None and theta is not None:
-            loc = LocalizationConfig(beta=sched.beta, gamma=sched.gamma)
-            state = _stage(
-                errors,
-                "localize",
-                lambda: ExperimentState.build(
-                    basis, loc, theta=theta, rng=make_rng(cfg.seed, stream=11_000_000 + n)
-                ),
-            )
-
-        if state is not None:
-            row["summary_kl"] = _stage(
-                errors,
-                "summary",
-                lambda: gaussian_kl(state.d_vec, state.gamma_theta, state.d_vec, state.gamma),
-            )
-            if basis.K <= 2:
-                row["tv"] = _stage(
-                    errors, "tv", lambda: tv_oracle(context_from_state(state))
-                )
-            row["pilot_risk_abstract"] = _stage(
-                errors,
-                "pilot-abstract",
-                lambda: _abstract_pilot_risk(
-                    state.theta_band,
-                    state.alpha_theta,
-                    basis,
-                    cfg.replicates,
-                    make_rng(cfg.seed, stream=13_000_000 + n),
-                ),
-            )
-
-        if basis is not None:
-            row["pilot_risk_wn"] = _stage(
-                errors,
-                "pilot-wn",
-                lambda: pilot_risk_row(f, n, basis.indices, cfg.replicates, cfg.seed)["risk_mean"],
-            )
-
-        if state is not None:
-            def goe_stage():
-                obs = simulate_wn(f, n, rng=make_rng(cfg.seed, stream=12_000_000 + n))
-                w = whitening_matrix(pilot_estimate(obs), basis)
-                return goe_connection(state, w, gamma=sched.gamma).kl
-
-            row["goe_kl"] = _stage(errors, "goe", goe_stage)
-
-        row["error"] = ";".join(errors)
-        rows.append([row[key] for key in CHAIN_HEADER])
-    return CHAIN_HEADER, rows
+    return CHAIN_HEADER, [_chain_row(cfg, f, n) for n in cfg.n_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +605,14 @@ def run_equivalence_chain(cfg: RunConfig):
 TV_HEADER = ["n", "K", "mu_n", "tv", "tail_bound_used", "runtime_ms", "edgeworth_gap"]
 
 
-def run_tv_decay(cfg: RunConfig):
+def run_tv_decay(cfg: RunConfig, timings: bool = False):
     """Distance to the Gaussian limit along the grid, in-span covariance.
 
     Uses C = C_theta = the span combination of theta's projection, the
     regime where the standardized statistic has an exactly computable law,
     in closed form (span_char_context).  edgeworth_gap is |tv - TV_1|, TV_1
-    the one-term Edgeworth distance, which is O(n^{-3/2}).
+    the one-term Edgeworth distance, which is O(n^{-3/2}).  With timings,
+    runtime_ms is the wall time from the basis build through the oracle.
     """
     k1 = 0 if cfg.k1 is None else cfg.k1
     k2 = 0 if cfg.k2 is None else cfg.k2
@@ -649,13 +622,13 @@ def run_tv_decay(cfg: RunConfig):
     f = config_density(cfg, k1=k1, k2=k2)
     rows = []
     for n in cfg.n_grid:
-        started = time.perf_counter()
+        lap = _stopwatch()
         basis = build_basis(n, k1, k2)
         theta = build_theta(f, n)
         alpha = basis.project(theta.band)
         ctx = span_char_context(alpha, alpha, basis)
         tv, info = tv_oracle(ctx, details=True)
-        elapsed = (time.perf_counter() - started) * 1e3
+        elapsed = lap()
         rows.append(
             [
                 n,
@@ -663,7 +636,7 @@ def run_tv_decay(cfg: RunConfig):
                 ctx.mu,
                 tv,
                 info["tail_bound"],
-                elapsed if cfg.timings else None,
+                elapsed if timings else None,
                 abs(tv - edgeworth_tv(ctx)),
             ]
         )

@@ -41,7 +41,7 @@ from .circulant import (
 from .errors import PreconditionError, RangeError
 from .report import CheckResult
 from .rng import make_rng
-from .spectral import default_grid, leading_indices, project_exp
+from .spectral import default_grid, leading_indices, node_gap, project_exp
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,25 +160,25 @@ def localized_drift(alpha_theta, eta_tilde, n, indices, rho_star, gamma):
     f_n resynthesizes the localization targets at white-noise scale and
     f_hat adds the truncated noise; both must stay inside
     [rho*/2, 2/rho*].  f_hat is returned as grid values; sup_check bounds
-    sup |f_n - f_hat| by sqrt(K) gamma / (pi sqrt(n)).
+    sup |f_n - f_hat| by sqrt(K) gamma / (pi sqrt(n)).  Each range and the
+    sup are enclosures: the extremes at the grid nodes widened by the
+    node_gap of the expansion.
     """
-    grid = default_grid()
-    alpha_theta = np.asarray(alpha_theta, dtype=float)
-    eta_tilde = np.asarray(eta_tilde, dtype=float)
     scale = 1.0 / math.sqrt(TWO_PI * n)
-    fn_vals, noise_vals = grid.synthesize(indices, scale * np.stack([alpha_theta, eta_tilde]))
+    fn_coeffs = scale * np.asarray(alpha_theta, dtype=float)
+    noise_coeffs = scale * np.asarray(eta_tilde, dtype=float)
+    fn_vals, noise_vals = default_grid().synthesize(indices, np.stack([fn_coeffs, noise_coeffs]))
     fhat_vals = fn_vals + noise_vals
     lo, hi = rho_star / 2.0, 2.0 / rho_star
-    for name, vals in (("f_n", fn_vals), ("f_hat", fhat_vals)):
-        if vals.min() < lo or vals.max() > hi:
-            raise RangeError(
-                f"{name} leaves [{lo:.6g}, {hi:.6g}]: "
-                f"range [{vals.min():.6g}, {vals.max():.6g}]"
-            )
+    for name, vals, coeffs in (("f_n", fn_vals, fn_coeffs), ("f_hat", fhat_vals, fn_coeffs + noise_coeffs)):
+        gap = node_gap(dict(zip(indices, coeffs)))
+        vmin, vmax = vals.min() - gap, vals.max() + gap
+        if vmin < lo or vmax > hi:
+            raise RangeError(f"{name} leaves [{lo:.6g}, {hi:.6g}]: range [{vmin:.6g}, {vmax:.6g}]")
     sup_check = CheckResult(
         check_id="drift-sup-gap",
         ref="drift-noise-sup",
-        lhs=float(np.max(np.abs(fn_vals - fhat_vals))),
+        lhs=float(np.max(np.abs(noise_vals))) + node_gap(dict(zip(indices, noise_coeffs))),
         rhs=math.sqrt(len(indices)) * gamma / (math.pi * math.sqrt(n)),
     )
     return fhat_vals, sup_check

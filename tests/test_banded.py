@@ -35,7 +35,6 @@ from lsequiv._linalg import (
     band_product,
     band_sandwich,
     band_to_dense,
-    band_transpose,
     dense_signed,
     dense_to_band,
     lower_frob,
@@ -419,6 +418,7 @@ def _plain_band(n, width, seed):
         ((12, 9, 4), False),
         ((3, 2, 1), True),
         ((4, 4, 3), True),
+        ((0, 4, 2), False),
     ],
 )
 def test_band_product_and_signed_frob_match_dense(widths, wrapped):
@@ -561,7 +561,7 @@ def test_band_function_mirrors_no_signed_band_per_step(monkeypatch):
 
 
 def _band_product_roll(a, b):
-    """The np.roll form of band_product's banded branch, for wa >= wb."""
+    """The np.roll form of band_product's banded branch."""
     wa, wb = a.shape[0] // 2, b.shape[0] // 2
     out = np.zeros((2 * (wa + wb) + 1, a.shape[1]))
     for t in range(-wb, wb + 1):
@@ -576,11 +576,7 @@ def test_band_product_matches_roll_form_bitwise(wa, wb, n):
     rng = make_rng(wa + 10 * wb, stream=81)
     a = rng.standard_normal((2 * wa + 1, n))
     b = rng.standard_normal((2 * wb + 1, n))
-    if wa < wb:
-        want = band_transpose(_band_product_roll(band_transpose(b), band_transpose(a)))
-    else:
-        want = _band_product_roll(a, b)
-    np.testing.assert_array_equal(band_product(a, b), want)
+    np.testing.assert_array_equal(band_product(a, b), _band_product_roll(a, b))
 
 
 @pytest.mark.parametrize("k1,k2", WINDOWS)

@@ -155,6 +155,9 @@ def test_run_config_validation():
         RunConfig(rho_star=1.5)
     with pytest.raises(ConfigurationError):
         RunConfig.from_json('{"n_grid": [64], "bogus": 1}')
+    # timings is an output option of verify and tvdecay, not a study setting
+    with pytest.raises(ConfigurationError, match="unknown config keys: \\['timings'\\]"):
+        RunConfig.from_json('{"timings": true}')
     malformed = [
         {"n_grid": "8888"},
         {"n_grid": [64.7]},
@@ -172,8 +175,6 @@ def test_run_config_validation():
         {"k1": 1.0},
         {"k2": "1"},
         {"k2": True},
-        {"timings": 1},
-        {"timings": "yes"},
         {"s": "11"},
         {"L": None},
         {"rho_star": "0.5"},
@@ -480,6 +481,24 @@ def test_cli_timings_on_verify_and_tvdecay(tmp_path):
     assert main(["tvdecay", "--n", "16", "--timings", "--out", str(tmp_path)]) == 0
     row = (tmp_path / "tv_decay.csv").read_text().splitlines()[1]
     assert float(row.split(",")[TV_HEADER.index("runtime_ms")]) > 0.0
+
+
+def test_cli_verify_refuses_config_fields_it_ignores(tmp_path, capsys):
+    # verify runs the scheduled window on the default density class: a config
+    # that sets anything else but n_grid and seed is an error, not a silent no-op
+    cfg_path = tmp_path / "cfg.json"
+    cases = [
+        ({"k1": 0, "k2": 1}, ["--n", "64"], "['k1', 'k2']"),
+        ({"rho_star": 0.3, "s": 4, "seed": 3}, ["--seed", "0"], "['s', 'rho_star']"),
+    ]
+    for fields, flags, named in cases:
+        cfg_path.write_text(json.dumps(fields))
+        assert main(["verify", "--config", str(cfg_path), *flags, "--out", str(tmp_path)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.csv").exists()
+    cfg_path.write_text(json.dumps({"n_grid": [16, 32], "seed": 1}))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "verify_report.csv").read_bytes() == run_verify(16, 1).to_csv().encode()
 
 
 def test_config_rejects_tolerances_key():

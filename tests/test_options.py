@@ -36,7 +36,7 @@ ALLOWED = {
     **{
         ("harness.py", "RunConfig", field): _FROM_OUTSIDE
         for field in ("n_grid", "seed", "k1", "k2", "s", "L", "rho_star")
-        + ("density_mean", "density_amplitude", "replicates", "timings")
+        + ("density_mean", "density_amplitude", "replicates")
     },
     ("cli.py", "main", "argv"): (
         "the console entry point: argv=None makes argparse read sys.argv, and "

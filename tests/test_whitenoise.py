@@ -9,7 +9,15 @@ from lsequiv.circulant import psi_inverse_real
 from lsequiv.errors import PreconditionError, RangeError
 from lsequiv.gaussianize import ExperimentState, LocalizationConfig
 from lsequiv.rng import make_rng
-from lsequiv.spectral import GRID_NODES, default_grid, leading_indices, random_density
+from lsequiv.spectral import (
+    GRID_NODES,
+    BasisIndex,
+    basis_norm,
+    default_grid,
+    leading_indices,
+    node_gap,
+    random_density,
+)
 from lsequiv.whitenoise import (
     A_STAR,
     WhiteNoiseObservation,
@@ -140,6 +148,31 @@ def test_localized_drift_guards():
         localized_drift(
             np.full(BASIS.K, 5.0), STATE.eta_tilde, N, BASIS.indices, 0.5, gamma=3.0
         )
+
+
+def test_localized_drift_encloses_the_range_between_nodes():
+    # f_n = 0.65 + 0.3 (normalized phi_(+,1,1)) has node extremes 0.35 and
+    # 0.95; a lower bound rho*/2 between min - node_gap and min passes at every
+    # node, but only the enclosure proves a range, so the check refuses it
+    scale = 1.0 / math.sqrt(2.0 * math.pi * N)
+    coeffs = np.zeros(BASIS.K)
+    for k, amplitude in ((0, 0.65), (BASIS.indices.index(BasisIndex("+", 1, 1)), 0.3)):
+        coeffs[k] = amplitude / basis_norm(BASIS.indices[k])
+    nodes = GRID.synthesize(BASIS.indices, coeffs)
+    gap = node_gap(dict(zip(BASIS.indices, coeffs)))
+    assert gap > 0.0
+    zero = np.zeros(BASIS.K)
+    rho_star = 2.0 * (nodes.min() - 0.5 * gap)
+    assert rho_star / 2.0 < nodes.min() and nodes.max() < 2.0 / rho_star
+    with pytest.raises(RangeError, match="f_n leaves"):
+        localized_drift(coeffs / scale, zero, N, BASIS.indices, rho_star, gamma=3.0)
+    rho_star = 2.0 * (nodes.min() - 2.0 * gap)
+    localized_drift(coeffs / scale, zero, N, BASIS.indices, rho_star, gamma=3.0)
+    # the sup of the noise is its node maximum widened the same way
+    _, sup_check = localized_drift(coeffs / scale, 0.01 * coeffs / scale, N, BASIS.indices, rho_star, gamma=3.0)
+    noise = 0.01 * coeffs
+    want = np.max(np.abs(GRID.synthesize(BASIS.indices, noise))) + node_gap(dict(zip(BASIS.indices, noise)))
+    assert sup_check.lhs == pytest.approx(want, rel=1e-14)
 
 
 def test_gamma_min_eig_check_constant_density():
