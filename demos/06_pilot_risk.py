@@ -1,7 +1,8 @@
 """Pilot estimation risk in the bivariate white-noise experiment.
 
 Simulates the log-density observation, shows one pilot reconstruction, and
-runs the Monte Carlo risk study against the fixed per-coefficient budget.
+reads the Monte Carlo risk study, the white-noise pilot columns of the
+equivalence chain, against the fixed per-coefficient budget.
 """
 
 import math
@@ -10,7 +11,7 @@ import numpy as np
 
 from lsequiv.basis_cov import abstract_rho
 from lsequiv.gaussianize import pilot_risk_bound
-from lsequiv.harness import RunConfig, config_density, run_risk_study
+from lsequiv.harness import RunConfig, config_density, run_equivalence_chain
 from lsequiv.rng import make_rng
 from lsequiv.spectral import default_grid
 from lsequiv.whitenoise import noise_level, pilot_estimate, simulate_wn, target_coefficients
@@ -38,11 +39,12 @@ def main():
     print(f"\nabstract-experiment budget: 4 K / rho^2 = {pilot_risk_bound(6, rho):.1f} at K = 6")
 
     print("\nMonte Carlo risk study over the scheduled K-window (budget 50 per coefficient)")
-    header, rows = run_risk_study(RunConfig(n_grid=(64, 256, 1024), replicates=200))
-    print("  " + " ".join(f"{h:>10}" for h in header))
+    header, rows = run_equivalence_chain(RunConfig(n_grid=(64, 256, 1024), replicates=200))
+    columns = ["n", "K", "pilot_risk_wn", "risk_bound", "risk_pass"]
+    print("  " + " ".join(f"{h:>13}" for h in columns))
     for row in rows:
-        cells = [f"{v:>10.4f}" if isinstance(v, float) else f"{v!s:>10}" for v in row]
-        print("  " + " ".join(cells))
+        cells = [row[header.index(h)] for h in columns]
+        print("  " + " ".join(f"{v:>13.4f}" if isinstance(v, float) else f"{v!s:>13}" for v in cells))
 
 
 if __name__ == "__main__":

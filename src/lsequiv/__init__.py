@@ -22,7 +22,6 @@ from .harness import (
     condition_checker,
     gaussian_kl,
     run_equivalence_chain,
-    run_risk_study,
     run_tv_decay,
     run_verify,
     schedule,
@@ -51,7 +50,6 @@ __all__ = [
     "gaussian_kl",
     "random_density",
     "run_equivalence_chain",
-    "run_risk_study",
     "run_tv_decay",
     "run_verify",
     "schedule",

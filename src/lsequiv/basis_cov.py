@@ -10,7 +10,6 @@ cyclic family shrinks like K^(1/4)/sqrt(n).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from ._linalg import (
     lower_frob,
     signed_band,
 )
-from .circulant import build_mcheck_basis, mcheck_diagonal
+from .circulant import mcheck_diagonal
 from .errors import ConfigurationError, PreconditionError, RangeError
 from .report import CheckResult
 from .spectral import (
@@ -92,8 +91,8 @@ class BasisSystem:
     M_k is symmetric with one band at offset j2 = offsets[k]: its values
     bands[k, :n - j2] sit at (i, i + j2) and, mirrored, at (i + j2, i).  The
     raw matrices are raw_norms[k] * M_k.  Every operation reads the bands, so
-    n is not capped here; the dense views mat, mats, combine and mcheck, built
-    lazily for oracles and exports, raise past DENSE_N_MAX.
+    n is not capped here; the dense views mat and combine form one n x n
+    matrix per call, for oracles and export-basis, and raise past DENSE_N_MAX.
     """
 
     def __init__(self, n: int, k1: int, k2: int):
@@ -117,16 +116,6 @@ class BasisSystem:
     def mat(self, k: int) -> np.ndarray:
         """Dense normalized M_k."""
         return self.combine(np.eye(self.K)[k])
-
-    @functools.cached_property
-    def mats(self) -> np.ndarray:
-        """Dense (K, n, n) stack of the normalized matrices, built on first use."""
-        return np.stack([self.mat(k) for k in range(self.K)])
-
-    @functools.cached_property
-    def mcheck(self) -> np.ndarray:
-        """Dense (K, n, n) cyclic companion stack, built on first use."""
-        return build_mcheck_basis(self.n, self.k1, self.k2)
 
     def mcheck_profiles(self) -> np.ndarray:
         """(K, n) wrapped diagonals of the cyclic companions: Mcheck_k holds

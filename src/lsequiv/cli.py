@@ -1,7 +1,8 @@
 """Command-line interface over the verification and study drivers.
 
-Exit codes: 0 when every executed check passes, 1 when a check fails or a
-driver reports a typed error, 2 for usage mistakes (argparse default).
+Exit codes: 0 when every executed check passes, 1 when a check fails, a
+chain row exceeds its risk budget or a driver reports a typed error, 2 for
+usage mistakes (argparse default).
 File errors (OSError) also exit 2; any other exception is a bug and ends in
 a traceback.
 """
@@ -18,7 +19,6 @@ from .harness import (
     condition_checker,
     export_basis,
     run_equivalence_chain,
-    run_risk_study,
     run_tv_decay,
     run_verify,
 )
@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "run the inequality and identity suite at one n", False, {"seed", "out", "timings"}),
         ("chain", "run the full reduction chain across an n grid", True, {"seed", "out"}),
         ("tvdecay", "total-variation decay study (K <= 2 windows)", True, {"seed", "out", "timings"}),
-        ("riskstudy", "white-noise pilot risk study", True, {"seed", "out"}),
         ("conditions", "print rate-condition values at one n", False, set()),
         ("export-basis", "write both matrix families plus a manifest", False, {"out"}),
     ]
@@ -122,9 +121,11 @@ def _cmd_chain(args) -> int:
     cfg = _load_config(args)
     header, rows = run_equivalence_chain(cfg)
     path = _write_study(args, "chain_study", header, rows)
-    failed = [row for row in rows if row[-1]]
-    print(f"chain: {len(rows)} rows, {len(failed)} with errors -> {path}")
-    return 1 if failed else 0
+    failed = sum(1 for row in rows if row[-1])
+    # risk_pass is None when the pilot-wn stage left no result: an error row
+    above = sum(1 for row in rows if row[header.index("risk_pass")] is False)
+    print(f"chain: {len(rows)} rows, {failed} with errors, {above} above budget -> {path}")
+    return 1 if failed or above else 0
 
 
 def _cmd_tvdecay(args) -> int:
@@ -133,15 +134,6 @@ def _cmd_tvdecay(args) -> int:
     path = _write_study(args, "tv_decay", header, rows)
     print(f"tvdecay: {len(rows)} rows -> {path}")
     return 0
-
-
-def _cmd_riskstudy(args) -> int:
-    cfg = _load_config(args)
-    header, rows = run_risk_study(cfg)
-    path = _write_study(args, "risk_study", header, rows)
-    failed = sum(1 for row in rows if not row[-1])
-    print(f"riskstudy: {len(rows)} rows, {failed} above budget -> {path}")
-    return 1 if failed else 0
 
 
 def _cmd_conditions(args) -> int:
@@ -172,7 +164,6 @@ _HANDLERS = {
     "verify": _cmd_verify,
     "chain": _cmd_chain,
     "tvdecay": _cmd_tvdecay,
-    "riskstudy": _cmd_riskstudy,
     "conditions": _cmd_conditions,
     "export-basis": _cmd_export_basis,
 }

@@ -1,9 +1,7 @@
 """Typed errors shared across the package.
 
-Monte Carlo drivers are expected to catch :class:`LocalizationError` and count
-failure frequency instead of aborting a whole study.  Study drivers catch
-:class:`TypedError` and nothing else: any other exception is a bug and
-propagates.
+Study drivers catch :class:`TypedError` and nothing else: any other exception
+is a bug and propagates.
 """
 
 

@@ -31,7 +31,7 @@ from .basis_cov import (
     theta_lipschitz_check,
     theta_spectral_check,
 )
-from .circulant import CirculantElement, hom_defect, lambda_phase, psi_inverse_real
+from .circulant import CirculantElement, hom_defect, lambda_phase, mcheck_element, psi_inverse_real, window_guard
 from .cltcheck import (
     char_fn_standardized,
     context_from_state,
@@ -80,8 +80,6 @@ __all__ = [
     "run_equivalence_chain",
     "TV_HEADER",
     "run_tv_decay",
-    "RISK_HEADER",
-    "run_risk_study",
     "export_basis",
 ]
 
@@ -511,6 +509,8 @@ CHAIN_HEADER = [
     "tv",
     "pilot_risk_abstract",
     "pilot_risk_wn",
+    "risk_bound",
+    "risk_pass",
     "goe_kl",
     "error",
 ]
@@ -572,19 +572,16 @@ def _chain_row(cfg: RunConfig, f, n: int) -> list:
         ),
         state,
     )
-    risk_wn = _stage(
-        errors,
-        "pilot-wn",
-        lambda: pilot_risk_row(f, n, basis.indices, cfg.replicates, cfg.seed)["risk_mean"],
-        basis,
-    )
+    pilot = _stage(errors, "pilot-wn", lambda: pilot_risk_row(f, n, basis.indices, cfg.replicates, cfg.seed), basis)
     goe = _stage(
         errors,
         "goe",
         lambda: _goe_kl(f, basis, state, sched.gamma, make_rng(cfg.seed, stream=12_000_000 + n)),
         state,
     )
-    residuals = [presmooth, summary_kl, tv, risk_abstract, risk_wn, goe]
+    # pilot_risk_wn, risk_bound and risk_pass, from one pilot-wn result
+    risk_wn = [None] * 3 if pilot is None else [pilot[key] for key in ("risk_mean", "risk_bound", "pass")]
+    residuals = [presmooth, summary_kl, tv, risk_abstract, *risk_wn, goe]
     return [n, sched.k1, sched.k2, sched.K, sched.gamma, *residuals, ";".join(errors)]
 
 
@@ -593,6 +590,8 @@ def run_equivalence_chain(cfg: RunConfig):
 
     Stages that raise a typed error leave their column empty and tag the
     error column; later stages that do not depend on them still run.
+    risk_pass says whether pilot_risk_wn is within risk_bound, the white-noise
+    pilot's budget RISK_BOUND_PER_K * K.
     """
     f = config_density(cfg)
     return CHAIN_HEADER, [_chain_row(cfg, f, n) for n in cfg.n_grid]
@@ -643,38 +642,29 @@ def run_tv_decay(cfg: RunConfig, timings: bool = False):
     return TV_HEADER, rows
 
 
-RISK_HEADER = ["n", "K", "J", "replicates", "risk_mean", "risk_bound", "pass"]
-
-
-def run_risk_study(cfg: RunConfig):
-    """Monte Carlo pilot risk in the white-noise model along the grid."""
-    f = config_density(cfg)
-    rows = []
-    for n in cfg.n_grid:
-        sched = cfg.window(n)
-        basis_indices = build_basis(n, sched.k1, sched.k2).indices
-        stats = pilot_risk_row(f, n, basis_indices, cfg.replicates, cfg.seed)
-        rows.append([stats[key] for key in RISK_HEADER])
-    return RISK_HEADER, rows
-
-
 # ---------------------------------------------------------------------------
 # basis export
 
 
 def export_basis(n: int, k1: int, k2: int, out_dir: str, fmt: str) -> dict:
-    """Write both matrix families plus a manifest; returns the manifest."""
+    """Write both matrix families plus a manifest; returns the manifest.
+
+    Each matrix is formed dense from its band profile or wrapped diagonal
+    and written before the next is formed: M_k = basis.mat(k) and
+    Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)."""
     if fmt not in ("csv", "binary"):
         raise ConfigurationError("format must be csv or binary")
     basis = build_basis(n, k1, k2)
+    window_guard(n, k1, k2)
+    scale = math.sqrt(2.0 * math.pi / n)
     os.makedirs(out_dir, exist_ok=True)
     files = []
-    for kind, stack in (("m", basis.mats), ("mcheck", basis.mcheck)):
+    for kind in ("m", "mcheck"):
         for k, idx in enumerate(basis.indices):
             ext = "csv" if fmt == "csv" else "bin"
             name = f"{kind}_{k:03d}.{ext}"
             path = os.path.join(out_dir, name)
-            mat = stack[k]
+            mat = basis.mat(k) if kind == "m" else scale * mcheck_element(n, idx)
             if fmt == "csv":
                 write_text(path, csv_text(mat))
             else:

@@ -128,7 +128,9 @@ RISK_BOUND_PER_K = 50.0
 
 
 def pilot_risk_row(f, n, indices, replicates, seed):
-    """One risk-study CSV row; the replicates stream through project_exp."""
+    """The white-noise pilot's risk at n against its budget, the chain's
+    pilot_risk_wn, risk_bound and risk_pass; the replicates stream through
+    project_exp."""
     f = default_grid().as_values(f)  # synthesized once for both projections
     lead, means, a_n = _wn_means(f, n)
     draws = means + a_n * make_rng(seed, stream=n).standard_normal((replicates, len(lead)))

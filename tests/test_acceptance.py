@@ -42,13 +42,15 @@ from lsequiv.gaussianize import (
 from lsequiv.harness import (
     RunConfig,
     config_density,
-    run_risk_study,
+    run_equivalence_chain,
     run_tv_decay,
     whitening_matrix,
 )
 from lsequiv.rng import make_rng
 from lsequiv.spectral import random_density, random_transfer
 from lsequiv.whitenoise import goe_connection
+
+from oracles import dense_mats, dense_mchecks
 
 
 def _element(n, j, j2):
@@ -74,10 +76,10 @@ def test_criterion_01_exact_algebra():
             assert abs(raw_sq - 2.0 * math.pi * (n - idx.j2)) <= 1e-10 * n
 
         # both orthonormal stacks have identity Grams
-        stack = basis.mats
+        stack = dense_mats(basis)
         gram = np.einsum("aij,bij->ab", stack, stack)
         assert np.max(np.abs(gram - np.eye(28))) <= 1e-10
-        stack = basis.mcheck
+        stack = dense_mchecks(basis)
         gram = np.einsum("aij,bij->ab", stack, stack)
         assert np.max(np.abs(gram - np.eye(28))) <= 1e-10
 
@@ -246,11 +248,12 @@ def test_criterion_08_pilot_risk():
     bound = pilot_risk_bound(basis.K, abstract_rho(cfg.rho_star))
     assert mean + 4.0 * se <= bound
 
-    # sheet experiment: per-window risk stays under the fixed budget
-    header, rows = run_risk_study(RunConfig(n_grid=(256, 1024), replicates=500))
+    # sheet experiment: per-window risk stays under the fixed budget, read
+    # from the chain's white-noise pilot columns
+    header, rows = run_equivalence_chain(RunConfig(n_grid=(256, 1024), replicates=500))
     for row in rows:
-        assert row[header.index("pass")] is True
-        assert row[header.index("risk_mean")] / row[header.index("K")] <= 50.0
+        assert row[header.index("risk_pass")] is True
+        assert row[header.index("pilot_risk_wn")] / row[header.index("K")] <= 50.0
     print(f"criterion-08 pilot-risk: PASS (abstract {mean:.0f}+4se <= {bound:.0f}; sheet ok)")
 
 

@@ -56,6 +56,8 @@ from lsequiv.rng import make_rng
 from lsequiv.spectral import POS, BasisIndex, SpectralDensity, random_density
 from lsequiv.whitenoise import A_STAR, goe_connection
 
+from oracles import dense_mats, dense_mchecks
+
 N = 40
 WINDOWS = [(0, 0), (0, 1), (1, 1), (2, 0), (3, 3)]
 
@@ -75,7 +77,7 @@ def _coeffs(basis, seed):
 
 
 def _dense(basis, vec):
-    return np.einsum("k,kij->ij", vec, basis.mats)
+    return np.einsum("k,kij->ij", vec, dense_mats(basis))
 
 
 def _dense_inv_sqrt(a):
@@ -715,7 +717,7 @@ def _goe_oracle(state, w):
     """(kl, b1, b2, b3) from the dense formulas the banded ones replaced."""
     w_dense = band_to_dense(w)
     basis = state.basis
-    delta_check = np.tensordot(state.eta_tilde, basis.mcheck, axes=(0, 0))
+    delta_check = np.tensordot(state.eta_tilde, dense_mchecks(basis), axes=(0, 0))
     w, v = np.linalg.eigh(band_to_dense(state.c_band))
     ci_sqrt = (v / np.sqrt(w)) @ v.T
     wv, vv = np.linalg.eigh(w_dense / math.sqrt(A_STAR))

@@ -34,6 +34,8 @@ from lsequiv.spectral import (
     random_transfer,
 )
 
+from oracles import dense_mats, dense_mchecks
+
 TWO_PI = 2.0 * math.pi
 
 BASIS = build_basis(32, 1, 1)
@@ -59,13 +61,13 @@ def test_raw_norm_closed_form():
 
 
 def test_normalized_stack_orthonormal():
-    flat = BASIS.mats.reshape(BASIS.K, -1)
+    flat = dense_mats(BASIS).reshape(BASIS.K, -1)
     np.testing.assert_allclose(flat @ flat.T, np.eye(BASIS.K), atol=1e-12)
 
 
 def test_quad_form_matches_dense():
     x = make_rng(1, stream=30).standard_normal(32)
-    dense = np.array([x @ m @ x for m in BASIS.mats])
+    dense = np.array([x @ m @ x for m in dense_mats(BASIS)])
     np.testing.assert_allclose(BASIS.quad_form(x), dense, atol=1e-12)
 
 
@@ -74,14 +76,14 @@ def test_project_combine_match_dense():
     a = rng.standard_normal((32, 32))
     a = a + a.T
     v = BASIS.project(dense_to_band(a, len(a) - 1))
-    np.testing.assert_allclose(v, [np.sum(a * m) for m in BASIS.mats], atol=1e-12)
+    np.testing.assert_allclose(v, [np.sum(a * m) for m in dense_mats(BASIS)], atol=1e-12)
     np.testing.assert_allclose(
-        BASIS.combine(v), np.einsum("k,kij->ij", v, BASIS.mats), atol=1e-12
+        BASIS.combine(v), np.einsum("k,kij->ij", v, dense_mats(BASIS)), atol=1e-12
     )
 
 
 def test_spectral_norms_match_dense():
-    dense = np.array([np.linalg.norm(m, 2) for m in BASIS.mats])
+    dense = np.array([np.linalg.norm(m, 2) for m in dense_mats(BASIS)])
     np.testing.assert_allclose(BASIS.spectral_norms(), dense, atol=1e-12)
     # row-sum bound on the raw matrices
     assert BASIS.spectral_norms().max() * BASIS.raw_norms.max() <= 2.0 * math.sqrt(TWO_PI)
@@ -285,7 +287,7 @@ def test_trace_gram_matches_dense(k1, k2):
     s = make_rng(k1, stream=32 + k2).standard_normal((n, n))
     s = s + s.T
     # tr(S M_a S M_b) = <P_a, P_b^T> with P_k = S M_k
-    p = s @ basis.mats
+    p = s @ dense_mats(basis)
     want = 2.0 * p.reshape(basis.K, -1) @ np.transpose(p, (0, 2, 1)).reshape(basis.K, -1).T
     # a full S is read dense; a narrow one, for small K, by band products
     got = basis.trace_gram(dense_to_band(s, n - 1))
@@ -293,7 +295,7 @@ def test_trace_gram_matches_dense(k1, k2):
     np.testing.assert_array_equal(got, got.T)
     # a narrow band S: only the diagonals within reach are read
     narrow = dense_to_band(s, n - 1)[:3]
-    p = band_to_dense(narrow) @ basis.mats
+    p = band_to_dense(narrow) @ dense_mats(basis)
     want = 2.0 * p.reshape(basis.K, -1) @ np.transpose(p, (0, 2, 1)).reshape(basis.K, -1).T
     assert _max_rel(basis.trace_gram(narrow), want) <= 1e-12
 
@@ -319,7 +321,7 @@ def test_trace_gram_matches_dense_formula(window, n, width, seed):
     basis = build_basis(n, *window)
     sb = _symmetric_band(n, width % n, seed)
     s = band_to_dense(sb)
-    half = np.matmul(s, basis.mats)
+    half = np.matmul(s, dense_mats(basis))
     want = 2.0 * np.einsum("kij,lji->kl", half, half)
     got = basis.trace_gram(sb)
     assert _max_rel(got, want) <= 1e-12
@@ -340,7 +342,7 @@ def test_band_operations_match_dense(k1, k2):
     n = 40
     basis = build_basis(n, k1, k2)
     rng = make_rng(k1, stream=33 + k2)
-    mats = basis.mats
+    mats = dense_mats(basis)
     a = rng.standard_normal((n, n))
     a = a + a.T
     np.testing.assert_allclose(basis.project(dense_to_band(a, n - 1)), np.einsum("kij,ij->k", mats, a), atol=1e-12)
@@ -351,7 +353,7 @@ def test_band_operations_match_dense(k1, k2):
     x = rng.standard_normal(n)
     np.testing.assert_allclose(basis.quad_form(x), [x @ m @ x for m in mats], atol=1e-12)
     np.testing.assert_allclose(
-        basis.mcheck_gaps(), np.linalg.norm(basis.mcheck - mats, axis=(1, 2)), atol=1e-12
+        basis.mcheck_gaps(), np.linalg.norm(dense_mchecks(basis) - mats, axis=(1, 2)), atol=1e-12
     )
 
 
@@ -362,7 +364,7 @@ def test_diagonal_gram_matches_dense(k1, k2):
     # 1e-10 tolerance of verify's band-gram and circulant-gram checks
     n = 64
     basis = build_basis(n, k1, k2)
-    for profiles, stack in ((basis.bands, basis.mats), (basis.mcheck_profiles(), basis.mcheck)):
+    for profiles, stack in ((basis.bands, dense_mats(basis)), (basis.mcheck_profiles(), dense_mchecks(basis))):
         flat = stack.reshape(basis.K, -1)
         got = diagonal_gram(basis.offsets, profiles)
         assert np.max(np.abs(got - flat @ flat.T)) <= 1e-14
@@ -415,7 +417,7 @@ def test_quad_form_block_matches_per_row(k1, k2):
     assert block.shape == (reps, basis.K)
     rows = np.array([basis.quad_form(x) for x in xs])
     assert _max_rel(block, rows) <= 1e-14
-    want = np.einsum("ri,kij,rj->rk", xs, basis.mats, xs)
+    want = np.einsum("ri,kij,rj->rk", xs, dense_mats(basis), xs)
     assert _max_rel(block, want) <= 1e-12
     with pytest.raises(ConfigurationError):
         basis.quad_form(np.zeros((2, 3, n)))

@@ -42,6 +42,8 @@ from lsequiv.harness import RunConfig, _chi_square_cf, config_density
 from lsequiv.rng import make_rng
 from lsequiv.spectral import random_density
 
+from oracles import dense_mats
+
 N = 64
 
 
@@ -397,7 +399,7 @@ def _dense_oracle(c_theta, c_mat, basis):
     its inverse square root, and mu = |C_theta| |C^{-1}|^2 |Gamma^{-1/2}|
     sqrt(sum_k |M_k|^2), each from its own decomposition."""
     half = sym_inv(c_mat) @ _sym_sqrt(c_theta)
-    a_stack = np.matmul(half.T, np.matmul(basis.mats, half))
+    a_stack = np.matmul(half.T, np.matmul(dense_mats(basis), half))
     a_stack = 0.5 * (a_stack + np.transpose(a_stack, (0, 2, 1)))
     flat = a_stack.reshape(len(a_stack), -1)
     gamma_theta = 2.0 * (flat @ flat.T)

@@ -46,6 +46,8 @@ from lsequiv.gaussianize import (
 from lsequiv.rng import make_rng
 from lsequiv.spectral import random_density
 
+from oracles import dense_mats
+
 N = 32
 BASIS = build_basis(N, 1, 1)
 DENSITY = random_density(1, 1, make_rng(2, stream=30), s=11.0, L=5.0, rho_star=0.5)
@@ -535,12 +537,12 @@ def _dense_summaries(c_theta, c_mat, basis):
         flat = stack.reshape(k, -1)
         return 2.0 * flat @ flat.T
 
-    ci = ci_sqrt @ ci_sqrt
-    d_vec = np.einsum("kij,ij->k", basis.mats, ci @ c_theta @ ci)
-    gamma = gram(np.matmul(np.matmul(ci_sqrt, basis.mats), ci_sqrt))
-    half = np.matmul(ct_sqrt, np.matmul(ci, np.matmul(basis.mats, ci)))
+    ci, mats = ci_sqrt @ ci_sqrt, dense_mats(basis)
+    d_vec = np.einsum("kij,ij->k", mats, ci @ c_theta @ ci)
+    gamma = gram(np.matmul(np.matmul(ci_sqrt, mats), ci_sqrt))
+    half = np.matmul(ct_sqrt, np.matmul(ci, np.matmul(mats, ci)))
     gamma_theta = gram(np.matmul(half, ct_sqrt))
-    gamma_tilde = gram(np.matmul(np.matmul(cti_sqrt, basis.mats), cti_sqrt))
+    gamma_tilde = gram(np.matmul(np.matmul(cti_sqrt, mats), cti_sqrt))
     return d_vec, gamma_theta, gamma, gamma_tilde
 
 
@@ -601,7 +603,7 @@ def test_gamma_tilde_is_formed_when_read():
     # 2 tr(C_theta^{-1} M_k C_theta^{-1} M_l) against the dense inverse, once
     state = ExperimentState.build(BASIS, LOC, theta=THETA, rng=make_rng(0, stream=41))
     assert "gamma_tilde" not in vars(state)
-    half = np.matmul(np.linalg.inv(band_to_dense(state.c_theta_band)), BASIS.mats)
+    half = np.matmul(np.linalg.inv(band_to_dense(state.c_theta_band)), dense_mats(BASIS))
     want = 2.0 * np.einsum("kij,lji->kl", half, half)
     got = state.gamma_tilde
     assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) <= 1e-12

@@ -15,6 +15,7 @@ import lsequiv._linalg as linalg
 import lsequiv.cli as cli
 import lsequiv.gaussianize as gaussianize
 import lsequiv.harness as harness
+import lsequiv.whitenoise as whitenoise
 from lsequiv._linalg import DENSE_N_MAX, band_cholesky, band_to_dense
 from lsequiv.basis_cov import BasisSystem, build_basis, build_theta
 from lsequiv.cli import main
@@ -22,7 +23,6 @@ from lsequiv.errors import ConfigurationError, PreconditionError, RangeError, Si
 from lsequiv.harness import (
     CHAIN_HEADER,
     DEFAULT_BUDGETS,
-    RISK_HEADER,
     TV_HEADER,
     RunConfig,
     condition_checker,
@@ -31,14 +31,17 @@ from lsequiv.harness import (
     gaussian_kl,
     pinned_hom_defect,
     run_equivalence_chain,
-    run_risk_study,
     run_tv_decay,
     run_verify,
     schedule,
     whitening_matrix,
 )
+from lsequiv.report import fmt_float
 from lsequiv.rng import make_rng
 from lsequiv.spectral import GRID_NODES, QuadratureGrid
+from lsequiv.whitenoise import pilot_risk_row
+
+from oracles import dense_mats, dense_mchecks
 
 DIV_PAIRS = []
 _rng = make_rng(17, stream=70)
@@ -323,10 +326,22 @@ def test_tv_decay_rejects_wide_window():
 
 
 def test_risk_study_row_layout():
-    header, rows = run_risk_study(RunConfig(n_grid=(16,), replicates=5))
-    assert header == RISK_HEADER
-    assert rows[0][:4] == [16, 6, 4, 5]
-    assert rows[0][6] == (rows[0][4] <= rows[0][5])
+    # the white-noise pilot risk study is three chain columns, next to
+    # pilot_risk_wn, with the error column last
+    cfg = RunConfig(n_grid=(16,), replicates=5)
+    header, rows = run_equivalence_chain(cfg)
+    at = header.index("pilot_risk_wn")
+    assert header[at : at + 3] == ["pilot_risk_wn", "risk_bound", "risk_pass"] and header[-1] == "error"
+    row = dict(zip(header, rows[0]))
+    # localize fails at n = 16; the pilot reads only the basis
+    assert (row["n"], row["K"], row["error"]) == (16, 6, "localize:LocalizationError")
+    assert row["risk_pass"] == (row["pilot_risk_wn"] <= row["risk_bound"])
+    # J and the replicate count are fields of the pilot's own row
+    sched = cfg.window(16)
+    stats = pilot_risk_row(config_density(cfg), 16, build_basis(16, sched.k1, sched.k2).indices, 5, cfg.seed)
+    assert [stats[key] for key in ("n", "K", "J", "replicates")] == [16, 6, 4, 5]
+    want = (row["pilot_risk_wn"], row["risk_bound"], row["risk_pass"])
+    assert (stats["risk_mean"], stats["risk_bound"], stats["pass"]) == want
 
 
 def test_export_basis_csv_and_binary(tmp_path):
@@ -350,7 +365,41 @@ def test_export_basis_csv_and_binary(tmp_path):
     (n,) = struct.unpack("<Q", raw[:8])
     assert n == 16
     mat = np.frombuffer(raw[8:], dtype="<f8").reshape(16, 16)
-    np.testing.assert_allclose(mat, basis.mats[0], atol=0)
+    np.testing.assert_allclose(mat, basis.mat(0), atol=0)
+    # the cyclic companions need an alias-free window, which a basis at
+    # n = 18 does not: k1 = 4 < 18 / 4 but not < window_limit(18) = 4
+    with pytest.raises(PreconditionError):
+        export_basis(18, 4, 0, str(tmp_path / "wide"), fmt="binary")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_export_basis_matches_dense_stacks(tmp_path, n, fmt):
+    # every file, and the manifest's frob_sq, against the dense oracle stacks
+    sched = schedule(n)
+    manifest = export_basis(n, sched.k1, sched.k2, str(tmp_path), fmt=fmt)
+    basis = build_basis(n, sched.k1, sched.k2)
+    stacks = {"m": dense_mats(basis), "mcheck": dense_mchecks(basis)}
+    assert [(f["kind"], f["k"]) for f in manifest["files"]] == [(kind, k) for kind in stacks for k in range(basis.K)]
+    for entry in manifest["files"]:
+        want = stacks[entry["kind"]][entry["k"]]
+        path = tmp_path / entry["file"]
+        if fmt == "csv":
+            np.testing.assert_array_equal(np.loadtxt(path, delimiter=","), want)
+        else:
+            assert path.read_bytes() == struct.pack("<Q", n) + want.astype("<f8").tobytes()
+        assert entry["frob_sq"] == fmt_float(np.sum(want**2))
+    assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+
+
+def test_export_basis_holds_one_matrix_at_a_time(tmp_path, traced_peak):
+    # each matrix is formed from its band and written before the next: the
+    # traced peak is about two n x n arrays (the matrix, and its bytes for the
+    # file or its square for frob_sq), where the two dense (K, n, n) stacks
+    # took 13 at K = 6
+    n = 512
+    peak = traced_peak(lambda: export_basis(n, 1, 1, str(tmp_path), fmt="binary"))
+    assert peak < 2.5 * n * n * 8
 
 
 # CLI behavior, exercised in process through the argv entry point
@@ -409,9 +458,12 @@ def test_cli_verify_summary_names_the_tightest_relative_margin(tmp_path, capsys)
 def test_cli_chain_with_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(RunConfig(n_grid=(32, 64), replicates=5).to_json())
-    assert main(["chain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    # the white-noise pilot's risk at n = 32 (326 at 5 replicates) is above
+    # its budget of 300, so the run exits 1 with every row written
+    assert main(["chain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     text = (tmp_path / "chain_study.csv").read_text()
     assert text.splitlines()[0] == ",".join(CHAIN_HEADER)
+    assert [line.split(",")[CHAIN_HEADER.index("risk_pass")] for line in text.splitlines()[1:]] == ["false", "true"]
 
 
 def test_cli_chain_exit_on_stage_error(tmp_path):
@@ -420,15 +472,40 @@ def test_cli_chain_exit_on_stage_error(tmp_path):
     assert main(["chain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
 
-def test_cli_tvdecay_and_riskstudy(tmp_path):
+def test_cli_tvdecay_and_chain_risk_columns(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(RunConfig(n_grid=(16, 32), replicates=5).to_json())
     assert main(["tvdecay", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "tv_decay.csv").exists()
     risk_cfg = tmp_path / "risk.json"
-    risk_cfg.write_text(RunConfig(n_grid=(16,), replicates=5).to_json())
-    assert main(["riskstudy", "--config", str(risk_cfg), "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "risk_study.csv").exists()
+    risk_cfg.write_text(RunConfig(n_grid=(64,), replicates=5).to_json())
+    assert main(["chain", "--config", str(risk_cfg), "--out", str(tmp_path)]) == 0
+    header, row = (tmp_path / "chain_study.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert (row["risk_bound"], row["risk_pass"], row["error"]) == ("300", "true", "")
+
+
+def test_cli_chain_exits_one_on_a_row_above_budget(tmp_path, monkeypatch, capsys):
+    # pilot_risk_row reads RISK_BOUND_PER_K when it runs: a zero budget puts
+    # every row above it, with no stage error
+    monkeypatch.setattr(whitenoise, "RISK_BOUND_PER_K", 0.0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(RunConfig(n_grid=(32, 64), replicates=5).to_json())
+    assert main(["chain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    path = tmp_path / "chain_study.csv"
+    assert capsys.readouterr().out == f"chain: 2 rows, 0 with errors, 2 above budget -> {path}\n"
+    header, *lines = path.read_text().splitlines()
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        assert (row["risk_bound"], row["risk_pass"], row["error"]) == ("0", "false", "")
+        assert float(row["pilot_risk_wn"]) > 0.0
+
+
+def test_cli_riskstudy_is_gone():
+    # the white-noise pilot risk study is the chain's risk columns
+    with pytest.raises(SystemExit) as exc:
+        main(["riskstudy", "--n", "64"])
+    assert exc.value.code == 2
 
 
 def test_cli_conditions_flags_at_desk_scale(capsys):
@@ -459,7 +536,7 @@ def test_cli_unknown_flag_exits_two():
     "argv",
     [
         ["chain", "--timings"],
-        ["riskstudy", "--timings"],
+        ["tvdecay", "--k1", "0"],
         ["conditions", "--timings"],
         ["export-basis", "--timings"],
         ["conditions", "--seed", "0"],
@@ -570,15 +647,14 @@ def test_lapack_routines_are_the_ones_scipy_exports():
         ["chain", "--n", "64"],
         ["tvdecay", "--config", "{tv_k2}", "--n", "64"],
         ["tvdecay", "--n", "64"],
-        ["riskstudy", "--n", "64"],
     ],
-    ids=["verify", "chain", "tvdecay-k2", "tvdecay", "riskstudy"],
+    ids=["verify", "chain", "tvdecay-k2", "tvdecay"],
 )
 def test_commands_import_nothing_after_setup(argv, tmp_path):
     # a module a command loads on first use is paid inside its timed run; the
     # last line printed is the exit code and the modules the command added.
     # A plain np.unique loads numpy.ma on its first call (about 15 ms):
-    # riskstudy runs pilot_risk_row and the default tvdecay (K = 1) calls
+    # chain runs pilot_risk_row and the default tvdecay (K = 1) calls
     # np.unique with counts
     config = tmp_path / "tv-k2.json"
     config.write_text(json.dumps({"k1": 0, "k2": 1}))
@@ -624,12 +700,9 @@ def test_chain_propagates_untyped_errors(monkeypatch):
     assert rows[0][-1] == "tv:RangeError;pilot-wn:RangeError"
 
 
-def test_chain_builds_no_dense_stack(monkeypatch):
-    def forbidden(self):
-        raise AssertionError("dense basis stack built")
-
-    monkeypatch.setattr(BasisSystem, "mats", property(forbidden))
-    monkeypatch.setattr(BasisSystem, "mcheck", property(forbidden))
+def test_chain_builds_no_dense_stack():
+    # the basis holds no dense (K, n, n) stack; tests/oracles.py forms them
+    assert not hasattr(BasisSystem, "mats") and not hasattr(BasisSystem, "mcheck")
     header, rows = run_equivalence_chain(RunConfig(n_grid=(64,), replicates=5))
     assert rows[0][header.index("K")] == 6
     assert rows[0][-1] == ""
@@ -639,11 +712,8 @@ def test_chain_builds_no_dense_stack(monkeypatch):
 def test_verify_builds_no_dense_stack(monkeypatch, traced_peak, linalg_calls):
     # the Gram identities come from the band profiles, the affinity draws and
     # the tail radii in blocks: verify at n = 256 holds no (K, n, n) array
-    def forbidden(self):
-        raise AssertionError("dense basis stack built")
-
-    monkeypatch.setattr(BasisSystem, "mats", property(forbidden))
-    monkeypatch.setattr(BasisSystem, "mcheck", property(forbidden))
+    # the basis holds no dense (K, n, n) stack; tests/oracles.py forms them
+    assert not hasattr(BasisSystem, "mats") and not hasattr(BasisSystem, "mcheck")
     # its one n x n array is B: every spectrum, draw and solve of a covariance
     # comes from band storage.  random_density's 256-node Gauss-Legendre
     # sample took an eigvalsh of that size when spectral was imported.
@@ -708,11 +778,10 @@ def test_cli_malformed_config_returns_one(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["riskstudy", "--config", "{cfg}", "--out", "{out}"],
         ["chain", "--config", "{cfg}", "--out", "{out}"],
         ["chain", "--n", "64", "64", "--out", "{out}"],
     ],
-    ids=["riskstudy-fractional-replicates", "chain-fractional-replicates", "repeated-n"],
+    ids=["chain-fractional-replicates", "repeated-n"],
 )
 def test_cli_malformed_values_exit_one_with_one_line(argv, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"

@@ -1,12 +1,12 @@
 """Every function in src/lsequiv is entered by some command line run.
 
 One subprocess starts sys.settrace before it imports lsequiv and then runs
-each of the six subcommands through cli.main, the way a user does: verify
+each of the five subcommands through cli.main, the way a user does: verify
 at n = 256 (CSV and JSON) and at n = 64 with --timings, chain with the
 default, the tv-k2 and an ill-conditioned configuration (ILL_CONDITIONED of
-test_banded.py, whose C takes the exact-inverse fallback of band_function),
-tvdecay at K = 1 and K = 2, riskstudy (JSON), conditions and export-basis
-in both formats.  The tracer records the code object of every call into src/, and
+test_banded.py, whose C takes the exact-inverse fallback of band_function)
+and at n = 64 as JSON, tvdecay at K = 1 and K = 2, conditions and
+export-basis in both formats.  The tracer records the code object of every call into src/, and
 a function (def, method or nested def) that no run enters fails the test
 unless ALLOWED names it with its reason.  An ALLOWED entry that a run enters
 or that no longer exists fails too, so the list shrinks with the code.
@@ -38,6 +38,7 @@ SAMPLER = "driver arrives with ROADMAP item 7 (sample_experiment)"
 ALLOWED = {
     "cltcheck.py:build_char_context": TRACER_REASON,
     "spectral.py:QuadratureGrid.inner": TRACER_REASON,
+    "circulant.py:build_mcheck_basis": TRACER_REASON,
     "basis_cov.py:build_vartheta": SYMBOLS,
     "spectral.py:TransferFunction.__post_init__": SYMBOLS,
     "spectral.py:TransferFunction.components": SYMBOLS,
@@ -74,7 +75,7 @@ RUNS = [
     ["chain", "--config", "{ill}", "--n", "64", "--out", "{out}"],
     ["tvdecay", "--out", "{out}"],
     ["tvdecay", "--config", "{tvk2}", "--out", "{out}"],
-    ["riskstudy", "--out", "{out}", "--format", "json"],
+    ["chain", "--n", "64", "--out", "{out}", "--format", "json"],
     ["conditions"],
     ["export-basis", "--out", "{out}"],
     ["export-basis", "--out", "{out}", "--format", "binary"],

@@ -33,6 +33,8 @@ from lsequiv.whitenoise import (
     target_coefficients,
 )
 
+from oracles import dense_mats, dense_mchecks
+
 GRID = default_grid()
 N = 64
 BASIS = build_basis(N, 1, 1)
@@ -236,7 +238,7 @@ def _dense_stack_oracle(w):
     the dictionary gap straight from the (K, n, n) stacks."""
     w_dense = band_to_dense(w)
 
-    delta_check = np.tensordot(STATE.eta_tilde, BASIS.mcheck, axes=(0, 0))
+    delta_check = np.tensordot(STATE.eta_tilde, dense_mchecks(BASIS), axes=(0, 0))
     ci_sqrt = sym_inv_sqrt(band_to_dense(STATE.c_band))
     delta = band_to_dense(STATE.delta_band)
     abs_w = sym_abs(w_dense / math.sqrt(A_STAR))
@@ -249,7 +251,7 @@ def _dense_stack_oracle(w):
     b2 = 3.0 / A_STAR * cis_sp_sq * frob(delta_check - delta) ** 2 * w_sp_sq
     b3 = 3.0 * cis_sp_sq * spectral_norm(delta) ** 2 * root_gap_sq
     dict_lhs = frob(delta_check - delta) ** 2
-    dict_rhs = 9.0 * np.sum((BASIS.mcheck - BASIS.mats) ** 2)
+    dict_rhs = 9.0 * np.sum((dense_mchecks(BASIS) - dense_mats(BASIS)) ** 2)
     return frob(gap) ** 2 / 4.0, b1, b2, b3, dict_lhs, dict_rhs
 
 
