@@ -140,7 +140,7 @@ def _cmd_conditions(args) -> int:
     cfg = _load_config(args)
     n = cfg.n_grid[0]
     sched = cfg.window(n)
-    entries = condition_checker(n, sched)
+    entries = condition_checker(sched)
     print(f"n={n} window=({sched.k1},{sched.k2}) K={sched.K} gamma={fmt_float(sched.gamma)}")
     width = max(len(e.check_id) for e in entries)
     for e in entries:

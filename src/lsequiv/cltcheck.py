@@ -2,13 +2,12 @@
 
 Conditionally on the localizing covariance, the vector of quadratic
 statistics has a characteristic function that factors over the eigenvalues
-of a matrix pencil.  A context stores the standardized spectrum
-lam = Gamma^{-1/2} joint and shift s = Gamma^{-1/2} d once; one log-form
-evaluator (_log_psi) turns t . lam and t . s into psi*, log psi* or |psi*|.
-On it the module expands psi* in an Edgeworth-type series with certified
-coefficient and remainder bounds, bounds Fourier tails, and inverts psi*
-numerically to measure total-variation distance from the Gaussian limit
-(K <= 2).
+of a matrix pencil.  A CharFnContext is the one place that knows that
+spectrum: its consumers read only K, n, mu, mu_tail, log_psi(t, radius) and
+trace_powers(Q).  On them the module expands psi* in an Edgeworth-type
+series with certified coefficient and remainder bounds, bounds Fourier
+tails, and inverts psi* numerically on one half lattice to measure
+total-variation distance from the Gaussian limit (K <= 2).
 """
 
 import functools
@@ -46,64 +45,110 @@ __all__ = [
 # context
 
 
+# Frequency x node entries CharFnContext.log_psi forms at a time (0.5 MB)
+_PSI_BLOCK = 1 << 16
+
+
 @dataclass
 class CharFnContext:
-    """Eigen-ready data for the conditional characteristic function.
+    """The conditional characteristic function; consumers read K, n, mu,
+    mu_tail, log_psi and trace_powers only.
 
     d_vec holds the traces of A_k = C_theta^{1/2} C^{-1} M_k C^{-1}
-    C_theta^{1/2} (the centering vector), gamma_theta = [2 tr(A_k A_l)], and
-    the standardized D_k = sum_l (Gamma^{-1/2})_{kl} A_l make {sqrt(2) D_k}
-    Frobenius-orthonormal.  mu is the spectral budget behind every bound.
+    C_theta^{1/2} (the centering vector); the standardized D_k = sum_l
+    (Gamma^{-1/2})_{kl} A_l, Gamma = [2 tr(A_k A_l)], make {sqrt(2) D_k}
+    Frobenius-orthonormal; mu is the spectral budget behind every bound.
     joint holds the (K, n) spectra of the A_k in the one eigenbasis they
-    share (span_char_context builds it in closed form).  lam = Gamma^{-1/2}
-    joint, the spectra of the D_k, and shift = Gamma^{-1/2} d are formed
-    here, once: the standardized pencil sum_k t_k D_k has eigenvalues
-    t . lam, and psi*(t) the phase t . shift.  span_char_context sets symbol:
-    rows c_theta, c, m_0.. of linear polynomials u_0 + u_1 z with joint =
-    c_theta m / c^2 at z = cos(pi j / (n + 1)); built directly, a context has none.
+    share.  span_char_context builds it in closed form with a symbol: rows
+    c_theta, c, m_0.. of linear polynomials u_0 + u_1 z with joint =
+    c_theta m / c^2 at z = cos(pi j / (n + 1)).  sum_k t_k D_k has
+    eigenvalues t . Lambda, Lambda = Gamma^{-1/2} joint, and psi*(t) the
+    phase t . shift, shift = Gamma^{-1/2} d.  The private _exact is formed
+    once: for K = 1 Lambda's distinct values with their counts, else its
+    n columns, weight 1.
     """
 
     n: int
     d_vec: np.ndarray
-    gamma_theta: np.ndarray
     gamma_inv_sqrt: np.ndarray
     mu: float
     joint: np.ndarray
-    lam: np.ndarray = field(init=False)
+    symbol: np.ndarray = None
     shift: np.ndarray = field(init=False)
-    symbol: np.ndarray = field(init=False, default=None)
+    _exact: tuple = field(init=False, repr=False)
+    # (radius, quadrature or None) of the last _spectrum call with a radius
+    _memo: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self):
-        self.lam = self.gamma_inv_sqrt @ self.joint
         self.shift = self.gamma_inv_sqrt @ self.d_vec
+        lam = self.gamma_inv_sqrt @ self.joint
+        if self.K == 1:
+            values, counts = np.unique(lam[0], return_counts=True)
+            self._exact = values[None], counts
+        else:
+            self._exact = lam, 1.0
 
     @property
     def K(self) -> int:
         return len(self.d_vec)
 
-    def spectrum(self, R):
-        """(nodes, weights) whose weighted sums give log psi*(t), |t| <= R:
-        for K = 1 the distinct values of lam with their counts (exact); with
-        a symbol and the m of _symbol_order, Gamma^{-1/2} joint(pi i / m),
-        i = 0..m, weighted (n + 1) / m, the two ends (1/2)((n + 1) / m - 1);
-        else the n columns of lam, weights None (1 each)."""
-        if self.K == 1:
-            lam, counts = np.unique(self.lam[0], return_counts=True)
-            return lam[None], counts
-        m = None if self.symbol is None else _symbol_order(self, R)[0]
-        if m is None:
-            return self.lam, None
-        weights = np.full(m + 1, (self.n + 1) / m)
-        weights[[0, -1]] = 0.5 * ((self.n + 1) / m - 1.0)
-        nodes = _joint_symbol(self.symbol, np.cos(np.pi * np.arange(m + 1) / m))
-        return self.gamma_inv_sqrt @ nodes, weights
-
     @functools.cached_property
     def mu_tail(self) -> float:
-        """Bound on the standardized pencil's |eigenvalues| u . lam_{:,j} in
-        every unit direction u: max_j |lam_{:,j}|_2 (or mu, if that is
-        smaller by rounding)."""
-        return min(self.mu, float(np.max(np.linalg.norm(self.lam, axis=0))))
+        """Bound on the standardized pencil's |eigenvalues| u . Lambda_{:,j}
+        in every unit direction u: max_j |Lambda_{:,j}|_2 (or mu, if that
+        is smaller by rounding)."""
+        return min(self.mu, float(np.max(np.linalg.norm(self._exact[0], axis=0))))
+
+    def _spectrum(self, radius):
+        """(nodes, weights) whose weighted sums give log psi*(t), |t| <= radius:
+        with a symbol, K > 1 and the m of _symbol_order at radius, Gamma^{-1/2}
+        joint(pi i / m), i = 0..m, weighted (n + 1) / m, the two ends
+        (1/2)((n + 1) / m - 1), memoized for the last radius; else _exact."""
+        if self.symbol is None or radius is None or self.K == 1:
+            return self._exact
+        if self._memo[0] != radius:
+            m, quad = _symbol_order(self, radius)[0], None
+            if m is not None:
+                weights = np.full(m + 1, (self.n + 1) / m)
+                weights[[0, -1]] = 0.5 * ((self.n + 1) / m - 1.0)
+                nodes = _joint_symbol(self.symbol, np.cos(np.pi * np.arange(m + 1) / m))
+                quad = self.gamma_inv_sqrt @ nodes, weights
+            self._memo = radius, quad
+        return self._memo[1] or self._exact
+
+    def log_psi(self, t, radius=None):
+        """log psi* at (..., K) frequencies t, |t| <= radius: an array of
+        shape (...), a scalar for one frequency.  Each factor
+        (1 - 2i lam_j)^{-1/2} in polar form (Imhof, Biometrika 48, 1961),
+
+            log psi* = -(1/4) sum_j w_j log1p(4 lam_j^2) + i ((1/2) sum_j w_j arctan(2 lam_j) - t . shift),
+
+        lam = t . nodes over _spectrum(radius), so no power multiplies a
+        rounding error and the phase is continuous in t.  The frequencies
+        are taken in blocks of at most _PSI_BLOCK frequency x node entries,
+        with einsum and np.sum (no BLAS product, whose summation order may
+        depend on the shape), so each value is the same whatever the block.
+        """
+        t = np.asarray(t, dtype=float)
+        nodes, weights = self._spectrum(radius)
+        flat = t.reshape(-1, self.K)
+        out = np.empty(len(flat), dtype=complex)
+        step = max(1, _PSI_BLOCK // nodes.shape[1])
+        for i in range(0, len(flat), step):
+            w = flat[i : i + step]
+            x = 2.0 * np.einsum("fk,kj->fj", w, nodes)
+            phase = np.einsum("fk,k->f", w, self.shift)
+            out.real[i : i + step] = -0.25 * np.sum(np.log1p(x * x) * weights, axis=-1)
+            out.imag[i : i + step] = 0.5 * np.sum(np.arctan(x) * weights, axis=-1) - phase
+        return out.reshape(t.shape[:-1])[()]
+
+    def trace_powers(self, Q):
+        """{l: {m: c}}, l = 3..Q: c the coefficient of t^m in
+        tr[(sum_k t_k D_k)^l] = sum_j w_j (t . Lambda_{:,j})^l, that is
+        multinomial(m) sum_j w_j prod_k Lambda_kj^{m_k} over _exact."""
+        nodes, weights = self._exact
+        coef = lambda m: _multinomial(m) * np.sum(np.prod(nodes ** np.array(m)[:, None], axis=0) * weights)
+        return {ell: {m: complex(coef(m)) for m in _monomials(self.K, ell)} for ell in range(3, Q + 1)}
 
 
 def _joint_symbol(symbol, z):
@@ -224,20 +269,20 @@ def span_char_context(alpha_theta, alpha_c, basis):
     w_gamma, v_gamma = guarded_eig(gamma_theta, require_pd=True)
     gamma_inv_sqrt = (v_gamma / np.sqrt(w_gamma)) @ v_gamma.T
     m_norm = math.sqrt(np.sum(np.max(np.abs(m_hat), axis=1) ** 2))
+    m_poly = np.zeros((basis.K, 2))
+    m_poly[0, 0], m_poly[1:, 1] = basis.bands[0, 0], 2.0 * basis.bands[1:, 0]
     ctx = CharFnContext(
         n=n,
         d_vec=np.sum(joint, axis=1),
-        gamma_theta=gamma_theta,
         gamma_inv_sqrt=gamma_inv_sqrt,
         mu=float(np.max(c_theta) / np.min(np.abs(c_hat)) ** 2 / math.sqrt(np.min(w_gamma)) * m_norm),
         joint=joint,
+        symbol=np.vstack([alpha_theta @ m_poly, alpha_c @ m_poly, m_poly]),
     )
-    defect = np.max(np.abs(ctx.lam @ ctx.lam.T - 0.5 * np.eye(basis.K)))
+    lam, weights = ctx._exact
+    defect = np.max(np.abs((lam * weights) @ lam.T - 0.5 * np.eye(basis.K)))
     if defect > _ORTHO_TOL:
         raise AccuracyError(f"standardized stack lost orthonormality: defect {defect:.3e}")
-    m_poly = np.zeros((basis.K, 2))
-    m_poly[0, 0], m_poly[1:, 1] = basis.bands[0, 0], 2.0 * basis.bands[1:, 0]
-    ctx.symbol = np.vstack([alpha_theta @ m_poly, alpha_c @ m_poly, m_poly])
     return ctx
 
 
@@ -252,78 +297,27 @@ def context_from_state(state):
 # characteristic function
 
 
-def _log_psi(lam, phase, counts=None):
-    """(Re, Im) of log psi* at the pencil spectra lam (eigenvalues on the last
-    axis) and phases t . shift: each factor (1 - 2i lam_j)^{-1/2} in polar
-    form (Imhof, Biometrika 48, 1961),
-
-        log psi* = -(1/4) sum_j log1p(4 lam_j^2) + i ((1/2) sum_j arctan(2 lam_j) - phase),
-
-    so no power multiplies a rounding error and the phase is continuous in
-    t.  With counts, lam_j is counted counts[j] times; with phase None, Im is
-    None (|psi*| = exp(Re) needs no arctan).
-    """
-    x = 2.0 * lam
-    total = (lambda v: np.sum(v, axis=-1)) if counts is None else (lambda v: v @ counts)
-    re = -0.25 * total(np.log1p(x * x))
-    return re, None if phase is None else 0.5 * total(np.arctan(x)) - phase
-
-
-def _psi(lam, phase, counts=None):
-    """psi* = exp(log psi*) of _log_psi."""
-    re, im = _log_psi(lam, phase, counts)
-    psi = np.exp(1j * im)
-    psi *= np.exp(re)  # in place: one (2M + 1,) lattice-row temporary fewer
-    return psi
-
-
-def _spectra(t, ctx):
-    """The standardized pencil's spectra t . lam and phases t . shift at
-    (..., K) frequencies t."""
-    t = np.asarray(t, dtype=float)
-    return t @ ctx.lam, t @ ctx.shift
-
-
 def char_fn_standardized(t, ctx):
-    """psi*(t), the characteristic function of the centered, whitened
-    statistic, at (..., K) frequencies t: an array of shape (...), a scalar
-    for one frequency."""
-    return _psi(*_spectra(t, ctx))[()]
-
-
-# Radius x eigenvalue entries RadialProfile.abs_psi forms at a time (0.5 MB)
-_RADIUS_BLOCK = 1 << 16
+    """psi*(t) = exp(ctx.log_psi(t)), the characteristic function of the
+    centered, whitened statistic, at (..., K) frequencies t: an array of
+    shape (...), a scalar for one frequency."""
+    return np.exp(ctx.log_psi(t))
 
 
 class RadialProfile:
     """One-dimensional slice r -> |char_fn_standardized(r * u)|, for the
-    tail quadrature of fourier_tail_integral.
-
-    Along a fixed unit direction u the pencil eigenvalues r (u . lam) scale
-    linearly in the radius, so one spectrum u . lam serves every r.  abs_psi
-    is vectorized over radius arrays, taken in blocks of at most
-    _RADIUS_BLOCK radius x eigenvalue entries; each radius is one sum over
-    the spectrum, whatever the block.
-    """
+    tail quadrature of fourier_tail_integral: abs_psi is exp(Re log_psi(r u))
+    on a whole radius array, in the blocks log_psi takes."""
 
     def __init__(self, ctx, u):
         u = np.asarray(u, dtype=float)
         nrm = float(np.linalg.norm(u))
         if nrm == 0.0:
             raise PreconditionError("direction must be nonzero")
-        u = u / nrm
-        self.eigs = np.sort(u @ ctx.lam)
+        self.ctx, self.u = ctx, u / nrm
 
     def abs_psi(self, r):
-        r = np.asarray(r, dtype=float)
-        flat = r.reshape(-1)
-        out = np.empty(flat.shape)
-        step = max(1, _RADIUS_BLOCK // len(self.eigs))
-        for r0 in range(0, len(flat), step):
-            lam = np.multiply.outer(flat[r0 : r0 + step], self.eigs)
-            out[r0 : r0 + step] = np.exp(_log_psi(lam, None)[0])
-        # [()] turns the 0-d result of a scalar r into a scalar
-        return out.reshape(r.shape)[()]
+        return np.exp(self.ctx.log_psi(np.multiply.outer(np.asarray(r, dtype=float), self.u)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +325,12 @@ class RadialProfile:
 
 def _monomials(K, degree):
     """Multi-indices in K variables of the given total degree."""
-    out = []
-    for combo in combinations_with_replacement(range(K), degree):
-        m = [0] * K
-        for k in combo:
-            m[k] += 1
-        out.append(tuple(m))
-    return out
+    return [tuple(combo.count(k) for k in range(K)) for combo in combinations_with_replacement(range(K), degree)]
 
 
 def _multinomial(m) -> int:
     """(sum m)! / prod_k m_k!"""
     return math.factorial(int(sum(m))) // math.prod(math.factorial(int(mk)) for mk in m)
-
-
-def _trace_polys_joint(ctx, Q):
-    # tr[(sum_k t_k D_k)^l] = sum_j (sum_k t_k lam_kj)^l, so the coefficient
-    # of t^m is multinomial(m) sum_j prod_k lam_kj^{m_k}
-    coef = lambda m: _multinomial(m) * np.sum(np.prod(ctx.lam ** np.array(m)[:, None], axis=0))
-    return {ell: {m: complex(coef(m)) for m in _monomials(ctx.K, ell)} for ell in range(3, Q + 1)}
 
 
 def _poly_mul_truncated(p, q, max_deg):
@@ -392,18 +373,17 @@ class EdgeworthExpansion:
 def edgeworth_build(ctx, Q) -> EdgeworthExpansion:
     """Exact degree-Q truncation of exp of the cumulant trace series.
 
-    The trace polynomials t -> tr[(sum t_k D_k)^l] are formed exactly from
-    the joint spectrum, then the exponential is multiplied out, dropping
+    The trace polynomials t -> tr[(sum t_k D_k)^l] are ctx.trace_powers(Q),
+    exact; then the exponential is multiplied out, dropping
     every monomial above degree Q.
     """
     if Q < 2:
         raise PreconditionError("expansion order Q must be at least 2")
     K = ctx.K
-    polys = _trace_polys_joint(ctx, Q)
 
     zero = (0,) * K
     series = {}
-    for ell, poly in polys.items():
+    for ell, poly in ctx.trace_powers(Q).items():
         w = 0.5 * (2j) ** ell / ell
         for m, c in poly.items():
             series[m] = series.get(m, 0.0) + w * c
@@ -653,38 +633,22 @@ def _lattice_step(x_max, mu):
     return 2.0 * math.pi / (x_max + max(x_max, reach))
 
 
-def _lattice_psi(ctx, cf_override, dw, M):
-    """psi*(dw a) at [M + a] (K = 1), or psi*(dw (a, b)) at [M + a, M + b]
-    (K = 2), for |a|, |b| <= M.
+def _lattice_psi(psi, K, dw, M):
+    """psi on the lattice of step dw and half-width M: psi(dw a) at [a],
+    a = 0..M, for K = 1 (the half invert_cf_1d reads), or psi(dw (a, b)) at
+    [M + a, M + b], |a|, |b| <= M, for K = 2.
 
-    The half a >= 0 is evaluated, the rest is psi*(-w) = conj psi*(w), each
-    value by _psi over ctx.spectrum(R), R = sqrt(K) M dw the lattice corner
-    (K = 1: distinct values and counts; K = 2: a certified symbol quadrature
-    or the n exact columns), with the pencil of w, w_1 nodes_1 + w_2 nodes_2,
-    formed one (2M + 1, p) frequency row at a time.  A cf_override gets the
-    (M + 1, 1) frequencies (K = 1), or the same rows as (2M + 1, 2) arrays.
+    psi maps a (..., K) frequency array to values of shape (...).  It gets
+    the half a >= 0 in one call, the (M + 1, 1) frequencies for K = 1 or
+    the (M + 1, 2M + 1, 2) for K = 2; the rest is psi(-w) = conj psi(w).
     """
-    size = 2 * M + 1
     freqs = dw * np.arange(-M, M + 1)
-    if cf_override is None:
-        nodes, weights = ctx.spectrum(math.sqrt(ctx.K) * M * dw)
-    if ctx.K == 1:
-        r = freqs[M:]
-        if cf_override is None:
-            half = _psi(np.multiply.outer(r, nodes[0]), r * ctx.shift[0], weights)
-        else:
-            half = cf_override(r[:, None])
-        return np.concatenate([np.conj(half[:0:-1]), half])
-    psi = np.empty((size, size), dtype=complex)
-    for a in range(M, size):
-        if cf_override is None:
-            row = np.multiply.outer(freqs, nodes[1]) + freqs[a] * nodes[0]
-            psi[a] = _psi(row, freqs[a] * ctx.shift[0] + freqs * ctx.shift[1], weights)
-        else:
-            psi[a] = cf_override(np.stack(np.broadcast_arrays(freqs[a], freqs), axis=-1))
-    psi[:M] = np.conj(psi[:M:-1, ::-1])
-    psi[M, :M] = np.conj(psi[M, :M:-1])
-    return psi
+    if K == 1:
+        return psi(freqs[M:, None])
+    half = psi(np.stack(np.meshgrid(freqs[M:], freqs, indexing="ij"), axis=-1))
+    lattice = np.concatenate([np.conj(half[:0:-1, ::-1]), half], dtype=complex)
+    lattice[M, :M] = np.conj(half[0, :M:-1])
+    return lattice
 
 
 def invert_cf_1d(psi_half, dw, x):
@@ -719,17 +683,21 @@ def invert_cf_1d(psi_half, dw, x):
 def _lattice_density(ctx, cf_override, T, dw, x):
     """Density on x^K, K <= 2: the trapezoid sum over the lattice of step
     dw and half-width M = ceil(T / dw) in each coordinate, which covers the
-    ball of radius T.  K = 1 is invert_cf_1d on the half a >= 0.  For K = 2,
+    ball of radius T, with psi* = exp(ctx.log_psi(w, R)) at the lattice
+    corner R = sqrt(K) M dw, or cf_override; both through _lattice_psi.
+    K = 1 is invert_cf_1d on the half a >= 0.  For K = 2,
     with E[i, a] = exp(-i x_i dw a) = C - iS and psi* = P + iQ on it,
     f = (dw / 2 pi)^2 Re(E psi* E^T) = (dw / 2 pi)^2 [(CP + SQ) C^T + (CQ - SP) S^T].
     The rule converges geometrically for an analytic, decaying psi*
     (Trefethen & Weideman, 2014); _lattice_step bounds the aliasing.  M
     above _LATTICE_CAP[K] raises RangeError before psi* is evaluated.
     """
-    M = _half_width(T, dw, ctx.K)
-    psi = _lattice_psi(ctx, cf_override, dw, M)
-    if ctx.K == 1:
-        return invert_cf_1d(psi[M:], dw, x)
+    K = ctx.K
+    M = _half_width(T, dw, K)
+    radius = math.sqrt(K) * M * dw  # the lattice corner
+    psi = _lattice_psi(cf_override or (lambda w: np.exp(ctx.log_psi(w, radius))), K, dw, M)
+    if K == 1:
+        return invert_cf_1d(psi, dw, x)
     phase = np.multiply.outer(x, dw * np.arange(-M, M + 1))
     c, s = np.cos(phase), np.sin(phase)
     left = np.hstack([c, s]) @ np.block([[psi.real, psi.imag], [psi.imag, -psi.real]])
@@ -808,10 +776,15 @@ def tv_oracle(ctx, cf_override=None, details=False):
 def moment_diagnostics(ctx) -> dict:
     """Third-cumulant tensor of the standardized statistic.
 
-    cum3[k, l, m] = 8 tr(D_k D_l D_m) = 8 sum_j lam_kj lam_lj lam_mj; every
-    entry tends to zero in the Gaussian limit.
+    cum3[a, b, c] = 8 tr(D_a D_b D_c) = 8 coef(m) / multinomial(m), coef(m)
+    of ctx.trace_powers(3)[3] at the multi-index m that counts a, b and c;
+    every entry tends to zero in the Gaussian limit.
     """
-    cum3 = 8.0 * np.einsum("aj,bj,cj->abc", ctx.lam, ctx.lam, ctx.lam)
+    cubes = ctx.trace_powers(3)[3]
+    cum3 = np.empty((ctx.K,) * 3)
+    for abc in np.ndindex(cum3.shape):
+        m = tuple(abc.count(k) for k in range(ctx.K))
+        cum3[abc] = 8.0 * cubes[m].real / _multinomial(m)
     return {
         "third_cumulant": cum3,
         "max_abs_third_cumulant": float(np.max(np.abs(cum3))),

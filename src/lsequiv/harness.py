@@ -167,14 +167,14 @@ DEFAULT_BUDGETS = {
 }
 
 
-def condition_checker(n: int, sched: Schedule) -> list:
+def condition_checker(sched: Schedule) -> list:
     """Numeric value of every displayed rate condition at this n.
 
     Each quantity must tend to zero along the schedule; DEFAULT_BUDGETS say
     how large a desk-scale value is still acceptable.  The final entry is the
     hard admissibility constraint R^2 >= Q + K + 1.
     """
-    K, g, R, Q = sched.K, sched.gamma, sched.R, sched.Q
+    n, K, g, R, Q = sched.n, sched.K, sched.gamma, sched.R, sched.Q
     values = {
         "k10-log-over-n": K**10 * math.log(n) / n,
         "gamma-sq-K-over-n": g**2 * K / n,
@@ -490,7 +490,7 @@ def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationRepo
     add([comparison.bound_check, comparison.dictionary_gap_check])
 
     # hard admissibility constraint of the schedule
-    add([condition_checker(n, sched)[-1]])
+    add([condition_checker(sched)[-1]])
     return report
 
 
@@ -649,9 +649,10 @@ def run_tv_decay(cfg: RunConfig, timings: bool = False):
 def export_basis(n: int, k1: int, k2: int, out_dir: str, fmt: str) -> dict:
     """Write both matrix families plus a manifest; returns the manifest.
 
-    Each matrix is formed dense from its band profile or wrapped diagonal
-    and written before the next is formed: M_k = basis.mat(k) and
-    Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k)."""
+    Each matrix is formed dense from its band profile or wrapped diagonal,
+    written, squared in place for frob_sq and released before the next is
+    formed, so one n x n array is alive at a time: M_k = basis.mat(k) and
+    Mcheck_k = sqrt(2 pi / n) mcheck_element(n, idx_k), scaled in place."""
     if fmt not in ("csv", "binary"):
         raise ConfigurationError("format must be csv or binary")
     basis = build_basis(n, k1, k2)
@@ -664,13 +665,18 @@ def export_basis(n: int, k1: int, k2: int, out_dir: str, fmt: str) -> dict:
             ext = "csv" if fmt == "csv" else "bin"
             name = f"{kind}_{k:03d}.{ext}"
             path = os.path.join(out_dir, name)
-            mat = basis.mat(k) if kind == "m" else scale * mcheck_element(n, idx)
+            if kind == "m":
+                mat = basis.mat(k)
+            else:
+                mat = mcheck_element(n, idx)
+                mat *= scale
             if fmt == "csv":
                 write_text(path, csv_text(mat))
             else:
                 with open(path, "wb") as fh:
                     fh.write(struct.pack("<Q", n))
-                    fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+                    fh.write(np.ascontiguousarray(mat, dtype="<f8"))
+            mat *= mat
             files.append(
                 {
                     "file": name,
@@ -679,9 +685,10 @@ def export_basis(n: int, k1: int, k2: int, out_dir: str, fmt: str) -> dict:
                     "parity": idx.parity,
                     "j": idx.j,
                     "j2": idx.j2,
-                    "frob_sq": fmt_float(float(np.sum(mat**2))),
+                    "frob_sq": fmt_float(float(np.sum(mat))),
                 }
             )
+            del mat
     manifest = {
         "schema": SCHEMA,
         "n": n,

@@ -123,7 +123,9 @@ def pilot_estimate(obs) -> np.ndarray:
     return np.exp(default_grid().synthesize(obs.indices, obs.values))
 
 
-# pilot risk budget per basis coefficient
+# pilot risk budget per basis coefficient: a desk-scale constant, not a rate; on
+# the default configuration chain's pilot_risk_wn meets 50 K from n = 64 (271.6 <= 300)
+# and not at n = 32 (379.6), where chain exits 1
 RISK_BOUND_PER_K = 50.0
 
 

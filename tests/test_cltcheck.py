@@ -42,7 +42,7 @@ from lsequiv.harness import RunConfig, _chi_square_cf, config_density
 from lsequiv.rng import make_rng
 from lsequiv.spectral import random_density
 
-from oracles import dense_mats
+from oracles import DensePencil, dense_mats
 
 N = 64
 
@@ -142,8 +142,7 @@ def _cumulant_series(t, ctx, lmax):
 def _log_characteristic(t, ctx):
     """log psi*(t) from the package's log-form evaluator, continuous along
     every ray from the origin: its imaginary part is a sum of arctangents."""
-    re, im = cltcheck._log_psi(*cltcheck._spectra(t, ctx))
-    return (re + 1j * im)[()]
+    return ctx.log_psi(t)
 
 
 def test_log_branch_and_series_consistency():
@@ -300,7 +299,7 @@ def test_tv_oracle_gaussian_override_null():
 
 # a K = 3 context (no driver builds one), built directly from a joint spectrum
 THREE = cltcheck.CharFnContext(
-    n=N, d_vec=np.zeros(3), gamma_theta=np.eye(3), gamma_inv_sqrt=np.eye(3),
+    n=N, d_vec=np.zeros(3), gamma_inv_sqrt=np.eye(3),
     mu=0.05, joint=make_rng(3, stream=63).standard_normal((3, N)) / math.sqrt(2.0 * N),
 )
 
@@ -338,6 +337,27 @@ def test_invert_cf_recovers_normal_density():
     np.testing.assert_allclose(dens, expected, atol=1e-12)
 
 
+def _ctx_lattice(ctx, dw, M):
+    """_lattice_psi of a context as tv_oracle forms it: exp(log_psi) at the
+    lattice corner radius sqrt(K) M dw."""
+    radius = math.sqrt(ctx.K) * M * dw
+    return _lattice_psi(lambda w: np.exp(ctx.log_psi(w, radius)), ctx.K, dw, M)
+
+
+def _standardized(ctx):
+    """Lambda = Gamma^{-1/2} joint, the (K, n) standardized joint spectrum."""
+    return ctx.gamma_inv_sqrt @ ctx.joint
+
+
+def _log_psi_columns(ctx, w):
+    """log psi* at (..., K) frequencies w in the log form, summed over all n
+    columns of Lambda, one weight each (oracle)."""
+    w = np.asarray(w, dtype=float)
+    x = 2.0 * sum(w[..., k, None] * row for k, row in enumerate(_standardized(ctx)))
+    phase = w @ (ctx.gamma_inv_sqrt @ ctx.d_vec)
+    return -0.25 * np.sum(np.log1p(x * x), axis=-1) + 1j * (0.5 * np.sum(np.arctan(x), axis=-1) - phase)
+
+
 def _lattice_sum_direct(psi_half, dw, x):
     """Reference: (dw / pi) Re[psi_0 / 2 + sum_{a >= 1} psi_a exp(-i x a dw)]
     at each x, one O(N_x M) kernel in row chunks."""
@@ -361,7 +381,7 @@ def test_invert_cf_matches_direct_sum(grid):
     assert len(K1_GRID) == 20001 and len(grid) % (math.isqrt(len(grid) - 1) + 1) != 0
     dw = _lattice_step(20.0, CTX.mu)
     M = math.ceil(_truncation(CTX) / dw)
-    psi = _lattice_psi(CTX, None, dw, M)[M:]
+    psi = _ctx_lattice(CTX, dw, M)
     assert np.max(np.abs(invert_cf_1d(psi, dw, grid) - _lattice_sum_direct(psi, dw, grid))) <= 1e-13
 
 
@@ -466,7 +486,7 @@ def _assert_joint_matches_eigvalsh(ctx, dense, dirs):
     # eigvalsh of the dense oracle's pencil
     for u in dirs:
         want = np.linalg.eigvalsh(np.tensordot(dense.gamma_inv_sqrt @ u, dense.a_stack, axes=(0, 0)))
-        got = np.sort(u @ ctx.lam)
+        got = np.sort(u @ _standardized(ctx))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -521,7 +541,7 @@ def test_closed_form_context_matches_dense_build(n, k2, case):
     for ctx in (span_char_context(alpha_theta, alpha_c, basis), build_char_context(c_theta, c_mat, basis)):
         assert rel(np.sort(ctx.joint, axis=1), spectra) <= 1e-12
         assert rel(ctx.d_vec, dense.d_vec) <= 1e-12
-        assert rel(ctx.gamma_theta, dense.gamma_theta) <= 1e-12
+        assert rel(2.0 * ctx.joint @ ctx.joint.T, dense.gamma_theta) <= 1e-12
         assert rel(ctx.gamma_inv_sqrt, dense.gamma_inv_sqrt) <= 1e-12
         assert ctx.mu == pytest.approx(dense.mu, rel=1e-12)
 
@@ -590,31 +610,31 @@ def test_char_context_matches_separate_decompositions(same):
     assert ctx.mu == pytest.approx(dense.mu, rel=1e-12)
 
 
-def _psi_per_direction(ctx, w):
-    """psi* at each frequency of a (..., K) array, from the pencil spectrum
-    of its own direction and a complex log."""
-    v = w @ ctx.gamma_inv_sqrt.T
-    lam = np.array([_pencil_eigs(ctx, x) for x in v.reshape(-1, ctx.K)]).reshape(v.shape[:-1] + (-1,))
-    return np.exp(-0.5 * np.sum(np.log(1.0 - 2j * lam), axis=-1) - 1j * (v @ ctx.d_vec))
+def _dense_pencil(state):
+    """DensePencil of a localization state's dense A stack."""
+    return DensePencil(_dense_oracle(*_dense_covariances(state), state.basis).a_stack)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["joint", "dense"])
 def test_lattice_psi_k1_matches_per_direction_oracle(dense, monkeypatch):
     # the K = 1 half from the joint row of the state's context, built from
     # its span coefficients or its dense covariances, with no pencil solve,
-    # against a complex log per radius, on both halves of the lattice
+    # against the dense pencil's complex log per radius, on both halves of
+    # the line (psi*(-w) = conj psi*(w))
     state = _state(64, 0, 0)
     ctx = build_char_context(*_dense_covariances(state), state.basis) if dense else context_from_state(state)
+    oracle = _dense_pencil(state)
     solves = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
     dw, M = 0.3, 70
-    got = _lattice_psi(ctx, None, dw, M)
+    half = _ctx_lattice(ctx, dw, M)
     assert solves == []
-    want = _psi_per_direction(ctx, dw * np.arange(-M, M + 1)[:, None])
-    assert got.shape == (2 * M + 1,) and got[M] == 1.0
+    got = np.concatenate([np.conj(half[:0:-1]), half])
+    want = np.exp(oracle.log_psi(dw * np.arange(-M, M + 1)[:, None]))
+    assert half.shape == (M + 1,) and got[M] == 1.0
     assert np.max(np.abs(got - want)) <= 1e-13
-    assert np.max(np.abs(got - _lattice_psi(ctx, lambda w: _psi_per_direction(ctx, w), dw, M))) <= 1e-13
+    assert np.max(np.abs(half - _lattice_psi(lambda w: np.exp(oracle.log_psi(w)), 1, dw, M))) <= 1e-13
 
 
 def _evaluator_context(case, K):
@@ -660,20 +680,13 @@ def test_log_characteristic_has_no_2pi_jumps(K):
     assert np.max(np.abs(log_psi.imag - unwrapped)) <= 1e-9
 
 
-def _full_spectrum_half(ctx, dw, M):
-    """The K = 1 half a >= 0 of psi*, a sum over every eigenvalue of the
-    pencil (oracle)."""
-    r = dw * np.arange(M + 1)
-    v = ctx.gamma_inv_sqrt[:, 0]
-    return cltcheck._psi(np.multiply.outer(r, _pencil_eigs(ctx, v)), r * float(v @ ctx.d_vec))
-
-
 def _assert_distinct_sum_matches_full_spectrum(ctx):
-    # 20 lattice steps reach the truncation radius of a 1e-8 tail
+    # 20 lattice steps reach the truncation radius of a 1e-8 tail; the
+    # oracle sums over every eigenvalue of the pencil
     M = 20
     dw = _truncation(ctx) / M
-    got = _lattice_psi(ctx, None, dw, M)[M:]
-    assert np.max(np.abs(got - _full_spectrum_half(ctx, dw, M))) <= 1e-13
+    got = _ctx_lattice(ctx, dw, M)
+    assert np.max(np.abs(got - np.exp(_log_psi_columns(ctx, dw * np.arange(M + 1)[:, None])))) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384, 65536])
@@ -691,7 +704,6 @@ def test_lattice_psi_k1_on_a_spectrum_of_distinct_values():
     ctx = cltcheck.CharFnContext(
         n=n,
         d_vec=np.sum(joint, axis=1),
-        gamma_theta=gamma_theta,
         gamma_inv_sqrt=1.0 / np.sqrt(gamma_theta),
         mu=float(np.max(joint) / np.sqrt(gamma_theta[0, 0])),
         joint=joint,
@@ -757,32 +769,21 @@ def _oracle_lattice(ctx):
     return dw, M, math.sqrt(ctx.K) * M * dw
 
 
-def _half_lattice_rows(ctx, spec, dw, M):
-    """(t . spec, t . shift) over the half lattice a >= 0, one row of t at a time."""
-    freqs = dw * np.arange(-M, M + 1)
-    if ctx.K == 1:
-        return [(np.multiply.outer(freqs[M:], spec[0]), freqs[M:] * ctx.shift[0])]
-    shift = ctx.shift
-    return [(np.multiply.outer(freqs, spec[1]) + w * spec[0], w * shift[0] + freqs * shift[1]) for w in freqs[M:]]
-
-
 def _log_psi_gap(ctx, dw, M):
-    """Largest |Re| or |Im| gap over the half lattice between log psi* from
-    ctx.spectrum's weighted sum and from the n exact columns of lam."""
-    nodes, weights = ctx.spectrum(math.sqrt(ctx.K) * M * dw)
-    gap = 0.0
-    rows = zip(_half_lattice_rows(ctx, ctx.lam, dw, M), _half_lattice_rows(ctx, nodes, dw, M))
-    for (exact, phase), (quad, _) in rows:
-        for e, q in zip(cltcheck._log_psi(exact, phase), cltcheck._log_psi(quad, phase, weights)):
-            gap = max(gap, float(np.max(np.abs(e - q))))
-    return gap
+    """Largest |Re| or |Im| gap over the half lattice a >= 0 between
+    log_psi at the corner radius sqrt(K) M dw (its weighted spectrum) and
+    the log form over the n exact columns of Lambda."""
+    freqs = dw * np.arange(-M, M + 1)
+    w = freqs[M:, None] if ctx.K == 1 else np.stack(np.meshgrid(freqs[M:], freqs, indexing="ij"), axis=-1)
+    gap = ctx.log_psi(w, math.sqrt(ctx.K) * M * dw) - _log_psi_columns(ctx, w)
+    return float(max(np.max(np.abs(gap.real)), np.max(np.abs(gap.imag))))
 
 
 @pytest.mark.parametrize("case", list(SYMBOL_CASES))
 def test_symbol_quadrature_matches_exact_nodes(case):
     ctx = SYMBOL_CASES[case]()
     dw, M, R = _oracle_lattice(ctx)
-    nodes, weights = ctx.spectrum(R)
+    nodes, weights = ctx._spectrum(R)
     assert nodes.shape[1] <= 64 and len(weights) == nodes.shape[1]
     if ctx.K == 2:
         # the symbol reproduces the joint spectrum at the n DST-I nodes
@@ -814,12 +815,13 @@ def test_symbol_certificate_refuses_compression_at_64(monkeypatch):
     ctx = _tv_decay_context(64, 1)
     dw, M, R = _oracle_lattice(ctx)
     assert cltcheck._symbol_order(ctx, R) == (None, math.inf)
-    nodes, weights = ctx.spectrum(R)
-    assert nodes is ctx.lam and weights is None
+    assert ctx._spectrum(R) is ctx._exact
     assert tv_oracle(ctx) == TVK2_64_EXACT
-    # the 65-node quadrature it refuses is 1e-5 off
+    # the 65-node quadrature it refuses is 1e-5 off (on a new context, as
+    # the refusal is memoized for R)
     monkeypatch.setattr(cltcheck, "_symbol_order", lambda ctx, R: (64, math.nan))
-    assert ctx.spectrum(R)[0].shape == (2, 65)
+    ctx = _tv_decay_context(64, 1)
+    assert ctx._spectrum(R)[0].shape == (2, 65)
     assert _log_psi_gap(ctx, dw, M) > 1e-6
 
 
@@ -907,12 +909,15 @@ def test_lattice_psi_joint_rows_match_per_ray_oracle():
     # the joint rows against a complex log at each frequency, through a
     # cf_override (the upper half) and directly on the whole lattice
     ctx = _tv_decay_context(64, 1)
+    basis, alpha = _tv_decay_alpha(64, 1)
+    c_mat = basis.combine(alpha)
+    oracle = DensePencil(_dense_oracle(c_mat, c_mat, basis).a_stack)
     dw, M = 0.3, 12
-    got = _lattice_psi(ctx, None, dw, M)
+    got = _ctx_lattice(ctx, dw, M)
     w = dw * np.arange(-M, M + 1)
-    direct = _psi_per_direction(ctx, np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1))
+    direct = np.exp(oracle.log_psi(np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1)))
     assert np.max(np.abs(got - direct)) <= 1e-13
-    want = _lattice_psi(ctx, lambda w: _psi_per_direction(ctx, w), dw, M)
+    want = _lattice_psi(lambda w: np.exp(oracle.log_psi(w)), 2, dw, M)
     assert np.max(np.abs(got - want)) <= 1e-13
     assert got[M, M] == 1.0
 
@@ -921,7 +926,7 @@ def test_lattice_density_matches_direct_sum(tvk2_ctx):
     # (dw / 2 pi)^2 Re sum_{a, b} psi*(dw (a, b)) exp(-i dw (a x_1 + b x_2)) at a few points
     dw, T = 0.3, 9.0
     M = math.ceil(T / dw)
-    psi = _lattice_psi(tvk2_ctx, None, dw, M)
+    psi = _ctx_lattice(tvk2_ctx, dw, M)
     grid = np.array([-7.5, -1.0, 0.0, 0.35, 4.0])
     got = _lattice_density(tvk2_ctx, None, T, dw, grid)
     w = dw * np.arange(-M, M + 1)
@@ -1038,13 +1043,16 @@ def test_majorant_is_exact_for_in_span_chi_square(n):
 
 
 def test_abs_psi_blocks_match_one_block():
-    # 1e5 radii take several blocks of _RADIUS_BLOCK entries; each radius is
+    # 1e5 radii take several blocks of _PSI_BLOCK entries; each radius is
     # the same sum over the spectrum as in one (radii, n) array
     ctx = _tv_decay_context(32, 1)
-    profile = RadialProfile(ctx, np.array([0.6, 0.8]))
+    u = np.array([0.6, 0.8])
+    profile = RadialProfile(ctx, u)
     r = np.linspace(0.0, 200.0, 100_000)
-    assert len(r) * len(profile.eigs) > 4 * cltcheck._RADIUS_BLOCK
-    x = 2.0 * np.multiply.outer(r, profile.eigs)
+    assert len(r) * ctx.n > 4 * cltcheck._PSI_BLOCK
+    t = np.multiply.outer(r, u / np.linalg.norm(u))
+    lam = _standardized(ctx)
+    x = 2.0 * (t[:, :1] * lam[0] + t[:, 1:] * lam[1])
     want = np.exp(-0.25 * np.sum(np.log1p(x * x), axis=-1))
     np.testing.assert_array_equal(profile.abs_psi(r), want)
     np.testing.assert_array_equal(profile.abs_psi(r.reshape(400, 250)), want.reshape(400, 250))
@@ -1136,11 +1144,11 @@ def test_edgeworth_tv_k2_matches_k1_closed_form_on_a_rank_one_tensor():
     for angle in (0.0, 0.4, 2.0):
         u = np.array([math.cos(angle), math.sin(angle)])
         ctx2 = cltcheck.CharFnContext(
-            n=64, d_vec=np.zeros(2), gamma_theta=np.eye(2), gamma_inv_sqrt=np.eye(2),
+            n=64, d_vec=np.zeros(2), gamma_inv_sqrt=np.eye(2),
             mu=0.1, joint=np.outer(u, lam),
         )
         ctx1 = cltcheck.CharFnContext(
-            n=64, d_vec=np.zeros(1), gamma_theta=np.eye(1), gamma_inv_sqrt=np.eye(1),
+            n=64, d_vec=np.zeros(1), gamma_inv_sqrt=np.eye(1),
             mu=0.1, joint=lam[None],
         )
         assert edgeworth_tv(ctx2) == pytest.approx(edgeworth_tv(ctx1), rel=1e-3)
@@ -1162,7 +1170,7 @@ def test_edgeworth_tv_k2_matches_einsum_oracle(tvk2_ctx):
     # tvdecay contexts and a random joint spectrum
     joint = make_rng(5, stream=62).standard_normal((2, 40))
     rand = cltcheck.CharFnContext(
-        n=40, d_vec=np.zeros(2), gamma_theta=np.eye(2), gamma_inv_sqrt=np.eye(2),
+        n=40, d_vec=np.zeros(2), gamma_inv_sqrt=np.eye(2),
         mu=1.0, joint=joint / math.sqrt(40.0),
     )
     for ctx in (tvk2_ctx, _tv_decay_context(64, 1), rand):
@@ -1272,3 +1280,42 @@ def test_batched_truncation_rejects_slow_tail():
         assert 7.0 < ctx.mu ** -2.0 < 9.0
         with pytest.raises(RangeError, match="no usable T"):
             _truncation(ctx)
+
+
+# ---------------------------------------------------------------------------
+# the consumers on a dense-pencil provider, which has no joint spectrum
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_edgeworth_and_cumulants_of_a_noncommuting_stack(K):
+    # edgeworth_build and moment_diagnostics read only the interface: on a
+    # non-commuting stack the degree-3 and degree-4 terms are
+    # -(4i/3) tr[(t . D)^3] and 2 tr[(t . D)^4], and kappa is 8 tr(D_a D_b D_c)
+    g = make_rng(K, stream=64).standard_normal((K, 24, 24))
+    pencil = DensePencil(g + np.transpose(g, (0, 2, 1)))
+    d = pencil.d_stack
+    assert np.max(np.abs(d[0] @ d[1] - d[1] @ d[0])) > 0.01
+    exp = edgeworth_build(pencil, 4)
+    for t in make_rng(2, stream=64).standard_normal((5, K)):
+        td = np.tensordot(t, d, 1)
+        for q, want in ((3, -4j / 3.0 * np.trace(td @ td @ td)), (4, 2.0 * np.trace(td @ td @ td @ td))):
+            got = sum(c * np.prod(t ** np.array(m)) for m, c in exp.nu.items() if sum(m) == q)
+            assert abs(got - want) <= 1e-12
+    kappa = moment_diagnostics(pencil)["third_cumulant"]
+    np.testing.assert_allclose(kappa, 8.0 * np.einsum("aij,bjk,cki->abc", d, d, d), rtol=0, atol=1e-12)
+
+
+def test_tv_oracle_of_an_anticommuting_k2_stack():
+    # D_0 = diag(1, -1, ...) and D_1 = the swap of each index pair, over
+    # sqrt(2n): off the span and anticommuting, so (t . D)^2 = |t|^2 / (2n) I
+    # and psi*(t) = (1 + 2 |t|^2 / n)^{-n/4}.  The provider, one eigvalsh per
+    # lattice frequency, meets the cf_override route of that law
+    n = 96
+    a0 = np.diag(np.where(np.arange(n) % 2, -1.0, 1.0))
+    a1 = np.kron(np.eye(n // 2), [[0.0, 1.0], [1.0, 0.0]])
+    pencil = DensePencil(np.stack([a0, a1]))
+    d = pencil.d_stack
+    assert np.max(np.abs(d[0] @ d[1])) == pytest.approx(0.5 / n) and np.max(np.abs(d[0] @ d[1] + d[1] @ d[0])) == 0.0
+    law = lambda w: (1.0 + 2.0 * np.sum(w * w, axis=-1) / n) ** (-n / 4.0)
+    tv = tv_oracle(pencil)
+    assert tv > 0.01 and abs(tv - tv_oracle(pencil, cf_override=law)) <= 1e-12

@@ -124,7 +124,7 @@ def test_schedule_window_override():
 
 
 def test_condition_checker_flags_large_window_budget():
-    checks = condition_checker(1024, sched=schedule(1024, 0, 1))
+    checks = condition_checker(schedule(1024, 0, 1))
     by_id = {c.check_id: c for c in checks}
     assert sorted(by_id) == sorted(
         ["condition-" + key for key in DEFAULT_BUDGETS] + ["condition-admissible-radius"]
@@ -393,13 +393,14 @@ def test_export_basis_matches_dense_stacks(tmp_path, n, fmt):
 
 
 def test_export_basis_holds_one_matrix_at_a_time(tmp_path, traced_peak):
-    # each matrix is formed from its band and written before the next: the
-    # traced peak is about two n x n arrays (the matrix, and its bytes for the
-    # file or its square for frob_sq), where the two dense (K, n, n) stacks
-    # took 13 at K = 6
+    # each matrix is formed from its band, written from its own buffer,
+    # squared in place for frob_sq and released before the next: the traced
+    # peak is one n x n array, where a copy of its bytes for the file, a
+    # squared temporary and the previous matrix, kept until the next was
+    # formed, made two, and the two dense (K, n, n) stacks took 13 at K = 6
     n = 512
     peak = traced_peak(lambda: export_basis(n, 1, 1, str(tmp_path), fmt="binary"))
-    assert peak < 2.5 * n * n * 8
+    assert peak < 1.2 * n * n * 8
 
 
 # CLI behavior, exercised in process through the argv entry point
