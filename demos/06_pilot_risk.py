@@ -13,7 +13,7 @@ from lsequiv.basis_cov import abstract_rho
 from lsequiv.gaussianize import pilot_risk_bound
 from lsequiv.harness import RunConfig, config_density, run_equivalence_chain
 from lsequiv.rng import make_rng
-from lsequiv.spectral import default_grid
+from lsequiv.spectral import default_grid, leading_indices
 from lsequiv.whitenoise import noise_level, pilot_estimate, simulate_wn, target_coefficients
 
 
@@ -22,16 +22,17 @@ def main():
     f = config_density(cfg)
     n = 256
 
-    obs = simulate_wn(f, n, rng=make_rng(0, stream=95))
-    targets = target_coefficients(f, obs.indices, n)
+    values = simulate_wn(f, n, rng=make_rng(0, stream=95))
+    lead = leading_indices(len(values))
+    targets = target_coefficients(f, lead, n)
     # coefficients at localization scale: of the pilot, and of f itself
     grid, scale = default_grid(), math.sqrt(2.0 * math.pi * n)
-    risk = float(np.sum((scale * grid.project(pilot_estimate(obs), obs.indices) - targets) ** 2))
-    span_gap = float(np.sum((scale * grid.project(f, obs.indices) - targets) ** 2))
+    risk = float(np.sum((scale * grid.project(pilot_estimate(values), lead) - targets) ** 2))
+    span_gap = float(np.sum((scale * grid.project(f, lead) - targets) ** 2))
     print(f"white-noise observation at n = {n}")
     print(f"  noise level a_n         {noise_level(n):.6f}")
-    print(f"  observed coefficients   {len(obs.values)}")
-    print(f"  single-draw risk over all {len(obs.values)} coefficients: {risk:.1f}")
+    print(f"  observed coefficients   {len(values)}")
+    print(f"  single-draw risk over all {len(values)} coefficients: {risk:.1f}")
     print(f"  span gap                {span_gap:.4f}")
     print(f"  target norm             {float(np.linalg.norm(targets)):.4f}")
 

@@ -76,8 +76,6 @@ class CharFnContext:
     symbol: np.ndarray = None
     shift: np.ndarray = field(init=False)
     _exact: tuple = field(init=False, repr=False)
-    # (radius, quadrature or None) of the last _spectrum call with a radius
-    _memo: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self):
         self.shift = self.gamma_inv_sqrt @ self.d_vec
@@ -103,18 +101,16 @@ class CharFnContext:
         """(nodes, weights) whose weighted sums give log psi*(t), |t| <= radius:
         with a symbol, K > 1 and the m of _symbol_order at radius, Gamma^{-1/2}
         joint(pi i / m), i = 0..m, weighted (n + 1) / m, the two ends
-        (1/2)((n + 1) / m - 1), memoized for the last radius; else _exact."""
+        (1/2)((n + 1) / m - 1); else _exact."""
         if self.symbol is None or radius is None or self.K == 1:
             return self._exact
-        if self._memo[0] != radius:
-            m, quad = _symbol_order(self, radius)[0], None
-            if m is not None:
-                weights = np.full(m + 1, (self.n + 1) / m)
-                weights[[0, -1]] = 0.5 * ((self.n + 1) / m - 1.0)
-                nodes = _joint_symbol(self.symbol, np.cos(np.pi * np.arange(m + 1) / m))
-                quad = self.gamma_inv_sqrt @ nodes, weights
-            self._memo = radius, quad
-        return self._memo[1] or self._exact
+        m = _symbol_order(self, radius)[0]
+        if m is None:
+            return self._exact
+        weights = np.full(m + 1, (self.n + 1) / m)
+        weights[[0, -1]] = 0.5 * ((self.n + 1) / m - 1.0)
+        nodes = _joint_symbol(self.symbol, np.cos(np.pi * np.arange(m + 1) / m))
+        return self.gamma_inv_sqrt @ nodes, weights
 
     def log_psi(self, t, radius=None):
         """log psi* at (..., K) frequencies t, |t| <= radius: an array of
@@ -601,7 +597,7 @@ def _truncation(ctx):
 
 
 # Largest lattice half-width M = ceil(T / dw) the oracle accepts, by K; at the K = 1
-# cap invert_cf_1d on its x grid takes 75 MB, the K = 2 lattice alone 270 MB
+# cap invert_cf_1d on its x grid takes 75 MB, at the K = 2 cap _lattice_density 336 MB
 _LATTICE_CAP = {1: 1 << 14, 2: 2048}
 # Aliased probability mass allowed per marginal over the x window
 _ALIAS_TOL = 1e-12
@@ -631,24 +627,6 @@ def _lattice_step(x_max, mu):
     t = math.log(4.0 / _ALIAS_TOL)
     reach = 2.0 * math.sqrt(t) + 2.0 * mu * t
     return 2.0 * math.pi / (x_max + max(x_max, reach))
-
-
-def _lattice_psi(psi, K, dw, M):
-    """psi on the lattice of step dw and half-width M: psi(dw a) at [a],
-    a = 0..M, for K = 1 (the half invert_cf_1d reads), or psi(dw (a, b)) at
-    [M + a, M + b], |a|, |b| <= M, for K = 2.
-
-    psi maps a (..., K) frequency array to values of shape (...).  It gets
-    the half a >= 0 in one call, the (M + 1, 1) frequencies for K = 1 or
-    the (M + 1, 2M + 1, 2) for K = 2; the rest is psi(-w) = conj psi(w).
-    """
-    freqs = dw * np.arange(-M, M + 1)
-    if K == 1:
-        return psi(freqs[M:, None])
-    half = psi(np.stack(np.meshgrid(freqs[M:], freqs, indexing="ij"), axis=-1))
-    lattice = np.concatenate([np.conj(half[:0:-1, ::-1]), half], dtype=complex)
-    lattice[M, :M] = np.conj(half[0, :M:-1])
-    return lattice
 
 
 def invert_cf_1d(psi_half, dw, x):
@@ -683,25 +661,38 @@ def invert_cf_1d(psi_half, dw, x):
 def _lattice_density(ctx, cf_override, T, dw, x):
     """Density on x^K, K <= 2: the trapezoid sum over the lattice of step
     dw and half-width M = ceil(T / dw) in each coordinate, which covers the
-    ball of radius T, with psi* = exp(ctx.log_psi(w, R)) at the lattice
-    corner R = sqrt(K) M dw, or cf_override; both through _lattice_psi.
-    K = 1 is invert_cf_1d on the half a >= 0.  For K = 2,
-    with E[i, a] = exp(-i x_i dw a) = C - iS and psi* = P + iQ on it,
-    f = (dw / 2 pi)^2 Re(E psi* E^T) = (dw / 2 pi)^2 [(CP + SQ) C^T + (CQ - SP) S^T].
+    ball of radius T.  psi* = exp(ctx.log_psi(w, R)) at the lattice corner
+    R = sqrt(K) M dw, or cf_override, is taken in one call on the half
+    lattice a >= 0 (first coordinate), |b| <= M; psi*(-w) = conj psi*(w)
+    gives the rest.  K = 1 is invert_cf_1d.  For K = 2, with
+    E[i, b] = exp(-i x_i dw b) = C - iS and psi* = P + iQ on the half,
+    G = psi* E^T = (P C^T + Q S^T) + i(Q C^T - P S^T) is the inner sum over
+    b, and with h = 1 at a = 0 and 2 above (half_rule) and E_h = C_h - iS_h
+    the columns a >= 0 of E,
+    f = (dw / 2 pi)^2 Re(E_h h G) = (dw / 2 pi)^2 [C_h, S_h] [h Re G; h Im G].
     The rule converges geometrically for an analytic, decaying psi*
     (Trefethen & Weideman, 2014); _lattice_step bounds the aliasing.  M
     above _LATTICE_CAP[K] raises RangeError before psi* is evaluated.
     """
     K = ctx.K
     M = _half_width(T, dw, K)
-    radius = math.sqrt(K) * M * dw  # the lattice corner
-    psi = _lattice_psi(cf_override or (lambda w: np.exp(ctx.log_psi(w, radius))), K, dw, M)
+    freqs = dw * np.arange(-M, M + 1)
+    w = np.stack(np.meshgrid(freqs[M:], *[freqs] * (K - 1), indexing="ij"), axis=-1)
+    if cf_override:
+        psi = cf_override(w)
+    else:
+        psi = ctx.log_psi(w, math.sqrt(K) * M * dw)  # radius: the lattice corner
+        np.exp(psi, out=psi)
     if K == 1:
         return invert_cf_1d(psi, dw, x)
-    phase = np.multiply.outer(x, dw * np.arange(-M, M + 1))
-    c, s = np.cos(phase), np.sin(phase)
-    left = np.hstack([c, s]) @ np.block([[psi.real, psi.imag], [psi.imag, -psi.real]])
-    dens = left @ np.vstack([c.T, s.T])
+    del w
+    phase = np.multiply.outer(x, freqs)
+    c, s = np.cos(phase), np.sin(phase, out=phase)
+    p, q = np.ascontiguousarray(psi.real), np.ascontiguousarray(psi.imag)  # strided views skip BLAS
+    del psi
+    half_rule = np.r_[1.0, np.full(M, 2.0)][:, None]
+    g = np.vstack([(p @ c.T + q @ s.T) * half_rule, (q @ c.T - p @ s.T) * half_rule])
+    dens = np.hstack([c[:, M:], s[:, M:]]) @ g  # one (N_x, N_x) array
     dens *= (dw / (2.0 * math.pi)) ** 2
     return dens
 

@@ -245,6 +245,8 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be a finite number, got {v!r}")
         if not 0.0 < self.rho_star <= 1.0:
             raise ConfigurationError("rho_star must lie in (0, 1]")
+        if self.s < 0.0 or self.L < 0.0:
+            raise ConfigurationError(f"s and L must be nonnegative, got s = {self.s!r}, L = {self.L!r}")
 
     def window(self, n: int) -> Schedule:
         return schedule(n, self.k1, self.k2)
@@ -304,8 +306,7 @@ def whitening_matrix(f_hat, basis: BasisSystem):
     through the symmetric-map inverse, as k2 + 1 wrapped diagonals;
     |W / sqrt(2 pi)| plays the role of C^{-1/2} in the ensemble comparison.
     """
-    proj = inv_sqrt_projection(f_hat, basis.indices)
-    return psi_inverse_real(basis.n, proj.indices, proj.coeffs)
+    return psi_inverse_real(basis.n, basis.indices, inv_sqrt_projection(f_hat, basis.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +486,7 @@ def run_verify(n: int, seed: int = 0, timings: bool = False) -> VerificationRepo
     add([sup_check, gamma_min_eig_check(f_hat, basis.indices)])
     proj = inv_sqrt_projection(f_hat, basis.indices)
     add(gamma_variants(proj, basis))
-    w = psi_inverse_real(n, proj.indices, proj.coeffs)
+    w = psi_inverse_real(n, basis.indices, proj)
     comparison = goe_connection(state, w, gamma=sched.gamma)
     add([comparison.bound_check, comparison.dictionary_gap_check])
 

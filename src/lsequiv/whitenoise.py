@@ -51,8 +51,6 @@ A_STAR = TWO_PI
 __all__ = [
     "A_STAR",
     "GoeComparison",
-    "InvSqrtProjection",
-    "WhiteNoiseObservation",
     "gamma_min_eig_check",
     "gamma_variants",
     "goe_connection",
@@ -75,18 +73,6 @@ def noise_level(n: int) -> float:
 # observation
 
 
-@dataclass
-class WhiteNoiseObservation:
-    """Coefficient functionals of one white-noise draw.
-
-    values[j] = <phi_j, log f> + a_n z_j with iid standard normal z;
-    the indices walk the basis in frequency-shell order.
-    """
-
-    indices: list
-    values: np.ndarray
-
-
 def _wn_means(f, n):
     """The first J = ceil(sqrt(n)) indices, the drift <phi_j, log f> on them
     by quadrature, and the noise scale a_n."""
@@ -95,14 +81,16 @@ def _wn_means(f, n):
     return lead, grid.project(np.log(grid.as_values(f)), lead), noise_level(n)
 
 
-def simulate_wn(f, n, rng) -> WhiteNoiseObservation:
-    """Draw the first ceil(sqrt(n)) coefficient functionals of the sheet.
+def simulate_wn(f, n, rng) -> np.ndarray:
+    """Draw the first J = ceil(sqrt(n)) coefficient functionals of the sheet:
+    values[j] = <phi_j, log f> + a_n z_j on leading_indices(J), z iid
+    standard normal.
 
     Orthonormality makes the noise part of the coefficient vector iid
     N(0, a_n^2) exactly; the drift part is <phi_j, log f> by quadrature.
     """
     lead, means, a_n = _wn_means(f, n)
-    return WhiteNoiseObservation(indices=lead, values=means + a_n * rng.standard_normal(len(lead)))
+    return means + a_n * rng.standard_normal(len(lead))
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +103,19 @@ def target_coefficients(f, indices, n):
     return default_grid().project(f, indices) * np.sqrt(TWO_PI * (n - j2))
 
 
-def pilot_estimate(obs) -> np.ndarray:
-    """Pilot density on the grid: the exponentiated smoothed log-observation.
+def pilot_estimate(values) -> np.ndarray:
+    """Pilot density on the grid: the exponentiated smoothed log-observation
+    of simulate_wn's values, on leading_indices(len(values)).
 
     The smoother keeps every observed coefficient.
     """
-    return np.exp(default_grid().synthesize(obs.indices, obs.values))
+    return np.exp(default_grid().synthesize(leading_indices(len(values)), values))
 
 
 # pilot risk budget per basis coefficient: a desk-scale constant, not a rate; on
 # the default configuration chain's pilot_risk_wn meets 50 K from n = 64 (271.6 <= 300)
-# and not at n = 32 (379.6), where chain exits 1
+# and not at n = 32 (379.6), where chain exits 1, and on the K = 2 window of
+# perfbench/configs/tv-k2.json not at n = 64 and 128 (100.31 and 105.56 > 100)
 RISK_BOUND_PER_K = 50.0
 
 
@@ -217,26 +207,13 @@ def gamma_min_eig_check(f_hat, indices) -> CheckResult:
 # inverse-square-root projection
 
 
-@dataclass
-class InvSqrtProjection:
-    """Window projection of f_hat^{-1/2}: its coefficients on the window,
-    and its values on the grid when they are read."""
-
-    indices: list
-    coeffs: np.ndarray
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return default_grid().synthesize(self.indices, self.coeffs)
-
-
-def inv_sqrt_projection(f_hat, indices):
-    """Project f_hat^{-1/2} onto the index window."""
+def inv_sqrt_projection(f_hat, indices) -> np.ndarray:
+    """The coefficients of f_hat^{-1/2} on the index window."""
     grid = default_grid()
     fvals = grid.as_values(f_hat)
     if fvals.min() <= 0.0:
         raise RangeError("density estimate must be positive")
-    return InvSqrtProjection(indices=list(indices), coeffs=grid.project(fvals**-0.5, indices))
+    return grid.project(fvals**-0.5, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +224,28 @@ def inv_sqrt_projection(f_hat, indices):
 DEFECT_BUDGET_CONST = 200.0
 
 
-def gamma_variants(projection, basis) -> list:
-    """The circulant product-defect checks of the projected inverse root.
+def gamma_variants(coeffs, basis) -> list:
+    """The circulant product-defect checks of the projected inverse root w,
+    its coefficients on the basis window (inv_sqrt_projection).
 
-    W, the matrix counterpart of the projection w, conjugates each cyclic
+    W, the matrix counterpart of w, conjugates each cyclic
     dictionary element M_j in exact coefficient algebra; delta_j is the
     function-space defect between W M_j W and w^2 phi_j, checked against the
     homomorphism defects of its two products, and the largest delta_j
     against the K^2/n^2 + K^4/n^4 budget.  Where the doubled window of M_j W
     is not alias-free, every row is skipped: lhs 2 max(k1, k2) >= rhs, its limit.
     """
-    if list(projection.indices) != list(basis.indices):
-        raise PreconditionError("projection and basis must share one window")
-    n = basis.n
-    indices = basis.indices
+    n, indices = basis.n, basis.indices
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (basis.K,):
+        raise PreconditionError(f"projection coefficients must have shape ({basis.K},)")
     need, lim = 2 * max(basis.k1, basis.k2), window_limit(n)
     if need >= lim:
         ids = [f"circulant-defect-{j}" for j in range(len(indices))] + ["circulant-defect-budget"]
         return [CheckResult(cid, "product-defect", float(need), lim, skipped=True) for cid in ids]
-    sup_w = float(np.max(np.abs(projection.values)))
+    sup_w = float(np.max(np.abs(default_grid().synthesize(indices, coeffs))))
 
-    w_elem = real_expansion_to_element(n, indices, projection.coeffs)
+    w_elem = real_expansion_to_element(n, indices, coeffs)
     w_fn = psi_forward(w_elem)
     K = len(indices)
     delta_sq = np.empty(K)

@@ -4,10 +4,10 @@ A CharFnContext is the one place that knows the pencil's spectrum; its
 consumers read K, n, mu, mu_tail, log_psi(t, radius) and trace_powers(Q)
 only.  The scan fails on any read in src/lsequiv of the context's spectral
 data (PRIVATE: the joint spectrum, its symbol, Gamma^{-1/2}, the phase
-vector, the exact spectrum and the quadrature memo) outside CharFnContext's
-methods and the span provider (PROVIDER), and on any attribute named lam,
-wherever it is read or written: the standardized spectrum is not an
-attribute of anything.  Reads are matched by attribute name.
+vector and the exact spectrum) outside CharFnContext's methods and the
+span provider (PROVIDER), and on any attribute named lam, wherever it is
+read or written: the standardized spectrum is not an attribute of
+anything.  Reads are matched by attribute name.
 
 Run as a script to print every offender:
 
@@ -20,7 +20,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lsequiv"
 
-PRIVATE = {"joint", "symbol", "gamma_inv_sqrt", "shift", "_exact", "_memo"}
+PRIVATE = {"joint", "symbol", "gamma_inv_sqrt", "shift", "_exact"}
 PROVIDER = {"span_char_context", "_symbol_order", "_joint_symbol"}
 
 
@@ -92,7 +92,7 @@ class RadialProfile:
     def __init__(self, ctx):
         self.eigs = ctx.gamma_inv_sqrt @ ctx.joint
 
-SPECTRUM = CTX._memo
+SPECTRUM = CTX._exact
 """
     found = offenders_in("cltcheck.py", source)
     assert [line for line, _ in found] == [7, 13, 17, 17, 19]

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import gc
 import math
 import weakref
@@ -18,7 +19,6 @@ from lsequiv.basis_cov import build_basis, build_theta
 from lsequiv.cltcheck import (
     _ladder_tails,
     _lattice_density,
-    _lattice_psi,
     _lattice_step,
     _truncation,
     RadialProfile,
@@ -338,10 +338,24 @@ def test_invert_cf_recovers_normal_density():
 
 
 def _ctx_lattice(ctx, dw, M):
-    """_lattice_psi of a context as tv_oracle forms it: exp(log_psi) at the
-    lattice corner radius sqrt(K) M dw."""
-    radius = math.sqrt(ctx.K) * M * dw
-    return _lattice_psi(lambda w: np.exp(ctx.log_psi(w, radius)), ctx.K, dw, M)
+    """psi* of a context on the half lattice a >= 0 as _lattice_density
+    forms it for tv_oracle: the one log_psi call it makes, seen on a copy of
+    ctx, must take the frequencies dw (a, b), a = 0..M (and |b| <= M for
+    K = 2), at the lattice corner radius sqrt(K) M dw; exp of its values."""
+    seen, spy = [], copy.copy(ctx)
+
+    def log_psi(w, radius=None):
+        seen.append((w.copy(), radius, ctx.log_psi(w, radius)))
+        return seen[-1][2].copy()
+
+    spy.log_psi = log_psi
+    _lattice_density(spy, None, (M - 0.5) * dw, dw, np.zeros(1))
+    freqs = dw * np.arange(-M, M + 1)
+    half = np.stack(np.meshgrid(freqs[M:], *[freqs] * (ctx.K - 1), indexing="ij"), axis=-1)
+    [(w, radius, values)] = seen
+    assert radius == math.sqrt(ctx.K) * M * dw
+    np.testing.assert_array_equal(w, half)
+    return np.exp(values)
 
 
 def _standardized(ctx):
@@ -634,7 +648,10 @@ def test_lattice_psi_k1_matches_per_direction_oracle(dense, monkeypatch):
     want = np.exp(oracle.log_psi(dw * np.arange(-M, M + 1)[:, None]))
     assert half.shape == (M + 1,) and got[M] == 1.0
     assert np.max(np.abs(got - want)) <= 1e-13
-    assert np.max(np.abs(half - _lattice_psi(lambda w: np.exp(oracle.log_psi(w)), 1, dw, M))) <= 1e-13
+    # the density on the half rule, against the oracle as a cf_override
+    args = (M - 0.5) * dw, dw, K1_GRID[::50]
+    dens = _lattice_density(ctx, lambda w: np.exp(oracle.log_psi(w)), *args)
+    assert np.max(np.abs(_lattice_density(ctx, None, *args) - dens)) <= 1e-13
 
 
 def _evaluator_context(case, K):
@@ -738,6 +755,14 @@ def test_tv_oracle_k2_memory_peak(tvk2_ctx, traced_peak):
     assert traced_peak(lambda: tv_oracle(tvk2_ctx)) <= TVK2_REFERENCE_PEAK
 
 
+def test_lattice_density_k2_memory_peak(traced_peak):
+    # psi* on the half lattice a >= 0 only, (M + 1)(2M + 1) frequencies, and
+    # the density from it by real products: 10.0 MB at M = 256 (numpy
+    # 2.4.6), where the mirrored lattice and its real block matrix took 24.2
+    dw, M = 0.25, 256
+    assert traced_peak(lambda: _lattice_density(CTX2, _gaussian_cf, (M - 0.5) * dw, dw, K2_GRID)) < 16_000_000
+
+
 def test_tv_oracle_k2_memory_peak_at_65536(traced_peak):
     # one (2M + 1, n) complex row over the n exact columns alone is 70 MB here
     ctx = _tv_decay_context(65536, 1)
@@ -817,10 +842,8 @@ def test_symbol_certificate_refuses_compression_at_64(monkeypatch):
     assert cltcheck._symbol_order(ctx, R) == (None, math.inf)
     assert ctx._spectrum(R) is ctx._exact
     assert tv_oracle(ctx) == TVK2_64_EXACT
-    # the 65-node quadrature it refuses is 1e-5 off (on a new context, as
-    # the refusal is memoized for R)
+    # the 65-node quadrature it refuses is 1e-5 off
     monkeypatch.setattr(cltcheck, "_symbol_order", lambda ctx, R: (64, math.nan))
-    ctx = _tv_decay_context(64, 1)
     assert ctx._spectrum(R)[0].shape == (2, 65)
     assert _log_psi_gap(ctx, dw, M) > 1e-6
 
@@ -906,8 +929,10 @@ def test_tv_oracle_converged_in_step_and_box(K, tvk2_ctx):
 
 
 def test_lattice_psi_joint_rows_match_per_ray_oracle():
-    # the joint rows against a complex log at each frequency, through a
-    # cf_override (the upper half) and directly on the whole lattice
+    # the joint rows on the half lattice against a complex log at each
+    # frequency, directly and, mirrored by psi*(-w) = conj psi*(w), on the
+    # whole lattice; the density on the half rule against the oracle as a
+    # cf_override
     ctx = _tv_decay_context(64, 1)
     basis, alpha = _tv_decay_alpha(64, 1)
     c_mat = basis.combine(alpha)
@@ -916,20 +941,24 @@ def test_lattice_psi_joint_rows_match_per_ray_oracle():
     got = _ctx_lattice(ctx, dw, M)
     w = dw * np.arange(-M, M + 1)
     direct = np.exp(oracle.log_psi(np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1)))
-    assert np.max(np.abs(got - direct)) <= 1e-13
-    want = _lattice_psi(lambda w: np.exp(oracle.log_psi(w)), 2, dw, M)
-    assert np.max(np.abs(got - want)) <= 1e-13
-    assert got[M, M] == 1.0
+    assert got.shape == (M + 1, 2 * M + 1) and got[0, M] == 1.0
+    assert np.max(np.abs(got - direct[M:])) <= 1e-13
+    assert np.max(np.abs(np.conj(got[:0:-1, ::-1]) - direct[:M])) <= 1e-13
+    args = (M - 0.5) * dw, dw, K2_GRID[::10]
+    dens = _lattice_density(ctx, lambda w: np.exp(oracle.log_psi(w)), *args)
+    assert np.max(np.abs(_lattice_density(ctx, None, *args) - dens)) <= 1e-13
 
 
 def test_lattice_density_matches_direct_sum(tvk2_ctx):
-    # (dw / 2 pi)^2 Re sum_{a, b} psi*(dw (a, b)) exp(-i dw (a x_1 + b x_2)) at a few points
+    # (dw / 2 pi)^2 Re sum_{a, b} psi*(dw (a, b)) exp(-i dw (a x_1 + b x_2)) at a
+    # few points, psi* from log_psi on the whole lattice |a|, |b| <= M
     dw, T = 0.3, 9.0
     M = math.ceil(T / dw)
-    psi = _ctx_lattice(tvk2_ctx, dw, M)
+    w = dw * np.arange(-M, M + 1)
+    lattice = np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1)
+    psi = np.exp(tvk2_ctx.log_psi(lattice, math.sqrt(2.0) * M * dw))
     grid = np.array([-7.5, -1.0, 0.0, 0.35, 4.0])
     got = _lattice_density(tvk2_ctx, None, T, dw, grid)
-    w = dw * np.arange(-M, M + 1)
     for i, x1 in enumerate(grid):
         for j, x2 in enumerate(grid):
             kernel = np.exp(-1j * np.add.outer(w * x1, w * x2))

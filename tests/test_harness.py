@@ -179,7 +179,9 @@ def test_run_config_validation():
         {"k2": "1"},
         {"k2": True},
         {"s": "11"},
+        {"s": -3.0},
         {"L": None},
+        {"L": -1.0},
         {"rho_star": "0.5"},
         {"density_mean": True},
         {"density_amplitude": math.nan},
@@ -781,13 +783,16 @@ def test_cli_malformed_config_returns_one(tmp_path):
     [
         ["chain", "--config", "{cfg}", "--out", "{out}"],
         ["chain", "--n", "64", "64", "--out", "{out}"],
+        # a negative smoothness exponent once ended in a ZeroDivisionError traceback
+        ["chain", "--config", "{negative_s}", "--n", "64", "--out", "{out}"],
     ],
-    ids=["chain-fractional-replicates", "repeated-n"],
+    ids=["chain-fractional-replicates", "repeated-n", "chain-negative-s"],
 )
 def test_cli_malformed_values_exit_one_with_one_line(argv, tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
+    cfg_path, negative_s = tmp_path / "cfg.json", tmp_path / "negative_s.json"
     cfg_path.write_text('{"n_grid": [16], "replicates": 2.5}')
-    argv = [a.format(cfg=cfg_path, out=tmp_path / "out") for a in argv]
+    negative_s.write_text('{"s": -3.0}')
+    argv = [a.format(cfg=cfg_path, negative_s=negative_s, out=tmp_path / "out") for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigurationError:") and err.count("\n") == 1

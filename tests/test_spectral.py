@@ -286,11 +286,12 @@ def test_chain_row_functionals_match_legendre_oracle():
     )
     fo = LEGENDRE.values(basis.indices, fhat_coeffs)
     _close(GRID.weighted_gram(basis.indices, f_hat**-2.0), LEGENDRE.gram(basis.indices, fo**-2.0))
-    _close(inv_sqrt_projection(f_hat, basis.indices).coeffs, LEGENDRE.project(fo**-0.5, basis.indices))
-    obs = simulate_wn(f, n, rng=make_rng(cfg.seed, stream=12_000_000 + n))
-    pilot, po = pilot_estimate(obs), np.exp(LEGENDRE.values(obs.indices, obs.values))
-    _close(inv_sqrt_projection(pilot, basis.indices).coeffs, LEGENDRE.project(po**-0.5, basis.indices))
-    _close(GRID.project(np.log(pilot), obs.indices), obs.values)
+    _close(inv_sqrt_projection(f_hat, basis.indices), LEGENDRE.project(fo**-0.5, basis.indices))
+    values = simulate_wn(f, n, rng=make_rng(cfg.seed, stream=12_000_000 + n))
+    lead = leading_indices(len(values))
+    pilot, po = pilot_estimate(values), np.exp(LEGENDRE.values(lead, values))
+    _close(inv_sqrt_projection(pilot, basis.indices), LEGENDRE.project(po**-0.5, basis.indices))
+    _close(GRID.project(np.log(pilot), lead), values)
 
 
 def _unfolded_exp_projection(lead, coeffs, order):

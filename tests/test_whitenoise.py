@@ -20,7 +20,6 @@ from lsequiv.spectral import (
 )
 from lsequiv.whitenoise import (
     A_STAR,
-    WhiteNoiseObservation,
     gamma_min_eig_check,
     gamma_variants,
     goe_connection,
@@ -53,16 +52,14 @@ def test_noise_level_identity():
 
 
 def test_simulate_wn_statistics():
-    obs = simulate_wn(DENSITY, N, rng=make_rng(0, stream=61))
-    assert obs.indices == leading_indices(8)
+    # ceil(sqrt(64)) = 8 coefficients, on leading_indices(8)
+    assert simulate_wn(DENSITY, N, rng=make_rng(0, stream=61)).shape == (8,)
     logf = np.log(DENSITY.on_grid())
-    means = np.array([GRID.inner(logf, idx) for idx in obs.indices])
+    means = np.array([GRID.inner(logf, idx) for idx in leading_indices(8)])
     reps = 600
     # rescaled coefficients sqrt(2 pi n) <phi_j, dX>
     scale = math.sqrt(2.0 * math.pi * N)
-    vals = scale * np.array(
-        [simulate_wn(DENSITY, N, rng=make_rng(s, stream=62)).values for s in range(reps)]
-    )
+    vals = scale * np.array([simulate_wn(DENSITY, N, rng=make_rng(s, stream=62)) for s in range(reps)])
     np.testing.assert_allclose(vals.mean(0), scale * means, atol=1.5)
     # the rescaled coefficients carry variance 8 pi^2 regardless of n
     np.testing.assert_allclose(vals.var(0), 8.0 * math.pi**2 * np.ones(8), rtol=0.25)
@@ -82,8 +79,7 @@ def test_noiseless_in_span_recovery():
     rng = make_rng(2, stream=63)
     coeffs = 0.05 * rng.standard_normal(8)
     f = np.exp(GRID.synthesize(indices, coeffs))
-    obs = WhiteNoiseObservation(indices=indices, values=GRID.project(np.log(f), indices))
-    np.testing.assert_allclose(pilot_estimate(obs), f, rtol=1e-12)
+    np.testing.assert_allclose(pilot_estimate(GRID.project(np.log(f), indices)), f, rtol=1e-12)
 
 
 def test_pilot_risk_row_deterministic():
@@ -193,10 +189,11 @@ def test_gamma_min_eig_check_rejects_nonpositive_density():
 
 
 def test_inv_sqrt_projection_constant():
-    proj = inv_sqrt_projection(ONES, BASIS.indices)
-    assert proj.coeffs[0] == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
-    np.testing.assert_allclose(proj.coeffs[1:], np.zeros(BASIS.K - 1), atol=1e-12)
-    np.testing.assert_allclose(proj.values, ONES, rtol=0, atol=1e-12)
+    coeffs = inv_sqrt_projection(ONES, BASIS.indices)
+    assert coeffs.shape == (BASIS.K,)
+    assert coeffs[0] == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
+    np.testing.assert_allclose(coeffs[1:], np.zeros(BASIS.K - 1), atol=1e-12)
+    np.testing.assert_allclose(GRID.synthesize(BASIS.indices, coeffs), ONES, rtol=0, atol=1e-12)
 
 
 def test_gamma_variants_constant_density():
@@ -209,15 +206,15 @@ def test_gamma_variants_constant_density():
 
 
 def test_gamma_variants_window_mismatch():
-    proj = inv_sqrt_projection(ONES, leading_indices(8))
-    with pytest.raises(PreconditionError):
-        gamma_variants(proj, BASIS)
+    # coefficients on another window, or not one vector, have the wrong shape
+    for coeffs in (inv_sqrt_projection(ONES, leading_indices(8)), np.ones((1, BASIS.K))):
+        with pytest.raises(PreconditionError, match=rf"shape \({BASIS.K},\)"):
+            gamma_variants(coeffs, BASIS)
 
 
 def test_goe_connection_bound_and_zero_case():
     fv = DENSITY.on_grid()
-    proj = inv_sqrt_projection(fv, BASIS.indices)
-    w = psi_inverse_real(N, proj.indices, proj.coeffs)
+    w = psi_inverse_real(N, BASIS.indices, inv_sqrt_projection(fv, BASIS.indices))
     comp = goe_connection(STATE, w, gamma=3.0)
     assert comp.kl > 0.0
     assert comp.bound_check.check_id == "goe-kl-bound"
@@ -256,8 +253,7 @@ def _dense_stack_oracle(w):
 
 
 def _whitening_w():
-    proj = inv_sqrt_projection(DENSITY.on_grid(), BASIS.indices)
-    return psi_inverse_real(N, proj.indices, proj.coeffs)
+    return psi_inverse_real(N, BASIS.indices, inv_sqrt_projection(DENSITY.on_grid(), BASIS.indices))
 
 
 def test_goe_connection_matches_dense_stacks():
